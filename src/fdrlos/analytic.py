@@ -30,13 +30,11 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
-from scipy.special import gammaincc, gammaln, i0e
-from scipy.stats import ncx2
+from scipy.special import chndtr, gammaincc, gammaln, i0e
 
 from .models import FadingParams
 from .specfun import (AccuracyError, DomainError, QuadratureConfig,
-                      _gig_scaled_vec, adaptive_quad_vec, gamma_tricomi_u,
-                      log_kummer_1f1)
+                      adaptive_quad_vec, gamma_tricomi_u, log_kummer_1f1)
 
 _DEFAULT = QuadratureConfig()
 #: zero-abs-tol variant used for internal component integrals whose scales
@@ -47,6 +45,46 @@ _GAMMA_CHUNK = 32
 
 class UnderflowWarning(RuntimeWarning):
     """A density/probability underflowed below 1e-300 and was reported as 0."""
+
+
+def _check_snr(gamma):
+    """Reject negative SNR values and NaN (which fails every comparison)."""
+    if not np.all(gamma >= 0):
+        raise DomainError("gamma must be nonnegative and not NaN")
+
+
+def _over_snr(gamma, evaluate, at_inf):
+    """Evaluate a law on a 1-d SNR grid, ``_GAMMA_CHUNK`` finite points per
+    ``evaluate`` call (one vector quadrature each); +inf points take the
+    limit value ``at_inf`` without being evaluated."""
+    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
+    _check_snr(gamma_arr)
+    out = np.full(gamma_arr.shape, float(at_inf))
+    finite = np.flatnonzero(np.isfinite(gamma_arr))
+    for lo in range(0, len(finite), _GAMMA_CHUNK):
+        sel = finite[lo:lo + _GAMMA_CHUNK]
+        out[sel] = evaluate(gamma_arr[sel])
+    return out
+
+
+def _scatter_average(conditional, gamma, k, gbar, cfg, at_inf):
+    """Average a conditional law over the exponential scatter weight e^{-x}.
+
+    ``conditional(g, k_x, gbar_x)`` receives the SNR chunk as a (1, ng) row
+    and K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, and returns
+    the (nx, ng) conditional values.
+    """
+
+    def average(g):
+        def f(x):
+            k_x = (k / x)[:, None]
+            gbar_x = (gbar * (k + x) / (k + 1.0))[:, None]
+            return conditional(g[None, :], k_x, gbar_x) * np.exp(-x)[:, None]
+
+        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, cfg)
+        return vals
+
+    return _over_snr(gamma, average, at_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +104,8 @@ class Curve:
         self.ordinate = np.asarray(self.ordinate, dtype=float)
         if self.abscissa.shape != self.ordinate.shape or self.abscissa.ndim != 1:
             raise DomainError("abscissa and ordinate must be 1-d and equal length")
+        if np.isnan(self.abscissa).any() or np.isnan(self.ordinate).any():
+            raise DomainError("abscissa and ordinate must not contain NaN")
         if np.any(np.diff(self.abscissa) <= 0):
             raise DomainError("abscissa must be strictly increasing")
         quantity = self.meta.get("quantity")
@@ -123,8 +163,7 @@ def rs_pdf(gamma, k_x, m, gbar_x):
     gamma = np.asarray(gamma, dtype=float)
     k_x = np.asarray(k_x, dtype=float)
     gbar_x = np.asarray(gbar_x, dtype=float)
-    if np.any(gamma < 0):
-        raise DomainError("gamma must be nonnegative")
+    _check_snr(gamma)
     if not (m > 0):
         raise DomainError("m must be positive")
     if np.any(k_x < 0) or np.any(gbar_x <= 0):
@@ -195,8 +234,7 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
     gamma = np.asarray(gamma, dtype=float)
     k_x = np.asarray(k_x, dtype=float)
     gbar_x = np.asarray(gbar_x, dtype=float)
-    if np.any(gamma < 0):
-        raise DomainError("gamma must be nonnegative")
+    _check_snr(gamma)
     omega = gbar_x * (k_x + m) / (m * (1.0 + k_x))
     y = gamma / omega
     p = m / (m + k_x)
@@ -223,8 +261,7 @@ def rs_cdf(gamma, k_x, m, gbar_x, cfg: QuadratureConfig | None = None):
     if m == int(m):
         return rs_cdf_integer(gamma, k_x, int(m), gbar_x)
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.any(gamma_arr < 0):
-        raise DomainError("gamma must be nonnegative")
+    _check_snr(gamma_arr)
     out = np.empty_like(gamma_arr)
     for i, g in enumerate(gamma_arr):
         if g == 0.0:
@@ -305,18 +342,13 @@ def fdrlos_pdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
     if params.k == 0.0:
         return fdrlos_pdf_oracle(gamma, params, cfg)
     m = params.require_integer_m()
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.any(gamma_arr < 0):
-        raise DomainError("gamma must be nonnegative")
     k, gbar = params.k, params.gamma_bar
     z = k / m
     a_values = np.arange(2 - 2 * m, 1)
     a_index = {a: i for i, a in enumerate(a_values)}
     comp_cfg = _rel_only_cfg(cfg)
 
-    out = np.empty_like(gamma_arr)
-    for lo in range(0, len(gamma_arr), _GAMMA_CHUNK):
-        g = gamma_arr[lo:lo + _GAMMA_CHUNK]
+    def density(g):
         gig = _gig_matrix(a_values, z, g * (k + 1.0) / gbar, comp_cfg)
         total = np.zeros_like(g)
         for j in range(m):
@@ -327,8 +359,9 @@ def fdrlos_pdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
                 inner += (comb(j, r) * (-z) ** (j - r)
                           * gig[:, a_index[r + j - 2 * m + 2]])
             total += outer * g ** (m - j - 1) * inner
-        out[lo:lo + _GAMMA_CHUNK] = total
-    out = _flag_underflow(_check_pdf_sign(out))
+        return total
+
+    out = _flag_underflow(_check_pdf_sign(_over_snr(gamma, density, 0.0)))
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -336,22 +369,9 @@ def fdrlos_pdf_oracle(gamma, params: FadingParams,
                       cfg: QuadratureConfig | None = None):
     """Ground-truth density: conditional Rician shadowed pdf averaged over the
     exponential scatter weight.  Valid for any real m > 0 and K >= 0."""
-    cfg = _rel_only_cfg(cfg or _DEFAULT)
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.any(gamma_arr < 0):
-        raise DomainError("gamma must be nonnegative")
-    k, m, gbar = params.k, params.m, params.gamma_bar
-    out = np.empty_like(gamma_arr)
-    for lo in range(0, len(gamma_arr), _GAMMA_CHUNK):
-        g = gamma_arr[lo:lo + _GAMMA_CHUNK]
-
-        def f(x):
-            k_x = (k / x)[:, None]
-            gbar_x = (gbar * (k + x) / (k + 1.0))[:, None]
-            return rs_pdf(g[None, :], k_x, m, gbar_x) * np.exp(-x)[:, None]
-
-        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, cfg)
-        out[lo:lo + _GAMMA_CHUNK] = vals
+    out = _scatter_average(
+        lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
+        gamma, params.k, params.gamma_bar, _rel_only_cfg(cfg or _DEFAULT), 0.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -371,18 +391,13 @@ def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
     if params.k == 0.0:
         return fdrlos_cdf_oracle(gamma, params, cfg)
     m = params.require_integer_m()
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.any(gamma_arr < 0):
-        raise DomainError("gamma must be nonnegative")
     k, gbar = params.k, params.gamma_bar
     z = k / m
     a_values = np.arange(3 - 2 * m, 2)
     a_index = {a: i for i, a in enumerate(a_values)}
     comp_cfg = _rel_only_cfg(cfg)
 
-    out = np.empty_like(gamma_arr)
-    for lo in range(0, len(gamma_arr), _GAMMA_CHUNK):
-        g = gamma_arr[lo:lo + _GAMMA_CHUNK]
+    def distribution(g):
         b = g * (k + 1.0) / gbar
         gig = _gig_matrix(a_values, z, b, comp_cfg)
         surv = np.zeros_like(g)
@@ -393,8 +408,9 @@ def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
                 for s in range(j + 1):
                     surv += (br * comb(j, s) * (-z) ** (j - s)
                              * gig[:, a_index[s - m - r + 2]])
-        out[lo:lo + _GAMMA_CHUNK] = 1.0 - surv
-    out = np.clip(out, 0.0, 1.0)
+        return 1.0 - surv
+
+    out = np.clip(_over_snr(gamma, distribution, 1.0), 0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -403,29 +419,16 @@ def fdrlos_cdf_oracle(gamma, params: FadingParams,
     """Ground-truth cdf: conditional Rician shadowed cdf averaged over the
     exponential scatter weight (integer m uses the Erlang-mixture cdf, real m
     integrates rs_pdf)."""
-    base_cfg = cfg or _DEFAULT
-    cfg = _rel_only_cfg(base_cfg)
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if np.any(gamma_arr < 0):
-        raise DomainError("gamma must be nonnegative")
-    k, m, gbar = params.k, params.m, params.gamma_bar
-    out = np.empty_like(gamma_arr)
-    integer_m = params.m_is_integer
-    for lo in range(0, len(gamma_arr), _GAMMA_CHUNK):
-        g = gamma_arr[lo:lo + _GAMMA_CHUNK]
+    cfg = _rel_only_cfg(cfg or _DEFAULT)
+    m = params.m
 
-        def f(x):
-            k_x = (k / x)[:, None]
-            gbar_x = (gbar * (k + x) / (k + 1.0))[:, None]
-            if integer_m:
-                cond = rs_cdf_integer(g[None, :], k_x, int(m), gbar_x)
-            else:
-                cond = _rs_cdf_real_vec(g, k_x, m, gbar_x, cfg)
-            return cond * np.exp(-x)[:, None]
+    def conditional(g, k_x, gbar_x):
+        if params.m_is_integer:
+            return rs_cdf_integer(g, k_x, int(m), gbar_x)
+        return _rs_cdf_real_vec(g[0], k_x, m, gbar_x, cfg)
 
-        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, cfg)
-        out[lo:lo + _GAMMA_CHUNK] = vals
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(_scatter_average(conditional, gamma, params.k,
+                                   params.gamma_bar, cfg, 1.0), 0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -483,8 +486,7 @@ def asymptotic_op(gamma_th, gbar, k, m, cfg: QuadratureConfig | None = None):
 def rician_pdf(gamma, k, gbar):
     """Rician SNR density (deterministic LoS, single-Rayleigh scatter)."""
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
-        raise DomainError("gamma must be nonnegative")
+    _check_snr(gamma)
     c = (1.0 + k) * gamma / gbar
     y = 2.0 * np.sqrt(k * c)
     out = (1.0 + k) / gbar * i0e(y) * np.exp(-(np.sqrt(k) - np.sqrt(c)) ** 2)
@@ -492,47 +494,24 @@ def rician_pdf(gamma, k, gbar):
 
 
 def rician_cdf(gamma, k, gbar):
-    """Rician SNR cdf via the noncentral chi-square law."""
+    """Rician SNR cdf via the noncentral chi-square law: ``chndtr`` at
+    2 (1+K) g / gbar with 2 degrees of freedom and noncentrality 2K."""
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
-        raise DomainError("gamma must be nonnegative")
-    out = ncx2.cdf(2.0 * (1.0 + k) * gamma / gbar, 2, 2.0 * k)
+    _check_snr(gamma)
+    out = chndtr(2.0 * (1.0 + k) * gamma / gbar, 2, 2.0 * k)
     return float(out) if np.ndim(gamma) == 0 else out
 
 
 def drlos_pdf_oracle(gamma, k, gbar, cfg: QuadratureConfig | None = None):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
     Rician, averaged over the exponential scatter weight (the m -> inf limit)."""
-    cfg = _rel_only_cfg(cfg or _DEFAULT)
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    out = np.empty_like(gamma_arr)
-    for lo in range(0, len(gamma_arr), _GAMMA_CHUNK):
-        g = gamma_arr[lo:lo + _GAMMA_CHUNK]
-
-        def f(x):
-            k_x = (k / x)[:, None]
-            gbar_x = (gbar * (k + x) / (k + 1.0))[:, None]
-            return rician_pdf(g[None, :], k_x, gbar_x) * np.exp(-x)[:, None]
-
-        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, cfg)
-        out[lo:lo + _GAMMA_CHUNK] = vals
+    out = _scatter_average(rician_pdf, gamma, k, gbar,
+                           _rel_only_cfg(cfg or _DEFAULT), 0.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
 def drlos_cdf_oracle(gamma, k, gbar, cfg: QuadratureConfig | None = None):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
-    cfg = _rel_only_cfg(cfg or _DEFAULT)
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    out = np.empty_like(gamma_arr)
-    for lo in range(0, len(gamma_arr), _GAMMA_CHUNK):
-        g = gamma_arr[lo:lo + _GAMMA_CHUNK]
-
-        def f(x):
-            k_x = (k / x)[:, None]
-            gbar_x = (gbar * (k + x) / (k + 1.0))[:, None]
-            return rician_cdf(g[None, :], k_x, gbar_x) * np.exp(-x)[:, None]
-
-        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, cfg)
-        out[lo:lo + _GAMMA_CHUNK] = vals
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(_scatter_average(rician_cdf, gamma, k, gbar,
+                                   _rel_only_cfg(cfg or _DEFAULT), 1.0), 0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out

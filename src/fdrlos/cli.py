@@ -8,6 +8,11 @@ doubles exactly.
 Exit codes: 0 success, 2 usage/domain error, 3 numeric or convergence
 failure.
 
+Sweeps over the mean SNR (``op`` and the fig3/fig4 outage curves) use the
+scale-family identity every model's SNR law obeys,
+F(gamma; K, m, gamma_bar) = F(gamma / gamma_bar; K, m, 1), so each curve is
+one vector cdf evaluation at gamma_bar = 1 on gamma_th / gamma_bar.
+
 Figure presets (the plotted m-sets are choices of this artifact, recorded
 here; seeds and sample counts are pinned so runs reproduce byte-for-byte):
 
@@ -24,7 +29,6 @@ here; seeds and sample counts are pinned so runs reproduce byte-for-byte):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from dataclasses import dataclass
@@ -199,7 +203,9 @@ def _pdf_fn(cfg: RunConfig):
 
 
 def _cdf_fn(cfg: RunConfig, params: FadingParams | None = None):
+    """cdf of cfg's model and route at ``params`` (default: cfg's own)."""
     params = params or FadingParams(cfg.k, cfg.m, cfg.gamma_bar)
+    k, m, gbar = params.k, params.m, params.gamma_bar
     q = _quad_cfg(cfg)
     if cfg.model is ModelKind.FDRLOS:
         if cfg.oracle:
@@ -208,10 +214,10 @@ def _cdf_fn(cfg: RunConfig, params: FadingParams | None = None):
             raise DomainError("closed-form path needs integer m; pass --oracle")
         return lambda g: analytic.fdrlos_cdf(g, params, q)
     if cfg.model is ModelKind.RICIAN_SHADOWED:
-        return lambda g: analytic.rs_cdf(g, cfg.k, cfg.m, cfg.gamma_bar, q)
+        return lambda g: analytic.rs_cdf(g, k, m, gbar, q)
     if cfg.model is ModelKind.DRLOS:
-        return lambda g: analytic.drlos_cdf_oracle(g, cfg.k, cfg.gamma_bar, q)
-    return lambda g: analytic.rician_cdf(g, cfg.k, cfg.gamma_bar)
+        return lambda g: analytic.drlos_cdf_oracle(g, k, gbar, q)
+    return lambda g: analytic.rician_cdf(g, k, gbar)
 
 
 def _emit(curve: analytic.Curve, output: str | None) -> None:
@@ -239,7 +245,9 @@ def cmd_cdf(cfg: RunConfig) -> int:
 
 def cmd_op(cfg: RunConfig) -> int:
     grid = cfg.grid.values()
-    gbars = np.array([db_to_linear(v) for v in grid]) if cfg.grid.in_db else grid
+    gbars = db_to_linear(grid) if cfg.grid.in_db else grid
+    if not np.all((gbars > 0) & np.isfinite(gbars)):
+        raise DomainError("mean-SNR grid values must be positive and finite")
     q = _quad_cfg(cfg)
     if cfg.asymptotic:
         if cfg.model is not ModelKind.FDRLOS:
@@ -250,10 +258,8 @@ def cmd_op(cfg: RunConfig) -> int:
         a = analytic.coding_gain(cfg.k, cfg.m, q)
         vals = a * cfg.gamma_th / gbars
     else:
-        vals = np.empty_like(gbars)
-        for i, gb in enumerate(gbars):
-            local = dataclasses.replace(cfg, gamma_bar=float(gb))
-            vals[i] = _cdf_fn(local)(cfg.gamma_th)
+        unit = FadingParams(cfg.k, cfg.m, 1.0)
+        vals = _cdf_fn(cfg, unit)(cfg.gamma_th / gbars)
     meta = {"quantity": "op" if not cfg.asymptotic else "op-asymptote",
             "model": cfg.model.value, "abscissa_unit": "dB" if cfg.grid.in_db else "linear"}
     _emit(analytic.Curve(grid, vals, meta=meta), cfg.output)
@@ -332,12 +338,12 @@ def _figure_fig1(outdir, mc_samples):
 def _figure_fig3(outdir, mc_samples):
     k = 1.0
     db_grid = np.arange(0.0, 60.0001, 0.5)
-    gbars = np.array([db_to_linear(v) for v in db_grid])
+    gbars = db_to_linear(db_grid)
+    unit_gth = _GTH_3DB / gbars
     marker_db = np.arange(0.0, 40.0001, 5.0)
     files = {}
     for m in (1, 3, 10):
-        exact = np.array([analytic.fdrlos_cdf(_GTH_3DB, FadingParams(k, m, gb))
-                          for gb in gbars])
+        exact = analytic.fdrlos_cdf(unit_gth, FadingParams(k, m, 1.0))
         files[f"fig3_fdrlos_op_m{m}.csv"] = analytic.Curve(
             db_grid, exact, meta={"quantity": "op", "model": "fdrlos",
                                   "abscissa_unit": "dB"})
@@ -348,7 +354,7 @@ def _figure_fig3(outdir, mc_samples):
                   "abscissa_unit": "dB"})
         files[f"fig3_mc_op_m{m}.csv"] = _mc_op_curve(
             ModelKind.FDRLOS, k, m, marker_db, _GTH_3DB, mc_samples, _MC_SEED + 100 * m)
-    drlos = np.array([analytic.drlos_cdf_oracle(_GTH_3DB, k, gb) for gb in gbars])
+    drlos = analytic.drlos_cdf_oracle(unit_gth, k, 1.0)
     files["fig3_drlos_op_limit.csv"] = analytic.Curve(
         db_grid, drlos, meta={"quantity": "op", "model": "drlos",
                               "abscissa_unit": "dB"})
@@ -358,12 +364,11 @@ def _figure_fig3(outdir, mc_samples):
 def _figure_fig4(outdir, mc_samples):
     k = 6.0
     db_grid = np.arange(0.0, 40.0001, 0.5)
-    gbars = np.array([db_to_linear(v) for v in db_grid])
+    gbars = db_to_linear(db_grid)
     marker_db = np.arange(0.0, 40.0001, 5.0)
     files = {}
     for m in (1, 3, 5, 10):
-        fd = np.array([analytic.fdrlos_cdf(_GTH_3DB, FadingParams(k, m, gb))
-                       for gb in gbars])
+        fd = analytic.fdrlos_cdf(_GTH_3DB / gbars, FadingParams(k, m, 1.0))
         rs = analytic.rs_cdf_integer(_GTH_3DB, k, m, gbars)
         files[f"fig4_fdrlos_op_m{m}.csv"] = analytic.Curve(
             db_grid, fd, meta={"quantity": "op", "model": "fdrlos",

@@ -62,7 +62,7 @@ class FadingParams:
 
     K >= 0 is the LoS-to-scatter power ratio, m > 0 the LoS fluctuation
     shape (any positive real for sampling; closed forms need an integer),
-    gamma_bar > 0 the mean SNR.
+    gamma_bar > 0 the mean SNR.  All three must be finite.
     """
 
     k: float
@@ -70,12 +70,12 @@ class FadingParams:
     gamma_bar: float
 
     def __post_init__(self):
-        if not (self.k >= 0.0):
-            raise DomainError(f"K must be >= 0, got {self.k}")
-        if not (self.m > 0.0):
-            raise DomainError(f"m must be > 0, got {self.m}")
-        if not (self.gamma_bar > 0.0):
-            raise DomainError(f"gamma_bar must be > 0, got {self.gamma_bar}")
+        if not (0.0 <= self.k < np.inf):
+            raise DomainError(f"K must be finite and >= 0, got {self.k}")
+        if not (0.0 < self.m < np.inf):
+            raise DomainError(f"m must be finite and > 0, got {self.m}")
+        if not (0.0 < self.gamma_bar < np.inf):
+            raise DomainError(f"gamma_bar must be finite and > 0, got {self.gamma_bar}")
 
     @property
     def omega0(self) -> float:

@@ -34,10 +34,17 @@ class AccuracyError(ArithmeticError):
         self.err_estimate = err_estimate
 
 
+#: smallest relative tolerance a double-precision Gauss-Kronrod estimate can
+#: certify (QUADPACK's 50 machine epsilons, about 1.1e-14)
+REL_TOL_FLOOR = 50.0 * float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and limits for the adaptive quadrature engine.
 
+    ``rel_tol`` must be at least ``REL_TOL_FLOOR``: below it rounding in the
+    panel sums exceeds the requested error and no subdivision budget helps.
     ``infinite_tail_cutoff_policy`` selects how a semi-infinite interval
     [lo, inf) is folded onto a finite one; "rational" applies
     t = lo + u/(1-u) with u in [0, 1).
@@ -49,8 +56,11 @@ class QuadratureConfig:
     infinite_tail_cutoff_policy: str = "rational"
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("rel_tol and abs_tol must be positive")
+        if not (self.rel_tol >= REL_TOL_FLOOR):
+            raise DomainError(f"rel_tol must be >= {REL_TOL_FLOOR:.3g} "
+                              "(50 machine epsilons)")
+        if not (self.abs_tol > 0):
+            raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
         if self.infinite_tail_cutoff_policy != "rational":
@@ -59,9 +69,6 @@ class QuadratureConfig:
 
 
 DEFAULT_QUAD = QuadratureConfig()
-#: tighter settings used when freezing reference values
-GOLDEN_QUAD = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15,
-                               max_subdivisions=800)
 
 
 # Gauss-Kronrod 7-15 pair on [-1, 1]; the 7-point Gauss nodes are the

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,56 @@ class TestOutage:
         assert exact == pytest.approx(asym, rel=0.05)
 
 
+# every model's SNR law is a scale family: F(g; gbar) = F(g / gbar; 1)
+SCALE_FAMILY_ROUTES = {
+    "fdrlos_cdf": lambda g, k, m, gb: fdrlos_cdf(g, FadingParams(k, m, gb)),
+    "fdrlos_cdf_oracle": lambda g, k, m, gb: fdrlos_cdf_oracle(
+        g, FadingParams(k, m, gb)),
+    "rs_cdf_integer_m": lambda g, k, m, gb: rs_cdf(g, k, m, gb),
+    "rs_cdf_real_m": lambda g, k, m, gb: rs_cdf(g, k, m - 0.5, gb),
+    "drlos_cdf_oracle": lambda g, k, m, gb: drlos_cdf_oracle(g, k, gb),
+    "rician_cdf": lambda g, k, m, gb: rician_cdf(g, k, gb),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SCALE_FAMILY_ROUTES))
+@given(k=st.floats(0.1, 10.0), m=st.integers(1, 5),
+       gbar_db=st.floats(-10.0, 40.0), gamma=st.floats(0.01, 100.0))
+def test_scale_family_identity(route, k, m, gbar_db, gamma):
+    cdf = SCALE_FAMILY_ROUTES[route]
+    gbar = 10.0 ** (gbar_db / 10.0)
+    assert cdf(gamma, k, m, gbar) == pytest.approx(
+        cdf(gamma / gbar, k, m, 1.0), rel=1e-9)
+
+
+class TestSnrBoundary:
+    @pytest.mark.parametrize("params", [FadingParams(2.0, 3, 1.5),
+                                        FadingParams(0.0, 2, 1.5)],
+                             ids=["closed-form", "k0-oracle"])
+    def test_infinite_snr_takes_the_limit(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fdrlos_pdf(np.inf, params) == 0.0
+            assert fdrlos_cdf(np.inf, params) == 1.0
+            np.testing.assert_array_equal(
+                fdrlos_cdf(np.array([1.0, np.inf]), params),
+                [fdrlos_cdf(1.0, params), 1.0])
+
+    @pytest.mark.parametrize("route", [
+        lambda g: fdrlos_pdf(g, FadingParams(2.0, 3, 1.5)),
+        lambda g: fdrlos_cdf(g, FadingParams(2.0, 3, 1.5)),
+        lambda g: fdrlos_pdf_oracle(g, FadingParams(2.0, 2.5, 1.5)),
+        lambda g: fdrlos_cdf_oracle(g, FadingParams(2.0, 2.5, 1.5)),
+        lambda g: rs_cdf(g, 2.0, 2.5, 1.5),
+        lambda g: drlos_cdf_oracle(g, 2.0, 1.5),
+        lambda g: rician_cdf(g, 2.0, 1.5),
+    ], ids=["fdrlos_pdf", "fdrlos_cdf", "fdrlos_pdf_oracle", "fdrlos_cdf_oracle",
+            "rs_cdf", "drlos_cdf_oracle", "rician_cdf"])
+    def test_nan_snr_rejected_at_entry(self, route):
+        with pytest.raises(DomainError, match="gamma must"):
+            route(np.array([1.0, np.nan]))
+
+
 class TestAsymptote:
     def test_coding_gain_m1(self):
         assert coding_gain(1.0, 1) == pytest.approx(A_K1_M1, rel=1e-10)
@@ -312,6 +363,13 @@ class TestCurve:
             Curve([1.0, 2.0], [-0.1, 0.2], meta={"quantity": "pdf"})
         with pytest.raises(DomainError):
             Curve([1.0, 2.0], [0.5, 1.2], meta={"quantity": "cdf"})
+
+    def test_rejects_nan(self):
+        for meta in ({}, {"quantity": "pdf"}, {"quantity": "op"}):
+            with pytest.raises(DomainError, match="NaN"):
+                Curve([1.0, 2.0], [0.5, np.nan], meta=meta)
+            with pytest.raises(DomainError, match="NaN"):
+                Curve([np.nan, 2.0], [0.5, 0.6], meta=meta)
 
     def test_csv_round_trip_is_lossless(self):
         x = np.array([1.0 / 3.0, 0.7, 1e-300, 6.02214076e23][:3])

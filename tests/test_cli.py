@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fdrlos
+from fdrlos import cli
 from fdrlos.analytic import read_curve_csv
 from fdrlos.cli import Grid, _parse_grid, cmd_figure, db_to_linear, main
 from fdrlos.specfun import DomainError
@@ -116,6 +120,44 @@ class TestOpCommand:
         prod = c.ordinate * gbars
         np.testing.assert_allclose(prod, prod[0], rtol=1e-12)
 
+    @pytest.mark.parametrize("grid", ["--grid=0:10:3", "--grid=-1:10:3",
+                                      "--grid-db=0:4000:3"])
+    @pytest.mark.parametrize("extra", [[], ["--asymptotic"]])
+    def test_rejects_nonpositive_or_infinite_mean_snr(self, grid, extra,
+                                                      tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("evaluated before the grid was checked")
+
+        for name in ("fdrlos_cdf", "coding_gain"):
+            monkeypatch.setattr(cli.analytic, name, must_not_run)
+        out = tmp_path / "op.csv"
+        with np.errstate(over="ignore"):
+            code = run(["op", "--k", "1", "--m", "2", "--gamma-th", "1", grid,
+                        *extra, "--output", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("route", [
+        ["--model", "fdrlos", "--m", "2"],
+        ["--model", "fdrlos", "--m", "2", "--oracle"],
+        ["--model", "rician-shadowed", "--m", "2"],
+        ["--model", "rician-shadowed", "--m", "2.5"],
+        ["--model", "drlos"],
+        ["--model", "rician"],
+    ], ids=["fdrlos", "fdrlos-oracle", "rs-integer-m", "rs-real-m", "drlos",
+            "rician"])
+    def test_rows_equal_one_point_cdf(self, route, tmp_path):
+        op = tmp_path / "op.csv"
+        assert run(["op", *route, "--k", "3", "--gamma-th", "2",
+                    "--grid-db=-5:30:4", "--output", str(op)]) == 0
+        rows = read_curve_csv(str(op))
+        one = tmp_path / "cdf.csv"
+        for gbar_db, value in zip(rows.abscissa, rows.ordinate):
+            assert run(["cdf", *route, "--k", "3", f"--gamma-bar-db={gbar_db:.17g}",
+                        "--grid", "2:3:2", "--output", str(one)]) == 0
+            assert read_curve_csv(str(one)).ordinate[0] == pytest.approx(
+                value, rel=1e-9)
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as info:
             run(["op", "--k", "1", "--m", "3", "--grid-db", "0:40:5"])
@@ -194,3 +236,14 @@ class TestFigureCommand:
         parser = cli_mod._build_parser()
         args = parser.parse_args(["figure", "fig5"])
         assert args.output_dir == str(tmp_path / "envdir")
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdrlos.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, fdrlos.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

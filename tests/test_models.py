@@ -33,6 +33,12 @@ class TestFadingParams:
         with pytest.raises(DomainError):
             FadingParams(1.0, 1, 0.0)
 
+    def test_rejects_nonfinite(self):
+        for args in ((1.0, 2, np.inf), (np.inf, 2, 1.0), (1.0, np.inf, 1.0),
+                     (np.nan, 2, 1.0)):
+            with pytest.raises(DomainError, match="finite"):
+                FadingParams(*args)
+
     def test_integer_m_gate(self):
         assert FadingParams(1.0, 3, 1.0).require_integer_m() == 3
         with pytest.raises(DomainError):

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import exp1, hyp1f1, k1
 
-from fdrlos.specfun import (AccuracyError, DomainError, QuadratureConfig,
-                            adaptive_quad, adaptive_quad_vec, gamma_tricomi_u,
+from fdrlos.specfun import (REL_TOL_FLOOR, AccuracyError, DomainError,
+                            QuadratureConfig, adaptive_quad, adaptive_quad_vec, gamma_tricomi_u,
                             gen_incomplete_gamma, kummer_1f1, log_kummer_1f1,
                             tricomi_u)
 
@@ -88,6 +88,13 @@ class TestAdaptiveQuad:
             QuadratureConfig(max_subdivisions=0)
         with pytest.raises(DomainError):
             QuadratureConfig(infinite_tail_cutoff_policy="chebyshev")
+
+    def test_rel_tol_floor(self):
+        assert 1e-18 < REL_TOL_FLOOR < 1e-13
+        with pytest.raises(DomainError, match="rel_tol"):
+            QuadratureConfig(rel_tol=1e-18)
+        assert QuadratureConfig(rel_tol=REL_TOL_FLOOR).rel_tol == REL_TOL_FLOOR
+        assert QuadratureConfig(rel_tol=1e-13).rel_tol == 1e-13
 
 
 class TestGenIncompleteGamma:

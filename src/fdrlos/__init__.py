@@ -6,33 +6,30 @@ models (Rician, Rician shadowed, deterministic-LoS double-Rayleigh), and
 seed-deterministic Monte-Carlo samplers.
 """
 
-from .analytic import (Curve, RsMixtureTerms, UnderflowWarning, asymptotic_op,
-                       coding_gain, drlos_cdf_oracle, drlos_pdf_oracle,
-                       fdrlos_cdf, fdrlos_cdf_oracle, fdrlos_pdf,
-                       fdrlos_pdf_oracle, outage_probability, read_curve_csv,
-                       rician_cdf, rician_pdf, rs_cdf, rs_cdf_integer, rs_pdf,
-                       rs_pdf_integer_terms)
+from .analytic import (Curve, UnderflowWarning, asymptotic_op, coding_gain,
+                       drlos_cdf_oracle, drlos_pdf_oracle, fdrlos_cdf,
+                       fdrlos_cdf_oracle, fdrlos_pdf, fdrlos_pdf_oracle,
+                       outage_probability, read_curve_csv, rician_cdf,
+                       rician_pdf, rs_cdf, rs_cdf_integer, rs_pdf)
 from .empirics import (CdfContractError, KsReport, default_ks_threshold, ecdf,
                        histogram_density, ks_distance, tabulated_cdf)
 from .models import (FadingParams, ModelKind, SnrSampleSet, sample_gamma_rv,
-                     sample_snr, sample_snr_conditioned)
+                     sample_snr)
 from .specfun import (AccuracyError, DomainError, QuadratureConfig,
-                      adaptive_quad, adaptive_quad_vec, gamma_tricomi_u,
-                      gen_incomplete_gamma, kummer_1f1, log_kummer_1f1,
-                      tricomi_u)
+                      adaptive_quad_vec, gamma_tricomi_u,
+                      gen_incomplete_gamma_scaled, log_kummer_1f1)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "CdfContractError", "Curve", "DomainError",
     "FadingParams", "KsReport", "ModelKind", "QuadratureConfig",
-    "RsMixtureTerms", "SnrSampleSet", "UnderflowWarning", "adaptive_quad",
-    "adaptive_quad_vec", "asymptotic_op", "coding_gain", "default_ks_threshold",
-    "drlos_cdf_oracle", "drlos_pdf_oracle", "ecdf", "fdrlos_cdf",
-    "fdrlos_cdf_oracle", "fdrlos_pdf", "fdrlos_pdf_oracle", "gamma_tricomi_u",
-    "gen_incomplete_gamma", "histogram_density", "ks_distance", "kummer_1f1",
+    "SnrSampleSet", "UnderflowWarning", "adaptive_quad_vec", "asymptotic_op",
+    "coding_gain", "default_ks_threshold", "drlos_cdf_oracle",
+    "drlos_pdf_oracle", "ecdf", "fdrlos_cdf", "fdrlos_cdf_oracle",
+    "fdrlos_pdf", "fdrlos_pdf_oracle", "gamma_tricomi_u",
+    "gen_incomplete_gamma_scaled", "histogram_density", "ks_distance",
     "log_kummer_1f1", "outage_probability", "read_curve_csv", "rician_cdf",
-    "rician_pdf", "rs_cdf", "rs_cdf_integer", "rs_pdf", "rs_pdf_integer_terms",
-    "sample_gamma_rv", "sample_snr", "sample_snr_conditioned", "tabulated_cdf",
-    "tricomi_u",
+    "rician_pdf", "rs_cdf", "rs_cdf_integer", "rs_pdf", "sample_gamma_rv",
+    "sample_snr", "tabulated_cdf",
 ]

@@ -34,12 +34,10 @@ from scipy.special import chndtr, gammaincc, gammaln, i0e
 
 from .models import FadingParams
 from .specfun import (AccuracyError, DomainError, QuadratureConfig,
-                      adaptive_quad_vec, gamma_tricomi_u, log_kummer_1f1)
+                      adaptive_quad_vec, check_positive_int, gamma_tricomi_u,
+                      gen_incomplete_gamma_scaled, log_kummer_1f1, rel_only_cfg)
 
 _DEFAULT = QuadratureConfig()
-#: zero-abs-tol variant used for internal component integrals whose scales
-#: span many decades; control must stay purely relative there.
-_REL_ONLY = 1e-300
 _GAMMA_CHUNK = 32
 
 
@@ -176,53 +174,6 @@ def rs_pdf(gamma, k_x, m, gbar_x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class RsMixtureTerms:
-    """Erlang-mixture weights and scale of the integer-m Rician shadowed pdf.
-
-    The density equals sum_j C_j / (m-j-1)! * g^(m-j-1) / Omega^(m-j)
-    * exp(-g/Omega); the weights C_j sum to one.
-    """
-
-    coefficients: np.ndarray
-    omega: float
-
-    def pdf(self, gamma):
-        gamma = np.asarray(gamma, dtype=float)
-        m = len(self.coefficients)
-        out = np.zeros(gamma.shape)
-        for j in range(m):
-            out = out + (self.coefficients[j] / factorial(m - j - 1)
-                         * gamma ** (m - j - 1) / self.omega ** (m - j)
-                         * np.exp(-gamma / self.omega))
-        return float(out) if out.ndim == 0 else out
-
-
-def _mixture_weights(k, m, x):
-    """C_j(x): binomial weights over (m x/(m x + K), K/(K + m x)), 0^0 = 1."""
-    j = np.arange(m)
-    if k == 0.0:
-        c = np.zeros(m)
-        c[m - 1] = 1.0
-        return c
-    p = m * x / (m * x + k)
-    q = k / (k + m * x)
-    logc = (gammaln(m) - gammaln(j + 1) - gammaln(m - j)
-            + j * np.log(p) + (m - 1 - j) * np.log(q))
-    return np.exp(logc)
-
-
-def rs_pdf_integer_terms(x, k, m, gbar) -> RsMixtureTerms:
-    """Mixture representation of the conditional law at scatter value x."""
-    if x <= 0:
-        raise DomainError("x must be positive")
-    if k < 0 or gbar <= 0:
-        raise DomainError("need K >= 0 and gbar > 0")
-    m = _as_positive_int(m)
-    omega = gbar * (k + m * x) / (m * (k + 1.0))
-    return RsMixtureTerms(coefficients=_mixture_weights(k, m, x), omega=omega)
-
-
 def rs_cdf_integer(gamma, k_x, m, gbar_x):
     """Rician shadowed SNR cdf for integer m.
 
@@ -230,7 +181,7 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
     regularized upper incomplete gamma (equals the finite exponential sum
     e^-y sum_{r<m-j} y^r/r! at integer shape, but stays stable for large y).
     """
-    m = _as_positive_int(m)
+    m = check_positive_int(m, "m")
     gamma = np.asarray(gamma, dtype=float)
     k_x = np.asarray(k_x, dtype=float)
     gbar_x = np.asarray(gbar_x, dtype=float)
@@ -257,57 +208,38 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
 
 
 def rs_cdf(gamma, k_x, m, gbar_x, cfg: QuadratureConfig | None = None):
-    """Rician shadowed cdf; closed form at integer m, else quadrature of rs_pdf."""
+    """Rician shadowed cdf; closed form at integer m, else quadrature of rs_pdf.
+
+    Broadcasts gamma against (k_x, gbar_x) at every m, e.g. a (1, ng) SNR
+    row against (nx, 1) parameter columns.  At real m each gamma value is
+    one vector quadrature of rs_pdf over the (k_x, gbar_x) pairs it meets.
+    """
     if m == int(m):
         return rs_cdf_integer(gamma, k_x, int(m), gbar_x)
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
-    _check_snr(gamma_arr)
-    out = np.empty_like(gamma_arr)
-    for i, g in enumerate(gamma_arr):
+    gamma = np.asarray(gamma, dtype=float)
+    _check_snr(gamma)
+    g_all, k_all, gbar_all = np.broadcast_arrays(gamma, k_x, gbar_x)
+    which = np.broadcast_to(np.arange(gamma.size).reshape(gamma.shape), g_all.shape)
+    out = np.zeros(g_all.shape)
+    for i, g in enumerate(gamma.ravel()):
         if g == 0.0:
-            out[i] = 0.0
             continue
-        vals, _ = adaptive_quad_vec(lambda u: rs_pdf(u, k_x, m, gbar_x),
+        sel = which == i
+        k_sel = k_all[sel][None, :]
+        gbar_sel = gbar_all[sel][None, :]
+        vals, _ = adaptive_quad_vec(lambda u: rs_pdf(u[:, None], k_sel, m, gbar_sel),
                                     0.0, float(g), cfg or _DEFAULT)
-        out[i] = np.clip(vals[0], 0.0, 1.0)
-    return float(out[0]) if np.ndim(gamma) == 0 else out
+        out[sel] = np.clip(vals, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
 # fluctuating double-Rayleigh LoS: closed forms
 
 
-def _as_positive_int(m):
-    if m != int(m) or int(m) < 1:
-        raise DomainError(f"m must be a positive integer, got {m}")
-    return int(m)
-
-
-def _rel_only_cfg(cfg):
-    return QuadratureConfig(rel_tol=cfg.rel_tol, abs_tol=_REL_ONLY,
-                            max_subdivisions=max(cfg.max_subdivisions, 400),
-                            infinite_tail_cutoff_policy=cfg.infinite_tail_cutoff_policy)
-
-
-def _gig_matrix(a_values, z, b_values, cfg):
-    """e^z Gamma(a, z, b) on the grid a_values x b_values -> (nb, na)."""
-    a_values = np.asarray(a_values, dtype=float)
-    b_values = np.asarray(b_values, dtype=float)
-    na, nb = len(a_values), len(b_values)
-
-    def f(t):
-        logt = np.log(t)
-        pow_a = np.exp((a_values[None, :] - 1.0) * logt[:, None])      # (nt, na)
-        core = np.exp(z - t[:, None] - b_values[None, :] / t[:, None])  # (nt, nb)
-        return (core[:, :, None] * pow_a[:, None, :]).reshape(len(t), nb * na)
-
-    vals, _ = adaptive_quad_vec(f, z, np.inf, cfg)
-    return vals.reshape(nb, na)
-
-
 def _check_pdf_sign(values):
     values = np.atleast_1d(values)
-    scale = float(np.max(np.abs(values))) or 1.0
+    scale = float(np.max(np.abs(values), initial=0.0)) or 1.0
     if np.any(values < -1e-12 * scale):
         raise AccuracyError("cancellation produced a significantly negative "
                             "density; tighten the quadrature tolerances",
@@ -346,10 +278,10 @@ def fdrlos_pdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
     z = k / m
     a_values = np.arange(2 - 2 * m, 1)
     a_index = {a: i for i, a in enumerate(a_values)}
-    comp_cfg = _rel_only_cfg(cfg)
+    comp_cfg = rel_only_cfg(cfg)
 
     def density(g):
-        gig = _gig_matrix(a_values, z, g * (k + 1.0) / gbar, comp_cfg)
+        gig = gen_incomplete_gamma_scaled(a_values, z, g * (k + 1.0) / gbar, comp_cfg)
         total = np.zeros_like(g)
         for j in range(m):
             outer = (comb(m - 1, j) * z ** (m - j - 1)
@@ -371,7 +303,7 @@ def fdrlos_pdf_oracle(gamma, params: FadingParams,
     exponential scatter weight.  Valid for any real m > 0 and K >= 0."""
     out = _scatter_average(
         lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
-        gamma, params.k, params.gamma_bar, _rel_only_cfg(cfg or _DEFAULT), 0.0)
+        gamma, params.k, params.gamma_bar, rel_only_cfg(cfg or _DEFAULT), 0.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -395,11 +327,11 @@ def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
     z = k / m
     a_values = np.arange(3 - 2 * m, 2)
     a_index = {a: i for i, a in enumerate(a_values)}
-    comp_cfg = _rel_only_cfg(cfg)
+    comp_cfg = rel_only_cfg(cfg)
 
     def distribution(g):
         b = g * (k + 1.0) / gbar
-        gig = _gig_matrix(a_values, z, b, comp_cfg)
+        gig = gen_incomplete_gamma_scaled(a_values, z, b, comp_cfg)
         surv = np.zeros_like(g)
         for j in range(m):
             cj = comb(m - 1, j) * z ** (m - j - 1)
@@ -416,36 +348,14 @@ def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams,
                       cfg: QuadratureConfig | None = None):
-    """Ground-truth cdf: conditional Rician shadowed cdf averaged over the
-    exponential scatter weight (integer m uses the Erlang-mixture cdf, real m
-    integrates rs_pdf)."""
-    cfg = _rel_only_cfg(cfg or _DEFAULT)
-    m = params.m
-
-    def conditional(g, k_x, gbar_x):
-        if params.m_is_integer:
-            return rs_cdf_integer(g, k_x, int(m), gbar_x)
-        return _rs_cdf_real_vec(g[0], k_x, m, gbar_x, cfg)
-
-    out = np.clip(_scatter_average(conditional, gamma, params.k,
-                                   params.gamma_bar, cfg, 1.0), 0.0, 1.0)
+    """Ground-truth cdf: conditional Rician shadowed cdf (``rs_cdf``: the
+    Erlang mixture at integer m, a quadrature of rs_pdf at real m) averaged
+    over the exponential scatter weight."""
+    cfg = rel_only_cfg(cfg or _DEFAULT)
+    out = np.clip(_scatter_average(
+        lambda g, k_x, gbar_x: rs_cdf(g, k_x, params.m, gbar_x, cfg),
+        gamma, params.k, params.gamma_bar, cfg, 1.0), 0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out
-
-
-def _rs_cdf_real_vec(gammas, k_x, m, gbar_x, cfg):
-    """Conditional real-m cdf at each (node, gamma) pair via an inner
-    quadrature of rs_pdf; shapes (nx, 1) -> (nx, ng)."""
-    nx = k_x.shape[0]
-    res = np.empty((nx, len(gammas)))
-    for col, g in enumerate(gammas):
-        if g == 0.0:
-            res[:, col] = 0.0
-            continue
-        vals, _ = adaptive_quad_vec(
-            lambda u: rs_pdf(u[:, None], k_x[None, :, 0], m, gbar_x[None, :, 0]),
-            0.0, float(g), cfg)
-        res[:, col] = np.clip(vals, 0.0, 1.0)
-    return res
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +378,7 @@ def coding_gain(k, m, cfg: QuadratureConfig | None = None):
     """
     if k <= 0:
         raise DomainError("coding gain diverges at K = 0; need K > 0")
-    m = _as_positive_int(m)
+    m = check_positive_int(m, "m")
     return (1.0 + k) * gamma_tricomi_u(m, k / m, cfg)
 
 
@@ -506,12 +416,12 @@ def drlos_pdf_oracle(gamma, k, gbar, cfg: QuadratureConfig | None = None):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
     Rician, averaged over the exponential scatter weight (the m -> inf limit)."""
     out = _scatter_average(rician_pdf, gamma, k, gbar,
-                           _rel_only_cfg(cfg or _DEFAULT), 0.0)
+                           rel_only_cfg(cfg or _DEFAULT), 0.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
 def drlos_cdf_oracle(gamma, k, gbar, cfg: QuadratureConfig | None = None):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
     out = np.clip(_scatter_average(rician_cdf, gamma, k, gbar,
-                                   _rel_only_cfg(cfg or _DEFAULT), 1.0), 0.0, 1.0)
+                                   rel_only_cfg(cfg or _DEFAULT), 1.0), 0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out

@@ -42,8 +42,14 @@ from .specfun import AccuracyError, DomainError, QuadratureConfig
 _MC_SEED = 20260810
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def db_to_linear(db):
+    """linear = 10^(dB/10) for a number or an array; a value whose linear
+    form overflows a double is a DomainError."""
+    try:
+        with np.errstate(over="raise"):
+            return 10.0 ** (db / 10.0)
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"{np.max(db):g} dB overflows a double") from None
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,8 @@ class Grid:
     in_db: bool = False
 
     def __post_init__(self):
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise DomainError("grid bounds must be finite")
         if not (self.lo < self.hi):
             raise DomainError("grid min must be below grid max")
         if self.points < 2:
@@ -246,8 +254,8 @@ def cmd_cdf(cfg: RunConfig) -> int:
 def cmd_op(cfg: RunConfig) -> int:
     grid = cfg.grid.values()
     gbars = db_to_linear(grid) if cfg.grid.in_db else grid
-    if not np.all((gbars > 0) & np.isfinite(gbars)):
-        raise DomainError("mean-SNR grid values must be positive and finite")
+    if not np.all(gbars > 0):
+        raise DomainError("mean-SNR grid values must be positive")
     q = _quad_cfg(cfg)
     if cfg.asymptotic:
         if cfg.model is not ModelKind.FDRLOS:
@@ -317,7 +325,7 @@ def _mc_op_curve(model, k, m, gbar_db_points, gamma_th, n, seed):
                                 "abscissa_unit": "dB"})
 
 
-def _figure_fig1(outdir, mc_samples):
+def _figure_fig1(mc_samples):
     k, gbar = 5.0, 2.0
     grid = np.linspace(0.0, 10.0, 401)
     files = {}
@@ -335,7 +343,7 @@ def _figure_fig1(outdir, mc_samples):
     return files
 
 
-def _figure_fig3(outdir, mc_samples):
+def _figure_fig3(mc_samples):
     k = 1.0
     db_grid = np.arange(0.0, 60.0001, 0.5)
     gbars = db_to_linear(db_grid)
@@ -361,7 +369,7 @@ def _figure_fig3(outdir, mc_samples):
     return files
 
 
-def _figure_fig4(outdir, mc_samples):
+def _figure_fig4(mc_samples):
     k = 6.0
     db_grid = np.arange(0.0, 40.0001, 0.5)
     gbars = db_to_linear(db_grid)
@@ -381,7 +389,7 @@ def _figure_fig4(outdir, mc_samples):
     return files
 
 
-def _figure_fig5(outdir, mc_samples):
+def _figure_fig5(mc_samples):
     gbar = db_to_linear(25.0)
     k_grid = np.arange(0.0, 20.0001, 0.25)
     files = {}
@@ -406,7 +414,7 @@ def cmd_figure(name: str, output_dir: str, mc_samples: int = 10 ** 6) -> int:
     os.makedirs(output_dir, exist_ok=True)
     if name == "fig1":
         mc_samples = mc_samples * 10
-    files = _FIGURES[name](output_dir, mc_samples)
+    files = _FIGURES[name](mc_samples)
     for fname, curve in files.items():
         curve.write_csv(os.path.join(output_dir, fname))
         print(os.path.join(output_dir, fname))

@@ -12,6 +12,9 @@ signal is
 with phi uniform on [0, 2pi), G_i i.i.d. circularly-symmetric standard
 complex Gaussians, xi a unit-mean Gamma(m) variate, w0^2 = K/(K+1) and
 w2^2 = 1/(K+1) (normalized channel, E|S|^2 = 1), and gamma = gamma_bar |S|^2.
+Given |G3|^2 = x, fdrlos is rician-shadowed with K_x = K/x and
+gamma_bar_x = gamma_bar (K+x)/(K+1), so one sampler per model covers the
+conditional slices too.  The SNR law does not depend on phi.
 
 Sampling is chunked: chunk c draws from its own Philox substream keyed by
 (seed, c), so the output is a pure function of (model, params, seed, n) no
@@ -128,7 +131,7 @@ def sample_gamma_rv(m: float, n: int, stream: np.random.Generator) -> np.ndarray
 
 
 def _sample_chunk(model: ModelKind, params: FadingParams, count: int,
-                  rng: np.random.Generator, los_phase_offset: float) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     w0 = params.omega0
     w2 = params.omega2
     rt2 = np.sqrt(2.0)
@@ -143,17 +146,13 @@ def _sample_chunk(model: ModelKind, params: FadingParams, count: int,
         los_amp = np.sqrt(sample_gamma_rv(params.m, count, rng))
     else:
         los_amp = 1.0  # xi degenerates to 1 for the non-fluctuating models
-    s = w0 * los_amp * np.exp(1j * (phi + los_phase_offset)) + w2 * diffuse
+    s = w0 * los_amp * np.exp(1j * phi) + w2 * diffuse
     return params.gamma_bar * np.abs(s) ** 2
 
 
 def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
-               threads: int = 1, los_phase_offset: float = 0.0) -> SnrSampleSet:
-    """Draw n SNR realizations; bit-identical for any thread count.
-
-    ``los_phase_offset`` rotates the LoS phasor by a fixed angle; the SNR
-    law is invariant under it (exposed so that invariance is testable).
-    """
+               threads: int = 1) -> SnrSampleSet:
+    """Draw n SNR realizations; bit-identical for any thread count."""
     if n < 1:
         raise DomainError("sample count must be >= 1")
     out = np.empty(n)
@@ -163,7 +162,7 @@ def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
         lo = c * _CHUNK
         hi = min(n, lo + _CHUNK)
         rng = _chunk_rng(seed, c)
-        out[lo:hi] = _sample_chunk(model, params, hi - lo, rng, los_phase_offset)
+        out[lo:hi] = _sample_chunk(model, params, hi - lo, rng)
 
     if threads <= 1 or nchunks == 1:
         for c in range(nchunks):
@@ -173,31 +172,3 @@ def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
             list(pool.map(run, range(nchunks)))
     return SnrSampleSet(model=model, params=params, seed=seed, count=n, values=out)
 
-
-def sample_snr_conditioned(params: FadingParams, x: float, n: int,
-                           seed: int) -> SnrSampleSet:
-    """fdrlos samples conditioned on the second scatter factor |G3|^2 = x.
-
-    The conditional law is Rician shadowed with K_x = K/x and
-    gamma_bar_x = gamma_bar (K+x)/(K+1).
-    """
-    if x <= 0:
-        raise DomainError("conditioning value x must be positive")
-    if n < 1:
-        raise DomainError("sample count must be >= 1")
-    out = np.empty(n)
-    nchunks = (n + _CHUNK - 1) // _CHUNK
-    w0 = params.omega0
-    w2 = params.omega2 * np.sqrt(x)
-    for c in range(nchunks):
-        lo = c * _CHUNK
-        hi = min(n, lo + _CHUNK)
-        cnt = hi - lo
-        rng = _chunk_rng(seed, c)
-        phi = rng.uniform(0.0, 2.0 * np.pi, cnt)
-        g = (rng.standard_normal(cnt) + 1j * rng.standard_normal(cnt)) / np.sqrt(2.0)
-        los_amp = np.sqrt(sample_gamma_rv(params.m, cnt, rng))
-        s = w0 * los_amp * np.exp(1j * phi) + w2 * g
-        out[lo:hi] = params.gamma_bar * np.abs(s) ** 2
-    return SnrSampleSet(model=ModelKind.FDRLOS, params=params, seed=seed,
-                        count=n, values=out)

@@ -1,5 +1,10 @@
-"""Special-function kernels: adaptive quadrature, generalized incomplete gamma,
-Kummer 1F1 and Tricomi U.
+"""Special-function kernels: adaptive quadrature, the generalized incomplete
+gamma, log 1F1 and Gamma(m) U(m, 1, x).
+
+Each job has one kernel, and it is the one the statistics in ``analytic``
+call: ``adaptive_quad_vec`` for every integral, ``gen_incomplete_gamma_scaled``
+for the closed forms, ``log_kummer_1f1`` for the Rician shadowed density and
+``gamma_tricomi_u`` for the high-SNR offset.
 
 Everything here is a pure function of its arguments; no shared mutable state.
 The quadrature engine evaluates vector-valued integrands with per-component
@@ -45,15 +50,13 @@ class QuadratureConfig:
 
     ``rel_tol`` must be at least ``REL_TOL_FLOOR``: below it rounding in the
     panel sums exceeds the requested error and no subdivision budget helps.
-    ``infinite_tail_cutoff_policy`` selects how a semi-infinite interval
-    [lo, inf) is folded onto a finite one; "rational" applies
-    t = lo + u/(1-u) with u in [0, 1).
+    A semi-infinite interval [lo, inf) is folded onto [0, 1) by
+    t = lo + u/(1-u).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 200
-    infinite_tail_cutoff_policy: str = "rational"
 
     def __post_init__(self):
         if not (self.rel_tol >= REL_TOL_FLOOR):
@@ -63,9 +66,6 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-        if self.infinite_tail_cutoff_policy != "rational":
-            raise DomainError(
-                f"unknown tail policy {self.infinite_tail_cutoff_policy!r}")
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -200,130 +200,45 @@ def adaptive_quad_vec(f, lower, upper, cfg: QuadratureConfig | None = None):
         value=sums, err_estimate=errs)
 
 
-def adaptive_quad(f, lower, upper, cfg: QuadratureConfig | None = None):
-    """Integrate a scalar function over [lower, upper], upper may be inf.
-
-    Returns ``(value, err_estimate)``.
-    """
-
-    def fv(x):
-        return np.array([float(f(t)) for t in x])
-
-    vals, errs = adaptive_quad_vec(fv, lower, upper, cfg)
-    return float(vals[0]), float(errs[0])
+def rel_only_cfg(cfg: QuadratureConfig) -> QuadratureConfig:
+    """``cfg`` with purely relative error control and at least 400
+    subdivisions, for integrals whose components span many decades."""
+    return QuadratureConfig(rel_tol=cfg.rel_tol, abs_tol=1e-300,
+                            max_subdivisions=max(cfg.max_subdivisions, 400))
 
 
-def _gig_scaled_vec(a_values, z, b, cfg=None, exp_shift=0.0):
-    """exp(exp_shift) * Gamma(a, z, b) for an array of order parameters a.
+def gen_incomplete_gamma_scaled(a_values, z, b_values,
+                                cfg: QuadratureConfig | None = None):
+    """e^z Gamma(a, z, b) on the grid a_values x b_values, shape (nb, na).
 
-    Gamma(a, z, b) = int_z^inf t^(a-1) exp(-t) exp(-b/t) dt.  The shift is
-    folded into the integrand (exp(exp_shift - t)) so products like
-    e^z * Gamma(a, z, b) never overflow even when z is large.
+    Gamma(a, z, b) = int_z^inf t^(a-1) e^-t e^(-b/t) dt is the generalized
+    incomplete gamma; it reduces to the classical upper incomplete gamma at
+    b = 0.  It converges for every real a when z > 0, and at z = 0 when
+    a > 0 or b > 0.  The factor e^z is folded into the integrand
+    (e^(z-t)) so large z never overflows.  The whole grid is one vector
+    quadrature with per-component error control.
     """
     a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
+    b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
     z = float(z)
-    b = float(b)
+    if not np.all(b_values >= 0):
+        raise DomainError("b must be nonnegative")
+    if not (z >= 0) or (z == 0 and np.any(b_values == 0) and np.any(a_values <= 0)):
+        raise DomainError(
+            f"Gamma(a, {z}, b) diverges; need z > 0 (or a > 0 / b > 0 at z = 0)")
+    na, nb = len(a_values), len(b_values)
 
     def f(t):
         logt = np.log(t)
-        core = np.exp(exp_shift - t - (b / t if b != 0.0 else 0.0))
-        return np.exp((a_values[None, :] - 1.0) * logt[:, None]) * core[:, None]
+        pow_a = np.exp((a_values[None, :] - 1.0) * logt[:, None])      # (nt, na)
+        core = np.exp(z - t[:, None] - b_values[None, :] / t[:, None])  # (nt, nb)
+        return (core[:, :, None] * pow_a[:, None, :]).reshape(len(t), nb * na)
 
     vals, _ = adaptive_quad_vec(f, z, np.inf, cfg)
-    return vals
-
-
-def gen_incomplete_gamma(a, z, b, cfg: QuadratureConfig | None = None):
-    """Generalized incomplete gamma Gamma(a, z, b) = int_z^inf t^(a-1) e^-t e^(-b/t) dt.
-
-    Converges for every real ``a`` when z > 0 (and for z = 0 when a > 0 or
-    b > 0).  Reduces to the classical upper incomplete gamma at b = 0.
-    """
-    a = float(a)
-    z = float(z)
-    b = float(b)
-    if b < 0:
-        raise DomainError("b must be nonnegative")
-    if z < 0 or (z == 0 and b == 0 and a <= 0):
-        raise DomainError(
-            f"Gamma({a}, {z}, {b}) diverges; need z > 0 (or a > 0 / b > 0 at z = 0)")
-    return float(_gig_scaled_vec([a], z, b, cfg)[0])
+    return vals.reshape(nb, na)
 
 
 _SERIES_MAX_TERMS = 100_000
-
-
-def kummer_1f1(a, b_param, x):
-    """Kummer confluent hypergeometric 1F1(a; b; x).
-
-    Ascending series with relative stopping at 1e-16; for x > 50 a Poincare
-    asymptotic expansion is used when it can certify the result, with the
-    (rescaled) series as fallback.  Intermediate terms are rescaled so the
-    computation survives x up to ~700 provided the result itself fits in a
-    double.
-    """
-    a = float(a)
-    b_param = float(b_param)
-    x = float(x)
-    if b_param <= 0 and b_param == int(b_param):
-        raise DomainError("b_param must not be a nonpositive integer")
-    if not math.isfinite(x):
-        raise DomainError("x must be finite")
-    if x == 0.0:
-        return 1.0
-    if a == b_param:
-        return _exp_checked(x)
-    if a > 0 and b_param == 1.0 and a == int(a):
-        return _exp_checked(log_kummer_1f1(a, 1.0, x)) if x > 0 else _1f1_series(a, b_param, x)
-    if x > 50.0 and a > 0:
-        est = _1f1_asymptotic(a, b_param, x)
-        if est is not None:
-            return est
-    if x < -50.0:
-        # Kummer transform moves the big argument into the exponential
-        return _exp_checked(x) * kummer_1f1(b_param - a, b_param, -x)
-    return _1f1_series(a, b_param, x)
-
-
-def _exp_checked(logv):
-    if logv > 709.0:
-        raise AccuracyError(f"result overflows double (log value {logv:.6g})",
-                            value=math.inf)
-    return math.exp(logv)
-
-
-def _1f1_series(a, b, x, rel_stop=1e-16):
-    term = 1.0
-    total = 1.0
-    scale_log = 0.0  # running log-scale applied to term/total
-    for k in range(_SERIES_MAX_TERMS):
-        term *= (a + k) / (b + k) * x / (k + 1.0)
-        total += term
-        if abs(term) <= rel_stop * abs(total) and k > 3:
-            return _exp_checked(scale_log + math.log(abs(total))) * math.copysign(1.0, total) \
-                if scale_log else total
-        if abs(total) > 1e280:
-            total *= 1e-280
-            term *= 1e-280
-            scale_log += 280.0 * math.log(10.0)
-    raise AccuracyError("1F1 series did not converge", value=total)
-
-
-def _1f1_asymptotic(a, b, x, rel_goal=1e-13):
-    """Large-x expansion; returns None when it cannot certify rel_goal."""
-    log_pref = gammaln(b) - gammaln(a) + x + (a - b) * math.log(x)
-    term = 1.0
-    total = 1.0
-    best = math.inf
-    for k in range(60):
-        term *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
-        if abs(term) >= best:
-            break
-        best = abs(term)
-        total += term
-        if abs(term) <= rel_goal * abs(total):
-            return _exp_checked(log_pref + math.log(total))
-    return None
 
 
 def log_kummer_1f1(a, b_param, x):
@@ -418,7 +333,7 @@ def gamma_tricomi_u(m, x, cfg: QuadratureConfig | None = None):
     integrand peak sits at O(1) for every argument, and a log offset keeps
     the intermediate values representable for large m.
     """
-    m = _check_positive_int(m, "m")
+    m = check_positive_int(m, "m")
     x = float(x)
     if x <= 0:
         raise DomainError("x must be positive; the x -> 0 limit diverges")
@@ -436,21 +351,12 @@ def gamma_tricomi_u(m, x, cfg: QuadratureConfig | None = None):
     def f(v):
         return np.exp(log_f(v) - offset)
 
-    rel_cfg = QuadratureConfig(rel_tol=cfg.rel_tol, abs_tol=1e-300,
-                               max_subdivisions=max(cfg.max_subdivisions, 400),
-                               infinite_tail_cutoff_policy=cfg.infinite_tail_cutoff_policy)
-    vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_cfg)
+    vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_only_cfg(cfg))
     return math.exp(offset + math.log(float(vals[0])))
 
 
-def tricomi_u(m, x, cfg: QuadratureConfig | None = None):
-    """Tricomi confluent hypergeometric U(m, 1, x), integer m >= 1, x > 0."""
-    m = _check_positive_int(m, "m")
-    g = gamma_tricomi_u(m, x, cfg)
-    return math.exp(math.log(g) - gammaln(m))
-
-
-def _check_positive_int(m, name):
+def check_positive_int(m, name):
+    """``m`` as an int; a DomainError unless it is a positive integer."""
     if m != int(m) or m < 1:
         raise DomainError(f"{name} must be a positive integer, got {m}")
     return int(m)

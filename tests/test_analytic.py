@@ -13,10 +13,9 @@ from fdrlos.analytic import (Curve, UnderflowWarning, _flag_underflow,
                              drlos_pdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
                              fdrlos_pdf, fdrlos_pdf_oracle, outage_probability,
                              read_curve_csv, rician_cdf, rician_pdf, rs_cdf,
-                             rs_cdf_integer, rs_pdf, rs_pdf_integer_terms)
+                             rs_cdf_integer, rs_pdf)
 from fdrlos.models import FadingParams
-from fdrlos.specfun import (DomainError, QuadratureConfig, adaptive_quad,
-                            adaptive_quad_vec)
+from fdrlos.specfun import DomainError, QuadratureConfig, adaptive_quad_vec
 
 # references frozen from scripts/make_goldens.py (50-digit quadrature)
 RS_CDF_2_4_2_15 = 0.73108675719011024
@@ -52,28 +51,38 @@ class TestRsPdf:
 
 
 class TestRsMixture:
+    """The Erlang-mixture weights inside ``rs_cdf_integer`` against the 1F1
+    form of the density, at the conditional slice K_x = K/x,
+    gbar_x = gbar (K+x)/(K+1)."""
+
     def test_m1_single_term(self):
-        terms = rs_pdf_integer_terms(1.5, 2.0, 1, 3.0)
-        np.testing.assert_allclose(terms.coefficients, [1.0])
-        assert terms.omega == pytest.approx(3.0 * (2.0 + 1.5) / 3.0)
+        # m = 1 leaves one exponential term of mean gbar_x for every K
+        g = np.array([0.3, 1.0, 4.0])
+        np.testing.assert_allclose(rs_cdf_integer(g, 2.0 / 1.5, 1, 3.5),
+                                   1.0 - np.exp(-g / 3.5), rtol=1e-14)
 
     def test_no_los_keeps_last_term_only(self):
-        terms = rs_pdf_integer_terms(1.0, 0.0, 4, 1.0)
-        np.testing.assert_allclose(terms.coefficients, [0, 0, 0, 1.0])
+        g = np.array([0.3, 1.0, 4.0])
+        np.testing.assert_allclose(rs_cdf_integer(g, 0.0, 4, 1.0),
+                                   1.0 - np.exp(-g), rtol=1e-14)
 
     @given(st.integers(1, 8), st.floats(0.0, 20.0), st.floats(0.05, 5.0))
     def test_weights_sum_to_one(self, m, k, x):
-        terms = rs_pdf_integer_terms(x, k, m, 2.0)
-        assert float(np.sum(terms.coefficients)) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(terms.coefficients >= 0)
-        assert terms.omega > 0
+        # F(g) + int_g^inf f = 1 holds only if the weights sum to one
+        k_x, gbar_x = k / x, 2.0 * (k + x) / (k + 1.0)
+        tail, _ = adaptive_quad_vec(lambda u: rs_pdf(u, k_x, m, gbar_x),
+                                    gbar_x, np.inf, TIGHT)
+        assert rs_cdf_integer(0.0, k_x, m, gbar_x) == 0.0
+        assert rs_cdf_integer(gbar_x, k_x, m, gbar_x) + tail[0] == pytest.approx(
+            1.0, abs=1e-10)
 
     @pytest.mark.parametrize("g", [0.5, 1.0, 4.0])
     def test_mixture_equals_hypergeometric_form(self, g):
         x, k, m, gbar = 1.0, 5.0, 3, 2.0
-        terms = rs_pdf_integer_terms(x, k, m, gbar)
-        direct = rs_pdf(g, k / x, m, gbar * (k + x) / (k + 1.0))
-        assert terms.pdf(g) == pytest.approx(direct, rel=1e-10)
+        k_x, gbar_x = k / x, gbar * (k + x) / (k + 1.0)
+        direct, _ = adaptive_quad_vec(lambda u: rs_pdf(u, k_x, m, gbar_x),
+                                      0.0, g, TIGHT)
+        assert rs_cdf_integer(g, k_x, m, gbar_x) == pytest.approx(direct[0], rel=1e-10)
 
 
 class TestRsCdf:
@@ -99,6 +108,20 @@ class TestRsCdf:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             rs_cdf_integer(-1.0, 1.0, 2, 1.0)
+
+    @pytest.mark.parametrize("m", [2, 2.5])
+    def test_broadcasts_snr_row_against_parameter_columns(self, m):
+        g = np.array([[0.0, 0.7, 3.0]])
+        k_x = np.array([[0.5], [4.0]])
+        gbar_x = np.array([[1.0], [2.5]])
+        got = rs_cdf(g, k_x, m, gbar_x)
+        assert got.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                # one quadrature per SNR value refines panels for both
+                # columns jointly, so agreement is to the tolerance, not bitwise
+                assert got[i, j] == pytest.approx(
+                    rs_cdf(g[0, j], k_x[i, 0], m, gbar_x[i, 0]), rel=1e-9)
 
 
 class TestFdrlosPdf:
@@ -288,6 +311,14 @@ class TestSnrBoundary:
             np.testing.assert_array_equal(
                 fdrlos_cdf(np.array([1.0, np.inf]), params),
                 [fdrlos_cdf(1.0, params), 1.0])
+
+    @pytest.mark.parametrize("params", [FadingParams(2.0, 3, 1.5),
+                                        FadingParams(0.0, 2, 1.5)],
+                             ids=["closed-form", "k0-oracle"])
+    def test_empty_snr_gives_empty(self, params):
+        for law in (fdrlos_pdf, fdrlos_cdf):
+            out = law(np.array([]), params)
+            assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     @pytest.mark.parametrize("route", [
         lambda g: fdrlos_pdf(g, FadingParams(2.0, 3, 1.5)),

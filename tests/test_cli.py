@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,10 +41,37 @@ class TestGridParsing:
             _parse_grid("0:1:10:log", in_db=False)
         with pytest.raises(DomainError):
             _parse_grid("0:1", in_db=False)
+        for text in ("0:inf:3", "-inf:1:3", "0:nan:3", "nan:1:3"):
+            with pytest.raises(DomainError, match="grid bounds must be finite"):
+                _parse_grid(text, in_db=False)
 
     def test_db_conversion(self):
         assert db_to_linear(3.0) == pytest.approx(10 ** 0.3)
         assert db_to_linear(0.0) == 1.0
+        with pytest.raises(DomainError, match="overflows"):
+            db_to_linear(4000.0)
+        with pytest.raises(DomainError, match="overflows"):
+            db_to_linear(np.array([0.0, 4000.0]))
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cdf", "--k", "1", "--gamma-bar", "1", "--grid", "0:inf:3"], "grid bounds"),
+    (["cdf", "--k", "1", "--gamma-bar", "1", "--grid", "0:nan:3"], "grid bounds"),
+    (["op", "--k", "1", "--gamma-th", "1", "--grid", "1:inf:3"], "grid bounds"),
+    (["op", "--k", "1", "--gamma-th", "1", "--grid-db", "0:4000:3"], "overflows"),
+    (["cdf", "--k", "1", "--gamma-bar-db", "4000", "--grid", "0:1:3"], "overflows"),
+    (["op", "--k", "1", "--gamma-th-db", "4000", "--grid", "1:2:3"], "overflows"),
+], ids=["grid-inf", "grid-nan", "op-grid-inf", "grid-db-overflow",
+        "gamma-bar-db-overflow", "gamma-th-db-overflow"])
+def test_bad_boundary_value_gives_one_error_line(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
 
 class TestPdfCommand:
@@ -131,9 +159,8 @@ class TestOpCommand:
         for name in ("fdrlos_cdf", "coding_gain"):
             monkeypatch.setattr(cli.analytic, name, must_not_run)
         out = tmp_path / "op.csv"
-        with np.errstate(over="ignore"):
-            code = run(["op", "--k", "1", "--m", "2", "--gamma-th", "1", grid,
-                        *extra, "--output", str(out)])
+        code = run(["op", "--k", "1", "--m", "2", "--gamma-th", "1", grid,
+                    *extra, "--output", str(out)])
         assert code == 2
         assert not out.exists()
 
@@ -238,12 +265,25 @@ class TestFigureCommand:
         assert args.output_dir == str(tmp_path / "envdir")
 
 
-def test_cli_import_leaves_out_scipy_stats():
+def run_python(code):
+    """stdout of ``python -c code`` with this checkout's package importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fdrlos.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, fdrlos.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = ("import sys, fdrlos.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert run_python(code).strip() == "[]"
+
+
+def test_public_api_resolves():
+    missing = [name for name in fdrlos.__all__ if not hasattr(fdrlos, name)]
+    assert missing == []
+    code = ("from fdrlos import *; import fdrlos; "
+            "print(all(name in globals() for name in fdrlos.__all__))")
+    assert run_python(code).strip() == "True"

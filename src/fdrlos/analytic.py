@@ -11,8 +11,9 @@ Two independent routes are kept for the main model on purpose:
 * closed forms (integer m, K > 0) expressed through the generalized
   incomplete gamma Gamma(a, z, b), obtained by substituting
   t = K/m + x in the averaging integral and expanding (t - K/m)^j;
-* quadrature oracles that integrate the conditional Rician shadowed
-  pdf/cdf directly.
+* quadrature oracles: one quadrature over x of the conditional Rician
+  shadowed pdf (the 1F1 form, ``rs_pdf``) or cdf (``rs_cdf``, a positive
+  negative-binomial series for every real m; no nested quadrature).
 
 The closed-form cdf uses the inner summation limit s = 0..j that the
 substitution actually produces; tests certify it against the oracle.
@@ -30,15 +31,17 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 import numpy as np
-from scipy.special import chndtr, gammaincc, gammaln, i0e
+from scipy.special import (betainc, chndtr, gammainc, gammaln, i0e, poch,
+                           xlog1py)
 
 from .models import FadingParams
 from .specfun import (AccuracyError, DomainError, QuadratureConfig,
                       adaptive_quad_vec, check_positive_int, gamma_tricomi_u,
                       gen_incomplete_gamma_scaled, log_kummer_1f1, rel_only_cfg)
 
-_DEFAULT = QuadratureConfig()
 _GAMMA_CHUNK = 32
+_TERM_BLOCK = 2 ** 13     # Rician shadowed series terms per numpy pass
+_MAX_WINDOW = 2 ** 20     # longest series window one cdf value may sum
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -51,26 +54,26 @@ def _check_snr(gamma):
         raise DomainError("gamma must be nonnegative and not NaN")
 
 
-def _over_snr(gamma, evaluate, at_inf):
-    """Evaluate a law on a 1-d SNR grid, ``_GAMMA_CHUNK`` finite points per
-    ``evaluate`` call (one vector quadrature each); +inf points take the
-    limit value ``at_inf`` without being evaluated."""
+def _over_snr(gamma, evaluate, at_inf, at_zero=np.nan):
+    """Evaluate a law on a 1-d SNR grid, ``_GAMMA_CHUNK`` points per
+    ``evaluate`` call (one vector quadrature each).  +inf points take the
+    limit ``at_inf``, and 0 points ``at_zero`` unless it is NaN, unevaluated."""
     gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
     _check_snr(gamma_arr)
-    out = np.full(gamma_arr.shape, float(at_inf))
-    finite = np.flatnonzero(np.isfinite(gamma_arr))
-    for lo in range(0, len(finite), _GAMMA_CHUNK):
-        sel = finite[lo:lo + _GAMMA_CHUNK]
+    out = np.where(gamma_arr == 0, at_zero, float(at_inf))
+    todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf) | np.isnan(out))
+    for lo in range(0, len(todo), _GAMMA_CHUNK):
+        sel = todo[lo:lo + _GAMMA_CHUNK]
         out[sel] = evaluate(gamma_arr[sel])
     return out
 
 
-def _scatter_average(conditional, gamma, k, gbar, cfg, at_inf):
+def _scatter_average(conditional, gamma, k, gbar, cfg, at_inf, at_zero=np.nan):
     """Average a conditional law over the exponential scatter weight e^{-x}.
 
     ``conditional(g, k_x, gbar_x)`` receives the SNR chunk as a (1, ng) row
     and K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, and returns
-    the (nx, ng) conditional values.
+    the (nx, ng) conditional values; ``at_inf``, ``at_zero`` as in ``_over_snr``.
     """
 
     def average(g):
@@ -82,7 +85,7 @@ def _scatter_average(conditional, gamma, k, gbar, cfg, at_inf):
         vals, _ = adaptive_quad_vec(f, 0.0, np.inf, cfg)
         return vals
 
-    return _over_snr(gamma, average, at_inf)
+    return _over_snr(gamma, average, at_inf, at_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +151,15 @@ def read_curve_csv(source) -> Curve:
 # Rician shadowed building blocks
 
 
+def _check_rs(gamma, k_x, m, gbar_x):
+    """The Rician shadowed arguments as float arrays, after the domain checks."""
+    gamma, k_x, gbar_x = (np.asarray(v, dtype=float) for v in (gamma, k_x, gbar_x))
+    _check_snr(gamma)
+    if not (m > 0) or np.any(k_x < 0) or np.any(gbar_x <= 0):
+        raise DomainError("need m > 0, k_x >= 0 and gbar_x > 0")
+    return gamma, k_x, gbar_x
+
+
 def rs_pdf(gamma, k_x, m, gbar_x):
     """SNR density of the Rician shadowed model (any real m > 0).
 
@@ -158,14 +170,7 @@ def rs_pdf(gamma, k_x, m, gbar_x):
     log space so the huge-argument 1F1 against the tiny exponential prefactor
     stays finite.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    k_x = np.asarray(k_x, dtype=float)
-    gbar_x = np.asarray(gbar_x, dtype=float)
-    _check_snr(gamma)
-    if not (m > 0):
-        raise DomainError("m must be positive")
-    if np.any(k_x < 0) or np.any(gbar_x <= 0):
-        raise DomainError("need k_x >= 0 and gbar_x > 0")
+    gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
     w = k_x * (1.0 + k_x) * gamma / ((k_x + m) * gbar_x)
     logf = (m * math.log(m) + np.log1p(k_x) - m * np.log(m + k_x)
             - np.log(gbar_x) - (1.0 + k_x) * gamma / gbar_x
@@ -175,61 +180,56 @@ def rs_pdf(gamma, k_x, m, gbar_x):
 
 
 def rs_cdf_integer(gamma, k_x, m, gbar_x):
-    """Rician shadowed SNR cdf for integer m.
+    """``rs_cdf`` with m checked to be a positive integer."""
+    return rs_cdf(gamma, k_x, check_positive_int(m, "m"), gbar_x)
 
-    Mixture of Erlang cdfs: F = 1 - sum_j C_j * Q(m-j, g/Omega) with Q the
-    regularized upper incomplete gamma (equals the finite exponential sum
-    e^-y sum_{r<m-j} y^r/r! at integer shape, but stays stable for large y).
+
+def rs_cdf(gamma, k_x, m, gbar_x):
+    """Rician shadowed SNR cdf for any real m > 0: a positive series.
+
+    Rician shadowed is a Poisson-Gamma mixture (Abdi et al., IEEE TWC 2003): with
+    y = g (1+K_x)/gbar_x and p = m/(m+K_x), F = sum_n NB(n) P(n+1, y), where
+    NB(n) = C(n+m-1, n) p^m (1-p)^n and P is the regularized lower incomplete gamma.
+    Only n in [lo, hi] = y -/+ (12 sqrt(y) + 30) is summed.  Below it F takes the NB
+    mass I_p(m, lo), too large by at most I_p(m, lo) Q(lo, y); above it at most
+    P(hi+1, y) is dropped: Poisson tails 12 standard deviations (or 30 terms) from
+    y, below 2e-33.  Where I_p(m, lo) P(lo, y) <= F <= I_p(m, hi+1) + P(hi+1, y) is
+    within rounding (huge y) no window is built.  Windows over ``_MAX_WINDOW`` terms,
+    and m > 1e5 (log-gamma weights off by 1e-10), raise AccuracyError.  Each value is
+    summed alone, in increasing n, so it does not depend on what it is broadcast with.
     """
-    m = check_positive_int(m, "m")
-    gamma = np.asarray(gamma, dtype=float)
-    k_x = np.asarray(k_x, dtype=float)
-    gbar_x = np.asarray(gbar_x, dtype=float)
-    _check_snr(gamma)
-    omega = gbar_x * (k_x + m) / (m * (1.0 + k_x))
-    y = gamma / omega
-    p = m / (m + k_x)
-    q = k_x / (k_x + m)
-    surv = np.zeros(np.broadcast(gamma, k_x, gbar_x).shape)
-    for j in range(m):
-        if j == m - 1:
-            logc = gammaln(m) - gammaln(j + 1.0) - gammaln(m - j + 0.0) \
-                + j * np.log(p)
-        else:
-            with np.errstate(divide="ignore"):
-                logc = np.where(q > 0,
-                                gammaln(m) - gammaln(j + 1.0) - gammaln(m - j + 0.0)
-                                + j * np.log(p)
-                                + (m - 1 - j) * np.log(np.where(q > 0, q, 1.0)),
-                                -np.inf)
-        surv = surv + np.exp(logc) * gammaincc(m - j, y)
-    out = np.clip(1.0 - surv, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def rs_cdf(gamma, k_x, m, gbar_x, cfg: QuadratureConfig | None = None):
-    """Rician shadowed cdf; closed form at integer m, else quadrature of rs_pdf.
-
-    Broadcasts gamma against (k_x, gbar_x) at every m, e.g. a (1, ng) SNR
-    row against (nx, 1) parameter columns.  At real m each gamma value is
-    one vector quadrature of rs_pdf over the (k_x, gbar_x) pairs it meets.
-    """
-    if m == int(m):
-        return rs_cdf_integer(gamma, k_x, int(m), gbar_x)
-    gamma = np.asarray(gamma, dtype=float)
-    _check_snr(gamma)
-    g_all, k_all, gbar_all = np.broadcast_arrays(gamma, k_x, gbar_x)
-    which = np.broadcast_to(np.arange(gamma.size).reshape(gamma.shape), g_all.shape)
-    out = np.zeros(g_all.shape)
-    for i, g in enumerate(gamma.ravel()):
-        if g == 0.0:
-            continue
-        sel = which == i
-        k_sel = k_all[sel][None, :]
-        gbar_sel = gbar_all[sel][None, :]
-        vals, _ = adaptive_quad_vec(lambda u: rs_pdf(u[:, None], k_sel, m, gbar_sel),
-                                    0.0, float(g), cfg or _DEFAULT)
-        out[sel] = np.clip(vals, 0.0, 1.0)
+    gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
+    if m > 1e5:
+        raise AccuracyError(f"the Rician shadowed series needs m <= 1e5, got {m:g}")
+    # past 1e300 F is 1 unless the NB mass is there too, which the cap refuses
+    y, k_x = np.broadcast_arrays(np.minimum(gamma * (1.0 + k_x) / gbar_x, 1e300), k_x)
+    shape, y, p = y.shape, y.ravel(), (m / (m + k_x)).ravel()
+    # the 1e-12 y term keeps lo below y where sqrt(y) < ulp(y)
+    half = 12.0 * np.sqrt(y) + 30.0 + 1e-12 * y
+    lo, hi = np.floor(np.maximum(y - half, 0.0)), np.ceil(y + half)
+    below = betainc(m, lo, p) * (lo > 0)
+    out = np.where(lo > 0, below * gammainc(lo, y), 0.0)
+    upper = betainc(m, hi + 1.0, p) + gammainc(hi + 1.0, y)
+    todo = np.flatnonzero(~(upper - out <= np.finfo(float).eps * out))
+    count = np.where(p < 1.0, hi - lo + 1.0, 1.0)[todo]     # p = 1: all mass at n = 0
+    if np.any(count > _MAX_WINDOW):
+        raise AccuracyError(f"Rician shadowed series window of {count.max():.3g} terms")
+    starts = np.concatenate(([0], np.cumsum(count.astype(np.int64))))
+    sums = np.zeros(todo.size)
+    for block in range(0, starts[-1], _TERM_BLOCK):
+        t = np.arange(block, min(block + _TERM_BLOCK, starts[-1]))
+        e = np.searchsorted(starts, t, side="right") - 1
+        i, n = todo[e], lo[todo[e]] + (t - starts[e])
+        log_poch = np.log(poch(n + 1.0, m - 1.0))
+        big = np.isinf(log_poch)               # (n+1)^(m-1) past double range
+        log_poch[big] = gammaln(n[big] + m) - gammaln(n[big] + 1.0)
+        terms = np.exp(log_poch - gammaln(m) + m * np.log(p[i]) + xlog1py(n, -p[i])) \
+            * gammainc(n + 1.0, y[i])
+        # bincount adds in order; the carried partial sum rides on the first term
+        terms[0] += sums[e[0]]
+        sums[e[0]:e[-1] + 1] = np.bincount(e - e[0], terms)
+    out[todo] = below[todo] + sums
+    out = np.minimum(out, 1.0).reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -270,7 +270,6 @@ def fdrlos_pdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
     overflows.  K = 0 is routed to the quadrature oracle (the law is then the
     pure double-Rayleigh product, independent of m).
     """
-    cfg = cfg or _DEFAULT
     if params.k == 0.0:
         return fdrlos_pdf_oracle(gamma, params, cfg)
     m = params.require_integer_m()
@@ -300,10 +299,11 @@ def fdrlos_pdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
 def fdrlos_pdf_oracle(gamma, params: FadingParams,
                       cfg: QuadratureConfig | None = None):
     """Ground-truth density: conditional Rician shadowed pdf averaged over the
-    exponential scatter weight.  Valid for any real m > 0 and K >= 0."""
+    exponential scatter weight, for any real m > 0 and K >= 0 (+inf at 0 if K = 0)."""
     out = _scatter_average(
         lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
-        gamma, params.k, params.gamma_bar, rel_only_cfg(cfg or _DEFAULT), 0.0)
+        gamma, params.k, params.gamma_bar, rel_only_cfg(cfg), 0.0,
+        np.inf if params.k == 0 else np.nan)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -319,7 +319,6 @@ def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
 
     with b = g (K+1)/gbar.  K = 0 goes through the oracle path.
     """
-    cfg = cfg or _DEFAULT
     if params.k == 0.0:
         return fdrlos_cdf_oracle(gamma, params, cfg)
     m = params.require_integer_m()
@@ -348,13 +347,12 @@ def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams,
                       cfg: QuadratureConfig | None = None):
-    """Ground-truth cdf: conditional Rician shadowed cdf (``rs_cdf``: the
-    Erlang mixture at integer m, a quadrature of rs_pdf at real m) averaged
-    over the exponential scatter weight."""
-    cfg = rel_only_cfg(cfg or _DEFAULT)
+    """Ground-truth cdf: the conditional Rician shadowed cdf (``rs_cdf``, a
+    positive series for every real m) averaged over the exponential scatter
+    weight, one quadrature over x per chunk of SNR values."""
     out = np.clip(_scatter_average(
-        lambda g, k_x, gbar_x: rs_cdf(g, k_x, params.m, gbar_x, cfg),
-        gamma, params.k, params.gamma_bar, cfg, 1.0), 0.0, 1.0)
+        lambda g, k_x, gbar_x: rs_cdf(g, k_x, params.m, gbar_x),
+        gamma, params.k, params.gamma_bar, rel_only_cfg(cfg), 1.0), 0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -415,13 +413,13 @@ def rician_cdf(gamma, k, gbar):
 def drlos_pdf_oracle(gamma, k, gbar, cfg: QuadratureConfig | None = None):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
     Rician, averaged over the exponential scatter weight (the m -> inf limit)."""
-    out = _scatter_average(rician_pdf, gamma, k, gbar,
-                           rel_only_cfg(cfg or _DEFAULT), 0.0)
+    out = _scatter_average(rician_pdf, gamma, k, gbar, rel_only_cfg(cfg),
+                           0.0, np.inf if k == 0 else np.nan)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
 def drlos_cdf_oracle(gamma, k, gbar, cfg: QuadratureConfig | None = None):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
     out = np.clip(_scatter_average(rician_cdf, gamma, k, gbar,
-                                   rel_only_cfg(cfg or _DEFAULT), 1.0), 0.0, 1.0)
+                                   rel_only_cfg(cfg), 1.0), 0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out

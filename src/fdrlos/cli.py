@@ -222,7 +222,7 @@ def _cdf_fn(cfg: RunConfig, params: FadingParams | None = None):
             raise DomainError("closed-form path needs integer m; pass --oracle")
         return lambda g: analytic.fdrlos_cdf(g, params, q)
     if cfg.model is ModelKind.RICIAN_SHADOWED:
-        return lambda g: analytic.rs_cdf(g, k, m, gbar, q)
+        return lambda g: analytic.rs_cdf(g, k, m, gbar)
     if cfg.model is ModelKind.DRLOS:
         return lambda g: analytic.drlos_cdf_oracle(g, k, gbar, q)
     return lambda g: analytic.rician_cdf(g, k, gbar)

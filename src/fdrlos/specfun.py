@@ -48,8 +48,9 @@ REL_TOL_FLOOR = 50.0 * float(np.finfo(float).eps)
 class QuadratureConfig:
     """Tolerances and limits for the adaptive quadrature engine.
 
-    ``rel_tol`` must be at least ``REL_TOL_FLOOR``: below it rounding in the
-    panel sums exceeds the requested error and no subdivision budget helps.
+    ``rel_tol`` must lie in [``REL_TOL_FLOOR``, 1): below the floor rounding in
+    the panel sums exceeds the requested error and no subdivision budget helps,
+    and a relative error of 1 or more certifies nothing.
     A semi-infinite interval [lo, inf) is folded onto [0, 1) by
     t = lo + u/(1-u).
     """
@@ -59,9 +60,9 @@ class QuadratureConfig:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not (self.rel_tol >= REL_TOL_FLOOR):
-            raise DomainError(f"rel_tol must be >= {REL_TOL_FLOOR:.3g} "
-                              "(50 machine epsilons)")
+        if not (REL_TOL_FLOOR <= self.rel_tol < 1.0):
+            raise DomainError(f"rel_tol must be in [{REL_TOL_FLOOR:.3g}, 1): at "
+                              "least 50 machine epsilons and below 1")
         if not (self.abs_tol > 0):
             raise DomainError("abs_tol must be positive")
         if self.max_subdivisions < 1:
@@ -200,9 +201,10 @@ def adaptive_quad_vec(f, lower, upper, cfg: QuadratureConfig | None = None):
         value=sums, err_estimate=errs)
 
 
-def rel_only_cfg(cfg: QuadratureConfig) -> QuadratureConfig:
-    """``cfg`` with purely relative error control and at least 400
-    subdivisions, for integrals whose components span many decades."""
+def rel_only_cfg(cfg: QuadratureConfig | None) -> QuadratureConfig:
+    """``cfg`` (default ``DEFAULT_QUAD``) with purely relative error control and
+    at least 400 subdivisions, for integrals whose components span many decades."""
+    cfg = cfg or DEFAULT_QUAD
     return QuadratureConfig(rel_tol=cfg.rel_tol, abs_tol=1e-300,
                             max_subdivisions=max(cfg.max_subdivisions, 400))
 
@@ -337,7 +339,6 @@ def gamma_tricomi_u(m, x, cfg: QuadratureConfig | None = None):
     x = float(x)
     if x <= 0:
         raise DomainError("x must be positive; the x -> 0 limit diverges")
-    cfg = cfg or DEFAULT_QUAD
     scale = m / x
     log_scale = math.log(scale)
 

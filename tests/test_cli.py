@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import k0
 
 import fdrlos
 from fdrlos import cli
@@ -61,8 +62,10 @@ class TestGridParsing:
     (["op", "--k", "1", "--gamma-th", "1", "--grid-db", "0:4000:3"], "overflows"),
     (["cdf", "--k", "1", "--gamma-bar-db", "4000", "--grid", "0:1:3"], "overflows"),
     (["op", "--k", "1", "--gamma-th-db", "4000", "--grid", "1:2:3"], "overflows"),
+    (["cdf", "--k", "1", "--m", "2", "--gamma-bar", "2", "--grid", "0:1:3",
+      "--rel-tol", "5"], "rel_tol"),
 ], ids=["grid-inf", "grid-nan", "op-grid-inf", "grid-db-overflow",
-        "gamma-bar-db-overflow", "gamma-th-db-overflow"])
+        "gamma-bar-db-overflow", "gamma-th-db-overflow", "rel-tol-above-one"])
 def test_bad_boundary_value_gives_one_error_line(argv, message, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -103,6 +106,18 @@ class TestPdfCommand:
         assert run(args) == 2
         assert run(args + ["--oracle"]) == 0
 
+    @pytest.mark.parametrize("route", [
+        ["--m", "3"], ["--m", "2.5", "--oracle"], ["--model", "drlos"],
+    ], ids=["fdrlos", "fdrlos-oracle", "drlos"])
+    def test_no_los_density_is_infinite_at_origin(self, route, tmp_path):
+        out = tmp_path / "pdf.csv"
+        assert run(["pdf", *route, "--k", "0", "--gamma-bar", "2",
+                    "--grid", "0:1:2", "--output", str(out)]) == 0
+        assert read_rows(str(out))[1] == "0,inf"
+        # the law there is (2/gbar) K0(2 sqrt(g/gbar))
+        assert read_curve_csv(str(out)).ordinate[1] == pytest.approx(
+            k0(2.0 * np.sqrt(0.5)), rel=1e-9)
+
     @pytest.mark.parametrize("model", ["rician", "rician-shadowed", "drlos"])
     def test_ancestor_models(self, model, tmp_path):
         out = tmp_path / f"{model}.csv"
@@ -113,6 +128,9 @@ class TestPdfCommand:
 
 
 class TestCdfCommand:
+    RS = ["cdf", "--model", "rician-shadowed", "--k", "3", "--m", "2.5",
+          "--gamma-bar", "2"]
+
     def test_monotone_and_bounded(self, tmp_path):
         out = tmp_path / "cdf.csv"
         assert run(["cdf", "--k", "5", "--m", "3", "--gamma-bar", "2",
@@ -120,6 +138,18 @@ class TestCdfCommand:
         c = read_curve_csv(str(out))
         assert np.all(np.diff(c.ordinate) >= 0)
         assert c.ordinate[0] >= 0 and c.ordinate[-1] <= 1
+
+    def test_rician_shadowed_far_tail_is_one(self, tmp_path):
+        out = tmp_path / "cdf.csv"
+        assert run(self.RS + ["--grid", "0:1e6:3", "--output", str(out)]) == 0
+        assert read_curve_csv(str(out)).ordinate.tolist() == [0.0, 1.0, 1.0]
+
+    def test_rician_shadowed_huge_snr_builds_no_window(self, tmp_path, monkeypatch):
+        # the 31-term window at 0 fits; 5e299 and 1e300 must settle without one
+        monkeypatch.setattr(cli.analytic, "_MAX_WINDOW", 31)
+        out = tmp_path / "cdf.csv"
+        assert run(self.RS + ["--grid", "0:1e300:3", "--output", str(out)]) == 0
+        assert read_curve_csv(str(out)).ordinate.tolist() == [0.0, 1.0, 1.0]
 
 
 class TestOpCommand:

@@ -281,6 +281,7 @@ def cmd_sim(cfg: RunConfig, raw_output: str | None = None) -> int:
     cdf_scalar = _cdf_fn(cfg, params)
     cdf = empirics.tabulated_cdf(cdf_scalar, float(vals.min()), float(vals.max()))
     report = empirics.ks_distance(sset, cdf)
+    variance = float(np.var(vals))
     lines = [
         f"model={cfg.model.value}",
         f"k={cfg.k:.17g}",
@@ -289,10 +290,12 @@ def cmd_sim(cfg: RunConfig, raw_output: str | None = None) -> int:
         f"n={cfg.samples}",
         f"seed={cfg.seed}",
         f"mean={float(np.mean(vals)):.17g}",
-        f"variance={float(np.var(vals)):.17g}",
+        f"variance={variance:.17g}",
         f"ks_statistic={report.statistic:.17g}",
         f"ks_threshold={report.threshold:.17g}",
         f"ks_pass={str(report.passed).lower()}",
+        f"mean_se={np.sqrt(variance / cfg.samples):.17g}",
+        f"ks_margin={report.threshold - report.statistic:.17g}",
     ]
     text = "\n".join(lines) + "\n"
     if cfg.output:

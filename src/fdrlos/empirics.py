@@ -59,7 +59,8 @@ def ks_distance(samples, analytic_cdf, threshold: float | None = None) -> KsRepo
     """Two-sided sup distance between the sample ecdf and an analytic cdf.
 
     ``analytic_cdf`` must accept an array and be (numerically) nondecreasing
-    over the sample range; anything else is a contract violation.
+    over the sample range; anything else is a contract violation.  The array
+    it returns is clipped to [0, 1] in place.
     """
     vals = np.sort(_values(samples))
     n = len(vals)
@@ -67,9 +68,12 @@ def ks_distance(samples, analytic_cdf, threshold: float | None = None) -> KsRepo
     if np.any(np.diff(f) < -1e-12) or f[0] < -1e-9 or f[-1] > 1.0 + 1e-9:
         raise CdfContractError("analytic cdf is not monotone in [0,1] on the "
                                "sample range")
-    f = np.clip(f, 0.0, 1.0)
-    i = np.arange(n)
-    stat = float(max(np.max((i + 1) / n - f), np.max(f - i / n)))
+    np.clip(f, 0.0, 1.0, out=f)
+    # above = (i+1)/n - F_i; F_i - i/n is then 1/n - above
+    above = np.arange(1.0, n + 1.0)
+    above /= n
+    above -= f
+    stat = float(max(above.max(), 1.0 / n - above.min()))
     thr = default_ks_threshold(n) if threshold is None else float(threshold)
     return KsReport(statistic=stat, n=n, threshold=thr, passed=stat < thr)
 

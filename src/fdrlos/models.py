@@ -14,11 +14,16 @@ complex Gaussians, xi a unit-mean Gamma(m) variate, w0^2 = K/(K+1) and
 w2^2 = 1/(K+1) (normalized channel, E|S|^2 = 1), and gamma = gamma_bar |S|^2.
 Given |G3|^2 = x, fdrlos is rician-shadowed with K_x = K/x and
 gamma_bar_x = gamma_bar (K+x)/(K+1), so one sampler per model covers the
-conditional slices too.  The SNR law does not depend on phi.
+conditional slices too.
 
-Sampling is chunked: chunk c draws from its own Philox substream keyed by
-(seed, c), so the output is a pure function of (model, params, seed, n) no
-matter how many worker threads execute the chunks.
+The samplers draw gamma_bar |w0 sqrt(xi) + w2 sqrt(E3) G|^2 from real normals,
+G = (Gr + j Gi)/sqrt(2), with E3 = |G3|^2 ~ Exp(1) (E3 = 1 or xi = 1 where the
+model has no G3 or no LoS fluctuation).  The law is the same: e^{-j phi} S
+keeps |S|^2 and a circularly symmetric diffuse term, and given
+G3 = r e^{j theta}, G2 G3 = r (G2 e^{j theta}), where G2 e^{j theta} is again
+CN(0, 1) and independent of r.  The stream of a seed changed when this form
+replaced a complex one (a phase and complex normals): earlier samples,
+Monte-Carlo CSVs and ``sim`` summaries do not regenerate.
 """
 
 from __future__ import annotations
@@ -130,29 +135,25 @@ def sample_gamma_rv(m: float, n: int, stream: np.random.Generator) -> np.ndarray
     return stream.standard_gamma(m, n) / m
 
 
-def _sample_chunk(model: ModelKind, params: FadingParams, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    w0 = params.omega0
-    w2 = params.omega2
-    rt2 = np.sqrt(2.0)
-    phi = rng.uniform(0.0, 2.0 * np.pi, count)
-    g_a = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / rt2
+def _sample_chunk(model: ModelKind, params: FadingParams,
+                  rng: np.random.Generator, out: np.ndarray) -> None:
+    a = np.sqrt(params.gamma_bar / 2.0) * params.omega2
     if model.has_double_scatter:
-        g_b = (rng.standard_normal(count) + 1j * rng.standard_normal(count)) / rt2
-        diffuse = g_a * g_b
-    else:
-        diffuse = g_a
+        a = a * np.sqrt(rng.standard_exponential(out.size))
+    los = np.sqrt(params.gamma_bar) * params.omega0
     if model.has_los_fluctuation:
-        los_amp = np.sqrt(sample_gamma_rv(params.m, count, rng))
-    else:
-        los_amp = 1.0  # xi degenerates to 1 for the non-fluctuating models
-    s = w0 * los_amp * np.exp(1j * phi) + w2 * diffuse
-    return params.gamma_bar * np.abs(s) ** 2
+        los = los * np.sqrt(sample_gamma_rv(params.m, out.size, rng))
+    g = rng.standard_normal((2, out.size))   # (Gr, Gi) of the real form
+    g *= a
+    g[0] += los
+    np.square(g, out=g)
+    np.add(g[0], g[1], out=out)
 
 
 def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
                threads: int = 1) -> SnrSampleSet:
-    """Draw n SNR realizations; bit-identical for any thread count."""
+    """Draw n SNR realizations in the module docstring's real form.  Chunk c
+    uses Philox stream (seed, c): pure in (model, params, seed, n), any threads."""
     if n < 1:
         raise DomainError("sample count must be >= 1")
     out = np.empty(n)
@@ -160,9 +161,7 @@ def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
 
     def run(c: int) -> None:
         lo = c * _CHUNK
-        hi = min(n, lo + _CHUNK)
-        rng = _chunk_rng(seed, c)
-        out[lo:hi] = _sample_chunk(model, params, hi - lo, rng)
+        _sample_chunk(model, params, _chunk_rng(seed, c), out[lo:lo + _CHUNK])
 
     if threads <= 1 or nchunks == 1:
         for c in range(nchunks):

@@ -360,7 +360,7 @@ def test_scale_family_identity(route, k, m, gbar_db, gamma):
     cdf = SCALE_FAMILY_ROUTES[route]
     gbar = 10.0 ** (gbar_db / 10.0)
     assert cdf(gamma, k, m, gbar) == pytest.approx(
-        cdf(gamma / gbar, k, m, 1.0), rel=1e-9)
+        cdf(gamma / gbar, k, m, 1.0), rel=1e-9, abs=0)
 
 
 class TestSnrBoundary:
@@ -432,7 +432,7 @@ class TestAsymptote:
 
     def test_value_from_coding_gain(self):
         assert asymptotic_op(2.0, 1e5, 1.0, 1) == pytest.approx(
-            A_K1_M1 * 2.0 / 1e5, rel=1e-10)
+            A_K1_M1 * 2.0 / 1e5, rel=1e-10, abs=0)
 
     def test_large_m_stabilizes(self):
         a1 = coding_gain(1.0, 1000)

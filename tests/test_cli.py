@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -240,6 +241,17 @@ class TestSimCommand:
         assert float(kv["mean"]) == pytest.approx(2.0, abs=0.01)
         assert kv["ks_pass"] == "true"
         assert float(kv["ks_statistic"]) < float(kv["ks_threshold"])
+
+    def test_standard_error_and_ks_margin(self, tmp_path):
+        out = tmp_path / "sim.txt"
+        run(self.BASE + ["--output", str(out)])
+        kv = dict(line.split("=", 1) for line in read_rows(str(out)))
+        assert list(kv)[-2:] == ["mean_se", "ks_margin"]
+        # 17 significant digits round-trip, so the fields agree exactly
+        assert float(kv["mean_se"]) == math.sqrt(float(kv["variance"]) / int(kv["n"]))
+        assert float(kv["ks_margin"]) == (float(kv["ks_threshold"])
+                                          - float(kv["ks_statistic"]))
+        assert float(kv["ks_margin"]) > 0
 
     def test_thread_count_invisible_in_output(self, tmp_path):
         a, b = tmp_path / "t1.txt", tmp_path / "t8.txt"

@@ -60,6 +60,26 @@ class TestKsDistance:
         x = np.linspace(0.1, 6.0, 100)
         with pytest.raises(CdfContractError):
             ks_distance(x, np.sin)
+        ramp = (x - 0.1) / 5.9                            # 0 to 1 over x
+        for bad in (0.5 - 1e-11 * (x > 3.0),              # a dip
+                    ramp - 2e-9,                          # below 0
+                    ramp + 2e-9):                         # above 1
+            with pytest.raises(CdfContractError):
+                ks_distance(x, lambda g: bad)
+
+    @pytest.mark.parametrize("sample", [
+        np.array([2.0, 0.5, 1.0]),
+        np.array([1.0, 3.0, 2.0, 1.0, 2.0, 2.0]),
+        np.full(1000, 2.0),
+        _chunk_rng(14, 0).exponential(1.0, 10 ** 5),
+    ], ids=["three-points", "ties", "degenerate", "exponential-1e5"])
+    def test_statistic_matches_direct_formula(self, sample):
+        # max_i max((i+1)/n - F_i, F_i - i/n) over the sorted sample
+        f = exp_cdf(np.sort(sample))
+        n = len(f)
+        direct = max(max((i + 1) / n - fi, fi - i / n) for i, fi in enumerate(f))
+        assert ks_distance(sample, exp_cdf).statistic == pytest.approx(
+            direct, rel=0, abs=1e-15)
 
     def test_statistic_shrinks_like_root_n(self):
         stats = {}

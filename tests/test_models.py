@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fdrlos.analytic import (drlos_cdf_oracle, fdrlos_cdf_oracle,
-                             rs_cdf_integer)
+from fdrlos.analytic import (drlos_cdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
+                             rician_cdf, rs_cdf, rs_cdf_integer)
 from fdrlos.empirics import default_ks_threshold, ks_distance, tabulated_cdf
 from fdrlos.models import (FadingParams, ModelKind, _chunk_rng, sample_gamma_rv,
                            sample_snr)
@@ -140,6 +140,24 @@ class TestDistributionalChecks:
         s = sample_snr(ModelKind.RICIAN_SHADOWED, FadingParams(k_x, m, gbar_x), n, 123)
         rep = ks_distance(s, lambda g: rs_cdf_integer(g, k_x, m, gbar_x),
                           threshold=default_ks_threshold(n))
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("model, params, law, tabulate, seed", [
+        (ModelKind.RICIAN, FadingParams(3.0, 1, 1.5),
+         lambda g, p: rician_cdf(g, p.k, p.gamma_bar), False, 501),
+        (ModelKind.RICIAN_SHADOWED, FadingParams(2.0, 2.5, 1.5),
+         lambda g, p: rs_cdf(g, p.k, p.m, p.gamma_bar), False, 502),
+        (ModelKind.DRLOS, FadingParams(4.0, 1, 2.0),
+         lambda g, p: drlos_cdf_oracle(g, p.k, p.gamma_bar), True, 503),
+        (ModelKind.FDRLOS, FadingParams(5.0, 3, 2.0), fdrlos_cdf, True, 504),
+    ], ids=["rician", "rician-shadowed", "drlos", "fdrlos"])
+    def test_sampler_matches_analytic_cdf(self, model, params, law, tabulate, seed):
+        s = sample_snr(model, params, 10 ** 6, seed)
+        def cdf(g):
+            return law(g, params)
+        if tabulate:
+            cdf = tabulated_cdf(cdf, float(s.values.min()), float(s.values.max()))
+        rep = ks_distance(s, cdf)
         assert rep.passed, rep
 
     def test_standard_error_scaling(self):

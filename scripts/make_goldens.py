@@ -1,7 +1,7 @@
-"""Make the Rician shadowed cdf goldens frozen in ``tests/test_analytic.py``.
+"""Make the goldens frozen in ``tests/test_analytic.py``, with mpmath.
 
-Each value integrates the 1F1 form of the Rician shadowed density with
-mpmath, so it shares nothing with the negative-binomial series that
+Rician shadowed cdf (``RS_CDF_GOLDENS``): each value integrates the 1F1
+form of the density, so it shares nothing with the series that
 ``fdrlos.analytic.rs_cdf`` sums:
 
     f(t) = m^m (1+K) / ((m+K)^m gbar) exp(-(1+K) t / gbar)
@@ -12,7 +12,24 @@ only if F + S = 1 to 25 digits, and the smaller of the two gives the value
 (F directly, or 1 - S), so deep-outage values keep their relative accuracy.
 Every value is computed at 40 and at 50 digits and must agree to 20.
 
-Run from the repository root (about ten seconds on one core):
+Fluctuating double-Rayleigh LoS pdf and cdf (``FDRLOS_PDF_GOLDENS``,
+``FDRLOS_CDF_GOLDENS``), two ways that must agree to 16 digits:
+
+* the paper's closed form: t = K/m + x substituted in the scatter average
+  and (t - K/m)^j expanded into generalized incomplete gammas
+  Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt, which cancel.  Each
+  Gamma(a, z, b) is the series sum_n (-b)^n / n! Gamma(a-n, z).  The value is
+  taken at the first of the precisions ``GIG_DPS`` that agrees with the next
+  to 20 digits, so the cancellation has left at least 20 digits;
+* the 1F1 density above averaged over e^(-x) at K_x = K/x,
+  gbar_x = gbar (K+x)/(K+1) (for the cdf, integrated over [0, g] as well),
+  at 30 digits.
+
+Coding gains (``CODING_GAIN_GOLDENS``), two ways that must agree to 25
+digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
+(1+K) int_0^inf e^(-x) x^(m-1) (x + K/m)^(-m) dx at 40 digits.
+
+Run from the repository root (a few minutes on one core):
 
     python3 scripts/make_goldens.py
 """
@@ -22,6 +39,7 @@ from __future__ import annotations
 import mpmath as mp
 
 DPS = (40, 50)
+GIG_DPS = (40, 100, 160, 220, 280)
 
 #: (name, gamma, k, m, gbar): the inputs are doubles, as the tests pass them
 CASES = [
@@ -36,6 +54,19 @@ CASES = [
     ("far tail", 5e5, 3.0, 2.5, 2.0),
     ("far tail", 1e6, 3.0, 2.5, 2.0),
 ]
+
+_LARGE_M = [(f"m = {m}", 1.0, k, m, gbar)
+            for k, gbar in ((1.0, 1.0), (5.0, 2.0)) for m in (20, 30, 40, 60)]
+
+FDRLOS_PDF_CASES = [("fig1 K = 5, m = 3", g, 5.0, 3, 2.0) for g in (0.1, 1.0, 5.0)] \
+    + _LARGE_M
+
+FDRLOS_CDF_CASES = [("fig1 K = 5, m = 3", 2.0, 5.0, 3, 2.0)] + _LARGE_M + [
+    (f"{db} dB outage", 10.0 ** 0.3, 1.0, m, 10.0 ** (db / 10))
+    for m, db in ((10, 60), (10, 80), (10, 100), (10, 120), (40, 120))]
+
+#: (k, m)
+CODING_GAIN_CASES = [(1.0, 1), (1.0, 3)]
 
 
 def rs_pdf(t, k, m, gbar):
@@ -60,12 +91,140 @@ def rs_cdf(g, k, m, gbar, dps):
         return below if below < above else 1 - above
 
 
+# ---------------------------------------------------------------------------
+# fluctuating double-Rayleigh LoS: the paper's closed form
+
+
+def gig_table(orders, z, b):
+    """{a: Gamma(a, z, b)} for the integers a in ``orders``, each the series
+    sum_n (-b)^n / n! Gamma(a - n, z), summed until its terms fall below
+    eps^2 times the largest (they fall factorially once n > b/z)."""
+    upper, out = {}, {}
+    for a in orders:
+        total, peak, weight, n = mp.mpf(0), mp.mpf(0), mp.mpf(1), 0
+        while True:
+            if a - n not in upper:
+                upper[a - n] = mp.gammainc(a - n, z)
+            term = weight * upper[a - n]
+            total += term
+            peak = max(peak, abs(term))
+            n += 1
+            weight *= -b / n
+            if n > b / z + 10 and abs(term) < peak * mp.eps ** 2:
+                break
+        out[a] = total
+    return out
+
+
+def fdrlos_pdf_gig(g, k, m, gbar):
+    """f(g) = sum_{j<m} C(m-1,j) z^(m-j-1) (K+1)^(m-j) e^z g^(m-j-1)
+    / (gbar^(m-j) (m-j-1)!) sum_{r<=j} C(j,r) (-z)^(j-r) Gamma(r+j-2m+2, z, b)."""
+    g, k, gbar = mp.mpf(g), mp.mpf(k), mp.mpf(gbar)
+    z, b = k / m, g * (k + 1) / gbar
+    gig = gig_table(range(2 - 2 * m, 1), z, b)
+    total = mp.mpf(0)
+    for j in range(m):
+        outer = (mp.binomial(m - 1, j) * z ** (m - j - 1) * ((k + 1) / gbar) ** (m - j)
+                 * mp.exp(z) * g ** (m - j - 1) / mp.factorial(m - j - 1))
+        total += outer * mp.fsum(mp.binomial(j, r) * (-z) ** (j - r) * gig[r + j - 2 * m + 2]
+                                 for r in range(j + 1))
+    return total
+
+
+def fdrlos_cdf_gig(g, k, m, gbar):
+    """F(g) = 1 - sum_{j<m} C(m-1,j) z^(m-j-1) e^z sum_{r<m-j} b^r / r!
+    sum_{s<=j} C(j,s) (-z)^(j-s) Gamma(s-m-r+2, z, b)."""
+    g, k, gbar = mp.mpf(g), mp.mpf(k), mp.mpf(gbar)
+    z, b = k / m, g * (k + 1) / gbar
+    gig = gig_table(range(3 - 2 * m, 2), z, b)
+    surv = mp.mpf(0)
+    for j in range(m):
+        cj = mp.binomial(m - 1, j) * z ** (m - j - 1) * mp.exp(z)
+        for r in range(m - j):
+            surv += cj * b ** r / mp.factorial(r) * mp.fsum(
+                mp.binomial(j, s) * (-z) ** (j - s) * gig[s - m - r + 2]
+                for s in range(j + 1))
+    return 1 - surv
+
+
+def settled(law, args):
+    """``law(*args)`` at the first precision of ``GIG_DPS`` that the next one
+    confirms to 20 digits."""
+    prev = None
+    for dps in GIG_DPS:
+        with mp.workdps(dps):
+            value = law(*args)
+        if prev is not None and abs(prev - value) <= abs(value) * mp.mpf(10) ** -20:
+            return prev
+        prev = value
+    raise ArithmeticError(f"{law.__name__}{args}: no two precisions agree")
+
+
+# ---------------------------------------------------------------------------
+# fluctuating double-Rayleigh LoS: the 1F1 conditional averaged over e^(-x)
+
+
+def _scatter_average(conditional, k, m, method="tanh-sinh"):
+    k = mp.mpf(k)
+    return mp.quad(lambda x: mp.exp(-x) * conditional(k / x, (k + x) / (k + 1)),
+                   sorted({0, k / m, 1, 4, 16}) + [mp.inf], method=method)
+
+
+def fdrlos_pdf_1f1(g, k, m, gbar):
+    g, gbar = mp.mpf(g), mp.mpf(gbar)
+    return _scatter_average(lambda k_x, scale: rs_pdf(g, k_x, m, gbar * scale), k, m)
+
+
+def fdrlos_cdf_1f1(g, k, m, gbar):
+    g, gbar = mp.mpf(g), mp.mpf(gbar)
+    return _scatter_average(
+        lambda k_x, scale: mp.quad(lambda t: rs_pdf(t, k_x, m, gbar * scale), [0, g],
+                                   method="gauss-legendre"),
+        k, m, method="gauss-legendre")
+
+
+def fdrlos_golden(closed, averaged, args):
+    value = settled(closed, args)
+    with mp.workdps(30):
+        check = averaged(*args)
+    if abs(check - value) > abs(value) * mp.mpf(10) ** -16:
+        raise ArithmeticError(f"{closed.__name__}{args} = {value}, but the 1F1 "
+                              f"average gives {check}")
+    return value
+
+
+def coding_gain(k, m):
+    with mp.workdps(40):
+        k = mp.mpf(k)
+        z = k / m
+        by_u = (1 + k) * mp.gamma(m) * mp.hyperu(m, 1, z)
+        by_quad = (1 + k) * mp.quad(lambda x: mp.exp(-x) * x ** (m - 1) * (x + z) ** -m,
+                                    [0, z, 1, mp.inf])
+        if abs(by_u - by_quad) > abs(by_u) * mp.mpf(10) ** -25:
+            raise ArithmeticError(f"coding gain {(k, m)}: {by_u} vs {by_quad}")
+        return by_u
+
+
 def main():
+    print("RS_CDF_GOLDENS = {")
     for name, g, k, m, gbar in CASES:
         lo, hi = (rs_cdf(g, k, m, gbar, dps) for dps in DPS)
         if abs(lo - hi) > abs(hi) * mp.mpf(10) ** -20:
             raise ArithmeticError(f"{name}: precisions disagree, {lo} vs {hi}")
         print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(hi)!r},  # {name}")
+    print("}")
+    for title, cases, closed, averaged in (
+            ("FDRLOS_PDF_GOLDENS", FDRLOS_PDF_CASES, fdrlos_pdf_gig, fdrlos_pdf_1f1),
+            ("FDRLOS_CDF_GOLDENS", FDRLOS_CDF_CASES, fdrlos_cdf_gig, fdrlos_cdf_1f1)):
+        print(f"{title} = {{")
+        for name, g, k, m, gbar in cases:
+            value = fdrlos_golden(closed, averaged, (g, k, m, gbar))
+            print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
+        print("}")
+    print("CODING_GAIN_GOLDENS = {")
+    for k, m in CODING_GAIN_CASES:
+        print(f"    ({k!r}, {m!r}): {float(coding_gain(k, m))!r},")
+    print("}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Fluctuating double-Rayleigh line-of-sight fading statistics.
 
-Exact closed-form pdf/cdf/outage for integer LoS-fluctuation shape, adaptive
-quadrature reference oracles, the high-SNR asymptote, the three ancestor
-models (Rician, Rician shadowed, deterministic-LoS double-Rayleigh), and
-seed-deterministic Monte-Carlo samplers.
+The pdf/cdf/outage at integer LoS-fluctuation shape as one scatter average
+of a finite, positive Rician shadowed mixture; reference oracles for every
+real shape; the high-SNR asymptote; the three ancestor models (Rician,
+Rician shadowed, deterministic-LoS double-Rayleigh); and seed-deterministic
+Monte-Carlo samplers.
 """
 
 from .analytic import (Curve, UnderflowWarning, asymptotic_op, coding_gain,
@@ -16,8 +17,7 @@ from .empirics import (CdfContractError, KsReport, default_ks_threshold, ecdf,
 from .models import (FadingParams, ModelKind, SnrSampleSet, sample_gamma_rv,
                      sample_snr)
 from .specfun import (AccuracyError, DomainError, QuadratureConfig,
-                      adaptive_quad_vec, gamma_tricomi_u,
-                      gen_incomplete_gamma_scaled, log_kummer_1f1)
+                      adaptive_quad_vec, gamma_tricomi_u, log_kummer_1f1)
 
 __version__ = "0.1.0"
 
@@ -28,7 +28,7 @@ __all__ = [
     "coding_gain", "default_ks_threshold", "drlos_cdf_oracle",
     "drlos_pdf_oracle", "ecdf", "fdrlos_cdf", "fdrlos_cdf_oracle",
     "fdrlos_pdf", "fdrlos_pdf_oracle", "gamma_tricomi_u",
-    "gen_incomplete_gamma_scaled", "histogram_density", "ks_distance",
+    "histogram_density", "ks_distance",
     "log_kummer_1f1", "outage_probability", "read_curve_csv", "rician_cdf",
     "rician_pdf", "rs_cdf", "rs_cdf_integer", "rs_pdf", "sample_gamma_rv",
     "sample_snr", "tabulated_cdf",

@@ -1,24 +1,26 @@
-"""Closed-form and quadrature-oracle statistics of the fading models.
+"""Statistics of the fading models: every fdrlos law is one scatter average.
 
 The fluctuating double-Rayleigh LoS SNR law is built by conditioning on the
 squared magnitude x of the second scatter factor: given x the SNR is Rician
 shadowed with K_x = K/x and mean gamma_bar_x = gamma_bar (K+x)/(K+1), and the
 unconditional law follows by averaging against the unit-mean exponential
-weight e^{-x}.
+weight e^{-x}: one vector quadrature over x per chunk of SNR values
+(``_scatter_average``).
 
-Two independent routes are kept for the main model on purpose:
+Two independent conditional cdfs are kept on purpose:
 
-* closed forms (integer m, K > 0) expressed through the generalized
-  incomplete gamma Gamma(a, z, b), obtained by substituting
-  t = K/m + x in the averaging integral and expanding (t - K/m)^j;
-* quadrature oracles: one quadrature over x of the conditional Rician
-  shadowed pdf (the 1F1 form, ``rs_pdf``) or cdf (``rs_cdf``, a positive
-  negative-binomial series for every real m; no nested quadrature).
+* integer m (``fdrlos_cdf``): the finite Binomial mixture of m Gamma laws
+  (``rs_cdf_integer``);
+* every real m > 0 (``fdrlos_cdf_oracle``): the negative-binomial series of
+  Erlang cdfs (``rs_cdf``).
 
-The closed-form cdf uses the inner summation limit s = 0..j that the
-substitution actually produces; tests certify it against the oracle.
-K = 0 removes the LoS term entirely (the law no longer depends on m) and is
-served by the oracle path, avoiding 0^0 ambiguity in the closed-form weights.
+The density averages the 1F1 form ``rs_pdf``, a finite sum at integer m.
+All three are sums of positive terms, so deep-outage values keep their
+relative accuracy.  This is the paper's integral before it substitutes
+t = K/m + x and expands (t - K/m)^j into generalized incomplete gammas, whose
+terms cancel; ``scripts/make_goldens.py`` keeps that expansion as an mpmath
+cross-check.  K = 0 (no LoS; the law no longer depends on m) is an ordinary
+input.
 """
 
 from __future__ import annotations
@@ -28,16 +30,15 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from math import comb, factorial
 
 import numpy as np
 from scipy.special import (betainc, chndtr, gammainc, gammaln, i0e, poch,
-                           xlog1py)
+                           xlog1py, xlogy)
 
 from .models import FadingParams
 from .specfun import (AccuracyError, DomainError, QuadratureConfig,
                       adaptive_quad_vec, check_positive_int, gamma_tricomi_u,
-                      gen_incomplete_gamma_scaled, log_kummer_1f1, rel_only_cfg)
+                      log_kummer_1f1, rel_only_cfg)
 
 _GAMMA_CHUNK = 32
 _TERM_BLOCK = 2 ** 13     # Rician shadowed series terms per numpy pass
@@ -54,17 +55,20 @@ def _check_snr(gamma):
         raise DomainError("gamma must be nonnegative and not NaN")
 
 
-def _over_snr(gamma, evaluate, at_inf, at_zero=np.nan):
-    """Evaluate a law on a 1-d SNR grid, ``_GAMMA_CHUNK`` points per
-    ``evaluate`` call (one vector quadrature each).  +inf points take the
-    limit ``at_inf``, and 0 points ``at_zero`` unless it is NaN, unevaluated."""
-    gamma_arr = np.atleast_1d(np.asarray(gamma, dtype=float))
+def _over_snr(gamma, k, evaluate, at_inf, at_zero=np.nan):
+    """Evaluate a law on a 1-d SNR grid broadcast against K, ``_GAMMA_CHUNK``
+    points per ``evaluate(g, k)`` call (one vector quadrature each).  +inf
+    points take the limit ``at_inf``, and 0 points ``at_zero`` unless it is
+    NaN, unevaluated."""
+    gamma_arr, k_arr = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(gamma, dtype=float)), np.asarray(k, dtype=float))
     _check_snr(gamma_arr)
     out = np.where(gamma_arr == 0, at_zero, float(at_inf))
     todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf) | np.isnan(out))
     for lo in range(0, len(todo), _GAMMA_CHUNK):
         sel = todo[lo:lo + _GAMMA_CHUNK]
-        out[sel] = evaluate(gamma_arr[sel])
+        # a scalar K stays scalar, so the conditionals get K_x as a column
+        out[sel] = evaluate(gamma_arr[sel], k_arr[sel] if np.ndim(k) else k)
     return out
 
 
@@ -72,20 +76,21 @@ def _scatter_average(conditional, gamma, k, gbar, cfg, at_inf, at_zero=np.nan):
     """Average a conditional law over the exponential scatter weight e^{-x}.
 
     ``conditional(g, k_x, gbar_x)`` receives the SNR chunk as a (1, ng) row
-    and K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, and returns
-    the (nx, ng) conditional values; ``at_inf``, ``at_zero`` as in ``_over_snr``.
+    and K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as
+    (nx, ng) arrays when K is an array chunked with the SNR, and returns the
+    (nx, ng) conditional values; ``at_inf``, ``at_zero`` as in ``_over_snr``.
     """
 
-    def average(g):
+    def average(g, k):
         def f(x):
-            k_x = (k / x)[:, None]
-            gbar_x = (gbar * (k + x) / (k + 1.0))[:, None]
-            return conditional(g[None, :], k_x, gbar_x) * np.exp(-x)[:, None]
+            x = x[:, None]
+            gbar_x = gbar * (k + x) / (k + 1.0)
+            return conditional(g[None, :], k / x, gbar_x) * np.exp(-x)
 
         vals, _ = adaptive_quad_vec(f, 0.0, np.inf, cfg)
         return vals
 
-    return _over_snr(gamma, average, at_inf, at_zero)
+    return _over_snr(gamma, k, average, at_inf, at_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +185,36 @@ def rs_pdf(gamma, k_x, m, gbar_x):
 
 
 def rs_cdf_integer(gamma, k_x, m, gbar_x):
-    """``rs_cdf`` with m checked to be a positive integer."""
-    return rs_cdf(gamma, k_x, check_positive_int(m, "m"), gbar_x)
+    """Rician shadowed SNR cdf at integer m: a finite Binomial mixture of Gamma
+    laws (the integer-m case of the Poisson-Gamma mixture of Abdi et al.,
+    IEEE TWC 2003).
+
+    With W = gbar_x/(1+K_x) and L = 1 + K_x/m the MGF is
+    (1 - sW)^(m-1) / (1 - sWL)^m, and 1 - sW = (1 - sWL)/L + (1 - 1/L) gives
+
+        F(g) = sum_{j<m} Bin(j; m-1, 1/L) P(m-j, g/(W L)),
+
+    m positive terms with log-form weights; K_x = 0 puts all the weight on
+    j = m-1 (an exponential law).  One ``gammainc`` gives P(m, u); the lower
+    orders follow from P(n, u) = P(n+1, u) + u^n e^{-u} / n!, which adds
+    positive terms.  Broadcasts over all three arrays.
+    """
+    m = check_positive_int(m, "m")
+    gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
+    p, q = m / (m + k_x), k_x / (m + k_x)       # 1/L and 1 - 1/L
+    u = gamma * (1.0 + k_x) * p / gbar_x
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
+    big_p = gammainc(m, u)
+    out = np.zeros(big_p.shape)
+    for n in range(m, 0, -1):                   # n = m - j
+        if n < m:
+            big_p = big_p + np.exp(n * log_u - u - math.lgamma(n + 1.0))
+        j = m - n
+        log_c = math.lgamma(m) - math.lgamma(j + 1.0) - math.lgamma(n)  # C(m-1, j)
+        out += np.exp(log_c + xlogy(j, p) + xlogy(n - 1, q)) * big_p
+    out = np.minimum(out, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def rs_cdf(gamma, k_x, m, gbar_x):
@@ -234,17 +267,7 @@ def rs_cdf(gamma, k_x, m, gbar_x):
 
 
 # ---------------------------------------------------------------------------
-# fluctuating double-Rayleigh LoS: closed forms
-
-
-def _check_pdf_sign(values):
-    values = np.atleast_1d(values)
-    scale = float(np.max(np.abs(values), initial=0.0)) or 1.0
-    if np.any(values < -1e-12 * scale):
-        raise AccuracyError("cancellation produced a significantly negative "
-                            "density; tighten the quadrature tolerances",
-                            value=values)
-    return np.maximum(values, 0.0)
+# fluctuating double-Rayleigh LoS
 
 
 def _flag_underflow(values):
@@ -256,116 +279,88 @@ def _flag_underflow(values):
     return values
 
 
+def _pdf_average(gamma, params: FadingParams, cfg):
+    """``rs_pdf`` averaged over the scatter weight (+inf at 0 if K = 0)."""
+    return _scatter_average(
+        lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
+        gamma, params.k, params.gamma_bar, rel_only_cfg(cfg), 0.0,
+        np.inf if params.k == 0 else np.nan)
+
+
+def _cdf_average(conditional, gamma, k, gbar, cfg):
+    """A conditional Rician shadowed cdf averaged over the scatter weight;
+    K broadcasts against gamma."""
+    out = np.clip(_scatter_average(conditional, gamma, k, gbar,
+                                   rel_only_cfg(cfg), 1.0), 0.0, 1.0)
+    return float(out[0]) if np.ndim(gamma) == 0 and np.ndim(k) == 0 else out
+
+
+def _mixture_cdf(gamma, k, m: int, gbar, cfg):
+    return _cdf_average(lambda g, k_x, gbar_x: rs_cdf_integer(g, k_x, m, gbar_x),
+                        gamma, k, gbar, cfg)
+
+
 def fdrlos_pdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None):
-    """SNR density of the fluctuating double-Rayleigh LoS model.
+    """SNR density of the fluctuating double-Rayleigh LoS model at integer m.
 
-    Closed form for integer m and K > 0:
+    The conditional Rician shadowed density ``rs_pdf``, whose 1F1(m; 1; w)
+    is then a finite sum of positive terms, averaged over e^{-x}:
 
-        f(g) = sum_{j<m} C(m-1,j) (K/m)^(m-j-1) (K+1)^(m-j) e^(K/m)
-               / (gbar^(m-j) (m-j-1)!) * g^(m-j-1)
-               * sum_{r<=j} C(j,r) (-K/m)^(j-r)
-                 Gamma(r+j-2m+2, K/m, g (K+1)/gbar)
+        f(g) = int_0^inf e^{-x} f_RS(g; K/x, m, gbar (K+x)/(K+1)) dx.
 
-    evaluated with e^(K/m) folded into the Gamma integrals so large K never
-    overflows.  K = 0 is routed to the quadrature oracle (the law is then the
-    pure double-Rayleigh product, independent of m).
+    K = 0 is an ordinary input: the product law, +inf at g = 0.
     """
-    if params.k == 0.0:
-        return fdrlos_pdf_oracle(gamma, params, cfg)
-    m = params.require_integer_m()
-    k, gbar = params.k, params.gamma_bar
-    z = k / m
-    a_values = np.arange(2 - 2 * m, 1)
-    a_index = {a: i for i, a in enumerate(a_values)}
-    comp_cfg = rel_only_cfg(cfg)
-
-    def density(g):
-        gig = gen_incomplete_gamma_scaled(a_values, z, g * (k + 1.0) / gbar, comp_cfg)
-        total = np.zeros_like(g)
-        for j in range(m):
-            outer = (comb(m - 1, j) * z ** (m - j - 1)
-                     * ((k + 1.0) / gbar) ** (m - j) / factorial(m - j - 1))
-            inner = np.zeros_like(g)
-            for r in range(j + 1):
-                inner += (comb(j, r) * (-z) ** (j - r)
-                          * gig[:, a_index[r + j - 2 * m + 2]])
-            total += outer * g ** (m - j - 1) * inner
-        return total
-
-    out = _flag_underflow(_check_pdf_sign(_over_snr(gamma, density, 0.0)))
+    params.require_integer_m()
+    out = _flag_underflow(_pdf_average(gamma, params, cfg))
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
 def fdrlos_pdf_oracle(gamma, params: FadingParams,
                       cfg: QuadratureConfig | None = None):
-    """Ground-truth density: conditional Rician shadowed pdf averaged over the
-    exponential scatter weight, for any real m > 0 and K >= 0 (+inf at 0 if K = 0)."""
-    out = _scatter_average(
-        lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
-        gamma, params.k, params.gamma_bar, rel_only_cfg(cfg), 0.0,
-        np.inf if params.k == 0 else np.nan)
+    """``fdrlos_pdf`` for any real m > 0 (the 1F1 series in place of the
+    finite sum at real m)."""
+    out = _pdf_average(gamma, params, cfg)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
 def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None):
-    """SNR cdf of the fluctuating double-Rayleigh LoS model.
+    """SNR cdf of the fluctuating double-Rayleigh LoS model at integer m.
 
-    Closed form for integer m and K > 0 (triple sum; the inner limit is
-    s = 0..j, which the binomial expansion of (t - K/m)^j requires):
+    The finite Binomial mixture ``rs_cdf_integer`` averaged over e^{-x}; with
+    b = g (K+1)/gbar and z = K/m,
 
-        F(g) = 1 - sum_{j<m} C(m-1,j) (K/m)^(m-j-1) e^(K/m)
-               sum_{r<m-j} b^r / r!
-               sum_{s<=j} C(j,s) (-K/m)^(j-s) Gamma(s-m-r+2, K/m, b),
+        F(g) = int_0^inf e^{-x} sum_{j<m} Bin(j; m-1, x/(x+z)) P(m-j, b/(x+z)) dx,
 
-    with b = g (K+1)/gbar.  K = 0 goes through the oracle path.
+    the paper's integral before t = K/m + x is substituted and (t - K/m)^j
+    expanded.  Every term is positive, so deep outage keeps its relative
+    accuracy; K = 0 puts all the weight on j = m-1 (the product law).
     """
-    if params.k == 0.0:
-        return fdrlos_cdf_oracle(gamma, params, cfg)
-    m = params.require_integer_m()
-    k, gbar = params.k, params.gamma_bar
-    z = k / m
-    a_values = np.arange(3 - 2 * m, 2)
-    a_index = {a: i for i, a in enumerate(a_values)}
-    comp_cfg = rel_only_cfg(cfg)
-
-    def distribution(g):
-        b = g * (k + 1.0) / gbar
-        gig = gen_incomplete_gamma_scaled(a_values, z, b, comp_cfg)
-        surv = np.zeros_like(g)
-        for j in range(m):
-            cj = comb(m - 1, j) * z ** (m - j - 1)
-            for r in range(m - j):
-                br = cj * b ** r / factorial(r)
-                for s in range(j + 1):
-                    surv += (br * comb(j, s) * (-z) ** (j - s)
-                             * gig[:, a_index[s - m - r + 2]])
-        return 1.0 - surv
-
-    out = np.clip(_over_snr(gamma, distribution, 1.0), 0.0, 1.0)
-    return float(out[0]) if np.ndim(gamma) == 0 else out
+    return _mixture_cdf(gamma, params.k, params.require_integer_m(),
+                        params.gamma_bar, cfg)
 
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams,
                       cfg: QuadratureConfig | None = None):
-    """Ground-truth cdf: the conditional Rician shadowed cdf (``rs_cdf``, a
-    positive series for every real m) averaged over the exponential scatter
-    weight, one quadrature over x per chunk of SNR values."""
-    out = np.clip(_scatter_average(
-        lambda g, k_x, gbar_x: rs_cdf(g, k_x, params.m, gbar_x),
-        gamma, params.k, params.gamma_bar, rel_only_cfg(cfg), 1.0), 0.0, 1.0)
-    return float(out[0]) if np.ndim(gamma) == 0 else out
+    """Ground-truth cdf for any real m > 0: the negative-binomial series
+    ``rs_cdf`` in place of the Binomial mixture, an independent conditional."""
+    return _cdf_average(lambda g, k_x, gbar_x: rs_cdf(g, k_x, params.m, gbar_x),
+                        gamma, params.k, params.gamma_bar, cfg)
 
 
 # ---------------------------------------------------------------------------
 # outage probability
 
 
-def outage_probability(gamma_th, params: FadingParams,
+def outage_probability(gamma_th, k, m, gamma_bar,
                        cfg: QuadratureConfig | None = None):
-    """P(snr < gamma_th) = F(gamma_th)."""
-    if np.any(np.asarray(gamma_th) <= 0):
+    """P(snr < gamma_th) = F(gamma_th) at integer m; gamma_th and K broadcast
+    (a sweep over K is one vector quadrature per chunk of points)."""
+    k = np.asarray(k, dtype=float)
+    if not np.all(np.asarray(gamma_th) > 0):
         raise DomainError("gamma_th must be positive")
-    return fdrlos_cdf(gamma_th, params, cfg)
+    if not (np.all((k >= 0) & (k < np.inf)) and 0 < gamma_bar < np.inf):
+        raise DomainError("need finite K >= 0 and finite gamma_bar > 0")
+    return _mixture_cdf(gamma_th, k, check_positive_int(m, "m"), gamma_bar, cfg)
 
 
 def coding_gain(k, m, cfg: QuadratureConfig | None = None):
@@ -381,8 +376,9 @@ def coding_gain(k, m, cfg: QuadratureConfig | None = None):
 
 
 def asymptotic_op(gamma_th, gbar, k, m, cfg: QuadratureConfig | None = None):
-    """High-SNR outage a * gamma_th / gbar; exact log-log slope -1 in gbar."""
-    if gamma_th <= 0 or gbar <= 0:
+    """High-SNR outage a * gamma_th / gbar, broadcast over gbar; exact log-log
+    slope -1 in gbar."""
+    if not (gamma_th > 0 and np.all(np.asarray(gbar) > 0)):
         raise DomainError("gamma_th and gbar must be positive")
     return coding_gain(k, m, cfg) * gamma_th / gbar
 

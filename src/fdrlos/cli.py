@@ -23,7 +23,7 @@ here; seeds and sample counts are pinned so runs reproduce byte-for-byte):
 * fig4  outage vs mean snr (dB), K=6, threshold 3 dB; m in {1,3,5,10};
         fluctuating-LoS double-Rayleigh vs Rician shadowed; MC markers.
 * fig5  outage vs K, mean snr 25 dB, threshold 3 dB; m in {1,3,5,10};
-        the K=0 points go through the oracle path.
+        each curve, K=0 included, is one vector outage call.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def _pdf_fn(cfg: RunConfig):
         if cfg.oracle:
             return lambda g: analytic.fdrlos_pdf_oracle(g, params, q)
         if not params.m_is_integer:
-            raise DomainError("closed-form path needs integer m; pass --oracle")
+            raise DomainError("fdrlos pdf/cdf need integer m; pass --oracle for real m")
         return lambda g: analytic.fdrlos_pdf(g, params, q)
     if cfg.model is ModelKind.RICIAN_SHADOWED:
         return lambda g: analytic.rs_pdf(g, cfg.k, cfg.m, cfg.gamma_bar)
@@ -219,7 +219,7 @@ def _cdf_fn(cfg: RunConfig, params: FadingParams | None = None):
         if cfg.oracle:
             return lambda g: analytic.fdrlos_cdf_oracle(g, params, q)
         if not params.m_is_integer:
-            raise DomainError("closed-form path needs integer m; pass --oracle")
+            raise DomainError("fdrlos pdf/cdf need integer m; pass --oracle for real m")
         return lambda g: analytic.fdrlos_cdf(g, params, q)
     if cfg.model is ModelKind.RICIAN_SHADOWED:
         return lambda g: analytic.rs_cdf(g, k, m, gbar)
@@ -260,11 +260,7 @@ def cmd_op(cfg: RunConfig) -> int:
     if cfg.asymptotic:
         if cfg.model is not ModelKind.FDRLOS:
             raise DomainError("--asymptotic applies to the fdrlos model")
-        if cfg.k == 0.0:
-            raise DomainError("asymptote undefined at K=0: the high-SNR "
-                              "offset diverges for the pure product channel")
-        a = analytic.coding_gain(cfg.k, cfg.m, q)
-        vals = a * cfg.gamma_th / gbars
+        vals = analytic.asymptotic_op(cfg.gamma_th, gbars, cfg.k, cfg.m, q)
     else:
         unit = FadingParams(cfg.k, cfg.m, 1.0)
         vals = _cdf_fn(cfg, unit)(cfg.gamma_th / gbars)
@@ -358,9 +354,8 @@ def _figure_fig3(mc_samples):
         files[f"fig3_fdrlos_op_m{m}.csv"] = analytic.Curve(
             db_grid, exact, meta={"quantity": "op", "model": "fdrlos",
                                   "abscissa_unit": "dB"})
-        a = analytic.coding_gain(k, m)
         files[f"fig3_asymptotic_op_m{m}.csv"] = analytic.Curve(
-            db_grid, a * _GTH_3DB / gbars,
+            db_grid, analytic.asymptotic_op(_GTH_3DB, gbars, k, m),
             meta={"quantity": "op-asymptote", "model": "fdrlos",
                   "abscissa_unit": "dB"})
         files[f"fig3_mc_op_m{m}.csv"] = _mc_op_curve(
@@ -397,8 +392,7 @@ def _figure_fig5(mc_samples):
     k_grid = np.arange(0.0, 20.0001, 0.25)
     files = {}
     for m in (1, 3, 5, 10):
-        fd = np.array([analytic.fdrlos_cdf(_GTH_3DB, FadingParams(k, m, gbar))
-                       for k in k_grid])
+        fd = analytic.outage_probability(_GTH_3DB, k_grid, m, gbar)
         rs = analytic.rs_cdf_integer(_GTH_3DB, k_grid, m, np.full_like(k_grid, gbar))
         files[f"fig5_fdrlos_op_vs_k_m{m}.csv"] = analytic.Curve(
             k_grid, fd, meta={"quantity": "op", "model": "fdrlos",

@@ -69,7 +69,8 @@ class FadingParams:
     """(K, m, gamma_bar) in linear scale.
 
     K >= 0 is the LoS-to-scatter power ratio, m > 0 the LoS fluctuation
-    shape (any positive real for sampling; closed forms need an integer),
+    shape (any positive real for sampling and the oracles; ``fdrlos_pdf`` and
+    ``fdrlos_cdf`` need an integer),
     gamma_bar > 0 the mean SNR.  All three must be finite.
     """
 
@@ -102,8 +103,8 @@ class FadingParams:
     def require_integer_m(self) -> int:
         if not self.m_is_integer:
             raise DomainError(
-                f"closed forms need integer m (got m={self.m}); "
-                "use the quadrature-oracle path for real m")
+                f"the finite Rician shadowed mixture needs integer m (got "
+                f"m={self.m}); use the oracle route for real m")
         return int(self.m)
 
 

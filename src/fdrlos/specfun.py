@@ -1,10 +1,8 @@
-"""Special-function kernels: adaptive quadrature, the generalized incomplete
-gamma, log 1F1 and Gamma(m) U(m, 1, x).
+"""Special-function kernels: adaptive quadrature, log 1F1 and Gamma(m) U(m, 1, x).
 
 Each job has one kernel, and it is the one the statistics in ``analytic``
-call: ``adaptive_quad_vec`` for every integral, ``gen_incomplete_gamma_scaled``
-for the closed forms, ``log_kummer_1f1`` for the Rician shadowed density and
-``gamma_tricomi_u`` for the high-SNR offset.
+call: ``adaptive_quad_vec`` for every integral, ``log_kummer_1f1`` for the
+Rician shadowed density and ``gamma_tricomi_u`` for the high-SNR offset.
 
 Everything here is a pure function of its arguments; no shared mutable state.
 The quadrature engine evaluates vector-valued integrands with per-component
@@ -209,37 +207,6 @@ def rel_only_cfg(cfg: QuadratureConfig | None) -> QuadratureConfig:
                             max_subdivisions=max(cfg.max_subdivisions, 400))
 
 
-def gen_incomplete_gamma_scaled(a_values, z, b_values,
-                                cfg: QuadratureConfig | None = None):
-    """e^z Gamma(a, z, b) on the grid a_values x b_values, shape (nb, na).
-
-    Gamma(a, z, b) = int_z^inf t^(a-1) e^-t e^(-b/t) dt is the generalized
-    incomplete gamma; it reduces to the classical upper incomplete gamma at
-    b = 0.  It converges for every real a when z > 0, and at z = 0 when
-    a > 0 or b > 0.  The factor e^z is folded into the integrand
-    (e^(z-t)) so large z never overflows.  The whole grid is one vector
-    quadrature with per-component error control.
-    """
-    a_values = np.atleast_1d(np.asarray(a_values, dtype=float))
-    b_values = np.atleast_1d(np.asarray(b_values, dtype=float))
-    z = float(z)
-    if not np.all(b_values >= 0):
-        raise DomainError("b must be nonnegative")
-    if not (z >= 0) or (z == 0 and np.any(b_values == 0) and np.any(a_values <= 0)):
-        raise DomainError(
-            f"Gamma(a, {z}, b) diverges; need z > 0 (or a > 0 / b > 0 at z = 0)")
-    na, nb = len(a_values), len(b_values)
-
-    def f(t):
-        logt = np.log(t)
-        pow_a = np.exp((a_values[None, :] - 1.0) * logt[:, None])      # (nt, na)
-        core = np.exp(z - t[:, None] - b_values[None, :] / t[:, None])  # (nt, nb)
-        return (core[:, :, None] * pow_a[:, None, :]).reshape(len(t), nb * na)
-
-    vals, _ = adaptive_quad_vec(f, z, np.inf, cfg)
-    return vals.reshape(nb, na)
-
-
 _SERIES_MAX_TERMS = 100_000
 
 
@@ -358,6 +325,6 @@ def gamma_tricomi_u(m, x, cfg: QuadratureConfig | None = None):
 
 def check_positive_int(m, name):
     """``m`` as an int; a DomainError unless it is a positive integer."""
-    if m != int(m) or m < 1:
+    if not (1 <= m < math.inf and m == int(m)):
         raise DomainError(f"{name} must be a positive integer, got {m}")
     return int(m)

@@ -33,13 +33,51 @@ RS_CDF_GOLDENS = {
     (500000.0, 3.0, 2.5, 2.0): 1.0,  # far tail
     (1000000.0, 3.0, 2.5, 2.0): 1.0,  # far tail
 }
-# frozen before scripts/make_goldens.py existed, which does not yet make them
+# RS_CDF_2_4_2_15 was frozen before scripts/make_goldens.py existed, which
+# does not make it
 RS_CDF_2_4_2_15 = 0.73108675719011024
-FDRLOS_PDF_532 = {0.1: 0.1574020371212645, 1.0: 0.361404405952902734,
-                  5.0: 0.0320895357519772231}
-FDRLOS_CDF_2_532 = 0.602997364746639076
-A_K1_M1 = 1.1926947246463881
-A_K1_M3 = 0.65122079207917141
+# fluctuating double-Rayleigh LoS pdf and cdf (gamma, K, m, gbar) and coding
+# gains (K, m) from scripts/make_goldens.py: the paper's closed form at a
+# precision that outlasts its cancellation, and the 1F1 conditional averaged
+# over e^{-x}, agreeing to 16 digits
+FDRLOS_PDF_GOLDENS = {
+    (0.1, 5.0, 3, 2.0): 0.1574020371212645,  # fig1 K = 5, m = 3
+    (1.0, 5.0, 3, 2.0): 0.36140440595290274,  # fig1 K = 5, m = 3
+    (5.0, 5.0, 3, 2.0): 0.032089535751977226,  # fig1 K = 5, m = 3
+    (1.0, 1.0, 20, 1.0): 0.3894811749459374,  # m = 20
+    (1.0, 1.0, 30, 1.0): 0.38850394502757785,  # m = 30
+    (1.0, 1.0, 40, 1.0): 0.38801115980365714,  # m = 40
+    (1.0, 1.0, 60, 1.0): 0.38751983479884294,  # m = 60
+    (1.0, 5.0, 20, 2.0): 0.334199681168694,  # m = 20
+    (1.0, 5.0, 30, 2.0): 0.3194220156044113,  # m = 30
+    (1.0, 5.0, 40, 2.0): 0.3107539632971728,  # m = 40
+    (1.0, 5.0, 60, 2.0): 0.30160870907171744,  # m = 60
+}
+FDRLOS_CDF_GOLDENS = {
+    (2.0, 5.0, 3, 2.0): 0.6029973647466391,  # fig1 K = 5, m = 3
+    (1.0, 1.0, 20, 1.0): 0.679183890006319,  # m = 20
+    (1.0, 1.0, 30, 1.0): 0.6800002994150839,  # m = 30
+    (1.0, 1.0, 40, 1.0): 0.6804065080427366,  # m = 40
+    (1.0, 1.0, 60, 1.0): 0.6808112084352526,  # m = 60
+    (1.0, 5.0, 20, 2.0): 0.16453306598198678,  # m = 20
+    (1.0, 5.0, 30, 2.0): 0.1553018315293895,  # m = 30
+    (1.0, 5.0, 40, 2.0): 0.15068978587231516,  # m = 40
+    (1.0, 5.0, 60, 2.0): 0.1461423630245213,  # m = 60
+    (1.9952623149688795, 1.0, 10, 1000000.0): 1.0149781762694633e-06,  # 60 dB outage
+    (1.9952623149688795, 1.0, 10, 100000000.0): 1.0149761713758882e-08,  # 80 dB outage
+    (1.9952623149688795, 1.0, 10, 10000000000.0): 1.0149761513269658e-10,  # 100 dB outage
+    (1.9952623149688795, 1.0, 10, 1000000000000.0): 1.0149761511264766e-12,  # 120 dB outage
+    (1.9952623149688795, 1.0, 40, 1000000000000.0): 9.346018830915675e-13,  # 120 dB outage
+}
+CODING_GAIN_GOLDENS = {
+    (1.0, 1): 1.1926947246463881,
+    (1.0, 3): 0.6512207920791714,
+}
+FDRLOS_PDF_532 = {g: v for (g, k, m, gbar), v in FDRLOS_PDF_GOLDENS.items()
+                  if (k, m, gbar) == (5.0, 3, 2.0)}
+FDRLOS_CDF_2_532 = FDRLOS_CDF_GOLDENS[(2.0, 5.0, 3, 2.0)]
+A_K1_M1 = CODING_GAIN_GOLDENS[(1.0, 1)]
+A_K1_M3 = CODING_GAIN_GOLDENS[(1.0, 3)]
 
 TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=800)
 
@@ -67,9 +105,10 @@ class TestRsPdf:
 
 
 class TestRsMixture:
-    """The negative-binomial series of ``rs_cdf`` (through ``rs_cdf_integer``)
-    against the 1F1 form of the density, at the conditional slice K_x = K/x,
-    gbar_x = gbar (K+x)/(K+1)."""
+    """The finite Binomial mixture of ``rs_cdf_integer``,
+    F = sum_{j<m} Bin(j; m-1, m/(m+K_x)) P(m-j, .), against the 1F1 form of
+    the density and the negative-binomial series of ``rs_cdf``, at the
+    conditional slice K_x = K/x, gbar_x = gbar (K+x)/(K+1)."""
 
     def test_m1_single_term(self):
         # m = 1 leaves one exponential term of mean gbar_x for every K
@@ -81,6 +120,18 @@ class TestRsMixture:
         g = np.array([0.3, 1.0, 4.0])
         np.testing.assert_allclose(rs_cdf_integer(g, 0.0, 4, 1.0),
                                    1.0 - np.exp(-g), rtol=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 40])
+    def test_matches_negative_binomial_series(self, m):
+        # m Binomial terms against the infinite negative-binomial series: two
+        # conditionals that share no code, on 2000 random slices and K_x = 0
+        rng = np.random.default_rng(600 + m)
+        g = 10.0 ** rng.uniform(-3.0, 2.0, 2000)
+        k_x = 10.0 ** rng.uniform(-3.0, 3.0, 2000)
+        k_x[:20] = 0.0
+        gbar_x = 10.0 ** rng.uniform(-1.0, 1.0, 2000)
+        np.testing.assert_allclose(rs_cdf_integer(g, k_x, m, gbar_x),
+                                   rs_cdf(g, k_x, m, gbar_x), rtol=1e-13, atol=0)
 
     @given(st.integers(1, 8), st.floats(0.0, 20.0), st.floats(0.05, 5.0))
     def test_weights_sum_to_one(self, m, k, x):
@@ -171,7 +222,7 @@ class TestFdrlosPdf:
     @pytest.mark.parametrize("g,want", sorted(FDRLOS_PDF_532.items()))
     def test_frozen_goldens(self, g, want):
         assert fdrlos_pdf(g, FadingParams(5.0, 3, 2.0)) == pytest.approx(
-            want, rel=1e-10)
+            want, rel=1e-12, abs=0)
 
     def test_normalization_and_mean(self):
         p = FadingParams(5.0, 3, 2.0)
@@ -185,13 +236,11 @@ class TestFdrlosPdf:
         assert vals[1] == pytest.approx(2.0, rel=1e-8)
 
     def test_matches_oracle_pointwise(self):
-        for k in (1.0, 20.0):
-            for m in (1, 5):
-                p = FadingParams(k, m, 2.0)
-                g = np.geomspace(0.01, 20.0, 5)
-                closed = fdrlos_pdf(g, p, TIGHT)
-                oracle = fdrlos_pdf_oracle(g, p, TIGHT)
-                np.testing.assert_allclose(closed, oracle, rtol=1e-9)
+        # the oracle is mpmath: the paper's closed form at a precision that
+        # outlasts its cancellation, confirmed by the 1F1 average (m up to 60)
+        for (g, k, m, gbar), want in FDRLOS_PDF_GOLDENS.items():
+            assert fdrlos_pdf(g, FadingParams(k, m, gbar)) == pytest.approx(
+                want, rel=1e-12, abs=0)
 
     def test_tail_thins_as_fluctuation_decreases(self):
         # right-tail mass shrinks as m grows (K=5, mean snr 2, snr 8)
@@ -238,7 +287,14 @@ class TestFdrlosCdf:
 
     def test_frozen_golden(self):
         assert fdrlos_cdf(2.0, FadingParams(5.0, 3, 2.0)) == pytest.approx(
-            FDRLOS_CDF_2_532, rel=1e-10)
+            FDRLOS_CDF_2_532, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("args,want", sorted(FDRLOS_CDF_GOLDENS.items()))
+    def test_script_goldens(self, args, want):
+        # m up to 60 and outage down to 120 dB, where the closed form cancelled
+        g, k, m, gbar = args
+        assert fdrlos_cdf(g, FadingParams(k, m, gbar)) == pytest.approx(
+            want, rel=1e-12, abs=0)
 
     def test_matches_oracle(self):
         got = fdrlos_cdf(2.0, FadingParams(5.0, 3, 2.0), TIGHT)
@@ -289,20 +345,22 @@ class TestFdrlosCdfOracle:
         der = (fdrlos_cdf_oracle(1.0 + h, p) - fdrlos_cdf_oracle(1.0 - h, p)) / (2 * h)
         assert der == pytest.approx(fdrlos_pdf_oracle(1.0, p), rel=1e-4)
 
-    @pytest.mark.parametrize("m", [1, 3, 2.5])
+    @pytest.mark.parametrize("m", [1, 3, 2.5, 10, 40])
     def test_deep_outage_keeps_relative_accuracy(self, m):
-        # the conditional cdf is a positive sum, so 80-120 dB outage neither
+        # both conditional cdfs are positive sums, so 80-120 dB outage neither
         # cancels nor stalls the quadrature; it tends to a gamma_th / gbar,
-        # a the coding gain at integer m
+        # a the coding gain at integer m, on the oracle and on fdrlos_cdf
         gth = 10.0 ** 0.3
-        for db in (80.0, 100.0, 120.0):
-            got = fdrlos_cdf_oracle(gth / 10.0 ** (db / 10.0), FadingParams(1.0, m, 1.0))
-            slope = got * 10.0 ** (db / 10.0) / gth
-            if m == int(m):
-                assert slope == pytest.approx(coding_gain(1.0, m), rel=1e-6)
-            else:
-                assert slope == pytest.approx(fdrlos_cdf_oracle(
-                    gth * 1e-14, FadingParams(1.0, m, 1.0)) * 1e14 / gth, rel=1e-6)
+        p = FadingParams(1.0, m, 1.0)
+        routes = (fdrlos_cdf_oracle, fdrlos_cdf) if m == int(m) else (fdrlos_cdf_oracle,)
+        for route in routes:
+            for db in (80.0, 100.0, 120.0):
+                slope = route(gth / 10.0 ** (db / 10.0), p) * 10.0 ** (db / 10.0) / gth
+                if m == int(m):
+                    assert slope == pytest.approx(coding_gain(1.0, m), rel=1e-6)
+                else:
+                    assert slope == pytest.approx(
+                        route(gth * 1e-14, p) * 1e14 / gth, rel=1e-6)
 
     def test_real_m_is_one_quadrature_per_chunk(self, monkeypatch):
         calls = []
@@ -318,27 +376,43 @@ class TestFdrlosCdfOracle:
 
 class TestOutage:
     def test_is_cdf_at_threshold(self):
-        p = FadingParams(5.0, 3, 2.0)
-        assert outage_probability(2.0, p) == fdrlos_cdf(2.0, p)
+        assert outage_probability(2.0, 5.0, 3, 2.0) == fdrlos_cdf(
+            2.0, FadingParams(5.0, 3, 2.0))
 
     def test_decreasing_in_fluctuation_shape(self):
-        ops = [outage_probability(2.0, FadingParams(1.0, m, 10.0))
-               for m in (1, 5, 15)]
+        ops = [outage_probability(2.0, 1.0, m, 10.0) for m in (1, 5, 15)]
         assert ops[0] > ops[1] > ops[2]
 
     def test_vanishes_with_threshold(self):
-        assert outage_probability(1e-9, FadingParams(1.0, 2, 1.0)) < 1e-7
+        assert outage_probability(1e-9, 1.0, 2, 1.0) < 1e-7
 
     def test_monotone_decreasing_in_mean_snr(self):
-        ops = [outage_probability(2.0, FadingParams(1.0, 3, gb))
-               for gb in (2.0, 8.0, 50.0)]
+        ops = [outage_probability(2.0, 1.0, 3, gb) for gb in (2.0, 8.0, 50.0)]
         assert ops[0] > ops[1] > ops[2]
 
     def test_matches_asymptote_at_high_snr(self):
         k, m, gth = 1.0, 3, 2.0
-        exact = outage_probability(gth, FadingParams(k, m, 1e3))
+        exact = outage_probability(gth, k, m, 1e3)
         asym = asymptotic_op(gth, 1e3, k, m)
         assert exact == pytest.approx(asym, rel=0.05)
+
+    def test_broadcasts_over_k(self):
+        # a sweep over K, K = 0 included, is one vector call; its points
+        # share the panels of one quadrature, so they match the scalar
+        # calls to the tolerance, not bit for bit
+        k = np.array([0.0, 0.25, 5.0, 20.0])
+        got = outage_probability(10.0 ** 0.3, k, 3, 10.0 ** 2.5)
+        assert got.shape == (4,)
+        want = [fdrlos_cdf(10.0 ** 0.3, FadingParams(kk, 3, 10.0 ** 2.5)) for kk in k]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 3, 2.0), (2.0, -1.0, 3, 2.0),
+                                      (2.0, [1.0, np.inf], 3, 2.0), (2.0, 1.0, 2.5, 2.0),
+                                      (2.0, 1.0, np.inf, 2.0), (2.0, 1.0, 3, 0.0),
+                                      (2.0, 1.0, 3, np.inf)])
+    def test_rejects_bad_inputs(self, args):
+        with pytest.raises(DomainError):
+            outage_probability(*args)
 
 
 # every model's SNR law is a scale family: F(g; gbar) = F(g / gbar; 1)
@@ -415,10 +489,10 @@ class TestSnrBoundary:
 
 class TestAsymptote:
     def test_coding_gain_m1(self):
-        assert coding_gain(1.0, 1) == pytest.approx(A_K1_M1, rel=1e-10)
+        assert coding_gain(1.0, 1) == pytest.approx(A_K1_M1, rel=1e-12, abs=0)
 
     def test_coding_gain_m3_golden(self):
-        assert coding_gain(1.0, 3) == pytest.approx(A_K1_M3, rel=1e-10)
+        assert coding_gain(1.0, 3) == pytest.approx(A_K1_M3, rel=1e-12, abs=0)
 
     def test_diverges_without_los(self):
         with pytest.raises(DomainError):
@@ -429,6 +503,14 @@ class TestAsymptote:
     def test_exact_inverse_snr_slope(self):
         a, b = asymptotic_op(2.0, 10.0, 1.0, 2), asymptotic_op(2.0, 100.0, 1.0, 2)
         assert a / b == pytest.approx(10.0, rel=1e-13)
+
+    def test_broadcasts_over_mean_snr(self):
+        gbars = np.array([10.0, 100.0])
+        np.testing.assert_array_equal(
+            asymptotic_op(2.0, gbars, 1.0, 2),
+            [asymptotic_op(2.0, gb, 1.0, 2) for gb in gbars])
+        with pytest.raises(DomainError):
+            asymptotic_op(2.0, np.array([10.0, -1.0]), 1.0, 2)
 
     def test_value_from_coding_gain(self):
         assert asymptotic_op(2.0, 1e5, 1.0, 1) == pytest.approx(

@@ -1,8 +1,12 @@
-"""Make the goldens frozen in ``tests/test_analytic.py``, with mpmath.
+"""Make the goldens frozen in ``tests/test_analytic.py`` and
+``tests/test_specfun.py``, with mpmath.
 
-Rician shadowed cdf (``RS_CDF_GOLDENS``): each value integrates the 1F1
-form of the density, so it shares nothing with the series that
-``fdrlos.analytic.rs_cdf`` sums:
+Every value computed at fixed precision is computed at 40 and at 50 digits,
+which must agree to 20.
+
+Rician shadowed cdf (``RS_CDF_GOLDENS`` and ``RS_CDF_2_4_2_15``): each value
+integrates the 1F1 form of the density, so it shares nothing with the series
+that ``fdrlos.analytic.rs_cdf`` sums:
 
     f(t) = m^m (1+K) / ((m+K)^m gbar) exp(-(1+K) t / gbar)
            * 1F1(m; 1; K (1+K) t / ((K+m) gbar)).
@@ -10,7 +14,6 @@ form of the density, so it shares nothing with the series that
 Both F(g) = int_0^g f and S(g) = int_g^inf f are integrated; a case is kept
 only if F + S = 1 to 25 digits, and the smaller of the two gives the value
 (F directly, or 1 - S), so deep-outage values keep their relative accuracy.
-Every value is computed at 40 and at 50 digits and must agree to 20.
 
 Fluctuating double-Rayleigh LoS pdf and cdf (``FDRLOS_PDF_GOLDENS``,
 ``FDRLOS_CDF_GOLDENS``), two ways that must agree to 16 digits:
@@ -28,6 +31,11 @@ Fluctuating double-Rayleigh LoS pdf and cdf (``FDRLOS_PDF_GOLDENS``,
 Coding gains (``CODING_GAIN_GOLDENS``), two ways that must agree to 25
 digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
 (1+K) int_0^inf e^(-x) x^(m-1) (x + K/m)^(-m) dx at 40 digits.
+
+Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
+``hyp1f1``, ``hyperu``, ``e1`` and upper ``gammainc``, and the generalized
+incomplete gamma Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by
+``mp.quad``.
 
 Run from the repository root (a few minutes on one core):
 
@@ -67,6 +75,51 @@ FDRLOS_CDF_CASES = [("fig1 K = 5, m = 3", 2.0, 5.0, 3, 2.0)] + _LARGE_M + [
 
 #: (k, m)
 CODING_GAIN_CASES = [(1.0, 1), (1.0, 3)]
+
+
+def gig(a, z, b):
+    """Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt."""
+    z = mp.mpf(z)
+    breaks = [t for t in (1, 4, 16) if t > z]
+    return mp.quad(lambda t: t ** (a - 1) * mp.exp(-t - b / t), [z] + breaks + [mp.inf])
+
+
+#: (name, function, arguments) of the single specfun goldens
+SPECFUN_VALUES = [
+    ("GIG_NEG2_02_15", gig, (-2.0, 0.2, 1.5)),
+    ("HYP1F1_3_1_07", mp.hyp1f1, (3.0, 1.0, 0.7)),
+    ("U_2_1_05", mp.hyperu, (2.0, 1.0, 0.5)),
+]
+#: (name, function, argument tuples) of the specfun golden tables; a table
+#: of one-argument cases is keyed by the argument itself
+SPECFUN_TABLES = [
+    ("E1", mp.e1, [(0.1,), (1.0,), (10.0,)]),
+    ("UPPER_GAMMA", mp.gammainc,
+     [(a, z) for a in (-2.0, -0.5, 1.0, 3.5) for z in (0.1, 1.0, 5.0)]),
+    ("HYP1F1_LARGE", mp.hyp1f1,
+     [(2.5, 1.0, 80.0), (2.5, 1.0, 300.0), (0.5, 1.0, 120.0), (3.0, 1.0, 600.0),
+      (5.0, 1.0, 100.0), (2.5, 1.7, 30.0)]),
+    ("LOG_HYP1F1", lambda a, b, x: mp.log(mp.hyp1f1(a, b, x)),
+     [(500.0, 1.0, 50.0), (2.5, 1.0, 5000.0)]),
+]
+
+
+def agreed(what, value_at):
+    """``value_at(dps)`` at each precision of ``DPS``; they must agree to 20
+    digits."""
+    lo, hi = (value_at(dps) for dps in DPS)
+    if abs(lo - hi) > abs(hi) * mp.mpf(10) ** -20:
+        raise ArithmeticError(f"{what}: precisions disagree, {lo} vs {hi}")
+    return hi
+
+
+def special(fn, args):
+    """``fn(*args)`` agreed at both precisions."""
+    def value_at(dps):
+        with mp.workdps(dps):
+            return fn(*args)
+
+    return agreed(f"{fn.__name__}{args}", value_at)
 
 
 def rs_pdf(t, k, m, gbar):
@@ -208,11 +261,11 @@ def coding_gain(k, m):
 def main():
     print("RS_CDF_GOLDENS = {")
     for name, g, k, m, gbar in CASES:
-        lo, hi = (rs_cdf(g, k, m, gbar, dps) for dps in DPS)
-        if abs(lo - hi) > abs(hi) * mp.mpf(10) ** -20:
-            raise ArithmeticError(f"{name}: precisions disagree, {lo} vs {hi}")
-        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(hi)!r},  # {name}")
+        value = agreed(name, lambda dps: rs_cdf(g, k, m, gbar, dps))
+        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
     print("}")
+    value = agreed("RS_CDF_2_4_2_15", lambda dps: rs_cdf(2.0, 4.0, 2, 1.5, dps))
+    print(f"RS_CDF_2_4_2_15 = {float(value)!r}")
     for title, cases, closed, averaged in (
             ("FDRLOS_PDF_GOLDENS", FDRLOS_PDF_CASES, fdrlos_pdf_gig, fdrlos_pdf_1f1),
             ("FDRLOS_CDF_GOLDENS", FDRLOS_CDF_CASES, fdrlos_cdf_gig, fdrlos_cdf_1f1)):
@@ -225,6 +278,15 @@ def main():
     for k, m in CODING_GAIN_CASES:
         print(f"    ({k!r}, {m!r}): {float(coding_gain(k, m))!r},")
     print("}")
+    print("# tests/test_specfun.py")
+    for name, fn, args in SPECFUN_VALUES:
+        print(f"{name} = {float(special(fn, args))!r}")
+    for name, fn, cases in SPECFUN_TABLES:
+        print(f"{name} = {{")
+        for args in cases:
+            key = args[0] if len(args) == 1 else args
+            print(f"    {key!r}: {float(special(fn, args))!r},")
+        print("}")
 
 
 if __name__ == "__main__":

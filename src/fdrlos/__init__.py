@@ -12,21 +12,21 @@ from .analytic import (Curve, UnderflowWarning, asymptotic_op, coding_gain,
                        fdrlos_cdf_oracle, fdrlos_pdf, fdrlos_pdf_oracle,
                        outage_probability, read_curve_csv, rician_cdf,
                        rician_pdf, rs_cdf, rs_cdf_integer, rs_pdf)
-from .empirics import (CdfContractError, KsReport, default_ks_threshold, ecdf,
+from .empirics import (CdfContractError, KsReport, default_ks_threshold,
                        histogram_density, ks_distance, tabulated_cdf)
 from .models import (FadingParams, ModelKind, SnrSampleSet, sample_gamma_rv,
                      sample_snr)
-from .specfun import (AccuracyError, DomainError, QuadratureConfig,
-                      adaptive_quad_vec, gamma_tricomi_u, log_kummer_1f1)
+from .specfun import (AccuracyError, DomainError, adaptive_quad_vec,
+                      gamma_tricomi_u, log_kummer_1f1)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "CdfContractError", "Curve", "DomainError",
-    "FadingParams", "KsReport", "ModelKind", "QuadratureConfig",
-    "SnrSampleSet", "UnderflowWarning", "adaptive_quad_vec", "asymptotic_op",
-    "coding_gain", "default_ks_threshold", "drlos_cdf_oracle",
-    "drlos_pdf_oracle", "ecdf", "fdrlos_cdf", "fdrlos_cdf_oracle",
+    "FadingParams", "KsReport", "ModelKind", "SnrSampleSet",
+    "UnderflowWarning", "adaptive_quad_vec", "asymptotic_op", "coding_gain",
+    "default_ks_threshold", "drlos_cdf_oracle", "drlos_pdf_oracle",
+    "fdrlos_cdf", "fdrlos_cdf_oracle",
     "fdrlos_pdf", "fdrlos_pdf_oracle", "gamma_tricomi_u",
     "histogram_density", "ks_distance",
     "log_kummer_1f1", "outage_probability", "read_curve_csv", "rician_cdf",

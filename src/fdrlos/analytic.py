@@ -36,9 +36,8 @@ from scipy.special import (betainc, chndtr, gammainc, gammaln, i0e, poch,
                            xlog1py, xlogy)
 
 from .models import FadingParams
-from .specfun import (AccuracyError, DomainError, QuadratureConfig,
-                      adaptive_quad_vec, check_positive_int, gamma_tricomi_u,
-                      log_kummer_1f1, rel_only_cfg)
+from .specfun import (AccuracyError, DomainError, adaptive_quad_vec,
+                      check_positive_int, gamma_tricomi_u, log_kummer_1f1)
 
 _GAMMA_CHUNK = 32
 _TERM_BLOCK = 2 ** 13     # Rician shadowed series terms per numpy pass
@@ -72,8 +71,9 @@ def _over_snr(gamma, k, evaluate, at_inf, at_zero=np.nan):
     return out
 
 
-def _scatter_average(conditional, gamma, k, gbar, cfg, at_inf, at_zero=np.nan):
-    """Average a conditional law over the exponential scatter weight e^{-x}.
+def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=np.nan):
+    """Average a conditional law over the exponential scatter weight e^{-x},
+    to relative accuracy ``rel_tol`` in every value.
 
     ``conditional(g, k_x, gbar_x)`` receives the SNR chunk as a (1, ng) row
     and K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as
@@ -87,7 +87,7 @@ def _scatter_average(conditional, gamma, k, gbar, cfg, at_inf, at_zero=np.nan):
             gbar_x = gbar * (k + x) / (k + 1.0)
             return conditional(g[None, :], k / x, gbar_x) * np.exp(-x)
 
-        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, cfg)
+        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
         return vals
 
     return _over_snr(gamma, k, average, at_inf, at_zero)
@@ -279,29 +279,30 @@ def _flag_underflow(values):
     return values
 
 
-def _pdf_average(gamma, params: FadingParams, cfg):
+def _pdf_average(gamma, params: FadingParams, rel_tol):
     """``rs_pdf`` averaged over the scatter weight (+inf at 0 if K = 0)."""
     return _scatter_average(
         lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
-        gamma, params.k, params.gamma_bar, rel_only_cfg(cfg), 0.0,
+        gamma, params.k, params.gamma_bar, rel_tol, 0.0,
         np.inf if params.k == 0 else np.nan)
 
 
-def _cdf_average(conditional, gamma, k, gbar, cfg):
+def _cdf_average(conditional, gamma, k, gbar, rel_tol):
     """A conditional Rician shadowed cdf averaged over the scatter weight;
     K broadcasts against gamma."""
-    out = np.clip(_scatter_average(conditional, gamma, k, gbar,
-                                   rel_only_cfg(cfg), 1.0), 0.0, 1.0)
+    out = np.clip(_scatter_average(conditional, gamma, k, gbar, rel_tol, 1.0),
+                  0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 and np.ndim(k) == 0 else out
 
 
-def _mixture_cdf(gamma, k, m: int, gbar, cfg):
+def _mixture_cdf(gamma, k, m: int, gbar, rel_tol):
     return _cdf_average(lambda g, k_x, gbar_x: rs_cdf_integer(g, k_x, m, gbar_x),
-                        gamma, k, gbar, cfg)
+                        gamma, k, gbar, rel_tol)
 
 
-def fdrlos_pdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None):
-    """SNR density of the fluctuating double-Rayleigh LoS model at integer m.
+def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
+    """SNR density of the fluctuating double-Rayleigh LoS model at integer m,
+    to relative accuracy ``rel_tol``.
 
     The conditional Rician shadowed density ``rs_pdf``, whose 1F1(m; 1; w)
     is then a finite sum of positive terms, averaged over e^{-x}:
@@ -311,20 +312,20 @@ def fdrlos_pdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
     K = 0 is an ordinary input: the product law, +inf at g = 0.
     """
     params.require_integer_m()
-    out = _flag_underflow(_pdf_average(gamma, params, cfg))
+    out = _flag_underflow(_pdf_average(gamma, params, rel_tol))
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
-def fdrlos_pdf_oracle(gamma, params: FadingParams,
-                      cfg: QuadratureConfig | None = None):
+def fdrlos_pdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
     """``fdrlos_pdf`` for any real m > 0 (the 1F1 series in place of the
     finite sum at real m)."""
-    out = _pdf_average(gamma, params, cfg)
+    out = _pdf_average(gamma, params, rel_tol)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
-def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None):
-    """SNR cdf of the fluctuating double-Rayleigh LoS model at integer m.
+def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
+    """SNR cdf of the fluctuating double-Rayleigh LoS model at integer m, to
+    relative accuracy ``rel_tol``.
 
     The finite Binomial mixture ``rs_cdf_integer`` averaged over e^{-x}; with
     b = g (K+1)/gbar and z = K/m,
@@ -336,23 +337,21 @@ def fdrlos_cdf(gamma, params: FadingParams, cfg: QuadratureConfig | None = None)
     accuracy; K = 0 puts all the weight on j = m-1 (the product law).
     """
     return _mixture_cdf(gamma, params.k, params.require_integer_m(),
-                        params.gamma_bar, cfg)
+                        params.gamma_bar, rel_tol)
 
 
-def fdrlos_cdf_oracle(gamma, params: FadingParams,
-                      cfg: QuadratureConfig | None = None):
+def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
     """Ground-truth cdf for any real m > 0: the negative-binomial series
     ``rs_cdf`` in place of the Binomial mixture, an independent conditional."""
     return _cdf_average(lambda g, k_x, gbar_x: rs_cdf(g, k_x, params.m, gbar_x),
-                        gamma, params.k, params.gamma_bar, cfg)
+                        gamma, params.k, params.gamma_bar, rel_tol)
 
 
 # ---------------------------------------------------------------------------
 # outage probability
 
 
-def outage_probability(gamma_th, k, m, gamma_bar,
-                       cfg: QuadratureConfig | None = None):
+def outage_probability(gamma_th, k, m, gamma_bar, *, rel_tol=1e-10):
     """P(snr < gamma_th) = F(gamma_th) at integer m; gamma_th and K broadcast
     (a sweep over K is one vector quadrature per chunk of points)."""
     k = np.asarray(k, dtype=float)
@@ -360,27 +359,30 @@ def outage_probability(gamma_th, k, m, gamma_bar,
         raise DomainError("gamma_th must be positive")
     if not (np.all((k >= 0) & (k < np.inf)) and 0 < gamma_bar < np.inf):
         raise DomainError("need finite K >= 0 and finite gamma_bar > 0")
-    return _mixture_cdf(gamma_th, k, check_positive_int(m, "m"), gamma_bar, cfg)
+    return _mixture_cdf(gamma_th, k, check_positive_int(m, "m"), gamma_bar, rel_tol)
 
 
-def coding_gain(k, m, cfg: QuadratureConfig | None = None):
-    """High-SNR power offset a = (1+K) Gamma(m) U(m, 1, K/m).
+def coding_gain(k, m, *, rel_tol=1e-10):
+    """High-SNR power offset a = (1+K) Gamma(m) U(m, 1, K/m) for finite K > 0.
 
     Diverges as K -> 0 (the pure product channel has no order-1 asymptote),
     so K = 0 is rejected.
     """
-    if k <= 0:
-        raise DomainError("coding gain diverges at K = 0; need K > 0")
+    if not (0 < k < math.inf):
+        raise DomainError("the coding gain needs finite K > 0 (it diverges at "
+                          f"K = 0), got K = {k}")
     m = check_positive_int(m, "m")
-    return (1.0 + k) * gamma_tricomi_u(m, k / m, cfg)
+    return (1.0 + k) * gamma_tricomi_u(m, k / m, rel_tol=rel_tol)
 
 
-def asymptotic_op(gamma_th, gbar, k, m, cfg: QuadratureConfig | None = None):
-    """High-SNR outage a * gamma_th / gbar, broadcast over gbar; exact log-log
-    slope -1 in gbar."""
-    if not (gamma_th > 0 and np.all(np.asarray(gbar) > 0)):
-        raise DomainError("gamma_th and gbar must be positive")
-    return coding_gain(k, m, cfg) * gamma_th / gbar
+def asymptotic_op(gamma_th, gbar, k, m, *, rel_tol=1e-10):
+    """High-SNR outage a * gamma_th / gbar for finite gamma_th > 0, broadcast
+    over gbar; exact log-log slope -1 in gbar."""
+    if not (0 < gamma_th < math.inf):
+        raise DomainError(f"gamma_th must be finite and positive, got {gamma_th}")
+    if not np.all(np.asarray(gbar) > 0):
+        raise DomainError("gbar must be positive")
+    return coding_gain(k, m, rel_tol=rel_tol) * gamma_th / gbar
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +408,16 @@ def rician_cdf(gamma, k, gbar):
     return float(out) if np.ndim(gamma) == 0 else out
 
 
-def drlos_pdf_oracle(gamma, k, gbar, cfg: QuadratureConfig | None = None):
+def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
     Rician, averaged over the exponential scatter weight (the m -> inf limit)."""
-    out = _scatter_average(rician_pdf, gamma, k, gbar, rel_only_cfg(cfg),
+    out = _scatter_average(rician_pdf, gamma, k, gbar, rel_tol,
                            0.0, np.inf if k == 0 else np.nan)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
-def drlos_cdf_oracle(gamma, k, gbar, cfg: QuadratureConfig | None = None):
+def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
-    out = np.clip(_scatter_average(rician_cdf, gamma, k, gbar,
-                                   rel_only_cfg(cfg), 1.0), 0.0, 1.0)
+    out = np.clip(_scatter_average(rician_cdf, gamma, k, gbar, rel_tol, 1.0),
+                  0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 else out

@@ -31,13 +31,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic, empirics
 from .models import FadingParams, ModelKind, sample_snr
-from .specfun import AccuracyError, DomainError, QuadratureConfig
+from .specfun import AccuracyError, DomainError, check_rel_tol
 
 _MC_SEED = 20260810
 
@@ -52,58 +51,36 @@ def db_to_linear(db):
         raise DomainError(f"{np.max(db):g} dB overflows a double") from None
 
 
-@dataclass(frozen=True)
-class Grid:
-    lo: float
-    hi: float
-    points: int
-    spacing: str = "lin"   # lin | log
-    in_db: bool = False
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise DomainError("grid bounds must be finite")
-        if not (self.lo < self.hi):
-            raise DomainError("grid min must be below grid max")
-        if self.points < 2:
-            raise DomainError("grid needs at least 2 points")
-        if self.spacing not in ("lin", "log"):
-            raise DomainError("grid spacing must be lin or log")
-        if self.spacing == "log" and self.lo <= 0:
-            raise DomainError("log grid needs a positive minimum")
-
-    def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+def _linear(args, name):
+    """The linear value of ``--name`` or, converted, of ``--name-db``."""
+    db = getattr(args, name + "_db")
+    return getattr(args, name) if db is None else db_to_linear(db)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; every physical value already linear."""
-
-    subcommand: str
-    model: ModelKind = ModelKind.FDRLOS
-    k: float = 1.0
-    m: float = 1.0
-    gamma_bar: float = 1.0
-    gamma_th: float = 1.0
-    samples: int = 0
-    seed: int = 0
-    threads: int = 1
-    grid: Grid | None = None
-    output: str | None = None
-    oracle: bool = False
-    asymptotic: bool = False
-    rel_tol: float = 1e-10
-
-
-def _parse_grid(text: str, in_db: bool) -> Grid:
+def _parse_grid(text: str) -> np.ndarray:
+    """The values of a grid ``min:max:points[:lin|log]``."""
+    usage = f"grid must be min:max:points[:lin|log], got {text!r}"
     parts = text.split(":")
     if len(parts) not in (3, 4):
-        raise DomainError(f"grid must be min:max:points[:lin|log], got {text!r}")
+        raise DomainError(usage)
+    try:
+        lo, hi, points = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise DomainError(usage) from None
     spacing = parts[3] if len(parts) == 4 else "lin"
-    return Grid(float(parts[0]), float(parts[1]), int(parts[2]), spacing, in_db)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise DomainError("grid bounds must be finite")
+    if not (lo < hi):
+        raise DomainError("grid min must be below grid max")
+    if points < 2:
+        raise DomainError("grid needs at least 2 points")
+    if spacing not in ("lin", "log"):
+        raise DomainError("grid spacing must be lin or log")
+    if spacing == "log":
+        if lo <= 0:
+            raise DomainError("log grid needs a positive minimum")
+        return np.geomspace(lo, hi, points)
+    return np.linspace(lo, hi, points)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,72 +137,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config_from_args(args) -> RunConfig:
-    gbar = getattr(args, "gamma_bar", None)
-    if gbar is None and getattr(args, "gamma_bar_db", None) is not None:
-        gbar = db_to_linear(args.gamma_bar_db)
-    gth = getattr(args, "gamma_th", None)
-    if gth is None and getattr(args, "gamma_th_db", None) is not None:
-        gth = db_to_linear(args.gamma_th_db)
-    grid = None
-    if getattr(args, "grid", None):
-        grid = _parse_grid(args.grid, in_db=False)
-    elif getattr(args, "grid_db", None):
-        grid = _parse_grid(args.grid_db, in_db=True)
-    return RunConfig(
-        subcommand=args.subcommand,
-        model=ModelKind.parse(args.model),
-        k=args.k,
-        m=args.m,
-        gamma_bar=gbar if gbar is not None else 1.0,
-        gamma_th=gth if gth is not None else 1.0,
-        samples=getattr(args, "samples", 0),
-        seed=getattr(args, "seed", 0),
-        threads=getattr(args, "threads", 1),
-        grid=grid,
-        output=getattr(args, "output", None),
-        oracle=getattr(args, "oracle", False),
-        asymptotic=getattr(args, "asymptotic", False),
-        rel_tol=getattr(args, "rel_tol", 1e-10),
-    )
-
-
-def _quad_cfg(cfg: RunConfig) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=cfg.rel_tol)
-
-
-def _pdf_fn(cfg: RunConfig):
-    params = FadingParams(cfg.k, cfg.m, cfg.gamma_bar)
-    q = _quad_cfg(cfg)
-    if cfg.model is ModelKind.FDRLOS:
-        if cfg.oracle:
-            return lambda g: analytic.fdrlos_pdf_oracle(g, params, q)
-        if not params.m_is_integer:
-            raise DomainError("fdrlos pdf/cdf need integer m; pass --oracle for real m")
-        return lambda g: analytic.fdrlos_pdf(g, params, q)
-    if cfg.model is ModelKind.RICIAN_SHADOWED:
-        return lambda g: analytic.rs_pdf(g, cfg.k, cfg.m, cfg.gamma_bar)
-    if cfg.model is ModelKind.DRLOS:
-        return lambda g: analytic.drlos_pdf_oracle(g, cfg.k, cfg.gamma_bar, q)
-    return lambda g: analytic.rician_pdf(g, cfg.k, cfg.gamma_bar)
-
-
-def _cdf_fn(cfg: RunConfig, params: FadingParams | None = None):
-    """cdf of cfg's model and route at ``params`` (default: cfg's own)."""
-    params = params or FadingParams(cfg.k, cfg.m, cfg.gamma_bar)
-    k, m, gbar = params.k, params.m, params.gamma_bar
-    q = _quad_cfg(cfg)
-    if cfg.model is ModelKind.FDRLOS:
-        if cfg.oracle:
-            return lambda g: analytic.fdrlos_cdf_oracle(g, params, q)
-        if not params.m_is_integer:
-            raise DomainError("fdrlos pdf/cdf need integer m; pass --oracle for real m")
-        return lambda g: analytic.fdrlos_cdf(g, params, q)
-    if cfg.model is ModelKind.RICIAN_SHADOWED:
-        return lambda g: analytic.rs_cdf(g, k, m, gbar)
-    if cfg.model is ModelKind.DRLOS:
-        return lambda g: analytic.drlos_cdf_oracle(g, k, gbar, q)
-    return lambda g: analytic.rician_cdf(g, k, gbar)
+def _law(args, model: ModelKind, quantity: str, params: FadingParams):
+    """The ``quantity`` ("pdf" or "cdf") of ``model`` at ``params`` as a
+    function of an SNR array, on the route ``--oracle`` picks."""
+    k, m, gbar, rel_tol = params.k, params.m, params.gamma_bar, args.rel_tol
+    if model is ModelKind.FDRLOS:
+        name = f"fdrlos_{quantity}_oracle" if args.oracle else f"fdrlos_{quantity}"
+        return lambda g: getattr(analytic, name)(g, params, rel_tol=rel_tol)
+    if model is ModelKind.RICIAN_SHADOWED:
+        return lambda g: getattr(analytic, f"rs_{quantity}")(g, k, m, gbar)
+    if model is ModelKind.DRLOS:
+        return lambda g: getattr(analytic, f"drlos_{quantity}_oracle")(
+            g, k, gbar, rel_tol=rel_tol)
+    return lambda g: getattr(analytic, f"rician_{quantity}")(g, k, gbar)
 
 
 def _emit(curve: analytic.Curve, output: str | None) -> None:
@@ -235,72 +159,71 @@ def _emit(curve: analytic.Curve, output: str | None) -> None:
         sys.stdout.write(curve.to_csv_text())
 
 
-def cmd_pdf(cfg: RunConfig) -> int:
-    grid = cfg.grid.values()
-    vals = _pdf_fn(cfg)(grid)
-    _emit(analytic.Curve(grid, vals, meta={"quantity": "pdf",
-                                           "model": cfg.model.value}), cfg.output)
+def cmd_curve(args) -> int:
+    """``pdf`` and ``cdf``: the law on an SNR grid."""
+    model = ModelKind.parse(args.model)
+    params = FadingParams(args.k, args.m, _linear(args, "gamma_bar"))
+    grid = _parse_grid(args.grid)
+    vals = _law(args, model, args.subcommand, params)(grid)
+    _emit(analytic.Curve(grid, vals, meta={"quantity": args.subcommand,
+                                           "model": model.value}), args.output)
     return 0
 
 
-def cmd_cdf(cfg: RunConfig) -> int:
-    grid = cfg.grid.values()
-    vals = _cdf_fn(cfg)(grid)
-    _emit(analytic.Curve(grid, vals, meta={"quantity": "cdf",
-                                           "model": cfg.model.value}), cfg.output)
-    return 0
-
-
-def cmd_op(cfg: RunConfig) -> int:
-    grid = cfg.grid.values()
-    gbars = db_to_linear(grid) if cfg.grid.in_db else grid
+def cmd_op(args) -> int:
+    model = ModelKind.parse(args.model)
+    gamma_th = _linear(args, "gamma_th")
+    in_db = args.grid_db is not None
+    grid = _parse_grid(args.grid_db if in_db else args.grid)
+    gbars = db_to_linear(grid) if in_db else grid
     if not np.all(gbars > 0):
         raise DomainError("mean-SNR grid values must be positive")
-    q = _quad_cfg(cfg)
-    if cfg.asymptotic:
-        if cfg.model is not ModelKind.FDRLOS:
+    if args.asymptotic:
+        if model is not ModelKind.FDRLOS:
             raise DomainError("--asymptotic applies to the fdrlos model")
-        vals = analytic.asymptotic_op(cfg.gamma_th, gbars, cfg.k, cfg.m, q)
+        vals = analytic.asymptotic_op(gamma_th, gbars, args.k, args.m,
+                                      rel_tol=args.rel_tol)
     else:
-        unit = FadingParams(cfg.k, cfg.m, 1.0)
-        vals = _cdf_fn(cfg, unit)(cfg.gamma_th / gbars)
-    meta = {"quantity": "op" if not cfg.asymptotic else "op-asymptote",
-            "model": cfg.model.value, "abscissa_unit": "dB" if cfg.grid.in_db else "linear"}
-    _emit(analytic.Curve(grid, vals, meta=meta), cfg.output)
+        unit = FadingParams(args.k, args.m, 1.0)
+        vals = _law(args, model, "cdf", unit)(gamma_th / gbars)
+    meta = {"quantity": "op" if not args.asymptotic else "op-asymptote",
+            "model": model.value, "abscissa_unit": "dB" if in_db else "linear"}
+    _emit(analytic.Curve(grid, vals, meta=meta), args.output)
     return 0
 
 
-def cmd_sim(cfg: RunConfig, raw_output: str | None = None) -> int:
-    params = FadingParams(cfg.k, cfg.m, cfg.gamma_bar)
-    sset = sample_snr(cfg.model, params, cfg.samples, cfg.seed, threads=cfg.threads)
+def cmd_sim(args) -> int:
+    model = ModelKind.parse(args.model)
+    params = FadingParams(args.k, args.m, _linear(args, "gamma_bar"))
+    sset = sample_snr(model, params, args.samples, args.seed, threads=args.threads)
     vals = sset.values
-    cdf_scalar = _cdf_fn(cfg, params)
-    cdf = empirics.tabulated_cdf(cdf_scalar, float(vals.min()), float(vals.max()))
+    cdf = empirics.tabulated_cdf(_law(args, model, "cdf", params),
+                                 float(vals.min()), float(vals.max()))
     report = empirics.ks_distance(sset, cdf)
     variance = float(np.var(vals))
     lines = [
-        f"model={cfg.model.value}",
-        f"k={cfg.k:.17g}",
-        f"m={cfg.m:.17g}",
-        f"gamma_bar={cfg.gamma_bar:.17g}",
-        f"n={cfg.samples}",
-        f"seed={cfg.seed}",
+        f"model={model.value}",
+        f"k={params.k:.17g}",
+        f"m={params.m:.17g}",
+        f"gamma_bar={params.gamma_bar:.17g}",
+        f"n={args.samples}",
+        f"seed={args.seed}",
         f"mean={float(np.mean(vals)):.17g}",
         f"variance={variance:.17g}",
         f"ks_statistic={report.statistic:.17g}",
         f"ks_threshold={report.threshold:.17g}",
         f"ks_pass={str(report.passed).lower()}",
-        f"mean_se={np.sqrt(variance / cfg.samples):.17g}",
+        f"mean_se={np.sqrt(variance / args.samples):.17g}",
         f"ks_margin={report.threshold - report.statistic:.17g}",
     ]
     text = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="\n") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if raw_output:
-        with open(raw_output, "w", encoding="utf-8", newline="\n") as fh:
+    if args.raw_output:
+        with open(args.raw_output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("value\n")
             for v in vals:
                 fh.write(f"{v:.17g}\n")
@@ -418,21 +341,16 @@ def cmd_figure(name: str, output_dir: str, mc_samples: int = 10 ** 6) -> int:
     return 0
 
 
+_COMMANDS = {"pdf": cmd_curve, "cdf": cmd_curve, "op": cmd_op, "sim": cmd_sim}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.subcommand == "figure":
             return cmd_figure(args.name, args.output_dir, args.mc_samples)
-        cfg = _config_from_args(args)
-        if args.subcommand == "pdf":
-            return cmd_pdf(cfg)
-        if args.subcommand == "cdf":
-            return cmd_cdf(cfg)
-        if args.subcommand == "op":
-            return cmd_op(cfg)
-        if args.subcommand == "sim":
-            return cmd_sim(cfg, raw_output=getattr(args, "raw_output", None))
-        raise DomainError(f"unknown subcommand {args.subcommand!r}")
+        check_rel_tol(args.rel_tol)
+        return _COMMANDS[args.subcommand](args)
     except (DomainError, empirics.CdfContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,23 +38,6 @@ def _values(samples) -> np.ndarray:
     return vals
 
 
-class EmpiricalCdf:
-    """Right-continuous empirical step function; reaches 1 at the max sample."""
-
-    def __init__(self, values: np.ndarray):
-        self.sorted = np.sort(values)
-        self.n = len(self.sorted)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.searchsorted(self.sorted, x, side="right") / self.n
-        return float(out) if out.ndim == 0 else out
-
-
-def ecdf(samples) -> EmpiricalCdf:
-    return EmpiricalCdf(_values(samples))
-
-
 def ks_distance(samples, analytic_cdf, threshold: float | None = None) -> KsReport:
     """Two-sided sup distance between the sample ecdf and an analytic cdf.
 

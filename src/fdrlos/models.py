@@ -96,12 +96,8 @@ class FadingParams:
         """Diffuse amplitude; omega2^2 = 1/(K+1), so E|S|^2 = 1."""
         return float(np.sqrt(1.0 / (self.k + 1.0)))
 
-    @property
-    def m_is_integer(self) -> bool:
-        return float(self.m) == int(self.m)
-
     def require_integer_m(self) -> int:
-        if not self.m_is_integer:
+        if self.m != int(self.m):
             raise DomainError(
                 f"the finite Rician shadowed mixture needs integer m (got "
                 f"m={self.m}); use the oracle route for real m")

@@ -14,7 +14,6 @@ leave the small components inaccurate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -40,34 +39,23 @@ class AccuracyError(ArithmeticError):
 #: smallest relative tolerance a double-precision Gauss-Kronrod estimate can
 #: certify (QUADPACK's 50 machine epsilons, about 1.1e-14)
 REL_TOL_FLOOR = 50.0 * float(np.finfo(float).eps)
+#: absolute error floor of the quadrature: control is purely relative, because
+#: the components of one integral span many decades
+_ABS_TOL = 1e-300
+#: panel splits one quadrature may make before it raises AccuracyError
+_MAX_SUBDIVISIONS = 400
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and limits for the adaptive quadrature engine.
+def check_rel_tol(rel_tol):
+    """A DomainError unless ``rel_tol`` lies in [``REL_TOL_FLOOR``, 1).
 
-    ``rel_tol`` must lie in [``REL_TOL_FLOOR``, 1): below the floor rounding in
-    the panel sums exceeds the requested error and no subdivision budget helps,
-    and a relative error of 1 or more certifies nothing.
-    A semi-infinite interval [lo, inf) is folded onto [0, 1) by
-    t = lo + u/(1-u).
+    Below the floor rounding in the panel sums exceeds the requested error and
+    no subdivision budget helps, and a relative error of 1 or more certifies
+    nothing.
     """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if not (REL_TOL_FLOOR <= self.rel_tol < 1.0):
-            raise DomainError(f"rel_tol must be in [{REL_TOL_FLOOR:.3g}, 1): at "
-                              "least 50 machine epsilons and below 1")
-        if not (self.abs_tol > 0):
-            raise DomainError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+    if not (REL_TOL_FLOOR <= rel_tol < 1.0):
+        raise DomainError(f"rel_tol must be in [{REL_TOL_FLOOR:.3g}, 1): at "
+                          "least 50 machine epsilons and below 1")
 
 
 # Gauss-Kronrod 7-15 pair on [-1, 1]; the 7-point Gauss nodes are the
@@ -133,19 +121,21 @@ def _map_infinite(f, lower):
     return g
 
 
-def adaptive_quad_vec(f, lower, upper, cfg: QuadratureConfig | None = None):
+def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
     """Adaptive Gauss-Kronrod 7-15 for a vector-valued integrand.
 
     ``f(x)`` takes a 1-d array of abscissae and returns either a same-length
     array (scalar integrand) or an (npoints, ncomp) matrix.  Every component
-    is integrated to ``max(abs_tol, rel_tol * |component|)``.  ``upper`` may
-    be ``inf``.
+    is integrated to ``rel_tol * |component|`` (with a 1e-300 floor), so small
+    components keep their relative accuracy.  ``upper`` may be ``inf``: a
+    semi-infinite interval [lower, inf) is folded onto [0, 1) by
+    t = lower + u/(1-u).
 
     Returns ``(values, err_estimates)`` as arrays of shape (ncomp,).
-    Raises :class:`AccuracyError` if the subdivision budget is exhausted and
-    :class:`DomainError` if the integrand produces NaN.
+    Raises :class:`AccuracyError` if 400 subdivisions do not meet the
+    tolerance and :class:`DomainError` if the integrand produces NaN.
     """
-    cfg = cfg or DEFAULT_QUAD
+    check_rel_tol(rel_tol)
     if not np.isfinite(lower):
         raise DomainError("lower limit must be finite")
     if math.isinf(upper):
@@ -174,10 +164,10 @@ def adaptive_quad_vec(f, lower, upper, cfg: QuadratureConfig | None = None):
         ik, e = panel(edges[i], edges[i + 1])
         panels.append((edges[i], edges[i + 1], ik, e))
 
-    for _ in range(cfg.max_subdivisions):
+    for _ in range(_MAX_SUBDIVISIONS):
         sums = np.sum([p[2] for p in panels], axis=0)
         errs = np.sum([p[3] for p in panels], axis=0)
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(sums))
+        tol = np.maximum(_ABS_TOL, rel_tol * np.abs(sums))
         if np.all(errs <= tol):
             return sums, errs
         # split the panel whose error is worst relative to the per-component
@@ -190,24 +180,20 @@ def adaptive_quad_vec(f, lower, upper, cfg: QuadratureConfig | None = None):
 
     sums = np.sum([p[2] for p in panels], axis=0)
     errs = np.sum([p[3] for p in panels], axis=0)
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(sums))
+    tol = np.maximum(_ABS_TOL, rel_tol * np.abs(sums))
     if np.all(errs <= tol):
         return sums, errs
     raise AccuracyError(
-        f"quadrature did not converge within {cfg.max_subdivisions} subdivisions "
+        f"quadrature did not converge within {_MAX_SUBDIVISIONS} subdivisions "
         f"(worst error {float(np.max(errs)):.3e})",
         value=sums, err_estimate=errs)
 
 
-def rel_only_cfg(cfg: QuadratureConfig | None) -> QuadratureConfig:
-    """``cfg`` (default ``DEFAULT_QUAD``) with purely relative error control and
-    at least 400 subdivisions, for integrals whose components span many decades."""
-    cfg = cfg or DEFAULT_QUAD
-    return QuadratureConfig(rel_tol=cfg.rel_tol, abs_tol=1e-300,
-                            max_subdivisions=max(cfg.max_subdivisions, 400))
-
-
 _SERIES_MAX_TERMS = 100_000
+#: the 1F1 series stops once a term is below e^-37 (about 1e-16) of the sum
+_SERIES_REL_STOP_LOG = -37.0
+#: the large-x 1F1 expansion stops once a term is below this fraction of the sum
+_ASYMPTOTIC_REL_GOAL = 1e-13
 
 
 def log_kummer_1f1(a, b_param, x):
@@ -256,7 +242,7 @@ def _log_1f1_integer_poly(m, x):
     return x + peak + np.log(np.sum(np.exp(terms - peak), axis=0))
 
 
-def _log_1f1_series_vec(a, b, x, rel_stop_log=-37.0):
+def _log_1f1_series_vec(a, b, x):
     out = np.zeros_like(x)
     logt = np.zeros_like(x)
     with np.errstate(divide="ignore"):
@@ -268,12 +254,12 @@ def _log_1f1_series_vec(a, b, x, rel_stop_log=-37.0):
     for k in range(min(kmax, _SERIES_MAX_TERMS)):
         logt = logt + math.log(a + k) - math.log(b + k) + logx - math.log1p(k)
         out = np.logaddexp(out, np.where(active, logt, -np.inf))
-        if np.all(logt[active] - out[active] < rel_stop_log):
+        if np.all(logt[active] - out[active] < _SERIES_REL_STOP_LOG):
             return out
     raise AccuracyError("vectorized 1F1 series did not converge")
 
 
-def _log_1f1_asymptotic_vec(a, b, x, rel_goal=1e-13):
+def _log_1f1_asymptotic_vec(a, b, x):
     """log of the large-x expansion, elementwise; x must be well past |a|^2."""
     log_pref = gammaln(b) - gammaln(a) + x + (a - b) * np.log(x)
     term = np.ones_like(x)
@@ -282,19 +268,20 @@ def _log_1f1_asymptotic_vec(a, b, x, rel_goal=1e-13):
     for k in range(60):
         term = term * (b - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
         growing = np.abs(term) >= prev
-        if np.any(growing & (np.abs(term) > rel_goal * np.abs(total))):
+        if np.any(growing & (np.abs(term) > _ASYMPTOTIC_REL_GOAL * np.abs(total))):
             raise AccuracyError(
                 "1F1 asymptotic expansion cannot reach the requested accuracy")
         term = np.where(growing, 0.0, term)
         prev = np.where(growing, prev, np.abs(term))
         total = total + term
-        if np.all(np.abs(term) <= rel_goal * np.abs(total)):
+        if np.all(np.abs(term) <= _ASYMPTOTIC_REL_GOAL * np.abs(total)):
             break
     return log_pref + np.log(total)
 
 
-def gamma_tricomi_u(m, x, cfg: QuadratureConfig | None = None):
-    """Gamma(m) * U(m, 1, x) for integer m >= 1 and x > 0.
+def gamma_tricomi_u(m, x, *, rel_tol=1e-10):
+    """Gamma(m) * U(m, 1, x) for integer m >= 1 and finite x > 0, to relative
+    accuracy ``rel_tol``.
 
     Computed as int_0^inf e^(-x t) t^(m-1) (1+t)^(-m) dt, which stays O(1)
     even when Gamma(m) alone would overflow; the downstream high-SNR offset
@@ -304,8 +291,9 @@ def gamma_tricomi_u(m, x, cfg: QuadratureConfig | None = None):
     """
     m = check_positive_int(m, "m")
     x = float(x)
-    if x <= 0:
-        raise DomainError("x must be positive; the x -> 0 limit diverges")
+    if not (0 < x < math.inf):
+        raise DomainError("x must be finite and positive (the x -> 0 limit "
+                          f"diverges), got {x}")
     scale = m / x
     log_scale = math.log(scale)
 
@@ -319,7 +307,7 @@ def gamma_tricomi_u(m, x, cfg: QuadratureConfig | None = None):
     def f(v):
         return np.exp(log_f(v) - offset)
 
-    vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_only_cfg(cfg))
+    vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
     return math.exp(offset + math.log(float(vals[0])))
 
 

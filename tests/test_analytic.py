@@ -16,8 +16,7 @@ from fdrlos.analytic import (Curve, UnderflowWarning, _flag_underflow,
                              read_curve_csv, rician_cdf, rician_pdf, rs_cdf,
                              rs_cdf_integer, rs_pdf)
 from fdrlos.models import FadingParams
-from fdrlos.specfun import (AccuracyError, DomainError, QuadratureConfig,
-                            adaptive_quad_vec)
+from fdrlos.specfun import AccuracyError, DomainError, adaptive_quad_vec
 
 # Rician shadowed cdf (gamma, K, m, gbar) -> F from scripts/make_goldens.py:
 # mpmath integrals of the 1F1 density at 40 and 50 digits
@@ -33,9 +32,8 @@ RS_CDF_GOLDENS = {
     (500000.0, 3.0, 2.5, 2.0): 1.0,  # far tail
     (1000000.0, 3.0, 2.5, 2.0): 1.0,  # far tail
 }
-# RS_CDF_2_4_2_15 was frozen before scripts/make_goldens.py existed, which
-# does not make it
-RS_CDF_2_4_2_15 = 0.73108675719011024
+# the same cdf at integer m, from scripts/make_goldens.py
+RS_CDF_2_4_2_15 = 0.7310867571901103
 # fluctuating double-Rayleigh LoS pdf and cdf (gamma, K, m, gbar) and coding
 # gains (K, m) from scripts/make_goldens.py: the paper's closed form at a
 # precision that outlasts its cancellation, and the 1F1 conditional averaged
@@ -79,7 +77,7 @@ FDRLOS_CDF_2_532 = FDRLOS_CDF_GOLDENS[(2.0, 5.0, 3, 2.0)]
 A_K1_M1 = CODING_GAIN_GOLDENS[(1.0, 1)]
 A_K1_M3 = CODING_GAIN_GOLDENS[(1.0, 3)]
 
-TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=800)
+TIGHT = 1e-12
 
 
 class TestRsPdf:
@@ -91,7 +89,7 @@ class TestRsPdf:
 
     def test_normalizes_at_real_m(self):
         val, _ = adaptive_quad_vec(lambda g: rs_pdf(g, 3.0, 2.5, 2.0),
-                                   0.0, np.inf, TIGHT)
+                                   0.0, np.inf, rel_tol=TIGHT)
         assert val[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_negative_snr(self):
@@ -138,7 +136,7 @@ class TestRsMixture:
         # F(g) + int_g^inf f = 1 holds only if the weights sum to one
         k_x, gbar_x = k / x, 2.0 * (k + x) / (k + 1.0)
         tail, _ = adaptive_quad_vec(lambda u: rs_pdf(u, k_x, m, gbar_x),
-                                    gbar_x, np.inf, TIGHT)
+                                    gbar_x, np.inf, rel_tol=TIGHT)
         assert rs_cdf_integer(0.0, k_x, m, gbar_x) == 0.0
         assert rs_cdf_integer(gbar_x, k_x, m, gbar_x) + tail[0] == pytest.approx(
             1.0, abs=1e-10)
@@ -148,7 +146,7 @@ class TestRsMixture:
         x, k, m, gbar = 1.0, 5.0, 3, 2.0
         k_x, gbar_x = k / x, gbar * (k + x) / (k + 1.0)
         direct, _ = adaptive_quad_vec(lambda u: rs_pdf(u, k_x, m, gbar_x),
-                                      0.0, g, TIGHT)
+                                      0.0, g, rel_tol=TIGHT)
         assert rs_cdf_integer(g, k_x, m, gbar_x) == pytest.approx(direct[0], rel=1e-10)
 
 
@@ -165,7 +163,8 @@ class TestRsCdf:
             RS_CDF_2_4_2_15, rel=1e-9)
 
     def test_matches_quadrature_of_pdf(self):
-        val, _ = adaptive_quad_vec(lambda g: rs_pdf(g, 4.0, 2, 1.5), 0.0, 2.0, TIGHT)
+        val, _ = adaptive_quad_vec(lambda g: rs_pdf(g, 4.0, 2, 1.5), 0.0, 2.0,
+                                   rel_tol=TIGHT)
         assert rs_cdf_integer(2.0, 4.0, 2, 1.5) == pytest.approx(val[0], rel=1e-9)
 
     def test_real_m_dispatch_agrees_at_integer(self):
@@ -228,10 +227,10 @@ class TestFdrlosPdf:
         p = FadingParams(5.0, 3, 2.0)
 
         def f(g):
-            pdf = fdrlos_pdf(g, p, TIGHT)
+            pdf = fdrlos_pdf(g, p, rel_tol=TIGHT)
             return np.stack([pdf, g * pdf], axis=1)
 
-        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, TIGHT)
+        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=TIGHT)
         assert vals[0] == pytest.approx(1.0, abs=1e-8)
         assert vals[1] == pytest.approx(2.0, rel=1e-8)
 
@@ -297,8 +296,8 @@ class TestFdrlosCdf:
             want, rel=1e-12, abs=0)
 
     def test_matches_oracle(self):
-        got = fdrlos_cdf(2.0, FadingParams(5.0, 3, 2.0), TIGHT)
-        want = fdrlos_cdf_oracle(2.0, FadingParams(5.0, 3, 2.0), TIGHT)
+        got = fdrlos_cdf(2.0, FadingParams(5.0, 3, 2.0), rel_tol=TIGHT)
+        want = fdrlos_cdf_oracle(2.0, FadingParams(5.0, 3, 2.0), rel_tol=TIGHT)
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_total_probability(self):
@@ -314,8 +313,9 @@ class TestFdrlosCdf:
         p = FadingParams(5.0, 3, 2.0)
         for g in (0.5, 1.5, 4.0):
             h = 1e-4
-            der = (fdrlos_cdf(g + h, p, TIGHT) - fdrlos_cdf(g - h, p, TIGHT)) / (2 * h)
-            assert der == pytest.approx(fdrlos_pdf(g, p, TIGHT), rel=1e-5)
+            der = (fdrlos_cdf(g + h, p, rel_tol=TIGHT)
+                   - fdrlos_cdf(g - h, p, rel_tol=TIGHT)) / (2 * h)
+            assert der == pytest.approx(fdrlos_pdf(g, p, rel_tol=TIGHT), rel=1e-5)
 
 
 class TestFdrlosCdfOracle:
@@ -323,10 +323,10 @@ class TestFdrlosCdfOracle:
         p = FadingParams(5.0, 3, 2.0)
 
         def f(g):
-            return fdrlos_pdf_oracle(g, p, TIGHT)
+            return fdrlos_pdf_oracle(g, p, rel_tol=TIGHT)
 
-        integral, _ = adaptive_quad_vec(f, 0.0, 1.0, TIGHT)
-        assert fdrlos_cdf_oracle(1.0, p, TIGHT) == pytest.approx(
+        integral, _ = adaptive_quad_vec(f, 0.0, 1.0, rel_tol=TIGHT)
+        assert fdrlos_cdf_oracle(1.0, p, rel_tol=TIGHT) == pytest.approx(
             integral[0], abs=1e-9)
 
     def test_product_law_bessel_value(self):
@@ -336,8 +336,8 @@ class TestFdrlosCdfOracle:
 
     def test_m1_closed_form_rederivation(self):
         p = FadingParams(2.0, 1, 1.5)
-        assert fdrlos_cdf(0.8, p, TIGHT) == pytest.approx(
-            fdrlos_cdf_oracle(0.8, p, TIGHT), rel=1e-10)
+        assert fdrlos_cdf(0.8, p, rel_tol=TIGHT) == pytest.approx(
+            fdrlos_cdf_oracle(0.8, p, rel_tol=TIGHT), rel=1e-10)
 
     def test_real_m_consistency_with_pdf(self):
         p = FadingParams(5.0, 2.5, 2.0)
@@ -495,10 +495,16 @@ class TestAsymptote:
         assert coding_gain(1.0, 3) == pytest.approx(A_K1_M3, rel=1e-12, abs=0)
 
     def test_diverges_without_los(self):
-        with pytest.raises(DomainError):
-            coding_gain(0.0, 2)
-        with pytest.raises(DomainError):
-            asymptotic_op(2.0, 10.0, 0.0, 2)
+        # K = 0 diverges; a negative, infinite or NaN K or threshold is
+        # refused at entry, by name
+        for k in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError, match="finite K > 0"):
+                coding_gain(k, 2)
+            with pytest.raises(DomainError, match="finite K > 0"):
+                asymptotic_op(2.0, 10.0, k, 2)
+        for gamma_th in (0.0, np.inf, np.nan):
+            with pytest.raises(DomainError, match="gamma_th"):
+                asymptotic_op(gamma_th, 10.0, 1.0, 2)
 
     def test_exact_inverse_snr_slope(self):
         a, b = asymptotic_op(2.0, 10.0, 1.0, 2), asymptotic_op(2.0, 100.0, 1.0, 2)
@@ -525,17 +531,18 @@ class TestAsymptote:
 class TestAncestors:
     def test_rician_pdf_normalizes(self):
         val, _ = adaptive_quad_vec(lambda g: rician_pdf(g, 3.0, 2.0),
-                                   0.0, np.inf, TIGHT)
+                                   0.0, np.inf, rel_tol=TIGHT)
         assert val[0] == pytest.approx(1.0, rel=1e-10)
 
     def test_rician_cdf_matches_pdf(self):
-        val, _ = adaptive_quad_vec(lambda g: rician_pdf(g, 3.0, 2.0), 0.0, 1.5, TIGHT)
+        val, _ = adaptive_quad_vec(lambda g: rician_pdf(g, 3.0, 2.0), 0.0, 1.5,
+                                   rel_tol=TIGHT)
         assert rician_cdf(1.5, 3.0, 2.0) == pytest.approx(val[0], rel=1e-9)
 
     def test_drlos_cdf_matches_pdf(self):
-        val, _ = adaptive_quad_vec(lambda g: drlos_pdf_oracle(g, 5.0, 2.0, TIGHT),
-                                   0.0, 1.0, TIGHT)
-        assert drlos_cdf_oracle(1.0, 5.0, 2.0, TIGHT) == pytest.approx(
+        val, _ = adaptive_quad_vec(lambda g: drlos_pdf_oracle(g, 5.0, 2.0, rel_tol=TIGHT),
+                                   0.0, 1.0, rel_tol=TIGHT)
+        assert drlos_cdf_oracle(1.0, 5.0, 2.0, rel_tol=TIGHT) == pytest.approx(
             val[0], rel=1e-8)
 
     def test_rician_is_infinite_m_limit_of_rs(self):

@@ -1,5 +1,7 @@
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ from scipy.special import k0
 import fdrlos
 from fdrlos import cli
 from fdrlos.analytic import read_curve_csv
-from fdrlos.cli import Grid, _parse_grid, cmd_figure, db_to_linear, main
+from fdrlos.cli import _parse_grid, cmd_figure, db_to_linear, main
 from fdrlos.specfun import DomainError
 
 
@@ -26,26 +28,27 @@ def read_rows(path):
 
 class TestGridParsing:
     def test_basic(self):
-        g = _parse_grid("0:10:200", in_db=False)
-        assert (g.lo, g.hi, g.points, g.spacing) == (0.0, 10.0, 200, "lin")
-        assert len(g.values()) == 200
+        np.testing.assert_array_equal(_parse_grid("0:10:200"), np.linspace(0.0, 10.0, 200))
 
     def test_log_spacing(self):
-        g = _parse_grid("0.1:10:5:log", in_db=False)
-        np.testing.assert_allclose(g.values(), np.geomspace(0.1, 10, 5))
+        np.testing.assert_allclose(_parse_grid("0.1:10:5:log"), np.geomspace(0.1, 10, 5))
 
     def test_invalid(self):
-        with pytest.raises(DomainError):
-            _parse_grid("5:1:10", in_db=False)
-        with pytest.raises(DomainError):
-            Grid(0.0, 1.0, 1)
-        with pytest.raises(DomainError):
-            _parse_grid("0:1:10:log", in_db=False)
-        with pytest.raises(DomainError):
-            _parse_grid("0:1", in_db=False)
-        for text in ("0:inf:3", "-inf:1:3", "0:nan:3", "nan:1:3"):
-            with pytest.raises(DomainError, match="grid bounds must be finite"):
-                _parse_grid(text, in_db=False)
+        for text, message in [
+            ("5:1:10", "grid min must be below grid max"),
+            ("0:1:1", "grid needs at least 2 points"),
+            ("0:1:10:log", "log grid needs a positive minimum"),
+            ("0:1:10:cubic", "grid spacing must be lin or log"),
+            ("0:1", "grid must be min:max:points"),
+            ("a:1:3", "grid must be min:max:points"),
+            ("0:1:2.5", "grid must be min:max:points"),
+            ("0:inf:3", "grid bounds must be finite"),
+            ("-inf:1:3", "grid bounds must be finite"),
+            ("0:nan:3", "grid bounds must be finite"),
+            ("nan:1:3", "grid bounds must be finite"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                _parse_grid(text)
 
     def test_db_conversion(self):
         assert db_to_linear(3.0) == pytest.approx(10 ** 0.3)
@@ -65,8 +68,26 @@ class TestGridParsing:
     (["op", "--k", "1", "--gamma-th-db", "4000", "--grid", "1:2:3"], "overflows"),
     (["cdf", "--k", "1", "--m", "2", "--gamma-bar", "2", "--grid", "0:1:3",
       "--rel-tol", "5"], "rel_tol"),
+    (["pdf", "--model", "rician", "--k", "1", "--gamma-bar", "2", "--grid", "0:1:3",
+      "--rel-tol", "5"], "rel_tol"),
+    (["cdf", "--model", "rician-shadowed", "--k", "1", "--m", "2.5", "--gamma-bar", "2",
+      "--grid", "0:1:3", "--rel-tol", "5"], "rel_tol"),
+    (["op", "--k", "1", "--m", "2", "--gamma-th", "2", "--grid-db", "0:10:3",
+      "--asymptotic", "--rel-tol", "5"], "rel_tol"),
+    (["cdf", "--k", "1", "--gamma-bar", "1", "--grid", "a:1:3"], "min:max:points"),
+    (["op", "--k", "inf", "--m", "2", "--gamma-th", "2", "--grid-db", "0:10:3",
+      "--asymptotic"], "finite K > 0"),
+    (["op", "--k", "nan", "--m", "2", "--gamma-th", "2", "--grid-db", "0:10:3",
+      "--asymptotic"], "finite K > 0"),
+    (["op", "--k", "-1", "--m", "2", "--gamma-th", "2", "--grid-db", "0:10:3",
+      "--asymptotic"], "finite K > 0"),
+    (["op", "--k", "1", "--m", "2", "--gamma-th", "inf", "--grid-db", "0:10:3",
+      "--asymptotic"], "gamma_th"),
 ], ids=["grid-inf", "grid-nan", "op-grid-inf", "grid-db-overflow",
-        "gamma-bar-db-overflow", "gamma-th-db-overflow", "rel-tol-above-one"])
+        "gamma-bar-db-overflow", "gamma-th-db-overflow", "rel-tol-above-one",
+        "rician-rel-tol", "rician-shadowed-rel-tol", "asymptote-rel-tol",
+        "grid-not-a-number", "asymptote-k-inf", "asymptote-k-nan",
+        "asymptote-k-negative", "asymptote-gamma-th-inf"])
 def test_bad_boundary_value_gives_one_error_line(argv, message, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -270,6 +291,15 @@ class TestSimCommand:
         assert len(rows) == 501
         assert all(float(r) >= 0 for r in rows[1:])
 
+    def test_rel_tol_checked_before_sampling(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sampled before --rel-tol was checked")
+
+        monkeypatch.setattr(cli, "sample_snr", must_not_run)
+        out = tmp_path / "sim.txt"
+        assert run(self.BASE + ["--rel-tol", "5", "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_zero_samples_rejected(self, tmp_path):
         code = run(["sim", "--k", "1", "--m", "1", "--gamma-bar", "1",
                     "--samples", "0", "--output", str(tmp_path / "x.txt")])
@@ -305,6 +335,77 @@ class TestFigureCommand:
         parser = cli_mod._build_parser()
         args = parser.parse_args(["figure", "fig5"])
         assert args.output_dir == str(tmp_path / "envdir")
+
+
+# The boundary sweep: every numeric flag of every evaluating command set to
+# inf and to NaN, for each model; the other flags keep these valid values
+SWEEP_BASE = {"--k": "2", "--m": "2", "--gamma-bar": "2", "--gamma-th": "2",
+              "--samples": "2000"}
+SWEEP_COMMANDS = [["pdf", "--grid", "0.5:4:4"], ["cdf", "--grid", "0.5:4:4"],
+                  ["op", "--grid-db", "0:20:3"],
+                  ["op", "--grid-db", "0:20:3", "--asymptotic"], ["sim"]]
+
+
+def numeric_flags(subcommand):
+    """The flags of ``subcommand`` that take a float or an int."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[subcommand]._actions
+            if a.type in (float, int)]
+
+
+def sweep_argvs(out):
+    for head in SWEEP_COMMANDS:
+        flags = numeric_flags(head[0])
+        base = {f: v for f, v in SWEEP_BASE.items() if f in flags}
+        for model in ("fdrlos", "rician-shadowed", "drlos", "rician"):
+            for flag in flags:
+                for value in ("inf", "nan"):
+                    # a dB flag stands in for its linear twin
+                    args = {f: v for f, v in base.items()
+                            if f != flag.removesuffix("-db")}
+                    args[flag] = value
+                    yield head + ["--model", model, "--output", out] + [
+                        t for f, v in args.items() for t in (f, v)]
+
+
+def numbers(text):
+    """Every token of ``text`` that parses as a float (CSV cells, sim values)."""
+    out = []
+    for token in re.split(r"[,=\s]+", text):
+        try:
+            out.append(float(token))
+        except ValueError:
+            pass
+    return out
+
+
+def test_boundary_sweep_exits_cleanly(tmp_path, capsys):
+    # every run ends in 0 with finite output or in 2 with one error line;
+    # never in an exception, a numeric failure (3) or a traceback (1)
+    out = str(tmp_path / "out.txt")
+    bad = []
+    for argv in sweep_argvs(out):
+        if os.path.exists(out):
+            os.remove(out)
+        try:
+            code = main(argv)
+        except SystemExit as exc:        # argparse refuses inf/nan ints
+            code = exc.code
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code == 2:
+            ok = sum("error:" in line for line in err.splitlines()) == 1
+        elif code == 0:
+            with open(out, encoding="utf-8") as fh:
+                values = numbers(fh.read())
+            ok = bool(values) and bool(np.all(np.isfinite(values)))
+        else:
+            ok = False
+        if not ok:
+            bad.append((" ".join(argv), code))
+    assert bad == []
 
 
 def run_python(code):

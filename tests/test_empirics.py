@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from fdrlos.empirics import (CdfContractError, default_ks_threshold, ecdf,
+from fdrlos.empirics import (CdfContractError, default_ks_threshold,
                              histogram_density, ks_distance, tabulated_cdf)
 from fdrlos.models import _chunk_rng
 from fdrlos.specfun import DomainError
@@ -13,42 +11,21 @@ def exp_cdf(x):
     return 1.0 - np.exp(-np.asarray(x, dtype=float))
 
 
-class TestEcdf:
-    def test_step_values(self):
-        f = ecdf(np.array([1.0, 2.0, 3.0]))
-        assert f(2.0) == pytest.approx(2.0 / 3.0)
-        assert f(0.5) == 0.0
-        assert f(3.0) == 1.0
-
-    def test_right_continuity(self):
-        f = ecdf(np.array([1.0, 2.0, 3.0]))
-        assert f(1.999) == pytest.approx(1.0 / 3.0)
-        assert f(2.0) == pytest.approx(2.0 / 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            ecdf(np.array([]))
-
-    @given(st.lists(st.floats(-50, 50), min_size=1, max_size=40))
-    def test_bounded_and_nondecreasing(self, xs):
-        f = ecdf(np.array(xs))
-        grid = np.linspace(min(xs) - 1, max(xs) + 1, 50)
-        vals = f(grid)
-        assert np.all(vals >= 0) and np.all(vals <= 1)
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_large_exponential_sample_close_to_truth(self):
-        x = _chunk_rng(5, 0).exponential(1.0, 10 ** 6)
-        rep = ks_distance(x, exp_cdf, threshold=0.002)
-        assert rep.passed, rep
-
-
 class TestKsDistance:
     def test_same_law_passes_default_threshold(self):
         x = _chunk_rng(8, 0).exponential(1.0, 10 ** 6)
         rep = ks_distance(x, exp_cdf)
         assert rep.passed
         assert rep.threshold == pytest.approx(default_ks_threshold(10 ** 6))
+
+    def test_large_exponential_sample_close_to_truth(self):
+        x = _chunk_rng(5, 0).exponential(1.0, 10 ** 6)
+        rep = ks_distance(x, exp_cdf, threshold=0.002)
+        assert rep.passed, rep
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(DomainError):
+            ks_distance(np.array([]), exp_cdf)
 
     def test_degenerate_sample_fails_badly(self):
         x = np.full(1000, 2.0)

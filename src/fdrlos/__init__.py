@@ -1,10 +1,11 @@
 """Fluctuating double-Rayleigh line-of-sight fading statistics.
 
-The pdf/cdf/outage at integer LoS-fluctuation shape as one scatter average
-of a finite, positive Rician shadowed mixture; reference oracles for every
-real shape; the high-SNR asymptote; the three ancestor models (Rician,
-Rician shadowed, deterministic-LoS double-Rayleigh); and seed-deterministic
-Monte-Carlo samplers.
+The pdf/cdf/outage at every positive LoS-fluctuation shape m as one scatter
+average of a positive Rician shadowed mixture (finite at integer m, a series
+otherwise); an independent series oracle for the cdf; the high-SNR
+asymptote; the three ancestor models (Rician, Rician shadowed,
+deterministic-LoS double-Rayleigh); and seed-deterministic Monte-Carlo
+samplers.
 """
 
 from .analytic import (Curve, UnderflowWarning, asymptotic_op, coding_gain,

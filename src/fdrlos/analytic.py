@@ -7,15 +7,14 @@ unconditional law follows by averaging against the unit-mean exponential
 weight e^{-x}: one vector quadrature over x per chunk of SNR values
 (``_scatter_average``).
 
-Two independent conditional cdfs are kept on purpose:
-
-* integer m (``fdrlos_cdf``): the finite Binomial mixture of m Gamma laws
-  (``rs_cdf_integer``);
-* every real m > 0 (``fdrlos_cdf_oracle``): the negative-binomial series of
-  Erlang cdfs (``rs_cdf``).
-
-The density averages the 1F1 form ``rs_pdf``, a finite sum at integer m.
-All three are sums of positive terms, so deep-outage values keep their
+Every law takes every finite m > 0, and the route follows m
+(``_conditional_cdf``): the cdf averages the finite Binomial mixture of m
+Gamma laws (``rs_cdf_integer``) at integer m and the negative-binomial series
+of Erlang cdfs (``rs_cdf``) at every other m.  ``fdrlos_cdf_oracle`` always
+averages the series, so at integer m it is an independent cross-check.  The
+density averages the 1F1 form ``rs_pdf``, a finite sum at integer m; it has
+one route, and ``fdrlos_pdf_oracle`` is the same function.  All three
+conditionals are sums of positive terms, so deep-outage values keep their
 relative accuracy.  This is the paper's integral before it substitutes
 t = K/m + x and expands (t - K/m)^j into generalized incomplete gammas, whose
 terms cancel; ``scripts/make_goldens.py`` keeps that expansion as an mpmath
@@ -201,6 +200,11 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
     """
     m = check_positive_int(m, "m")
     gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
+    return _binomial_mixture(gamma, k_x, m, gbar_x)
+
+
+def _binomial_mixture(gamma, k_x, m, gbar_x):
+    """``rs_cdf_integer`` on checked arguments: m an int, the rest floats."""
     p, q = m / (m + k_x), k_x / (m + k_x)       # 1/L and 1 - 1/L
     u = gamma * (1.0 + k_x) * p / gbar_x
     with np.errstate(divide="ignore"):
@@ -232,6 +236,11 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     summed alone, in increasing n, so it does not depend on what it is broadcast with.
     """
     gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
+    return _nb_series(gamma, k_x, m, gbar_x)
+
+
+def _nb_series(gamma, k_x, m, gbar_x):
+    """``rs_cdf`` on checked arguments: m > 0, the rest floats."""
     if m > 1e5:
         raise AccuracyError(f"the Rician shadowed series needs m <= 1e5, got {m:g}")
     # past 1e300 F is 1 unless the NB mass is there too, which the cap refuses
@@ -279,12 +288,15 @@ def _flag_underflow(values):
     return values
 
 
-def _pdf_average(gamma, params: FadingParams, rel_tol):
-    """``rs_pdf`` averaged over the scatter weight (+inf at 0 if K = 0)."""
-    return _scatter_average(
-        lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
-        gamma, params.k, params.gamma_bar, rel_tol, 0.0,
-        np.inf if params.k == 0 else np.nan)
+def _conditional_cdf(m):
+    """The conditional Rician shadowed cdf (g, k_x, gbar_x) -> F at shape m,
+    on checked arguments: the finite Binomial mixture at integer m, the
+    negative-binomial series at every other m.  The one place the route of
+    an fdrlos cdf follows m."""
+    if m == int(m):
+        m = int(m)
+        return lambda g, k_x, gbar_x: _binomial_mixture(g, k_x, m, gbar_x)
+    return lambda g, k_x, gbar_x: _nb_series(g, k_x, m, gbar_x)
 
 
 def _cdf_average(conditional, gamma, k, gbar, rel_tol):
@@ -295,55 +307,53 @@ def _cdf_average(conditional, gamma, k, gbar, rel_tol):
     return float(out[0]) if np.ndim(gamma) == 0 and np.ndim(k) == 0 else out
 
 
-def _mixture_cdf(gamma, k, m: int, gbar, rel_tol):
-    return _cdf_average(lambda g, k_x, gbar_x: rs_cdf_integer(g, k_x, m, gbar_x),
-                        gamma, k, gbar, rel_tol)
-
-
 def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
-    """SNR density of the fluctuating double-Rayleigh LoS model at integer m,
-    to relative accuracy ``rel_tol``.
+    """SNR density of the fluctuating double-Rayleigh LoS model for every
+    m > 0, to relative accuracy ``rel_tol``.
 
     The conditional Rician shadowed density ``rs_pdf``, whose 1F1(m; 1; w)
-    is then a finite sum of positive terms, averaged over e^{-x}:
+    is a finite sum of positive terms at integer m and a positive series at
+    every other m, averaged over e^{-x}:
 
         f(g) = int_0^inf e^{-x} f_RS(g; K/x, m, gbar (K+x)/(K+1)) dx.
 
     K = 0 is an ordinary input: the product law, +inf at g = 0.
     """
-    params.require_integer_m()
-    out = _flag_underflow(_pdf_average(gamma, params, rel_tol))
+    out = _flag_underflow(_scatter_average(
+        lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
+        gamma, params.k, params.gamma_bar, rel_tol, 0.0,
+        np.inf if params.k == 0 else np.nan))
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
-def fdrlos_pdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
-    """``fdrlos_pdf`` for any real m > 0 (the 1F1 series in place of the
-    finite sum at real m)."""
-    out = _pdf_average(gamma, params, rel_tol)
-    return float(out[0]) if np.ndim(gamma) == 0 else out
+#: the density has one route for every m, so its oracle is the same function
+fdrlos_pdf_oracle = fdrlos_pdf
 
 
 def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
-    """SNR cdf of the fluctuating double-Rayleigh LoS model at integer m, to
-    relative accuracy ``rel_tol``.
+    """SNR cdf of the fluctuating double-Rayleigh LoS model for every m > 0,
+    to relative accuracy ``rel_tol``.
 
-    The finite Binomial mixture ``rs_cdf_integer`` averaged over e^{-x}; with
-    b = g (K+1)/gbar and z = K/m,
+    The conditional Rician shadowed cdf averaged over e^{-x}: at integer m
+    the finite Binomial mixture ``rs_cdf_integer``; with b = g (K+1)/gbar and
+    z = K/m,
 
         F(g) = int_0^inf e^{-x} sum_{j<m} Bin(j; m-1, x/(x+z)) P(m-j, b/(x+z)) dx,
 
     the paper's integral before t = K/m + x is substituted and (t - K/m)^j
-    expanded.  Every term is positive, so deep outage keeps its relative
-    accuracy; K = 0 puts all the weight on j = m-1 (the product law).
+    expanded.  At every other m the negative-binomial series ``rs_cdf``.
+    Every term is positive, so deep outage keeps its relative accuracy; K = 0
+    puts all the weight on one exponential law (the product law).
     """
-    return _mixture_cdf(gamma, params.k, params.require_integer_m(),
+    return _cdf_average(_conditional_cdf(params.m), gamma, params.k,
                         params.gamma_bar, rel_tol)
 
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
-    """Ground-truth cdf for any real m > 0: the negative-binomial series
-    ``rs_cdf`` in place of the Binomial mixture, an independent conditional."""
-    return _cdf_average(lambda g, k_x, gbar_x: rs_cdf(g, k_x, params.m, gbar_x),
+    """Ground-truth cdf: the negative-binomial series ``rs_cdf`` averaged at
+    every m > 0, so at integer m it shares no conditional code with
+    ``fdrlos_cdf``."""
+    return _cdf_average(lambda g, k_x, gbar_x: _nb_series(g, k_x, params.m, gbar_x),
                         gamma, params.k, params.gamma_bar, rel_tol)
 
 
@@ -352,26 +362,27 @@ def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
 
 
 def outage_probability(gamma_th, k, m, gamma_bar, *, rel_tol=1e-10):
-    """P(snr < gamma_th) = F(gamma_th) at integer m; gamma_th and K broadcast
-    (a sweep over K is one vector quadrature per chunk of points)."""
+    """P(snr < gamma_th) = F(gamma_th) for every m > 0; gamma_th and K
+    broadcast (a sweep over K is one vector quadrature per chunk of points)."""
     k = np.asarray(k, dtype=float)
     if not np.all(np.asarray(gamma_th) > 0):
         raise DomainError("gamma_th must be positive")
-    if not (np.all((k >= 0) & (k < np.inf)) and 0 < gamma_bar < np.inf):
-        raise DomainError("need finite K >= 0 and finite gamma_bar > 0")
-    return _mixture_cdf(gamma_th, k, check_positive_int(m, "m"), gamma_bar, rel_tol)
+    if not (np.all((k >= 0) & (k < np.inf)) and 0 < m < np.inf
+            and 0 < gamma_bar < np.inf):
+        raise DomainError("need finite K >= 0, m > 0 and gamma_bar > 0")
+    return _cdf_average(_conditional_cdf(m), gamma_th, k, gamma_bar, rel_tol)
 
 
 def coding_gain(k, m, *, rel_tol=1e-10):
-    """High-SNR power offset a = (1+K) Gamma(m) U(m, 1, K/m) for finite K > 0.
+    """High-SNR power offset a = (1+K) Gamma(m) U(m, 1, K/m) for finite K > 0
+    and every finite m > 0.
 
     Diverges as K -> 0 (the pure product channel has no order-1 asymptote),
     so K = 0 is rejected.
     """
-    if not (0 < k < math.inf):
+    if not (0 < k < math.inf and 0 < m < math.inf):
         raise DomainError("the coding gain needs finite K > 0 (it diverges at "
-                          f"K = 0), got K = {k}")
-    m = check_positive_int(m, "m")
+                          f"K = 0) and finite m > 0, got K = {k}, m = {m}")
     return (1.0 + k) * gamma_tricomi_u(m, k / m, rel_tol=rel_tol)
 
 

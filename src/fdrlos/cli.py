@@ -5,8 +5,14 @@ are converted once at this boundary via linear = 10^(dB/10).  Output is CSV
 (UTF-8, comma, header row, LF) with 17 significant digits, which round-trips
 doubles exactly.
 
-Exit codes: 0 success, 2 usage/domain error, 3 numeric or convergence
-failure.
+Every fdrlos law takes every finite m > 0; the route (the finite Binomial
+mixture at integer m, the negative-binomial series otherwise) follows m.
+``--oracle`` selects the negative-binomial conditional for the fdrlos cdf at
+every m, a cross-check at integer m; at other m, and for the pdf, it gives
+the same numbers as the default.
+
+Exit codes: 0 success, 2 usage/domain error or an output path that cannot be
+written (one ``error:`` line on stderr), 3 numeric or convergence failure.
 
 Sweeps over the mean SNR (``op`` and the fig3/fig4 outage curves) use the
 scale-family identity every model's SNR law obeys,
@@ -100,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
             g.add_argument("--gamma-bar", type=float, help="mean SNR, linear")
             g.add_argument("--gamma-bar-db", type=float, help="mean SNR, dB")
         p.add_argument("--oracle", action="store_true",
-                       help="force the quadrature-oracle path")
+                       help="fdrlos cdf from the negative-binomial conditional "
+                            "at every m (a cross-check at integer m)")
         p.add_argument("--rel-tol", type=float, default=1e-10)
         p.add_argument("--output", help="CSV path (default: stdout)")
 
@@ -217,16 +224,17 @@ def cmd_sim(args) -> int:
         f"ks_margin={report.threshold - report.statistic:.17g}",
     ]
     text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # the dump goes first, so a path it cannot write leaves stdout empty
     if args.raw_output:
         with open(args.raw_output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("value\n")
             for v in vals:
                 fh.write(f"{v:.17g}\n")
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 
@@ -351,7 +359,7 @@ def main(argv=None) -> int:
             return cmd_figure(args.name, args.output_dir, args.mc_samples)
         check_rel_tol(args.rel_tol)
         return _COMMANDS[args.subcommand](args)
-    except (DomainError, empirics.CdfContractError) as exc:
+    except (DomainError, empirics.CdfContractError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:

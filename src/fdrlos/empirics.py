@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .analytic import Curve
 from .specfun import DomainError
@@ -91,6 +90,9 @@ def tabulated_cdf(cdf_vectorized, lo: float, hi: float, points: int = 1500):
     the interpolation error (well below 1e-6 for the smooth laws here) is
     negligible against the KS thresholds it is used with.
     """
+    # imported here, so importing the CLI leaves it out: only ``sim`` tabulates
+    from scipy.interpolate import PchipInterpolator
+
     lead = max(lo * 0.999, 1e-300)
     grid = np.geomspace(lead, hi * 1.001, points)
     vals = np.asarray(cdf_vectorized(grid), dtype=float)

@@ -69,9 +69,8 @@ class FadingParams:
     """(K, m, gamma_bar) in linear scale.
 
     K >= 0 is the LoS-to-scatter power ratio, m > 0 the LoS fluctuation
-    shape (any positive real for sampling and the oracles; ``fdrlos_pdf`` and
-    ``fdrlos_cdf`` need an integer),
-    gamma_bar > 0 the mean SNR.  All three must be finite.
+    shape (any positive real, for the samplers and every law), gamma_bar > 0
+    the mean SNR.  All three must be finite.
     """
 
     k: float
@@ -95,13 +94,6 @@ class FadingParams:
     def omega2(self) -> float:
         """Diffuse amplitude; omega2^2 = 1/(K+1), so E|S|^2 = 1."""
         return float(np.sqrt(1.0 / (self.k + 1.0)))
-
-    def require_integer_m(self) -> int:
-        if self.m != int(self.m):
-            raise DomainError(
-                f"the finite Rician shadowed mixture needs integer m (got "
-                f"m={self.m}); use the oracle route for real m")
-        return int(self.m)
 
 
 @dataclass(frozen=True)

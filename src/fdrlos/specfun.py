@@ -280,16 +280,19 @@ def _log_1f1_asymptotic_vec(a, b, x):
 
 
 def gamma_tricomi_u(m, x, *, rel_tol=1e-10):
-    """Gamma(m) * U(m, 1, x) for integer m >= 1 and finite x > 0, to relative
+    """Gamma(m) * U(m, 1, x) for finite m > 0 and finite x > 0, to relative
     accuracy ``rel_tol``.
 
     Computed as int_0^inf e^(-x t) t^(m-1) (1+t)^(-m) dt, which stays O(1)
     even when Gamma(m) alone would overflow; the downstream high-SNR offset
     needs exactly this product.  The variable is rescaled by m/x so the
     integrand peak sits at O(1) for every argument, and a log offset keeps
-    the intermediate values representable for large m.
+    the intermediate values representable for large m.  Below m = 1 the
+    t^(m-1) singularity at 0 would leave the error estimate too optimistic,
+    so there v = s^(1/m) is substituted, which turns v^(m-1) dv into ds/m.
     """
-    m = check_positive_int(m, "m")
+    if not (0 < m < math.inf):
+        raise DomainError(f"m must be finite and positive, got {m}")
     x = float(x)
     if not (0 < x < math.inf):
         raise DomainError("x must be finite and positive (the x -> 0 limit "
@@ -297,9 +300,14 @@ def gamma_tricomi_u(m, x, *, rel_tol=1e-10):
     scale = m / x
     log_scale = math.log(scale)
 
-    def log_f(v):
-        return ((m - 1) * (log_scale + np.log(v)) - m * np.log1p(scale * v)
-                - m * v + log_scale)
+    if m >= 1:
+        def log_f(v):
+            return ((m - 1) * (log_scale + np.log(v)) - m * np.log1p(scale * v)
+                    - m * v + log_scale)
+    else:
+        def log_f(s):
+            v = s ** (1.0 / m)
+            return m * log_scale - math.log(m) - m * np.log1p(scale * v) - m * v
 
     probe = np.geomspace(1e-8, 100.0, 257)
     offset = float(np.max(log_f(probe)))

@@ -70,6 +70,9 @@ FDRLOS_CDF_GOLDENS = {
 CODING_GAIN_GOLDENS = {
     (1.0, 1): 1.1926947246463881,
     (1.0, 3): 0.6512207920791714,
+    (1.0, 2.5): 0.6966871322235483,
+    (1.0, 0.7): 1.6281872765286165,
+    (1.0, 0.3): 4.076437889776474,
 }
 FDRLOS_PDF_532 = {g: v for (g, k, m, gbar), v in FDRLOS_PDF_GOLDENS.items()
                   if (k, m, gbar) == (5.0, 3, 2.0)}
@@ -247,9 +250,9 @@ class TestFdrlosPdf:
         p15 = fdrlos_pdf(8.0, FadingParams(5.0, 15, 2.0))
         assert p1 > p15
 
-    def test_non_integer_m_rejected_with_guidance(self):
-        with pytest.raises(DomainError, match="oracle"):
-            fdrlos_pdf(1.0, FadingParams(1.0, 2.5, 1.0))
+    def test_oracle_is_the_same_function(self):
+        # one density route serves every m
+        assert fdrlos_pdf_oracle is fdrlos_pdf
 
     def test_negative_snr_rejected(self):
         with pytest.raises(DomainError):
@@ -349,18 +352,14 @@ class TestFdrlosCdfOracle:
     def test_deep_outage_keeps_relative_accuracy(self, m):
         # both conditional cdfs are positive sums, so 80-120 dB outage neither
         # cancels nor stalls the quadrature; it tends to a gamma_th / gbar,
-        # a the coding gain at integer m, on the oracle and on fdrlos_cdf
+        # a the coding gain; at real m fdrlos_cdf averages the oracle's series
         gth = 10.0 ** 0.3
         p = FadingParams(1.0, m, 1.0)
-        routes = (fdrlos_cdf_oracle, fdrlos_cdf) if m == int(m) else (fdrlos_cdf_oracle,)
+        routes = (fdrlos_cdf_oracle, fdrlos_cdf) if m == int(m) else (fdrlos_cdf,)
         for route in routes:
             for db in (80.0, 100.0, 120.0):
                 slope = route(gth / 10.0 ** (db / 10.0), p) * 10.0 ** (db / 10.0) / gth
-                if m == int(m):
-                    assert slope == pytest.approx(coding_gain(1.0, m), rel=1e-6)
-                else:
-                    assert slope == pytest.approx(
-                        route(gth * 1e-14, p) * 1e14 / gth, rel=1e-6)
+                assert slope == pytest.approx(coding_gain(1.0, m), rel=1e-6)
 
     def test_real_m_is_one_quadrature_per_chunk(self, monkeypatch):
         calls = []
@@ -376,8 +375,9 @@ class TestFdrlosCdfOracle:
 
 class TestOutage:
     def test_is_cdf_at_threshold(self):
-        assert outage_probability(2.0, 5.0, 3, 2.0) == fdrlos_cdf(
-            2.0, FadingParams(5.0, 3, 2.0))
+        for m in (3, 2.5):
+            assert outage_probability(2.0, 5.0, m, 2.0) == fdrlos_cdf(
+                2.0, FadingParams(5.0, m, 2.0))
 
     def test_decreasing_in_fluctuation_shape(self):
         ops = [outage_probability(2.0, 1.0, m, 10.0) for m in (1, 5, 15)]
@@ -407,7 +407,7 @@ class TestOutage:
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 3, 2.0), (2.0, -1.0, 3, 2.0),
-                                      (2.0, [1.0, np.inf], 3, 2.0), (2.0, 1.0, 2.5, 2.0),
+                                      (2.0, [1.0, np.inf], 3, 2.0), (2.0, 1.0, 0.0, 2.0),
                                       (2.0, 1.0, np.inf, 2.0), (2.0, 1.0, 3, 0.0),
                                       (2.0, 1.0, 3, np.inf)])
     def test_rejects_bad_inputs(self, args):
@@ -435,6 +435,18 @@ def test_scale_family_identity(route, k, m, gbar_db, gamma):
     gbar = 10.0 ** (gbar_db / 10.0)
     assert cdf(gamma, k, m, gbar) == pytest.approx(
         cdf(gamma / gbar, k, m, 1.0), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 10])
+def test_route_is_continuous_across_integer_m(m):
+    # the finite Binomial mixture at m and the negative-binomial series at
+    # m -/+ 1e-9 (the 1F1 series for the density) must meet
+    g = np.array([0.3, 1.0, 4.0])
+    for law in (fdrlos_cdf, fdrlos_pdf):
+        at = law(g, FadingParams(2.0, m, 1.5))
+        for near in (m - 1e-9, m + 1e-9):
+            np.testing.assert_allclose(law(g, FadingParams(2.0, near, 1.5)), at,
+                                       rtol=1e-8, atol=0)
 
 
 class TestSnrBoundary:
@@ -493,6 +505,12 @@ class TestAsymptote:
 
     def test_coding_gain_m3_golden(self):
         assert coding_gain(1.0, 3) == pytest.approx(A_K1_M3, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [2.5, 0.7, 0.3])
+    def test_coding_gain_real_m_golden(self, m):
+        # below m = 1 the integrand is singular at 0 unless substituted
+        assert coding_gain(1.0, m) == pytest.approx(
+            CODING_GAIN_GOLDENS[(1.0, m)], rel=1e-12, abs=0)
 
     def test_diverges_without_los(self):
         # K = 0 diverges; a negative, infinite or NaN K or threshold is

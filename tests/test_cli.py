@@ -11,7 +11,7 @@ import pytest
 from scipy.special import k0
 
 import fdrlos
-from fdrlos import cli
+from fdrlos import cli, empirics
 from fdrlos.analytic import read_curve_csv
 from fdrlos.cli import _parse_grid, cmd_figure, db_to_linear, main
 from fdrlos.specfun import DomainError
@@ -83,11 +83,17 @@ class TestGridParsing:
       "--asymptotic"], "finite K > 0"),
     (["op", "--k", "1", "--m", "2", "--gamma-th", "inf", "--grid-db", "0:10:3",
       "--asymptotic"], "gamma_th"),
+    (["cdf", "--k", "1", "--m", "3", "--gamma-bar", "1", "--grid", "1:2:3",
+      "--output", "/nonexistent/x.csv"], "/nonexistent/x.csv"),
+    (["figure", "fig5", "--output-dir", os.path.abspath(__file__)], "File exists"),
+    (["sim", "--k", "1", "--m", "1", "--gamma-bar", "1", "--samples", "50",
+      "--raw-output", "/nonexistent/r.csv"], "/nonexistent/r.csv"),
 ], ids=["grid-inf", "grid-nan", "op-grid-inf", "grid-db-overflow",
         "gamma-bar-db-overflow", "gamma-th-db-overflow", "rel-tol-above-one",
         "rician-rel-tol", "rician-shadowed-rel-tol", "asymptote-rel-tol",
         "grid-not-a-number", "asymptote-k-inf", "asymptote-k-nan",
-        "asymptote-k-negative", "asymptote-gamma-th-inf"])
+        "asymptote-k-negative", "asymptote-gamma-th-inf", "unwritable-output",
+        "output-dir-is-a-file", "unwritable-raw-output"])
 def test_bad_boundary_value_gives_one_error_line(argv, message, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -121,12 +127,6 @@ class TestPdfCommand:
         c2 = read_curve_csv(str(out2))
         assert np.array_equal(c1.ordinate, c2.ordinate)
         assert np.array_equal(c1.abscissa, c2.abscissa)
-
-    def test_non_integer_m_needs_oracle_flag(self, tmp_path):
-        args = ["pdf", "--k", "1", "--m", "2.5", "--gamma-bar", "1",
-                "--grid", "0.5:2:3", "--output", str(tmp_path / "x.csv")]
-        assert run(args) == 2
-        assert run(args + ["--oracle"]) == 0
 
     @pytest.mark.parametrize("route", [
         ["--m", "3"], ["--m", "2.5", "--oracle"], ["--model", "drlos"],
@@ -337,6 +337,27 @@ class TestFigureCommand:
         assert args.output_dir == str(tmp_path / "envdir")
 
 
+def test_real_m_needs_no_oracle_flag(tmp_path, monkeypatch):
+    # every fdrlos command takes a real m; where --oracle applies it gives the
+    # same bytes, because at real m both routes average the same series
+    tabulate = empirics.tabulated_cdf      # 1500 points at real m take seconds
+    monkeypatch.setattr(empirics, "tabulated_cdf",
+                        lambda law, lo, hi: tabulate(law, lo, hi, points=40))
+    base = ["--k", "1", "--m", "2.5"]
+    curve = ["--gamma-bar", "1", "--grid", "0.5:2:3"]
+    op = ["--gamma-th", "2", "--grid-db", "0:20:3"]
+    for name, argv in [("cdf", ["cdf", *base, *curve]), ("pdf", ["pdf", *base, *curve]),
+                       ("op", ["op", *base, *op]),
+                       ("asym", ["op", *base, *op, "--asymptotic"]),
+                       ("sim", ["sim", *base, "--gamma-bar", "1", "--samples", "200"])]:
+        plain, oracle = tmp_path / f"{name}.txt", tmp_path / f"{name}_oracle.txt"
+        assert run(argv + ["--output", str(plain)]) == 0
+        if name != "asym":
+            assert run(argv + ["--oracle", "--output", str(oracle)]) == 0
+            assert plain.read_bytes() == oracle.read_bytes()
+    assert "ks_pass=true" in read_rows(str(tmp_path / "sim.txt"))
+
+
 # The boundary sweep: every numeric flag of every evaluating command set to
 # inf and to NaN, for each model; the other flags keep these valid values
 SWEEP_BASE = {"--k": "2", "--m": "2", "--gamma-bar": "2", "--gamma-th": "2",
@@ -419,8 +440,9 @@ def run_python(code):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    code = ("import sys, fdrlos.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    # scipy.interpolate too: only ``sim`` tabulates a cdf, and imports it then
+    code = ("import sys, fdrlos.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.interpolate'))))")
     assert run_python(code).strip() == "[]"
 
 

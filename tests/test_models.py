@@ -30,10 +30,10 @@ class TestFadingParams:
             with pytest.raises(DomainError, match="finite"):
                 FadingParams(*args)
 
-    def test_integer_m_gate(self):
-        assert FadingParams(1.0, 3, 1.0).require_integer_m() == 3
-        with pytest.raises(DomainError):
-            FadingParams(1.0, 2.5, 1.0).require_integer_m()
+    def test_every_positive_m_accepted(self):
+        # every law takes a real m, so the shape is kept as given
+        for m in (0.3, 2.5, 3):
+            assert FadingParams(1.0, m, 1.0).m == m
 
     def test_model_parsing(self):
         assert ModelKind.parse("FDRLOS") is ModelKind.FDRLOS

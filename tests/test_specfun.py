@@ -280,10 +280,9 @@ class TestTricomiU:
         for x in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="finite and positive"):
                 gamma_tricomi_u(2, x)
-        with pytest.raises(DomainError):
-            gamma_tricomi_u(0, 1.0)
-        with pytest.raises(DomainError):
-            gamma_tricomi_u(1.5, 1.0)
+        for m in (0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="m must be finite and positive"):
+                gamma_tricomi_u(m, 1.0)
 
     def test_gamma_scaled_product_survives_large_order(self):
         # Gamma(m) U(m,1,x) stays O(1) where Gamma(m) alone overflows

@@ -15,8 +15,12 @@ Both F(g) = int_0^g f and S(g) = int_g^inf f are integrated; a case is kept
 only if F + S = 1 to 25 digits, and the smaller of the two gives the value
 (F directly, or 1 - S), so deep-outage values keep their relative accuracy.
 
-Fluctuating double-Rayleigh LoS pdf and cdf (``FDRLOS_PDF_GOLDENS``,
-``FDRLOS_CDF_GOLDENS``), two ways that must agree to 16 digits:
+Rician shadowed pdf (``RS_PDF_GOLDENS``): the 1F1 density above at both
+precisions, at K up to 1e8, where e^-x and 1F1 each leave double range.
+
+Fluctuating double-Rayleigh LoS pdf and cdf at integer m
+(``FDRLOS_PDF_GOLDENS``, ``FDRLOS_CDF_GOLDENS``), two ways that must agree to
+16 digits:
 
 * the paper's closed form: t = K/m + x substituted in the scatter average
   and (t - K/m)^j expanded into generalized incomplete gammas
@@ -28,6 +32,10 @@ Fluctuating double-Rayleigh LoS pdf and cdf (``FDRLOS_PDF_GOLDENS``,
   gbar_x = gbar (K+x)/(K+1) (for the cdf, integrated over [0, g] as well),
   at 30 digits.
 
+The same pdf at real m (``FDRLOS_PDF_REAL_M_GOLDENS``), where the closed form
+does not apply: the 1F1 average by tanh-sinh at both precisions, confirmed to
+16 digits by Gauss-Legendre at 30 digits.
+
 Coding gains (``CODING_GAIN_GOLDENS``), two ways that must agree to 25
 digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
 (1+K) int_0^inf e^(-x) x^(m-1) (x + K/m)^(-m) dx at 40 digits, taken with
@@ -35,7 +43,8 @@ x = s^(1/m), which turns x^(m-1) dx into ds/m (below m = 1, x^(m-1) is
 singular at 0, and at m = 0.3 the plain integral agrees to only 13 digits).
 
 Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
-``hyp1f1``, ``hyperu``, ``e1`` and upper ``gammainc``, and the generalized
+``hyp1f1`` (and the scaled log(e^-x 1F1(a; b; x))), ``hyperu``, ``e1`` and
+upper ``gammainc``, and the generalized
 incomplete gamma Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by
 ``mp.quad``.
 
@@ -75,6 +84,16 @@ FDRLOS_CDF_CASES = [("fig1 K = 5, m = 3", 2.0, 5.0, 3, 2.0)] + _LARGE_M + [
     (f"{db} dB outage", 10.0 ** 0.3, 1.0, m, 10.0 ** (db / 10))
     for m, db in ((10, 60), (10, 80), (10, 100), (10, 120), (40, 120))]
 
+#: (gamma, k, m, gbar) of the Rician shadowed pdf: K_x up to 1e8, where the
+#: 1F1 argument is about K_x gamma / gbar
+RS_PDF_CASES = [(3.0, k, m, 1.7) for m in (3, 2.5) for k in (5e4, 1e6, 1e8)]
+
+#: real m past 25, where the 1F1 series and the large-x expansion meet at a^2;
+#: the first three are the grid of ``fdrlos pdf --k 1 --m 30.5 --gamma-bar 1
+#: --grid 0.5:2:3``
+FDRLOS_PDF_REAL_M_CASES = [(g, 1.0, 30.5, 1.0) for g in (0.5, 1.25, 2.0)] + [
+    (1.0, 1.0, 50.5, 1.0), (1.0, 5.0, 30.5, 2.0), (1.0, 5.0, 50.5, 2.0)]
+
 #: (k, m): integer m, and real m down to 0.3
 CODING_GAIN_CASES = [(1.0, 1), (1.0, 3), (1.0, 2.5), (1.0, 0.7), (1.0, 0.3)]
 
@@ -101,8 +120,9 @@ SPECFUN_TABLES = [
     ("HYP1F1_LARGE", mp.hyp1f1,
      [(2.5, 1.0, 80.0), (2.5, 1.0, 300.0), (0.5, 1.0, 120.0), (3.0, 1.0, 600.0),
       (5.0, 1.0, 100.0), (2.5, 1.7, 30.0)]),
-    ("LOG_HYP1F1", lambda a, b, x: mp.log(mp.hyp1f1(a, b, x)),
-     [(500.0, 1.0, 50.0), (2.5, 1.0, 5000.0)]),
+    ("SCALED_LOG_HYP1F1", lambda a, b, x: mp.log(mp.hyp1f1(a, b, x)) - x,
+     [(500.0, 1.0, 50.0), (2.5, 1.0, 5000.0), (30.5, 1.0, 300.0),
+      (30.0, 1.0, 300.0), (100.5, 1.0, 9000.0)]),
 ]
 
 
@@ -238,6 +258,18 @@ def fdrlos_cdf_1f1(g, k, m, gbar):
         k, m, method="gauss-legendre")
 
 
+def fdrlos_pdf_real_m(g, k, m, gbar):
+    value = special(fdrlos_pdf_1f1, (g, k, m, gbar))
+    with mp.workdps(30):
+        g_, gbar_ = mp.mpf(g), mp.mpf(gbar)
+        check = _scatter_average(lambda k_x, scale: rs_pdf(g_, k_x, m, gbar_ * scale),
+                                 k, m, method="gauss-legendre")
+    if abs(check - value) > abs(value) * mp.mpf(10) ** -16:
+        raise ArithmeticError(f"fdrlos pdf {(g, k, m, gbar)} = {value}, but "
+                              f"Gauss-Legendre gives {check}")
+    return value
+
+
 def fdrlos_golden(closed, averaged, args):
     value = settled(closed, args)
     with mp.workdps(30):
@@ -269,6 +301,11 @@ def main():
     print("}")
     value = agreed("RS_CDF_2_4_2_15", lambda dps: rs_cdf(2.0, 4.0, 2, 1.5, dps))
     print(f"RS_CDF_2_4_2_15 = {float(value)!r}")
+    print("RS_PDF_GOLDENS = {")
+    for g, k, m, gbar in RS_PDF_CASES:
+        value = special(rs_pdf, (g, k, m, gbar))
+        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},")
+    print("}")
     for title, cases, closed, averaged in (
             ("FDRLOS_PDF_GOLDENS", FDRLOS_PDF_CASES, fdrlos_pdf_gig, fdrlos_pdf_1f1),
             ("FDRLOS_CDF_GOLDENS", FDRLOS_CDF_CASES, fdrlos_cdf_gig, fdrlos_cdf_1f1)):
@@ -277,6 +314,11 @@ def main():
             value = fdrlos_golden(closed, averaged, (g, k, m, gbar))
             print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
         print("}")
+    print("FDRLOS_PDF_REAL_M_GOLDENS = {")
+    for g, k, m, gbar in FDRLOS_PDF_REAL_M_CASES:
+        value = fdrlos_pdf_real_m(g, k, m, gbar)
+        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},")
+    print("}")
     print("CODING_GAIN_GOLDENS = {")
     for k, m in CODING_GAIN_CASES:
         print(f"    ({k!r}, {m!r}): {float(coding_gain(k, m))!r},")

@@ -8,12 +8,13 @@ weight e^{-x}: one vector quadrature over x per chunk of SNR values
 (``_scatter_average``).
 
 Every law takes every finite m > 0, and the route follows m
-(``_conditional_cdf``): the cdf averages the finite Binomial mixture of m
-Gamma laws (``rs_cdf_integer``) at integer m and the negative-binomial series
-of Erlang cdfs (``rs_cdf``) at every other m.  ``fdrlos_cdf_oracle`` always
-averages the series, so at integer m it is an independent cross-check.  The
-density averages the 1F1 form ``rs_pdf``, a finite sum at integer m; it has
-one route, and ``fdrlos_pdf_oracle`` is the same function.  All three
+(``_conditional``, the one place that decides): at integer m both the cdf
+and the density are the finite Binomial mixture of m Gamma laws
+(``rs_cdf_integer`` and its density), at every other m the cdf is the
+negative-binomial series of Erlang cdfs (``rs_cdf``) and the density the 1F1
+form through the scaled log 1F1.  ``fdrlos_cdf_oracle`` always averages the
+series, so at integer m it is an independent cross-check; the density has
+one route, and ``fdrlos_pdf_oracle`` is the same function.  All these
 conditionals are sums of positive terms, so deep-outage values keep their
 relative accuracy.  This is the paper's integral before it substitutes
 t = K/m + x and expands (t - K/m)^j into generalized incomplete gammas, whose
@@ -165,22 +166,34 @@ def _check_rs(gamma, k_x, m, gbar_x):
 
 
 def rs_pdf(gamma, k_x, m, gbar_x):
-    """SNR density of the Rician shadowed model (any real m > 0).
+    """SNR density of the Rician shadowed model for every m > 0: with
+    p = m/(m+K_x), u = (1+K_x) p g / gbar_x and w = (1-p)(1+K_x) g / gbar_x,
 
-    f(g) = m^m (1+K_x) / ((m+K_x)^m gbar_x) * exp(-(1+K_x) g / gbar_x)
-           * 1F1(m; 1; K_x (1+K_x) g / ((K_x+m) gbar_x))
+        f(g) = p^m (1+K_x) / gbar_x * e^{-u} * e^{-w} 1F1(m; 1; w),
 
-    Vectorizes over gamma and/or (k_x, gbar_x) by broadcasting; evaluated in
-    log space so the huge-argument 1F1 against the tiny exponential prefactor
-    stays finite.
+    at integer m the density of the Binomial mixture that ``rs_cdf_integer``
+    sums, at every other m through the scaled log 1F1: no route forms e^{+w}.
+    Broadcasts over all three arrays.
     """
     gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
-    w = k_x * (1.0 + k_x) * gamma / ((k_x + m) * gbar_x)
-    logf = (m * math.log(m) + np.log1p(k_x) - m * np.log(m + k_x)
-            - np.log(gbar_x) - (1.0 + k_x) * gamma / gbar_x
-            + log_kummer_1f1(m, 1.0, w))
-    out = np.exp(logf)
+    out = _conditional(m, "pdf")(gamma, k_x, gbar_x)
     return float(out) if out.ndim == 0 else out
+
+
+def _kummer_density(gamma, k_x, m, gbar_x):
+    """``rs_pdf`` at real m on checked arguments."""
+    y, p, q = gamma * (1.0 + k_x) / gbar_x, m / (m + k_x), k_x / (m + k_x)
+    return np.exp(m * np.log(p) + np.log1p(k_x) - np.log(gbar_x) - p * y
+                  + log_kummer_1f1(m, 1.0, q * y))
+
+
+def _mixture_density(gamma, k_x, m, gbar_x):
+    """``rs_pdf`` at integer m on checked arguments: with r = u/g,
+    r sum_{n<=m} Bin(m-n; m-1, p) u^(n-1) e^{-u} / (n-1)!, one positive sum."""
+    p, log_w = _binomial_log_weights(k_x, m)
+    r = (1.0 + k_x) * p / gbar_x
+    u, n = (gamma * r)[..., None], np.arange(1.0, m + 1.0)
+    return r * np.sum(np.exp(log_w + xlogy(n - 1.0, u) - u - gammaln(n)), axis=-1)
 
 
 def rs_cdf_integer(gamma, k_x, m, gbar_x):
@@ -203,20 +216,27 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
     return _binomial_mixture(gamma, k_x, m, gbar_x)
 
 
+def _binomial_log_weights(k_x, m):
+    """p = m/(m+K_x) = 1/L and the log weights log Bin(m-n; m-1, p) of the
+    Gamma orders n = 1..m, along a new last axis."""
+    p, q, n = m / (m + k_x), k_x / (m + k_x), np.arange(1, m + 1)
+    lg = np.array([math.lgamma(i) for i in range(1, m + 1)])     # lgamma(n)
+    log_c = lg[-1] - lg[::-1] - lg                               # C(m-1, m-n)
+    return p, log_c + xlogy(m - n, p[..., None]) + xlogy(n - 1, q[..., None])
+
+
 def _binomial_mixture(gamma, k_x, m, gbar_x):
     """``rs_cdf_integer`` on checked arguments: m an int, the rest floats."""
-    p, q = m / (m + k_x), k_x / (m + k_x)       # 1/L and 1 - 1/L
+    p, log_w = _binomial_log_weights(k_x, m)
     u = gamma * (1.0 + k_x) * p / gbar_x
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
     big_p = gammainc(m, u)
     out = np.zeros(big_p.shape)
-    for n in range(m, 0, -1):                   # n = m - j
+    for n in range(m, 0, -1):
         if n < m:
             big_p = big_p + np.exp(n * log_u - u - math.lgamma(n + 1.0))
-        j = m - n
-        log_c = math.lgamma(m) - math.lgamma(j + 1.0) - math.lgamma(n)  # C(m-1, j)
-        out += np.exp(log_c + xlogy(j, p) + xlogy(n - 1, q)) * big_p
+        out += np.exp(log_w[..., n - 1]) * big_p
     out = np.minimum(out, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -288,20 +308,21 @@ def _flag_underflow(values):
     return values
 
 
-def _conditional_cdf(m):
-    """The conditional Rician shadowed cdf (g, k_x, gbar_x) -> F at shape m,
-    on checked arguments: the finite Binomial mixture at integer m, the
-    negative-binomial series at every other m.  The one place the route of
-    an fdrlos cdf follows m."""
+def _conditional(m, law):
+    """The conditional Rician shadowed ``law`` ("pdf" or "cdf") at shape m,
+    (g, k_x, gbar_x) -> value on checked arguments: the Binomial mixture of m
+    Gamma laws at integer m, else the 1F1 density or the negative-binomial
+    series.  The one place the route of a law follows m."""
     if m == int(m):
-        m = int(m)
-        return lambda g, k_x, gbar_x: _binomial_mixture(g, k_x, m, gbar_x)
-    return lambda g, k_x, gbar_x: _nb_series(g, k_x, m, gbar_x)
+        kernel, m = (_mixture_density if law == "pdf" else _binomial_mixture), int(m)
+    else:
+        kernel = _kummer_density if law == "pdf" else _nb_series
+    return lambda g, k_x, gbar_x: kernel(g, k_x, m, gbar_x)
 
 
 def _cdf_average(conditional, gamma, k, gbar, rel_tol):
-    """A conditional Rician shadowed cdf averaged over the scatter weight;
-    K broadcasts against gamma."""
+    """A conditional cdf averaged over the scatter weight; K broadcasts
+    against gamma."""
     out = np.clip(_scatter_average(conditional, gamma, k, gbar, rel_tol, 1.0),
                   0.0, 1.0)
     return float(out[0]) if np.ndim(gamma) == 0 and np.ndim(k) == 0 else out
@@ -311,18 +332,17 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     """SNR density of the fluctuating double-Rayleigh LoS model for every
     m > 0, to relative accuracy ``rel_tol``.
 
-    The conditional Rician shadowed density ``rs_pdf``, whose 1F1(m; 1; w)
-    is a finite sum of positive terms at integer m and a positive series at
-    every other m, averaged over e^{-x}:
+    The conditional Rician shadowed density ``rs_pdf`` averaged over e^{-x}:
 
-        f(g) = int_0^inf e^{-x} f_RS(g; K/x, m, gbar (K+x)/(K+1)) dx.
+        f(g) = int_0^inf e^{-x} f_RS(g; K/x, m, gbar (K+x)/(K+1)) dx,
 
-    K = 0 is an ordinary input: the product law, +inf at g = 0.
+    at integer m the density of the Binomial mixture of m Gamma laws that
+    ``rs_cdf_integer`` sums, at every other m the scaled 1F1 form; both are
+    positive sums.  K = 0 is an ordinary input: the product law, +inf at g = 0.
     """
     out = _flag_underflow(_scatter_average(
-        lambda g, k_x, gbar_x: rs_pdf(g, k_x, params.m, gbar_x),
-        gamma, params.k, params.gamma_bar, rel_tol, 0.0,
-        np.inf if params.k == 0 else np.nan))
+        _conditional(params.m, "pdf"), gamma, params.k, params.gamma_bar,
+        rel_tol, 0.0, np.inf if params.k == 0 else np.nan))
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
@@ -345,7 +365,7 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     Every term is positive, so deep outage keeps its relative accuracy; K = 0
     puts all the weight on one exponential law (the product law).
     """
-    return _cdf_average(_conditional_cdf(params.m), gamma, params.k,
+    return _cdf_average(_conditional(params.m, "cdf"), gamma, params.k,
                         params.gamma_bar, rel_tol)
 
 
@@ -370,7 +390,7 @@ def outage_probability(gamma_th, k, m, gamma_bar, *, rel_tol=1e-10):
     if not (np.all((k >= 0) & (k < np.inf)) and 0 < m < np.inf
             and 0 < gamma_bar < np.inf):
         raise DomainError("need finite K >= 0, m > 0 and gamma_bar > 0")
-    return _cdf_average(_conditional_cdf(m), gamma_th, k, gamma_bar, rel_tol)
+    return _cdf_average(_conditional(m, "cdf"), gamma_th, k, gamma_bar, rel_tol)
 
 
 def coding_gain(k, m, *, rel_tol=1e-10):
@@ -429,6 +449,4 @@ def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
-    out = np.clip(_scatter_average(rician_cdf, gamma, k, gbar, rel_tol, 1.0),
-                  0.0, 1.0)
-    return float(out[0]) if np.ndim(gamma) == 0 else out
+    return _cdf_average(rician_cdf, gamma, k, gbar, rel_tol)

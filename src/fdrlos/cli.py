@@ -6,7 +6,7 @@ are converted once at this boundary via linear = 10^(dB/10).  Output is CSV
 doubles exactly.
 
 Every fdrlos law takes every finite m > 0; the route (the finite Binomial
-mixture at integer m, the negative-binomial series otherwise) follows m.
+mixture at integer m, otherwise the negative-binomial series or 1F1) follows m.
 ``--oracle`` selects the negative-binomial conditional for the fdrlos cdf at
 every m, a cross-check at integer m; at other m, and for the pdf, it gives
 the same numbers as the default.
@@ -17,7 +17,9 @@ written (one ``error:`` line on stderr), 3 numeric or convergence failure.
 Sweeps over the mean SNR (``op`` and the fig3/fig4 outage curves) use the
 scale-family identity every model's SNR law obeys,
 F(gamma; K, m, gamma_bar) = F(gamma / gamma_bar; K, m, 1), so each curve is
-one vector cdf evaluation at gamma_bar = 1 on gamma_th / gamma_bar.
+one vector cdf evaluation at gamma_bar = 1 on gamma_th / gamma_bar.  So is
+each Monte-Carlo marker curve: one seed and one draw at gamma_bar = 1, and
+each marker the fraction of the draw below gamma_th / gamma_bar.
 
 Figure presets (the plotted m-sets are choices of this artifact, recorded
 here; seeds and sample counts are pinned so runs reproduce byte-for-byte):
@@ -244,13 +246,14 @@ def cmd_sim(args) -> int:
 _GTH_3DB = db_to_linear(3.0)
 
 
-def _mc_op_curve(model, k, m, gbar_db_points, gamma_th, n, seed):
-    vals = []
-    for i, db in enumerate(gbar_db_points):
-        params = FadingParams(k, m, db_to_linear(db))
-        s = sample_snr(model, params, n, seed + i)
-        vals.append(float(np.mean(s.values < gamma_th)))
-    return analytic.Curve(np.asarray(gbar_db_points, float), np.array(vals),
+#: mean SNRs (dB) of the Monte-Carlo outage markers of fig3 and fig4
+_MARKER_DB = np.arange(0.0, 40.0001, 5.0)
+
+
+def _mc_op_curve(k, m, n, seed):
+    unit = sample_snr(ModelKind.FDRLOS, FadingParams(k, m, 1.0), n, seed).values
+    vals = [np.count_nonzero(unit < t) / n for t in _GTH_3DB / db_to_linear(_MARKER_DB)]
+    return analytic.Curve(_MARKER_DB, np.array(vals),
                           meta={"quantity": "op", "source": "mc",
                                 "abscissa_unit": "dB"})
 
@@ -278,7 +281,6 @@ def _figure_fig3(mc_samples):
     db_grid = np.arange(0.0, 60.0001, 0.5)
     gbars = db_to_linear(db_grid)
     unit_gth = _GTH_3DB / gbars
-    marker_db = np.arange(0.0, 40.0001, 5.0)
     files = {}
     for m in (1, 3, 10):
         exact = analytic.fdrlos_cdf(unit_gth, FadingParams(k, m, 1.0))
@@ -289,8 +291,7 @@ def _figure_fig3(mc_samples):
             db_grid, analytic.asymptotic_op(_GTH_3DB, gbars, k, m),
             meta={"quantity": "op-asymptote", "model": "fdrlos",
                   "abscissa_unit": "dB"})
-        files[f"fig3_mc_op_m{m}.csv"] = _mc_op_curve(
-            ModelKind.FDRLOS, k, m, marker_db, _GTH_3DB, mc_samples, _MC_SEED + 100 * m)
+        files[f"fig3_mc_op_m{m}.csv"] = _mc_op_curve(k, m, mc_samples, _MC_SEED + 100 * m)
     drlos = analytic.drlos_cdf_oracle(unit_gth, k, 1.0)
     files["fig3_drlos_op_limit.csv"] = analytic.Curve(
         db_grid, drlos, meta={"quantity": "op", "model": "drlos",
@@ -302,7 +303,6 @@ def _figure_fig4(mc_samples):
     k = 6.0
     db_grid = np.arange(0.0, 40.0001, 0.5)
     gbars = db_to_linear(db_grid)
-    marker_db = np.arange(0.0, 40.0001, 5.0)
     files = {}
     for m in (1, 3, 5, 10):
         fd = analytic.fdrlos_cdf(_GTH_3DB / gbars, FadingParams(k, m, 1.0))
@@ -313,8 +313,7 @@ def _figure_fig4(mc_samples):
         files[f"fig4_rs_op_m{m}.csv"] = analytic.Curve(
             db_grid, rs, meta={"quantity": "op", "model": "rician-shadowed",
                                "abscissa_unit": "dB"})
-        files[f"fig4_mc_op_m{m}.csv"] = _mc_op_curve(
-            ModelKind.FDRLOS, k, m, marker_db, _GTH_3DB, mc_samples, _MC_SEED + 200 * m)
+        files[f"fig4_mc_op_m{m}.csv"] = _mc_op_curve(k, m, mc_samples, _MC_SEED + 200 * m)
     return files
 
 

@@ -99,11 +99,14 @@ def tabulated_cdf(cdf_vectorized, lo: float, hi: float, points: int = 1500):
     vals = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
     grid = np.concatenate([[0.0], grid])
     vals = np.concatenate([[0.0], vals])
-    interp = PchipInterpolator(grid, vals, extrapolate=False)
+    interp = PchipInterpolator(grid, vals)
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        out = np.clip(interp(np.clip(x, 0.0, grid[-1])), 0.0, 1.0)
+        if x.size and not (x.min() >= 0.0 and x.max() <= grid[-1]):
+            x = np.clip(x, 0.0, grid[-1])    # 0 below 0, the last value past the grid
+        out = interp(x)
+        np.clip(out, 0.0, 1.0, out=out)
         return float(out) if out.ndim == 0 else out
 
     return f

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import k0, k1
 
-from fdrlos import analytic
+from fdrlos import analytic, specfun
 from fdrlos.analytic import (Curve, UnderflowWarning, _flag_underflow,
                              asymptotic_op, coding_gain, drlos_cdf_oracle,
                              drlos_pdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
@@ -34,6 +34,16 @@ RS_CDF_GOLDENS = {
 }
 # the same cdf at integer m, from scripts/make_goldens.py
 RS_CDF_2_4_2_15 = 0.7310867571901103
+# the Rician shadowed pdf from scripts/make_goldens.py (the 1F1 density at 40
+# and 50 digits) at K_x up to 1e8, where e^-x and 1F1 each leave double range
+RS_PDF_GOLDENS = {
+    (3.0, 50000.0, 3, 1.7): 0.12417405320652712,
+    (3.0, 1000000.0, 3, 1.7): 0.12417203665086425,
+    (3.0, 100000000.0, 3, 1.7): 0.12417193155855319,
+    (3.0, 50000.0, 2.5, 1.7): 0.12438606905659301,
+    (3.0, 1000000.0, 2.5, 1.7): 0.12438514130706335,
+    (3.0, 100000000.0, 2.5, 1.7): 0.1243850929565179,
+}
 # fluctuating double-Rayleigh LoS pdf and cdf (gamma, K, m, gbar) and coding
 # gains (K, m) from scripts/make_goldens.py: the paper's closed form at a
 # precision that outlasts its cancellation, and the 1F1 conditional averaged
@@ -66,6 +76,16 @@ FDRLOS_CDF_GOLDENS = {
     (1.9952623149688795, 1.0, 10, 10000000000.0): 1.0149761513269658e-10,  # 100 dB outage
     (1.9952623149688795, 1.0, 10, 1000000000000.0): 1.0149761511264766e-12,  # 120 dB outage
     (1.9952623149688795, 1.0, 40, 1000000000000.0): 9.346018830915675e-13,  # 120 dB outage
+}
+# real m from scripts/make_goldens.py: the 1F1 average alone (the closed form
+# needs integer m), by tanh-sinh at 40 and 50 digits and Gauss-Legendre at 30
+FDRLOS_PDF_REAL_M_GOLDENS = {
+    (0.5, 1.0, 30.5, 1.0): 0.9131070805370192,
+    (1.25, 1.0, 30.5, 1.0): 0.26406310908128805,
+    (2.0, 1.0, 30.5, 1.0): 0.10226562424162511,
+    (1.0, 1.0, 50.5, 1.0): 0.38770447828957766,
+    (1.0, 5.0, 30.5, 2.0): 0.3188761031538301,
+    (1.0, 5.0, 50.5, 2.0): 0.30507522969887024,
 }
 CODING_GAIN_GOLDENS = {
     (1.0, 1): 1.1926947246463881,
@@ -103,6 +123,27 @@ class TestRsPdf:
         out = rs_pdf(np.array([0.5, 1.0, 2.0]), 1.0, 2, 1.0)
         assert out.shape == (3,)
         assert np.all(out > 0)
+
+    @pytest.mark.parametrize("args,want", sorted(RS_PDF_GOLDENS.items()))
+    def test_frozen_goldens_at_huge_k(self, args, want):
+        # neither route forms e^{+x} against e^{-y}: relative accuracy holds
+        assert rs_pdf(*args) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_integer_m_needs_no_1f1(self, monkeypatch):
+        # at integer m the density is the Binomial mixture; the 1F1 serves
+        # real m alone
+        g, params = np.array([0.2, 1.0, 3.0]), FadingParams(5.0, 3, 2.0)
+        want_rs, want_fd = rs_pdf(g, 4.0, 3, 1.5), fdrlos_pdf(g, params)
+
+        def refuse(*args):
+            raise AssertionError("log_kummer_1f1 called")
+
+        monkeypatch.setattr(specfun, "log_kummer_1f1", refuse)
+        monkeypatch.setattr(analytic, "log_kummer_1f1", refuse)
+        np.testing.assert_array_equal(rs_pdf(g, 4.0, 3, 1.5), want_rs)
+        np.testing.assert_array_equal(fdrlos_pdf(g, params), want_fd)
+        with pytest.raises(AssertionError, match="log_kummer_1f1"):
+            rs_pdf(g, 4.0, 2.5, 1.5)
 
 
 class TestRsMixture:
@@ -236,6 +277,24 @@ class TestFdrlosPdf:
         vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=TIGHT)
         assert vals[0] == pytest.approx(1.0, abs=1e-8)
         assert vals[1] == pytest.approx(2.0, rel=1e-8)
+
+    @pytest.mark.parametrize("args,want", sorted(FDRLOS_PDF_REAL_M_GOLDENS.items()))
+    def test_real_m_goldens(self, args, want):
+        # real m past 25, where the 1F1 arguments run past x = 200 below a^2
+        g, k, m, gbar = args
+        assert fdrlos_pdf(g, FadingParams(k, m, gbar)) == pytest.approx(
+            want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [3, 2.5])
+    def test_integrand_runs_no_checks(self, m, monkeypatch):
+        # the domain is checked once at entry, not on every quadrature panel
+        want = fdrlos_pdf(1.0, FadingParams(5.0, m, 2.0))
+
+        def refuse(*args):
+            raise AssertionError("_check_rs called")
+
+        monkeypatch.setattr(analytic, "_check_rs", refuse)
+        assert fdrlos_pdf(1.0, FadingParams(5.0, m, 2.0)) == want
 
     def test_matches_oracle_pointwise(self):
         # the oracle is mpmath: the paper's closed form at a precision that

@@ -140,6 +140,15 @@ class TestPdfCommand:
         assert read_curve_csv(str(out)).ordinate[1] == pytest.approx(
             k0(2.0 * np.sqrt(0.5)), rel=1e-9)
 
+    @pytest.mark.parametrize("m", ["30.5", "50.5"])
+    def test_real_m_past_25(self, m, tmp_path):
+        # the 1F1 arguments run past x = 200 below m^2, where the large-x
+        # expansion cannot converge (test_analytic pins the values)
+        out = tmp_path / "pdf.csv"
+        assert run(["pdf", "--k", "1", "--m", m, "--gamma-bar", "1",
+                    "--grid", "0.5:2:3", "--output", str(out)]) == 0
+        assert np.all(read_curve_csv(str(out)).ordinate > 0)
+
     @pytest.mark.parametrize("model", ["rician", "rician-shadowed", "drlos"])
     def test_ancestor_models(self, model, tmp_path):
         out = tmp_path / f"{model}.csv"
@@ -326,6 +335,16 @@ class TestFigureCommand:
         assert "fig1_drlos_pdf_limit.csv" in names
         hist = read_curve_csv(str(tmp_path / "fig1_mc_hist_m3.csv"))
         assert float(np.sum(hist.ordinate) * 0.1) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4"])
+    def test_mc_markers_fall_with_mean_snr(self, name, tmp_path):
+        # one draw per curve read at gamma_th / gamma_bar: the markers cannot
+        # rise with the mean SNR, whatever the sample count
+        assert cmd_figure(name, str(tmp_path), mc_samples=500) == 0
+        for path in sorted(tmp_path.glob(f"{name}_mc_op_m*.csv")):
+            markers = read_curve_csv(str(path)).ordinate
+            assert markers[0] > 0.0
+            assert np.all(np.diff(markers) <= 0.0), path.name
 
     def test_env_var_default_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FDRLOS_OUTPUT_DIR", str(tmp_path / "envdir"))

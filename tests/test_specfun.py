@@ -42,9 +42,12 @@ HYP1F1_LARGE = {
     (5.0, 1.0, 100.0): 1.3074287634673006e+50,
     (2.5, 1.7, 30.0): 115422855636625.98,
 }
-LOG_HYP1F1 = {
-    (500.0, 1.0, 50.0): 338.58030390333215,
-    (2.5, 1.0, 5000.0): 5012.491556826677,
+SCALED_LOG_HYP1F1 = {
+    (500.0, 1.0, 50.0): 288.58030390333215,
+    (2.5, 1.0, 5000.0): 12.491556826676929,
+    (30.5, 1.0, 300.0): 97.96605373490995,
+    (30.0, 1.0, 300.0): 96.72478527237098,
+    (100.5, 1.0, 9000.0): 545.5980991350813,
 }
 
 
@@ -192,31 +195,33 @@ class TestGenIncompleteGamma:
 
 
 class TestKummer1F1:
-    """log 1F1 against the logs of frozen and scipy values; the cases reach
-    the integer-polynomial (b = 1, integer a), series and asymptotic
-    (x > 200) branches."""
+    """The scaled log(e^-x 1F1) against the logs of frozen and scipy values
+    minus x; the cases reach the series (x <= max(200, a^2)) and the large-x
+    expansion (x > max(200, a^2)), at integer and at real a."""
 
     def test_at_zero(self):
         for a, b in [(0.3, 0.9), (3.0, 1.0), (2.5, 1.0)]:
             assert log_kummer_1f1(a, b, 0.0) == 0.0
 
     def test_equal_parameters_give_exp(self):
-        assert log_kummer_1f1(1.0, 1.0, 2.0) == 2.0
-        assert log_kummer_1f1(2.5, 2.5, 2.0) == pytest.approx(2.0, abs=1e-14)
+        # 1F1(a; a; x) = e^x, so the scaled log is 0
+        assert log_kummer_1f1(1.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+        assert log_kummer_1f1(2.5, 2.5, 2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_frozen_golden(self):
         assert log_kummer_1f1(3.0, 1.0, 0.7) == pytest.approx(
-            math.log(HYP1F1_3_1_07), abs=1e-12)
+            math.log(HYP1F1_3_1_07) - 0.7, abs=1e-12)
 
     @pytest.mark.parametrize("args,want", sorted(HYP1F1_LARGE.items()))
     def test_large_argument_paths(self, args, want):
-        assert log_kummer_1f1(*args) == pytest.approx(math.log(want), abs=1e-10)
+        assert log_kummer_1f1(*args) == pytest.approx(
+            math.log(want) - args[2], abs=1e-10)
 
     @pytest.mark.parametrize("a", [0.5, 2.5, 5.0])
     @pytest.mark.parametrize("x", [0.5, 5.0, 30.0, 49.0])
     def test_against_scipy(self, a, x):
         assert log_kummer_1f1(a, 1.0, x) == pytest.approx(
-            math.log(hyp1f1(a, 1.0, x)), abs=1e-9)
+            math.log(hyp1f1(a, 1.0, x)) - x, abs=1e-9)
 
     def test_negative_argument(self):
         # the positive-term log form is defined for x >= 0 only
@@ -227,11 +232,12 @@ class TestKummer1F1:
 
     @given(st.floats(0.5, 5.0), st.floats(0.6, 4.0), st.floats(0.1, 10.0))
     def test_derivative_contiguous_relation(self, a, b, x):
-        # d/dx 1F1(a;b;x) = (a/b) 1F1(a+1;b+1;x), divided by 1F1(a;b;x)
+        # d/dx 1F1(a;b;x) = (a/b) 1F1(a+1;b+1;x), divided by 1F1(a;b;x); the
+        # scaling subtracts 1 from the log-derivative and cancels in the ratio
         h = 1e-5 * max(1.0, abs(x))
         der = (log_kummer_1f1(a, b, x + h) - log_kummer_1f1(a, b, x - h)) / (2 * h)
         ratio = math.exp(log_kummer_1f1(a + 1, b + 1, x) - log_kummer_1f1(a, b, x))
-        assert der == pytest.approx(a / b * ratio, rel=1e-6)
+        assert der + 1.0 == pytest.approx(a / b * ratio, rel=1e-6)
 
     def test_nonpositive_integer_b_rejected(self):
         for a, b in ((1.5, 0.0), (1.5, -1.0), (1.5, -4.0), (0.0, 1.0)):
@@ -239,14 +245,19 @@ class TestKummer1F1:
                 log_kummer_1f1(a, b, 1.0)
 
     def test_log_form_matches_frozen(self):
-        # extended-precision references for the log-domain evaluations
-        for args, want in LOG_HYP1F1.items():
+        # extended-precision references, past double range unscaled; the
+        # series runs past x = 200 up to a^2, 9000 terms at a = 100.5
+        for args, want in SCALED_LOG_HYP1F1.items():
             assert log_kummer_1f1(*args) == pytest.approx(want, rel=1e-12)
+
+    def test_refuses_a_series_it_cannot_certify(self):
+        with pytest.raises(AccuracyError, match="terms"):
+            log_kummer_1f1(400.5, 1.0, np.array([1.0, 1e5]))
 
     def test_log_form_vectorized(self):
         x = np.array([0.0, 0.4, 7.0, 90.0])
         got = log_kummer_1f1(3.0, 1.0, x)
-        want = np.log(hyp1f1(3.0, 1.0, x))
+        want = np.log(hyp1f1(3.0, 1.0, x)) - x
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
 

@@ -4,16 +4,18 @@
 Every value computed at fixed precision is computed at 40 and at 50 digits,
 which must agree to 20.
 
-Rician shadowed cdf (``RS_CDF_GOLDENS`` and ``RS_CDF_2_4_2_15``): each value
-integrates the 1F1 form of the density, so it shares nothing with the series
-that ``fdrlos.analytic.rs_cdf`` sums:
+Rician shadowed cdf (``RS_CDF_GOLDENS``, ``RS_CDF_WIDE_GOLDENS`` at m = 1e6
+and K = 1e6, and ``RS_CDF_2_4_2_15``): each value integrates the 1F1 form of
+the density, so it shares nothing with the series that
+``fdrlos.analytic.rs_cdf`` sums:
 
     f(t) = m^m (1+K) / ((m+K)^m gbar) exp(-(1+K) t / gbar)
            * 1F1(m; 1; K (1+K) t / ((K+m) gbar)).
 
-Both F(g) = int_0^g f and S(g) = int_g^inf f are integrated; a case is kept
-only if F + S = 1 to 25 digits, and the smaller of the two gives the value
-(F directly, or 1 - S), so deep-outage values keep their relative accuracy.
+Both F(g) = int_0^g f and S(g) = int_g^inf f are integrated (the tail of S
+in doubling pieces until one adds below 1e-45); a case is kept only if
+F + S = 1 to 25 digits, and the smaller of the two gives the value (F
+directly, or 1 - S), so deep-outage values keep their relative accuracy.
 
 Rician shadowed pdf (``RS_PDF_GOLDENS``): the 1F1 density above at both
 precisions, at K up to 1e8, where e^-x and 1F1 each leave double range.
@@ -34,7 +36,10 @@ Fluctuating double-Rayleigh LoS pdf and cdf at integer m
 
 The same pdf at real m (``FDRLOS_PDF_REAL_M_GOLDENS``), where the closed form
 does not apply: the 1F1 average by tanh-sinh at both precisions, confirmed to
-16 digits by Gauss-Legendre at 30 digits.
+16 digits by Gauss-Legendre at 30 digits.  The cdf at real m
+(``FDRLOS_CDF_REAL_M_GOLDENS``): the 1F1 density integrated over [0, g] and
+averaged, by tanh-sinh at both precisions, confirmed to 11 digits by
+Gauss-Legendre at 30 (which converges slowly below m = 1).
 
 Coding gains (``CODING_GAIN_GOLDENS``), two ways that must agree to 25
 digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
@@ -44,11 +49,13 @@ singular at 0, and at m = 0.3 the plain integral agrees to only 13 digits).
 
 Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
 ``hyp1f1`` (and the scaled log(e^-x 1F1(a; b; x))), ``hyperu``, ``e1`` and
-upper ``gammainc``, and the generalized
-incomplete gamma Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by
-``mp.quad``.
+upper ``gammainc``, the generalized incomplete gamma
+Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by ``mp.quad``, and
+Stirling's remainder and the Poisson and negative-binomial log masses from
+``loggamma``.
 
-Run from the repository root (a few minutes on one core):
+Run from the repository root (about an hour on one core, most of it the
+tanh-sinh real-m cdf goldens):
 
     python3 scripts/make_goldens.py
 """
@@ -74,6 +81,15 @@ CASES = [
     ("far tail", 1e6, 3.0, 2.5, 2.0),
 ]
 
+#: the same at m = 1e6 and at K_x = 1e6 (``RS_CDF_WIDE_GOLDENS``)
+WIDE_CASES = [
+    ("m = 1e6", 1.0, 3.0, 1e6, 1.0),
+    ("m = 1e6", 0.5, 30.0, 1e6, 2.0),
+    ("m = 1e6, NB mass below the window", 1.0, 300.0, 1e6, 1.0),
+    ("K_x = 1e6, y near 1e6", 2.0, 1e6, 2.5, 2.0),
+    ("K_x = 1e6, y near 1e6", 1.0, 1e6, 0.7, 1.0),
+]
+
 _LARGE_M = [(f"m = {m}", 1.0, k, m, gbar)
             for k, gbar in ((1.0, 1.0), (5.0, 2.0)) for m in (20, 30, 40, 60)]
 
@@ -94,6 +110,11 @@ RS_PDF_CASES = [(3.0, k, m, 1.7) for m in (3, 2.5) for k in (5e4, 1e6, 1e8)]
 FDRLOS_PDF_REAL_M_CASES = [(g, 1.0, 30.5, 1.0) for g in (0.5, 1.25, 2.0)] + [
     (1.0, 1.0, 50.5, 1.0), (1.0, 5.0, 30.5, 2.0), (1.0, 5.0, 50.5, 2.0)]
 
+#: (name, gamma, k, m, gbar) of the fdrlos cdf at real m
+FDRLOS_CDF_REAL_M_CASES = [("K = 3, m = 2.5", g, 3.0, 2.5, 2.0) for g in (0.01, 1.0, 20.0)] + [
+    ("m below 1", 1.0, 3.0, 0.7, 2.0),
+    ("100 dB outage", 10.0 ** 0.3, 1.0, 2.5, 1e10)]
+
 #: (k, m): integer m, and real m down to 0.3
 CODING_GAIN_CASES = [(1.0, 1), (1.0, 3), (1.0, 2.5), (1.0, 0.7), (1.0, 0.3)]
 
@@ -103,6 +124,24 @@ def gig(a, z, b):
     z = mp.mpf(z)
     breaks = [t for t in (1, 4, 16) if t > z]
     return mp.quad(lambda t: t ** (a - 1) * mp.exp(-t - b / t), [z] + breaks + [mp.inf])
+
+
+def stirlerr(x):
+    """log Gamma(x+1) - (x + 1/2) log x + x - log sqrt(2 pi)."""
+    x = mp.mpf(x)
+    return mp.loggamma(x + 1) - (x + mp.mpf(1) / 2) * mp.log(x) + x - mp.log(2 * mp.pi) / 2
+
+
+def log_poisson_pmf(n, lam):
+    n, lam = mp.mpf(n), mp.mpf(lam)
+    return n * mp.log(lam) - lam - mp.loggamma(n + 1)
+
+
+def log_negbin_pmf(n, m, k):
+    """log NB(n; m, p) with p = m/(m+k) formed from the doubles m, k."""
+    n, m, k = mp.mpf(n), mp.mpf(m), mp.mpf(k)
+    return (mp.loggamma(n + m) - mp.loggamma(n + 1) - mp.loggamma(m)
+            + m * mp.log(m / (m + k)) + n * mp.log(k / (m + k)))
 
 
 #: (name, function, arguments) of the single specfun goldens
@@ -123,6 +162,14 @@ SPECFUN_TABLES = [
     ("SCALED_LOG_HYP1F1", lambda a, b, x: mp.log(mp.hyp1f1(a, b, x)) - x,
      [(500.0, 1.0, 50.0), (2.5, 1.0, 5000.0), (30.5, 1.0, 300.0),
       (30.0, 1.0, 300.0), (100.5, 1.0, 9000.0)]),
+    ("STIRLERR", stirlerr,
+     [(0.3,), (1.0,), (2.5,), (9.75,), (10.0,), (33.3,), (1e6,)]),
+    ("LOG_POISSON_PMF", log_poisson_pmf,
+     [(0.0, 3.0), (7.0, 1e-12), (40.0, 55.0), (10050.0, 1e4), (1e6, 1000000.5),
+      (1012000.0, 1e6)]),
+    ("LOG_NEGBIN_PMF", log_negbin_pmf,
+     [(0.0, 2.5, 3.0), (3.0, 2.5, 3.0), (40.0, 0.7, 30.0), (1e4, 2.5, 1e4),
+      (1e6, 2.5, 1e6), (1000.0, 1e6, 1000.0), (5.0, 1e15, 3.0)]),
 ]
 
 
@@ -160,7 +207,18 @@ def rs_cdf(g, k, m, gbar, dps):
         breaks = [t for t in (scale / 4, scale, 4 * scale, 16 * scale) if t < g]
         below = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [0] + breaks + [g])
         above_breaks = [t for t in (scale, 4 * scale, 16 * scale) if t > g]
-        above = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [g] + above_breaks + [mp.inf])
+        above = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [g] + above_breaks) \
+            if above_breaks else mp.mpf(0)
+        # past the mode the tail decays at least exponentially: add doubling
+        # pieces until one is below 1e-45 of the total (at m = 1e6 the 1F1
+        # series cannot reach the far nodes of an integral to infinity)
+        lo = max([g] + above_breaks)
+        while True:
+            piece = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [lo, 2 * lo])
+            above += piece
+            lo *= 2
+            if piece < (below + above) * mp.mpf(10) ** -45:
+                break
         if abs(below + above - 1) > mp.mpf(10) ** -25:
             raise ArithmeticError(f"F + S = {below + above} at {(g, k, m, gbar)}")
         return below if below < above else 1 - above
@@ -250,12 +308,32 @@ def fdrlos_pdf_1f1(g, k, m, gbar):
     return _scatter_average(lambda k_x, scale: rs_pdf(g, k_x, m, gbar * scale), k, m)
 
 
-def fdrlos_cdf_1f1(g, k, m, gbar):
+def fdrlos_cdf_1f1(g, k, m, gbar, method="gauss-legendre"):
     g, gbar = mp.mpf(g), mp.mpf(gbar)
-    return _scatter_average(
-        lambda k_x, scale: mp.quad(lambda t: rs_pdf(t, k_x, m, gbar * scale), [0, g],
-                                   method="gauss-legendre"),
-        k, m, method="gauss-legendre")
+
+    def conditional(k_x, scale):
+        # split [0, g] on the scale of the conditional mean, as ``rs_cdf`` does
+        mean = gbar * scale
+        breaks = [t for t in (mean / 4, mean, 4 * mean, 16 * mean) if t < g]
+        return mp.quad(lambda t: rs_pdf(t, k_x, m, mean), [0] + breaks + [g],
+                       method=method)
+
+    return _scatter_average(conditional, k, m, method=method)
+
+
+def fdrlos_cdf_real_m(g, k, m, gbar):
+    """The 1F1 average by tanh-sinh at both precisions, checked to 11 digits
+    by Gauss-Legendre at 30: below m = 1 the conditional density nears
+    t^(m-1) at small x, where Gauss-Legendre converges slowly (2e-12 off at
+    m = 0.7) and tanh-sinh does not."""
+    value = special(lambda *args: fdrlos_cdf_1f1(*args, method="tanh-sinh"),
+                    (g, k, m, gbar))
+    with mp.workdps(30):
+        check = fdrlos_cdf_1f1(g, k, m, gbar)
+    if abs(check - value) > abs(value) * mp.mpf(10) ** -11:
+        raise ArithmeticError(f"fdrlos cdf {(g, k, m, gbar)} = {value}, but "
+                              f"Gauss-Legendre gives {check}")
+    return value
 
 
 def fdrlos_pdf_real_m(g, k, m, gbar):
@@ -294,11 +372,12 @@ def coding_gain(k, m):
 
 
 def main():
-    print("RS_CDF_GOLDENS = {")
-    for name, g, k, m, gbar in CASES:
-        value = agreed(name, lambda dps: rs_cdf(g, k, m, gbar, dps))
-        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
-    print("}")
+    for title, cases in (("RS_CDF_GOLDENS", CASES), ("RS_CDF_WIDE_GOLDENS", WIDE_CASES)):
+        print(f"{title} = {{")
+        for name, g, k, m, gbar in cases:
+            value = agreed(name, lambda dps: rs_cdf(g, k, m, gbar, dps))
+            print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
+        print("}")
     value = agreed("RS_CDF_2_4_2_15", lambda dps: rs_cdf(2.0, 4.0, 2, 1.5, dps))
     print(f"RS_CDF_2_4_2_15 = {float(value)!r}")
     print("RS_PDF_GOLDENS = {")
@@ -318,6 +397,11 @@ def main():
     for g, k, m, gbar in FDRLOS_PDF_REAL_M_CASES:
         value = fdrlos_pdf_real_m(g, k, m, gbar)
         print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},")
+    print("}")
+    print("FDRLOS_CDF_REAL_M_GOLDENS = {")
+    for name, g, k, m, gbar in FDRLOS_CDF_REAL_M_CASES:
+        value = fdrlos_cdf_real_m(g, k, m, gbar)
+        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
     print("}")
     print("CODING_GAIN_GOLDENS = {")
     for k, m in CODING_GAIN_CASES:

@@ -11,16 +11,17 @@ Every law takes every finite m > 0, and the route follows m
 (``_conditional``, the one place that decides): at integer m both the cdf
 and the density are the finite Binomial mixture of m Gamma laws
 (``rs_cdf_integer`` and its density), at every other m the cdf is the
-negative-binomial series of Erlang cdfs (``rs_cdf``) and the density the 1F1
-form through the scaled log 1F1.  ``fdrlos_cdf_oracle`` always averages the
-series, so at integer m it is an independent cross-check; the density has
-one route, and ``fdrlos_pdf_oracle`` is the same function.  All these
-conditionals are sums of positive terms, so deep-outage values keep their
-relative accuracy.  This is the paper's integral before it substitutes
-t = K/m + x and expands (t - K/m)^j into generalized incomplete gammas, whose
-terms cancel; ``scripts/make_goldens.py`` keeps that expansion as an mpmath
-cross-check.  K = 0 (no LoS; the law no longer depends on m) is an ordinary
-input.
+negative-binomial series of Erlang cdfs (``rs_cdf``: rows of terms, each
+from one ``gammainc`` and two log-mass anchors, by running products and
+positive sums) and the density the 1F1 form through the scaled log 1F1.
+``fdrlos_cdf_oracle`` always averages the series, so at integer m it is an
+independent cross-check; the density has one route, and ``fdrlos_pdf_oracle``
+is the same function.  All these conditionals are sums of positive terms, so
+deep-outage values keep their relative accuracy.  This is the paper's
+integral before it substitutes t = K/m + x and expands (t - K/m)^j into
+generalized incomplete gammas, whose terms cancel; ``scripts/make_goldens.py``
+keeps that expansion as an mpmath cross-check.  K = 0 (no LoS; the law no
+longer depends on m) is an ordinary input.
 """
 
 from __future__ import annotations
@@ -32,16 +33,21 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import (betainc, chndtr, gammainc, gammaln, i0e, poch,
-                           xlog1py, xlogy)
+from scipy.special import (betainc, betaincc, chndtr, gammainc, gammaln, i0e,
+                           xlogy)
 
 from .models import FadingParams
 from .specfun import (AccuracyError, DomainError, adaptive_quad_vec,
-                      check_positive_int, gamma_tricomi_u, log_kummer_1f1)
+                      check_positive_int, gamma_tricomi_u, log_kummer_1f1,
+                      log_negbin_pmf, log_poisson_pmf)
 
 _GAMMA_CHUNK = 32
-_TERM_BLOCK = 2 ** 13     # Rician shadowed series terms per numpy pass
+_ROW = 64                 # Rician shadowed series terms per anchored row
+_ROW_BLOCK = 128          # rows per numpy pass: 8192 terms
+_ANCHOR_BLOCK = 4096      # rows per pass of the log-mass kernels, which cost
+                          # about 0.4 ms a call whatever its size
 _MAX_WINDOW = 2 ** 20     # longest series window one cdf value may sum
+_MAX_M = 1e15             # largest m the series is checked at (to 1e-14, mpmath)
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -157,11 +163,13 @@ def read_curve_csv(source) -> Curve:
 
 
 def _check_rs(gamma, k_x, m, gbar_x):
-    """The Rician shadowed arguments as float arrays, after the domain checks."""
+    """The Rician shadowed arguments as float arrays, after the domain checks:
+    the public entry points run them once, the quadrature panels never."""
     gamma, k_x, gbar_x = (np.asarray(v, dtype=float) for v in (gamma, k_x, gbar_x))
     _check_snr(gamma)
-    if not (m > 0) or np.any(k_x < 0) or np.any(gbar_x <= 0):
-        raise DomainError("need m > 0, k_x >= 0 and gbar_x > 0")
+    if not (0 < m < np.inf and np.all((k_x >= 0) & (k_x < np.inf))
+            and np.all((gbar_x > 0) & (gbar_x < np.inf))):
+        raise DomainError("need finite m > 0, k_x >= 0 and gbar_x > 0")
     return gamma, k_x, gbar_x
 
 
@@ -251,45 +259,109 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     mass I_p(m, lo), too large by at most I_p(m, lo) Q(lo, y); above it at most
     P(hi+1, y) is dropped: Poisson tails 12 standard deviations (or 30 terms) from
     y, below 2e-33.  Where I_p(m, lo) P(lo, y) <= F <= I_p(m, hi+1) + P(hi+1, y) is
-    within rounding (huge y) no window is built.  Windows over ``_MAX_WINDOW`` terms,
-    and m > 1e5 (log-gamma weights off by 1e-10), raise AccuracyError.  Each value is
-    summed alone, in increasing n, so it does not depend on what it is broadcast with.
+    within rounding (huge y) no window is built.  Windows over ``_MAX_WINDOW`` terms
+    raise AccuracyError.  I_p(m, lo) is taken as 1 - I_{1-p}(lo, m) where p > 1/2,
+    so that huge m loses no digits to the rounding of p near 1.
+
+    The window is cut into rows of ``_ROW`` terms from lo up; the last row runs
+    past hi, into terms that only shrink the dropped tail.  Each row has one
+    anchor of each kind: P(n_t+1, y) from ``gammainc`` at its top n_t, and
+    NB(n) and y^n e^-y / n! in Loader's deviance form (``specfun``) where the
+    terms peak.  The other masses follow from the ratios
+    NB(n)/NB(n-1) = (n-1+m)(1-p)/n and y/n as running products from the
+    anchor, and P(n+1, y) = P(n+2, y) + y^(n+1) e^-y/(n+1)! goes down the row:
+    positive sums only.  m > 1e15 raises AccuracyError.  Each value is summed
+    alone in a fixed order, terms within a row and then rows in increasing n,
+    so it does not depend on what it is broadcast with or on the block size.
     """
     gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
     return _nb_series(gamma, k_x, m, gbar_x)
 
 
+def _nb_mass_below(n, m, p, q):
+    """The NB mass below n, I_p(m, n), to relative accuracy from the smaller
+    of p and q = 1-p, so that the one near 1 (q at huge K_x, p at huge m)
+    loses no digits: where q < p as 1 - I_q(n, m) by ``betaincc``."""
+    out = np.empty(n.shape)
+    by_p = p <= q
+    out[by_p] = betainc(m, n[by_p], p[by_p])
+    out[~by_p] = betaincc(n[~by_p], m, q[~by_p])
+    return out
+
+
 def _nb_series(gamma, k_x, m, gbar_x):
     """``rs_cdf`` on checked arguments: m > 0, the rest floats."""
-    if m > 1e5:
-        raise AccuracyError(f"the Rician shadowed series needs m <= 1e5, got {m:g}")
+    if m > _MAX_M:
+        raise AccuracyError(f"the Rician shadowed series needs m <= {_MAX_M:g}, got {m:g}")
     # past 1e300 F is 1 unless the NB mass is there too, which the cap refuses
     y, k_x = np.broadcast_arrays(np.minimum(gamma * (1.0 + k_x) / gbar_x, 1e300), k_x)
-    shape, y, p = y.shape, y.ravel(), (m / (m + k_x)).ravel()
+    shape, y, k_x = y.shape, y.ravel(), k_x.ravel()
+    p, q = m / (m + k_x), k_x / (m + k_x)
     # the 1e-12 y term keeps lo below y where sqrt(y) < ulp(y)
     half = 12.0 * np.sqrt(y) + 30.0 + 1e-12 * y
     lo, hi = np.floor(np.maximum(y - half, 0.0)), np.ceil(y + half)
-    below = betainc(m, lo, p) * (lo > 0)
-    out = np.where(lo > 0, below * gammainc(lo, y), 0.0)
+    below, out = np.zeros(y.size), np.zeros(y.size)
+    some = lo > 0
+    below[some] = _nb_mass_below(lo[some], m, p[some], q[some])
+    out[some] = below[some] * gammainc(lo[some], y[some])
+    # the bracket needs I_p(m, hi+1) to absolute rounding only: betainc,
+    # at a tenth of the cost of betaincc
     upper = betainc(m, hi + 1.0, p) + gammainc(hi + 1.0, y)
     todo = np.flatnonzero(~(upper - out <= np.finfo(float).eps * out))
-    count = np.where(p < 1.0, hi - lo + 1.0, 1.0)[todo]     # p = 1: all mass at n = 0
+    count = np.where(q > 0.0, hi - lo + 1.0, 1.0)[todo]     # K_x = 0: all mass at n = 0
     if np.any(count > _MAX_WINDOW):
         raise AccuracyError(f"Rician shadowed series window of {count.max():.3g} terms")
-    starts = np.concatenate(([0], np.cumsum(count.astype(np.int64))))
+    # the anchors sit where the terms NB(n) P(n+1, y) peak: a running product
+    # is off by one rounding per step from its anchor.  The terms follow NB
+    # up to its mode, and past y fall with the ratio
+    # (n-1+m)(1-p)/n * y/(n+1), which is 1 at the root of
+    # n^2 + (1 - (1-p) y) n - (m-1)(1-p) y; the Poisson masses that P sums
+    # there lie at the peak + 1, or at the Poisson mode y
+    y, p, q = y[todo], p[todo], q[todo]     # from here on the values to sum
+    mq, lin = max(m - 1.0, 0.0) * q, 1.0 - q * y
+    past_y = np.floor(0.5 * (np.sqrt(lin * lin + 4.0 * mq * y) - lin))
+    peak = np.minimum(np.floor(mq / p), np.maximum(np.floor(y), past_y))
+    # one entry per row: its value (in todo) and its bottom n
+    rows = np.ceil(count / _ROW).astype(np.int64)
+    e_row = np.repeat(np.arange(todo.size), rows)
+    b_row = lo[todo][e_row] + _ROW * (np.arange(e_row.size) - (np.cumsum(rows) - rows)[e_row])
+    steps = np.arange(_ROW)
     sums = np.zeros(todo.size)
-    for block in range(0, starts[-1], _TERM_BLOCK):
-        t = np.arange(block, min(block + _TERM_BLOCK, starts[-1]))
-        e = np.searchsorted(starts, t, side="right") - 1
-        i, n = todo[e], lo[todo[e]] + (t - starts[e])
-        log_poch = np.log(poch(n + 1.0, m - 1.0))
-        big = np.isinf(log_poch)               # (n+1)^(m-1) past double range
-        log_poch[big] = gammaln(n[big] + m) - gammaln(n[big] + 1.0)
-        terms = np.exp(log_poch - gammaln(m) + m * np.log(p[i]) + xlog1py(n, -p[i])) \
-            * gammainc(n + 1.0, y[i])
-        # bincount adds in order; the carried partial sum rides on the first term
-        terms[0] += sums[e[0]]
-        sums[e[0]:e[-1] + 1] = np.bincount(e - e[0], terms)
+    for chunk in range(0, e_row.size, _ANCHOR_BLOCK):
+        e_c, b_c = e_row[chunk:chunk + _ANCHOR_BLOCK], b_row[chunk:chunk + _ANCHOR_BLOCK]
+        y_c, q_c, peak_c = y[e_c], q[e_c], peak[e_c]
+        peak_pois = np.clip(np.maximum(np.floor(y_c), peak_c + 1.0) - b_c, 0, _ROW - 1)
+        peak_nb = np.clip(peak_c - b_c, 0, _ROW - 1)
+        pois_at_peak = np.exp(log_poisson_pmf(b_c + peak_pois, y_c))
+        nb_at_peak = np.exp(log_negbin_pmf(b_c + peak_nb, m, p[e_c], q_c))
+        top_p = gammainc(b_c + _ROW, y_c)
+        peak_pois, peak_nb = peak_pois.astype(np.intp), peak_nb.astype(np.intp)
+        for blk in range(0, e_c.size, _ROW_BLOCK):
+            r = slice(blk, blk + _ROW_BLOCK)
+            e, at = e_c[r], np.arange(min(_ROW_BLOCK, e_c.size - blk))
+            n = b_c[r, None] + steps
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                # ratios of each mass to the one below it; column 0 is the bottom
+                pois = y_c[r, None] / n
+                nb = (n + (m - 1.0)) * q_c[r, None] / n
+                pois[:, 0] = nb[:, 0] = 1.0
+                pois = np.cumprod(pois, axis=1)
+                # P(n+1, y) from the top down: P(n_t+1) first, then pois(n_t), ...
+                big_p = np.empty_like(pois)
+                big_p[:, 0] = top_p[r]
+                np.multiply(pois[:, :0:-1], (pois_at_peak[r] / pois[at, peak_pois[r]])[:, None],
+                            out=big_p[:, 1:])
+                big_p = np.cumsum(big_p, axis=1)[:, ::-1]
+                nb = np.cumprod(nb, axis=1)
+                row_sums = nb_at_peak[r] / nb[at, peak_nb[r]] * np.einsum("ij,ij->i", nb, big_p)
+            # a running product leaves double range only where m (1-p) > 5e4 and
+            # n lies below 1e-4 of the NB mean (NB ratios near 6e4, or Poisson
+            # ratios y/n below 1e-5 up to a term peak far above y): every mass
+            # of such a row underflows, and inf * 0 there is 0
+            row_sums[~np.isfinite(row_sums)] = 0.0
+            # bincount adds in order; the carried partial sum rides on the first row
+            row_sums[0] += sums[e[0]]
+            sums[e[0]:e[-1] + 1] = np.bincount(e - e[0], row_sums)
     out[todo] = below[todo] + sums
     out = np.minimum(out, 1.0).reshape(shape)
     return float(out) if out.ndim == 0 else out

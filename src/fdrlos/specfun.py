@@ -1,9 +1,12 @@
-"""Special-function kernels: adaptive quadrature, log 1F1 and Gamma(m) U(m, 1, x).
+"""Special-function kernels: adaptive quadrature, log 1F1, Gamma(m) U(m, 1, x)
+and the Poisson and negative-binomial log masses.
 
 Each job has one kernel, and it is the one the statistics in ``analytic``
 call: ``adaptive_quad_vec`` for every integral, ``log_kummer_1f1`` (scaled by
-e^-x) for the Rician shadowed density at real m and ``gamma_tricomi_u`` for
-the high-SNR offset.
+e^-x) for the Rician shadowed density at real m, ``gamma_tricomi_u`` for
+the high-SNR offset, and ``log_poisson_pmf`` and ``log_negbin_pmf`` (Loader's
+saddle-point forms, built on ``stirlerr`` and ``bd0``) for the anchors of the
+Rician shadowed series, accurate to about 1e-16 where n ~ 1e6.
 
 Everything here is a pure function of its arguments; no shared mutable state.
 The quadrature engine evaluates vector-valued integrands with per-component
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 
 class DomainError(ValueError):
@@ -257,6 +260,100 @@ def _log_1f1_asymptotic_vec(a, b, x):
         if np.all(np.abs(term) <= _ASYMPTOTIC_REL_GOAL * np.abs(total)):
             break
     return log_pref + np.log(total)
+
+
+#: B_2k / (2k (2k-1)), k = 1..8, of Stirling's series; eight terms leave
+#: 3e-17 at x = 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
+#: where the Stirling series starts; below it ``stirlerr`` steps up
+_STIRLING_FROM = 10
+
+
+def _stirling_steps(x):
+    """s(x) - s(x + 10) = sum_{i<10} (x + i + 1/2) log1p(1/(x + i)) - 1."""
+    t = x[..., None] + np.arange(_STIRLING_FROM)
+    return np.sum((t + 0.5) * np.log1p(1.0 / t) - 1.0, axis=-1)
+
+
+#: the steps from the integers 1..9, where the series anchors mostly sit
+_STEPS_AT_INTEGERS = _stirling_steps(np.arange(1.0, _STIRLING_FROM))
+
+
+def stirlerr(x):
+    """Stirling's remainder log Gamma(x+1) - (x + 1/2) log x + x - log sqrt(2 pi)
+    for x > 0, vectorized, to about 1e-16 absolute (Loader 2000).
+
+    From x = 10 the asymptotic series; below it, ten steps of
+    s(x) = s(x+1) + (x + 1/2) log1p(1/x) - 1 from s(x + 10).  No step
+    subtracts large terms, as lgamma(x+1) - (x + 1/2) log x would.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x < _STIRLING_FROM
+    iz = 1.0 / np.where(small, x + _STIRLING_FROM, x)
+    z2 = iz * iz
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = c + z2 * series
+    out = np.asarray(series * iz)
+    if np.any(small):
+        xs = x[small]
+        k = xs.astype(np.intp)
+        whole = (k == xs) & (k >= 1)
+        steps = np.empty_like(xs)
+        steps[whole] = _STEPS_AT_INTEGERS[k[whole] - 1]
+        steps[~whole] = _stirling_steps(xs[~whole])
+        out[small] += steps
+    return out
+
+
+def bd0(x, lam):
+    """The deviance term x log(x/lam) + lam - x >= 0 for x >= 0, lam > 0,
+    vectorized, to a few eps relative (Loader 2000): where x is within 10% of
+    lam as the series in v = (x - lam)/(x + lam), which cancels nothing."""
+    x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam, dtype=float))
+    d, s = x - lam, x + lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = d / s
+        far = xlogy(x, x / lam) - d
+        near_sum = d * v
+        term, v2 = 2.0 * x * v, v * v
+        # |v| < 0.1 there, so nine more terms reach 1e-17 relative
+        for j in range(1, 10):
+            term = term * v2
+            near_sum = near_sum + term / (2 * j + 1)
+    return np.where(np.abs(d) < 0.1 * s, near_sum, far)
+
+
+def log_poisson_pmf(n, lam):
+    """log(lam^n e^-lam / n!) for integers n >= 0 and lam >= 0, vectorized,
+    in Loader's (2000) deviance form -bd0(n, lam) - stirlerr(n) - log(2 pi n)/2:
+    about 1e-16 absolute where n ~ lam ~ 1e6, where the plain
+    n log lam - lam - lgamma(n+1) loses eps lam."""
+    n, lam = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(lam, dtype=float))
+    pos = np.maximum(n, 1.0)
+    out = -bd0(pos, lam) - stirlerr(pos) - 0.5 * np.log(2.0 * np.pi * pos)
+    return np.where(n == 0, -lam, out)
+
+
+def log_negbin_pmf(n, m, p, q):
+    """log of the negative-binomial mass C(n+m-1, n) p^m q^n for integers
+    n >= 0, real m > 0 and q = 1 - p (passed separately so neither loses
+    digits), vectorized over n, p and q.
+
+    n = 0 is m log1p(-q) (m log p for q >= 0.1); above it Loader's saddle
+    point form (R's dnbinom), a sum of small terms whatever m and n:
+    stirlerr(n+m) - stirlerr(m) - stirlerr(n) - bd0(m, (n+m) p)
+    - bd0(n, (n+m) q) + log(m / (2 pi n (n+m)))/2.
+    """
+    n, p, q = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (n, p, q)))
+    pos = np.maximum(n, 1.0)
+    total = pos + m
+    with np.errstate(divide="ignore"):
+        out = (stirlerr(total) - stirlerr(m) - stirlerr(pos) - bd0(m, total * p)
+               - bd0(pos, total * q) + 0.5 * np.log(m / (2.0 * np.pi * pos * total)))
+        at_zero = m * np.where(q < 0.1, np.log1p(-q), np.log(p))
+    return np.where(n == 0, at_zero, out)
 
 
 def gamma_tricomi_u(m, x, *, rel_tol=1e-10):

@@ -32,6 +32,15 @@ RS_CDF_GOLDENS = {
     (500000.0, 3.0, 2.5, 2.0): 1.0,  # far tail
     (1000000.0, 3.0, 2.5, 2.0): 1.0,  # far tail
 }
+# the same at m = 1e6 (past the old m <= 1e5 refusal) and at K_x = 1e6, whose
+# windows of about 24k terms would show rounding carried along the rows
+RS_CDF_WIDE_GOLDENS = {
+    (1.0, 3.0, 1000000.0, 1.0): 0.5730925020402815,  # m = 1e6
+    (0.5, 30.0, 1000000.0, 2.0): 4.8435618801522995e-05,  # m = 1e6
+    (1.0, 300.0, 1000000.0, 1.0): 0.5081343875667227,  # m = 1e6, NB mass below the window
+    (2.0, 1000000.0, 2.5, 2.0): 0.5841198130049498,  # K_x = 1e6, y near 1e6
+    (1.0, 1000000.0, 0.7, 1.0): 0.6565890602594594,  # K_x = 1e6, y near 1e6
+}
 # the same cdf at integer m, from scripts/make_goldens.py
 RS_CDF_2_4_2_15 = 0.7310867571901103
 # the Rician shadowed pdf from scripts/make_goldens.py (the 1F1 density at 40
@@ -86,6 +95,15 @@ FDRLOS_PDF_REAL_M_GOLDENS = {
     (1.0, 1.0, 50.5, 1.0): 0.38770447828957766,
     (1.0, 5.0, 30.5, 2.0): 0.3188761031538301,
     (1.0, 5.0, 50.5, 2.0): 0.30507522969887024,
+}
+# the cdf at real m from scripts/make_goldens.py: the 1F1 density integrated
+# over [0, gamma] and averaged over e^{-x}, by tanh-sinh at 40 and 50 digits
+FDRLOS_CDF_REAL_M_GOLDENS = {
+    (0.01, 3.0, 2.5, 2.0): 0.002014804880096249,  # K = 3, m = 2.5
+    (1.0, 3.0, 2.5, 2.0): 0.32040852552813204,  # K = 3, m = 2.5
+    (20.0, 3.0, 2.5, 2.0): 0.9998507053035582,  # K = 3, m = 2.5
+    (1.0, 3.0, 0.7, 2.0): 0.44431112701590186,  # m below 1
+    (1.9952623149688795, 1.0, 2.5, 10000000000.0): 1.390073580526743e-10,  # 100 dB outage
 }
 CODING_GAIN_GOLDENS = {
     (1.0, 1): 1.1926947246463881,
@@ -221,24 +239,49 @@ class TestRsCdf:
     def test_frozen_goldens(self, args, want):
         assert rs_cdf(*args) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("args,want", sorted(RS_CDF_WIDE_GOLDENS.items()))
+    def test_frozen_goldens_at_huge_m_and_k(self, args, want):
+        assert rs_cdf(*args) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_every_finite_input_finishes(self, monkeypatch):
         # huge y settles from the bracket on F without a window; a long
-        # window whose mass matters, or a huge m, is refused
+        # window whose mass matters, or an m past the checked range, is refused
         monkeypatch.setattr(analytic, "_MAX_WINDOW", 64)
         assert rs_cdf(np.array([1e6, 1e300]), 3.0, 2.5, 2.0).tolist() == [1.0, 1.0]
         with pytest.raises(AccuracyError, match="window"):
             rs_cdf(1.0, 1e12, 2.5, 1.0)
-        with pytest.raises(AccuracyError, match="m <= 1e5"):
-            rs_cdf(1.0, 3.0, 1e6, 1.0)
+        with pytest.raises(AccuracyError, match=r"m <= 1e\+15"):
+            rs_cdf(1.0, 3.0, 1e16, 1.0)
 
     def test_blocks_do_not_change_the_sum(self, monkeypatch):
-        # K_x = 2e6 needs a window of about 34k terms, more than one block
-        g = np.array([0.3, 1.0, 1.0])
-        k_x = np.array([3.0, 2e6, 5e5])
+        # K_x = 2e6 needs a window of about 34k terms, over 500 rows of 64
+        g = np.array([0.3, 1.0, 1.0, 1e-12, 40.0])
+        k_x = np.array([3.0, 2e6, 5e5, 255.0, 1e-3])
         want = rs_cdf(g, k_x, 2.5, 1.0)
-        monkeypatch.setattr(analytic, "_TERM_BLOCK", 7)
-        np.testing.assert_array_equal(rs_cdf(g, k_x, 2.5, 1.0), want)
-        np.testing.assert_array_equal(rs_cdf(g[1:], k_x[1:], 2.5, 1.0), want[1:])
+        for row_block, anchor_block in ((7, 5), (61, 200)):
+            monkeypatch.setattr(analytic, "_ROW_BLOCK", row_block)
+            monkeypatch.setattr(analytic, "_ANCHOR_BLOCK", anchor_block)
+            np.testing.assert_array_equal(rs_cdf(g, k_x, 2.5, 1.0), want)
+            np.testing.assert_array_equal(rs_cdf(g[1:], k_x[1:], 2.5, 1.0), want[1:])
+            np.testing.assert_array_equal(
+                [rs_cdf(gi, ki, 2.5, 1.0) for gi, ki in zip(g, k_x)], want)
+
+    def test_huge_m_tends_to_rician(self):
+        # the weights keep their digits at huge m: the O(K/m) gap to the
+        # Rician limit shows at m = 1e10 and closes by m = 1e15
+        g = np.array([1e-6, 0.5, 1.0, 3.0, 100.0])
+        want = rician_cdf(g, 3.0, 1.0)
+        np.testing.assert_allclose(rs_cdf(g, 3.0, 1e10, 1.0), want, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(rs_cdf(g, 3.0, 1e15, 1.0), want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("law", [rs_pdf, rs_cdf, rs_cdf_integer])
+    @pytest.mark.parametrize("bad", ["k_x", "gbar_x", "m"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_are_domain_errors(self, law, bad, value):
+        args = {"k_x": 2.0, "m": 3, "gbar_x": 1.0}
+        args[bad] = value
+        with pytest.raises(DomainError):
+            law(1.0, args["k_x"], args["m"], args["gbar_x"])
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -353,6 +396,13 @@ class TestFdrlosCdf:
     @pytest.mark.parametrize("args,want", sorted(FDRLOS_CDF_GOLDENS.items()))
     def test_script_goldens(self, args, want):
         # m up to 60 and outage down to 120 dB, where the closed form cancelled
+        g, k, m, gbar = args
+        assert fdrlos_cdf(g, FadingParams(k, m, gbar)) == pytest.approx(
+            want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("args,want", sorted(FDRLOS_CDF_REAL_M_GOLDENS.items()))
+    def test_real_m_goldens(self, args, want):
+        # the negative-binomial series averaged over e^{-x}, down to 100 dB
         g, k, m, gbar = args
         assert fdrlos_cdf(g, FadingParams(k, m, gbar)) == pytest.approx(
             want, rel=1e-12, abs=0)

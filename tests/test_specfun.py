@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import exp1, hyp1f1, k1
 
 from fdrlos.specfun import (REL_TOL_FLOOR, AccuracyError, DomainError,
-                            adaptive_quad_vec, check_rel_tol, gamma_tricomi_u,
-                            log_kummer_1f1)
+                            adaptive_quad_vec, bd0, check_rel_tol,
+                            gamma_tricomi_u, log_kummer_1f1, log_negbin_pmf,
+                            log_poisson_pmf, stirlerr)
 
 # references from scripts/make_goldens.py: mpmath at 40 and 50 digits,
 # agreeing to 20
@@ -48,6 +49,35 @@ SCALED_LOG_HYP1F1 = {
     (30.5, 1.0, 300.0): 97.96605373490995,
     (30.0, 1.0, 300.0): 96.72478527237098,
     (100.5, 1.0, 9000.0): 545.5980991350813,
+}
+# the log masses at n and lam (or the NB mean) up to 1e6, where
+# n log lam - lam - lgamma(n+1) loses 1e-9; NB keys are (n, m, K) with
+# p = m/(m+K)
+STIRLERR = {
+    0.3: 0.2360649007482156,
+    1.0: 0.08106146679532726,
+    2.5: 0.03316287351993629,
+    9.75: 0.008544020505848588,
+    10.0: 0.00833056343336287,
+    33.3: 0.002502427296421092,
+    1e6: 8.333333333333056e-08,
+}
+LOG_POISSON_PMF = {
+    (0.0, 3.0): -3.0,
+    (7.0, 1e-12): -201.94230917256624,
+    (40.0, 55.0): -5.027312305458559,
+    (10050.0, 10000.0): -5.651402967764934,
+    (1e6, 1000000.5): -7.826694020520102,
+    (1012000.0, 1e6): -79.5463738370519,
+}
+LOG_NEGBIN_PMF = {
+    (0.0, 2.5, 3.0): -1.9711434009106754,
+    (3.0, 2.5, 3.0): -1.90817918370388,
+    (40.0, 0.7, 30.0): -4.9394188870118825,
+    (10000.0, 2.5, 10000.0): -9.704421399224131,
+    (1e6, 2.5, 1e6): -14.309467848750451,
+    (1000.0, 1e6, 1000.0): -4.373399256276088,
+    (5.0, 1e15, 3.0): -2.294430299441498,
 }
 
 
@@ -259,6 +289,39 @@ class TestKummer1F1:
         got = log_kummer_1f1(3.0, 1.0, x)
         want = np.log(hyp1f1(3.0, 1.0, x)) - x
         np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+class TestLogMasses:
+    """Loader's (2000) saddle-point forms of the Poisson and negative-binomial
+    log masses, the anchors of the Rician shadowed series."""
+
+    @pytest.mark.parametrize("x,want", sorted(STIRLERR.items()))
+    def test_stirlerr(self, x, want):
+        assert stirlerr(x) == pytest.approx(want, rel=5e-16, abs=5e-16)
+
+    @pytest.mark.parametrize("args,want", sorted(LOG_POISSON_PMF.items()))
+    def test_log_poisson_pmf(self, args, want):
+        assert log_poisson_pmf(*args) == pytest.approx(want, rel=5e-16, abs=5e-16)
+
+    @pytest.mark.parametrize("args,want", sorted(LOG_NEGBIN_PMF.items()))
+    def test_log_negbin_pmf(self, args, want):
+        n, m, k = args
+        got = log_negbin_pmf(n, m, m / (m + k), k / (m + k))
+        assert got == pytest.approx(want, rel=5e-16, abs=5e-16)
+
+    def test_bd0_is_the_deviance(self):
+        x = np.array([0.0, 3.0, 95.0, 100.0, 105.0, 400.0])
+        want = np.array([100.0, 3.0 * math.log(0.03) + 97.0,
+                         95.0 * math.log(0.95) + 5.0, 0.0,
+                         105.0 * math.log(1.05) - 5.0, 400.0 * math.log(4.0) - 300.0])
+        np.testing.assert_allclose(bd0(x, 100.0), want, rtol=1e-13, atol=0)
+
+    def test_vectorized_over_arrays(self):
+        n = np.array([0.0, 1.0, 7.0, 40.0])
+        np.testing.assert_array_equal(
+            log_poisson_pmf(n, 3.0), [log_poisson_pmf(v, 3.0) for v in n])
+        np.testing.assert_array_equal(
+            log_negbin_pmf(n, 2.5, 0.4, 0.6), [log_negbin_pmf(v, 2.5, 0.4, 0.6) for v in n])
 
 
 class TestTricomiU:

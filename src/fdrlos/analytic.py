@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import (betainc, betaincc, chndtr, gammainc, gammaln, i0e,
+from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e,
                            xlogy)
 
 from .models import FadingParams
@@ -48,6 +48,8 @@ _ANCHOR_BLOCK = 4096      # rows per pass of the log-mass kernels, which cost
                           # about 0.4 ms a call whatever its size
 _MAX_WINDOW = 2 ** 20     # longest series window one cdf value may sum
 _MAX_M = 1e15             # largest m the series is checked at (to 1e-14, mpmath)
+_ORDER_ENTRIES = 2 ** 16  # values x Gamma orders per pass of the integer-m
+                          # mixtures: 0.5 MB a temporary, whatever m
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -61,12 +63,13 @@ def _check_snr(gamma):
 
 
 def _over_snr(gamma, k, evaluate, at_inf, at_zero=np.nan):
-    """Evaluate a law on a 1-d SNR grid broadcast against K, ``_GAMMA_CHUNK``
-    points per ``evaluate(g, k)`` call (one vector quadrature each).  +inf
-    points take the limit ``at_inf``, and 0 points ``at_zero`` unless it is
-    NaN, unevaluated."""
+    """Evaluate a law on an SNR array broadcast against K, ``_GAMMA_CHUNK``
+    points per ``evaluate(g, k)`` call (one vector quadrature each), in the
+    broadcast shape (at least 1-d).  +inf points take the limit ``at_inf``,
+    and 0 points ``at_zero`` unless it is NaN, unevaluated."""
     gamma_arr, k_arr = np.broadcast_arrays(
         np.atleast_1d(np.asarray(gamma, dtype=float)), np.asarray(k, dtype=float))
+    shape, gamma_arr, k_arr = gamma_arr.shape, gamma_arr.ravel(), k_arr.ravel()
     _check_snr(gamma_arr)
     out = np.where(gamma_arr == 0, at_zero, float(at_inf))
     todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf) | np.isnan(out))
@@ -74,7 +77,7 @@ def _over_snr(gamma, k, evaluate, at_inf, at_zero=np.nan):
         sel = todo[lo:lo + _GAMMA_CHUNK]
         # a scalar K stays scalar, so the conditionals get K_x as a column
         out[sel] = evaluate(gamma_arr[sel], k_arr[sel] if np.ndim(k) else k)
-    return out
+    return out.reshape(shape)
 
 
 def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=np.nan):
@@ -164,7 +167,7 @@ def read_curve_csv(source) -> Curve:
 
 def _check_rs(gamma, k_x, m, gbar_x):
     """The Rician shadowed arguments as float arrays, after the domain checks:
-    the public entry points run them once, the quadrature panels never."""
+    the public entry points run them once, the quadrature's integrand never."""
     gamma, k_x, gbar_x = (np.asarray(v, dtype=float) for v in (gamma, k_x, gbar_x))
     _check_snr(gamma)
     if not (0 < m < np.inf and np.all((k_x >= 0) & (k_x < np.inf))
@@ -197,11 +200,26 @@ def _kummer_density(gamma, k_x, m, gbar_x):
 
 def _mixture_density(gamma, k_x, m, gbar_x):
     """``rs_pdf`` at integer m on checked arguments: with r = u/g,
-    r sum_{n<=m} Bin(m-n; m-1, p) u^(n-1) e^{-u} / (n-1)!, one positive sum."""
-    p, log_w = _binomial_log_weights(k_x, m)
+    r sum_{n<=m} Bin(m-n; m-1, p) u^(n-1) e^{-u} / (n-1)!, one positive sum.
+    With z = (1-p) u / p the log of each term is
+    (m-1) log p - u + log C(m-1, n-1) - log (n-1)! + (n-1) log z, so a block
+    of orders (``_order_blocks``) takes one product and two sums a term
+    before its ``exp``."""
+    p, q, lg = m / (m + k_x), k_x / (m + k_x), _log_factorials(m)
     r = (1.0 + k_x) * p / gbar_x
-    u, n = (gamma * r)[..., None], np.arange(1.0, m + 1.0)
-    return r * np.sum(np.exp(log_w + xlogy(n - 1.0, u) - u - gammaln(n)), axis=-1)
+    u = gamma * r
+    with np.errstate(divide="ignore"):
+        # z = 0 (K_x = 0 or g = 0) leaves the n = 1 term: a slope of -max/m
+        # keeps (n-1) slope finite, 0 at n = 1, and sends the rest to exp(-huge)
+        slope = np.maximum(np.log(q * u / p), -np.finfo(float).max / m)
+    base = (xlogy(m - 1.0, p) - u)[..., None]
+    total = 0.0
+    for n in _order_blocks(m, u.size):
+        log_t = np.multiply.outer(slope, n - 1.0)
+        log_t += lg[-1] - lg[m - n] - lg[n - 1] - lg[n - 1]
+        log_t += base
+        total = total + np.sum(np.exp(log_t, out=log_t), axis=-1)
+    return r * total
 
 
 def rs_cdf_integer(gamma, k_x, m, gbar_x):
@@ -224,27 +242,36 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
     return _binomial_mixture(gamma, k_x, m, gbar_x)
 
 
-def _binomial_log_weights(k_x, m):
-    """p = m/(m+K_x) = 1/L and the log weights log Bin(m-n; m-1, p) of the
-    Gamma orders n = 1..m, along a new last axis."""
-    p, q, n = m / (m + k_x), k_x / (m + k_x), np.arange(1, m + 1)
-    lg = np.array([math.lgamma(i) for i in range(1, m + 1)])     # lgamma(n)
-    log_c = lg[-1] - lg[::-1] - lg                               # C(m-1, m-n)
-    return p, log_c + xlogy(m - n, p[..., None]) + xlogy(n - 1, q[..., None])
+def _log_factorials(m):
+    """log (n-1)! = lgamma(n) for n = 1..m, at index n - 1."""
+    return np.array([math.lgamma(i) for i in range(1, m + 1)])
+
+
+def _order_blocks(m, size):
+    """The Gamma orders m, m-1, ..., 1 in consecutive blocks of at most
+    ``_ORDER_ENTRIES / size`` orders, so that ``size`` values times a block
+    stays bounded whatever m."""
+    step = max(1, _ORDER_ENTRIES // max(size, 1))
+    for top in range(m, 0, -step):
+        yield np.arange(top, max(top - step, 0), -1)
 
 
 def _binomial_mixture(gamma, k_x, m, gbar_x):
     """``rs_cdf_integer`` on checked arguments: m an int, the rest floats."""
-    p, log_w = _binomial_log_weights(k_x, m)
+    p, q, lg = m / (m + k_x), k_x / (m + k_x), _log_factorials(m)
     u = gamma * (1.0 + k_x) * p / gbar_x
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
     big_p = gammainc(m, u)
     out = np.zeros(big_p.shape)
-    for n in range(m, 0, -1):
-        if n < m:
-            big_p = big_p + np.exp(n * log_u - u - math.lgamma(n + 1.0))
-        out += np.exp(log_w[..., n - 1]) * big_p
+    for n in _order_blocks(m, p.size):
+        # the weights Bin(m-n; m-1, p) of the block, along a new last axis
+        log_c = lg[-1] - lg[m - n] - lg[n - 1]                   # C(m-1, m-n)
+        w = np.exp(log_c + xlogy(m - n, p[..., None]) + xlogy(n - 1, q[..., None]))
+        for i, order in enumerate(n.tolist()):
+            if order < m:
+                big_p = big_p + np.exp(order * log_u - u - math.lgamma(order + 1.0))
+            out += w[..., i] * big_p
     out = np.minimum(out, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -305,9 +332,12 @@ def _nb_series(gamma, k_x, m, gbar_x):
     below[some] = _nb_mass_below(lo[some], m, p[some], q[some])
     out[some] = below[some] * gammainc(lo[some], y[some])
     # the bracket needs I_p(m, hi+1) to absolute rounding only: betainc,
-    # at a tenth of the cost of betaincc
-    upper = betainc(m, hi + 1.0, p) + gammainc(hi + 1.0, y)
-    todo = np.flatnonzero(~(upper - out <= np.finfo(float).eps * out))
+    # at a tenth of the cost of betaincc.  Where lo = 0 it could only skip a
+    # window whose sum underflows, so it is left out there
+    upper = betainc(m, hi[some] + 1.0, p[some]) + gammainc(hi[some] + 1.0, y[some])
+    within = np.zeros(y.size, dtype=bool)
+    within[some] = upper - out[some] <= np.finfo(float).eps * out[some]
+    todo = np.flatnonzero(~within)
     count = np.where(q > 0.0, hi - lo + 1.0, 1.0)[todo]     # K_x = 0: all mass at n = 0
     if np.any(count > _MAX_WINDOW):
         raise AccuracyError(f"Rician shadowed series window of {count.max():.3g} terms")

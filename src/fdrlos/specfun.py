@@ -12,7 +12,13 @@ Everything here is a pure function of its arguments; no shared mutable state.
 The quadrature engine evaluates vector-valued integrands with per-component
 error control, which is what the mixture-sum evaluations downstream need
 (their components span many orders of magnitude, so a max-norm control would
-leave the small components inaccurate).
+leave the small components inaccurate).  It refines in rounds: every panel
+that fails its width's share of the tolerance is halved in the same round, and
+all the nodes of a round go to the integrand in one call, so a quadrature
+costs a few large integrand calls rather than one small call per panel.  The
+real-a series of ``log_kummer_1f1`` likewise retires each value at its own
+last term, so the large batches a round hands it cost the sum of their values'
+term counts.
 """
 
 from __future__ import annotations
@@ -126,7 +132,8 @@ def _map_infinite(f, lower):
 
 
 def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
-    """Adaptive Gauss-Kronrod 7-15 for a vector-valued integrand.
+    """Adaptive Gauss-Kronrod 7-15 for a vector-valued integrand, refined in
+    rounds.
 
     ``f(x)`` takes a 1-d array of abscissae and returns either a same-length
     array (scalar integrand) or an (npoints, ncomp) matrix.  Every component
@@ -135,62 +142,77 @@ def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
     semi-infinite interval [lower, inf) is folded onto [0, 1) by
     t = lower + u/(1-u).
 
+    The interval starts as 8 equal panels (4 on a finite interval), all in
+    one call of ``f``.  Each round then halves every panel whose error
+    exceeds its width's share of the tolerance of some component not yet
+    met, err_p > tol_c (b - a)/(hi - lo) (Shampine's vectorized rule, as in
+    MATLAB's ``quadgk``), and evaluates all the halves in one more call: one
+    call of ``f`` per round, whatever the number of panels.  The budget of 400
+    subdivisions counts halved panels, not rounds; a round that would pass it
+    halves only the panels worst against their share.
+
     Returns ``(values, err_estimates)`` as arrays of shape (ncomp,).
-    Raises :class:`AccuracyError` if 400 subdivisions do not meet the
-    tolerance and :class:`DomainError` if the integrand produces NaN.
+    Raises :class:`AccuracyError` (carrying the last values and error
+    estimates) once the budget is spent without meeting the tolerance, and
+    :class:`DomainError` for a limit that is NaN or out of order, or if the
+    integrand produces NaN.
     """
     check_rel_tol(rel_tol)
     if not np.isfinite(lower):
         raise DomainError("lower limit must be finite")
-    if math.isinf(upper):
+    if upper == math.inf:
         f = _map_infinite(f, lower)
         lo, hi = 0.0, 1.0
         nseed = 8
     else:
-        if upper <= lower:
-            raise DomainError("upper limit must exceed lower limit")
+        if not upper > lower:
+            raise DomainError("upper limit must exceed lower limit (and not be NaN)")
         lo, hi = float(lower), float(upper)
         nseed = 4
 
-    def panel(a, b):
-        c = 0.5 * (a + b)
-        h = 0.5 * (b - a)
-        v = np.atleast_2d(np.asarray(f(c + h * _K15_NODES), dtype=float).T).T
+    def evaluate(a, b):
+        """Kronrod sums and error estimates of the panels [a, b], one call of f."""
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        x = (c[:, None] + h[:, None] * _K15_NODES).ravel()
+        v = np.asarray(f(x), dtype=float).reshape(a.size, _K15_NODES.size, -1)
         if np.isnan(v).any():
             raise DomainError("integrand returned NaN")
-        ik = h * (_K15_WEIGHTS @ v)
-        ig = h * (_G7_WEIGHTS @ v[_G7_IDX])
+        ik = h[:, None] * (_K15_WEIGHTS @ v)
+        ig = h[:, None] * (_G7_WEIGHTS @ v[:, _G7_IDX])
         return ik, np.abs(ik - ig)
 
     edges = np.linspace(lo, hi, nseed + 1)
-    panels = []
-    for i in range(nseed):
-        ik, e = panel(edges[i], edges[i + 1])
-        panels.append((edges[i], edges[i + 1], ik, e))
-
-    for _ in range(_MAX_SUBDIVISIONS):
-        sums = np.sum([p[2] for p in panels], axis=0)
-        errs = np.sum([p[3] for p in panels], axis=0)
+    a, b = edges[:-1], edges[1:]
+    ik, err = evaluate(a, b)
+    budget = _MAX_SUBDIVISIONS
+    while True:
+        sums, errs = ik.sum(axis=0), err.sum(axis=0)
         tol = np.maximum(_ABS_TOL, rel_tol * np.abs(sums))
-        if np.all(errs <= tol):
+        open_c = ~(errs <= tol)         # a NaN estimate stays open
+        if not open_c.any():
             return sums, errs
-        # split the panel whose error is worst relative to the per-component
-        # tolerance; a plain abs-error priority would starve small components
-        worst = max(range(len(panels)), key=lambda i: float(np.max(panels[i][3] / tol)))
-        a, b, _, _ = panels.pop(worst)
-        mid = 0.5 * (a + b)
-        panels.append((a, mid) + panel(a, mid))
-        panels.append((mid, b) + panel(mid, b))
-
-    sums = np.sum([p[2] for p in panels], axis=0)
-    errs = np.sum([p[3] for p in panels], axis=0)
-    tol = np.maximum(_ABS_TOL, rel_tol * np.abs(sums))
-    if np.all(errs <= tol):
-        return sums, errs
-    raise AccuracyError(
-        f"quadrature did not converge within {_MAX_SUBDIVISIONS} subdivisions "
-        f"(worst error {float(np.max(errs)):.3e})",
-        value=sums, err_estimate=errs)
+        if budget == 0:
+            raise AccuracyError(
+                f"quadrature did not converge within {_MAX_SUBDIVISIONS} subdivisions "
+                f"(worst error {float(np.max(errs)):.3e})",
+                value=sums, err_estimate=errs)
+        # each panel's error against its width's share of every open
+        # tolerance: a ratio above 1 fails it.  The shares sum to the whole,
+        # so some panel fails unless rounding hides it; then, or where the
+        # failures pass the budget, the worst are halved
+        share = np.max(err[:, open_c] / tol[open_c], axis=1) * ((hi - lo) / (b - a))
+        split = np.flatnonzero(share > 1.0)
+        if not 0 < split.size <= budget:
+            split = np.argsort(share)[::-1][:max(1, min(split.size, budget))]
+        budget -= split.size
+        keep = np.ones(a.size, dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_ik, new_err = evaluate(new_a, new_b)
+        a, b = np.concatenate([a[keep], new_a]), np.concatenate([b[keep], new_b])
+        ik, err = np.concatenate([ik[keep], new_ik]), np.concatenate([err[keep], new_err])
 
 
 #: the 1F1 series refuses past this many terms: each term's log comes from
@@ -207,17 +229,19 @@ def log_kummer_1f1(a, b_param, x):
     and x >= 0, vectorized over x.
 
     Up to x = max(200, a^2) the positive series, each term's log (with its -x)
-    formed from lgamma, so no rounding accumulates from term to term; past
-    that the large-x expansion, which needs x >> a^2.  Neither forms e^x, and
-    what neither can certify raises AccuracyError.
+    formed from lgamma, so no rounding accumulates from term to term, and each
+    value summed until its own term is negligible, so it does not depend on
+    what it is batched with; past that the large-x expansion, which needs
+    x >> a^2.  Neither forms e^x, and what neither can certify raises
+    AccuracyError.  A NaN x is a DomainError.
     """
     a = float(a)
     b_param = float(b_param)
     if a <= 0 or b_param <= 0:
         raise DomainError("log_kummer_1f1 requires a > 0 and b_param > 0")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("log_kummer_1f1 requires x >= 0")
+    if not np.all(x >= 0):
+        raise DomainError("log_kummer_1f1 requires x >= 0, not NaN")
     flat = x.ravel()
     out = np.empty_like(flat)
     big = flat > max(200.0, a * a)
@@ -227,18 +251,29 @@ def log_kummer_1f1(a, b_param, x):
 
 
 def _log_1f1_series_vec(a, b, x):
+    """The series of ``log_kummer_1f1``, elementwise.  Each value retires once
+    its own term falls below e^-37 of its sum, so it stops where it would if
+    summed alone, and a batch costs the sum of its values' term counts."""
+    out = -x                                    # the k = 0 term, scaled
     with np.errstate(divide="ignore"):
         logx = np.log(x)
-    out = -x                                    # the k = 0 term, scaled
+    live, sums, x_live = np.arange(x.size), out.copy(), x
     log_norm = math.lgamma(b) - math.lgamma(a)
-    for k in range(1, _SERIES_MAX_TERMS):
+    k = 0
+    while live.size:
+        k += 1
+        if k == _SERIES_MAX_TERMS:
+            raise AccuracyError(f"1F1 series needs more than {_SERIES_MAX_TERMS} terms")
         # log (a)_k x^k e^-x / ((b)_k k!)
         logt = (log_norm + math.lgamma(a + k) - math.lgamma(b + k)
-                - math.lgamma(k + 1.0)) + k * logx - x
-        out = np.logaddexp(out, logt)
-        if np.all(logt - out < _SERIES_REL_STOP_LOG):
-            return out
-    raise AccuracyError(f"1F1 series needs more than {_SERIES_MAX_TERMS} terms")
+                - math.lgamma(k + 1.0)) + k * logx - x_live
+        sums = np.logaddexp(sums, logt)
+        done = logt - sums < _SERIES_REL_STOP_LOG
+        if done.any():
+            out[live[done]] = sums[done]
+            keep = ~done
+            live, sums, logx, x_live = live[keep], sums[keep], logx[keep], x_live[keep]
+    return out
 
 
 def _log_1f1_asymptotic_vec(a, b, x):

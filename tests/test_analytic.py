@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import k0, k1
+from scipy.special import betainc, k0, k1
 
 from fdrlos import analytic, specfun
 from fdrlos.analytic import (Curve, UnderflowWarning, _flag_underflow,
@@ -203,6 +203,17 @@ class TestRsMixture:
         assert rs_cdf_integer(gbar_x, k_x, m, gbar_x) + tail[0] == pytest.approx(
             1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [3, 40])
+    def test_order_blocks_do_not_change_the_mixtures(self, m, monkeypatch):
+        # one order per block against one block: the cdf adds the orders in
+        # the same order either way, the density sums them in other groups
+        g = np.array([[0.0, 0.3, 2.0, 9.0]])
+        k_x = np.array([[0.0], [0.5], [30.0]])
+        cdf, pdf = rs_cdf_integer(g, k_x, m, 1.5), rs_pdf(g, k_x, m, 1.5)
+        monkeypatch.setattr(analytic, "_ORDER_ENTRIES", 1)
+        np.testing.assert_array_equal(rs_cdf_integer(g, k_x, m, 1.5), cdf)
+        np.testing.assert_allclose(rs_pdf(g, k_x, m, 1.5), pdf, rtol=1e-14, atol=0)
+
     @pytest.mark.parametrize("g", [0.5, 1.0, 4.0])
     def test_mixture_equals_hypergeometric_form(self, g):
         x, k, m, gbar = 1.0, 5.0, 3, 2.0
@@ -265,6 +276,21 @@ class TestRsCdf:
             np.testing.assert_array_equal(rs_cdf(g[1:], k_x[1:], 2.5, 1.0), want[1:])
             np.testing.assert_array_equal(
                 [rs_cdf(gi, ki, 2.5, 1.0) for gi, ki in zip(g, k_x)], want)
+
+    def test_bracket_only_where_the_window_starts_above_zero(self, monkeypatch):
+        # below y of about 200 every window starts at n = 0, where the
+        # bracket could only skip a window whose sum underflows
+        sizes = []
+
+        def counted(*args):
+            sizes.append(np.broadcast(*args).size)
+            return betainc(*args)
+
+        monkeypatch.setattr(analytic, "betainc", counted)
+        rs_cdf(np.geomspace(1e-300, 50.0, 64), 2.0, 2.5, 1.0)     # y up to 150
+        assert sum(sizes) == 0
+        rs_cdf(1e3, 2.0, 2.5, 1.0)
+        assert sum(sizes) > 0
 
     def test_huge_m_tends_to_rician(self):
         # the weights keep their digits at huge m: the O(K/m) gap to the
@@ -330,7 +356,7 @@ class TestFdrlosPdf:
 
     @pytest.mark.parametrize("m", [3, 2.5])
     def test_integrand_runs_no_checks(self, m, monkeypatch):
-        # the domain is checked once at entry, not on every quadrature panel
+        # the domain is checked once at entry, not on every integrand call
         want = fdrlos_pdf(1.0, FadingParams(5.0, m, 2.0))
 
         def refuse(*args):
@@ -592,6 +618,26 @@ class TestSnrBoundary:
         for law in (fdrlos_pdf, fdrlos_cdf):
             out = law(np.array([]), params)
             assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("m", [2, 2.5])
+    def test_snr_grids_keep_their_shape(self, m):
+        # a 2 x 2 grid (or a column against a row of K) is one flat vector
+        # call, and its values match the scalar calls to the tolerance
+        params = FadingParams(1.0, m, 1.0)
+        g = np.array([[0.3, 1.0], [2.0, 5.0]])
+        for law in (lambda v: fdrlos_pdf(v, params), lambda v: fdrlos_cdf(v, params),
+                    lambda v: outage_probability(v, 1.0, m, 1.0)):
+            got = law(g)
+            assert got.shape == (2, 2)
+            np.testing.assert_array_equal(got.ravel(), law(g.ravel()))
+            np.testing.assert_allclose(got, [[law(v) for v in row] for row in g],
+                                       rtol=1e-9, atol=0)
+        k = np.array([[0.5, 4.0]])
+        got = outage_probability(g[:, :1], k, m, 1.0)
+        assert got.shape == (2, 2)
+        np.testing.assert_allclose(
+            got, [[outage_probability(gi, ki, m, 1.0) for ki in k[0]] for gi in g[:, 0]],
+            rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("route", [
         lambda g: fdrlos_pdf(g, FadingParams(2.0, 3, 1.5)),

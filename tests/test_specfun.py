@@ -136,10 +136,38 @@ class TestAdaptiveQuad:
 
     def test_subdivision_exhaustion_carries_estimate(self):
         # 160 oscillations at 1e-13 need more than the 400-subdivision budget
-        with pytest.raises(AccuracyError) as info:
+        with pytest.raises(AccuracyError, match="400 subdivisions") as info:
             adaptive_quad_vec(lambda t: np.sin(50.0 * t) ** 2, 0.0, 20.0, rel_tol=1e-13)
-        assert info.value.value is not None
-        assert info.value.err_estimate is not None
+        assert info.value.value.shape == info.value.err_estimate.shape == (1,)
+        assert info.value.value[0] == pytest.approx(10.0 - math.sin(2000.0) / 200.0, rel=1e-6)
+        assert info.value.err_estimate[0] > 1e-13 * info.value.value[0]
+
+    def test_components_across_decades(self):
+        # e^(-ct) from c = 1e-3 (mass near u = 1 after folding) to 1e3 (mass
+        # near 0), one component 1e-200 smaller: each meets its own tolerance
+        c = np.geomspace(1e-3, 1e3, 13)
+        scale = np.ones_like(c)
+        scale[4] = 1e-200
+        vals, _ = adaptive_quad_vec(lambda t: scale * np.exp(-np.outer(t, c)), 0.0, math.inf)
+        np.testing.assert_allclose(vals, scale / c, rtol=1e-10, atol=0)
+
+    def test_a_round_is_one_integrand_call(self):
+        # the 8 seed panels are one call, and every refinement round one more
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.exp(-t)
+
+        val, _ = adaptive_quad_vec(f, 0.0, math.inf)
+        assert val[0] == pytest.approx(1.0, rel=1e-10)
+        assert len(calls) <= 3
+        assert calls[0] == 8 * 15
+
+    @pytest.mark.parametrize("upper", [math.nan, -math.inf, 0.0])
+    def test_bad_upper_limit_is_domain_error(self, upper):
+        with pytest.raises(DomainError, match="upper limit"):
+            adaptive_quad_vec(np.exp, 0.0, upper)
 
     def test_vector_components_controlled_independently(self):
         # second component is 1e12 times smaller; both must be accurate
@@ -259,6 +287,27 @@ class TestKummer1F1:
             log_kummer_1f1(0.8, 2.0, -3.0)
         with pytest.raises(DomainError):
             log_kummer_1f1(0.8, 2.0, np.array([1.0, -1e-300]))
+
+    def test_nan_argument_is_domain_error(self):
+        with pytest.raises(DomainError, match="NaN"):
+            log_kummer_1f1(2.5, 1.0, np.array([np.nan, 1.0]))
+
+    def test_empty_argument_gives_empty(self):
+        out = log_kummer_1f1(2.5, 1.0, np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("a", [0.7, 2.5, 30.5])
+    def test_series_value_does_not_depend_on_its_batch(self, a):
+        # each value stops at its own last term, so summed alone or in a
+        # batch whose other values need many more terms it is the same
+        rng = np.random.default_rng(7)
+        top = max(200.0, a * a)
+        # near x = 1e-16 at a = 0.7 the log is about -0.3 x, so small that
+        # one term past the last one needed still moves its last bit
+        x = np.concatenate([[0.0, 1e-300, top], rng.uniform(0.0, top, 40),
+                            10.0 ** rng.uniform(-17.0, 0.0, 200)])
+        batch = log_kummer_1f1(a, 1.0, x)
+        np.testing.assert_array_equal(batch, [log_kummer_1f1(a, 1.0, v) for v in x])
 
     @given(st.floats(0.5, 5.0), st.floats(0.6, 4.0), st.floats(0.1, 10.0))
     def test_derivative_contiguous_relation(self, a, b, x):

@@ -11,8 +11,8 @@ samplers.
 from .analytic import (Curve, UnderflowWarning, asymptotic_op, coding_gain,
                        drlos_cdf_oracle, drlos_pdf_oracle, fdrlos_cdf,
                        fdrlos_cdf_oracle, fdrlos_pdf, fdrlos_pdf_oracle,
-                       outage_probability, read_curve_csv, rician_cdf,
-                       rician_pdf, rs_cdf, rs_cdf_integer, rs_pdf)
+                       outage_probability, rician_cdf, rician_pdf, rs_cdf,
+                       rs_cdf_integer, rs_pdf)
 from .empirics import (CdfContractError, KsReport, default_ks_threshold,
                        histogram_density, ks_distance, tabulated_cdf)
 from .models import (FadingParams, ModelKind, SnrSampleSet, sample_gamma_rv,
@@ -30,7 +30,7 @@ __all__ = [
     "fdrlos_cdf", "fdrlos_cdf_oracle",
     "fdrlos_pdf", "fdrlos_pdf_oracle", "gamma_tricomi_u",
     "histogram_density", "ks_distance",
-    "log_kummer_1f1", "outage_probability", "read_curve_csv", "rician_cdf",
+    "log_kummer_1f1", "outage_probability", "rician_cdf",
     "rician_pdf", "rs_cdf", "rs_cdf_integer", "rs_pdf", "sample_gamma_rv",
     "sample_snr", "tabulated_cdf",
 ]

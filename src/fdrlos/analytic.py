@@ -22,12 +22,16 @@ integral before it substitutes t = K/m + x and expands (t - K/m)^j into
 generalized incomplete gammas, whose terms cancel; ``scripts/make_goldens.py``
 keeps that expansion as an mpmath cross-check.  K = 0 (no LoS; the law no
 longer depends on m) is an ordinary input.
+
+Every public law checks its arguments once, at entry and before any
+quadrature, against the one domain of ``models.check_params`` (finite K >= 0,
+m > 0 and gamma_bar > 0) and a nonnegative SNR; ``coding_gain`` needs K > 0.
+The conditionals a quadrature averages run no checks.
 """
 
 from __future__ import annotations
 
-import csv
-import io
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -36,10 +40,10 @@ import numpy as np
 from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e,
                            xlogy)
 
-from .models import FadingParams
+from .models import FadingParams, check_params
 from .specfun import (AccuracyError, DomainError, adaptive_quad_vec,
-                      check_positive_int, gamma_tricomi_u, log_kummer_1f1,
-                      log_negbin_pmf, log_poisson_pmf)
+                      check_positive_int, check_rel_tol, gamma_tricomi_u,
+                      log_kummer_1f1, log_negbin_pmf, log_poisson_pmf)
 
 _GAMMA_CHUNK = 32
 _ROW = 64                 # Rician shadowed series terms per anchored row
@@ -62,11 +66,29 @@ def _check_snr(gamma):
         raise DomainError("gamma must be nonnegative and not NaN")
 
 
-def _over_snr(gamma, k, evaluate, at_inf, at_zero=np.nan):
-    """Evaluate a law on an SNR array broadcast against K, ``_GAMMA_CHUNK``
-    points per ``evaluate(g, k)`` call (one vector quadrature each), in the
-    broadcast shape (at least 1-d).  +inf points take the limit ``at_inf``,
-    and 0 points ``at_zero`` unless it is NaN, unevaluated."""
+def _check_law(gamma, k=0.0, m=1.0, gbar=1.0):
+    """The SNR, K and gamma_bar of a law as float arrays, after the domain
+    checks: the public laws run them once, the conditionals that a quadrature
+    averages never."""
+    gamma = np.asarray(gamma, dtype=float)
+    _check_snr(gamma)
+    return (gamma, *check_params(k, m, gbar))
+
+
+def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=np.nan):
+    """Average a conditional law over the exponential scatter weight e^{-x},
+    to relative accuracy ``rel_tol`` in every value, on an SNR array
+    broadcast against K, in the broadcast shape (at least 1-d).
+
+    Each chunk of ``_GAMMA_CHUNK`` points is one vector quadrature:
+    ``conditional(g, k_x, gbar_x)`` receives the chunk as a (1, ng) row and
+    K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as (nx, ng)
+    arrays when K is an array chunked with the SNR, and returns the (nx, ng)
+    conditional values.  +inf points take the limit ``at_inf``, and 0 points
+    ``at_zero`` unless it is NaN, unevaluated; ``rel_tol`` is checked first,
+    since a grid of only such points runs no quadrature.
+    """
+    check_rel_tol(rel_tol)
     gamma_arr, k_arr = np.broadcast_arrays(
         np.atleast_1d(np.asarray(gamma, dtype=float)), np.asarray(k, dtype=float))
     shape, gamma_arr, k_arr = gamma_arr.shape, gamma_arr.ravel(), k_arr.ravel()
@@ -76,30 +98,15 @@ def _over_snr(gamma, k, evaluate, at_inf, at_zero=np.nan):
     for lo in range(0, len(todo), _GAMMA_CHUNK):
         sel = todo[lo:lo + _GAMMA_CHUNK]
         # a scalar K stays scalar, so the conditionals get K_x as a column
-        out[sel] = evaluate(gamma_arr[sel], k_arr[sel] if np.ndim(k) else k)
-    return out.reshape(shape)
+        g, k_c = gamma_arr[sel][None, :], k_arr[sel] if np.ndim(k) else k
 
-
-def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=np.nan):
-    """Average a conditional law over the exponential scatter weight e^{-x},
-    to relative accuracy ``rel_tol`` in every value.
-
-    ``conditional(g, k_x, gbar_x)`` receives the SNR chunk as a (1, ng) row
-    and K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as
-    (nx, ng) arrays when K is an array chunked with the SNR, and returns the
-    (nx, ng) conditional values; ``at_inf``, ``at_zero`` as in ``_over_snr``.
-    """
-
-    def average(g, k):
         def f(x):
             x = x[:, None]
-            gbar_x = gbar * (k + x) / (k + 1.0)
-            return conditional(g[None, :], k / x, gbar_x) * np.exp(-x)
+            gbar_x = gbar * (k_c + x) / (k_c + 1.0)
+            return conditional(g, k_c / x, gbar_x) * np.exp(-x)
 
-        vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
-        return vals
-
-    return _over_snr(gamma, k, average, at_inf, at_zero)
+        out[sel], _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -131,49 +138,17 @@ class Curve:
             raise DomainError("probabilities must lie in [0, 1]")
 
     def write_csv(self, target) -> None:
-        """Write `abscissa,value` rows with 17 significant digits (lossless)."""
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
-            with open(target, "w", encoding="utf-8", newline="\n") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        fh.write("abscissa,value\n")
-        for x, y in zip(self.abscissa, self.ordinate):
-            fh.write(f"{x:.17g},{y:.17g}\n")
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
-
-
-def read_curve_csv(source) -> Curve:
-    if hasattr(source, "read"):
-        rows = list(csv.reader(source))
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["abscissa", "value"]:
-        raise DomainError("expected header 'abscissa,value'")
-    data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-    return Curve(data[:, 0], data[:, 1])
+        """Write `abscissa,value` rows with 17 significant digits (lossless)
+        to a path or to an open text stream, which is left open."""
+        with (contextlib.nullcontext(target) if hasattr(target, "write")
+              else open(target, "w", encoding="utf-8", newline="\n")) as fh:
+            fh.write("abscissa,value\n")
+            for x, y in zip(self.abscissa, self.ordinate):
+                fh.write(f"{x:.17g},{y:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
 # Rician shadowed building blocks
-
-
-def _check_rs(gamma, k_x, m, gbar_x):
-    """The Rician shadowed arguments as float arrays, after the domain checks:
-    the public entry points run them once, the quadrature's integrand never."""
-    gamma, k_x, gbar_x = (np.asarray(v, dtype=float) for v in (gamma, k_x, gbar_x))
-    _check_snr(gamma)
-    if not (0 < m < np.inf and np.all((k_x >= 0) & (k_x < np.inf))
-            and np.all((gbar_x > 0) & (gbar_x < np.inf))):
-        raise DomainError("need finite m > 0, k_x >= 0 and gbar_x > 0")
-    return gamma, k_x, gbar_x
 
 
 def rs_pdf(gamma, k_x, m, gbar_x):
@@ -186,7 +161,7 @@ def rs_pdf(gamma, k_x, m, gbar_x):
     sums, at every other m through the scaled log 1F1: no route forms e^{+w}.
     Broadcasts over all three arrays.
     """
-    gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
+    gamma, k_x, gbar_x = _check_law(gamma, k_x, m, gbar_x)
     out = _conditional(m, "pdf")(gamma, k_x, gbar_x)
     return float(out) if out.ndim == 0 else out
 
@@ -238,7 +213,7 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
     positive terms.  Broadcasts over all three arrays.
     """
     m = check_positive_int(m, "m")
-    gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
+    gamma, k_x, gbar_x = _check_law(gamma, k_x, m, gbar_x)
     return _binomial_mixture(gamma, k_x, m, gbar_x)
 
 
@@ -301,7 +276,7 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     alone in a fixed order, terms within a row and then rows in increasing n,
     so it does not depend on what it is broadcast with or on the block size.
     """
-    gamma, k_x, gbar_x = _check_rs(gamma, k_x, m, gbar_x)
+    gamma, k_x, gbar_x = _check_law(gamma, k_x, m, gbar_x)
     return _nb_series(gamma, k_x, m, gbar_x)
 
 
@@ -486,12 +461,9 @@ def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
 def outage_probability(gamma_th, k, m, gamma_bar, *, rel_tol=1e-10):
     """P(snr < gamma_th) = F(gamma_th) for every m > 0; gamma_th and K
     broadcast (a sweep over K is one vector quadrature per chunk of points)."""
-    k = np.asarray(k, dtype=float)
     if not np.all(np.asarray(gamma_th) > 0):
         raise DomainError("gamma_th must be positive")
-    if not (np.all((k >= 0) & (k < np.inf)) and 0 < m < np.inf
-            and 0 < gamma_bar < np.inf):
-        raise DomainError("need finite K >= 0, m > 0 and gamma_bar > 0")
+    k, _ = check_params(k, m, gamma_bar)
     return _cdf_average(_conditional(m, "cdf"), gamma_th, k, gamma_bar, rel_tol)
 
 
@@ -513,8 +485,7 @@ def asymptotic_op(gamma_th, gbar, k, m, *, rel_tol=1e-10):
     over gbar; exact log-log slope -1 in gbar."""
     if not (0 < gamma_th < math.inf):
         raise DomainError(f"gamma_th must be finite and positive, got {gamma_th}")
-    if not np.all(np.asarray(gbar) > 0):
-        raise DomainError("gbar must be positive")
+    check_params(m=m, gamma_bar=gbar)
     return coding_gain(k, m, rel_tol=rel_tol) * gamma_th / gbar
 
 
@@ -522,33 +493,41 @@ def asymptotic_op(gamma_th, gbar, k, m, *, rel_tol=1e-10):
 # ancestor models (reference laws for comparisons)
 
 
-def rician_pdf(gamma, k, gbar):
-    """Rician SNR density (deterministic LoS, single-Rayleigh scatter)."""
-    gamma = np.asarray(gamma, dtype=float)
-    _check_snr(gamma)
+def _rician_density(gamma, k, gbar):
+    """``rician_pdf`` on checked arguments."""
     c = (1.0 + k) * gamma / gbar
     y = 2.0 * np.sqrt(k * c)
-    out = (1.0 + k) / gbar * i0e(y) * np.exp(-(np.sqrt(k) - np.sqrt(c)) ** 2)
+    return (1.0 + k) / gbar * i0e(y) * np.exp(-(np.sqrt(k) - np.sqrt(c)) ** 2)
+
+
+def _rician_probability(gamma, k, gbar):
+    """``rician_cdf`` on checked arguments."""
+    return chndtr(2.0 * (1.0 + k) * gamma / gbar, 2, 2.0 * k)
+
+
+def rician_pdf(gamma, k, gbar):
+    """Rician SNR density (deterministic LoS, single-Rayleigh scatter)."""
+    out = _rician_density(*_check_law(gamma, k, gbar=gbar))
     return float(out) if out.ndim == 0 else out
 
 
 def rician_cdf(gamma, k, gbar):
     """Rician SNR cdf via the noncentral chi-square law: ``chndtr`` at
     2 (1+K) g / gbar with 2 degrees of freedom and noncentrality 2K."""
-    gamma = np.asarray(gamma, dtype=float)
-    _check_snr(gamma)
-    out = chndtr(2.0 * (1.0 + k) * gamma / gbar, 2, 2.0 * k)
-    return float(out) if np.ndim(gamma) == 0 else out
+    out = _rician_probability(*_check_law(gamma, k, gbar=gbar))
+    return float(out) if out.ndim == 0 else out
 
 
 def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
     Rician, averaged over the exponential scatter weight (the m -> inf limit)."""
-    out = _scatter_average(rician_pdf, gamma, k, gbar, rel_tol,
+    check_params(k, gamma_bar=gbar)
+    out = _scatter_average(_rician_density, gamma, k, gbar, rel_tol,
                            0.0, np.inf if k == 0 else np.nan)
     return float(out[0]) if np.ndim(gamma) == 0 else out
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
-    return _cdf_average(rician_cdf, gamma, k, gbar, rel_tol)
+    check_params(k, gamma_bar=gbar)
+    return _cdf_average(_rician_probability, gamma, k, gbar, rel_tol)

@@ -3,7 +3,7 @@
 All numeric flags are linear unless the flag name ends in ``-db``; dB values
 are converted once at this boundary via linear = 10^(dB/10).  Output is CSV
 (UTF-8, comma, header row, LF) with 17 significant digits, which round-trips
-doubles exactly.
+doubles exactly; ``Curve.write_csv`` writes it to ``--output`` or stdout.
 
 Every fdrlos law takes every finite m > 0; the route (the finite Binomial
 mixture at integer m, otherwise the negative-binomial series or 1F1) follows m.
@@ -161,21 +161,14 @@ def _law(args, model: ModelKind, quantity: str, params: FadingParams):
     return lambda g: getattr(analytic, f"rician_{quantity}")(g, k, gbar)
 
 
-def _emit(curve: analytic.Curve, output: str | None) -> None:
-    if output:
-        curve.write_csv(output)
-    else:
-        sys.stdout.write(curve.to_csv_text())
-
-
 def cmd_curve(args) -> int:
     """``pdf`` and ``cdf``: the law on an SNR grid."""
     model = ModelKind.parse(args.model)
     params = FadingParams(args.k, args.m, _linear(args, "gamma_bar"))
     grid = _parse_grid(args.grid)
     vals = _law(args, model, args.subcommand, params)(grid)
-    _emit(analytic.Curve(grid, vals, meta={"quantity": args.subcommand,
-                                           "model": model.value}), args.output)
+    meta = {"quantity": args.subcommand, "model": model.value}
+    analytic.Curve(grid, vals, meta=meta).write_csv(args.output or sys.stdout)
     return 0
 
 
@@ -197,7 +190,7 @@ def cmd_op(args) -> int:
         vals = _law(args, model, "cdf", unit)(gamma_th / gbars)
     meta = {"quantity": "op" if not args.asymptotic else "op-asymptote",
             "model": model.value, "abscissa_unit": "dB" if in_db else "linear"}
-    _emit(analytic.Curve(grid, vals, meta=meta), args.output)
+    analytic.Curve(grid, vals, meta=meta).write_csv(args.output or sys.stdout)
     return 0
 
 

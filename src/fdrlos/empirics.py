@@ -37,8 +37,9 @@ def _values(samples) -> np.ndarray:
     return vals
 
 
-def ks_distance(samples, analytic_cdf, threshold: float | None = None) -> KsReport:
-    """Two-sided sup distance between the sample ecdf and an analytic cdf.
+def ks_distance(samples, analytic_cdf) -> KsReport:
+    """Two-sided sup distance between the sample ecdf and an analytic cdf,
+    passed against ``default_ks_threshold``.
 
     ``analytic_cdf`` must accept an array and be (numerically) nondecreasing
     over the sample range; anything else is a contract violation.  The array
@@ -56,7 +57,7 @@ def ks_distance(samples, analytic_cdf, threshold: float | None = None) -> KsRepo
     above /= n
     above -= f
     stat = float(max(above.max(), 1.0 / n - above.min()))
-    thr = default_ks_threshold(n) if threshold is None else float(threshold)
+    thr = default_ks_threshold(n)
     return KsReport(statistic=stat, n=n, threshold=thr, passed=stat < thr)
 
 

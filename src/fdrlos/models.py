@@ -64,6 +64,20 @@ class ModelKind(enum.Enum):
         return self in (ModelKind.RICIAN_SHADOWED, ModelKind.FDRLOS)
 
 
+def check_params(k=0.0, m=1.0, gamma_bar=1.0):
+    """The domain of every law: finite K >= 0, m > 0 and gamma_bar > 0, K and
+    gamma_bar scalars or arrays; a law passes what it takes (the defaults lie
+    inside).  Returns K and gamma_bar as float arrays."""
+    k, gamma_bar = np.asarray(k, dtype=float), np.asarray(gamma_bar, dtype=float)
+    if not np.all((k >= 0) & (k < np.inf)):
+        raise DomainError(f"K must be finite and >= 0, got {k}")
+    if not 0 < m < np.inf:
+        raise DomainError(f"m must be finite and > 0, got {m}")
+    if not np.all((gamma_bar > 0) & (gamma_bar < np.inf)):
+        raise DomainError(f"gamma_bar must be finite and > 0, got {gamma_bar}")
+    return k, gamma_bar
+
+
 @dataclass(frozen=True)
 class FadingParams:
     """(K, m, gamma_bar) in linear scale.
@@ -78,12 +92,7 @@ class FadingParams:
     gamma_bar: float
 
     def __post_init__(self):
-        if not (0.0 <= self.k < np.inf):
-            raise DomainError(f"K must be finite and >= 0, got {self.k}")
-        if not (0.0 < self.m < np.inf):
-            raise DomainError(f"m must be finite and > 0, got {self.m}")
-        if not (0.0 < self.gamma_bar < np.inf):
-            raise DomainError(f"gamma_bar must be finite and > 0, got {self.gamma_bar}")
+        check_params(self.k, self.m, self.gamma_bar)
 
     @property
     def omega0(self) -> float:
@@ -117,8 +126,7 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 def sample_gamma_rv(m: float, n: int, stream: np.random.Generator) -> np.ndarray:
     """Unit-mean Gamma(shape m, scale 1/m) samples: mean 1, variance 1/m."""
-    if m <= 0:
-        raise DomainError(f"m must be > 0, got {m}")
+    check_params(m=m)
     if n < 1:
         raise DomainError("n must be >= 1")
     return stream.standard_gamma(m, n) / m

@@ -154,8 +154,8 @@ def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
     Returns ``(values, err_estimates)`` as arrays of shape (ncomp,).
     Raises :class:`AccuracyError` (carrying the last values and error
     estimates) once the budget is spent without meeting the tolerance, and
-    :class:`DomainError` for a limit that is NaN or out of order, or if the
-    integrand produces NaN.
+    :class:`DomainError` for a limit that is NaN or out of order, or at the
+    first call whose values include NaN or +-inf.
     """
     check_rel_tol(rel_tol)
     if not np.isfinite(lower):
@@ -175,8 +175,8 @@ def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         x = (c[:, None] + h[:, None] * _K15_NODES).ravel()
         v = np.asarray(f(x), dtype=float).reshape(a.size, _K15_NODES.size, -1)
-        if np.isnan(v).any():
-            raise DomainError("integrand returned NaN")
+        if not np.isfinite(v).all():
+            raise DomainError("integrand returned NaN or inf")
         ik = h[:, None] * (_K15_WEIGHTS @ v)
         ig = h[:, None] * (_G7_WEIGHTS @ v[:, _G7_IDX])
         return ik, np.abs(ik - ig)
@@ -305,21 +305,11 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
 _STIRLING_FROM = 10
 
 
-def _stirling_steps(x):
-    """s(x) - s(x + 10) = sum_{i<10} (x + i + 1/2) log1p(1/(x + i)) - 1."""
-    t = x[..., None] + np.arange(_STIRLING_FROM)
-    return np.sum((t + 0.5) * np.log1p(1.0 / t) - 1.0, axis=-1)
-
-
-#: the steps from the integers 1..9, where the series anchors mostly sit
-_STEPS_AT_INTEGERS = _stirling_steps(np.arange(1.0, _STIRLING_FROM))
-
-
 def stirlerr(x):
     """Stirling's remainder log Gamma(x+1) - (x + 1/2) log x + x - log sqrt(2 pi)
     for x > 0, vectorized, to about 1e-16 absolute (Loader 2000).
 
-    From x = 10 the asymptotic series; below it, ten steps of
+    From x = 10 the asymptotic series; below it, integer or not, ten steps of
     s(x) = s(x+1) + (x + 1/2) log1p(1/x) - 1 from s(x + 10).  No step
     subtracts large terms, as lgamma(x+1) - (x + 1/2) log x would.
     """
@@ -332,13 +322,8 @@ def stirlerr(x):
         series = c + z2 * series
     out = np.asarray(series * iz)
     if np.any(small):
-        xs = x[small]
-        k = xs.astype(np.intp)
-        whole = (k == xs) & (k >= 1)
-        steps = np.empty_like(xs)
-        steps[whole] = _STEPS_AT_INTEGERS[k[whole] - 1]
-        steps[~whole] = _stirling_steps(xs[~whole])
-        out[small] += steps
+        t = x[small, None] + np.arange(_STIRLING_FROM)
+        out[small] += np.sum((t + 0.5) * np.log1p(1.0 / t) - 1.0, axis=-1)
     return out
 
 

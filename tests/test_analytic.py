@@ -13,8 +13,8 @@ from fdrlos.analytic import (Curve, UnderflowWarning, _flag_underflow,
                              asymptotic_op, coding_gain, drlos_cdf_oracle,
                              drlos_pdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
                              fdrlos_pdf, fdrlos_pdf_oracle, outage_probability,
-                             read_curve_csv, rician_cdf, rician_pdf, rs_cdf,
-                             rs_cdf_integer, rs_pdf)
+                             rician_cdf, rician_pdf, rs_cdf, rs_cdf_integer,
+                             rs_pdf)
 from fdrlos.models import FadingParams
 from fdrlos.specfun import AccuracyError, DomainError, adaptive_quad_vec
 
@@ -360,9 +360,9 @@ class TestFdrlosPdf:
         want = fdrlos_pdf(1.0, FadingParams(5.0, m, 2.0))
 
         def refuse(*args):
-            raise AssertionError("_check_rs called")
+            raise AssertionError("_check_law called")
 
-        monkeypatch.setattr(analytic, "_check_rs", refuse)
+        monkeypatch.setattr(analytic, "_check_law", refuse)
         assert fdrlos_pdf(1.0, FadingParams(5.0, m, 2.0)) == want
 
     def test_matches_oracle_pointwise(self):
@@ -654,6 +654,65 @@ class TestSnrBoundary:
             route(np.array([1.0, np.nan]))
 
 
+#: every public law as f(g, k, m, gbar, rel_tol), with the parameters it takes
+PUBLIC_LAWS = {
+    "fdrlos_pdf": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: fdrlos_pdf(
+        g, FadingParams(k, m, gbar), rel_tol=tol)),
+    "fdrlos_cdf": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: fdrlos_cdf(
+        g, FadingParams(k, m, gbar), rel_tol=tol)),
+    "fdrlos_pdf_oracle": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: fdrlos_pdf_oracle(
+        g, FadingParams(k, m, gbar), rel_tol=tol)),
+    "fdrlos_cdf_oracle": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: fdrlos_cdf_oracle(
+        g, FadingParams(k, m, gbar), rel_tol=tol)),
+    "outage_probability": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: outage_probability(
+        g, k, m, gbar, rel_tol=tol)),
+    "asymptotic_op": ("k m gbar", lambda g, k, m, gbar, tol: asymptotic_op(
+        g, gbar, k, m, rel_tol=tol)),
+    "coding_gain": ("k m", lambda g, k, m, gbar, tol: coding_gain(k, m, rel_tol=tol)),
+    "rs_pdf": ("k m gbar", lambda g, k, m, gbar, tol: rs_pdf(g, k, m, gbar)),
+    "rs_cdf": ("k m gbar", lambda g, k, m, gbar, tol: rs_cdf(g, k, m, gbar)),
+    "rs_cdf_integer": ("k m gbar", lambda g, k, m, gbar, tol: rs_cdf_integer(g, k, m, gbar)),
+    "rician_pdf": ("k gbar", lambda g, k, m, gbar, tol: rician_pdf(g, k, gbar)),
+    "rician_cdf": ("k gbar", lambda g, k, m, gbar, tol: rician_cdf(g, k, gbar)),
+    "drlos_pdf_oracle": ("k gbar rel_tol", lambda g, k, m, gbar, tol: drlos_pdf_oracle(
+        g, k, gbar, rel_tol=tol)),
+    "drlos_cdf_oracle": ("k gbar rel_tol", lambda g, k, m, gbar, tol: drlos_cdf_oracle(
+        g, k, gbar, rel_tol=tol)),
+}
+#: the bad values of each parameter, and the name its refusal must give
+BAD_PARAMETERS = {
+    "k": ([-1.0, np.nan, np.inf], r"\bK\b"),
+    "m": ([0.0, np.nan, np.inf], r"\bm\b"),
+    "gbar": ([0.0, -1.0, np.nan, np.inf], "gamma_bar"),
+    "rel_tol": ([np.nan], "rel_tol"),
+}
+
+
+def _bad_parameter_cases():
+    for law, (takes, _) in PUBLIC_LAWS.items():
+        for param in takes.split():
+            values, _ = BAD_PARAMETERS[param]
+            for value in values:
+                yield pytest.param(law, param, value, id=f"{law}-{param}={value}")
+
+
+@pytest.mark.parametrize("law, param, value", _bad_parameter_cases())
+def test_bad_parameter_is_refused_before_any_quadrature(law, param, value, monkeypatch):
+    # rel_tol is tried on a grid of only +inf, which runs no quadrature
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(analytic, "adaptive_quad_vec", refuse)
+    monkeypatch.setattr(specfun, "adaptive_quad_vec", refuse)
+    args = {"g": 1.0, "k": 1.0, "m": 2, "gbar": 1.0, "tol": 1e-10}
+    if param == "rel_tol":
+        args.update(g=np.inf, tol=value)
+    else:
+        args[param] = value
+    with pytest.raises(DomainError, match=BAD_PARAMETERS[param][1]):
+        PUBLIC_LAWS[law][1](**args)
+
+
 class TestAsymptote:
     def test_coding_gain_m1(self):
         assert coding_gain(1.0, 1) == pytest.approx(A_K1_M1, rel=1e-12, abs=0)
@@ -746,12 +805,10 @@ class TestCurve:
         x = np.array([1.0 / 3.0, 0.7, 1e-300, 6.02214076e23][:3])
         x = np.sort(x)
         y = np.array([0.1234567890123456789, 2.0 ** -52, 1.0 - 2 ** -53])
-        curve = Curve(x, y)
-        buf = io.StringIO(curve.to_csv_text())
-        back = read_curve_csv(buf)
-        assert np.array_equal(back.abscissa, x)
-        assert np.array_equal(back.ordinate, y)
-
-    def test_header_enforced(self):
-        with pytest.raises(DomainError):
-            read_curve_csv(io.StringIO("x,y\n1,2\n"))
+        buf = io.StringIO()
+        Curve(x, y).write_csv(buf)
+        assert buf.getvalue().startswith("abscissa,value\n")
+        buf.seek(0)
+        back = np.loadtxt(buf, delimiter=",", skiprows=1)
+        assert np.array_equal(back[:, 0], x)
+        assert np.array_equal(back[:, 1], y)

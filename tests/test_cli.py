@@ -12,13 +12,17 @@ from scipy.special import k0
 
 import fdrlos
 from fdrlos import cli, empirics
-from fdrlos.analytic import read_curve_csv
+from fdrlos.analytic import Curve
 from fdrlos.cli import _parse_grid, cmd_figure, db_to_linear, main
 from fdrlos.specfun import DomainError
 
 
 def run(argv):
     return main(argv)
+
+
+#: ``np.loadtxt`` arguments that read a curve CSV as (abscissa, value) columns
+CSV = dict(delimiter=",", skiprows=1, ndmin=2, unpack=True)
 
 
 def read_rows(path):
@@ -114,19 +118,25 @@ class TestPdfCommand:
         rows = read_rows(str(out))
         assert rows[0] == "abscissa,value"
         assert len(rows) == 201
-        curve = read_curve_csv(str(out))
-        assert np.all(curve.ordinate >= 0)
+        _, values = np.loadtxt(out, **CSV)
+        assert np.all(values >= 0)
 
     def test_round_trip_lossless(self, tmp_path):
         out = tmp_path / "pdf.csv"
         run(["pdf", "--k", "1", "--m", "2", "--gamma-bar-db", "3",
              "--grid", "0.1:4:30:log", "--output", str(out)])
-        c1 = read_curve_csv(str(out))
+        x, y = np.loadtxt(out, **CSV)
         out2 = tmp_path / "again.csv"
-        c1.write_csv(str(out2))
-        c2 = read_curve_csv(str(out2))
-        assert np.array_equal(c1.ordinate, c2.ordinate)
-        assert np.array_equal(c1.abscissa, c2.abscissa)
+        Curve(x, y).write_csv(str(out2))
+        assert out2.read_bytes() == out.read_bytes()
+
+    def test_stdout_carries_the_output_file(self, tmp_path, capsys):
+        # one writer: without --output the same CSV goes to stdout
+        argv = ["pdf", "--k", "1", "--m", "2", "--gamma-bar", "1", "--grid", "0.1:4:5"]
+        out = tmp_path / "pdf.csv"
+        assert run(argv + ["--output", str(out)]) == 0
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("route", [
         ["--m", "3"], ["--m", "2.5", "--oracle"], ["--model", "drlos"],
@@ -137,7 +147,7 @@ class TestPdfCommand:
                     "--grid", "0:1:2", "--output", str(out)]) == 0
         assert read_rows(str(out))[1] == "0,inf"
         # the law there is (2/gbar) K0(2 sqrt(g/gbar))
-        assert read_curve_csv(str(out)).ordinate[1] == pytest.approx(
+        assert np.loadtxt(out, **CSV)[1][1] == pytest.approx(
             k0(2.0 * np.sqrt(0.5)), rel=1e-9)
 
     @pytest.mark.parametrize("m", ["30.5", "50.5"])
@@ -147,7 +157,7 @@ class TestPdfCommand:
         out = tmp_path / "pdf.csv"
         assert run(["pdf", "--k", "1", "--m", m, "--gamma-bar", "1",
                     "--grid", "0.5:2:3", "--output", str(out)]) == 0
-        assert np.all(read_curve_csv(str(out)).ordinate > 0)
+        assert np.all(np.loadtxt(out, **CSV)[1] > 0)
 
     @pytest.mark.parametrize("model", ["rician", "rician-shadowed", "drlos"])
     def test_ancestor_models(self, model, tmp_path):
@@ -155,7 +165,7 @@ class TestPdfCommand:
         code = run(["pdf", "--model", model, "--k", "2", "--m", "2",
                     "--gamma-bar", "1", "--grid", "0.2:3:12", "--output", str(out)])
         assert code == 0
-        assert np.all(read_curve_csv(str(out)).ordinate >= 0)
+        assert np.all(np.loadtxt(out, **CSV)[1] >= 0)
 
 
 class TestCdfCommand:
@@ -166,21 +176,21 @@ class TestCdfCommand:
         out = tmp_path / "cdf.csv"
         assert run(["cdf", "--k", "5", "--m", "3", "--gamma-bar", "2",
                     "--grid", "0:12:60", "--output", str(out)]) == 0
-        c = read_curve_csv(str(out))
-        assert np.all(np.diff(c.ordinate) >= 0)
-        assert c.ordinate[0] >= 0 and c.ordinate[-1] <= 1
+        _, values = np.loadtxt(out, **CSV)
+        assert np.all(np.diff(values) >= 0)
+        assert values[0] >= 0 and values[-1] <= 1
 
     def test_rician_shadowed_far_tail_is_one(self, tmp_path):
         out = tmp_path / "cdf.csv"
         assert run(self.RS + ["--grid", "0:1e6:3", "--output", str(out)]) == 0
-        assert read_curve_csv(str(out)).ordinate.tolist() == [0.0, 1.0, 1.0]
+        assert np.loadtxt(out, **CSV)[1].tolist() == [0.0, 1.0, 1.0]
 
     def test_rician_shadowed_huge_snr_builds_no_window(self, tmp_path, monkeypatch):
         # the 31-term window at 0 fits; 5e299 and 1e300 must settle without one
         monkeypatch.setattr(cli.analytic, "_MAX_WINDOW", 31)
         out = tmp_path / "cdf.csv"
         assert run(self.RS + ["--grid", "0:1e300:3", "--output", str(out)]) == 0
-        assert read_curve_csv(str(out)).ordinate.tolist() == [0.0, 1.0, 1.0]
+        assert np.loadtxt(out, **CSV)[1].tolist() == [0.0, 1.0, 1.0]
 
 
 class TestOpCommand:
@@ -189,9 +199,9 @@ class TestOpCommand:
         code = run(["op", "--k", "1", "--m", "3", "--gamma-th-db", "3",
                     "--grid-db", "0:40:41", "--output", str(out)])
         assert code == 0
-        c = read_curve_csv(str(out))
-        assert len(c.ordinate) == 41
-        assert np.all(np.diff(c.ordinate) < 0)
+        _, values = np.loadtxt(out, **CSV)
+        assert len(values) == 41
+        assert np.all(np.diff(values) < 0)
 
     def test_asymptote_undefined_at_k_zero(self, tmp_path, capsys):
         code = run(["op", "--k", "0", "--m", "3", "--gamma-th-db", "3",
@@ -204,9 +214,9 @@ class TestOpCommand:
         assert run(["op", "--k", "1", "--m", "2", "--gamma-th", "2",
                     "--grid-db", "10:40:7", "--asymptotic",
                     "--output", str(out)]) == 0
-        c = read_curve_csv(str(out))
-        gbars = 10 ** (c.abscissa / 10.0)
-        prod = c.ordinate * gbars
+        db, values = np.loadtxt(out, **CSV)
+        gbars = 10 ** (db / 10.0)
+        prod = values * gbars
         np.testing.assert_allclose(prod, prod[0], rtol=1e-12)
 
     @pytest.mark.parametrize("grid", ["--grid=0:10:3", "--grid=-1:10:3",
@@ -238,12 +248,11 @@ class TestOpCommand:
         op = tmp_path / "op.csv"
         assert run(["op", *route, "--k", "3", "--gamma-th", "2",
                     "--grid-db=-5:30:4", "--output", str(op)]) == 0
-        rows = read_curve_csv(str(op))
         one = tmp_path / "cdf.csv"
-        for gbar_db, value in zip(rows.abscissa, rows.ordinate):
+        for gbar_db, value in zip(*np.loadtxt(op, **CSV)):
             assert run(["cdf", *route, "--k", "3", f"--gamma-bar-db={gbar_db:.17g}",
                         "--grid", "2:3:2", "--output", str(one)]) == 0
-            assert read_curve_csv(str(one)).ordinate[0] == pytest.approx(
+            assert np.loadtxt(one, **CSV)[1][0] == pytest.approx(
                 value, rel=1e-9)
 
     def test_usage_error_exit_code(self):
@@ -319,12 +328,12 @@ class TestFigureCommand:
     def test_fig5_file_set(self, tmp_path):
         assert cmd_figure("fig5", str(tmp_path)) == 0
         for m in (1, 3, 5, 10):
-            fd = read_curve_csv(str(tmp_path / f"fig5_fdrlos_op_vs_k_m{m}.csv"))
-            rs = read_curve_csv(str(tmp_path / f"fig5_rs_op_vs_k_m{m}.csv"))
-            assert len(fd.abscissa) == 81
-            assert fd.abscissa[0] == 0.0 and fd.abscissa[-1] == 20.0
-            assert np.all((fd.ordinate >= 0) & (fd.ordinate <= 1))
-            assert np.all((rs.ordinate >= 0) & (rs.ordinate <= 1))
+            k_grid, fd = np.loadtxt(tmp_path / f"fig5_fdrlos_op_vs_k_m{m}.csv", **CSV)
+            _, rs = np.loadtxt(tmp_path / f"fig5_rs_op_vs_k_m{m}.csv", **CSV)
+            assert len(k_grid) == 81
+            assert k_grid[0] == 0.0 and k_grid[-1] == 20.0
+            assert np.all((fd >= 0) & (fd <= 1))
+            assert np.all((rs >= 0) & (rs <= 1))
 
     def test_fig1_with_reduced_sampling(self, tmp_path):
         assert cmd_figure("fig1", str(tmp_path), mc_samples=2000) == 0
@@ -333,8 +342,8 @@ class TestFigureCommand:
             assert f"fig1_fdrlos_pdf_m{m}.csv" in names
             assert f"fig1_mc_hist_m{m}.csv" in names
         assert "fig1_drlos_pdf_limit.csv" in names
-        hist = read_curve_csv(str(tmp_path / "fig1_mc_hist_m3.csv"))
-        assert float(np.sum(hist.ordinate) * 0.1) <= 1.0 + 1e-12
+        _, heights = np.loadtxt(tmp_path / "fig1_mc_hist_m3.csv", **CSV)
+        assert float(np.sum(heights) * 0.1) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("name", ["fig3", "fig4"])
     def test_mc_markers_fall_with_mean_snr(self, name, tmp_path):
@@ -342,7 +351,7 @@ class TestFigureCommand:
         # rise with the mean SNR, whatever the sample count
         assert cmd_figure(name, str(tmp_path), mc_samples=500) == 0
         for path in sorted(tmp_path.glob(f"{name}_mc_op_m*.csv")):
-            markers = read_curve_csv(str(path)).ordinate
+            _, markers = np.loadtxt(path, **CSV)
             assert markers[0] > 0.0
             assert np.all(np.diff(markers) <= 0.0), path.name
 

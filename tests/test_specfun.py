@@ -134,6 +134,22 @@ class TestAdaptiveQuad:
         with pytest.raises(DomainError):
             adaptive_quad_vec(lambda t: np.full_like(t, np.nan), 0.0, 1.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_integrand_is_refused_at_the_first_call(self, value):
+        # an inf value makes the Kronrod-Gauss difference NaN, which no
+        # subdivision mends: the first call is refused, as for NaN
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            out = np.ones_like(t)
+            out[3] = value
+            return out
+
+        with pytest.raises(DomainError, match="NaN"):
+            adaptive_quad_vec(f, 0.0, 1.0)
+        assert len(calls) == 1
+
     def test_subdivision_exhaustion_carries_estimate(self):
         # 160 oscillations at 1e-13 need more than the 400-subdivision budget
         with pytest.raises(AccuracyError, match="400 subdivisions") as info:

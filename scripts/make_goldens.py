@@ -34,9 +34,10 @@ Fluctuating double-Rayleigh LoS pdf and cdf at integer m
   gbar_x = gbar (K+x)/(K+1) (for the cdf, integrated over [0, g] as well),
   at 30 digits.
 
-The same pdf at real m (``FDRLOS_PDF_REAL_M_GOLDENS``), where the closed form
-does not apply: the 1F1 average by tanh-sinh at both precisions, confirmed to
-16 digits by Gauss-Legendre at 30 digits.  The cdf at real m
+The same pdf at real m (``FDRLOS_PDF_REAL_M_GOLDENS`` and, at m = 140.5,
+``FDRLOS_PDF_M140_GOLDENS``), where the closed form does not apply: the 1F1
+average by tanh-sinh at both precisions, confirmed to 16 digits by
+Gauss-Legendre at 30 digits.  The cdf at real m
 (``FDRLOS_CDF_REAL_M_GOLDENS``): the 1F1 density integrated over [0, g] and
 averaged, by tanh-sinh at both precisions, confirmed to 11 digits by
 Gauss-Legendre at 30 (which converges slowly below m = 1).
@@ -109,6 +110,9 @@ RS_PDF_CASES = [(3.0, k, m, 1.7) for m in (3, 2.5) for k in (5e4, 1e6, 1e8)]
 #: --grid 0.5:2:3``
 FDRLOS_PDF_REAL_M_CASES = [(g, 1.0, 30.5, 1.0) for g in (0.5, 1.25, 2.0)] + [
     (1.0, 1.0, 50.5, 1.0), (1.0, 5.0, 30.5, 2.0), (1.0, 5.0, 50.5, 2.0)]
+#: the grid of the same command at m = 140.5, where a 1F1 series from k = 0
+#: needs more than 2e4 terms
+FDRLOS_PDF_M140_CASES = [(g, 1.0, 140.5, 1.0) for g in (0.5, 1.25, 2.0)]
 
 #: (name, gamma, k, m, gbar) of the fdrlos cdf at real m
 FDRLOS_CDF_REAL_M_CASES = [("K = 3, m = 2.5", g, 3.0, 2.5, 2.0) for g in (0.01, 1.0, 20.0)] + [
@@ -161,7 +165,8 @@ SPECFUN_TABLES = [
       (5.0, 1.0, 100.0), (2.5, 1.7, 30.0)]),
     ("SCALED_LOG_HYP1F1", lambda a, b, x: mp.log(mp.hyp1f1(a, b, x)) - x,
      [(500.0, 1.0, 50.0), (2.5, 1.0, 5000.0), (30.5, 1.0, 300.0),
-      (30.0, 1.0, 300.0), (100.5, 1.0, 9000.0)]),
+      (30.0, 1.0, 300.0), (100.5, 1.0, 9000.0), (140.5, 1.0, 1.9e4),
+      (400.5, 1.0, 1e5), (1000.5, 1.0, 5e5), (10000.5, 1.0, 5e7)]),
     ("STIRLERR", stirlerr,
      [(0.3,), (1.0,), (2.5,), (9.75,), (10.0,), (33.3,), (1e6,)]),
     ("LOG_POISSON_PMF", log_poisson_pmf,
@@ -393,11 +398,13 @@ def main():
             value = fdrlos_golden(closed, averaged, (g, k, m, gbar))
             print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
         print("}")
-    print("FDRLOS_PDF_REAL_M_GOLDENS = {")
-    for g, k, m, gbar in FDRLOS_PDF_REAL_M_CASES:
-        value = fdrlos_pdf_real_m(g, k, m, gbar)
-        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},")
-    print("}")
+    for title, cases in (("FDRLOS_PDF_REAL_M_GOLDENS", FDRLOS_PDF_REAL_M_CASES),
+                         ("FDRLOS_PDF_M140_GOLDENS", FDRLOS_PDF_M140_CASES)):
+        print(f"{title} = {{")
+        for g, k, m, gbar in cases:
+            value = fdrlos_pdf_real_m(g, k, m, gbar)
+            print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},")
+        print("}")
     print("FDRLOS_CDF_REAL_M_GOLDENS = {")
     for name, g, k, m, gbar in FDRLOS_CDF_REAL_M_CASES:
         value = fdrlos_cdf_real_m(g, k, m, gbar)

@@ -75,7 +75,7 @@ def _check_law(gamma, k=0.0, m=1.0, gbar=1.0):
     return (gamma, *check_params(k, m, gbar))
 
 
-def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=np.nan):
+def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, pole=False):
     """Average a conditional law over the exponential scatter weight e^{-x},
     to relative accuracy ``rel_tol`` in every value, on an SNR array
     broadcast against K, in the broadcast shape (at least 1-d).
@@ -84,16 +84,18 @@ def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=np.na
     ``conditional(g, k_x, gbar_x)`` receives the chunk as a (1, ng) row and
     K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as (nx, ng)
     arrays when K is an array chunked with the SNR, and returns the (nx, ng)
-    conditional values.  +inf points take the limit ``at_inf``, and 0 points
-    ``at_zero`` unless it is NaN, unevaluated; ``rel_tol`` is checked first,
-    since a grid of only such points runs no quadrature.
+    conditional values.  +inf points take the limit ``at_inf``; with ``pole``
+    (a density) 0 points take +inf where K = 0, the product law's pole, each
+    K on its own.  ``rel_tol`` is checked first, since a grid of only such
+    points runs no quadrature.
     """
     check_rel_tol(rel_tol)
     gamma_arr, k_arr = np.broadcast_arrays(
         np.atleast_1d(np.asarray(gamma, dtype=float)), np.asarray(k, dtype=float))
     shape, gamma_arr, k_arr = gamma_arr.shape, gamma_arr.ravel(), k_arr.ravel()
     _check_snr(gamma_arr)
-    out = np.where(gamma_arr == 0, at_zero, float(at_inf))
+    out = np.where(gamma_arr == 0, np.where(pole & (k_arr == 0), np.inf, np.nan),
+                   float(at_inf))
     todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf) | np.isnan(out))
     for lo in range(0, len(todo), _GAMMA_CHUNK):
         sel = todo[lo:lo + _GAMMA_CHUNK]
@@ -107,6 +109,11 @@ def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=np.na
 
         out[sel], _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
     return out.reshape(shape)
+
+
+def _shaped(out, gamma, k):
+    """A float where the SNR and K are both scalars, else the array."""
+    return float(out[0]) if np.ndim(gamma) == 0 and np.ndim(k) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +407,8 @@ def _conditional(m, law):
 def _cdf_average(conditional, gamma, k, gbar, rel_tol):
     """A conditional cdf averaged over the scatter weight; K broadcasts
     against gamma."""
-    out = np.clip(_scatter_average(conditional, gamma, k, gbar, rel_tol, 1.0),
-                  0.0, 1.0)
-    return float(out[0]) if np.ndim(gamma) == 0 and np.ndim(k) == 0 else out
+    return _shaped(np.clip(_scatter_average(conditional, gamma, k, gbar, rel_tol, 1.0),
+                           0.0, 1.0), gamma, k)
 
 
 def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
@@ -416,11 +422,11 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     at integer m the density of the Binomial mixture of m Gamma laws that
     ``rs_cdf_integer`` sums, at every other m the scaled 1F1 form; both are
     positive sums.  K = 0 is an ordinary input: the product law, +inf at g = 0.
+    An array K broadcasts against gamma, each K with its own limit at g = 0.
     """
-    out = _flag_underflow(_scatter_average(
+    return _shaped(_flag_underflow(_scatter_average(
         _conditional(params.m, "pdf"), gamma, params.k, params.gamma_bar,
-        rel_tol, 0.0, np.inf if params.k == 0 else np.nan))
-    return float(out[0]) if np.ndim(gamma) == 0 else out
+        rel_tol, 0.0, pole=True)), gamma, params.k)
 
 
 #: the density has one route for every m, so its oracle is the same function
@@ -520,11 +526,11 @@ def rician_cdf(gamma, k, gbar):
 
 def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
-    Rician, averaged over the exponential scatter weight (the m -> inf limit)."""
+    Rician, averaged over the exponential scatter weight (the m -> inf limit).
+    K broadcasts against gamma; at g = 0 the density is +inf where K = 0."""
     check_params(k, gamma_bar=gbar)
-    out = _scatter_average(_rician_density, gamma, k, gbar, rel_tol,
-                           0.0, np.inf if k == 0 else np.nan)
-    return float(out[0]) if np.ndim(gamma) == 0 else out
+    return _shaped(_scatter_average(_rician_density, gamma, k, gbar, rel_tol,
+                                    0.0, pole=True), gamma, k)
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):

@@ -6,7 +6,8 @@ call: ``adaptive_quad_vec`` for every integral, ``log_kummer_1f1`` (scaled by
 e^-x) for the Rician shadowed density at real m, ``gamma_tricomi_u`` for
 the high-SNR offset, and ``log_poisson_pmf`` and ``log_negbin_pmf`` (Loader's
 saddle-point forms, built on ``stirlerr`` and ``bd0``) for the anchors of the
-Rician shadowed series, accurate to about 1e-16 where n ~ 1e6.
+Rician shadowed series and of the 1F1 series, accurate to about 1e-16 where
+n ~ 1e6.
 
 Everything here is a pure function of its arguments; no shared mutable state.
 The quadrature engine evaluates vector-valued integrands with per-component
@@ -16,9 +17,12 @@ leave the small components inaccurate).  It refines in rounds: every panel
 that fails its width's share of the tolerance is halved in the same round, and
 all the nodes of a round go to the integrand in one call, so a quadrature
 costs a few large integrand calls rather than one small call per panel.  The
-real-a series of ``log_kummer_1f1`` likewise retires each value at its own
-last term, so the large batches a round hands it cost the sum of their values'
-term counts.
+real-a series of ``log_kummer_1f1`` sums each value over its own window of
+at most 22 sqrt(max(k*, x) + 1) + 21 terms about the terms' peak k*, as running
+products on a linear scale (``cumprod``, then ``cumsum``, down the term axis
+of bounded blocks), so the large batches a round hands it cost about the sum
+of their values' window lengths and no per-term log, and each value is
+summed in the same order whatever its batch.
 """
 
 from __future__ import annotations
@@ -215,11 +219,20 @@ def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
         ik, err = np.concatenate([ik[keep], new_ik]), np.concatenate([err[keep], new_err])
 
 
-#: the 1F1 series refuses past this many terms: each term's log comes from
-#: lgamma, whose rounding grows as eps k log k (about 1e-11 at 2e4 terms)
-_SERIES_MAX_TERMS = 20_000
-#: the 1F1 series stops once a term is below e^-37 (about 1e-16) of the sum
-_SERIES_REL_STOP_LOG = -37.0
+#: the 1F1 window spans the peak k* of its terms -+ (_WINDOW_SIGMAS
+#: sqrt(max(k*, x) + 1) + _WINDOW_PAD) terms.  The terms spread about k* by
+#: at most sqrt(max(k*, x)) (x where b >> a holds k* below x), and for a up
+#: to 1e4 and b from 0.5 to 4 these windows leave out at most e^-52 of the
+#: sum, against the e^-37 they must certify
+_WINDOW_SIGMAS = 11.0
+_WINDOW_PAD = 10.0
+#: the 1F1 series refuses a window longer than this many terms
+_MAX_TERMS = 2 ** 20
+#: terms x values per cumprod/cumsum pass of the 1F1 series: 0.5 MB a
+#: temporary, whatever the window
+_BLOCK_ENTRIES = 2 ** 16
+#: the terms outside a 1F1 window must sum below e^-37 (about 1e-16) of it
+_SERIES_REL_TAIL = math.exp(-37.0)
 #: the large-x 1F1 expansion stops once a term is below this fraction of the sum
 _ASYMPTOTIC_REL_GOAL = 1e-13
 
@@ -228,12 +241,14 @@ def log_kummer_1f1(a, b_param, x):
     """log(e^-x 1F1(a; b; x)), the log scaled as ``i0e`` is, for a > 0, b > 0
     and x >= 0, vectorized over x.
 
-    Up to x = max(200, a^2) the positive series, each term's log (with its -x)
-    formed from lgamma, so no rounding accumulates from term to term, and each
-    value summed until its own term is negligible, so it does not depend on
-    what it is batched with; past that the large-x expansion, which needs
-    x >> a^2.  Neither forms e^x, and what neither can certify raises
-    AccuracyError.  A NaN x is a DomainError.
+    Up to x = max(200, a^2) the positive series over each value's own window
+    of terms about their peak, summed on a linear scale as running products
+    from an anchor at the window's bottom, exact (-x) where the window starts
+    at k = 0 and from Loader's saddle-point masses above it; past that the
+    large-x expansion, which needs x >> a^2.  Neither forms e^x.  A window
+    whose left-out terms cannot be bounded below e^-37 of its sum, or longer
+    than 2^20 terms (x past about 2.3e9), raises AccuracyError, as does an
+    expansion that cannot converge.  A NaN x is a DomainError.
     """
     a = float(a)
     b_param = float(b_param)
@@ -251,29 +266,107 @@ def log_kummer_1f1(a, b_param, x):
 
 
 def _log_1f1_series_vec(a, b, x):
-    """The series of ``log_kummer_1f1``, elementwise.  Each value retires once
-    its own term falls below e^-37 of its sum, so it stops where it would if
-    summed alone, and a batch costs the sum of its values' term counts."""
-    out = -x                                    # the k = 0 term, scaled
-    with np.errstate(divide="ignore"):
-        logx = np.log(x)
-    live, sums, x_live = np.arange(x.size), out.copy(), x
-    log_norm = math.lgamma(b) - math.lgamma(a)
-    k = 0
-    while live.size:
-        k += 1
-        if k == _SERIES_MAX_TERMS:
-            raise AccuracyError(f"1F1 series needs more than {_SERIES_MAX_TERMS} terms")
-        # log (a)_k x^k e^-x / ((b)_k k!)
-        logt = (log_norm + math.lgamma(a + k) - math.lgamma(b + k)
-                - math.lgamma(k + 1.0)) + k * logx - x_live
-        sums = np.logaddexp(sums, logt)
-        done = logt - sums < _SERIES_REL_STOP_LOG
-        if done.any():
-            out[live[done]] = sums[done]
-            keep = ~done
-            live, sums, logx, x_live = live[keep], sums[keep], logx[keep], x_live[keep]
-    return out
+    """The series of ``log_kummer_1f1``, elementwise.
+
+    The terms t_k = (a)_k x^k e^-x / ((b)_k k!) rise while their ratio
+    r_k = (a-1+k) x / ((b-1+k) k) exceeds 1 and peak at k*, the root of
+    (a-1+k) x = (b-1+k) k.  Each value sums its window [lo, hi] =
+    k* -+ (11 sqrt(max(k*, x) + 1) + 10), lo clipped at 0, as
+    t_lo (1 + sum_j s_j) with s_j = t_{lo+j}/t_lo the running products of
+    the ratios (``_window_sums``).  The anchor t_lo is e^-x at lo = 0, and
+    above it (a)_lo/lo! over (b)_lo/lo! times the Poisson mass at lo, all
+    from Loader's saddle-point log masses.  The sum is certified: the terms
+    above hi add at most t_hi r/(1-r) with r = r_{hi+1} (the ratios fall
+    from there on), those below lo at most lo max(t_0, t_lo) (the terms
+    fall, then rise to the peak), and the two must stay below e^-37 of the
+    window's sum.
+    """
+    if not x.size:
+        return x
+    lin = x - (b - 1.0)
+    peak = np.floor(np.maximum(
+        0.5 * (lin + np.sqrt(np.maximum(lin * lin + 4.0 * (a - 1.0) * x, 0.0))), 0.0))
+    half = _WINDOW_SIGMAS * np.sqrt(np.maximum(peak, x) + 1.0) + _WINDOW_PAD
+    lo, hi = np.maximum(np.floor(peak - half), 0.0), np.ceil(peak + half)
+    count = hi - lo + 1.0
+    if count.max() > _MAX_TERMS:
+        raise AccuracyError(f"1F1 series window of {count.max():.3g} terms, "
+                            f"past the cap of {_MAX_TERMS}")
+    log_lo = -x
+    far = lo > 0
+    if far.any():
+        log_lo[far] = (_log_rising_over_factorial(lo[far], a)
+                       - _log_rising_over_factorial(lo[far], b)
+                       + log_poisson_pmf(lo[far], x[far]))
+    rest, last = _window_sums(a, b, x, lo, count.astype(np.intp))
+    k = hi + 1.0
+    r = (a - 1.0 + k) * x / ((b - 1.0 + k) * k)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        left_out = last * r / (1.0 - r) + lo * np.maximum(1.0, np.exp(-x - log_lo))
+        # the ratios fall from k on where k^2 + 2(a-1)k + (a-1)(b-1) > 0,
+        # k being past the vertex 1 - a
+        falling = (k + (a - 1.0)) ** 2 + (a - 1.0) * (b - a) > 0
+        certified = falling & (r < 1.0) & (
+            left_out <= _SERIES_REL_TAIL * (1.0 + rest))
+    if not certified.all():
+        raise AccuracyError("1F1 series window cannot bound the terms it leaves out")
+    return log_lo + np.log1p(rest)
+
+
+def _log_rising_over_factorial(k, a):
+    """log((a)_k / k!) = log C(k+a-1, k) for integers k >= 1: the negative-
+    binomial log mass at its own saddle point p = a/(k+a), where its deviance
+    terms vanish, less a log p + k log(1-p)."""
+    return (log_negbin_pmf(k, a, a / (k + a), k / (k + a))
+            + a * np.log1p(k / a) + k * np.log1p(a / k))
+
+
+def _window_sums(a, b, x, lo, count):
+    """Per value, the sum of s_1 .. s_{count-1} and s_{count-1}, where s_j is
+    t_{lo+j}/t_lo, the running product of the ratios r_{lo+1} .. r_{lo+j}.
+
+    The terms run down axis 0 of (terms, values) blocks of at most
+    ``_BLOCK_ENTRIES``, first ``cumprod`` and then ``cumsum``, each carried
+    from block to block by its first row, so every value is summed
+    sequentially from its lo whatever it is batched with.  Values are grouped
+    in quarter-octave bands of window length, each block as long as the
+    longest window of its band, and a value reads its own last row.  Where
+    lo = 0 the ratios are x times one shared column (a-1+k)/((b-1+k) k).
+    """
+    rest, last = np.zeros(x.size), np.ones(x.size)
+    shared = lo == 0
+    band = 2.0 * np.ceil(4.0 * np.log2(count)) + shared
+    order = np.argsort(band, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(band[order])) + 1)
+    top = int(count[shared].max()) if shared.any() else 1
+    j = np.arange(1.0, top)
+    coef = (a - 1.0 + j) / ((b - 1.0 + j) * j)
+    for idx in groups:
+        length = int(count[idx].max())
+        cols = max(1, _BLOCK_ENTRIES // length)
+        rows = _BLOCK_ENTRIES // cols
+        for c0 in range(0, idx.size, cols):
+            sel = idx[c0:c0 + cols]
+            x_c, lo_c, own = x[sel], lo[sel], count[sel] - 1
+            prod, acc = np.ones(sel.size), np.zeros(sel.size)
+            for j0 in range(1, length, rows):
+                j1 = min(j0 + rows, length)
+                if shared[sel[0]]:
+                    s = coef[j0 - 1:j1 - 1, None] * x_c
+                else:
+                    k = lo_c + np.arange(j0, j1, dtype=float)[:, None]
+                    s = (k + (a - 1.0)) * x_c
+                    s /= (k + (b - 1.0)) * k
+                s[0] *= prod
+                np.cumprod(s, axis=0, out=s)
+                prod = s[-1].copy()
+                ends = np.flatnonzero((own >= j0) & (own < j1))
+                last[sel[ends]] = s[own[ends] - j0, ends]
+                s[0] += acc
+                np.cumsum(s, axis=0, out=s)
+                acc = s[-1].copy()
+                rest[sel[ends]] = s[own[ends] - j0, ends]
+    return rest, last
 
 
 def _log_1f1_asymptotic_vec(a, b, x):

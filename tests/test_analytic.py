@@ -96,6 +96,13 @@ FDRLOS_PDF_REAL_M_GOLDENS = {
     (1.0, 5.0, 30.5, 2.0): 0.3188761031538301,
     (1.0, 5.0, 50.5, 2.0): 0.30507522969887024,
 }
+# the same at m = 140.5, the grid of fdrlos pdf --k 1 --m 140.5 --gamma-bar 1
+# --grid 0.5:2:3, where a 1F1 series from k = 0 needs more than 2e4 terms
+FDRLOS_PDF_M140_GOLDENS = {
+    (0.5, 1.0, 140.5, 1.0): 0.975619851009281,
+    (1.25, 1.0, 140.5, 1.0): 0.26303472180070425,
+    (2.0, 1.0, 140.5, 1.0): 0.10186735327083887,
+}
 # the cdf at real m from scripts/make_goldens.py: the 1F1 density integrated
 # over [0, gamma] and averaged over e^{-x}, by tanh-sinh at 40 and 50 digits
 FDRLOS_CDF_REAL_M_GOLDENS = {
@@ -350,6 +357,13 @@ class TestFdrlosPdf:
     @pytest.mark.parametrize("args,want", sorted(FDRLOS_PDF_REAL_M_GOLDENS.items()))
     def test_real_m_goldens(self, args, want):
         # real m past 25, where the 1F1 arguments run past x = 200 below a^2
+        g, k, m, gbar = args
+        assert fdrlos_pdf(g, FadingParams(k, m, gbar)) == pytest.approx(
+            want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("args,want", sorted(FDRLOS_PDF_M140_GOLDENS.items()))
+    def test_real_m_140_goldens(self, args, want):
+        # the 1F1 series sums windows that start far above k = 0
         g, k, m, gbar = args
         assert fdrlos_pdf(g, FadingParams(k, m, gbar)) == pytest.approx(
             want, rel=1e-12, abs=0)
@@ -610,6 +624,20 @@ class TestSnrBoundary:
             got = law(np.array([0.0, 0.5, np.inf]))
         np.testing.assert_array_equal(got, [np.inf, law(0.5), 0.0])
         assert got[1] == pytest.approx(k0(2.0 * math.sqrt(0.25)), rel=1e-9)
+
+    @pytest.mark.parametrize("law", [
+        lambda g, k: fdrlos_pdf(g, FadingParams(k, 3, 2.0)),
+        lambda g, k: fdrlos_pdf(g, FadingParams(k, 2.5, 2.0)),
+        lambda g, k: drlos_pdf_oracle(g, k, 2.0),
+    ], ids=["fdrlos_pdf", "fdrlos_pdf_real_m", "drlos_pdf_oracle"])
+    def test_density_takes_an_array_of_k(self, law):
+        # the limit at g = 0 is taken per K: +inf where K = 0, else evaluated
+        k = np.array([0.0, 1.0, 2.0])
+        for g in (0.0, np.array([0.0, 0.5, 1.0])):
+            got = law(g, k)
+            want = [law(gi, ki) for gi, ki in zip(np.broadcast_to(g, k.shape), k)]
+            assert got.shape == (3,) and got[0] == np.inf
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("params", [FadingParams(2.0, 3, 1.5),
                                         FadingParams(0.0, 2, 1.5)],

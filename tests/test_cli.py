@@ -150,10 +150,11 @@ class TestPdfCommand:
         assert np.loadtxt(out, **CSV)[1][1] == pytest.approx(
             k0(2.0 * np.sqrt(0.5)), rel=1e-9)
 
-    @pytest.mark.parametrize("m", ["30.5", "50.5"])
+    @pytest.mark.parametrize("m", ["30.5", "50.5", "140.5", "1000.5"])
     def test_real_m_past_25(self, m, tmp_path):
         # the 1F1 arguments run past x = 200 below m^2, where the large-x
-        # expansion cannot converge (test_analytic pins the values)
+        # expansion cannot converge, and from m = 140.5 past the 2e4 terms
+        # of a series from k = 0 (test_analytic pins the values)
         out = tmp_path / "pdf.csv"
         assert run(["pdf", "--k", "1", "--m", m, "--gamma-bar", "1",
                     "--grid", "0.5:2:3", "--output", str(out)]) == 0

@@ -49,6 +49,10 @@ SCALED_LOG_HYP1F1 = {
     (30.5, 1.0, 300.0): 97.96605373490995,
     (30.0, 1.0, 300.0): 96.72478527237098,
     (100.5, 1.0, 9000.0): 545.5980991350813,
+    (140.5, 1.0, 19000.0): 822.6493394677371,
+    (400.5, 1.0, 100000.0): 2603.4987464712126,
+    (1000.5, 1.0, 500000.0): 7209.1220415971875,
+    (10000.5, 1.0, 50000000.0): 95164.14861323236,
 }
 # the log masses at n and lam (or the NB mean) up to 1e6, where
 # n log lam - lam - lgamma(n+1) loses 1e-9; NB keys are (n, m, K) with
@@ -312,10 +316,11 @@ class TestKummer1F1:
         out = log_kummer_1f1(2.5, 1.0, np.array([]))
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
-    @pytest.mark.parametrize("a", [0.7, 2.5, 30.5])
+    @pytest.mark.parametrize("a", [0.7, 2.5, 30.5, 140.5])
     def test_series_value_does_not_depend_on_its_batch(self, a):
-        # each value stops at its own last term, so summed alone or in a
-        # batch whose other values need many more terms it is the same
+        # each value is summed over its own window, in a fixed order, so
+        # summed alone or in a batch of longer windows it is the same; at
+        # a = 140.5 most windows start above k = 0, at an anchored term
         rng = np.random.default_rng(7)
         top = max(200.0, a * a)
         # near x = 1e-16 at a = 0.7 the log is about -0.3 x, so small that
@@ -341,13 +346,15 @@ class TestKummer1F1:
 
     def test_log_form_matches_frozen(self):
         # extended-precision references, past double range unscaled; the
-        # series runs past x = 200 up to a^2, 9000 terms at a = 100.5
+        # series runs past x = 200 up to a^2, over windows that start far
+        # above k = 0, at a = 1e4 of 155600 terms, summed in three blocks
         for args, want in SCALED_LOG_HYP1F1.items():
             assert log_kummer_1f1(*args) == pytest.approx(want, rel=1e-12)
 
     def test_refuses_a_series_it_cannot_certify(self):
-        with pytest.raises(AccuracyError, match="terms"):
-            log_kummer_1f1(400.5, 1.0, np.array([1.0, 1e5]))
+        # x = 1e10 <= a^2 takes the series, over a window of 2.2e6 terms
+        with pytest.raises(AccuracyError, match="past the cap"):
+            log_kummer_1f1(1e5 + 0.5, 1.0, np.array([1.0, 1e10]))
 
     def test_log_form_vectorized(self):
         x = np.array([0.0, 0.4, 7.0, 90.0])

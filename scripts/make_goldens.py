@@ -34,13 +34,13 @@ Fluctuating double-Rayleigh LoS pdf and cdf at integer m
   gbar_x = gbar (K+x)/(K+1) (for the cdf, integrated over [0, g] as well),
   at 30 digits.
 
-The same pdf at real m (``FDRLOS_PDF_REAL_M_GOLDENS`` and, at m = 140.5,
-``FDRLOS_PDF_M140_GOLDENS``), where the closed form does not apply: the 1F1
-average by tanh-sinh at both precisions, confirmed to 16 digits by
-Gauss-Legendre at 30 digits.  The cdf at real m
-(``FDRLOS_CDF_REAL_M_GOLDENS``): the 1F1 density integrated over [0, g] and
-averaged, by tanh-sinh at both precisions, confirmed to 11 digits by
-Gauss-Legendre at 30 (which converges slowly below m = 1).
+The same pdf at real m (``FDRLOS_PDF_REAL_M_GOLDENS`` and, at m = 140.5 and
+1000.5, ``FDRLOS_PDF_M140_GOLDENS`` and ``FDRLOS_PDF_M1000_GOLDENS``), where
+the closed form does not apply: the 1F1 average by tanh-sinh at both
+precisions, confirmed to 16 digits by Gauss-Legendre at 30 digits.  The cdf
+at real m (``FDRLOS_CDF_REAL_M_GOLDENS``): the 1F1 density integrated over
+[0, g] and averaged, by tanh-sinh at both precisions, confirmed to 11 digits
+by Gauss-Legendre at 30 (which converges slowly below m = 1).
 
 Coding gains (``CODING_GAIN_GOLDENS``), two ways that must agree to 25
 digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
@@ -49,8 +49,8 @@ x = s^(1/m), which turns x^(m-1) dx into ds/m (below m = 1, x^(m-1) is
 singular at 0, and at m = 0.3 the plain integral agrees to only 13 digits).
 
 Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
-``hyp1f1`` (and the scaled log(e^-x 1F1(a; b; x))), ``hyperu``, ``e1`` and
-upper ``gammainc``, the generalized incomplete gamma
+``hyp1f1`` at b = 1 (and the scaled log(e^-x 1F1(a; 1; x))), ``hyperu``,
+``e1`` and upper ``gammainc``, the generalized incomplete gamma
 Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by ``mp.quad``, and
 Stirling's remainder and the Poisson and negative-binomial log masses from
 ``loggamma``.
@@ -113,6 +113,8 @@ FDRLOS_PDF_REAL_M_CASES = [(g, 1.0, 30.5, 1.0) for g in (0.5, 1.25, 2.0)] + [
 #: the grid of the same command at m = 140.5, where a 1F1 series from k = 0
 #: needs more than 2e4 terms
 FDRLOS_PDF_M140_CASES = [(g, 1.0, 140.5, 1.0) for g in (0.5, 1.25, 2.0)]
+#: and at m = 1000.5
+FDRLOS_PDF_M1000_CASES = [(g, 1.0, 1000.5, 1.0) for g in (0.5, 1.25, 2.0)]
 
 #: (name, gamma, k, m, gbar) of the fdrlos cdf at real m
 FDRLOS_CDF_REAL_M_CASES = [("K = 3, m = 2.5", g, 3.0, 2.5, 2.0) for g in (0.01, 1.0, 20.0)] + [
@@ -160,13 +162,12 @@ SPECFUN_TABLES = [
     ("E1", mp.e1, [(0.1,), (1.0,), (10.0,)]),
     ("UPPER_GAMMA", mp.gammainc,
      [(a, z) for a in (-2.0, -0.5, 1.0, 3.5) for z in (0.1, 1.0, 5.0)]),
-    ("HYP1F1_LARGE", mp.hyp1f1,
-     [(2.5, 1.0, 80.0), (2.5, 1.0, 300.0), (0.5, 1.0, 120.0), (3.0, 1.0, 600.0),
-      (5.0, 1.0, 100.0), (2.5, 1.7, 30.0)]),
-    ("SCALED_LOG_HYP1F1", lambda a, b, x: mp.log(mp.hyp1f1(a, b, x)) - x,
-     [(500.0, 1.0, 50.0), (2.5, 1.0, 5000.0), (30.5, 1.0, 300.0),
-      (30.0, 1.0, 300.0), (100.5, 1.0, 9000.0), (140.5, 1.0, 1.9e4),
-      (400.5, 1.0, 1e5), (1000.5, 1.0, 5e5), (10000.5, 1.0, 5e7)]),
+    ("HYP1F1_LARGE", lambda a, x: mp.hyp1f1(a, 1, x),
+     [(2.5, 80.0), (2.5, 300.0), (0.5, 120.0), (3.0, 600.0), (5.0, 100.0)]),
+    ("SCALED_LOG_HYP1F1", lambda a, x: mp.log(mp.hyp1f1(a, 1, x)) - x,
+     [(500.0, 50.0), (2.5, 5000.0), (30.5, 300.0), (30.0, 300.0),
+      (100.5, 9000.0), (140.5, 1.9e4), (400.5, 1e5), (1000.5, 5e5),
+      (10000.5, 5e7)]),
     ("STIRLERR", stirlerr,
      [(0.3,), (1.0,), (2.5,), (9.75,), (10.0,), (33.3,), (1e6,)]),
     ("LOG_POISSON_PMF", log_poisson_pmf,
@@ -198,8 +199,10 @@ def special(fn, args):
 
 def rs_pdf(t, k, m, gbar):
     k, m, gbar = mp.mpf(k), mp.mpf(m), mp.mpf(gbar)
+    # at m = 1000.5 the series of 1F1(m; 1; w) needs more terms than mpmath
+    # allows by default
     return (m ** m * (1 + k) / ((m + k) ** m * gbar) * mp.exp(-(1 + k) * t / gbar)
-            * mp.hyp1f1(m, 1, k * (1 + k) * t / ((k + m) * gbar)))
+            * mp.hyp1f1(m, 1, k * (1 + k) * t / ((k + m) * gbar), maxterms=10 ** 6))
 
 
 def rs_cdf(g, k, m, gbar, dps):
@@ -303,9 +306,18 @@ def settled(law, args):
 
 
 def _scatter_average(conditional, k, m, method="tanh-sinh"):
+    """The average over e^(-x), split at 1, 4, 16 and at K/m times powers of
+    4 below 1: at m = 1000.5 the conditional changes on every scale from
+    x = K/m to 1, and Gauss-Legendre agrees with tanh-sinh to 16 digits only
+    on such pieces."""
     k = mp.mpf(k)
+    breaks, t = {0, 1, 4, 16}, k / m
+    breaks.add(t)
+    while 0 < 4 * t < 1:
+        t *= 4
+        breaks.add(t)
     return mp.quad(lambda x: mp.exp(-x) * conditional(k / x, (k + x) / (k + 1)),
-                   sorted({0, k / m, 1, 4, 16}) + [mp.inf], method=method)
+                   sorted(breaks) + [mp.inf], method=method)
 
 
 def fdrlos_pdf_1f1(g, k, m, gbar):
@@ -399,7 +411,8 @@ def main():
             print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
         print("}")
     for title, cases in (("FDRLOS_PDF_REAL_M_GOLDENS", FDRLOS_PDF_REAL_M_CASES),
-                         ("FDRLOS_PDF_M140_GOLDENS", FDRLOS_PDF_M140_CASES)):
+                         ("FDRLOS_PDF_M140_GOLDENS", FDRLOS_PDF_M140_CASES),
+                         ("FDRLOS_PDF_M1000_GOLDENS", FDRLOS_PDF_M1000_CASES)):
         print(f"{title} = {{")
         for g, k, m, gbar in cases:
             value = fdrlos_pdf_real_m(g, k, m, gbar)

@@ -23,6 +23,12 @@ generalized incomplete gammas, whose terms cancel; ``scripts/make_goldens.py``
 keeps that expansion as an mpmath cross-check.  K = 0 (no LoS; the law no
 longer depends on m) is an ordinary input.
 
+The density at g = 0 is the high-SNR outage slope: gbar f(0) is the coding
+gain a(K, m) = (1+K) Gamma(m) U(m, 1, K/m), the scatter average of
+(1 + K/(m x))^(-m) / x, so ``fdrlos_pdf`` takes it from ``coding_gain`` and
+runs no quadrature there.  As m -> inf it tends to gbar times the drlos
+density at 0, (1+K) 2 K0(2 sqrt K).
+
 Every public law checks its arguments once, at entry and before any
 quadrature, against the one domain of ``models.check_params`` (finite K >= 0,
 m > 0 and gamma_bar > 0) and a nonnegative SNR; ``coding_gain`` needs K > 0.
@@ -34,7 +40,7 @@ from __future__ import annotations
 import contextlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e,
@@ -75,7 +81,7 @@ def _check_law(gamma, k=0.0, m=1.0, gbar=1.0):
     return (gamma, *check_params(k, m, gbar))
 
 
-def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, pole=False):
+def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=None):
     """Average a conditional law over the exponential scatter weight e^{-x},
     to relative accuracy ``rel_tol`` in every value, on an SNR array
     broadcast against K, in the broadcast shape (at least 1-d).
@@ -84,18 +90,19 @@ def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, pole=False):
     ``conditional(g, k_x, gbar_x)`` receives the chunk as a (1, ng) row and
     K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as (nx, ng)
     arrays when K is an array chunked with the SNR, and returns the (nx, ng)
-    conditional values.  +inf points take the limit ``at_inf``; with ``pole``
-    (a density) 0 points take +inf where K = 0, the product law's pole, each
-    K on its own.  ``rel_tol`` is checked first, since a grid of only such
-    points runs no quadrature.
+    conditional values.  +inf points take the limit ``at_inf``; 0 points take
+    ``at_zero`` (a density's value at 0) of their K, each K on its own, and
+    are averaged where it is NaN or not given.  ``rel_tol`` is checked first,
+    since a grid of only such points runs no quadrature.
     """
     check_rel_tol(rel_tol)
     gamma_arr, k_arr = np.broadcast_arrays(
         np.atleast_1d(np.asarray(gamma, dtype=float)), np.asarray(k, dtype=float))
     shape, gamma_arr, k_arr = gamma_arr.shape, gamma_arr.ravel(), k_arr.ravel()
     _check_snr(gamma_arr)
-    out = np.where(gamma_arr == 0, np.where(pole & (k_arr == 0), np.inf, np.nan),
-                   float(at_inf))
+    out = np.full(gamma_arr.shape, float(at_inf))
+    zero = gamma_arr == 0
+    out[zero] = at_zero(k_arr[zero]) if at_zero else np.nan
     todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf) | np.isnan(out))
     for lo in range(0, len(todo), _GAMMA_CHUNK):
         sel = todo[lo:lo + _GAMMA_CHUNK]
@@ -122,11 +129,12 @@ def _shaped(out, gamma, k):
 
 @dataclass
 class Curve:
-    """A sampled function (grid, values) with provenance metadata."""
+    """A sampled function (grid, values); a ``quantity`` of "pdf", "cdf" or
+    "op" range-checks the values."""
 
     abscissa: np.ndarray
     ordinate: np.ndarray
-    meta: dict = field(default_factory=dict)
+    quantity: str | None = None
 
     def __post_init__(self):
         self.abscissa = np.asarray(self.abscissa, dtype=float)
@@ -137,11 +145,10 @@ class Curve:
             raise DomainError("abscissa and ordinate must not contain NaN")
         if np.any(np.diff(self.abscissa) <= 0):
             raise DomainError("abscissa must be strictly increasing")
-        quantity = self.meta.get("quantity")
-        if quantity == "pdf" and np.any(self.ordinate < 0):
+        if self.quantity == "pdf" and np.any(self.ordinate < 0):
             raise DomainError("densities must be nonnegative")
-        if quantity in ("cdf", "op") and (np.any(self.ordinate < 0)
-                                          or np.any(self.ordinate > 1)):
+        if self.quantity in ("cdf", "op") and (np.any(self.ordinate < 0)
+                                               or np.any(self.ordinate > 1)):
             raise DomainError("probabilities must lie in [0, 1]")
 
     def write_csv(self, target) -> None:
@@ -177,7 +184,7 @@ def _kummer_density(gamma, k_x, m, gbar_x):
     """``rs_pdf`` at real m on checked arguments."""
     y, p, q = gamma * (1.0 + k_x) / gbar_x, m / (m + k_x), k_x / (m + k_x)
     return np.exp(m * np.log(p) + np.log1p(k_x) - np.log(gbar_x) - p * y
-                  + log_kummer_1f1(m, 1.0, q * y))
+                  + log_kummer_1f1(m, q * y))
 
 
 def _mixture_density(gamma, k_x, m, gbar_x):
@@ -421,12 +428,20 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
 
     at integer m the density of the Binomial mixture of m Gamma laws that
     ``rs_cdf_integer`` sums, at every other m the scaled 1F1 form; both are
-    positive sums.  K = 0 is an ordinary input: the product law, +inf at g = 0.
-    An array K broadcasts against gamma, each K with its own limit at g = 0.
+    positive sums.  At g = 0 it is a(K, m) / gbar from ``coding_gain``.  K = 0
+    is an ordinary input: the product law, +inf at g = 0.  An array K
+    broadcasts against gamma, each K with its own value at g = 0.
     """
+    m, gbar = params.m, params.gamma_bar
+
+    def at_zero(k):
+        # gbar f(0) is the coding gain a(K, m); the product law's pole at K = 0
+        return np.array([coding_gain(v, m, rel_tol=rel_tol) if v > 0 else np.inf
+                         for v in k.tolist()]) / gbar
+
     return _shaped(_flag_underflow(_scatter_average(
-        _conditional(params.m, "pdf"), gamma, params.k, params.gamma_bar,
-        rel_tol, 0.0, pole=True)), gamma, params.k)
+        _conditional(m, "pdf"), gamma, params.k, gbar, rel_tol, 0.0, at_zero)),
+        gamma, params.k)
 
 
 #: the density has one route for every m, so its oracle is the same function
@@ -475,10 +490,13 @@ def outage_probability(gamma_th, k, m, gamma_bar, *, rel_tol=1e-10):
 
 def coding_gain(k, m, *, rel_tol=1e-10):
     """High-SNR power offset a = (1+K) Gamma(m) U(m, 1, K/m) for finite K > 0
-    and every finite m > 0.
+    and every finite m > 0: a = gbar f(0), the density at 0 times the mean
+    SNR, so the outage tends to a gamma_th / gbar.
 
-    Diverges as K -> 0 (the pure product channel has no order-1 asymptote),
-    so K = 0 is rejected.
+    As m -> inf a tends to (1+K) 2 K0(2 sqrt K), gbar times the drlos
+    density at 0, from above by about K K2(2 sqrt K) / (2 m K0(2 sqrt K))
+    relative.  Diverges as K -> 0 (the pure product channel has no order-1
+    asymptote), so K = 0 is rejected.
     """
     if not (0 < k < math.inf and 0 < m < math.inf):
         raise DomainError("the coding gain needs finite K > 0 (it diverges at "
@@ -488,7 +506,8 @@ def coding_gain(k, m, *, rel_tol=1e-10):
 
 def asymptotic_op(gamma_th, gbar, k, m, *, rel_tol=1e-10):
     """High-SNR outage a * gamma_th / gbar for finite gamma_th > 0, broadcast
-    over gbar; exact log-log slope -1 in gbar."""
+    over gbar; exact log-log slope -1 in gbar.  a = gbar f(0) is the coding
+    gain, whose m -> inf limit is gbar times the drlos density at 0."""
     if not (0 < gamma_th < math.inf):
         raise DomainError(f"gamma_th must be finite and positive, got {gamma_th}")
     check_params(m=m, gamma_bar=gbar)
@@ -529,8 +548,9 @@ def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     Rician, averaged over the exponential scatter weight (the m -> inf limit).
     K broadcasts against gamma; at g = 0 the density is +inf where K = 0."""
     check_params(k, gamma_bar=gbar)
-    return _shaped(_scatter_average(_rician_density, gamma, k, gbar, rel_tol,
-                                    0.0, pole=True), gamma, k)
+    return _shaped(_scatter_average(
+        _rician_density, gamma, k, gbar, rel_tol, 0.0,
+        lambda ks: np.where(ks == 0, np.inf, np.nan)), gamma, k)
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):

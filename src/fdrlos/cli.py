@@ -167,8 +167,7 @@ def cmd_curve(args) -> int:
     params = FadingParams(args.k, args.m, _linear(args, "gamma_bar"))
     grid = _parse_grid(args.grid)
     vals = _law(args, model, args.subcommand, params)(grid)
-    meta = {"quantity": args.subcommand, "model": model.value}
-    analytic.Curve(grid, vals, meta=meta).write_csv(args.output or sys.stdout)
+    analytic.Curve(grid, vals, args.subcommand).write_csv(args.output or sys.stdout)
     return 0
 
 
@@ -188,9 +187,9 @@ def cmd_op(args) -> int:
     else:
         unit = FadingParams(args.k, args.m, 1.0)
         vals = _law(args, model, "cdf", unit)(gamma_th / gbars)
-    meta = {"quantity": "op" if not args.asymptotic else "op-asymptote",
-            "model": model.value, "abscissa_unit": "dB" if in_db else "linear"}
-    analytic.Curve(grid, vals, meta=meta).write_csv(args.output or sys.stdout)
+    # the asymptote is no probability: it passes 1 at low mean SNR
+    analytic.Curve(grid, vals, None if args.asymptotic else "op").write_csv(
+        args.output or sys.stdout)
     return 0
 
 
@@ -246,9 +245,7 @@ _MARKER_DB = np.arange(0.0, 40.0001, 5.0)
 def _mc_op_curve(k, m, n, seed):
     unit = sample_snr(ModelKind.FDRLOS, FadingParams(k, m, 1.0), n, seed).values
     vals = [np.count_nonzero(unit < t) / n for t in _GTH_3DB / db_to_linear(_MARKER_DB)]
-    return analytic.Curve(_MARKER_DB, np.array(vals),
-                          meta={"quantity": "op", "source": "mc",
-                                "abscissa_unit": "dB"})
+    return analytic.Curve(_MARKER_DB, np.array(vals), "op")
 
 
 def _figure_fig1(mc_samples):
@@ -258,14 +255,12 @@ def _figure_fig1(mc_samples):
     for m in (1, 2, 3, 5, 15):
         params = FadingParams(k, m, gbar)
         files[f"fig1_fdrlos_pdf_m{m}.csv"] = analytic.Curve(
-            grid, analytic.fdrlos_pdf(grid, params),
-            meta={"quantity": "pdf", "model": "fdrlos"})
+            grid, analytic.fdrlos_pdf(grid, params), "pdf")
         sset = sample_snr(ModelKind.FDRLOS, params, mc_samples, _MC_SEED + m)
         files[f"fig1_mc_hist_m{m}.csv"] = empirics.histogram_density(
             sset, 0.1, (0.0, 10.0))
     files["fig1_drlos_pdf_limit.csv"] = analytic.Curve(
-        grid[1:], analytic.drlos_pdf_oracle(grid[1:], k, gbar),
-        meta={"quantity": "pdf", "model": "drlos"})
+        grid[1:], analytic.drlos_pdf_oracle(grid[1:], k, gbar), "pdf")
     return files
 
 
@@ -277,18 +272,12 @@ def _figure_fig3(mc_samples):
     files = {}
     for m in (1, 3, 10):
         exact = analytic.fdrlos_cdf(unit_gth, FadingParams(k, m, 1.0))
-        files[f"fig3_fdrlos_op_m{m}.csv"] = analytic.Curve(
-            db_grid, exact, meta={"quantity": "op", "model": "fdrlos",
-                                  "abscissa_unit": "dB"})
+        files[f"fig3_fdrlos_op_m{m}.csv"] = analytic.Curve(db_grid, exact, "op")
         files[f"fig3_asymptotic_op_m{m}.csv"] = analytic.Curve(
-            db_grid, analytic.asymptotic_op(_GTH_3DB, gbars, k, m),
-            meta={"quantity": "op-asymptote", "model": "fdrlos",
-                  "abscissa_unit": "dB"})
+            db_grid, analytic.asymptotic_op(_GTH_3DB, gbars, k, m))
         files[f"fig3_mc_op_m{m}.csv"] = _mc_op_curve(k, m, mc_samples, _MC_SEED + 100 * m)
     drlos = analytic.drlos_cdf_oracle(unit_gth, k, 1.0)
-    files["fig3_drlos_op_limit.csv"] = analytic.Curve(
-        db_grid, drlos, meta={"quantity": "op", "model": "drlos",
-                              "abscissa_unit": "dB"})
+    files["fig3_drlos_op_limit.csv"] = analytic.Curve(db_grid, drlos, "op")
     return files
 
 
@@ -300,12 +289,8 @@ def _figure_fig4(mc_samples):
     for m in (1, 3, 5, 10):
         fd = analytic.fdrlos_cdf(_GTH_3DB / gbars, FadingParams(k, m, 1.0))
         rs = analytic.rs_cdf_integer(_GTH_3DB, k, m, gbars)
-        files[f"fig4_fdrlos_op_m{m}.csv"] = analytic.Curve(
-            db_grid, fd, meta={"quantity": "op", "model": "fdrlos",
-                               "abscissa_unit": "dB"})
-        files[f"fig4_rs_op_m{m}.csv"] = analytic.Curve(
-            db_grid, rs, meta={"quantity": "op", "model": "rician-shadowed",
-                               "abscissa_unit": "dB"})
+        files[f"fig4_fdrlos_op_m{m}.csv"] = analytic.Curve(db_grid, fd, "op")
+        files[f"fig4_rs_op_m{m}.csv"] = analytic.Curve(db_grid, rs, "op")
         files[f"fig4_mc_op_m{m}.csv"] = _mc_op_curve(k, m, mc_samples, _MC_SEED + 200 * m)
     return files
 
@@ -317,12 +302,8 @@ def _figure_fig5(mc_samples):
     for m in (1, 3, 5, 10):
         fd = analytic.outage_probability(_GTH_3DB, k_grid, m, gbar)
         rs = analytic.rs_cdf_integer(_GTH_3DB, k_grid, m, np.full_like(k_grid, gbar))
-        files[f"fig5_fdrlos_op_vs_k_m{m}.csv"] = analytic.Curve(
-            k_grid, fd, meta={"quantity": "op", "model": "fdrlos",
-                              "abscissa_unit": "K"})
-        files[f"fig5_rs_op_vs_k_m{m}.csv"] = analytic.Curve(
-            k_grid, rs, meta={"quantity": "op", "model": "rician-shadowed",
-                              "abscissa_unit": "K"})
+        files[f"fig5_fdrlos_op_vs_k_m{m}.csv"] = analytic.Curve(k_grid, fd, "op")
+        files[f"fig5_rs_op_vs_k_m{m}.csv"] = analytic.Curve(k_grid, rs, "op")
     return files
 
 

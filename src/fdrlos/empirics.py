@@ -80,8 +80,7 @@ def histogram_density(samples, bin_width: float, value_range) -> Curve:
     counts, edges = np.histogram(vals, bins=nbins, range=(lo, hi))
     heights = counts / (len(vals) * bin_width)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return Curve(centers, heights, meta={"quantity": "pdf", "source": "histogram",
-                                         "bin_width": bin_width})
+    return Curve(centers, heights, "pdf")
 
 
 def tabulated_cdf(cdf_vectorized, lo: float, hi: float, points: int = 1500):

@@ -1,10 +1,11 @@
-"""Special-function kernels: adaptive quadrature, log 1F1, Gamma(m) U(m, 1, x)
-and the Poisson and negative-binomial log masses.
+"""Special-function kernels: adaptive quadrature, log 1F1(a; 1; x),
+Gamma(m) U(m, 1, z) and the Poisson and negative-binomial log masses.
 
-Each job has one kernel, and it is the one the statistics in ``analytic``
-call: ``adaptive_quad_vec`` for every integral, ``log_kummer_1f1`` (scaled by
-e^-x) for the Rician shadowed density at real m, ``gamma_tricomi_u`` for
-the high-SNR offset, and ``log_poisson_pmf`` and ``log_negbin_pmf`` (Loader's
+Each job has one kernel, in the one form the statistics in ``analytic``
+call: ``adaptive_quad_vec`` for every integral, ``log_kummer_1f1`` (at b = 1,
+scaled by e^-x) for the Rician shadowed density at real m,
+``gamma_tricomi_u`` (in the scatter variable of ``analytic``) for the
+high-SNR offset, and ``log_poisson_pmf`` and ``log_negbin_pmf`` (Loader's
 saddle-point forms, built on ``stirlerr`` and ``bd0``) for the anchors of the
 Rician shadowed series and of the 1F1 series, accurate to about 1e-16 where
 n ~ 1e6.
@@ -221,9 +222,8 @@ def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
 
 #: the 1F1 window spans the peak k* of its terms -+ (_WINDOW_SIGMAS
 #: sqrt(max(k*, x) + 1) + _WINDOW_PAD) terms.  The terms spread about k* by
-#: at most sqrt(max(k*, x)) (x where b >> a holds k* below x), and for a up
-#: to 1e4 and b from 0.5 to 4 these windows leave out at most e^-52 of the
-#: sum, against the e^-37 they must certify
+#: at most sqrt(max(k*, x)), and for a up to 1e4 these windows leave out at
+#: most e^-52 of the sum, against the e^-37 they must certify
 _WINDOW_SIGMAS = 11.0
 _WINDOW_PAD = 10.0
 #: the 1F1 series refuses a window longer than this many terms
@@ -237,9 +237,10 @@ _SERIES_REL_TAIL = math.exp(-37.0)
 _ASYMPTOTIC_REL_GOAL = 1e-13
 
 
-def log_kummer_1f1(a, b_param, x):
-    """log(e^-x 1F1(a; b; x)), the log scaled as ``i0e`` is, for a > 0, b > 0
-    and x >= 0, vectorized over x.
+def log_kummer_1f1(a, x):
+    """log(e^-x 1F1(a; 1; x)), the log scaled as ``i0e`` is, for a > 0 and
+    x >= 0, vectorized over x.  b = 1 is the one 1F1 the Rician shadowed
+    density takes.
 
     Up to x = max(200, a^2) the positive series over each value's own window
     of terms about their peak, summed on a linear scale as running products
@@ -251,41 +252,39 @@ def log_kummer_1f1(a, b_param, x):
     expansion that cannot converge.  A NaN x is a DomainError.
     """
     a = float(a)
-    b_param = float(b_param)
-    if a <= 0 or b_param <= 0:
-        raise DomainError("log_kummer_1f1 requires a > 0 and b_param > 0")
+    if not a > 0:
+        raise DomainError("log_kummer_1f1 requires a > 0")
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise DomainError("log_kummer_1f1 requires x >= 0, not NaN")
     flat = x.ravel()
     out = np.empty_like(flat)
     big = flat > max(200.0, a * a)
-    out[~big] = _log_1f1_series_vec(a, b_param, flat[~big])
-    out[big] = _log_1f1_asymptotic_vec(a, b_param, flat[big])
+    out[~big] = _log_1f1_series_vec(a, flat[~big])
+    out[big] = _log_1f1_asymptotic_vec(a, flat[big])
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def _log_1f1_series_vec(a, b, x):
+def _log_1f1_series_vec(a, x):
     """The series of ``log_kummer_1f1``, elementwise.
 
-    The terms t_k = (a)_k x^k e^-x / ((b)_k k!) rise while their ratio
-    r_k = (a-1+k) x / ((b-1+k) k) exceeds 1 and peak at k*, the root of
-    (a-1+k) x = (b-1+k) k.  Each value sums its window [lo, hi] =
+    The terms t_k = (a)_k x^k e^-x / k!^2 rise while their ratio
+    r_k = (a-1+k) x / k^2 exceeds 1 and peak at k*, the root of
+    (a-1+k) x = k^2.  Each value sums its window [lo, hi] =
     k* -+ (11 sqrt(max(k*, x) + 1) + 10), lo clipped at 0, as
     t_lo (1 + sum_j s_j) with s_j = t_{lo+j}/t_lo the running products of
     the ratios (``_window_sums``).  The anchor t_lo is e^-x at lo = 0, and
-    above it (a)_lo/lo! over (b)_lo/lo! times the Poisson mass at lo, all
-    from Loader's saddle-point log masses.  The sum is certified: the terms
-    above hi add at most t_hi r/(1-r) with r = r_{hi+1} (the ratios fall
-    from there on), those below lo at most lo max(t_0, t_lo) (the terms
-    fall, then rise to the peak), and the two must stay below e^-37 of the
-    window's sum.
+    above it (a)_lo/lo! times the Poisson mass at lo, both from Loader's
+    saddle-point log masses.  The sum is certified: the terms above hi add
+    at most t_hi r/(1-r) with r = r_{hi+1} (the ratios fall from
+    k = hi + 1 >= 22 on, as k (k + 2a - 2) > 0 there), those below lo at
+    most lo max(t_0, t_lo) (the terms fall, then rise to the peak), and the
+    two must stay below e^-37 of the window's sum.
     """
     if not x.size:
         return x
-    lin = x - (b - 1.0)
     peak = np.floor(np.maximum(
-        0.5 * (lin + np.sqrt(np.maximum(lin * lin + 4.0 * (a - 1.0) * x, 0.0))), 0.0))
+        0.5 * (x + np.sqrt(np.maximum(x * x + 4.0 * (a - 1.0) * x, 0.0))), 0.0))
     half = _WINDOW_SIGMAS * np.sqrt(np.maximum(peak, x) + 1.0) + _WINDOW_PAD
     lo, hi = np.maximum(np.floor(peak - half), 0.0), np.ceil(peak + half)
     count = hi - lo + 1.0
@@ -296,18 +295,13 @@ def _log_1f1_series_vec(a, b, x):
     far = lo > 0
     if far.any():
         log_lo[far] = (_log_rising_over_factorial(lo[far], a)
-                       - _log_rising_over_factorial(lo[far], b)
                        + log_poisson_pmf(lo[far], x[far]))
-    rest, last = _window_sums(a, b, x, lo, count.astype(np.intp))
+    rest, last = _window_sums(a, x, lo, count.astype(np.intp))
     k = hi + 1.0
-    r = (a - 1.0 + k) * x / ((b - 1.0 + k) * k)
+    r = (a - 1.0 + k) * x / (k * k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         left_out = last * r / (1.0 - r) + lo * np.maximum(1.0, np.exp(-x - log_lo))
-        # the ratios fall from k on where k^2 + 2(a-1)k + (a-1)(b-1) > 0,
-        # k being past the vertex 1 - a
-        falling = (k + (a - 1.0)) ** 2 + (a - 1.0) * (b - a) > 0
-        certified = falling & (r < 1.0) & (
-            left_out <= _SERIES_REL_TAIL * (1.0 + rest))
+        certified = (r < 1.0) & (left_out <= _SERIES_REL_TAIL * (1.0 + rest))
     if not certified.all():
         raise AccuracyError("1F1 series window cannot bound the terms it leaves out")
     return log_lo + np.log1p(rest)
@@ -321,7 +315,7 @@ def _log_rising_over_factorial(k, a):
             + a * np.log1p(k / a) + k * np.log1p(a / k))
 
 
-def _window_sums(a, b, x, lo, count):
+def _window_sums(a, x, lo, count):
     """Per value, the sum of s_1 .. s_{count-1} and s_{count-1}, where s_j is
     t_{lo+j}/t_lo, the running product of the ratios r_{lo+1} .. r_{lo+j}.
 
@@ -331,7 +325,7 @@ def _window_sums(a, b, x, lo, count):
     sequentially from its lo whatever it is batched with.  Values are grouped
     in quarter-octave bands of window length, each block as long as the
     longest window of its band, and a value reads its own last row.  Where
-    lo = 0 the ratios are x times one shared column (a-1+k)/((b-1+k) k).
+    lo = 0 the ratios are x times one shared column (a-1+k)/k^2.
     """
     rest, last = np.zeros(x.size), np.ones(x.size)
     shared = lo == 0
@@ -340,7 +334,7 @@ def _window_sums(a, b, x, lo, count):
     groups = np.split(order, np.flatnonzero(np.diff(band[order])) + 1)
     top = int(count[shared].max()) if shared.any() else 1
     j = np.arange(1.0, top)
-    coef = (a - 1.0 + j) / ((b - 1.0 + j) * j)
+    coef = (a - 1.0 + j) / (j * j)
     for idx in groups:
         length = int(count[idx].max())
         cols = max(1, _BLOCK_ENTRIES // length)
@@ -356,7 +350,7 @@ def _window_sums(a, b, x, lo, count):
                 else:
                     k = lo_c + np.arange(j0, j1, dtype=float)[:, None]
                     s = (k + (a - 1.0)) * x_c
-                    s /= (k + (b - 1.0)) * k
+                    s /= k * k
                 s[0] *= prod
                 np.cumprod(s, axis=0, out=s)
                 prod = s[-1].copy()
@@ -369,15 +363,16 @@ def _window_sums(a, b, x, lo, count):
     return rest, last
 
 
-def _log_1f1_asymptotic_vec(a, b, x):
-    """log of e^-x times the large-x expansion, elementwise; x must be well
-    past a^2."""
-    log_pref = gammaln(b) - gammaln(a) + (a - b) * np.log(x)
+def _log_1f1_asymptotic_vec(a, x):
+    """log of e^-x times the large-x expansion
+    x^(a-1) / Gamma(a) sum_k ((1-a)_k)^2 / (k! x^k), elementwise; x must be
+    well past a^2."""
+    log_pref = (a - 1.0) * np.log(x) - gammaln(a)
     term = np.ones_like(x)
     total = np.ones_like(x)
     prev = np.full_like(x, np.inf)
     for k in range(60):
-        term = term * (b - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
+        term = term * (1.0 - a + k) ** 2 / ((k + 1.0) * x)
         growing = np.abs(term) >= prev
         if np.any(growing & (np.abs(term) > _ASYMPTOTIC_REL_GOAL * np.abs(total))):
             raise AccuracyError(
@@ -469,44 +464,43 @@ def log_negbin_pmf(n, m, p, q):
     return np.where(n == 0, at_zero, out)
 
 
-def gamma_tricomi_u(m, x, *, rel_tol=1e-10):
-    """Gamma(m) * U(m, 1, x) for finite m > 0 and finite x > 0, to relative
-    accuracy ``rel_tol``.
+def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
+    """Gamma(m) * U(m, 1, z) for finite m > 0 and finite z > 0, to relative
+    accuracy ``rel_tol``: the high-SNR offset needs exactly this product,
+    which stays finite where Gamma(m) alone would overflow.
 
-    Computed as int_0^inf e^(-x t) t^(m-1) (1+t)^(-m) dt, which stays O(1)
-    even when Gamma(m) alone would overflow; the downstream high-SNR offset
-    needs exactly this product.  The variable is rescaled by m/x so the
-    integrand peak sits at O(1) for every argument, and a log offset keeps
-    the intermediate values representable for large m.  Below m = 1 the
-    t^(m-1) singularity at 0 would leave the error estimate too optimistic,
-    so there v = s^(1/m) is substituted, which turns v^(m-1) dv into ds/m.
+    Computed in the scatter variable x = z t of ``analytic``, as
+
+        int_0^inf e^(-x) (1 + z/x)^(-m) dx / x,
+
+    an integrand bounded for every m >= 1, which tends to e^(-x - K/x) / x as
+    m -> inf at a fixed K = m z.  Below m = 1 it is x^(m-1) near 0, so there
+    x = s^(1/m) is substituted, which turns it into e^(-x) (x + z)^(-m) ds / m.
+    A value too small for the quadrature's absolute floor of 1e-300 to
+    certify ``rel_tol`` of it (past about K = 1.1e5 at large m, where the
+    value nears e^(-2 sqrt K)) raises AccuracyError.
     """
     if not (0 < m < math.inf):
         raise DomainError(f"m must be finite and positive, got {m}")
-    x = float(x)
-    if not (0 < x < math.inf):
-        raise DomainError("x must be finite and positive (the x -> 0 limit "
-                          f"diverges), got {x}")
-    scale = m / x
-    log_scale = math.log(scale)
-
+    z = float(z)
+    if not (0 < z < math.inf):
+        raise DomainError("z must be finite and positive (the z -> 0 limit "
+                          f"diverges), got {z}")
     if m >= 1:
-        def log_f(v):
-            return ((m - 1) * (log_scale + np.log(v)) - m * np.log1p(scale * v)
-                    - m * v + log_scale)
+        def f(x):
+            return np.exp(-x - m * np.log1p(z / x)) / x
     else:
-        def log_f(s):
-            v = s ** (1.0 / m)
-            return m * log_scale - math.log(m) - m * np.log1p(scale * v) - m * v
-
-    probe = np.geomspace(1e-8, 100.0, 257)
-    offset = float(np.max(log_f(probe)))
-
-    def f(v):
-        return np.exp(log_f(v) - offset)
+        def f(s):
+            with np.errstate(over="ignore"):    # s^(1/m) past double range is inf
+                x = s ** (1.0 / m)
+            return np.exp(-x) * (x + z) ** -m / m
 
     vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
-    return math.exp(offset + math.log(float(vals[0])))
+    value = float(vals[0])
+    if not rel_tol * value >= _ABS_TOL:
+        raise AccuracyError(f"Gamma(m) U(m, 1, z) = {value:.3g} lies below the "
+                            "quadrature's absolute floor of 1e-300", value=value)
+    return value
 
 
 def check_positive_int(m, name):

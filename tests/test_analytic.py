@@ -103,6 +103,12 @@ FDRLOS_PDF_M140_GOLDENS = {
     (1.25, 1.0, 140.5, 1.0): 0.26303472180070425,
     (2.0, 1.0, 140.5, 1.0): 0.10186735327083887,
 }
+# and at m = 1000.5, the same grid
+FDRLOS_PDF_M1000_GOLDENS = {
+    (0.5, 1.0, 1000.5, 1.0): 1.0139403529375624,
+    (1.25, 1.0, 1000.5, 1.0): 0.2627913656526993,
+    (2.0, 1.0, 1000.5, 1.0): 0.10177310698073032,
+}
 # the cdf at real m from scripts/make_goldens.py: the 1F1 density integrated
 # over [0, gamma] and averaged over e^{-x}, by tanh-sinh at 40 and 50 digits
 FDRLOS_CDF_REAL_M_GOLDENS = {
@@ -367,6 +373,20 @@ class TestFdrlosPdf:
         g, k, m, gbar = args
         assert fdrlos_pdf(g, FadingParams(k, m, gbar)) == pytest.approx(
             want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("args,want", sorted(FDRLOS_PDF_M1000_GOLDENS.items()))
+    def test_real_m_1000_goldens(self, args, want):
+        # the values agree to 8.3e-15; rel 1e-13 leaves a factor of 12
+        g, k, m, gbar = args
+        assert fdrlos_pdf(g, FadingParams(k, m, gbar)) == pytest.approx(
+            want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("m", [0.3, 0.7, 1, 2.5, 3])
+    def test_density_at_origin_is_the_coding_gain(self, m):
+        # gbar f(0) = a(K, m), taken from the coding gain: the scatter
+        # average at 0 meets an x^(m-1) endpoint below m = 1
+        assert 2.0 * fdrlos_pdf(0.0, FadingParams(1.0, m, 2.0)) == pytest.approx(
+            CODING_GAIN_GOLDENS[(1.0, m)], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [3, 2.5])
     def test_integrand_runs_no_checks(self, m, monkeypatch):
@@ -783,9 +803,25 @@ class TestAsymptote:
             A_K1_M1 * 2.0 / 1e5, rel=1e-10, abs=0)
 
     def test_large_m_stabilizes(self):
-        a1 = coding_gain(1.0, 1000)
-        a2 = coding_gain(1.0, 2000)
-        assert abs(a1 - a2) / a1 < 1e-3
+        # as m -> inf the LoS stops fluctuating and a tends to (1+K) 2 K0(2 sqrt K),
+        # gbar times the drlos density at 0, from above by
+        # K K2(2 sqrt K) / (2 m K0(2 sqrt K)) < (1+K)/m relative
+        for k in (1e-3, 0.1, 1.0, 5.0, 100.0):
+            limit = (1.0 + k) * 2.0 * k0(2.0 * math.sqrt(k))
+            for m in (1e4, 1e5, 1e6, 1e8):
+                assert 0.0 < coding_gain(k, m) / limit - 1.0 < (1.0 + k) / m
+            assert coding_gain(k, 1e12) == pytest.approx(limit, rel=1e-9, abs=0)
+
+    def test_large_m_limit_is_the_drlos_density_at_origin(self):
+        for k in (1e-3, 0.1, 1.0, 5.0, 100.0):
+            assert 2.0 * drlos_pdf_oracle(0.0, k, 2.0) == pytest.approx(
+                (1.0 + k) * 2.0 * k0(2.0 * math.sqrt(k)), rel=1e-9, abs=0)
+
+    def test_gain_below_the_quadrature_floor_is_refused(self):
+        # near K = 1.2e5 a is about 6e-295: rel_tol of it lies below the
+        # quadrature's absolute floor of 1e-300, which certifies nothing
+        with pytest.raises(AccuracyError, match="floor"):
+            coding_gain(1.2e5, 1e4)
 
 
 class TestAncestors:
@@ -818,16 +854,16 @@ class TestCurve:
         with pytest.raises(DomainError):
             Curve([1.0, 1.0], [0.1, 0.2])
         with pytest.raises(DomainError):
-            Curve([1.0, 2.0], [-0.1, 0.2], meta={"quantity": "pdf"})
+            Curve([1.0, 2.0], [-0.1, 0.2], "pdf")
         with pytest.raises(DomainError):
-            Curve([1.0, 2.0], [0.5, 1.2], meta={"quantity": "cdf"})
+            Curve([1.0, 2.0], [0.5, 1.2], "cdf")
 
     def test_rejects_nan(self):
-        for meta in ({}, {"quantity": "pdf"}, {"quantity": "op"}):
+        for quantity in (None, "pdf", "op"):
             with pytest.raises(DomainError, match="NaN"):
-                Curve([1.0, 2.0], [0.5, np.nan], meta=meta)
+                Curve([1.0, 2.0], [0.5, np.nan], quantity)
             with pytest.raises(DomainError, match="NaN"):
-                Curve([np.nan, 2.0], [0.5, 0.6], meta=meta)
+                Curve([np.nan, 2.0], [0.5, 0.6], quantity)
 
     def test_csv_round_trip_is_lossless(self):
         x = np.array([1.0 / 3.0, 0.7, 1e-300, 6.02214076e23][:3])

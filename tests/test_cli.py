@@ -150,6 +150,14 @@ class TestPdfCommand:
         assert np.loadtxt(out, **CSV)[1][1] == pytest.approx(
             k0(2.0 * np.sqrt(0.5)), rel=1e-9)
 
+    def test_density_at_origin_below_m_1(self, tmp_path):
+        # the value at 0 is the coding gain, not a scatter average that
+        # meets an x^(m-1) endpoint
+        out = tmp_path / "pdf.csv"
+        assert run(["pdf", "--k", "1", "--m", "0.5", "--gamma-bar", "1",
+                    "--grid", "0:1:3", "--output", str(out)]) == 0
+        assert np.all(np.isfinite(np.loadtxt(out, **CSV)[1]))
+
     @pytest.mark.parametrize("m", ["30.5", "50.5", "140.5", "1000.5"])
     def test_real_m_past_25(self, m, tmp_path):
         # the 1F1 arguments run past x = 200 below m^2, where the large-x
@@ -219,6 +227,14 @@ class TestOpCommand:
         gbars = 10 ** (db / 10.0)
         prod = values * gbars
         np.testing.assert_allclose(prod, prod[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("m", ["1e6", "1e8"])
+    def test_asymptote_at_huge_m(self, m, tmp_path):
+        # the gain integrand tends to e^(-x - K/x)/x as m -> inf
+        out = tmp_path / "asym.csv"
+        assert run(["op", "--k", "5", "--m", m, "--gamma-th", "1", "--grid", "1:10:2",
+                    "--asymptotic", "--output", str(out)]) == 0
+        assert np.all(np.isfinite(np.loadtxt(out, **CSV)[1]))
 
     @pytest.mark.parametrize("grid", ["--grid=0:10:3", "--grid=-1:10:3",
                                       "--grid-db=0:4000:3"])

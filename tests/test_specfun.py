@@ -35,24 +35,24 @@ UPPER_GAMMA = {
     (3.5, 1.0): 3.189886420894198,
     (3.5, 5.0): 0.626695816261539,
 }
+# 1F1(a; 1; x) and log(e^-x 1F1(a; 1; x)), keyed by (a, x)
 HYP1F1_LARGE = {
-    (2.5, 1.0, 80.0): 3.0663507777251483e+37,
-    (2.5, 1.0, 300.0): 7.649563525628979e+133,
-    (0.5, 1.0, 120.0): 6.7310795536494625e+50,
-    (3.0, 1.0, 600.0): 6.83675051548806e+265,
-    (5.0, 1.0, 100.0): 1.3074287634673006e+50,
-    (2.5, 1.7, 30.0): 115422855636625.98,
+    (2.5, 80.0): 3.0663507777251483e+37,
+    (2.5, 300.0): 7.649563525628979e+133,
+    (0.5, 120.0): 6.7310795536494625e+50,
+    (3.0, 600.0): 6.83675051548806e+265,
+    (5.0, 100.0): 1.3074287634673006e+50,
 }
 SCALED_LOG_HYP1F1 = {
-    (500.0, 1.0, 50.0): 288.58030390333215,
-    (2.5, 1.0, 5000.0): 12.491556826676929,
-    (30.5, 1.0, 300.0): 97.96605373490995,
-    (30.0, 1.0, 300.0): 96.72478527237098,
-    (100.5, 1.0, 9000.0): 545.5980991350813,
-    (140.5, 1.0, 19000.0): 822.6493394677371,
-    (400.5, 1.0, 100000.0): 2603.4987464712126,
-    (1000.5, 1.0, 500000.0): 7209.1220415971875,
-    (10000.5, 1.0, 50000000.0): 95164.14861323236,
+    (500.0, 50.0): 288.58030390333215,
+    (2.5, 5000.0): 12.491556826676929,
+    (30.5, 300.0): 97.96605373490995,
+    (30.0, 300.0): 96.72478527237098,
+    (100.5, 9000.0): 545.5980991350813,
+    (140.5, 19000.0): 822.6493394677371,
+    (400.5, 100000.0): 2603.4987464712126,
+    (1000.5, 500000.0): 7209.1220415971875,
+    (10000.5, 50000000.0): 95164.14861323236,
 }
 # the log masses at n and lam (or the NB mean) up to 1e6, where
 # n log lam - lam - lgamma(n+1) loses 1e-9; NB keys are (n, m, K) with
@@ -273,47 +273,46 @@ class TestGenIncompleteGamma:
 
 
 class TestKummer1F1:
-    """The scaled log(e^-x 1F1) against the logs of frozen and scipy values
-    minus x; the cases reach the series (x <= max(200, a^2)) and the large-x
-    expansion (x > max(200, a^2)), at integer and at real a."""
+    """The scaled log(e^-x 1F1(a; 1; x)) against the logs of frozen and scipy
+    values minus x; the cases reach the series (x <= max(200, a^2)) and the
+    large-x expansion (x > max(200, a^2)), at integer and at real a."""
 
     def test_at_zero(self):
-        for a, b in [(0.3, 0.9), (3.0, 1.0), (2.5, 1.0)]:
-            assert log_kummer_1f1(a, b, 0.0) == 0.0
+        for a in (3.0, 2.5):
+            assert log_kummer_1f1(a, 0.0) == 0.0
 
     def test_equal_parameters_give_exp(self):
-        # 1F1(a; a; x) = e^x, so the scaled log is 0
-        assert log_kummer_1f1(1.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-14)
-        assert log_kummer_1f1(2.5, 2.5, 2.0) == pytest.approx(0.0, abs=1e-14)
+        # 1F1(1; 1; x) = e^x, so the scaled log is 0
+        assert log_kummer_1f1(1.0, 2.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_frozen_golden(self):
-        assert log_kummer_1f1(3.0, 1.0, 0.7) == pytest.approx(
+        assert log_kummer_1f1(3.0, 0.7) == pytest.approx(
             math.log(HYP1F1_3_1_07) - 0.7, abs=1e-12)
 
     @pytest.mark.parametrize("args,want", sorted(HYP1F1_LARGE.items()))
     def test_large_argument_paths(self, args, want):
         assert log_kummer_1f1(*args) == pytest.approx(
-            math.log(want) - args[2], abs=1e-10)
+            math.log(want) - args[1], abs=1e-10)
 
     @pytest.mark.parametrize("a", [0.5, 2.5, 5.0])
     @pytest.mark.parametrize("x", [0.5, 5.0, 30.0, 49.0])
     def test_against_scipy(self, a, x):
-        assert log_kummer_1f1(a, 1.0, x) == pytest.approx(
+        assert log_kummer_1f1(a, x) == pytest.approx(
             math.log(hyp1f1(a, 1.0, x)) - x, abs=1e-9)
 
     def test_negative_argument(self):
         # the positive-term log form is defined for x >= 0 only
         with pytest.raises(DomainError):
-            log_kummer_1f1(0.8, 2.0, -3.0)
+            log_kummer_1f1(0.8, -3.0)
         with pytest.raises(DomainError):
-            log_kummer_1f1(0.8, 2.0, np.array([1.0, -1e-300]))
+            log_kummer_1f1(0.8, np.array([1.0, -1e-300]))
 
     def test_nan_argument_is_domain_error(self):
         with pytest.raises(DomainError, match="NaN"):
-            log_kummer_1f1(2.5, 1.0, np.array([np.nan, 1.0]))
+            log_kummer_1f1(2.5, np.array([np.nan, 1.0]))
 
     def test_empty_argument_gives_empty(self):
-        out = log_kummer_1f1(2.5, 1.0, np.array([]))
+        out = log_kummer_1f1(2.5, np.array([]))
         assert isinstance(out, np.ndarray) and out.shape == (0,)
 
     @pytest.mark.parametrize("a", [0.7, 2.5, 30.5, 140.5])
@@ -327,22 +326,22 @@ class TestKummer1F1:
         # one term past the last one needed still moves its last bit
         x = np.concatenate([[0.0, 1e-300, top], rng.uniform(0.0, top, 40),
                             10.0 ** rng.uniform(-17.0, 0.0, 200)])
-        batch = log_kummer_1f1(a, 1.0, x)
-        np.testing.assert_array_equal(batch, [log_kummer_1f1(a, 1.0, v) for v in x])
+        batch = log_kummer_1f1(a, x)
+        np.testing.assert_array_equal(batch, [log_kummer_1f1(a, v) for v in x])
 
-    @given(st.floats(0.5, 5.0), st.floats(0.6, 4.0), st.floats(0.1, 10.0))
-    def test_derivative_contiguous_relation(self, a, b, x):
-        # d/dx 1F1(a;b;x) = (a/b) 1F1(a+1;b+1;x), divided by 1F1(a;b;x); the
-        # scaling subtracts 1 from the log-derivative and cancels in the ratio
-        h = 1e-5 * max(1.0, abs(x))
-        der = (log_kummer_1f1(a, b, x + h) - log_kummer_1f1(a, b, x - h)) / (2 * h)
-        ratio = math.exp(log_kummer_1f1(a + 1, b + 1, x) - log_kummer_1f1(a, b, x))
-        assert der + 1.0 == pytest.approx(a / b * ratio, rel=1e-6)
+    @given(st.floats(1.2, 30.5), st.floats(0.1, 900.0))
+    def test_derivative_contiguous_relation(self, a, x):
+        # Gauss's contiguous relation at b = 1,
+        # (1-a) M(a-1) + (2a-1+x) M(a) - a M(a+1) = 0, divided by M(a); the
+        # e^-x scaling cancels in the ratios
+        below = math.exp(log_kummer_1f1(a - 1, x) - log_kummer_1f1(a, x))
+        above = math.exp(log_kummer_1f1(a + 1, x) - log_kummer_1f1(a, x))
+        assert (1 - a) * below + (2 * a - 1 + x) == pytest.approx(a * above, rel=1e-13)
 
-    def test_nonpositive_integer_b_rejected(self):
-        for a, b in ((1.5, 0.0), (1.5, -1.0), (1.5, -4.0), (0.0, 1.0)):
-            with pytest.raises(DomainError):
-                log_kummer_1f1(a, b, 1.0)
+    def test_nonpositive_a_rejected(self):
+        for a in (0.0, -1.5, math.nan):
+            with pytest.raises(DomainError, match="a > 0"):
+                log_kummer_1f1(a, 1.0)
 
     def test_log_form_matches_frozen(self):
         # extended-precision references, past double range unscaled; the
@@ -354,11 +353,11 @@ class TestKummer1F1:
     def test_refuses_a_series_it_cannot_certify(self):
         # x = 1e10 <= a^2 takes the series, over a window of 2.2e6 terms
         with pytest.raises(AccuracyError, match="past the cap"):
-            log_kummer_1f1(1e5 + 0.5, 1.0, np.array([1.0, 1e10]))
+            log_kummer_1f1(1e5 + 0.5, np.array([1.0, 1e10]))
 
     def test_log_form_vectorized(self):
         x = np.array([0.0, 0.4, 7.0, 90.0])
-        got = log_kummer_1f1(3.0, 1.0, x)
+        got = log_kummer_1f1(3.0, x)
         want = np.log(hyp1f1(3.0, 1.0, x)) - x
         np.testing.assert_allclose(got, want, rtol=1e-10)
 

@@ -8,16 +8,16 @@ weight e^{-x}: one vector quadrature over x per chunk of SNR values
 (``_scatter_average``).
 
 Every law takes every finite m > 0, and the route follows m
-(``_conditional``, the one place that decides): at integer m both the cdf
-and the density are the finite Binomial mixture of m Gamma laws
+(``_conditional``, the one place that decides): at integer m up to 100 both
+the cdf and the density are the finite Binomial mixture of m Gamma laws
 (``rs_cdf_integer`` and its density), at every other m the cdf is the
 negative-binomial series of Erlang cdfs (``rs_cdf``: rows of terms, each
 from one ``gammainc`` and two log-mass anchors, by running products and
 positive sums) and the density the 1F1 form through the scaled log 1F1.
-``fdrlos_cdf_oracle`` always averages the series, so at integer m it is an
-independent cross-check; the density has one route, and ``fdrlos_pdf_oracle``
-is the same function.  All these conditionals are sums of positive terms, so
-deep-outage values keep their relative accuracy.  This is the paper's
+``fdrlos_cdf_oracle`` always averages the series, so only at integer m up to
+100 is it an independent cross-check; ``fdrlos_pdf_oracle`` is
+``fdrlos_pdf``.  All these conditionals are positive sums, so deep-outage
+values keep their relative accuracy.  This is the paper's
 integral before it substitutes t = K/m + x and expands (t - K/m)^j into
 generalized incomplete gammas, whose terms cancel; ``scripts/make_goldens.py``
 keeps that expansion as an mpmath cross-check.  K = 0 (no LoS; the law no
@@ -57,9 +57,9 @@ _ROW_BLOCK = 128          # rows per numpy pass: 8192 terms
 _ANCHOR_BLOCK = 4096      # rows per pass of the log-mass kernels, which cost
                           # about 0.4 ms a call whatever its size
 _MAX_WINDOW = 2 ** 20     # longest series window one cdf value may sum
-_MAX_M = 1e15             # largest m the series is checked at (to 1e-14, mpmath)
-_ORDER_ENTRIES = 2 ** 16  # values x Gamma orders per pass of the integer-m
-                          # mixtures: 0.5 MB a temporary, whatever m
+_MAX_M = 1e15             # largest m the series and the 1F1 density are checked at
+_MIXTURE_MAX_M = 100      # largest integer m of the Binomial mixture: its m orders
+                          # cost more than the real-m kernels past about 100
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -171,9 +171,10 @@ def rs_pdf(gamma, k_x, m, gbar_x):
 
         f(g) = p^m (1+K_x) / gbar_x * e^{-u} * e^{-w} 1F1(m; 1; w),
 
-    at integer m the density of the Binomial mixture that ``rs_cdf_integer``
-    sums, at every other m through the scaled log 1F1: no route forms e^{+w}.
-    Broadcasts over all three arrays.
+    at integer m up to 100 the density of the Binomial mixture that
+    ``rs_cdf_integer`` sums, at every other m through the scaled log 1F1 (to
+    m = 1e15; past it AccuracyError): no route forms e^{+w}.  Broadcasts over
+    all three arrays.
     """
     gamma, k_x, gbar_x = _check_law(gamma, k_x, m, gbar_x)
     out = _conditional(m, "pdf")(gamma, k_x, gbar_x)
@@ -181,9 +182,12 @@ def rs_pdf(gamma, k_x, m, gbar_x):
 
 
 def _kummer_density(gamma, k_x, m, gbar_x):
-    """``rs_pdf`` at real m on checked arguments."""
+    """``rs_pdf`` through the 1F1 on checked arguments; p^m as
+    exp(-m log1p(K_x/m)), which keeps its digits at huge m."""
+    if m > _MAX_M:
+        raise AccuracyError(f"the Rician shadowed density needs m <= {_MAX_M:g}, got {m:g}")
     y, p, q = gamma * (1.0 + k_x) / gbar_x, m / (m + k_x), k_x / (m + k_x)
-    return np.exp(m * np.log(p) + np.log1p(k_x) - np.log(gbar_x) - p * y
+    return np.exp(-m * np.log1p(k_x / m) + np.log1p(k_x) - np.log(gbar_x) - p * y
                   + log_kummer_1f1(m, q * y))
 
 
@@ -191,30 +195,28 @@ def _mixture_density(gamma, k_x, m, gbar_x):
     """``rs_pdf`` at integer m on checked arguments: with r = u/g,
     r sum_{n<=m} Bin(m-n; m-1, p) u^(n-1) e^{-u} / (n-1)!, one positive sum.
     With z = (1-p) u / p the log of each term is
-    (m-1) log p - u + log C(m-1, n-1) - log (n-1)! + (n-1) log z, so a block
-    of orders (``_order_blocks``) takes one product and two sums a term
-    before its ``exp``."""
-    p, q, lg = m / (m + k_x), k_x / (m + k_x), _log_factorials(m)
+    (m-1) log p - u + log C(m-1, n-1) - log (n-1)! + (n-1) log z: one
+    product, two sums and one ``exp`` an order, from n = m down."""
+    p, q = m / (m + k_x), k_x / (m + k_x)
     r = (1.0 + k_x) * p / gbar_x
     u = gamma * r
     with np.errstate(divide="ignore"):
         # z = 0 (K_x = 0 or g = 0) leaves the n = 1 term: a slope of -max/m
         # keeps (n-1) slope finite, 0 at n = 1, and sends the rest to exp(-huge)
         slope = np.maximum(np.log(q * u / p), -np.finfo(float).max / m)
-    base = (xlogy(m - 1.0, p) - u)[..., None]
+    base = xlogy(m - 1.0, p) - u
     total = 0.0
-    for n in _order_blocks(m, u.size):
-        log_t = np.multiply.outer(slope, n - 1.0)
-        log_t += lg[-1] - lg[m - n] - lg[n - 1] - lg[n - 1]
-        log_t += base
-        total = total + np.sum(np.exp(log_t, out=log_t), axis=-1)
+    for n in range(m, 0, -1):
+        log_c = math.lgamma(m) - math.lgamma(m - n + 1) - 2.0 * math.lgamma(n)
+        total = total + np.exp(slope * (n - 1.0) + log_c + base)
     return r * total
 
 
 def rs_cdf_integer(gamma, k_x, m, gbar_x):
-    """Rician shadowed SNR cdf at integer m: a finite Binomial mixture of Gamma
+    """Rician shadowed SNR cdf at integer m, routed as ``fdrlos_cdf`` routes
+    it (``_conditional``): up to m = 100 the finite Binomial mixture of Gamma
     laws (the integer-m case of the Poisson-Gamma mixture of Abdi et al.,
-    IEEE TWC 2003).
+    IEEE TWC 2003), past it the negative-binomial series of ``rs_cdf``.
 
     With W = gbar_x/(1+K_x) and L = 1 + K_x/m the MGF is
     (1 - sW)^(m-1) / (1 - sWL)^m, and 1 - sW = (1 - sWL)/L + (1 - 1/L) gives
@@ -222,45 +224,28 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
         F(g) = sum_{j<m} Bin(j; m-1, 1/L) P(m-j, g/(W L)),
 
     m positive terms with log-form weights; K_x = 0 puts all the weight on
-    j = m-1 (an exponential law).  One ``gammainc`` gives P(m, u); the lower
-    orders follow from P(n, u) = P(n+1, u) + u^n e^{-u} / n!, which adds
-    positive terms.  Broadcasts over all three arrays.
+    j = m-1 (an exponential law).  Broadcasts over all three arrays.
     """
     m = check_positive_int(m, "m")
     gamma, k_x, gbar_x = _check_law(gamma, k_x, m, gbar_x)
-    return _binomial_mixture(gamma, k_x, m, gbar_x)
-
-
-def _log_factorials(m):
-    """log (n-1)! = lgamma(n) for n = 1..m, at index n - 1."""
-    return np.array([math.lgamma(i) for i in range(1, m + 1)])
-
-
-def _order_blocks(m, size):
-    """The Gamma orders m, m-1, ..., 1 in consecutive blocks of at most
-    ``_ORDER_ENTRIES / size`` orders, so that ``size`` values times a block
-    stays bounded whatever m."""
-    step = max(1, _ORDER_ENTRIES // max(size, 1))
-    for top in range(m, 0, -step):
-        yield np.arange(top, max(top - step, 0), -1)
+    return _conditional(m, "cdf")(gamma, k_x, gbar_x)
 
 
 def _binomial_mixture(gamma, k_x, m, gbar_x):
-    """``rs_cdf_integer`` on checked arguments: m an int, the rest floats."""
-    p, q, lg = m / (m + k_x), k_x / (m + k_x), _log_factorials(m)
+    """The mixture of ``rs_cdf_integer`` on checked arguments, m an int.  One
+    ``gammainc`` gives P(m, u); the lower orders follow, from n = m down, as
+    P(n, u) = P(n+1, u) + u^n e^{-u} / n!: one ``exp`` an order."""
+    p, q = m / (m + k_x), k_x / (m + k_x)
     u = gamma * (1.0 + k_x) * p / gbar_x
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
     big_p = gammainc(m, u)
     out = np.zeros(big_p.shape)
-    for n in _order_blocks(m, p.size):
-        # the weights Bin(m-n; m-1, p) of the block, along a new last axis
-        log_c = lg[-1] - lg[m - n] - lg[n - 1]                   # C(m-1, m-n)
-        w = np.exp(log_c + xlogy(m - n, p[..., None]) + xlogy(n - 1, q[..., None]))
-        for i, order in enumerate(n.tolist()):
-            if order < m:
-                big_p = big_p + np.exp(order * log_u - u - math.lgamma(order + 1.0))
-            out += w[..., i] * big_p
+    for n in range(m, 0, -1):
+        if n < m:
+            big_p = big_p + np.exp(n * log_u - u - math.lgamma(n + 1.0))
+        log_c = math.lgamma(m) - math.lgamma(m - n + 1) - math.lgamma(n)   # C(m-1, m-n)
+        out += np.exp(log_c + xlogy(m - n, p) + xlogy(n - 1, q)) * big_p
     out = np.minimum(out, 1.0)
     return float(out) if out.ndim == 0 else out
 
@@ -401,10 +386,10 @@ def _flag_underflow(values):
 
 def _conditional(m, law):
     """The conditional Rician shadowed ``law`` ("pdf" or "cdf") at shape m,
-    (g, k_x, gbar_x) -> value on checked arguments: the Binomial mixture of m
-    Gamma laws at integer m, else the 1F1 density or the negative-binomial
-    series.  The one place the route of a law follows m."""
-    if m == int(m):
+    (g, k_x, gbar_x) -> value on checked arguments: the Binomial mixture at
+    integer m up to ``_MIXTURE_MAX_M``, else the 1F1 density or the
+    negative-binomial series.  The one place the route of a law follows m."""
+    if m <= _MIXTURE_MAX_M and m == int(m):
         kernel, m = (_mixture_density if law == "pdf" else _binomial_mixture), int(m)
     else:
         kernel = _kummer_density if law == "pdf" else _nb_series
@@ -426,7 +411,7 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
 
         f(g) = int_0^inf e^{-x} f_RS(g; K/x, m, gbar (K+x)/(K+1)) dx,
 
-    at integer m the density of the Binomial mixture of m Gamma laws that
+    at integer m up to 100 the density of the Binomial mixture that
     ``rs_cdf_integer`` sums, at every other m the scaled 1F1 form; both are
     positive sums.  At g = 0 it is a(K, m) / gbar from ``coding_gain``.  K = 0
     is an ordinary input: the product law, +inf at g = 0.  An array K
@@ -453,8 +438,8 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     to relative accuracy ``rel_tol``.
 
     The conditional Rician shadowed cdf averaged over e^{-x}: at integer m
-    the finite Binomial mixture ``rs_cdf_integer``; with b = g (K+1)/gbar and
-    z = K/m,
+    up to 100 the finite Binomial mixture ``rs_cdf_integer``; with
+    b = g (K+1)/gbar and z = K/m,
 
         F(g) = int_0^inf e^{-x} sum_{j<m} Bin(j; m-1, x/(x+z)) P(m-j, b/(x+z)) dx,
 
@@ -469,8 +454,8 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
     """Ground-truth cdf: the negative-binomial series ``rs_cdf`` averaged at
-    every m > 0, so at integer m it shares no conditional code with
-    ``fdrlos_cdf``."""
+    every m > 0, so only at integer m up to 100 does it share no conditional
+    code with ``fdrlos_cdf``."""
     return _cdf_average(lambda g, k_x, gbar_x: _nb_series(g, k_x, params.m, gbar_x),
                         gamma, params.k, params.gamma_bar, rel_tol)
 

@@ -6,10 +6,11 @@ are converted once at this boundary via linear = 10^(dB/10).  Output is CSV
 doubles exactly; ``Curve.write_csv`` writes it to ``--output`` or stdout.
 
 Every fdrlos law takes every finite m > 0; the route (the finite Binomial
-mixture at integer m, otherwise the negative-binomial series or 1F1) follows m.
-``--oracle`` selects the negative-binomial conditional for the fdrlos cdf at
-every m, a cross-check at integer m; at other m, and for the pdf, it gives
-the same numbers as the default.
+mixture at integer m up to 100, otherwise the negative-binomial series or
+1F1, which refuse m past 1e15) follows m.  ``--oracle`` selects the
+negative-binomial conditional for the fdrlos cdf at every m, a cross-check at
+integer m up to 100; at other m, and for the pdf, it gives the same numbers
+as the default.
 
 Exit codes: 0 success, 2 usage/domain error or an output path that cannot be
 written (one ``error:`` line on stderr), 3 numeric or convergence failure.

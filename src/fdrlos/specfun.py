@@ -471,14 +471,17 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
 
     Computed in the scatter variable x = z t of ``analytic``, as
 
-        int_0^inf e^(-x) (1 + z/x)^(-m) dx / x,
+        int_0^inf e^(psi(x)) dx / x,  psi(x) = -x - m log1p(z/x),
 
     an integrand bounded for every m >= 1, which tends to e^(-x - K/x) / x as
-    m -> inf at a fixed K = m z.  Below m = 1 it is x^(m-1) near 0, so there
-    x = s^(1/m) is substituted, which turns it into e^(-x) (x + z)^(-m) ds / m.
-    A value too small for the quadrature's absolute floor of 1e-300 to
-    certify ``rel_tol`` of it (past about K = 1.1e5 at large m, where the
-    value nears e^(-2 sqrt K)) raises AccuracyError.
+    m -> inf at a fixed K = m z.  Where the peak e^(psi(x*)) of e^psi, which
+    nears e^(-2 sqrt K), lies below 1e-150, e^psi is divided by it and the
+    result multiplied back, so that no node underflows; above it the
+    integrand is not scaled, which adds no rounding.  Below m = 1 it is
+    x^(m-1) near 0, so there x = s^(1/m) is substituted, which turns it into
+    e^(-x) (x + z)^(-m) ds / m.  A value below the smallest normal double
+    (from about K = 1.25e5 at large m), which has lost digits to underflow,
+    raises AccuracyError.
     """
     if not (0 < m < math.inf):
         raise DomainError(f"m must be finite and positive, got {m}")
@@ -486,9 +489,16 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     if not (0 < z < math.inf):
         raise DomainError("z must be finite and positive (the z -> 0 limit "
                           f"diverges), got {z}")
+    log_peak = 0.0
     if m >= 1:
+        # e^psi peaks at the root of x (x + z) = m z, in a form that neither
+        # cancels nor overflows
+        peak = 2.0 * m * z / (z + math.sqrt(z) * math.sqrt(z + 4.0 * m))
+        psi_peak = -peak - m * math.log1p(z / peak)
+        log_peak = psi_peak if psi_peak < 0.5 * math.log(_ABS_TOL) else 0.0
+
         def f(x):
-            return np.exp(-x - m * np.log1p(z / x)) / x
+            return np.exp(-x - m * np.log1p(z / x) - log_peak) / x
     else:
         def f(s):
             with np.errstate(over="ignore"):    # s^(1/m) past double range is inf
@@ -496,10 +506,10 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
             return np.exp(-x) * (x + z) ** -m / m
 
     vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
-    value = float(vals[0])
-    if not rel_tol * value >= _ABS_TOL:
+    value = float(vals[0]) * math.exp(log_peak)
+    if not value >= np.finfo(float).tiny:
         raise AccuracyError(f"Gamma(m) U(m, 1, z) = {value:.3g} lies below the "
-                            "quadrature's absolute floor of 1e-300", value=value)
+                            "smallest normal double", value=value)
     return value
 
 

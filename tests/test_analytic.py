@@ -124,6 +124,7 @@ CODING_GAIN_GOLDENS = {
     (1.0, 2.5): 0.6966871322235483,
     (1.0, 0.7): 1.6281872765286165,
     (1.0, 0.3): 4.076437889776474,
+    (120000.0, 10000.0): 5.862202729559586e-295,
 }
 FDRLOS_PDF_532 = {g: v for (g, k, m, gbar), v in FDRLOS_PDF_GOLDENS.items()
                   if (k, m, gbar) == (5.0, 3, 2.0)}
@@ -177,6 +178,51 @@ class TestRsPdf:
             rs_pdf(g, 4.0, 2.5, 1.5)
 
 
+class TestRoute:
+    """Integer m up to 100 takes the Binomial mixture; past it, as at real m,
+    the 1F1 density and the negative-binomial series."""
+
+    @pytest.mark.parametrize("m, mixture", [(100, True), (101, False), (10 ** 4, False)])
+    def test_mixture_serves_integer_m_up_to_100(self, m, mixture, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mixture called")
+
+        monkeypatch.setattr(analytic, "_binomial_mixture", refuse)
+        monkeypatch.setattr(analytic, "_mixture_density", refuse)
+        params = FadingParams(1.0, m, 1.0)
+        for law in (lambda: fdrlos_pdf(1.0, params), lambda: fdrlos_cdf(1.0, params),
+                    lambda: rs_pdf(1.0, 2.0, m, 1.0),
+                    lambda: rs_cdf_integer(1.0, 2.0, m, 1.0)):
+            if mixture:
+                with pytest.raises(AssertionError, match="mixture called"):
+                    law()
+            else:
+                assert law() > 0.0
+
+    def test_integer_m_past_100_is_the_oracle(self):
+        # past the cut both cdfs average the same series
+        params = FadingParams(1.0, 1e4, 1.0)
+        assert fdrlos_cdf(1.0, params) == fdrlos_cdf_oracle(1.0, params)
+
+    @pytest.mark.parametrize("args,want", [(args, want) for args, want in sorted(
+        RS_CDF_WIDE_GOLDENS.items()) if args[2] == 1e6])
+    def test_integer_cdf_at_m_1e6(self, args, want):
+        assert rs_cdf_integer(*args) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [1e12 + 0.5, 1e15])
+    def test_density_at_huge_m_is_the_rician_limit(self, m):
+        # p^m from -m log1p(K_x/m): a rounded log p would carry an error of
+        # m eps into the exponent.  Integer 1e15, the largest m checked,
+        # takes the 1F1 as real m does
+        assert rs_pdf(1.0, 3.0, m, 1.0) == pytest.approx(
+            rician_pdf(1.0, 3.0, 1.0), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("m", [1e16, 1e300])
+    def test_density_past_the_checked_m_is_refused(self, m):
+        with pytest.raises(AccuracyError, match=r"m <= 1e\+15"):
+            rs_pdf(1.0, 3.0, m, 1.0)
+
+
 class TestRsMixture:
     """The finite Binomial mixture of ``rs_cdf_integer``,
     F = sum_{j<m} Bin(j; m-1, m/(m+K_x)) P(m-j, .), against the 1F1 form of
@@ -194,7 +240,7 @@ class TestRsMixture:
         np.testing.assert_allclose(rs_cdf_integer(g, 0.0, 4, 1.0),
                                    1.0 - np.exp(-g), rtol=1e-14)
 
-    @pytest.mark.parametrize("m", [1, 3, 10, 40])
+    @pytest.mark.parametrize("m", [1, 3, 10, 40, 100])
     def test_matches_negative_binomial_series(self, m):
         # m Binomial terms against the infinite negative-binomial series: two
         # conditionals that share no code, on 2000 random slices and K_x = 0
@@ -215,17 +261,6 @@ class TestRsMixture:
         assert rs_cdf_integer(0.0, k_x, m, gbar_x) == 0.0
         assert rs_cdf_integer(gbar_x, k_x, m, gbar_x) + tail[0] == pytest.approx(
             1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("m", [3, 40])
-    def test_order_blocks_do_not_change_the_mixtures(self, m, monkeypatch):
-        # one order per block against one block: the cdf adds the orders in
-        # the same order either way, the density sums them in other groups
-        g = np.array([[0.0, 0.3, 2.0, 9.0]])
-        k_x = np.array([[0.0], [0.5], [30.0]])
-        cdf, pdf = rs_cdf_integer(g, k_x, m, 1.5), rs_pdf(g, k_x, m, 1.5)
-        monkeypatch.setattr(analytic, "_ORDER_ENTRIES", 1)
-        np.testing.assert_array_equal(rs_cdf_integer(g, k_x, m, 1.5), cdf)
-        np.testing.assert_allclose(rs_pdf(g, k_x, m, 1.5), pdf, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("g", [0.5, 1.0, 4.0])
     def test_mixture_equals_hypergeometric_form(self, g):
@@ -817,11 +852,20 @@ class TestAsymptote:
             assert 2.0 * drlos_pdf_oracle(0.0, k, 2.0) == pytest.approx(
                 (1.0 + k) * 2.0 * k0(2.0 * math.sqrt(k)), rel=1e-9, abs=0)
 
+    def test_gain_near_underflow(self):
+        # the integrand peaks near e^(-2 sqrt K): unscaled, every node of
+        # the quadrature underflows
+        assert coding_gain(1.2e5, 1e4) == pytest.approx(
+            CODING_GAIN_GOLDENS[(1.2e5, 1e4)], rel=1e-12, abs=0)
+
+    def test_gain_at_huge_k(self):
+        # at m = 1, a = (1+K) e^K E1(K) -> 1; the peak's root must not square K
+        assert coding_gain(1e300, 1) == pytest.approx(1.0, rel=1e-12, abs=0)
+
     def test_gain_below_the_quadrature_floor_is_refused(self):
-        # near K = 1.2e5 a is about 6e-295: rel_tol of it lies below the
-        # quadrature's absolute floor of 1e-300, which certifies nothing
-        with pytest.raises(AccuracyError, match="floor"):
-            coding_gain(1.2e5, 1e4)
+        # at K = 1.3e5 Gamma(m) U is subnormal, and has lost digits
+        with pytest.raises(AccuracyError, match="smallest normal double"):
+            coding_gain(1.3e5, 1e4)
 
 
 class TestAncestors:

@@ -202,6 +202,21 @@ class TestCdfCommand:
         assert np.loadtxt(out, **CSV)[1].tolist() == [0.0, 1.0, 1.0]
 
 
+class TestLargeIntegerM:
+    """Integer m past 100 takes the real-m kernels, which refuse m > 1e15."""
+
+    def test_cdf_at_m_1e9(self, tmp_path):
+        out = tmp_path / "cdf.csv"
+        assert run(["cdf", "--k", "1", "--m", "1e9", "--gamma-bar", "1",
+                    "--grid", "0.5:2:3", "--output", str(out)]) == 0
+        assert np.all(np.diff(np.loadtxt(out, **CSV)[1]) > 0)
+
+    @pytest.mark.parametrize("law", ["pdf", "cdf"])
+    def test_m_past_1e15_is_refused(self, law, tmp_path):
+        assert run([law, "--k", "1", "--m", "1e20", "--gamma-bar", "1",
+                    "--grid", "0.5:2:3", "--output", str(tmp_path / "x.csv")]) == 3
+
+
 class TestOpCommand:
     def test_monotone_decreasing_in_mean_snr(self, tmp_path):
         out = tmp_path / "op.csv"
@@ -235,6 +250,13 @@ class TestOpCommand:
         assert run(["op", "--k", "5", "--m", m, "--gamma-th", "1", "--grid", "1:10:2",
                     "--asymptotic", "--output", str(out)]) == 0
         assert np.all(np.isfinite(np.loadtxt(out, **CSV)[1]))
+
+    def test_asymptote_near_underflow(self, tmp_path):
+        # a gain near 6e-295, whose unscaled integrand underflows at every node
+        out = tmp_path / "asym.csv"
+        assert run(["op", "--k", "1.2e5", "--m", "1e4", "--gamma-th", "1",
+                    "--grid", "1:10:2", "--asymptotic", "--output", str(out)]) == 0
+        assert np.all(np.loadtxt(out, **CSV)[1] > 0)
 
     @pytest.mark.parametrize("grid", ["--grid=0:10:3", "--grid=-1:10:3",
                                       "--grid-db=0:4000:3"])

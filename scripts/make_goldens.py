@@ -6,8 +6,8 @@ which must agree to 20.
 
 Rician shadowed cdf (``RS_CDF_GOLDENS``, ``RS_CDF_WIDE_GOLDENS`` at m = 1e6
 and K = 1e6, and ``RS_CDF_2_4_2_15``): each value integrates the 1F1 form of
-the density, so it shares nothing with the series that
-``fdrlos.analytic.rs_cdf`` sums:
+the density, so it shares nothing with the Binomial mixture or the series
+that ``fdrlos.analytic.rs_cdf`` sums:
 
     f(t) = m^m (1+K) / ((m+K)^m gbar) exp(-(1+K) t / gbar)
            * 1F1(m; 1; K (1+K) t / ((K+m) gbar)).

@@ -1,7 +1,8 @@
 """Fluctuating double-Rayleigh line-of-sight fading statistics.
 
-The pdf/cdf/outage at every positive LoS-fluctuation shape m as one scatter
-average of a positive Rician shadowed mixture (finite at integer m, a series
+The pdf and cdf (outage: the cdf at the threshold, over an array K if
+need be) at every positive LoS-fluctuation shape m as one scatter average of
+a positive Rician shadowed mixture (finite at integer m up to 100, a series
 otherwise); an independent series oracle for the cdf; the high-SNR
 asymptote; the three ancestor models (Rician, Rician shadowed,
 deterministic-LoS double-Rayleigh); and seed-deterministic Monte-Carlo
@@ -11,8 +12,7 @@ samplers.
 from .analytic import (Curve, UnderflowWarning, asymptotic_op, coding_gain,
                        drlos_cdf_oracle, drlos_pdf_oracle, fdrlos_cdf,
                        fdrlos_cdf_oracle, fdrlos_pdf, fdrlos_pdf_oracle,
-                       outage_probability, rician_cdf, rician_pdf, rs_cdf,
-                       rs_cdf_integer, rs_pdf)
+                       rician_cdf, rician_pdf, rs_cdf, rs_cdf_integer, rs_pdf)
 from .empirics import (CdfContractError, KsReport, default_ks_threshold,
                        histogram_density, ks_distance, tabulated_cdf)
 from .models import (FadingParams, ModelKind, SnrSampleSet, sample_gamma_rv,
@@ -30,7 +30,7 @@ __all__ = [
     "fdrlos_cdf", "fdrlos_cdf_oracle",
     "fdrlos_pdf", "fdrlos_pdf_oracle", "gamma_tricomi_u",
     "histogram_density", "ks_distance",
-    "log_kummer_1f1", "outage_probability", "rician_cdf",
+    "log_kummer_1f1", "rician_cdf",
     "rician_pdf", "rs_cdf", "rs_cdf_integer", "rs_pdf", "sample_gamma_rv",
     "sample_snr", "tabulated_cdf",
 ]

@@ -10,8 +10,8 @@ weight e^{-x}: one vector quadrature over x per chunk of SNR values
 Every law takes every finite m > 0, and the route follows m
 (``_conditional``, the one place that decides): at integer m up to 100 both
 the cdf and the density are the finite Binomial mixture of m Gamma laws
-(``rs_cdf_integer`` and its density), at every other m the cdf is the
-negative-binomial series of Erlang cdfs (``rs_cdf``: rows of terms, each
+(``rs_cdf`` and its density ``rs_pdf``), at every other m the cdf is the
+negative-binomial series of Erlang cdfs (``_nb_series``: rows of terms, each
 from one ``gammainc`` and two log-mass anchors, by running products and
 positive sums) and the density the 1F1 form through the scaled log 1F1.
 ``fdrlos_cdf_oracle`` always averages the series, so only at integer m up to
@@ -48,8 +48,8 @@ from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e,
 
 from .models import FadingParams, check_params
 from .specfun import (AccuracyError, DomainError, adaptive_quad_vec,
-                      check_positive_int, check_rel_tol, gamma_tricomi_u,
-                      log_kummer_1f1, log_negbin_pmf, log_poisson_pmf)
+                      check_rel_tol, gamma_tricomi_u, log_kummer_1f1,
+                      log_negbin_pmf, log_poisson_pmf)
 
 _GAMMA_CHUNK = 32
 _ROW = 64                 # Rician shadowed series terms per anchored row
@@ -72,13 +72,17 @@ def _check_snr(gamma):
         raise DomainError("gamma must be nonnegative and not NaN")
 
 
-def _check_law(gamma, k=0.0, m=1.0, gbar=1.0):
-    """The SNR, K and gamma_bar of a law as float arrays, after the domain
-    checks: the public laws run them once, the conditionals that a quadrature
-    averages never."""
+def _checked_law(kernel, at_inf, gamma, k, m=1.0, gbar=1.0):
+    """A Rician or Rician shadowed law, ``kernel(g, k, gbar)``, after the
+    domain checks: the public laws run them once, the conditionals that a
+    quadrature averages never.  The kernel sees +inf as 0, and its value
+    there is replaced by the limit ``at_inf``: 0 for a density, 1 for a cdf."""
     gamma = np.asarray(gamma, dtype=float)
     _check_snr(gamma)
-    return (gamma, *check_params(k, m, gbar))
+    k, gbar = check_params(k, m, gbar)
+    finite = gamma < np.inf
+    out = np.where(finite, kernel(np.where(finite, gamma, 0.0), k, gbar), at_inf)
+    return float(out) if out.ndim == 0 else out
 
 
 def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=None):
@@ -94,6 +98,10 @@ def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=None)
     ``at_zero`` (a density's value at 0) of their K, each K on its own, and
     are averaged where it is NaN or not given.  ``rel_tol`` is checked first,
     since a grid of only such points runs no quadrature.
+
+    A chunk whose subdivision budget runs out (an AccuracyError with an error
+    estimate) is averaged again as two halves with a budget each, so only a
+    single value refuses; a conditional's own refusal propagates at once.
     """
     check_rel_tol(rel_tol)
     gamma_arr, k_arr = np.broadcast_arrays(
@@ -104,8 +112,8 @@ def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=None)
     zero = gamma_arr == 0
     out[zero] = at_zero(k_arr[zero]) if at_zero else np.nan
     todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf) | np.isnan(out))
-    for lo in range(0, len(todo), _GAMMA_CHUNK):
-        sel = todo[lo:lo + _GAMMA_CHUNK]
+
+    def average(sel):
         # a scalar K stays scalar, so the conditionals get K_x as a column
         g, k_c = gamma_arr[sel][None, :], k_arr[sel] if np.ndim(k) else k
 
@@ -114,7 +122,16 @@ def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=None)
             gbar_x = gbar * (k_c + x) / (k_c + 1.0)
             return conditional(g, k_c / x, gbar_x) * np.exp(-x)
 
-        out[sel], _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
+        try:
+            out[sel], _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
+        except AccuracyError as exc:
+            if exc.err_estimate is None or sel.size == 1:
+                raise
+            average(sel[:sel.size // 2])
+            average(sel[sel.size // 2:])
+
+    for lo in range(0, len(todo), _GAMMA_CHUNK):
+        average(todo[lo:lo + _GAMMA_CHUNK])
     return out.reshape(shape)
 
 
@@ -172,13 +189,11 @@ def rs_pdf(gamma, k_x, m, gbar_x):
         f(g) = p^m (1+K_x) / gbar_x * e^{-u} * e^{-w} 1F1(m; 1; w),
 
     at integer m up to 100 the density of the Binomial mixture that
-    ``rs_cdf_integer`` sums, at every other m through the scaled log 1F1 (to
+    ``rs_cdf`` sums, at every other m through the scaled log 1F1 (to
     m = 1e15; past it AccuracyError): no route forms e^{+w}.  Broadcasts over
     all three arrays.
     """
-    gamma, k_x, gbar_x = _check_law(gamma, k_x, m, gbar_x)
-    out = _conditional(m, "pdf")(gamma, k_x, gbar_x)
-    return float(out) if out.ndim == 0 else out
+    return _checked_law(_conditional(m, "pdf"), 0.0, gamma, k_x, m, gbar_x)
 
 
 def _kummer_density(gamma, k_x, m, gbar_x):
@@ -212,11 +227,11 @@ def _mixture_density(gamma, k_x, m, gbar_x):
     return r * total
 
 
-def rs_cdf_integer(gamma, k_x, m, gbar_x):
-    """Rician shadowed SNR cdf at integer m, routed as ``fdrlos_cdf`` routes
-    it (``_conditional``): up to m = 100 the finite Binomial mixture of Gamma
-    laws (the integer-m case of the Poisson-Gamma mixture of Abdi et al.,
-    IEEE TWC 2003), past it the negative-binomial series of ``rs_cdf``.
+def rs_cdf(gamma, k_x, m, gbar_x):
+    """Rician shadowed SNR cdf for every m > 0, routed as ``fdrlos_cdf`` routes
+    it (``_conditional``): at integer m up to 100 the finite Binomial mixture of
+    Gamma laws (the integer-m case of the Poisson-Gamma mixture of Abdi et al.,
+    IEEE TWC 2003), at every other m the negative-binomial series ``_nb_series``.
 
     With W = gbar_x/(1+K_x) and L = 1 + K_x/m the MGF is
     (1 - sW)^(m-1) / (1 - sWL)^m, and 1 - sW = (1 - sWL)/L + (1 - 1/L) gives
@@ -226,13 +241,15 @@ def rs_cdf_integer(gamma, k_x, m, gbar_x):
     m positive terms with log-form weights; K_x = 0 puts all the weight on
     j = m-1 (an exponential law).  Broadcasts over all three arrays.
     """
-    m = check_positive_int(m, "m")
-    gamma, k_x, gbar_x = _check_law(gamma, k_x, m, gbar_x)
-    return _conditional(m, "cdf")(gamma, k_x, gbar_x)
+    return _checked_law(_conditional(m, "cdf"), 1.0, gamma, k_x, m, gbar_x)
+
+
+#: the old integer-m name, which ``perfbench/tracing.py`` still wraps
+rs_cdf_integer = rs_cdf
 
 
 def _binomial_mixture(gamma, k_x, m, gbar_x):
-    """The mixture of ``rs_cdf_integer`` on checked arguments, m an int.  One
+    """The mixture of ``rs_cdf`` on checked arguments, m an int.  One
     ``gammainc`` gives P(m, u); the lower orders follow, from n = m down, as
     P(n, u) = P(n+1, u) + u^n e^{-u} / n!: one ``exp`` an order."""
     p, q = m / (m + k_x), k_x / (m + k_x)
@@ -246,12 +263,12 @@ def _binomial_mixture(gamma, k_x, m, gbar_x):
             big_p = big_p + np.exp(n * log_u - u - math.lgamma(n + 1.0))
         log_c = math.lgamma(m) - math.lgamma(m - n + 1) - math.lgamma(n)   # C(m-1, m-n)
         out += np.exp(log_c + xlogy(m - n, p) + xlogy(n - 1, q)) * big_p
-    out = np.minimum(out, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.minimum(out, 1.0)
 
 
-def rs_cdf(gamma, k_x, m, gbar_x):
-    """Rician shadowed SNR cdf for any real m > 0: a positive series.
+def _nb_series(gamma, k_x, m, gbar_x):
+    """Rician shadowed SNR cdf for any real m > 0 on checked arguments: a
+    positive series.
 
     Rician shadowed is a Poisson-Gamma mixture (Abdi et al., IEEE TWC 2003): with
     y = g (1+K_x)/gbar_x and p = m/(m+K_x), F = sum_n NB(n) P(n+1, y), where
@@ -275,23 +292,6 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     alone in a fixed order, terms within a row and then rows in increasing n,
     so it does not depend on what it is broadcast with or on the block size.
     """
-    gamma, k_x, gbar_x = _check_law(gamma, k_x, m, gbar_x)
-    return _nb_series(gamma, k_x, m, gbar_x)
-
-
-def _nb_mass_below(n, m, p, q):
-    """The NB mass below n, I_p(m, n), to relative accuracy from the smaller
-    of p and q = 1-p, so that the one near 1 (q at huge K_x, p at huge m)
-    loses no digits: where q < p as 1 - I_q(n, m) by ``betaincc``."""
-    out = np.empty(n.shape)
-    by_p = p <= q
-    out[by_p] = betainc(m, n[by_p], p[by_p])
-    out[~by_p] = betaincc(n[~by_p], m, q[~by_p])
-    return out
-
-
-def _nb_series(gamma, k_x, m, gbar_x):
-    """``rs_cdf`` on checked arguments: m > 0, the rest floats."""
     if m > _MAX_M:
         raise AccuracyError(f"the Rician shadowed series needs m <= {_MAX_M:g}, got {m:g}")
     # past 1e300 F is 1 unless the NB mass is there too, which the cap refuses
@@ -367,8 +367,18 @@ def _nb_series(gamma, k_x, m, gbar_x):
             row_sums[0] += sums[e[0]]
             sums[e[0]:e[-1] + 1] = np.bincount(e - e[0], row_sums)
     out[todo] = below[todo] + sums
-    out = np.minimum(out, 1.0).reshape(shape)
-    return float(out) if out.ndim == 0 else out
+    return np.minimum(out, 1.0).reshape(shape)
+
+
+def _nb_mass_below(n, m, p, q):
+    """The NB mass below n, I_p(m, n), to relative accuracy from the smaller
+    of p and q = 1-p, so that the one near 1 (q at huge K_x, p at huge m)
+    loses no digits: where q < p as 1 - I_q(n, m) by ``betaincc``."""
+    out = np.empty(n.shape)
+    by_p = p <= q
+    out[by_p] = betainc(m, n[by_p], p[by_p])
+    out[~by_p] = betaincc(n[~by_p], m, q[~by_p])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +422,7 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
         f(g) = int_0^inf e^{-x} f_RS(g; K/x, m, gbar (K+x)/(K+1)) dx,
 
     at integer m up to 100 the density of the Binomial mixture that
-    ``rs_cdf_integer`` sums, at every other m the scaled 1F1 form; both are
+    ``rs_cdf`` sums, at every other m the scaled 1F1 form; both are
     positive sums.  At g = 0 it is a(K, m) / gbar from ``coding_gain``.  K = 0
     is an ordinary input: the product law, +inf at g = 0.  An array K
     broadcasts against gamma, each K with its own value at g = 0.
@@ -438,22 +448,23 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     to relative accuracy ``rel_tol``.
 
     The conditional Rician shadowed cdf averaged over e^{-x}: at integer m
-    up to 100 the finite Binomial mixture ``rs_cdf_integer``; with
+    up to 100 the finite Binomial mixture of ``rs_cdf``; with
     b = g (K+1)/gbar and z = K/m,
 
         F(g) = int_0^inf e^{-x} sum_{j<m} Bin(j; m-1, x/(x+z)) P(m-j, b/(x+z)) dx,
 
     the paper's integral before t = K/m + x is substituted and (t - K/m)^j
-    expanded.  At every other m the negative-binomial series ``rs_cdf``.
+    expanded.  At every other m the negative-binomial series ``_nb_series``.
     Every term is positive, so deep outage keeps its relative accuracy; K = 0
-    puts all the weight on one exponential law (the product law).
+    puts all the weight on one exponential law (the product law).  An array
+    K broadcasts against gamma (an outage sweep over K).
     """
     return _cdf_average(_conditional(params.m, "cdf"), gamma, params.k,
                         params.gamma_bar, rel_tol)
 
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
-    """Ground-truth cdf: the negative-binomial series ``rs_cdf`` averaged at
+    """Ground-truth cdf: the negative-binomial series ``_nb_series`` averaged at
     every m > 0, so only at integer m up to 100 does it share no conditional
     code with ``fdrlos_cdf``."""
     return _cdf_average(lambda g, k_x, gbar_x: _nb_series(g, k_x, params.m, gbar_x),
@@ -461,16 +472,7 @@ def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# outage probability
-
-
-def outage_probability(gamma_th, k, m, gamma_bar, *, rel_tol=1e-10):
-    """P(snr < gamma_th) = F(gamma_th) for every m > 0; gamma_th and K
-    broadcast (a sweep over K is one vector quadrature per chunk of points)."""
-    if not np.all(np.asarray(gamma_th) > 0):
-        raise DomainError("gamma_th must be positive")
-    k, _ = check_params(k, m, gamma_bar)
-    return _cdf_average(_conditional(m, "cdf"), gamma_th, k, gamma_bar, rel_tol)
+# high-SNR asymptote
 
 
 def coding_gain(k, m, *, rel_tol=1e-10):
@@ -517,15 +519,13 @@ def _rician_probability(gamma, k, gbar):
 
 def rician_pdf(gamma, k, gbar):
     """Rician SNR density (deterministic LoS, single-Rayleigh scatter)."""
-    out = _rician_density(*_check_law(gamma, k, gbar=gbar))
-    return float(out) if out.ndim == 0 else out
+    return _checked_law(_rician_density, 0.0, gamma, k, gbar=gbar)
 
 
 def rician_cdf(gamma, k, gbar):
     """Rician SNR cdf via the noncentral chi-square law: ``chndtr`` at
     2 (1+K) g / gbar with 2 degrees of freedom and noncentrality 2K."""
-    out = _rician_probability(*_check_law(gamma, k, gbar=gbar))
-    return float(out) if out.ndim == 0 else out
+    return _checked_law(_rician_probability, 1.0, gamma, k, gbar=gbar)
 
 
 def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):

@@ -5,7 +5,7 @@ are converted once at this boundary via linear = 10^(dB/10).  Output is CSV
 (UTF-8, comma, header row, LF) with 17 significant digits, which round-trips
 doubles exactly; ``Curve.write_csv`` writes it to ``--output`` or stdout.
 
-Every fdrlos law takes every finite m > 0; the route (the finite Binomial
+Every law with an m takes every finite m > 0; the route (the finite Binomial
 mixture at integer m up to 100, otherwise the negative-binomial series or
 1F1, which refuse m past 1e15) follows m.  ``--oracle`` selects the
 negative-binomial conditional for the fdrlos cdf at every m, a cross-check at
@@ -32,7 +32,7 @@ here; seeds and sample counts are pinned so runs reproduce byte-for-byte):
 * fig4  outage vs mean snr (dB), K=6, threshold 3 dB; m in {1,3,5,10};
         fluctuating-LoS double-Rayleigh vs Rician shadowed; MC markers.
 * fig5  outage vs K, mean snr 25 dB, threshold 3 dB; m in {1,3,5,10};
-        each curve, K=0 included, is one vector outage call.
+        each curve, K=0 included, is one array-K ``fdrlos_cdf`` call.
 """
 
 from __future__ import annotations
@@ -200,7 +200,8 @@ def cmd_sim(args) -> int:
     sset = sample_snr(model, params, args.samples, args.seed, threads=args.threads)
     vals = sset.values
     cdf = empirics.tabulated_cdf(_law(args, model, "cdf", params),
-                                 float(vals.min()), float(vals.max()))
+                                 float(vals.min()), float(vals.max()),
+                                 points=min(args.samples, 1500))
     report = empirics.ks_distance(sset, cdf)
     variance = float(np.var(vals))
     lines = [
@@ -289,7 +290,7 @@ def _figure_fig4(mc_samples):
     files = {}
     for m in (1, 3, 5, 10):
         fd = analytic.fdrlos_cdf(_GTH_3DB / gbars, FadingParams(k, m, 1.0))
-        rs = analytic.rs_cdf_integer(_GTH_3DB, k, m, gbars)
+        rs = analytic.rs_cdf(_GTH_3DB, k, m, gbars)
         files[f"fig4_fdrlos_op_m{m}.csv"] = analytic.Curve(db_grid, fd, "op")
         files[f"fig4_rs_op_m{m}.csv"] = analytic.Curve(db_grid, rs, "op")
         files[f"fig4_mc_op_m{m}.csv"] = _mc_op_curve(k, m, mc_samples, _MC_SEED + 200 * m)
@@ -301,8 +302,8 @@ def _figure_fig5(mc_samples):
     k_grid = np.arange(0.0, 20.0001, 0.25)
     files = {}
     for m in (1, 3, 5, 10):
-        fd = analytic.outage_probability(_GTH_3DB, k_grid, m, gbar)
-        rs = analytic.rs_cdf_integer(_GTH_3DB, k_grid, m, np.full_like(k_grid, gbar))
+        fd = analytic.fdrlos_cdf(_GTH_3DB, FadingParams(k_grid, m, gbar))
+        rs = analytic.rs_cdf(_GTH_3DB, k_grid, m, gbar)
         files[f"fig5_fdrlos_op_vs_k_m{m}.csv"] = analytic.Curve(k_grid, fd, "op")
         files[f"fig5_rs_op_vs_k_m{m}.csv"] = analytic.Curve(k_grid, rs, "op")
     return files

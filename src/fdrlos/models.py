@@ -84,7 +84,9 @@ class FadingParams:
 
     K >= 0 is the LoS-to-scatter power ratio, m > 0 the LoS fluctuation
     shape (any positive real, for the samplers and every law), gamma_bar > 0
-    the mean SNR.  All three must be finite.
+    the mean SNR.  All three must be finite.  The laws also take an array K
+    (a sweep over K, as the outage curves against K are); the sampler takes
+    a scalar K and gamma_bar only.
     """
 
     k: float
@@ -153,6 +155,8 @@ def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
     uses Philox stream (seed, c): pure in (model, params, seed, n), any threads."""
     if n < 1:
         raise DomainError("sample count must be >= 1")
+    if np.ndim(params.k) or np.ndim(params.gamma_bar):
+        raise DomainError("the sampler takes a scalar K and gamma_bar")
     out = np.empty(n)
     nchunks = (n + _CHUNK - 1) // _CHUNK
 

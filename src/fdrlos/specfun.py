@@ -512,9 +512,3 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
                             "smallest normal double", value=value)
     return value
 
-
-def check_positive_int(m, name):
-    """``m`` as an int; a DomainError unless it is a positive integer."""
-    if not (1 <= m < math.inf and m == int(m)):
-        raise DomainError(f"{name} must be a positive integer, got {m}")
-    return int(m)

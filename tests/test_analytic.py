@@ -12,9 +12,8 @@ from fdrlos import analytic, specfun
 from fdrlos.analytic import (Curve, UnderflowWarning, _flag_underflow,
                              asymptotic_op, coding_gain, drlos_cdf_oracle,
                              drlos_pdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
-                             fdrlos_pdf, fdrlos_pdf_oracle, outage_probability,
-                             rician_cdf, rician_pdf, rs_cdf, rs_cdf_integer,
-                             rs_pdf)
+                             fdrlos_pdf, fdrlos_pdf_oracle, rician_cdf,
+                             rician_pdf, rs_cdf, rs_cdf_integer, rs_pdf)
 from fdrlos.models import FadingParams
 from fdrlos.specfun import AccuracyError, DomainError, adaptive_quad_vec
 
@@ -191,8 +190,7 @@ class TestRoute:
         monkeypatch.setattr(analytic, "_mixture_density", refuse)
         params = FadingParams(1.0, m, 1.0)
         for law in (lambda: fdrlos_pdf(1.0, params), lambda: fdrlos_cdf(1.0, params),
-                    lambda: rs_pdf(1.0, 2.0, m, 1.0),
-                    lambda: rs_cdf_integer(1.0, 2.0, m, 1.0)):
+                    lambda: rs_pdf(1.0, 2.0, m, 1.0), lambda: rs_cdf(1.0, 2.0, m, 1.0)):
             if mixture:
                 with pytest.raises(AssertionError, match="mixture called"):
                     law()
@@ -207,7 +205,7 @@ class TestRoute:
     @pytest.mark.parametrize("args,want", [(args, want) for args, want in sorted(
         RS_CDF_WIDE_GOLDENS.items()) if args[2] == 1e6])
     def test_integer_cdf_at_m_1e6(self, args, want):
-        assert rs_cdf_integer(*args) == pytest.approx(want, rel=1e-12, abs=0)
+        assert rs_cdf(*args) == pytest.approx(want, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [1e12 + 0.5, 1e15])
     def test_density_at_huge_m_is_the_rician_limit(self, m):
@@ -224,20 +222,20 @@ class TestRoute:
 
 
 class TestRsMixture:
-    """The finite Binomial mixture of ``rs_cdf_integer``,
+    """The finite Binomial mixture of ``rs_cdf`` at integer m,
     F = sum_{j<m} Bin(j; m-1, m/(m+K_x)) P(m-j, .), against the 1F1 form of
-    the density and the negative-binomial series of ``rs_cdf``, at the
+    the density and the negative-binomial series ``_nb_series``, at the
     conditional slice K_x = K/x, gbar_x = gbar (K+x)/(K+1)."""
 
     def test_m1_single_term(self):
         # m = 1 leaves one exponential term of mean gbar_x for every K
         g = np.array([0.3, 1.0, 4.0])
-        np.testing.assert_allclose(rs_cdf_integer(g, 2.0 / 1.5, 1, 3.5),
+        np.testing.assert_allclose(rs_cdf(g, 2.0 / 1.5, 1, 3.5),
                                    1.0 - np.exp(-g / 3.5), rtol=1e-14)
 
     def test_no_los_keeps_last_term_only(self):
         g = np.array([0.3, 1.0, 4.0])
-        np.testing.assert_allclose(rs_cdf_integer(g, 0.0, 4, 1.0),
+        np.testing.assert_allclose(rs_cdf(g, 0.0, 4, 1.0),
                                    1.0 - np.exp(-g), rtol=1e-14)
 
     @pytest.mark.parametrize("m", [1, 3, 10, 40, 100])
@@ -249,8 +247,9 @@ class TestRsMixture:
         k_x = 10.0 ** rng.uniform(-3.0, 3.0, 2000)
         k_x[:20] = 0.0
         gbar_x = 10.0 ** rng.uniform(-1.0, 1.0, 2000)
-        np.testing.assert_allclose(rs_cdf_integer(g, k_x, m, gbar_x),
-                                   rs_cdf(g, k_x, m, gbar_x), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rs_cdf(g, k_x, m, gbar_x),
+                                   analytic._nb_series(g, k_x, m, gbar_x),
+                                   rtol=1e-13, atol=0)
 
     @given(st.integers(1, 8), st.floats(0.0, 20.0), st.floats(0.05, 5.0))
     def test_weights_sum_to_one(self, m, k, x):
@@ -258,8 +257,8 @@ class TestRsMixture:
         k_x, gbar_x = k / x, 2.0 * (k + x) / (k + 1.0)
         tail, _ = adaptive_quad_vec(lambda u: rs_pdf(u, k_x, m, gbar_x),
                                     gbar_x, np.inf, rel_tol=TIGHT)
-        assert rs_cdf_integer(0.0, k_x, m, gbar_x) == 0.0
-        assert rs_cdf_integer(gbar_x, k_x, m, gbar_x) + tail[0] == pytest.approx(
+        assert rs_cdf(0.0, k_x, m, gbar_x) == 0.0
+        assert rs_cdf(gbar_x, k_x, m, gbar_x) + tail[0] == pytest.approx(
             1.0, abs=1e-10)
 
     @pytest.mark.parametrize("g", [0.5, 1.0, 4.0])
@@ -268,28 +267,28 @@ class TestRsMixture:
         k_x, gbar_x = k / x, gbar * (k + x) / (k + 1.0)
         direct, _ = adaptive_quad_vec(lambda u: rs_pdf(u, k_x, m, gbar_x),
                                       0.0, g, rel_tol=TIGHT)
-        assert rs_cdf_integer(g, k_x, m, gbar_x) == pytest.approx(direct[0], rel=1e-10)
+        assert rs_cdf(g, k_x, m, gbar_x) == pytest.approx(direct[0], rel=1e-10)
 
 
 class TestRsCdf:
     def test_zero_at_origin(self):
-        assert rs_cdf_integer(0.0, 4.0, 2, 1.5) == 0.0
+        assert rs_cdf(0.0, 4.0, 2, 1.5) == 0.0
 
     def test_no_los_is_exponential_cdf(self):
-        got = rs_cdf_integer(1.2, 0.0, 5, 2.0)
+        got = rs_cdf(1.2, 0.0, 5, 2.0)
         assert got == pytest.approx(1.0 - math.exp(-1.2 / 2.0), rel=1e-12)
 
     def test_frozen_golden(self):
-        assert rs_cdf_integer(2.0, 4.0, 2, 1.5) == pytest.approx(
+        assert rs_cdf(2.0, 4.0, 2, 1.5) == pytest.approx(
             RS_CDF_2_4_2_15, rel=1e-9)
 
     def test_matches_quadrature_of_pdf(self):
         val, _ = adaptive_quad_vec(lambda g: rs_pdf(g, 4.0, 2, 1.5), 0.0, 2.0,
                                    rel_tol=TIGHT)
-        assert rs_cdf_integer(2.0, 4.0, 2, 1.5) == pytest.approx(val[0], rel=1e-9)
+        assert rs_cdf(2.0, 4.0, 2, 1.5) == pytest.approx(val[0], rel=1e-9)
 
     def test_real_m_dispatch_agrees_at_integer(self):
-        # one series serves every m, so it is continuous across an integer
+        # the mixture at integer m meets the series at the reals beside it
         got = rs_cdf(1.3, 2.0, 2, 1.0)
         for m in (2.0 - 1e-9, 2.0 + 1e-9):
             assert rs_cdf(1.3, 2.0, m, 1.0) == pytest.approx(got, rel=1e-8)
@@ -348,7 +347,8 @@ class TestRsCdf:
         np.testing.assert_allclose(rs_cdf(g, 3.0, 1e10, 1.0), want, rtol=1e-9, atol=0)
         np.testing.assert_allclose(rs_cdf(g, 3.0, 1e15, 1.0), want, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("law", [rs_pdf, rs_cdf, rs_cdf_integer])
+    @pytest.mark.parametrize("law", [rs_pdf, rs_cdf, rs_cdf_integer],
+                             ids=["rs_pdf", "rs_cdf", "rs_cdf_integer"])
     @pytest.mark.parametrize("bad", ["k_x", "gbar_x", "m"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameters_are_domain_errors(self, law, bad, value):
@@ -359,7 +359,7 @@ class TestRsCdf:
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
-            rs_cdf_integer(-1.0, 1.0, 2, 1.0)
+            rs_cdf(-1.0, 1.0, 2, 1.0)
 
     @pytest.mark.parametrize("m", [2, 2.5])
     def test_broadcasts_snr_row_against_parameter_columns(self, m):
@@ -429,9 +429,9 @@ class TestFdrlosPdf:
         want = fdrlos_pdf(1.0, FadingParams(5.0, m, 2.0))
 
         def refuse(*args):
-            raise AssertionError("_check_law called")
+            raise AssertionError("_checked_law called")
 
-        monkeypatch.setattr(analytic, "_check_law", refuse)
+        monkeypatch.setattr(analytic, "_checked_law", refuse)
         assert fdrlos_pdf(1.0, FadingParams(5.0, m, 2.0)) == want
 
     def test_matches_oracle_pointwise(self):
@@ -578,25 +578,29 @@ class TestFdrlosCdfOracle:
 
 
 class TestOutage:
+    """The outage probability is the cdf at the threshold; a sweep over K is
+    one ``fdrlos_cdf`` call with an array K."""
+
     def test_is_cdf_at_threshold(self):
         for m in (3, 2.5):
-            assert outage_probability(2.0, 5.0, m, 2.0) == fdrlos_cdf(
+            assert fdrlos_cdf(2.0, FadingParams(np.array([5.0]), m, 2.0)) == fdrlos_cdf(
                 2.0, FadingParams(5.0, m, 2.0))
 
     def test_decreasing_in_fluctuation_shape(self):
-        ops = [outage_probability(2.0, 1.0, m, 10.0) for m in (1, 5, 15)]
+        ops = [fdrlos_cdf(2.0, FadingParams(1.0, m, 10.0)) for m in (1, 5, 15)]
         assert ops[0] > ops[1] > ops[2]
 
     def test_vanishes_with_threshold(self):
-        assert outage_probability(1e-9, 1.0, 2, 1.0) < 1e-7
+        assert fdrlos_cdf(1e-9, FadingParams(1.0, 2, 1.0)) < 1e-7
+        assert fdrlos_cdf(0.0, FadingParams(1.0, 2, 1.0)) == 0.0
 
     def test_monotone_decreasing_in_mean_snr(self):
-        ops = [outage_probability(2.0, 1.0, 3, gb) for gb in (2.0, 8.0, 50.0)]
+        ops = [fdrlos_cdf(2.0, FadingParams(1.0, 3, gb)) for gb in (2.0, 8.0, 50.0)]
         assert ops[0] > ops[1] > ops[2]
 
     def test_matches_asymptote_at_high_snr(self):
         k, m, gth = 1.0, 3, 2.0
-        exact = outage_probability(gth, k, m, 1e3)
+        exact = fdrlos_cdf(gth, FadingParams(k, m, 1e3))
         asym = asymptotic_op(gth, 1e3, k, m)
         assert exact == pytest.approx(asym, rel=0.05)
 
@@ -605,18 +609,19 @@ class TestOutage:
         # share the panels of one quadrature, so they match the scalar
         # calls to the tolerance, not bit for bit
         k = np.array([0.0, 0.25, 5.0, 20.0])
-        got = outage_probability(10.0 ** 0.3, k, 3, 10.0 ** 2.5)
+        got = fdrlos_cdf(10.0 ** 0.3, FadingParams(k, 3, 10.0 ** 2.5))
         assert got.shape == (4,)
         want = [fdrlos_cdf(10.0 ** 0.3, FadingParams(kk, 3, 10.0 ** 2.5)) for kk in k]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("args", [(0.0, 1.0, 3, 2.0), (2.0, -1.0, 3, 2.0),
-                                      (2.0, [1.0, np.inf], 3, 2.0), (2.0, 1.0, 0.0, 2.0),
-                                      (2.0, 1.0, np.inf, 2.0), (2.0, 1.0, 3, 0.0),
-                                      (2.0, 1.0, 3, np.inf)])
+    @pytest.mark.parametrize("args", [(-1.0, [1.0], 3, 2.0), (2.0, [-1.0], 3, 2.0),
+                                      (2.0, [1.0, np.inf], 3, 2.0), (2.0, [1.0], 0.0, 2.0),
+                                      (2.0, [1.0], np.inf, 2.0), (2.0, [1.0], 3, 0.0),
+                                      (2.0, [1.0], 3, np.inf)])
     def test_rejects_bad_inputs(self, args):
+        gamma_th, k, m, gbar = args
         with pytest.raises(DomainError):
-            outage_probability(*args)
+            fdrlos_cdf(gamma_th, FadingParams(np.array(k), m, gbar))
 
 
 # every model's SNR law is a scale family: F(g; gbar) = F(g / gbar; 1)
@@ -708,18 +713,17 @@ class TestSnrBoundary:
         # call, and its values match the scalar calls to the tolerance
         params = FadingParams(1.0, m, 1.0)
         g = np.array([[0.3, 1.0], [2.0, 5.0]])
-        for law in (lambda v: fdrlos_pdf(v, params), lambda v: fdrlos_cdf(v, params),
-                    lambda v: outage_probability(v, 1.0, m, 1.0)):
+        for law in (lambda v: fdrlos_pdf(v, params), lambda v: fdrlos_cdf(v, params)):
             got = law(g)
             assert got.shape == (2, 2)
             np.testing.assert_array_equal(got.ravel(), law(g.ravel()))
             np.testing.assert_allclose(got, [[law(v) for v in row] for row in g],
                                        rtol=1e-9, atol=0)
         k = np.array([[0.5, 4.0]])
-        got = outage_probability(g[:, :1], k, m, 1.0)
+        got = fdrlos_cdf(g[:, :1], FadingParams(k, m, 1.0))
         assert got.shape == (2, 2)
         np.testing.assert_allclose(
-            got, [[outage_probability(gi, ki, m, 1.0) for ki in k[0]] for gi in g[:, 0]],
+            got, [[fdrlos_cdf(gi, FadingParams(ki, m, 1.0)) for ki in k[0]] for gi in g[:, 0]],
             rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("route", [
@@ -737,6 +741,72 @@ class TestSnrBoundary:
             route(np.array([1.0, np.nan]))
 
 
+#: every public law of the SNR, as (kind, f(g, k, m)) at gamma_bar = 1.5
+SNR_LAWS = {
+    "fdrlos_pdf": ("pdf", lambda g, k, m: fdrlos_pdf(g, FadingParams(k, m, 1.5))),
+    "fdrlos_cdf": ("cdf", lambda g, k, m: fdrlos_cdf(g, FadingParams(k, m, 1.5))),
+    "fdrlos_pdf_oracle": ("pdf", lambda g, k, m: fdrlos_pdf_oracle(g, FadingParams(k, m, 1.5))),
+    "fdrlos_cdf_oracle": ("cdf", lambda g, k, m: fdrlos_cdf_oracle(g, FadingParams(k, m, 1.5))),
+    "rs_pdf": ("pdf", lambda g, k, m: rs_pdf(g, k, m, 1.5)),
+    "rs_cdf": ("cdf", lambda g, k, m: rs_cdf(g, k, m, 1.5)),
+    "rician_pdf": ("pdf", lambda g, k, m: rician_pdf(g, k, 1.5)),
+    "rician_cdf": ("cdf", lambda g, k, m: rician_cdf(g, k, 1.5)),
+    "drlos_pdf_oracle": ("pdf", lambda g, k, m: drlos_pdf_oracle(g, k, 1.5)),
+    "drlos_cdf_oracle": ("cdf", lambda g, k, m: drlos_cdf_oracle(g, k, 1.5)),
+}
+
+
+@pytest.mark.parametrize("k", [0.0, 2.0])
+@pytest.mark.parametrize("m", [3, 150, 2.5])
+@pytest.mark.parametrize("law", sorted(SNR_LAWS))
+def test_every_law_at_the_snr_boundary(law, m, k):
+    # g = 0 and +inf, alone and together, on each route of m, with no
+    # warning: a cdf is 0 and 1 there, a density positive (+inf where the
+    # double scatter meets K = 0) and 0
+    kind, f = SNR_LAWS[law]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_zero, at_inf = f(0.0, k, m), f(np.inf, k, m)
+        both = f(np.array([0.0, np.inf]), k, m)
+    if kind == "cdf":
+        assert (at_zero, at_inf) == (0.0, 1.0)
+    else:
+        assert at_zero > 0.0 and at_inf == 0.0
+    np.testing.assert_array_equal(both, [at_zero, at_inf])
+
+
+class TestChunkBudget:
+    """The values of a chunk share one quadrature and its subdivision budget;
+    a chunk that runs it out is averaged again in halves."""
+
+    def test_batch_gives_the_scalar_values(self):
+        # together the two values run out of splits; alone each converges
+        g = np.array([0.5, 2.0])
+        np.testing.assert_allclose(drlos_pdf_oracle(g, 1.0, 1.0),
+                                   [drlos_pdf_oracle(v, 1.0, 1.0) for v in g],
+                                   rtol=1e-10, atol=0)
+
+    def test_a_refusal_is_one_values(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 0)
+        with pytest.raises(AccuracyError, match="subdivisions") as info:
+            drlos_pdf_oracle(np.array([0.5, 2.0]), 1.0, 1.0)
+        assert info.value.err_estimate.shape == (1,)
+
+    def test_a_conditional_refusal_is_not_split(self, monkeypatch):
+        # the 1F1 refuses m = 1e9 at these points: one quadrature, not a
+        # search down to single values
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return adaptive_quad_vec(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "adaptive_quad_vec", counted)
+        with pytest.raises(AccuracyError, match="1F1 series window"):
+            fdrlos_pdf(np.array([0.5, 1.25, 2.0]), FadingParams(1.0, 1e9, 1.0))
+        assert len(calls) == 1
+
+
 #: every public law as f(g, k, m, gbar, rel_tol), with the parameters it takes
 PUBLIC_LAWS = {
     "fdrlos_pdf": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: fdrlos_pdf(
@@ -747,8 +817,9 @@ PUBLIC_LAWS = {
         g, FadingParams(k, m, gbar), rel_tol=tol)),
     "fdrlos_cdf_oracle": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: fdrlos_cdf_oracle(
         g, FadingParams(k, m, gbar), rel_tol=tol)),
-    "outage_probability": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: outage_probability(
-        g, k, m, gbar, rel_tol=tol)),
+    # the outage sweep over K: the cdf at the threshold on an array K
+    "outage_probability": ("k m gbar rel_tol", lambda g, k, m, gbar, tol: fdrlos_cdf(
+        g, FadingParams(np.array([k, 1.0]), m, gbar), rel_tol=tol)),
     "asymptotic_op": ("k m gbar", lambda g, k, m, gbar, tol: asymptotic_op(
         g, gbar, k, m, rel_tol=tol)),
     "coding_gain": ("k m", lambda g, k, m, gbar, tol: coding_gain(k, m, rel_tol=tol)),

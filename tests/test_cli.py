@@ -11,7 +11,7 @@ import pytest
 from scipy.special import k0
 
 import fdrlos
-from fdrlos import cli, empirics
+from fdrlos import analytic, cli
 from fdrlos.analytic import Curve
 from fdrlos.cli import _parse_grid, cmd_figure, db_to_linear, main
 from fdrlos.specfun import DomainError
@@ -202,6 +202,20 @@ class TestCdfCommand:
         assert np.loadtxt(out, **CSV)[1].tolist() == [0.0, 1.0, 1.0]
 
 
+    def test_rician_shadowed_integer_m_takes_the_mixture(self, tmp_path):
+        # at integer m the Binomial mixture, as for the fdrlos laws; it moves
+        # from the negative-binomial series by rounding only
+        out = tmp_path / "cdf.csv"
+        assert run(["cdf", "--model", "rician-shadowed", "--k", "3", "--m", "3",
+                    "--gamma-bar", "2", "--grid", "0.01:40:30:log",
+                    "--output", str(out)]) == 0
+        grid, values = np.loadtxt(out, **CSV)
+        np.testing.assert_allclose(values, analytic.rs_cdf(grid, 3.0, 3, 2.0),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(values, analytic._nb_series(grid, 3.0, 3, 2.0),
+                                   rtol=1e-13, atol=0)
+
+
 class TestLargeIntegerM:
     """Integer m past 100 takes the real-m kernels, which refuse m > 1e15."""
 
@@ -210,6 +224,11 @@ class TestLargeIntegerM:
         assert run(["cdf", "--k", "1", "--m", "1e9", "--gamma-bar", "1",
                     "--grid", "0.5:2:3", "--output", str(out)]) == 0
         assert np.all(np.diff(np.loadtxt(out, **CSV)[1]) > 0)
+
+    def test_pdf_at_m_1e9_is_refused(self, tmp_path):
+        # the 1F1 window cap: a refusal of the kernel, not of a shared budget
+        assert run(["pdf", "--k", "1", "--m", "1e9", "--gamma-bar", "1",
+                    "--grid", "0.5:2:3", "--output", str(tmp_path / "x.csv")]) == 3
 
     @pytest.mark.parametrize("law", ["pdf", "cdf"])
     def test_m_past_1e15_is_refused(self, law, tmp_path):
@@ -404,12 +423,10 @@ class TestFigureCommand:
         assert args.output_dir == str(tmp_path / "envdir")
 
 
-def test_real_m_needs_no_oracle_flag(tmp_path, monkeypatch):
+def test_real_m_needs_no_oracle_flag(tmp_path):
     # every fdrlos command takes a real m; where --oracle applies it gives the
-    # same bytes, because at real m both routes average the same series
-    tabulate = empirics.tabulated_cdf      # 1500 points at real m take seconds
-    monkeypatch.setattr(empirics, "tabulated_cdf",
-                        lambda law, lo, hi: tabulate(law, lo, hi, points=40))
+    # same bytes, because at real m both routes average the same series.
+    # ``sim`` tabulates its cdf at no more points than its 200 samples
     base = ["--k", "1", "--m", "2.5"]
     curve = ["--gamma-bar", "1", "--grid", "0.5:2:3"]
     op = ["--gamma-th", "2", "--grid-db", "0:20:3"]

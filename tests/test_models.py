@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdrlos.analytic import (drlos_cdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
-                             rician_cdf, rs_cdf, rs_cdf_integer)
+                             rician_cdf, rs_cdf)
 from fdrlos.empirics import ks_distance, tabulated_cdf
 from fdrlos.models import (FadingParams, ModelKind, _chunk_rng, sample_gamma_rv,
                            sample_snr)
@@ -95,6 +95,11 @@ class TestSampler:
         assert s.count == 10_000 == len(s.values)
         assert np.all(s.values >= 0)
 
+    def test_array_k_rejected(self):
+        # the laws take an array K; the sampler draws for one K at a time
+        with pytest.raises(DomainError, match="scalar K"):
+            sample_snr(ModelKind.FDRLOS, FadingParams(np.array([1.0, 2.0]), 2.0, 1.0), 10, 1)
+
     def test_empty_request_rejected(self):
         with pytest.raises(DomainError):
             sample_snr(ModelKind.RICIAN, FadingParams(1.0, 1, 1.0), 0, 1)
@@ -138,7 +143,7 @@ class TestDistributionalChecks:
         k_x = k / x
         gbar_x = gbar * (k + x) / (k + 1.0)
         s = sample_snr(ModelKind.RICIAN_SHADOWED, FadingParams(k_x, m, gbar_x), n, 123)
-        rep = ks_distance(s, lambda g: rs_cdf_integer(g, k_x, m, gbar_x))
+        rep = ks_distance(s, lambda g: rs_cdf(g, k_x, m, gbar_x))
         assert rep.passed, rep
 
     @pytest.mark.parametrize("model, params, law, tabulate, seed", [

@@ -127,7 +127,7 @@ FDRLOS_CDF_REAL_M_CASES = [("K = 3, m = 2.5", g, 3.0, 2.5, 2.0) for g in (0.01, 
 #: (k, m): integer m, real m down to 0.3, and a gain near 6e-295, which
 #: underflows unless the integrand is scaled by its peak
 CODING_GAIN_CASES = [(1.0, 1), (1.0, 3), (1.0, 2.5), (1.0, 0.7), (1.0, 0.3),
-                     (1.2e5, 1e4)]
+                     (1.0, 0.01), (1.2e5, 1e4)]
 #: the cases whose s = x^m quadrature cannot confirm ``hyperu``
 CODING_GAIN_BY_HYPERU_ONLY = {(1.2e5, 1e4)}
 

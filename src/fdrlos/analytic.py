@@ -26,8 +26,9 @@ longer depends on m) is an ordinary input.
 The density at g = 0 is the high-SNR outage slope: gbar f(0) is the coding
 gain a(K, m) = (1+K) Gamma(m) U(m, 1, K/m), the scatter average of
 (1 + K/(m x))^(-m) / x, so ``fdrlos_pdf`` takes it from ``coding_gain`` and
-runs no quadrature there.  As m -> inf it tends to gbar times the drlos
-density at 0, (1+K) 2 K0(2 sqrt K).
+runs no quadrature there.  As m -> inf it tends to (1+K) 2 K0(2 sqrt K),
+gbar times the drlos density at 0, which ``drlos_pdf_oracle`` takes in this
+closed form; every cdf is 0 there, so no law averages a value at g = 0.
 
 Every public law checks its arguments once, at entry and before any
 quadrature, against the one domain of ``models.check_params`` (finite K >= 0,
@@ -43,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e,
+from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e, k0,
                            xlogy)
 
 from .models import FadingParams, check_params
@@ -72,20 +73,23 @@ def _check_snr(gamma):
         raise DomainError("gamma must be nonnegative and not NaN")
 
 
-def _checked_law(kernel, at_inf, gamma, k, m=1.0, gbar=1.0):
-    """A Rician or Rician shadowed law, ``kernel(g, k, gbar)``, after the
-    domain checks: the public laws run them once, the conditionals that a
-    quadrature averages never.  The kernel sees +inf as 0, and its value
-    there is replaced by the limit ``at_inf``: 0 for a density, 1 for a cdf."""
+def _checked_law(kernel, at_inf, gamma, k, m=None, gbar=1.0):
+    """A Rician law ``kernel(g, k, gbar)``, or given m the Rician shadowed law
+    ``_conditional(m, kernel)``, after the domain checks: the public laws run
+    them once, the conditionals that a quadrature averages never.  The kernel
+    sees +inf as 0, and its value there is replaced by the limit ``at_inf``:
+    0 for a density, 1 for a cdf."""
     gamma = np.asarray(gamma, dtype=float)
     _check_snr(gamma)
-    k, gbar = check_params(k, m, gbar)
+    k, gbar = check_params(k, 1.0 if m is None else m, gbar)
+    if m is not None:
+        kernel = _conditional(m, kernel)
     finite = gamma < np.inf
     out = np.where(finite, kernel(np.where(finite, gamma, 0.0), k, gbar), at_inf)
     return float(out) if out.ndim == 0 else out
 
 
-def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=None):
+def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero):
     """Average a conditional law over the exponential scatter weight e^{-x},
     to relative accuracy ``rel_tol`` in every value, on an SNR array
     broadcast against K, in the broadcast shape (at least 1-d).
@@ -94,10 +98,10 @@ def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=None)
     ``conditional(g, k_x, gbar_x)`` receives the chunk as a (1, ng) row and
     K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as (nx, ng)
     arrays when K is an array chunked with the SNR, and returns the (nx, ng)
-    conditional values.  +inf points take the limit ``at_inf``; 0 points take
-    ``at_zero`` (a density's value at 0) of their K, each K on its own, and
-    are averaged where it is NaN or not given.  ``rel_tol`` is checked first,
-    since a grid of only such points runs no quadrature.
+    conditional values.  +inf points take the limit ``at_inf``, and 0 points
+    ``at_zero(K)`` (the law's value at 0) of their K, each K on its own; only
+    the points in between are averaged.  ``rel_tol`` is checked first, since
+    a grid of only such points runs no quadrature.
 
     A chunk whose subdivision budget runs out (an AccuracyError with an error
     estimate) is averaged again as two halves with a budget each, so only a
@@ -110,8 +114,8 @@ def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero=None)
     _check_snr(gamma_arr)
     out = np.full(gamma_arr.shape, float(at_inf))
     zero = gamma_arr == 0
-    out[zero] = at_zero(k_arr[zero]) if at_zero else np.nan
-    todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf) | np.isnan(out))
+    out[zero] = at_zero(k_arr[zero])
+    todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf))
 
     def average(sel):
         # a scalar K stays scalar, so the conditionals get K_x as a column
@@ -193,7 +197,7 @@ def rs_pdf(gamma, k_x, m, gbar_x):
     m = 1e15; past it AccuracyError): no route forms e^{+w}.  Broadcasts over
     all three arrays.
     """
-    return _checked_law(_conditional(m, "pdf"), 0.0, gamma, k_x, m, gbar_x)
+    return _checked_law("pdf", 0.0, gamma, k_x, m, gbar_x)
 
 
 def _kummer_density(gamma, k_x, m, gbar_x):
@@ -241,7 +245,7 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     m positive terms with log-form weights; K_x = 0 puts all the weight on
     j = m-1 (an exponential law).  Broadcasts over all three arrays.
     """
-    return _checked_law(_conditional(m, "cdf"), 1.0, gamma, k_x, m, gbar_x)
+    return _checked_law("cdf", 1.0, gamma, k_x, m, gbar_x)
 
 
 #: the old integer-m name, which ``perfbench/tracing.py`` still wraps
@@ -407,10 +411,10 @@ def _conditional(m, law):
 
 
 def _cdf_average(conditional, gamma, k, gbar, rel_tol):
-    """A conditional cdf averaged over the scatter weight; K broadcasts
-    against gamma."""
-    return _shaped(np.clip(_scatter_average(conditional, gamma, k, gbar, rel_tol, 1.0),
-                           0.0, 1.0), gamma, k)
+    """A conditional cdf averaged over the scatter weight, 0 at g = 0; K
+    broadcasts against gamma."""
+    return _shaped(np.clip(_scatter_average(conditional, gamma, k, gbar, rel_tol, 1.0,
+                                            np.zeros_like), 0.0, 1.0), gamma, k)
 
 
 def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
@@ -482,12 +486,13 @@ def coding_gain(k, m, *, rel_tol=1e-10):
 
     As m -> inf a tends to (1+K) 2 K0(2 sqrt K), gbar times the drlos
     density at 0, from above by about K K2(2 sqrt K) / (2 m K0(2 sqrt K))
-    relative.  Diverges as K -> 0 (the pure product channel has no order-1
-    asymptote), so K = 0 is rejected.
+    relative.  Diverges as K -> 0, but only like log(m/K) - psi(m) - 2 gamma_E
+    (DLMF 13.2(iii)): the pure product channel has no order-1 asymptote, so
+    K = 0 is rejected.
     """
-    if not (0 < k < math.inf and 0 < m < math.inf):
-        raise DomainError("the coding gain needs finite K > 0 (it diverges at "
-                          f"K = 0) and finite m > 0, got K = {k}, m = {m}")
+    if not (np.ndim(k) == np.ndim(m) == 0 and 0 < k < math.inf and 0 < m < math.inf):
+        raise DomainError("the coding gain needs finite K > 0 (it diverges at K = 0) "
+                          f"and finite m > 0, both scalars, got K = {k}, m = {m}")
     return (1.0 + k) * gamma_tricomi_u(m, k / m, rel_tol=rel_tol)
 
 
@@ -530,12 +535,12 @@ def rician_cdf(gamma, k, gbar):
 
 def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
-    Rician, averaged over the exponential scatter weight (the m -> inf limit).
-    K broadcasts against gamma; at g = 0 the density is +inf where K = 0."""
+    Rician, averaged over the exponential scatter weight (the m -> inf limit),
+    and at g = 0 (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0.  K broadcasts."""
     check_params(k, gamma_bar=gbar)
     return _shaped(_scatter_average(
         _rician_density, gamma, k, gbar, rel_tol, 0.0,
-        lambda ks: np.where(ks == 0, np.inf, np.nan)), gamma, k)
+        lambda ks: (1.0 + ks) * 2.0 * k0(2.0 * np.sqrt(ks)) / gbar), gamma, k)
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):

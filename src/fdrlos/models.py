@@ -66,13 +66,13 @@ class ModelKind(enum.Enum):
 
 def check_params(k=0.0, m=1.0, gamma_bar=1.0):
     """The domain of every law: finite K >= 0, m > 0 and gamma_bar > 0, K and
-    gamma_bar scalars or arrays; a law passes what it takes (the defaults lie
-    inside).  Returns K and gamma_bar as float arrays."""
+    gamma_bar scalars or arrays, m a scalar; a law passes what it takes (the
+    defaults lie inside).  Returns K and gamma_bar as float arrays."""
     k, gamma_bar = np.asarray(k, dtype=float), np.asarray(gamma_bar, dtype=float)
     if not np.all((k >= 0) & (k < np.inf)):
         raise DomainError(f"K must be finite and >= 0, got {k}")
-    if not 0 < m < np.inf:
-        raise DomainError(f"m must be finite and > 0, got {m}")
+    if not (np.ndim(m) == 0 and 0 < m < np.inf):
+        raise DomainError(f"m must be finite and > 0, and a scalar, got {m}")
     if not np.all((gamma_bar > 0) & (gamma_bar < np.inf)):
         raise DomainError(f"gamma_bar must be finite and > 0, got {gamma_bar}")
     return k, gamma_bar

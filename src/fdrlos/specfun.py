@@ -4,11 +4,11 @@ Gamma(m) U(m, 1, z) and the Poisson and negative-binomial log masses.
 Each job has one kernel, in the one form the statistics in ``analytic``
 call: ``adaptive_quad_vec`` for every integral, ``log_kummer_1f1`` (at b = 1,
 scaled by e^-x) for the Rician shadowed density at real m,
-``gamma_tricomi_u`` (in the scatter variable of ``analytic``) for the
-high-SNR offset, and ``log_poisson_pmf`` and ``log_negbin_pmf`` (Loader's
-saddle-point forms, built on ``stirlerr`` and ``bd0``) for the anchors of the
-Rician shadowed series and of the 1F1 series, accurate to about 1e-16 where
-n ~ 1e6.
+``gamma_tricomi_u`` (one integrand at every m, in the log of the scatter
+variable of ``analytic``, folded about its peak) for the high-SNR offset, and
+``log_poisson_pmf`` and ``log_negbin_pmf`` (Loader's saddle-point forms,
+built on ``stirlerr`` and ``bd0``) for the anchors of the Rician shadowed
+series and of the 1F1 series, accurate to about 1e-16 where n ~ 1e6.
 
 Everything here is a pure function of its arguments; no shared mutable state.
 The quadrature engine evaluates vector-valued integrands with per-component
@@ -469,19 +469,18 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     accuracy ``rel_tol``: the high-SNR offset needs exactly this product,
     which stays finite where Gamma(m) alone would overflow.
 
-    Computed in the scatter variable x = z t of ``analytic``, as
+    In t = log x, x the scatter variable of ``analytic``, it is
 
-        int_0^inf e^(psi(x)) dx / x,  psi(x) = -x - m log1p(z/x),
+        int_-inf^inf e^(psi(t)) dt,  psi(t) = -e^t - m log(1 + z e^-t),
 
-    an integrand bounded for every m >= 1, which tends to e^(-x - K/x) / x as
-    m -> inf at a fixed K = m z.  Where the peak e^(psi(x*)) of e^psi, which
-    nears e^(-2 sqrt K), lies below 1e-150, e^psi is divided by it and the
-    result multiplied back, so that no node underflows; above it the
-    integrand is not scaled, which adds no rounding.  Below m = 1 it is
-    x^(m-1) near 0, so there x = s^(1/m) is substituted, which turns it into
-    e^(-x) (x + z)^(-m) ds / m.  A value below the smallest normal double
-    (from about K = 1.25e5 at large m), which has lost digits to underflow,
-    raises AccuracyError.
+    one integrand for every m and z, its log by ``logaddexp`` so that no x
+    underflows to 0.  e^psi peaks at t* = log x*, x (x + z) = m z, and falls
+    like e^(m t) to the left and doubly exponentially to the right.  One
+    quadrature folds it about t* into the components e^psi(t* + s) and
+    e^psi(t* - s), s >= 0, divided by e^psi(t*), which is multiplied back,
+    so no node underflows however low the peak.  A value below the smallest
+    normal double (from about K = 1.25e5 at large m), which has lost digits
+    to underflow, raises AccuracyError.
     """
     if not (0 < m < math.inf):
         raise DomainError(f"m must be finite and positive, got {m}")
@@ -489,26 +488,21 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     if not (0 < z < math.inf):
         raise DomainError("z must be finite and positive (the z -> 0 limit "
                           f"diverges), got {z}")
-    log_peak = 0.0
-    if m >= 1:
-        # e^psi peaks at the root of x (x + z) = m z, in a form that neither
-        # cancels nor overflows
-        peak = 2.0 * m * z / (z + math.sqrt(z) * math.sqrt(z + 4.0 * m))
-        psi_peak = -peak - m * math.log1p(z / peak)
-        log_peak = psi_peak if psi_peak < 0.5 * math.log(_ABS_TOL) else 0.0
 
-        def f(x):
-            return np.exp(-x - m * np.log1p(z / x) - log_peak) / x
-    else:
-        def f(s):
-            with np.errstate(over="ignore"):    # s^(1/m) past double range is inf
-                x = s ** (1.0 / m)
-            return np.exp(-x) * (x + z) ** -m / m
+    def psi(t):
+        with np.errstate(over="ignore"):    # far right, e^t is inf and e^psi 0
+            return -np.exp(t) - m * np.logaddexp(0.0, math.log(z) - t)
+
+    # the root of x (x + z) = m z, in a form that neither cancels nor overflows
+    t_peak = math.log(2.0 * m * z / (z + math.sqrt(z) * math.sqrt(z + 4.0 * m)))
+    psi_peak = float(psi(t_peak))
+
+    def f(s):
+        return np.exp(psi(t_peak + np.stack([s, -s], axis=1)) - psi_peak)
 
     vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
-    value = float(vals[0]) * math.exp(log_peak)
+    value = float(vals.sum()) * math.exp(psi_peak)
     if not value >= np.finfo(float).tiny:
         raise AccuracyError(f"Gamma(m) U(m, 1, z) = {value:.3g} lies below the "
                             "smallest normal double", value=value)
     return value
-

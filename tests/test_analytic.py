@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import betainc, k0, k1
+from scipy.special import betainc, digamma, k0, k1
 
 from fdrlos import analytic, specfun
 from fdrlos.analytic import (Curve, UnderflowWarning, _flag_underflow,
@@ -123,6 +123,7 @@ CODING_GAIN_GOLDENS = {
     (1.0, 2.5): 0.6966871322235483,
     (1.0, 0.7): 1.6281872765286165,
     (1.0, 0.3): 4.076437889776474,
+    (1.0, 0.01): 189.91457423660682,
     (120000.0, 10000.0): 5.862202729559586e-295,
 }
 FDRLOS_PDF_532 = {g: v for (g, k, m, gbar), v in FDRLOS_PDF_GOLDENS.items()
@@ -867,6 +868,19 @@ def test_bad_parameter_is_refused_before_any_quadrature(law, param, value, monke
         PUBLIC_LAWS[law][1](**args)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: FadingParams(1.0, np.array([2.0, 3.0]), 1.0),
+    lambda: rs_pdf(1.0, 1.0, np.array([2.0, 3.0]), 1.0),
+    lambda: rs_cdf(1.0, 1.0, np.array([2.0, 3.0]), 1.0),
+    lambda: coding_gain(np.array([1.0, 2.0]), 2),
+    lambda: coding_gain(1.0, np.array([2.0])),
+], ids=["fading-params-m", "rs-pdf-m", "rs-cdf-m", "coding-gain-k", "coding-gain-m"])
+def test_non_scalar_shape_or_gain_k_is_refused(call):
+    # an array m (or K of the coding gain) is refused by name, not by numpy
+    with pytest.raises(DomainError, match="m must be finite and > 0|finite K > 0"):
+        call()
+
+
 class TestAsymptote:
     def test_coding_gain_m1(self):
         assert coding_gain(1.0, 1) == pytest.approx(A_K1_M1, rel=1e-12, abs=0)
@@ -874,9 +888,10 @@ class TestAsymptote:
     def test_coding_gain_m3_golden(self):
         assert coding_gain(1.0, 3) == pytest.approx(A_K1_M3, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("m", [2.5, 0.7, 0.3])
+    @pytest.mark.parametrize("m", [2.5, 0.7, 0.3, 0.01])
     def test_coding_gain_real_m_golden(self, m):
-        # below m = 1 the integrand is singular at 0 unless substituted
+        # below m = 1 the integrand falls only like x^m towards x = 0: at
+        # m = 0.01 the mass reaches past x = e^-745, where x underflows
         assert coding_gain(1.0, m) == pytest.approx(
             CODING_GAIN_GOLDENS[(1.0, m)], rel=1e-12, abs=0)
 
@@ -918,10 +933,18 @@ class TestAsymptote:
                 assert 0.0 < coding_gain(k, m) / limit - 1.0 < (1.0 + k) / m
             assert coding_gain(k, 1e12) == pytest.approx(limit, rel=1e-9, abs=0)
 
-    def test_large_m_limit_is_the_drlos_density_at_origin(self):
+    def test_drlos_density_is_continuous_at_origin(self):
+        # the closed form at 0 meets the scatter average just above it
         for k in (1e-3, 0.1, 1.0, 5.0, 100.0):
-            assert 2.0 * drlos_pdf_oracle(0.0, k, 2.0) == pytest.approx(
-                (1.0 + k) * 2.0 * k0(2.0 * math.sqrt(k)), rel=1e-9, abs=0)
+            assert drlos_pdf_oracle(1e-12, k, 2.0) == pytest.approx(
+                drlos_pdf_oracle(0.0, k, 2.0), rel=1e-9, abs=0)
+
+    def test_gain_at_tiny_k(self):
+        # a grows only like log(m/K) as K -> 0 (DLMF 13.2(iii))
+        k, m = 1e-30, 5
+        assert coding_gain(k, m) == pytest.approx(
+            (1.0 + k) * (math.log(m / k) - digamma(m) - 2.0 * np.euler_gamma),
+            rel=1e-12, abs=0)
 
     def test_gain_near_underflow(self):
         # the integrand peaks near e^(-2 sqrt K): unscaled, every node of

@@ -158,6 +158,14 @@ class TestPdfCommand:
                     "--grid", "0:1:3", "--output", str(out)]) == 0
         assert np.all(np.isfinite(np.loadtxt(out, **CSV)[1]))
 
+    def test_density_at_origin_at_tiny_k(self, tmp_path):
+        # the value at 0 is the coding gain, which grows only like log(1/K):
+        # log(m/K) - psi(m) - 2 gamma_E to 1e-28 here (DLMF 13.2(iii))
+        out = tmp_path / "pdf.csv"
+        assert run(["pdf", "--k", "1e-30", "--m", "5", "--gamma-bar", "1",
+                    "--grid", "0:1:3", "--output", str(out)]) == 0
+        assert np.loadtxt(out, **CSV)[1][0] == pytest.approx(68.0264417040206, rel=1e-12)
+
     @pytest.mark.parametrize("m", ["30.5", "50.5", "140.5", "1000.5"])
     def test_real_m_past_25(self, m, tmp_path):
         # the 1F1 arguments run past x = 200 below m^2, where the large-x
@@ -269,6 +277,13 @@ class TestOpCommand:
         assert run(["op", "--k", "5", "--m", m, "--gamma-th", "1", "--grid", "1:10:2",
                     "--asymptotic", "--output", str(out)]) == 0
         assert np.all(np.isfinite(np.loadtxt(out, **CSV)[1]))
+
+    def test_asymptote_at_tiny_k(self, tmp_path):
+        out = tmp_path / "asym.csv"
+        assert run(["op", "--k", "1e-30", "--m", "5", "--gamma-th", "1",
+                    "--grid-db", "20:40:3", "--asymptotic", "--output", str(out)]) == 0
+        db, values = np.loadtxt(out, **CSV)
+        np.testing.assert_allclose(values * 10 ** (db / 10.0), 68.0264417040206, rtol=1e-12)
 
     def test_asymptote_near_underflow(self, tmp_path):
         # a gain near 6e-295, whose unscaled integrand underflows at every node

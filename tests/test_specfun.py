@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import exp1, hyp1f1, k1
+from scipy.special import digamma, exp1, hyp1f1, k1
 
 from fdrlos.specfun import (REL_TOL_FLOOR, AccuracyError, DomainError,
                             adaptive_quad_vec, bd0, check_rel_tol,
@@ -428,6 +428,14 @@ class TestTricomiU:
         for m in (0, -1.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="m must be finite and positive"):
                 gamma_tricomi_u(m, 1.0)
+
+    @pytest.mark.parametrize("z", [1e-30, 1e-300])
+    @pytest.mark.parametrize("m", [0.3, 1, 5])
+    def test_small_z_expansion(self, m, z):
+        # the mass lies evenly in log x from about z up to 1; DLMF 13.2(iii):
+        # Gamma(m) U(m, 1, z) = -log z - psi(m) - 2 gamma_E + O(z log z)
+        assert gamma_tricomi_u(m, z) == pytest.approx(
+            -math.log(z) - digamma(m) - 2.0 * np.euler_gamma, rel=1e-12, abs=0)
 
     def test_gamma_scaled_product_survives_large_order(self):
         # Gamma(m) U(m,1,x) stays O(1) where Gamma(m) alone overflows

@@ -30,10 +30,13 @@ runs no quadrature there.  As m -> inf it tends to (1+K) 2 K0(2 sqrt K),
 gbar times the drlos density at 0, which ``drlos_pdf_oracle`` takes in this
 closed form; every cdf is 0 there, so no law averages a value at g = 0.
 
-Every public law checks its arguments once, at entry and before any
-quadrature, against the one domain of ``models.check_params`` (finite K >= 0,
-m > 0 and gamma_bar > 0) and a nonnegative SNR; ``coding_gain`` needs K > 0.
-The conditionals a quadrature averages run no checks.
+Every SNR law, the Rician shadowed, Rician and drlos ones too, passes one
+boundary, ``_law``: it checks a nonnegative SNR and the one domain of
+``models.check_params`` (finite K >= 0, m > 0 and gamma_bar > 0) once, at
+entry and before any quadrature, broadcasts the SNR against an array K or
+gamma_bar, and gives +inf and, where the law has one, g = 0 their limits;
+the rest goes to the law's kernel.  ``coding_gain`` needs K > 0.  The
+conditionals a quadrature averages run no checks.
 """
 
 from __future__ import annotations
@@ -67,81 +70,75 @@ class UnderflowWarning(RuntimeWarning):
     """A density/probability underflowed below 1e-300 and was reported as 0."""
 
 
-def _check_snr(gamma):
-    """Reject negative SNR values and NaN (which fails every comparison)."""
+def _law(kernel, at_inf, gamma, k, m=1.0, gbar=1.0, at_zero=None):
+    """An SNR law at (K, m, gbar): the one boundary every public law passes.
+
+    It checks the SNR (nonnegative, not NaN) and ``check_params`` once, and
+    broadcasts gamma, K and gbar.  +inf takes the limit ``at_inf`` (0 for a
+    density, 1 for a cdf), and where ``at_zero(k, gbar)`` is given, 0 takes
+    the law's value there, each K and gbar on its own.  The other values go
+    to ``kernel(g, k, gbar)`` as flat arrays in one call, made even when
+    none are left, so that a quadrature still checks its ``rel_tol``; a
+    scalar K or gbar stays a scalar, so the conditionals take K_x and gbar_x
+    as (nx, 1) columns.
+    Returns a float for scalar input, else the broadcast array.  The
+    kernels, and the conditionals a quadrature averages, run no checks.
+    """
+    gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma >= 0):
         raise DomainError("gamma must be nonnegative and not NaN")
-
-
-def _checked_law(kernel, at_inf, gamma, k, m=None, gbar=1.0):
-    """A Rician law ``kernel(g, k, gbar)``, or given m the Rician shadowed law
-    ``_conditional(m, kernel)``, after the domain checks: the public laws run
-    them once, the conditionals that a quadrature averages never.  The kernel
-    sees +inf as 0, and its value there is replaced by the limit ``at_inf``:
-    0 for a density, 1 for a cdf."""
-    gamma = np.asarray(gamma, dtype=float)
-    _check_snr(gamma)
-    k, gbar = check_params(k, 1.0 if m is None else m, gbar)
-    if m is not None:
-        kernel = _conditional(m, kernel)
-    finite = gamma < np.inf
-    out = np.where(finite, kernel(np.where(finite, gamma, 0.0), k, gbar), at_inf)
+    k, gbar = check_params(k, m, gbar)
+    g, k_b, gbar_b = np.broadcast_arrays(gamma, k, gbar)
+    out = np.full(g.shape, float(at_inf))
+    zero = (g == 0) & (at_zero is not None)
+    todo = (g < np.inf) & ~zero
+    out[todo] = kernel(g[todo], k_b[todo] if k.ndim else k,
+                       gbar_b[todo] if gbar.ndim else gbar)
+    if zero.any():
+        out[zero] = at_zero(k_b[zero], gbar_b[zero])
     return float(out) if out.ndim == 0 else out
 
 
-def _scatter_average(conditional, gamma, k, gbar, rel_tol, at_inf, at_zero):
+def _scatter_average(conditional, g, k, gbar, rel_tol):
     """Average a conditional law over the exponential scatter weight e^{-x},
-    to relative accuracy ``rel_tol`` in every value, on an SNR array
-    broadcast against K, in the broadcast shape (at least 1-d).
+    to relative accuracy ``rel_tol`` in every value, at the flat SNR array
+    ``g`` with K and gbar scalars or flat arrays alongside it (``_law``).
 
-    Each chunk of ``_GAMMA_CHUNK`` points is one vector quadrature:
+    Each chunk of ``_GAMMA_CHUNK`` values is one vector quadrature:
     ``conditional(g, k_x, gbar_x)`` receives the chunk as a (1, ng) row and
     K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as (nx, ng)
-    arrays when K is an array chunked with the SNR, and returns the (nx, ng)
-    conditional values.  +inf points take the limit ``at_inf``, and 0 points
-    ``at_zero(K)`` (the law's value at 0) of their K, each K on its own; only
-    the points in between are averaged.  ``rel_tol`` is checked first, since
-    a grid of only such points runs no quadrature.
+    arrays where K or gbar are arrays chunked with the SNR, and returns the
+    (nx, ng) conditional values.  ``rel_tol`` is checked first, since an
+    empty ``g`` runs no quadrature.
 
     A chunk whose subdivision budget runs out (an AccuracyError with an error
     estimate) is averaged again as two halves with a budget each, so only a
     single value refuses; a conditional's own refusal propagates at once.
     """
     check_rel_tol(rel_tol)
-    gamma_arr, k_arr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(gamma, dtype=float)), np.asarray(k, dtype=float))
-    shape, gamma_arr, k_arr = gamma_arr.shape, gamma_arr.ravel(), k_arr.ravel()
-    _check_snr(gamma_arr)
-    out = np.full(gamma_arr.shape, float(at_inf))
-    zero = gamma_arr == 0
-    out[zero] = at_zero(k_arr[zero])
-    todo = np.flatnonzero((gamma_arr > 0) & (gamma_arr < np.inf))
+    out = np.empty(g.shape)
 
     def average(sel):
-        # a scalar K stays scalar, so the conditionals get K_x as a column
-        g, k_c = gamma_arr[sel][None, :], k_arr[sel] if np.ndim(k) else k
+        g_c = g[sel][None, :]
+        k_c = k[sel] if np.ndim(k) else k
+        gbar_c = gbar[sel] if np.ndim(gbar) else gbar
 
         def f(x):
             x = x[:, None]
-            gbar_x = gbar * (k_c + x) / (k_c + 1.0)
-            return conditional(g, k_c / x, gbar_x) * np.exp(-x)
+            gbar_x = gbar_c * (k_c + x) / (k_c + 1.0)
+            return conditional(g_c, k_c / x, gbar_x) * np.exp(-x)
 
         try:
-            out[sel], _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
+            out[sel], _ = adaptive_quad_vec(f, rel_tol=rel_tol)
         except AccuracyError as exc:
             if exc.err_estimate is None or sel.size == 1:
                 raise
             average(sel[:sel.size // 2])
             average(sel[sel.size // 2:])
 
-    for lo in range(0, len(todo), _GAMMA_CHUNK):
-        average(todo[lo:lo + _GAMMA_CHUNK])
-    return out.reshape(shape)
-
-
-def _shaped(out, gamma, k):
-    """A float where the SNR and K are both scalars, else the array."""
-    return float(out[0]) if np.ndim(gamma) == 0 and np.ndim(k) == 0 else out
+    for lo in range(0, g.size, _GAMMA_CHUNK):
+        average(np.arange(lo, min(lo + _GAMMA_CHUNK, g.size)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,9 @@ def rs_pdf(gamma, k_x, m, gbar_x):
     m = 1e15; past it AccuracyError): no route forms e^{+w}.  Broadcasts over
     all three arrays.
     """
-    return _checked_law("pdf", 0.0, gamma, k_x, m, gbar_x)
+    # the route is picked after ``_law`` has checked m, which may be an array
+    return _law(lambda g, k, gbar: _conditional(m, "pdf")(g, k, gbar),
+                0.0, gamma, k_x, m, gbar_x)
 
 
 def _kummer_density(gamma, k_x, m, gbar_x):
@@ -245,7 +244,8 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     m positive terms with log-form weights; K_x = 0 puts all the weight on
     j = m-1 (an exponential law).  Broadcasts over all three arrays.
     """
-    return _checked_law("cdf", 1.0, gamma, k_x, m, gbar_x)
+    return _law(lambda g, k, gbar: _conditional(m, "cdf")(g, k, gbar),
+                1.0, gamma, k_x, m, gbar_x)
 
 
 #: the old integer-m name, which ``perfbench/tracing.py`` still wraps
@@ -410,11 +410,9 @@ def _conditional(m, law):
     return lambda g, k_x, gbar_x: kernel(g, k_x, m, gbar_x)
 
 
-def _cdf_average(conditional, gamma, k, gbar, rel_tol):
-    """A conditional cdf averaged over the scatter weight, 0 at g = 0; K
-    broadcasts against gamma."""
-    return _shaped(np.clip(_scatter_average(conditional, gamma, k, gbar, rel_tol, 1.0,
-                                            np.zeros_like), 0.0, 1.0), gamma, k)
+def _cdf_at_zero(k, gbar):
+    """Every cdf is 0 at g = 0, so no law averages a value there."""
+    return 0.0
 
 
 def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
@@ -428,19 +426,19 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     at integer m up to 100 the density of the Binomial mixture that
     ``rs_cdf`` sums, at every other m the scaled 1F1 form; both are
     positive sums.  At g = 0 it is a(K, m) / gbar from ``coding_gain``.  K = 0
-    is an ordinary input: the product law, +inf at g = 0.  An array K
-    broadcasts against gamma, each K with its own value at g = 0.
+    is an ordinary input: the product law, +inf at g = 0.  An array K or
+    gbar broadcasts against gamma, each K with its own value at g = 0.
     """
-    m, gbar = params.m, params.gamma_bar
+    m, conditional = params.m, _conditional(params.m, "pdf")
 
-    def at_zero(k):
+    def at_zero(k, gbar):
         # gbar f(0) is the coding gain a(K, m); the product law's pole at K = 0
         return np.array([coding_gain(v, m, rel_tol=rel_tol) if v > 0 else np.inf
                          for v in k.tolist()]) / gbar
 
-    return _shaped(_flag_underflow(_scatter_average(
-        _conditional(m, "pdf"), gamma, params.k, gbar, rel_tol, 0.0, at_zero)),
-        gamma, params.k)
+    return _law(lambda g, k, gbar: _flag_underflow(
+        _scatter_average(conditional, g, k, gbar, rel_tol)),
+        0.0, gamma, params.k, m, params.gamma_bar, at_zero)
 
 
 #: the density has one route for every m, so its oracle is the same function
@@ -461,18 +459,25 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     expanded.  At every other m the negative-binomial series ``_nb_series``.
     Every term is positive, so deep outage keeps its relative accuracy; K = 0
     puts all the weight on one exponential law (the product law).  An array
-    K broadcasts against gamma (an outage sweep over K).
+    K (an outage sweep over K) or gbar broadcasts against gamma.
     """
-    return _cdf_average(_conditional(params.m, "cdf"), gamma, params.k,
-                        params.gamma_bar, rel_tol)
+    conditional = _conditional(params.m, "cdf")
+    return _law(lambda g, k, gbar: np.clip(
+        _scatter_average(conditional, g, k, gbar, rel_tol), 0.0, 1.0),
+        1.0, gamma, params.k, params.m, params.gamma_bar, _cdf_at_zero)
 
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
     """Ground-truth cdf: the negative-binomial series ``_nb_series`` averaged at
     every m > 0, so only at integer m up to 100 does it share no conditional
     code with ``fdrlos_cdf``."""
-    return _cdf_average(lambda g, k_x, gbar_x: _nb_series(g, k_x, params.m, gbar_x),
-                        gamma, params.k, params.gamma_bar, rel_tol)
+
+    def conditional(g, k_x, gbar_x):
+        return _nb_series(g, k_x, params.m, gbar_x)
+
+    return _law(lambda g, k, gbar: np.clip(
+        _scatter_average(conditional, g, k, gbar, rel_tol), 0.0, 1.0),
+        1.0, gamma, params.k, params.m, params.gamma_bar, _cdf_at_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +505,8 @@ def asymptotic_op(gamma_th, gbar, k, m, *, rel_tol=1e-10):
     """High-SNR outage a * gamma_th / gbar for finite gamma_th > 0, broadcast
     over gbar; exact log-log slope -1 in gbar.  a = gbar f(0) is the coding
     gain, whose m -> inf limit is gbar times the drlos density at 0."""
-    if not (0 < gamma_th < math.inf):
-        raise DomainError(f"gamma_th must be finite and positive, got {gamma_th}")
+    if not (np.ndim(gamma_th) == 0 and 0 < gamma_th < math.inf):
+        raise DomainError(f"gamma_th must be finite and positive, and a scalar, got {gamma_th}")
     check_params(m=m, gamma_bar=gbar)
     return coding_gain(k, m, rel_tol=rel_tol) * gamma_th / gbar
 
@@ -524,26 +529,27 @@ def _rician_probability(gamma, k, gbar):
 
 def rician_pdf(gamma, k, gbar):
     """Rician SNR density (deterministic LoS, single-Rayleigh scatter)."""
-    return _checked_law(_rician_density, 0.0, gamma, k, gbar=gbar)
+    return _law(_rician_density, 0.0, gamma, k, gbar=gbar)
 
 
 def rician_cdf(gamma, k, gbar):
     """Rician SNR cdf via the noncentral chi-square law: ``chndtr`` at
     2 (1+K) g / gbar with 2 degrees of freedom and noncentrality 2K."""
-    return _checked_law(_rician_probability, 1.0, gamma, k, gbar=gbar)
+    return _law(_rician_probability, 1.0, gamma, k, gbar=gbar)
 
 
 def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
     Rician, averaged over the exponential scatter weight (the m -> inf limit),
-    and at g = 0 (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0.  K broadcasts."""
-    check_params(k, gamma_bar=gbar)
-    return _shaped(_scatter_average(
-        _rician_density, gamma, k, gbar, rel_tol, 0.0,
-        lambda ks: (1.0 + ks) * 2.0 * k0(2.0 * np.sqrt(ks)) / gbar), gamma, k)
+    and at g = 0 (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0.  K and gbar
+    broadcast."""
+    return _law(lambda g, k, gbar: _scatter_average(_rician_density, g, k, gbar, rel_tol),
+                0.0, gamma, k, gbar=gbar,
+                at_zero=lambda ks, gbars: (1.0 + ks) * 2.0 * k0(2.0 * np.sqrt(ks)) / gbars)
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
-    check_params(k, gamma_bar=gbar)
-    return _cdf_average(_rician_probability, gamma, k, gbar, rel_tol)
+    return _law(lambda g, k, gbar: np.clip(
+        _scatter_average(_rician_probability, g, k, gbar, rel_tol), 0.0, 1.0),
+        1.0, gamma, k, gbar=gbar, at_zero=_cdf_at_zero)

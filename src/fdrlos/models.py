@@ -85,8 +85,8 @@ class FadingParams:
     K >= 0 is the LoS-to-scatter power ratio, m > 0 the LoS fluctuation
     shape (any positive real, for the samplers and every law), gamma_bar > 0
     the mean SNR.  All three must be finite.  The laws also take an array K
-    (a sweep over K, as the outage curves against K are); the sampler takes
-    a scalar K and gamma_bar only.
+    (a sweep over K, as the outage curves against K are) and an array
+    gamma_bar, each broadcast against the SNR; the sampler takes neither.
     """
 
     k: float

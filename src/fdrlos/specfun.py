@@ -2,13 +2,14 @@
 Gamma(m) U(m, 1, z) and the Poisson and negative-binomial log masses.
 
 Each job has one kernel, in the one form the statistics in ``analytic``
-call: ``adaptive_quad_vec`` for every integral, ``log_kummer_1f1`` (at b = 1,
-scaled by e^-x) for the Rician shadowed density at real m,
-``gamma_tricomi_u`` (one integrand at every m, in the log of the scatter
-variable of ``analytic``, folded about its peak) for the high-SNR offset, and
-``log_poisson_pmf`` and ``log_negbin_pmf`` (Loader's saddle-point forms,
-built on ``stirlerr`` and ``bd0``) for the anchors of the Rician shadowed
-series and of the 1F1 series, accurate to about 1e-16 where n ~ 1e6.
+call: ``adaptive_quad_vec`` for every integral (all on [0, inf)),
+``log_kummer_1f1`` (at b = 1, scaled by e^-x) for the Rician shadowed
+density at real m, ``gamma_tricomi_u`` (one integrand at every m, in the
+log of the scatter variable of ``analytic``, folded about its peak) for the
+high-SNR offset, and ``log_poisson_pmf`` and ``log_negbin_pmf`` (Loader's
+saddle-point forms, built on ``stirlerr`` and ``bd0``) for the anchors of the
+Rician shadowed series and of the 1F1 series, accurate to about 1e-16 where
+n ~ 1e6.
 
 Everything here is a pure function of its arguments; no shared mutable state.
 The quadrature engine evaluates vector-valued integrands with per-component
@@ -121,72 +122,49 @@ _G7_WEIGHTS = np.array([
 _G7_IDX = np.arange(1, 15, 2)
 
 
-def _map_infinite(f, lower):
-    """Fold f on [lower, inf) to g on [0, 1) via t = lower + u/(1-u)."""
+def adaptive_quad_vec(f, *, rel_tol=1e-10):
+    """Adaptive Gauss-Kronrod 7-15 on [0, inf) for a vector-valued
+    integrand, refined in rounds.
 
-    def g(u):
-        w = 1.0 - u
-        t = lower + u / w
-        vals = f(t)
-        jac = 1.0 / (w * w)
-        if vals.ndim == 1:
-            return vals * jac
-        return vals * jac[:, None]
+    ``f(x)`` takes a 1-d array of abscissae x >= 0 and returns either a
+    same-length array (scalar integrand) or an (npoints, ncomp) matrix.
+    Every component is integrated to ``rel_tol * |component|`` (with a
+    1e-300 floor), so small components keep their relative accuracy.  The
+    half-line, the one range that the scatter averages and the coding gain
+    integrate over, is folded onto [0, 1) by x = u/(1-u); to integrate from
+    z > 0 on, integrate f(z + x).
 
-    return g
-
-
-def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
-    """Adaptive Gauss-Kronrod 7-15 for a vector-valued integrand, refined in
-    rounds.
-
-    ``f(x)`` takes a 1-d array of abscissae and returns either a same-length
-    array (scalar integrand) or an (npoints, ncomp) matrix.  Every component
-    is integrated to ``rel_tol * |component|`` (with a 1e-300 floor), so small
-    components keep their relative accuracy.  ``upper`` may be ``inf``: a
-    semi-infinite interval [lower, inf) is folded onto [0, 1) by
-    t = lower + u/(1-u).
-
-    The interval starts as 8 equal panels (4 on a finite interval), all in
-    one call of ``f``.  Each round then halves every panel whose error
-    exceeds its width's share of the tolerance of some component not yet
-    met, err_p > tol_c (b - a)/(hi - lo) (Shampine's vectorized rule, as in
-    MATLAB's ``quadgk``), and evaluates all the halves in one more call: one
-    call of ``f`` per round, whatever the number of panels.  The budget of 400
-    subdivisions counts halved panels, not rounds; a round that would pass it
-    halves only the panels worst against their share.
+    [0, 1) starts as 8 equal panels, all in one call of ``f``.  Each round
+    then halves every panel [a, b] whose error exceeds its width's share of
+    the tolerance of some component not yet met, err_p > tol_c (b - a)
+    (Shampine's vectorized rule, as in MATLAB's ``quadgk``), and evaluates
+    all the halves in one more call: one call of ``f`` per round, whatever
+    the number of panels.  The budget of 400 subdivisions counts halved
+    panels, not rounds; a round that would pass it halves only the panels
+    worst against their share.
 
     Returns ``(values, err_estimates)`` as arrays of shape (ncomp,).
     Raises :class:`AccuracyError` (carrying the last values and error
     estimates) once the budget is spent without meeting the tolerance, and
-    :class:`DomainError` for a limit that is NaN or out of order, or at the
-    first call whose values include NaN or +-inf.
+    :class:`DomainError` at the first call whose values include NaN or
+    +-inf.
     """
     check_rel_tol(rel_tol)
-    if not np.isfinite(lower):
-        raise DomainError("lower limit must be finite")
-    if upper == math.inf:
-        f = _map_infinite(f, lower)
-        lo, hi = 0.0, 1.0
-        nseed = 8
-    else:
-        if not upper > lower:
-            raise DomainError("upper limit must exceed lower limit (and not be NaN)")
-        lo, hi = float(lower), float(upper)
-        nseed = 4
 
     def evaluate(a, b):
         """Kronrod sums and error estimates of the panels [a, b], one call of f."""
         c, h = 0.5 * (a + b), 0.5 * (b - a)
-        x = (c[:, None] + h[:, None] * _K15_NODES).ravel()
-        v = np.asarray(f(x), dtype=float).reshape(a.size, _K15_NODES.size, -1)
+        u = (c[:, None] + h[:, None] * _K15_NODES).ravel()
+        w = 1.0 - u
+        v = np.asarray(f(u / w), dtype=float).reshape(u.size, -1) * (1.0 / (w * w))[:, None]
+        v = v.reshape(a.size, _K15_NODES.size, -1)
         if not np.isfinite(v).all():
             raise DomainError("integrand returned NaN or inf")
         ik = h[:, None] * (_K15_WEIGHTS @ v)
         ig = h[:, None] * (_G7_WEIGHTS @ v[:, _G7_IDX])
         return ik, np.abs(ik - ig)
 
-    edges = np.linspace(lo, hi, nseed + 1)
+    edges = np.linspace(0.0, 1.0, 9)
     a, b = edges[:-1], edges[1:]
     ik, err = evaluate(a, b)
     budget = _MAX_SUBDIVISIONS
@@ -205,7 +183,7 @@ def adaptive_quad_vec(f, lower, upper, *, rel_tol=1e-10):
         # tolerance: a ratio above 1 fails it.  The shares sum to the whole,
         # so some panel fails unless rounding hides it; then, or where the
         # failures pass the budget, the worst are halved
-        share = np.max(err[:, open_c] / tol[open_c], axis=1) * ((hi - lo) / (b - a))
+        share = np.max(err[:, open_c] / tol[open_c], axis=1) * (1.0 / (b - a))
         split = np.flatnonzero(share > 1.0)
         if not 0 < split.size <= budget:
             split = np.argsort(share)[::-1][:max(1, min(split.size, budget))]
@@ -500,7 +478,7 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     def f(s):
         return np.exp(psi(t_peak + np.stack([s, -s], axis=1)) - psi_peak)
 
-    vals, _ = adaptive_quad_vec(f, 0.0, np.inf, rel_tol=rel_tol)
+    vals, _ = adaptive_quad_vec(f, rel_tol=rel_tol)
     value = float(vals.sum()) * math.exp(psi_peak)
     if not value >= np.finfo(float).tiny:
         raise AccuracyError(f"Gamma(m) U(m, 1, z) = {value:.3g} lies below the "

@@ -91,8 +91,9 @@ def gig_grid(a_values, z, b_values):
 
     The generalized incomplete gamma is the building block of the paper's
     closed form.  Here it is a test integrand for the engine: a folded
-    semi-infinite range, components that span many decades, and e^(-b/t),
-    flat to every order at a small lower limit.
+    semi-infinite range (from z, as the integral of f(z + s) over s >= 0),
+    components that span many decades, and e^(-b/t), flat to every order at
+    a small lower limit.
     """
     a_values = np.asarray(a_values, dtype=float)
     b_values = np.asarray(b_values, dtype=float)
@@ -103,7 +104,7 @@ def gig_grid(a_values, z, b_values):
             core = np.exp(z - t[:, None] - b_values / t[:, None])    # (nt, nb)
         return (core[:, :, None] * pow_a[:, None, :]).reshape(len(t), -1)
 
-    vals, _ = adaptive_quad_vec(f, z, math.inf)
+    vals, _ = adaptive_quad_vec(lambda s: f(z + s))
     return vals.reshape(len(b_values), len(a_values))
 
 
@@ -114,29 +115,17 @@ def gen_incomplete_gamma(a, z, b):
 
 class TestAdaptiveQuad:
     def test_unit_exponential(self):
-        val, err = adaptive_quad_vec(lambda t: np.exp(-t), 0.0, math.inf)
+        val, err = adaptive_quad_vec(lambda t: np.exp(-t))
         assert val[0] == pytest.approx(1.0, abs=1e-12)
         assert err[0] < 1e-10
 
     def test_gamma_two(self):
-        val, _ = adaptive_quad_vec(lambda t: t * np.exp(-t), 0.0, math.inf)
+        val, _ = adaptive_quad_vec(lambda t: t * np.exp(-t))
         assert val[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_split_consistency_with_gig(self):
-        # same integrand through two independent partitions
-        f = lambda t: np.exp(-t) * np.exp(-1.0 / t)
-        a, _ = adaptive_quad_vec(f, 1.0, 3.0)
-        b, _ = adaptive_quad_vec(f, 3.0, math.inf)
-        assert a[0] + b[0] == pytest.approx(gen_incomplete_gamma(1.0, 1.0, 1.0),
-                                            rel=1e-11)
-
-    def test_finite_interval(self):
-        val, _ = adaptive_quad_vec(np.sin, 0.0, math.pi)
-        assert val[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_nan_integrand_is_domain_error(self):
         with pytest.raises(DomainError):
-            adaptive_quad_vec(lambda t: np.full_like(t, np.nan), 0.0, 1.0)
+            adaptive_quad_vec(lambda t: np.full_like(t, np.nan))
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_integrand_is_refused_at_the_first_call(self, value):
@@ -151,15 +140,16 @@ class TestAdaptiveQuad:
             return out
 
         with pytest.raises(DomainError, match="NaN"):
-            adaptive_quad_vec(f, 0.0, 1.0)
+            adaptive_quad_vec(f)
         assert len(calls) == 1
 
     def test_subdivision_exhaustion_carries_estimate(self):
-        # 160 oscillations at 1e-13 need more than the 400-subdivision budget
+        # some 480 periods before e^-t falls to 1e-13, folded towards
+        # u = 1, need more than the 400-subdivision budget
         with pytest.raises(AccuracyError, match="400 subdivisions") as info:
-            adaptive_quad_vec(lambda t: np.sin(50.0 * t) ** 2, 0.0, 20.0, rel_tol=1e-13)
+            adaptive_quad_vec(lambda t: np.sin(50.0 * t) ** 2 * np.exp(-t), rel_tol=1e-13)
         assert info.value.value.shape == info.value.err_estimate.shape == (1,)
-        assert info.value.value[0] == pytest.approx(10.0 - math.sin(2000.0) / 200.0, rel=1e-6)
+        assert info.value.value[0] == pytest.approx(0.5 - 0.5 / 10001.0, rel=1e-6)
         assert info.value.err_estimate[0] > 1e-13 * info.value.value[0]
 
     def test_components_across_decades(self):
@@ -168,7 +158,7 @@ class TestAdaptiveQuad:
         c = np.geomspace(1e-3, 1e3, 13)
         scale = np.ones_like(c)
         scale[4] = 1e-200
-        vals, _ = adaptive_quad_vec(lambda t: scale * np.exp(-np.outer(t, c)), 0.0, math.inf)
+        vals, _ = adaptive_quad_vec(lambda t: scale * np.exp(-np.outer(t, c)))
         np.testing.assert_allclose(vals, scale / c, rtol=1e-10, atol=0)
 
     def test_a_round_is_one_integrand_call(self):
@@ -179,22 +169,17 @@ class TestAdaptiveQuad:
             calls.append(t.size)
             return np.exp(-t)
 
-        val, _ = adaptive_quad_vec(f, 0.0, math.inf)
+        val, _ = adaptive_quad_vec(f)
         assert val[0] == pytest.approx(1.0, rel=1e-10)
         assert len(calls) <= 3
         assert calls[0] == 8 * 15
-
-    @pytest.mark.parametrize("upper", [math.nan, -math.inf, 0.0])
-    def test_bad_upper_limit_is_domain_error(self, upper):
-        with pytest.raises(DomainError, match="upper limit"):
-            adaptive_quad_vec(np.exp, 0.0, upper)
 
     def test_vector_components_controlled_independently(self):
         # second component is 1e12 times smaller; both must be accurate
         def f(x):
             return np.stack([np.exp(-x), 1e-12 * x * np.exp(-x)], axis=1)
 
-        vals, _ = adaptive_quad_vec(f, 0.0, np.inf)
+        vals, _ = adaptive_quad_vec(f)
         assert vals[0] == pytest.approx(1.0, rel=1e-11)
         assert vals[1] == pytest.approx(1e-12, rel=1e-11)
 
@@ -203,7 +188,7 @@ class TestAdaptiveQuad:
             with pytest.raises(DomainError, match="rel_tol"):
                 check_rel_tol(rel_tol)
             with pytest.raises(DomainError, match="rel_tol"):
-                adaptive_quad_vec(np.exp, 0.0, 1.0, rel_tol=rel_tol)
+                adaptive_quad_vec(lambda t: np.exp(-t), rel_tol=rel_tol)
 
     def test_rel_tol_floor(self):
         assert 1e-18 < REL_TOL_FLOOR < 1e-13
@@ -260,13 +245,11 @@ class TestGenIncompleteGamma:
     def test_domain_errors(self):
         # the engine refuses what this integral cannot take: z < 0 takes the
         # log of a negative t and a NaN parameter makes a NaN integrand, both
-        # at the first panel; the range must start at a finite point
+        # at the first panel
         with pytest.raises(DomainError, match="NaN"):
             gig_grid([-1.0], -0.5, [1.0])
         with pytest.raises(DomainError, match="NaN"):
             gig_grid([1.0], 1.0, [0.5, np.nan])
-        with pytest.raises(DomainError, match="finite"):
-            adaptive_quad_vec(lambda t: np.exp(-t), -math.inf, 0.0)
 
     def test_positive(self):
         assert gen_incomplete_gamma(-5.0, 0.3, 2.0) > 0.0

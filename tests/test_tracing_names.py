@@ -19,7 +19,7 @@ def load_tracing():
     return tracing
 
 
-def test_tracer_installs_and_uninstalls():
+def test_tracer_installs_and_uninstalls(tmp_path):
     tracing = load_tracing()
     modules = {"cli": cli, "analytic": analytic, "specfun": specfun,
                "models": models, "empirics": empirics}
@@ -31,6 +31,16 @@ def test_tracer_installs_and_uninstalls():
         # the tracer reads the points parameter of tabulated_cdf by name
         empirics.tabulated_cdf(lambda g: 1.0 - np.exp(-g), 0.1, 1.0, 8)
         assert tracer.counts["empirics.tabulated_cdf.points"] == 8
+        # the package reaches the quadrature, the 1F1 and the public laws
+        # through the module attributes the tracer replaces
+        out = str(tmp_path / "law.csv")
+        assert cli.main(["cdf", "--k", "3", "--m", "2", "--gamma-bar", "1",
+                         "--grid", "0.5:2:4", "--output", out]) == 0
+        assert cli.main(["pdf", "--k", "3", "--m", "2.5", "--gamma-bar", "1",
+                         "--grid", "0.5:2:4", "--output", out]) == 0
+        for key in ("analytic.fdrlos_cdf.points", "specfun.quad_calls",
+                    "specfun.log_kummer_1f1.values"):
+            assert tracer.counts[key] > 0, key
     finally:
         tracing.uninstall(saved)
     assert all(getattr(owner, name) is original for owner, name, original in saved)

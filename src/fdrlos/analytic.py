@@ -33,10 +33,12 @@ closed form; every cdf is 0 there, so no law averages a value at g = 0.
 Every SNR law, the Rician shadowed, Rician and drlos ones too, passes one
 boundary, ``_law``: it checks a nonnegative SNR and the one domain of
 ``models.check_params`` (finite K >= 0, m > 0 and gamma_bar > 0) once, at
-entry and before any quadrature, broadcasts the SNR against an array K or
-gamma_bar, and gives +inf and, where the law has one, g = 0 their limits;
-the rest goes to the law's kernel.  ``coding_gain`` needs K > 0.  The
-conditionals a quadrature averages run no checks.
+entry and before any quadrature.  Every law is a scale family,
+F(g; gbar) = F(g/gbar; 1) and f(g; gbar) = f(g/gbar; 1)/gbar, so only
+``_law`` knows gbar: its kernels see the unit-mean SNR t = g/gbar, and it
+divides a density by gbar and gives t = 0 and t > 1e200 their limits.
+``coding_gain`` needs K > 0.  The conditionals a quadrature averages run no
+checks.
 """
 
 from __future__ import annotations
@@ -70,44 +72,52 @@ class UnderflowWarning(RuntimeWarning):
     """A density/probability underflowed below 1e-300 and was reported as 0."""
 
 
-def _law(kernel, at_inf, gamma, k, m=1.0, gbar=1.0, at_zero=None):
+def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     """An SNR law at (K, m, gbar): the one boundary every public law passes.
 
     It checks the SNR (nonnegative, not NaN) and ``check_params`` once, and
-    broadcasts gamma, K and gbar.  +inf takes the limit ``at_inf`` (0 for a
-    density, 1 for a cdf), and where ``at_zero(k, gbar)`` is given, 0 takes
-    the law's value there, each K and gbar on its own.  The other values go
-    to ``kernel(g, k, gbar)`` as flat arrays in one call, made even when
-    none are left, so that a quadrature still checks its ``rel_tol``; a
-    scalar K or gbar stays a scalar, so the conditionals take K_x and gbar_x
-    as (nx, 1) columns.
-    Returns a float for scalar input, else the broadcast array.  The
-    kernels, and the conditionals a quadrature averages, run no checks.
+    broadcasts t = gamma/gbar, K and gbar (a DomainError names shapes that
+    do not).  ``kernel(t, k)`` gets the unit-mean t and their K as flat
+    arrays in one call, made even when none are left, so that a quadrature
+    still checks its ``rel_tol``; a scalar K stays a scalar, so the
+    conditionals take K_x as an (nx, 1) column.  A ``law`` "pdf" is divided
+    by gbar, and t = 0 takes the unit-mean ``at_zero(k)`` where it is given;
+    a "cdf" is 0 at t = 0 and clipped to [0, 1].  Returns a float for
+    scalar input, else the broadcast array.  The kernels, and the
+    conditionals a quadrature averages, run no checks.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma >= 0):
         raise DomainError("gamma must be nonnegative and not NaN")
     k, gbar = check_params(k, m, gbar)
-    g, k_b, gbar_b = np.broadcast_arrays(gamma, k, gbar)
-    out = np.full(g.shape, float(at_inf))
-    zero = (g == 0) & (at_zero is not None)
-    todo = (g < np.inf) & ~zero
-    out[todo] = kernel(g[todo], k_b[todo] if k.ndim else k,
-                       gbar_b[todo] if gbar.ndim else gbar)
+    try:
+        with np.errstate(over="ignore"):    # a t past double range is +inf
+            t, k_b, gbar_b = np.broadcast_arrays(gamma / gbar, k, gbar)
+    except ValueError:
+        raise DomainError(f"gamma, K and gamma_bar of shapes {gamma.shape}, {k.shape} "
+                          f"and {gbar.shape} do not broadcast") from None
+    pdf = law == "pdf"
+    # at unit mean 1 - F(t) <= 1/t (Markov), and a density falling past its
+    # mode is below 4/t^2: past 1e200 both are their limits at +inf
+    out = np.full(t.shape, 0.0 if pdf else 1.0)
+    zero = (t == 0) & (at_zero is not None or not pdf)
+    todo = (t <= 1e200) & ~zero
+    out[todo] = kernel(t[todo], k_b[todo] if k.ndim else k)
     if zero.any():
-        out[zero] = at_zero(k_b[zero], gbar_b[zero])
+        out[zero] = at_zero(k_b[zero]) if pdf else 0.0
+    out = out / gbar_b if pdf else np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def _scatter_average(conditional, g, k, gbar, rel_tol):
+def _scatter_average(conditional, g, k, rel_tol):
     """Average a conditional law over the exponential scatter weight e^{-x},
-    to relative accuracy ``rel_tol`` in every value, at the flat SNR array
-    ``g`` with K and gbar scalars or flat arrays alongside it (``_law``).
+    to relative accuracy ``rel_tol`` in every value, at the flat unit-mean
+    SNR array ``g`` with K a scalar or a flat array alongside it (``_law``).
 
     Each chunk of ``_GAMMA_CHUNK`` values is one vector quadrature:
     ``conditional(g, k_x, gbar_x)`` receives the chunk as a (1, ng) row and
-    K_x = K/x, gbar_x = gbar (K+x)/(K+1) as (nx, 1) columns, or as (nx, ng)
-    arrays where K or gbar are arrays chunked with the SNR, and returns the
+    K_x = K/x, gbar_x = (K+x)/(K+1) as (nx, 1) columns, or as (nx, ng)
+    arrays where K is an array chunked with the SNR, and returns the
     (nx, ng) conditional values.  ``rel_tol`` is checked first, since an
     empty ``g`` runs no quadrature.
 
@@ -121,12 +131,10 @@ def _scatter_average(conditional, g, k, gbar, rel_tol):
     def average(sel):
         g_c = g[sel][None, :]
         k_c = k[sel] if np.ndim(k) else k
-        gbar_c = gbar[sel] if np.ndim(gbar) else gbar
 
         def f(x):
             x = x[:, None]
-            gbar_x = gbar_c * (k_c + x) / (k_c + 1.0)
-            return conditional(g_c, k_c / x, gbar_x) * np.exp(-x)
+            return conditional(g_c, k_c / x, (k_c + x) / (k_c + 1.0)) * np.exp(-x)
 
         try:
             out[sel], _ = adaptive_quad_vec(f, rel_tol=rel_tol)
@@ -195,8 +203,7 @@ def rs_pdf(gamma, k_x, m, gbar_x):
     all three arrays.
     """
     # the route is picked after ``_law`` has checked m, which may be an array
-    return _law(lambda g, k, gbar: _conditional(m, "pdf")(g, k, gbar),
-                0.0, gamma, k_x, m, gbar_x)
+    return _law(lambda t, k: _conditional(m, "pdf")(t, k, 1.0), "pdf", gamma, k_x, m, gbar_x)
 
 
 def _kummer_density(gamma, k_x, m, gbar_x):
@@ -244,8 +251,7 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     m positive terms with log-form weights; K_x = 0 puts all the weight on
     j = m-1 (an exponential law).  Broadcasts over all three arrays.
     """
-    return _law(lambda g, k, gbar: _conditional(m, "cdf")(g, k, gbar),
-                1.0, gamma, k_x, m, gbar_x)
+    return _law(lambda t, k: _conditional(m, "cdf")(t, k, 1.0), "cdf", gamma, k_x, m, gbar_x)
 
 
 #: the old integer-m name, which ``perfbench/tracing.py`` still wraps
@@ -410,11 +416,6 @@ def _conditional(m, law):
     return lambda g, k_x, gbar_x: kernel(g, k_x, m, gbar_x)
 
 
-def _cdf_at_zero(k, gbar):
-    """Every cdf is 0 at g = 0, so no law averages a value there."""
-    return 0.0
-
-
 def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     """SNR density of the fluctuating double-Rayleigh LoS model for every
     m > 0, to relative accuracy ``rel_tol``.
@@ -425,20 +426,20 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
 
     at integer m up to 100 the density of the Binomial mixture that
     ``rs_cdf`` sums, at every other m the scaled 1F1 form; both are
-    positive sums.  At g = 0 it is a(K, m) / gbar from ``coding_gain``.  K = 0
-    is an ordinary input: the product law, +inf at g = 0.  An array K or
-    gbar broadcasts against gamma, each K with its own value at g = 0.
+    positive sums, averaged at unit mean: the UnderflowWarning marks a
+    unit-mean value below 1e-300, not one that a huge gbar makes tiny.  At
+    g = 0 it is a(K, m) / gbar from ``coding_gain``.  K = 0 is an ordinary
+    input: the product law, +inf at g = 0.  An array K or gbar broadcasts
+    against gamma, each K with its own value at g = 0.
     """
     m, conditional = params.m, _conditional(params.m, "pdf")
 
-    def at_zero(k, gbar):
-        # gbar f(0) is the coding gain a(K, m); the product law's pole at K = 0
-        return np.array([coding_gain(v, m, rel_tol=rel_tol) if v > 0 else np.inf
-                         for v in k.tolist()]) / gbar
+    def at_zero(k):
+        # f(0) at unit mean is the coding gain a(K, m); the product law's pole at K = 0
+        return [coding_gain(v, m, rel_tol=rel_tol) if v > 0 else np.inf for v in k.tolist()]
 
-    return _law(lambda g, k, gbar: _flag_underflow(
-        _scatter_average(conditional, g, k, gbar, rel_tol)),
-        0.0, gamma, params.k, m, params.gamma_bar, at_zero)
+    return _law(lambda t, k: _flag_underflow(_scatter_average(conditional, t, k, rel_tol)),
+                "pdf", gamma, params.k, m, params.gamma_bar, at_zero)
 
 
 #: the density has one route for every m, so its oracle is the same function
@@ -462,9 +463,8 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     K (an outage sweep over K) or gbar broadcasts against gamma.
     """
     conditional = _conditional(params.m, "cdf")
-    return _law(lambda g, k, gbar: np.clip(
-        _scatter_average(conditional, g, k, gbar, rel_tol), 0.0, 1.0),
-        1.0, gamma, params.k, params.m, params.gamma_bar, _cdf_at_zero)
+    return _law(lambda t, k: _scatter_average(conditional, t, k, rel_tol),
+                "cdf", gamma, params.k, params.m, params.gamma_bar)
 
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
@@ -475,9 +475,8 @@ def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
     def conditional(g, k_x, gbar_x):
         return _nb_series(g, k_x, params.m, gbar_x)
 
-    return _law(lambda g, k, gbar: np.clip(
-        _scatter_average(conditional, g, k, gbar, rel_tol), 0.0, 1.0),
-        1.0, gamma, params.k, params.m, params.gamma_bar, _cdf_at_zero)
+    return _law(lambda t, k: _scatter_average(conditional, t, k, rel_tol),
+                "cdf", gamma, params.k, params.m, params.gamma_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -523,19 +522,23 @@ def _rician_density(gamma, k, gbar):
 
 
 def _rician_probability(gamma, k, gbar):
-    """``rician_cdf`` on checked arguments."""
-    return chndtr(2.0 * (1.0 + k) * gamma / gbar, 2, 2.0 * k)
+    """``rician_cdf`` on checked arguments; ``chndtr`` gives NaN at some
+    noncentralities near 1e11, which are refused."""
+    out = chndtr(2.0 * (1.0 + k) * gamma / gbar, 2, 2.0 * k)
+    if np.isnan(out).any():
+        raise AccuracyError(f"chndtr returned NaN (noncentrality up to {2.0 * np.max(k):.3g})")
+    return out
 
 
 def rician_pdf(gamma, k, gbar):
     """Rician SNR density (deterministic LoS, single-Rayleigh scatter)."""
-    return _law(_rician_density, 0.0, gamma, k, gbar=gbar)
+    return _law(lambda t, k: _rician_density(t, k, 1.0), "pdf", gamma, k, gbar=gbar)
 
 
 def rician_cdf(gamma, k, gbar):
     """Rician SNR cdf via the noncentral chi-square law: ``chndtr`` at
     2 (1+K) g / gbar with 2 degrees of freedom and noncentrality 2K."""
-    return _law(_rician_probability, 1.0, gamma, k, gbar=gbar)
+    return _law(lambda t, k: _rician_probability(t, k, 1.0), "cdf", gamma, k, gbar=gbar)
 
 
 def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
@@ -543,13 +546,12 @@ def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     Rician, averaged over the exponential scatter weight (the m -> inf limit),
     and at g = 0 (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0.  K and gbar
     broadcast."""
-    return _law(lambda g, k, gbar: _scatter_average(_rician_density, g, k, gbar, rel_tol),
-                0.0, gamma, k, gbar=gbar,
-                at_zero=lambda ks, gbars: (1.0 + ks) * 2.0 * k0(2.0 * np.sqrt(ks)) / gbars)
+    return _law(lambda t, k: _scatter_average(_rician_density, t, k, rel_tol),
+                "pdf", gamma, k, gbar=gbar,
+                at_zero=lambda ks: (1.0 + ks) * 2.0 * k0(2.0 * np.sqrt(ks)))
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
-    return _law(lambda g, k, gbar: np.clip(
-        _scatter_average(_rician_probability, g, k, gbar, rel_tol), 0.0, 1.0),
-        1.0, gamma, k, gbar=gbar, at_zero=_cdf_at_zero)
+    return _law(lambda t, k: _scatter_average(_rician_probability, t, k, rel_tol),
+                "cdf", gamma, k, gbar=gbar)

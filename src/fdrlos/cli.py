@@ -15,12 +15,12 @@ as the default.
 Exit codes: 0 success, 2 usage/domain error or an output path that cannot be
 written (one ``error:`` line on stderr), 3 numeric or convergence failure.
 
-Sweeps over the mean SNR (``op`` and the fig3/fig4 outage curves) use the
-scale-family identity every model's SNR law obeys,
-F(gamma; K, m, gamma_bar) = F(gamma / gamma_bar; K, m, 1), so each curve is
-one vector cdf evaluation at gamma_bar = 1 on gamma_th / gamma_bar.  So is
-each Monte-Carlo marker curve: one seed and one draw at gamma_bar = 1, and
-each marker the fraction of the draw below gamma_th / gamma_bar.
+Sweeps over the mean SNR (``op`` and the fig3/fig4 outage curves) pass their
+gamma_bar grid to the law, which checks it and evaluates the one vector cdf
+at gamma_th.  Only the Monte-Carlo marker curves use the scale-family identity
+F(gamma; K, m, gamma_bar) = F(gamma / gamma_bar; K, m, 1) themselves: one seed
+and one draw at gamma_bar = 1, and each marker the fraction of the draw below
+gamma_th / gamma_bar.
 
 Figure presets (the plotted m-sets are choices of this artifact, recorded
 here; seeds and sample counts are pinned so runs reproduce byte-for-byte):
@@ -178,16 +178,13 @@ def cmd_op(args) -> int:
     in_db = args.grid_db is not None
     grid = _parse_grid(args.grid_db if in_db else args.grid)
     gbars = db_to_linear(grid) if in_db else grid
-    if not np.all(gbars > 0):
-        raise DomainError("mean-SNR grid values must be positive")
     if args.asymptotic:
         if model is not ModelKind.FDRLOS:
             raise DomainError("--asymptotic applies to the fdrlos model")
         vals = analytic.asymptotic_op(gamma_th, gbars, args.k, args.m,
                                       rel_tol=args.rel_tol)
     else:
-        unit = FadingParams(args.k, args.m, 1.0)
-        vals = _law(args, model, "cdf", unit)(gamma_th / gbars)
+        vals = _law(args, model, "cdf", FadingParams(args.k, args.m, gbars))(gamma_th)
     # the asymptote is no probability: it passes 1 at low mean SNR
     analytic.Curve(grid, vals, None if args.asymptotic else "op").write_csv(
         args.output or sys.stdout)
@@ -270,15 +267,14 @@ def _figure_fig3(mc_samples):
     k = 1.0
     db_grid = np.arange(0.0, 60.0001, 0.5)
     gbars = db_to_linear(db_grid)
-    unit_gth = _GTH_3DB / gbars
     files = {}
     for m in (1, 3, 10):
-        exact = analytic.fdrlos_cdf(unit_gth, FadingParams(k, m, 1.0))
+        exact = analytic.fdrlos_cdf(_GTH_3DB, FadingParams(k, m, gbars))
         files[f"fig3_fdrlos_op_m{m}.csv"] = analytic.Curve(db_grid, exact, "op")
         files[f"fig3_asymptotic_op_m{m}.csv"] = analytic.Curve(
             db_grid, analytic.asymptotic_op(_GTH_3DB, gbars, k, m))
         files[f"fig3_mc_op_m{m}.csv"] = _mc_op_curve(k, m, mc_samples, _MC_SEED + 100 * m)
-    drlos = analytic.drlos_cdf_oracle(unit_gth, k, 1.0)
+    drlos = analytic.drlos_cdf_oracle(_GTH_3DB, k, gbars)
     files["fig3_drlos_op_limit.csv"] = analytic.Curve(db_grid, drlos, "op")
     return files
 
@@ -289,7 +285,7 @@ def _figure_fig4(mc_samples):
     gbars = db_to_linear(db_grid)
     files = {}
     for m in (1, 3, 5, 10):
-        fd = analytic.fdrlos_cdf(_GTH_3DB / gbars, FadingParams(k, m, 1.0))
+        fd = analytic.fdrlos_cdf(_GTH_3DB, FadingParams(k, m, gbars))
         rs = analytic.rs_cdf(_GTH_3DB, k, m, gbars)
         files[f"fig4_fdrlos_op_m{m}.csv"] = analytic.Curve(db_grid, fd, "op")
         files[f"fig4_rs_op_m{m}.csv"] = analytic.Curve(db_grid, rs, "op")

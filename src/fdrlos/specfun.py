@@ -399,7 +399,8 @@ def bd0(x, lam):
     lam as the series in v = (x - lam)/(x + lam), which cancels nothing."""
     x, lam = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(lam, dtype=float))
     d, s = x - lam, x + lam
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # x/lam past double range (a subnormal lam) makes the deviance +inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = d / s
         far = xlogy(x, x / lam) - d
         near_sum = d * v

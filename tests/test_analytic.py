@@ -627,7 +627,8 @@ class TestOutage:
             fdrlos_cdf(gamma_th, FadingParams(np.array(k), m, gbar))
 
 
-# every model's SNR law is a scale family: F(g; gbar) = F(g / gbar; 1)
+# every model's SNR law is a scale family, F(g; gbar) = F(g / gbar; 1) and
+# f(g; gbar) = f(g / gbar; 1) / gbar, exactly: each evaluates at t = g / gbar
 SCALE_FAMILY_ROUTES = {
     "fdrlos_cdf": lambda g, k, m, gb: fdrlos_cdf(g, FadingParams(k, m, gb)),
     "fdrlos_cdf_oracle": lambda g, k, m, gb: fdrlos_cdf_oracle(
@@ -636,6 +637,11 @@ SCALE_FAMILY_ROUTES = {
     "rs_cdf_real_m": lambda g, k, m, gb: rs_cdf(g, k, m - 0.5, gb),
     "drlos_cdf_oracle": lambda g, k, m, gb: drlos_cdf_oracle(g, k, gb),
     "rician_cdf": lambda g, k, m, gb: rician_cdf(g, k, gb),
+    "fdrlos_pdf": lambda g, k, m, gb: fdrlos_pdf(g, FadingParams(k, m, gb)),
+    "rs_pdf_integer_m": lambda g, k, m, gb: rs_pdf(g, k, m, gb),
+    "rs_pdf_real_m": lambda g, k, m, gb: rs_pdf(g, k, m - 0.5, gb),
+    "drlos_pdf_oracle": lambda g, k, m, gb: drlos_pdf_oracle(g, k, gb),
+    "rician_pdf": lambda g, k, m, gb: rician_pdf(g, k, gb),
 }
 
 
@@ -643,10 +649,38 @@ SCALE_FAMILY_ROUTES = {
 @given(k=st.floats(0.1, 10.0), m=st.integers(1, 5),
        gbar_db=st.floats(-10.0, 40.0), gamma=st.floats(0.01, 100.0))
 def test_scale_family_identity(route, k, m, gbar_db, gamma):
-    cdf = SCALE_FAMILY_ROUTES[route]
+    law = SCALE_FAMILY_ROUTES[route]
     gbar = 10.0 ** (gbar_db / 10.0)
-    assert cdf(gamma, k, m, gbar) == pytest.approx(
-        cdf(gamma / gbar, k, m, 1.0), rel=1e-9, abs=0)
+    unit = law(gamma / gbar, k, m, 1.0)
+    assert law(gamma, k, m, gbar) == (unit / gbar if "pdf" in route else unit)
+
+
+class TestHugeMeanSnr:
+    """A huge gbar only scales t = g / gbar: nothing overflows, and a density
+    is certified, or refused, at unit mean before it is divided by gbar."""
+
+    def test_cdf_answers(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fdrlos_cdf(1.0, FadingParams(1.0, 2, 1e305))
+        assert got == fdrlos_cdf(1e-305, FadingParams(1.0, 2, 1.0))
+        # F(t) -> a t at the origin
+        assert got == pytest.approx(coding_gain(1.0, 2) * 1e-305, rel=1e-9, abs=0)
+
+    def test_tiny_density_of_a_huge_mean_is_returned(self):
+        # only a unit-mean value below 1e-300 is an underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fdrlos_pdf(1.0, FadingParams(1.0, 2.5, 1e305))
+        assert got == fdrlos_pdf(1e-305, FadingParams(1.0, 2.5, 1.0)) / 1e305
+        assert got == pytest.approx(coding_gain(1.0, 2.5) * 1e-305, rel=1e-9, abs=0)
+
+    def test_density_refuses_as_at_unit_mean(self):
+        # the small-m density refuses at t = 1e-300, whatever gbar brings t there
+        with pytest.raises(AccuracyError):
+            fdrlos_pdf(1e-300, FadingParams(1.0, 0.3, 1.0))
+        with pytest.raises(AccuracyError):
+            fdrlos_pdf(1.0, FadingParams(1.0, 0.3, 1e300))
 
 
 @pytest.mark.parametrize("m", [1, 2, 10])
@@ -899,6 +933,37 @@ def test_array_mean_snr_gives_the_scalar_values(law, m):
     np.testing.assert_allclose(call(1.0, 2.0, m, gbars, 1e-10), want, rtol=1e-10, atol=0)
 
 
+#: (gamma, gbar) at both ends of t = gamma / gbar: subnormal, and past 1e200
+EXTREME_SNR = [(1e-312, 1.0), (1e-12, 1e300), (1e250, 1.0), (1e306, 1.0), (1e6, 1e-300)]
+
+
+@pytest.mark.parametrize("k, m", [(0.0, 2), (1.0, 2), (1.0, 2.5), (1.0, 0.3), (1e4, 2.5)])
+@pytest.mark.parametrize("law", sorted(SNR_LAWS))
+def test_every_law_at_both_ends_of_the_unit_mean_snr(law, k, m):
+    # no NaN, warning or DomainError: a value in range, its +inf limit past
+    # t = 1e200, or a refusal
+    kind, call = SNR_LAWS[law][0], PUBLIC_LAWS[law][1]
+    for g, gbar in EXTREME_SNR:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = call(g, k, m, gbar, 1e-10)
+            except AccuracyError:
+                continue
+        if g / gbar > 1e200:
+            assert got == (0.0 if kind == "pdf" else 1.0)
+        else:
+            assert 0.0 <= got <= (np.inf if kind == "pdf" else 1.0)
+
+
+@pytest.mark.parametrize("law", sorted(SNR_LAWS))
+def test_shapes_that_do_not_broadcast_are_refused_by_name(law):
+    call = PUBLIC_LAWS[law][1]
+    for k, gbar in ((np.ones(2), 1.0), (1.0, np.ones(2))):
+        with pytest.raises(DomainError, match=r"shapes \(3,\), .* do not broadcast"):
+            call(np.ones(3), k, 2, gbar, 1e-10)
+
+
 class TestAsymptote:
     def test_coding_gain_m1(self):
         assert coding_gain(1.0, 1) == pytest.approx(A_K1_M1, rel=1e-12, abs=0)
@@ -994,6 +1059,14 @@ class TestAncestors:
                       epsabs=0.0, epsrel=TIGHT)
         assert drlos_cdf_oracle(1.0, 5.0, 2.0, rel_tol=TIGHT) == pytest.approx(
             val, rel=1e-8)
+
+    def test_nan_of_chndtr_is_refused(self):
+        # chndtr gives NaN at noncentrality 2e11, and the drlos average meets
+        # it at the node x ~ 2.6e-7, where K_x ~ 3.8e10
+        with pytest.raises(AccuracyError, match="chndtr returned NaN"):
+            rician_cdf(1.0, 1e11, 1.0)
+        with pytest.raises(AccuracyError, match="chndtr returned NaN"):
+            drlos_cdf_oracle(1.0, 1e4, 1.0)
 
     def test_rician_is_infinite_m_limit_of_rs(self):
         for g in (0.4, 1.0, 2.5):

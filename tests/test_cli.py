@@ -244,6 +244,13 @@ class TestLargeIntegerM:
                     "--grid", "0.5:2:3", "--output", str(tmp_path / "x.csv")]) == 3
 
 
+@pytest.mark.parametrize("model, k", [("rician", "1e11"), ("drlos", "1e4")])
+def test_nan_of_chndtr_is_a_numeric_failure(model, k, tmp_path, capsys):
+    assert run(["cdf", "--model", model, "--k", k, "--gamma-bar", "1",
+                "--grid", "1:2:2", "--output", str(tmp_path / "x.csv")]) == 3
+    assert "chndtr returned NaN" in capsys.readouterr().err
+
+
 class TestOpCommand:
     def test_monotone_decreasing_in_mean_snr(self, tmp_path):
         out = tmp_path / "op.csv"

@@ -42,6 +42,12 @@ at real m (``FDRLOS_CDF_REAL_M_GOLDENS``): the 1F1 density integrated over
 [0, g] and averaged, by tanh-sinh at both precisions, confirmed to 11 digits
 by Gauss-Legendre at 30 (which converges slowly below m = 1).
 
+Deterministic-LoS double-Rayleigh pdf (``DRLOS_PDF_GOLDENS``) at and near
+g = gbar K/(1+K), where y = (1+K) g/gbar meets K: the Rician density
+e^{-(y+K)/x} I0(2 sqrt(K y)/x) / x averaged over e^{-x}, in s = sqrt(x), where
+it steps from 0 near s = |sqrt y - sqrt K| to a bounded value, with the
+tanh-sinh pieces split at that s times powers of 4, at both precisions.
+
 Coding gains (``CODING_GAIN_GOLDENS``), two ways that must agree to 25
 digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
 (1+K) int_0^inf e^(-x) x^(m-1) (x + K/m)^(-m) dx at 40 digits, taken with
@@ -123,6 +129,10 @@ FDRLOS_PDF_M1000_CASES = [(g, 1.0, 1000.5, 1.0) for g in (0.5, 1.25, 2.0)]
 FDRLOS_CDF_REAL_M_CASES = [("K = 3, m = 2.5", g, 3.0, 2.5, 2.0) for g in (0.01, 1.0, 20.0)] + [
     ("m below 1", 1.0, 3.0, 0.7, 2.0),
     ("100 dB outage", 10.0 ** 0.3, 1.0, 2.5, 1e10)]
+
+#: (gamma, k, gbar) of the drlos pdf: y = K exactly, and 1e-6 and 1e-7 above
+DRLOS_PDF_CASES = [(0.5, 1.0, 1.0), (0.5000005, 1.0, 1.0),
+                   (5.0 / 3.0, 5.0, 2.0), (5.0 / 3.0 * (1.0 + 1e-7), 5.0, 2.0)]
 
 #: (k, m): integer m, real m down to 0.3, and a gain near 6e-295, which
 #: underflows unless the integrand is scaled by its peak
@@ -382,6 +392,28 @@ def fdrlos_golden(closed, averaged, args):
     return value
 
 
+def drlos_pdf(g, k, gbar):
+    """(1+K)/gbar 2 int_0^inf e^{-s^2} f(y/s^2; K/s^2) ds/s with the Rician
+    density f(Y; K) = e^{-(Y+K)} I0(2 sqrt(K Y)), on pieces split at
+    d = |sqrt y - sqrt K| times powers of 4."""
+    g, k, gbar = mp.mpf(g), mp.mpf(k), mp.mpf(gbar)
+    y = (1 + k) * g / gbar
+    d = abs(mp.sqrt(y) - mp.sqrt(k))
+    breaks, s = {0, 1, 2, 4, 8}, d
+    while 0 < s < 1:
+        breaks.add(s)
+        s *= 4
+
+    def integrand(s):
+        z = 2 * mp.sqrt(k * y) / s ** 2
+        # e^{-z} I0(z) is scaled like scipy's i0e; the rest of the exponent
+        # is -(sqrt y - sqrt K)^2 / s^2
+        return (2 * mp.exp(-s ** 2 - (mp.sqrt(y) - mp.sqrt(k)) ** 2 / s ** 2)
+                * mp.besseli(0, z) * mp.exp(-z) / s)
+
+    return (1 + k) / gbar * mp.quad(integrand, sorted(breaks) + [mp.inf])
+
+
 def gain_by_hyperu(k, m):
     """(1+K) Gamma(m) U(m, 1, K/m) at the working precision."""
     k = mp.mpf(k)
@@ -437,6 +469,10 @@ def main():
     for name, g, k, m, gbar in FDRLOS_CDF_REAL_M_CASES:
         value = fdrlos_cdf_real_m(g, k, m, gbar)
         print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
+    print("}")
+    print("DRLOS_PDF_GOLDENS = {")
+    for g, k, gbar in DRLOS_PDF_CASES:
+        print(f"    ({g!r}, {k!r}, {gbar!r}): {float(special(drlos_pdf, (g, k, gbar)))!r},")
     print("}")
     print("CODING_GAIN_GOLDENS = {")
     for k, m in CODING_GAIN_CASES:

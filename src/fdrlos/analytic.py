@@ -2,10 +2,10 @@
 
 The fluctuating double-Rayleigh LoS SNR law is built by conditioning on the
 squared magnitude x of the second scatter factor: given x the SNR is Rician
-shadowed with K_x = K/x and mean gamma_bar_x = gamma_bar (K+x)/(K+1), and the
-unconditional law follows by averaging against the unit-mean exponential
-weight e^{-x}: one vector quadrature over x per chunk of SNR values
-(``_scatter_average``).
+shadowed with K_x = K/x, a law of y/x alone with y = (1+K) g/gamma_bar, and
+the unconditional law follows by averaging against the unit-mean exponential
+weight e^{-x}, a cdf over x and a density over s = sqrt(x), where its 1/x
+stays bounded; one vector quadrature per chunk of values (``_scatter_average``).
 
 Every law takes every finite m > 0, and the route follows m
 (``_conditional``, the one place that decides): at integer m up to 100 both
@@ -35,8 +35,8 @@ boundary, ``_law``: it checks a nonnegative SNR and the one domain of
 ``models.check_params`` (finite K >= 0, m > 0 and gamma_bar > 0) once, at
 entry and before any quadrature.  Every law is a scale family,
 F(g; gbar) = F(g/gbar; 1) and f(g; gbar) = f(g/gbar; 1)/gbar, so only
-``_law`` knows gbar: its kernels see the unit-mean SNR t = g/gbar, and it
-divides a density by gbar and gives t = 0 and t > 1e200 their limits.
+``_law`` knows gbar: its kernels see y, and it scales a density by
+(1+K)/gbar and gives t = g/gbar = 0 and t > 1e200 their limits.
 ``coding_gain`` needs K > 0.  The conditionals a quadrature averages run no
 checks.
 """
@@ -77,11 +77,11 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
 
     It checks the SNR (nonnegative, not NaN) and ``check_params`` once, and
     broadcasts t = gamma/gbar, K and gbar (a DomainError names shapes that
-    do not).  ``kernel(t, k)`` gets the unit-mean t and their K as flat
+    do not).  ``kernel(y, k)`` gets y = (1+K) t and their K as flat
     arrays in one call, made even when none are left, so that a quadrature
     still checks its ``rel_tol``; a scalar K stays a scalar, so the
-    conditionals take K_x as an (nx, 1) column.  A ``law`` "pdf" is divided
-    by gbar, and t = 0 takes the unit-mean ``at_zero(k)`` where it is given;
+    conditionals take K_x as an (nx, 1) column.  A ``law`` "pdf" is scaled
+    by (1+K)/gbar, and t = 0 takes the unit-mean ``at_zero(k)`` if given;
     a "cdf" is 0 at t = 0 and clipped to [0, 1].  Returns a float for
     scalar input, else the broadcast array.  The kernels, and the
     conditionals a quadrature averages, run no checks.
@@ -102,39 +102,42 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     out = np.full(t.shape, 0.0 if pdf else 1.0)
     zero = (t == 0) & (at_zero is not None or not pdf)
     todo = (t <= 1e200) & ~zero
-    out[todo] = kernel(t[todo], k_b[todo] if k.ndim else k)
+    k_t = k_b[todo] if k.ndim else k
+    out[todo] = kernel(t[todo] * (1.0 + k_t), k_t) * ((1.0 + k_t) if pdf else 1.0)
     if zero.any():
         out[zero] = at_zero(k_b[zero]) if pdf else 0.0
     out = out / gbar_b if pdf else np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
-def _scatter_average(conditional, g, k, rel_tol):
-    """Average a conditional law over the exponential scatter weight e^{-x},
-    to relative accuracy ``rel_tol`` in every value, at the flat unit-mean
-    SNR array ``g`` with K a scalar or a flat array alongside it (``_law``).
+def _scatter_average(conditional, law, y, k, rel_tol):
+    """Average a conditional ``law`` over the exponential scatter weight,
+    to relative accuracy ``rel_tol`` in every value, at the flat array ``y``
+    with K a scalar or a flat array alongside it (``_law``): a "cdf" as
+    int e^{-x} F(y/x; K/x) dx, a "pdf" as 2 int e^{-s^2} f(y/s^2; K/s^2) ds/s.
 
     Each chunk of ``_GAMMA_CHUNK`` values is one vector quadrature:
-    ``conditional(g, k_x, gbar_x)`` receives the chunk as a (1, ng) row and
-    K_x = K/x, gbar_x = (K+x)/(K+1) as (nx, 1) columns, or as (nx, ng)
-    arrays where K is an array chunked with the SNR, and returns the
-    (nx, ng) conditional values.  ``rel_tol`` is checked first, since an
-    empty ``g`` runs no quadrature.
+    ``conditional(y/x, k_x)`` gets the chunk as (nx, ng) and K_x = K/x as an
+    (nx, 1) column, or (nx, ng) where K is an array chunked with the SNR,
+    and returns the (nx, ng) conditional values.  ``rel_tol`` is checked
+    first, since an empty ``y`` runs no quadrature.
 
     A chunk whose subdivision budget runs out (an AccuracyError with an error
     estimate) is averaged again as two halves with a budget each, so only a
     single value refuses; a conditional's own refusal propagates at once.
     """
     check_rel_tol(rel_tol)
-    out = np.empty(g.shape)
+    out = np.empty(y.shape)
+    pdf = law == "pdf"
 
     def average(sel):
-        g_c = g[sel][None, :]
+        y_c = y[sel][None, :]
         k_c = k[sel] if np.ndim(k) else k
 
-        def f(x):
-            x = x[:, None]
-            return conditional(g_c, k_c / x, (k_c + x) / (k_c + 1.0)) * np.exp(-x)
+        def f(v):
+            v = v[:, None]
+            x = v * v if pdf else v
+            return conditional(y_c / x, k_c / x) * (np.exp(-x) * (2.0 / v if pdf else 1.0))
 
         try:
             out[sel], _ = adaptive_quad_vec(f, rel_tol=rel_tol)
@@ -144,8 +147,8 @@ def _scatter_average(conditional, g, k, rel_tol):
             average(sel[:sel.size // 2])
             average(sel[sel.size // 2:])
 
-    for lo in range(0, g.size, _GAMMA_CHUNK):
-        average(np.arange(lo, min(lo + _GAMMA_CHUNK, g.size)))
+    for lo in range(0, y.size, _GAMMA_CHUNK):
+        average(np.arange(lo, min(lo + _GAMMA_CHUNK, y.size)))
     return out
 
 
@@ -203,38 +206,16 @@ def rs_pdf(gamma, k_x, m, gbar_x):
     all three arrays.
     """
     # the route is picked after ``_law`` has checked m, which may be an array
-    return _law(lambda t, k: _conditional(m, "pdf")(t, k, 1.0), "pdf", gamma, k_x, m, gbar_x)
+    return _law(lambda y, k: _conditional(m, "pdf")(y, k), "pdf", gamma, k_x, m, gbar_x)
 
 
-def _kummer_density(gamma, k_x, m, gbar_x):
+def _kummer_density(y, k_x, m):
     """``rs_pdf`` through the 1F1 on checked arguments; p^m as
     exp(-m log1p(K_x/m)), which keeps its digits at huge m."""
     if m > _MAX_M:
         raise AccuracyError(f"the Rician shadowed density needs m <= {_MAX_M:g}, got {m:g}")
-    y, p, q = gamma * (1.0 + k_x) / gbar_x, m / (m + k_x), k_x / (m + k_x)
-    return np.exp(-m * np.log1p(k_x / m) + np.log1p(k_x) - np.log(gbar_x) - p * y
-                  + log_kummer_1f1(m, q * y))
-
-
-def _mixture_density(gamma, k_x, m, gbar_x):
-    """``rs_pdf`` at integer m on checked arguments: with r = u/g,
-    r sum_{n<=m} Bin(m-n; m-1, p) u^(n-1) e^{-u} / (n-1)!, one positive sum.
-    With z = (1-p) u / p the log of each term is
-    (m-1) log p - u + log C(m-1, n-1) - log (n-1)! + (n-1) log z: one
-    product, two sums and one ``exp`` an order, from n = m down."""
     p, q = m / (m + k_x), k_x / (m + k_x)
-    r = (1.0 + k_x) * p / gbar_x
-    u = gamma * r
-    with np.errstate(divide="ignore"):
-        # z = 0 (K_x = 0 or g = 0) leaves the n = 1 term: a slope of -max/m
-        # keeps (n-1) slope finite, 0 at n = 1, and sends the rest to exp(-huge)
-        slope = np.maximum(np.log(q * u / p), -np.finfo(float).max / m)
-    base = xlogy(m - 1.0, p) - u
-    total = 0.0
-    for n in range(m, 0, -1):
-        log_c = math.lgamma(m) - math.lgamma(m - n + 1) - 2.0 * math.lgamma(n)
-        total = total + np.exp(slope * (n - 1.0) + log_c + base)
-    return r * total
+    return np.exp(-m * np.log1p(k_x / m) - p * y + log_kummer_1f1(m, q * y))
 
 
 def rs_cdf(gamma, k_x, m, gbar_x):
@@ -251,32 +232,37 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     m positive terms with log-form weights; K_x = 0 puts all the weight on
     j = m-1 (an exponential law).  Broadcasts over all three arrays.
     """
-    return _law(lambda t, k: _conditional(m, "cdf")(t, k, 1.0), "cdf", gamma, k_x, m, gbar_x)
+    return _law(lambda y, k: _conditional(m, "cdf")(y, k), "cdf", gamma, k_x, m, gbar_x)
 
 
 #: the old integer-m name, which ``perfbench/tracing.py`` still wraps
 rs_cdf_integer = rs_cdf
 
 
-def _binomial_mixture(gamma, k_x, m, gbar_x):
-    """The mixture of ``rs_cdf`` on checked arguments, m an int.  One
-    ``gammainc`` gives P(m, u); the lower orders follow, from n = m down, as
-    P(n, u) = P(n+1, u) + u^n e^{-u} / n!: one ``exp`` an order."""
+def _binomial_mixture(y, k_x, m, law):
+    """The mixture of ``rs_cdf`` or its density on checked arguments, m an
+    int, at u = p y: from n = m down, one ``exp`` an order gives the Gamma(n)
+    density u^(n-1) e^{-u} / (n-1)!, which p times weights into the density
+    and steps the cdf's P(n-1, u) = P(n, u) + u^(n-1) e^{-u} / (n-1)! on
+    from one ``gammainc`` P(m, u)."""
+    cdf = law == "cdf"
     p, q = m / (m + k_x), k_x / (m + k_x)
-    u = gamma * (1.0 + k_x) * p / gbar_x
+    u = p * y
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
-    big_p = gammainc(m, u)
-    out = np.zeros(big_p.shape)
+    big_p = gammainc(m, u) if cdf else None
+    out = 0.0
     for n in range(m, 0, -1):
-        if n < m:
-            big_p = big_p + np.exp(n * log_u - u - math.lgamma(n + 1.0))
+        # the Gamma(n) density at u; at n = 1 e^{-u}, also where u = 0
+        term = np.exp((n - 1) * log_u - u - math.lgamma(n)) if n > 1 else np.exp(-u)
         log_c = math.lgamma(m) - math.lgamma(m - n + 1) - math.lgamma(n)   # C(m-1, m-n)
-        out += np.exp(log_c + xlogy(m - n, p) + xlogy(n - 1, q)) * big_p
-    return np.minimum(out, 1.0)
+        out = out + np.exp(log_c + xlogy(m - n, p) + xlogy(n - 1, q)) * (big_p if cdf else term)
+        if cdf:
+            big_p = big_p + term
+    return np.minimum(out, 1.0) if cdf else p * out
 
 
-def _nb_series(gamma, k_x, m, gbar_x):
+def _nb_series(y, k_x, m):
     """Rician shadowed SNR cdf for any real m > 0 on checked arguments: a
     positive series.
 
@@ -305,7 +291,7 @@ def _nb_series(gamma, k_x, m, gbar_x):
     if m > _MAX_M:
         raise AccuracyError(f"the Rician shadowed series needs m <= {_MAX_M:g}, got {m:g}")
     # past 1e300 F is 1 unless the NB mass is there too, which the cap refuses
-    y, k_x = np.broadcast_arrays(np.minimum(gamma * (1.0 + k_x) / gbar_x, 1e300), k_x)
+    y, k_x = np.broadcast_arrays(np.minimum(y, 1e300), k_x)
     shape, y, k_x = y.shape, y.ravel(), k_x.ravel()
     p, q = m / (m + k_x), k_x / (m + k_x)
     # the 1e-12 y term keeps lo below y where sqrt(y) < ulp(y)
@@ -406,28 +392,27 @@ def _flag_underflow(values):
 
 def _conditional(m, law):
     """The conditional Rician shadowed ``law`` ("pdf" or "cdf") at shape m,
-    (g, k_x, gbar_x) -> value on checked arguments: the Binomial mixture at
+    (y, k_x) -> value on checked arguments: the Binomial mixture at
     integer m up to ``_MIXTURE_MAX_M``, else the 1F1 density or the
     negative-binomial series.  The one place the route of a law follows m."""
     if m <= _MIXTURE_MAX_M and m == int(m):
-        kernel, m = (_mixture_density if law == "pdf" else _binomial_mixture), int(m)
-    else:
-        kernel = _kummer_density if law == "pdf" else _nb_series
-    return lambda g, k_x, gbar_x: kernel(g, k_x, m, gbar_x)
+        return lambda y, k_x: _binomial_mixture(y, k_x, int(m), law)
+    kernel = _kummer_density if law == "pdf" else _nb_series
+    return lambda y, k_x: kernel(y, k_x, m)
 
 
 def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     """SNR density of the fluctuating double-Rayleigh LoS model for every
     m > 0, to relative accuracy ``rel_tol``.
 
-    The conditional Rician shadowed density ``rs_pdf`` averaged over e^{-x}:
+    The density f_y of y = (1+K) g/gbar given x averaged over e^{-x}:
 
-        f(g) = int_0^inf e^{-x} f_RS(g; K/x, m, gbar (K+x)/(K+1)) dx,
+        f(g) = (1+K)/gbar int_0^inf e^{-x} f_y(y/x; K/x, m) dx/x,
 
     at integer m up to 100 the density of the Binomial mixture that
     ``rs_cdf`` sums, at every other m the scaled 1F1 form; both are
-    positive sums, averaged at unit mean: the UnderflowWarning marks a
-    unit-mean value below 1e-300, not one that a huge gbar makes tiny.  At
+    positive sums.  The UnderflowWarning marks an average below the
+    quadrature's 1e-300 floor, not a value that (1+K)/gbar makes tiny.  At
     g = 0 it is a(K, m) / gbar from ``coding_gain``.  K = 0 is an ordinary
     input: the product law, +inf at g = 0.  An array K or gbar broadcasts
     against gamma, each K with its own value at g = 0.
@@ -438,7 +423,7 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
         # f(0) at unit mean is the coding gain a(K, m); the product law's pole at K = 0
         return [coding_gain(v, m, rel_tol=rel_tol) if v > 0 else np.inf for v in k.tolist()]
 
-    return _law(lambda t, k: _flag_underflow(_scatter_average(conditional, t, k, rel_tol)),
+    return _law(lambda y, k: _flag_underflow(_scatter_average(conditional, "pdf", y, k, rel_tol)),
                 "pdf", gamma, params.k, m, params.gamma_bar, at_zero)
 
 
@@ -463,7 +448,7 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     K (an outage sweep over K) or gbar broadcasts against gamma.
     """
     conditional = _conditional(params.m, "cdf")
-    return _law(lambda t, k: _scatter_average(conditional, t, k, rel_tol),
+    return _law(lambda y, k: _scatter_average(conditional, "cdf", y, k, rel_tol),
                 "cdf", gamma, params.k, params.m, params.gamma_bar)
 
 
@@ -471,11 +456,8 @@ def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
     """Ground-truth cdf: the negative-binomial series ``_nb_series`` averaged at
     every m > 0, so only at integer m up to 100 does it share no conditional
     code with ``fdrlos_cdf``."""
-
-    def conditional(g, k_x, gbar_x):
-        return _nb_series(g, k_x, params.m, gbar_x)
-
-    return _law(lambda t, k: _scatter_average(conditional, t, k, rel_tol),
+    return _law(lambda y, k: _scatter_average(lambda y_x, k_x: _nb_series(y_x, k_x, params.m),
+                                              "cdf", y, k, rel_tol),
                 "cdf", gamma, params.k, params.m, params.gamma_bar)
 
 
@@ -514,17 +496,28 @@ def asymptotic_op(gamma_th, gbar, k, m, *, rel_tol=1e-10):
 # ancestor models (reference laws for comparisons)
 
 
-def _rician_density(gamma, k, gbar):
-    """``rician_pdf`` on checked arguments."""
-    c = (1.0 + k) * gamma / gbar
-    y = 2.0 * np.sqrt(k * c)
-    return (1.0 + k) / gbar * i0e(y) * np.exp(-(np.sqrt(k) - np.sqrt(c)) ** 2)
+def _rician_density(y, k, excess=False):
+    """``rician_pdf`` on checked arguments, z = 2 sqrt(K y) as 2 sqrt K sqrt y
+    lest K y overflow; ``excess`` takes off i0e's e^{-2/z} / sqrt(2 pi z).
+    Past z = 1e3 that difference is formed from the series of
+    i0e(z) sqrt(2 pi z) - 1 in w = 1/z (DLMF 10.40.1), not by cancellation."""
+    root_k, root_y = np.sqrt(k), np.sqrt(y)
+    z = 2.0 * root_k * root_y
+    bessel = i0e(z)
+    if excess:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            w, gauss = 1.0 / z, np.where(z > 0.0, 1.0 / np.sqrt(2.0 * np.pi * z), 0.0)
+            series = w / 8 * (1 + w * 9 / 16 * (1 + w * 25 / 24
+                                                * (1 + w * 49 / 32 * (1 + w * 81 / 40))))
+            bessel = np.where(z > 1e3, gauss * (series - np.expm1(-2.0 * w)),
+                              bessel - gauss * np.exp(-2.0 * w))
+    return bessel * np.exp(-(root_k - root_y) ** 2)
 
 
-def _rician_probability(gamma, k, gbar):
+def _rician_probability(y, k):
     """``rician_cdf`` on checked arguments; ``chndtr`` gives NaN at some
     noncentralities near 1e11, which are refused."""
-    out = chndtr(2.0 * (1.0 + k) * gamma / gbar, 2, 2.0 * k)
+    out = chndtr(2.0 * y, 2, 2.0 * k)
     if np.isnan(out).any():
         raise AccuracyError(f"chndtr returned NaN (noncentrality up to {2.0 * np.max(k):.3g})")
     return out
@@ -532,26 +525,38 @@ def _rician_probability(gamma, k, gbar):
 
 def rician_pdf(gamma, k, gbar):
     """Rician SNR density (deterministic LoS, single-Rayleigh scatter)."""
-    return _law(lambda t, k: _rician_density(t, k, 1.0), "pdf", gamma, k, gbar=gbar)
+    return _law(_rician_density, "pdf", gamma, k, gbar=gbar)
 
 
 def rician_cdf(gamma, k, gbar):
     """Rician SNR cdf via the noncentral chi-square law: ``chndtr`` at
     2 (1+K) g / gbar with 2 degrees of freedom and noncentrality 2K."""
-    return _law(lambda t, k: _rician_probability(t, k, 1.0), "cdf", gamma, k, gbar=gbar)
+    return _law(_rician_probability, "cdf", gamma, k, gbar=gbar)
 
 
 def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh density: the conditional law is plain
     Rician, averaged over the exponential scatter weight (the m -> inf limit),
     and at g = 0 (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0.  K and gbar
-    broadcast."""
-    return _law(lambda t, k: _scatter_average(_rician_density, t, k, rel_tol),
-                "pdf", gamma, k, gbar=gbar,
+    broadcast.
+
+    As x -> 0 the Rician nears its large-z form, whose average over s steps
+    from 0 at s = d = |sqrt y - sqrt K|, unseen below every node near y = K.
+    That form, damped, averages to e^{-2 d sqrt(1 + 1/sqrt(K y))} /
+    (2 sqrt(1 + sqrt(K y))); only the excess, O(x) there, takes quadrature."""
+
+    def kernel(y, k):
+        root_k, root_y = np.sqrt(k), np.sqrt(y)
+        with np.errstate(divide="ignore", over="ignore"):   # K = 0: no large-z form
+            rate = 2.0 * np.abs(root_y - root_k) * np.sqrt(1.0 + 1.0 / (root_k * root_y))
+        return np.exp(-rate) / (2.0 * np.sqrt(1.0 + root_k * root_y)) + _scatter_average(
+            lambda y_x, k_x: _rician_density(y_x, k_x, True), "pdf", y, k, rel_tol)
+
+    return _law(kernel, "pdf", gamma, k, gbar=gbar,
                 at_zero=lambda ks: (1.0 + ks) * 2.0 * k0(2.0 * np.sqrt(ks)))
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
     """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
-    return _law(lambda t, k: _scatter_average(_rician_probability, t, k, rel_tol),
+    return _law(lambda y, k: _scatter_average(_rician_probability, "cdf", y, k, rel_tol),
                 "cdf", gamma, k, gbar=gbar)

@@ -118,6 +118,15 @@ FDRLOS_CDF_REAL_M_GOLDENS = {
     (1.0, 3.0, 0.7, 2.0): 0.44431112701590186,  # m below 1
     (1.9952623149688795, 1.0, 2.5, 10000000000.0): 1.390073580526743e-10,  # 100 dB outage
 }
+# the drlos pdf from scripts/make_goldens.py where y = (1+K) g/gbar is K, and
+# 1e-6 and 1e-7 above: the Rician density averaged in s = sqrt(x) by
+# tanh-sinh at 40 and 50 digits
+DRLOS_PDF_GOLDENS = {
+    (0.5, 1.0, 1.0): 1.038523193383883,
+    (0.5000005, 1.0, 1.0): 1.038521918040206,
+    (1.6666666666666667, 5.0, 2.0): 0.6755095053276836,
+    (1.6666668333333334, 5.0, 2.0): 0.6755093381758853,
+}
 CODING_GAIN_GOLDENS = {
     (1.0, 1): 1.1926947246463881,
     (1.0, 3): 0.6512207920791714,
@@ -188,7 +197,6 @@ class TestRoute:
             raise AssertionError("mixture called")
 
         monkeypatch.setattr(analytic, "_binomial_mixture", refuse)
-        monkeypatch.setattr(analytic, "_mixture_density", refuse)
         params = FadingParams(1.0, m, 1.0)
         for law in (lambda: fdrlos_pdf(1.0, params), lambda: fdrlos_cdf(1.0, params),
                     lambda: rs_pdf(1.0, 2.0, m, 1.0), lambda: rs_cdf(1.0, 2.0, m, 1.0)):
@@ -249,7 +257,7 @@ class TestRsMixture:
         k_x[:20] = 0.0
         gbar_x = 10.0 ** rng.uniform(-1.0, 1.0, 2000)
         np.testing.assert_allclose(rs_cdf(g, k_x, m, gbar_x),
-                                   analytic._nb_series(g, k_x, m, gbar_x),
+                                   analytic._nb_series(g * (1 + k_x) / gbar_x, k_x, m),
                                    rtol=1e-13, atol=0)
 
     @given(st.integers(1, 8), st.floats(0.0, 20.0), st.floats(0.05, 5.0))
@@ -657,7 +665,7 @@ def test_scale_family_identity(route, k, m, gbar_db, gamma):
 
 class TestHugeMeanSnr:
     """A huge gbar only scales t = g / gbar: nothing overflows, and a density
-    is certified, or refused, at unit mean before it is divided by gbar."""
+    is certified at unit mean before it is divided by gbar."""
 
     def test_cdf_answers(self):
         with warnings.catch_warnings():
@@ -675,12 +683,19 @@ class TestHugeMeanSnr:
         assert got == fdrlos_pdf(1e-305, FadingParams(1.0, 2.5, 1.0)) / 1e305
         assert got == pytest.approx(coding_gain(1.0, 2.5) * 1e-305, rel=1e-9, abs=0)
 
-    def test_density_refuses_as_at_unit_mean(self):
-        # the small-m density refuses at t = 1e-300, whatever gbar brings t there
-        with pytest.raises(AccuracyError):
-            fdrlos_pdf(1e-300, FadingParams(1.0, 0.3, 1.0))
-        with pytest.raises(AccuracyError):
-            fdrlos_pdf(1.0, FadingParams(1.0, 0.3, 1e300))
+    @pytest.mark.parametrize("t", [1e-11, 1e-12])
+    def test_product_law_density_near_zero(self, t):
+        # K = 0: the product law 2 K0(2 sqrt t), whose mass spreads evenly in
+        # log x between t and 1
+        assert fdrlos_pdf(t, FadingParams(0.0, 2, 1.0)) == pytest.approx(
+            2.0 * k0(2.0 * math.sqrt(t)), rel=1e-9, abs=0)
+
+    def test_density_answers_as_at_unit_mean(self):
+        # the small-m density at t = 1e-300 is f(0) = a(K, m), whatever gbar
+        # brings t there
+        got = fdrlos_pdf(1e-300, FadingParams(1.0, 0.3, 1.0))
+        assert got == pytest.approx(coding_gain(1.0, 0.3), rel=1e-9, abs=0)
+        assert fdrlos_pdf(1.0, FadingParams(1.0, 0.3, 1e300)) == got / 1e300
 
 
 @pytest.mark.parametrize("m", [1, 2, 10])
@@ -1045,6 +1060,21 @@ class TestAsymptote:
             coding_gain(1.3e5, 1e4)
 
 
+def drlos_density_by_phase(g, k, gbar):
+    """The drlos density as (1+K)/gbar (2/pi) int_0^pi K0(2 |sqrt y - sqrt K e^{it}|) dt:
+    I0 in its integral form, with the average over x taken in closed form.
+    By ``quad`` on pieces split about the width |sqrt y - sqrt K| / (K y)^(1/4)
+    of its log peak at t = 0, and about t = (K y)^(-1/4), where it decays."""
+    y = (1.0 + k) * g / gbar
+    d2, root = (math.sqrt(y) - math.sqrt(k)) ** 2, math.sqrt(k * y)
+    edges = sorted({0.0, math.pi} | {c * 4.0 ** j for c in (math.sqrt(d2 / root), root ** -0.5)
+                                     for j in range(-20, 20) if 0.0 < c * 4.0 ** j < math.pi})
+    phase = sum(quad(lambda t: k0(2.0 * math.sqrt(d2 + 4.0 * root * math.sin(t / 2) ** 2)),
+                     a, b, epsabs=0.0, epsrel=TIGHT, limit=200)[0]
+                for a, b in zip(edges, edges[1:]))
+    return (1.0 + k) / gbar * 2.0 / math.pi * phase
+
+
 class TestAncestors:
     def test_rician_pdf_normalizes(self):
         val, _ = adaptive_quad_vec(lambda g: rician_pdf(g, 3.0, 2.0), rel_tol=TIGHT)
@@ -1067,6 +1097,32 @@ class TestAncestors:
             rician_cdf(1.0, 1e11, 1.0)
         with pytest.raises(AccuracyError, match="chndtr returned NaN"):
             drlos_cdf_oracle(1.0, 1e4, 1.0)
+
+    def test_rician_density_at_huge_k(self):
+        # sqrt(K y) would overflow from about K = 1.3e154 at t = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rician_pdf(1.0, 1e200, 1.0)
+        assert got == pytest.approx((1.0 + 1e200) / math.sqrt(4.0 * math.pi * 1e200),
+                                    rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("args,want", sorted(DRLOS_PDF_GOLDENS.items()))
+    def test_drlos_density_goldens_where_y_meets_k(self, args, want):
+        assert drlos_pdf_oracle(*args) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 100.0, 1e8])
+    def test_drlos_density_near_y_equal_k(self, k):
+        # near g = gbar K/(1+K) the density has a kink: the average over x
+        # steps where x meets (sqrt y - sqrt K)^2, which lies below every
+        # quadrature node when g is within about 1e-7 of the kink
+        gbar = 2.0
+        band = np.array([1e-9, 1e-8, 1e-7, 1e-6, 1e-4])
+        g = gbar * k / (1.0 + k) * (1.0 + np.concatenate([-band, [0.0], band]))
+        want = [drlos_density_by_phase(v, k, gbar) for v in g]
+        # alone, each value's quadrature has only its own nodes to find the step
+        np.testing.assert_allclose([drlos_pdf_oracle(v, k, gbar) for v in g], want,
+                                   rtol=1e-10, atol=0)
+        np.testing.assert_allclose(drlos_pdf_oracle(g, k, gbar), want, rtol=1e-10, atol=0)
 
     def test_rician_is_infinite_m_limit_of_rs(self):
         for g in (0.4, 1.0, 2.5):

@@ -220,7 +220,7 @@ class TestCdfCommand:
         grid, values = np.loadtxt(out, **CSV)
         np.testing.assert_allclose(values, analytic.rs_cdf(grid, 3.0, 3, 2.0),
                                    rtol=1e-13, atol=0)
-        np.testing.assert_allclose(values, analytic._nb_series(grid, 3.0, 3, 2.0),
+        np.testing.assert_allclose(values, analytic._nb_series(grid * 4.0 / 2.0, 3.0, 3),
                                    rtol=1e-13, atol=0)
 
 

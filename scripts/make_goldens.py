@@ -53,9 +53,10 @@ digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
 (1+K) int_0^inf e^(-x) x^(m-1) (x + K/m)^(-m) dx at 40 digits, taken with
 x = s^(1/m), which turns x^(m-1) dx into ds/m (below m = 1, x^(m-1) is
 singular at 0, and at m = 0.3 the plain integral agrees to only 13 digits).
-At K = 1.2e5, m = 1e4 (a gain near 6e-295) that quadrature misses the
-integrand's narrow peak in s and is off by thousands of decades, so there
-the value is ``hyperu`` alone, agreed at 40 and 50 digits.
+At K = 1.2e5, m = 1e4 (a gain near 6e-295) and K = 1.17e5, m = 1e6 (near
+9e-294) that quadrature misses the integrand's narrow peak in s and is off
+by thousands of decades, so there the value is ``hyperu`` alone, agreed at
+40 and 50 digits.
 
 Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
 ``hyp1f1`` at b = 1 (and the scaled log(e^-x 1F1(a; 1; x))), ``hyperu``,
@@ -134,12 +135,13 @@ FDRLOS_CDF_REAL_M_CASES = [("K = 3, m = 2.5", g, 3.0, 2.5, 2.0) for g in (0.01, 
 DRLOS_PDF_CASES = [(0.5, 1.0, 1.0), (0.5000005, 1.0, 1.0),
                    (5.0 / 3.0, 5.0, 2.0), (5.0 / 3.0 * (1.0 + 1e-7), 5.0, 2.0)]
 
-#: (k, m): integer m, real m down to 0.3, and a gain near 6e-295, which
-#: underflows unless the integrand is scaled by its peak
+#: (k, m): integer m, real m down to 0.3, a gain near 6e-295, which
+#: underflows unless the integrand is scaled by its peak, and one near
+#: 9e-294, the fdrlos density at 0 whose unit-mean average lies below 1e-290
 CODING_GAIN_CASES = [(1.0, 1), (1.0, 3), (1.0, 2.5), (1.0, 0.7), (1.0, 0.3),
-                     (1.0, 0.01), (1.2e5, 1e4)]
+                     (1.0, 0.01), (1.2e5, 1e4), (1.17e5, 1e6)]
 #: the cases whose s = x^m quadrature cannot confirm ``hyperu``
-CODING_GAIN_BY_HYPERU_ONLY = {(1.2e5, 1e4)}
+CODING_GAIN_BY_HYPERU_ONLY = {(1.2e5, 1e4), (1.17e5, 1e6)}
 
 
 def gig(a, z, b):

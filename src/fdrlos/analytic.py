@@ -36,9 +36,12 @@ boundary, ``_law``: it checks a nonnegative SNR and the one domain of
 entry and before any quadrature.  Every law is a scale family,
 F(g; gbar) = F(g/gbar; 1) and f(g; gbar) = f(g/gbar; 1)/gbar, so only
 ``_law`` knows gbar: its kernels see y, and it scales a density by
-(1+K)/gbar and gives t = g/gbar = 0 and t > 1e200 their limits.
-``coding_gain`` needs K > 0.  The conditionals a quadrature averages run no
-checks.
+(1+K)/gbar and gives t = g/gbar = 0 and t > 1e200 their limits; a y past
+double range it refuses.  ``coding_gain`` needs K > 0.  Past the boundary
+only the real-m conditionals check anything: their cap on m, on every call.
+
+A quadrature certifies relative accuracy down to the smallest normal double,
+``specfun.TINY``; below it the one rule stated there holds.
 """
 
 from __future__ import annotations
@@ -53,23 +56,23 @@ from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e, k0,
                            xlogy)
 
 from .models import FadingParams, check_params
-from .specfun import (AccuracyError, DomainError, adaptive_quad_vec,
-                      check_rel_tol, gamma_tricomi_u, log_kummer_1f1,
-                      log_negbin_pmf, log_poisson_pmf)
+from .specfun import (MAX_TERMS, TINY, AccuracyError, DomainError,
+                      adaptive_quad_vec, check_rel_tol, gamma_tricomi_u,
+                      log_kummer_1f1, log_negbin_pmf, log_poisson_pmf)
 
 _GAMMA_CHUNK = 32
 _ROW = 64                 # Rician shadowed series terms per anchored row
 _ROW_BLOCK = 128          # rows per numpy pass: 8192 terms
 _ANCHOR_BLOCK = 4096      # rows per pass of the log-mass kernels, which cost
                           # about 0.4 ms a call whatever its size
-_MAX_WINDOW = 2 ** 20     # longest series window one cdf value may sum
 _MAX_M = 1e15             # largest m the series and the 1F1 density are checked at
 _MIXTURE_MAX_M = 100      # largest integer m of the Binomial mixture: its m orders
                           # cost more than the real-m kernels past about 100
 
 
 class UnderflowWarning(RuntimeWarning):
-    """A density/probability underflowed below 1e-300 and was reported as 0."""
+    """A density fell below the smallest normal double (``specfun.TINY``)
+    and was reported as 0."""
 
 
 def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
@@ -80,11 +83,14 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     do not).  ``kernel(y, k)`` gets y = (1+K) t and their K as flat
     arrays in one call, made even when none are left, so that a quadrature
     still checks its ``rel_tol``; a scalar K stays a scalar, so the
-    conditionals take K_x as an (nx, 1) column.  A ``law`` "pdf" is scaled
-    by (1+K)/gbar, and t = 0 takes the unit-mean ``at_zero(k)`` if given;
-    a "cdf" is 0 at t = 0 and clipped to [0, 1].  Returns a float for
-    scalar input, else the broadcast array.  The kernels, and the
-    conditionals a quadrature averages, run no checks.
+    conditionals take K_x as an (nx, 1) column.  A y past double range
+    raises AccuracyError before any kernel runs: the input is in the law's
+    domain, but no limit is its value (at t = 2 and K = 1e308 the cdf is
+    about 0.91).  A ``law`` "pdf" is scaled by (1+K)/gbar, and t = 0 takes
+    the unit-mean ``at_zero(k)`` if given; a "cdf" is 0 at t = 0 and
+    clipped to [0, 1].  Returns a float for scalar input, else the broadcast
+    array.  The kernels run no boundary checks; only the real-m
+    conditionals check their cap on m (``_MAX_M``), on every call.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma >= 0):
@@ -103,7 +109,12 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     zero = (t == 0) & (at_zero is not None or not pdf)
     todo = (t <= 1e200) & ~zero
     k_t = k_b[todo] if k.ndim else k
-    out[todo] = kernel(t[todo] * (1.0 + k_t), k_t) * ((1.0 + k_t) if pdf else 1.0)
+    with np.errstate(over="ignore"):
+        y = t[todo] * (1.0 + k_t)
+    if np.isinf(y).any():
+        raise AccuracyError("(1+K) gamma/gamma_bar overflows a double, and no limit is "
+                            f"the law's value there (K up to {np.max(k_t):.3g})")
+    out[todo] = kernel(y, k_t) * ((1.0 + k_t) if pdf else 1.0)
     if zero.any():
         out[zero] = at_zero(k_b[zero]) if pdf else 0.0
     out = out / gbar_b if pdf else np.clip(out, 0.0, 1.0)
@@ -125,6 +136,9 @@ def _scatter_average(conditional, law, y, k, rel_tol):
     A chunk whose subdivision budget runs out (an AccuracyError with an error
     estimate) is averaged again as two halves with a budget each, so only a
     single value refuses; a conditional's own refusal propagates at once.
+    A "cdf" below ``TINY`` refuses too, after every chunk, so that no
+    halving retries it; a "pdf" is returned as it is, since the drlos
+    density adds a sub-``TINY`` excess to its closed-form part.
     """
     check_rel_tol(rel_tol)
     out = np.empty(y.shape)
@@ -149,6 +163,9 @@ def _scatter_average(conditional, law, y, k, rel_tol):
 
     for lo in range(0, y.size, _GAMMA_CHUNK):
         average(np.arange(lo, min(lo + _GAMMA_CHUNK, y.size)))
+    if not pdf and np.any(out < TINY):
+        raise AccuracyError(f"a probability of {out.min():.3g} lies below the smallest "
+                            "normal double", value=out)
     return out
 
 
@@ -273,7 +290,7 @@ def _nb_series(y, k_x, m):
     mass I_p(m, lo), too large by at most I_p(m, lo) Q(lo, y); above it at most
     P(hi+1, y) is dropped: Poisson tails 12 standard deviations (or 30 terms) from
     y, below 2e-33.  Where I_p(m, lo) P(lo, y) <= F <= I_p(m, hi+1) + P(hi+1, y) is
-    within rounding (huge y) no window is built.  Windows over ``_MAX_WINDOW`` terms
+    within rounding (huge y) no window is built.  Windows over ``MAX_TERMS`` terms
     raise AccuracyError.  I_p(m, lo) is taken as 1 - I_{1-p}(lo, m) where p > 1/2,
     so that huge m loses no digits to the rounding of p near 1.
 
@@ -309,7 +326,7 @@ def _nb_series(y, k_x, m):
     within[some] = upper - out[some] <= np.finfo(float).eps * out[some]
     todo = np.flatnonzero(~within)
     count = np.where(q > 0.0, hi - lo + 1.0, 1.0)[todo]     # K_x = 0: all mass at n = 0
-    if np.any(count > _MAX_WINDOW):
+    if np.any(count > MAX_TERMS):
         raise AccuracyError(f"Rician shadowed series window of {count.max():.3g} terms")
     # the anchors sit where the terms NB(n) P(n+1, y) peak: a running product
     # is off by one rounding per step from its anchor.  The terms follow NB
@@ -383,9 +400,10 @@ def _nb_mass_below(n, m, p, q):
 
 def _flag_underflow(values):
     values = np.atleast_1d(values)
-    tiny = (values != 0.0) & (np.abs(values) < 1e-300)
+    tiny = (values != 0.0) & (np.abs(values) < TINY)
     if np.any(tiny):
-        warnings.warn("values below 1e-300 reported as 0", UnderflowWarning)
+        warnings.warn("values below the smallest normal double reported as 0",
+                      UnderflowWarning)
         values = np.where(tiny, 0.0, values)
     return values
 
@@ -412,10 +430,11 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     at integer m up to 100 the density of the Binomial mixture that
     ``rs_cdf`` sums, at every other m the scaled 1F1 form; both are
     positive sums.  The UnderflowWarning marks an average below the
-    quadrature's 1e-300 floor, not a value that (1+K)/gbar makes tiny.  At
-    g = 0 it is a(K, m) / gbar from ``coding_gain``.  K = 0 is an ordinary
-    input: the product law, +inf at g = 0.  An array K or gbar broadcasts
-    against gamma, each K with its own value at g = 0.
+    smallest normal double (``specfun.TINY``), reported as 0, not a value
+    that (1+K)/gbar makes tiny.  At g = 0 it is a(K, m) / gbar from
+    ``coding_gain``.  K = 0 is an ordinary input: the product law, +inf at
+    g = 0.  An array K or gbar broadcasts against gamma, each K with its own
+    value at g = 0.
     """
     m, conditional = params.m, _conditional(params.m, "pdf")
 

@@ -15,7 +15,9 @@ Everything here is a pure function of its arguments; no shared mutable state.
 The quadrature engine evaluates vector-valued integrands with per-component
 error control, which is what the mixture-sum evaluations downstream need
 (their components span many orders of magnitude, so a max-norm control would
-leave the small components inaccurate).  It refines in rounds: every panel
+leave the small components inaccurate), relative down to ``TINY``, the
+smallest normal double; below it one rule, stated at ``TINY``, holds for
+every caller.  It refines in rounds: every panel
 that fails its width's share of the tolerance is halved in the same round, and
 all the nodes of a round go to the integrand in one call, so a quadrature
 costs a few large integrand calls rather than one small call per panel.  The
@@ -55,9 +57,14 @@ class AccuracyError(ArithmeticError):
 #: smallest relative tolerance a double-precision Gauss-Kronrod estimate can
 #: certify (QUADPACK's 50 machine epsilons, about 1.1e-14)
 REL_TOL_FLOOR = 50.0 * float(np.finfo(float).eps)
-#: absolute error floor of the quadrature: control is purely relative, because
-#: the components of one integral span many decades
-_ABS_TOL = 1e-300
+#: the one underflow floor, the smallest normal double.  Down to it every
+#: quadrature certifies relative accuracy, since the components of one
+#: integral span many decades; a component whose sum lies below it is done.
+#: Below it a double has lost digits, and one rule holds: a density is
+#: reported as 0 with an UnderflowWarning (``analytic.fdrlos_pdf``), while a
+#: coding gain (``gamma_tricomi_u``) and a scatter-averaged probability
+#: (``analytic._scatter_average``) refuse with AccuracyError
+TINY = np.finfo(float).tiny
 #: panel splits one quadrature may make before it raises AccuracyError
 _MAX_SUBDIVISIONS = 400
 
@@ -128,8 +135,9 @@ def adaptive_quad_vec(f, *, rel_tol=1e-10):
 
     ``f(x)`` takes a 1-d array of abscissae x >= 0 and returns either a
     same-length array (scalar integrand) or an (npoints, ncomp) matrix.
-    Every component is integrated to ``rel_tol * |component|`` (with a
-    1e-300 floor), so small components keep their relative accuracy.  The
+    Every component is integrated to ``rel_tol * |component|``, so small
+    components keep their relative accuracy; one whose sum lies below
+    ``TINY`` is done (its caller applies the rule stated there).  The
     half-line, the one range that the scatter averages and the coding gain
     integrate over, is folded onto [0, 1) by x = u/(1-u); to integrate from
     z > 0 on, integrate f(z + x).
@@ -170,8 +178,9 @@ def adaptive_quad_vec(f, *, rel_tol=1e-10):
     budget = _MAX_SUBDIVISIONS
     while True:
         sums, errs = ik.sum(axis=0), err.sum(axis=0)
-        tol = np.maximum(_ABS_TOL, rel_tol * np.abs(sums))
-        open_c = ~(errs <= tol)         # a NaN estimate stays open
+        tol = rel_tol * np.abs(sums)
+        # a NaN estimate stays open; a sum below TINY is done
+        open_c = ~(errs <= tol) & ~(np.abs(sums) < TINY)
         if not open_c.any():
             return sums, errs
         if budget == 0:
@@ -204,8 +213,9 @@ def adaptive_quad_vec(f, *, rel_tol=1e-10):
 #: most e^-52 of the sum, against the e^-37 they must certify
 _WINDOW_SIGMAS = 11.0
 _WINDOW_PAD = 10.0
-#: the 1F1 series refuses a window longer than this many terms
-_MAX_TERMS = 2 ** 20
+#: the most terms one value's series may sum: the 1F1 series here and the
+#: Rician shadowed series of ``analytic`` refuse a longer window
+MAX_TERMS = 2 ** 20
 #: terms x values per cumprod/cumsum pass of the 1F1 series: 0.5 MB a
 #: temporary, whatever the window
 _BLOCK_ENTRIES = 2 ** 16
@@ -266,9 +276,9 @@ def _log_1f1_series_vec(a, x):
     half = _WINDOW_SIGMAS * np.sqrt(np.maximum(peak, x) + 1.0) + _WINDOW_PAD
     lo, hi = np.maximum(np.floor(peak - half), 0.0), np.ceil(peak + half)
     count = hi - lo + 1.0
-    if count.max() > _MAX_TERMS:
+    if count.max() > MAX_TERMS:
         raise AccuracyError(f"1F1 series window of {count.max():.3g} terms, "
-                            f"past the cap of {_MAX_TERMS}")
+                            f"past the cap of {MAX_TERMS}")
     log_lo = -x
     far = lo > 0
     if far.any():
@@ -481,7 +491,7 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
 
     vals, _ = adaptive_quad_vec(f, rel_tol=rel_tol)
     value = float(vals.sum()) * math.exp(psi_peak)
-    if not value >= np.finfo(float).tiny:
+    if not value >= TINY:
         raise AccuracyError(f"Gamma(m) U(m, 1, z) = {value:.3g} lies below the "
                             "smallest normal double", value=value)
     return value

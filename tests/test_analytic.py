@@ -135,6 +135,7 @@ CODING_GAIN_GOLDENS = {
     (1.0, 0.3): 4.076437889776474,
     (1.0, 0.01): 189.91457423660682,
     (120000.0, 10000.0): 5.862202729559586e-295,
+    (117000.0, 1000000.0): 9.375199980398427e-294,
 }
 FDRLOS_PDF_532 = {g: v for (g, k, m, gbar), v in FDRLOS_PDF_GOLDENS.items()
                   if (k, m, gbar) == (5.0, 3, 2.0)}
@@ -311,7 +312,7 @@ class TestRsCdf:
     def test_every_finite_input_finishes(self, monkeypatch):
         # huge y settles from the bracket on F without a window; a long
         # window whose mass matters, or an m past the checked range, is refused
-        monkeypatch.setattr(analytic, "_MAX_WINDOW", 64)
+        monkeypatch.setattr(analytic, "MAX_TERMS", 64)
         assert rs_cdf(np.array([1e6, 1e300]), 3.0, 2.5, 2.0).tolist() == [1.0, 1.0]
         with pytest.raises(AccuracyError, match="window"):
             rs_cdf(1.0, 1e12, 2.5, 1.0)
@@ -471,7 +472,7 @@ class TestFdrlosPdf:
 
     def test_underflow_flagged(self):
         with pytest.warns(UnderflowWarning):
-            out = _flag_underflow(np.array([1e-305, 0.5]))
+            out = _flag_underflow(np.array([1e-310, 0.5]))
         np.testing.assert_array_equal(out, [0.0, 0.5])
 
 
@@ -676,7 +677,7 @@ class TestHugeMeanSnr:
         assert got == pytest.approx(coding_gain(1.0, 2) * 1e-305, rel=1e-9, abs=0)
 
     def test_tiny_density_of_a_huge_mean_is_returned(self):
-        # only a unit-mean value below 1e-300 is an underflow
+        # only a unit-mean value below the smallest normal double is an underflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = fdrlos_pdf(1.0, FadingParams(1.0, 2.5, 1e305))
@@ -696,6 +697,53 @@ class TestHugeMeanSnr:
         got = fdrlos_pdf(1e-300, FadingParams(1.0, 0.3, 1.0))
         assert got == pytest.approx(coding_gain(1.0, 0.3), rel=1e-9, abs=0)
         assert fdrlos_pdf(1.0, FadingParams(1.0, 0.3, 1e300)) == got / 1e300
+
+
+class TestUnderflowFloor:
+    """Relative accuracy down to the smallest normal double, one rule below
+    it: averages between 1e-300 and 1e-290 are certified, not accepted
+    against an absolute floor, and a cdf below it refuses."""
+
+    def test_density_near_zero_meets_a_gain_near_1e_293(self):
+        # the unit-mean average a/(1+K), about 8e-299, lies where an absolute
+        # 1e-300 floor certifies only a few digits
+        got = fdrlos_pdf(1e-30, FadingParams(1.17e5, 1e6, 1.0))
+        assert got == pytest.approx(CODING_GAIN_GOLDENS[(1.17e5, 1e6)], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [1e-295, 1e-300, 1e-305])
+    def test_deep_outage_keeps_its_digits(self, t):
+        # F(t) -> a t at the origin, to the accuracy the seed round gives at
+        # t = 1e-280, where the floor never bound
+        a_1, a_25 = CODING_GAIN_GOLDENS[(1.0, 1)], CODING_GAIN_GOLDENS[(1.0, 2.5)]
+        for cdf in (fdrlos_cdf, fdrlos_cdf_oracle):
+            assert cdf(t, FadingParams(1.0, 1, 1.0)) == pytest.approx(a_1 * t, rel=1e-14, abs=0)
+        assert fdrlos_cdf(t, FadingParams(1.0, 2.5, 1.0)) == pytest.approx(
+            a_25 * t, rel=1e-12, abs=0)
+
+    def test_oracle_deep_outage_at_integer_m(self):
+        assert fdrlos_cdf_oracle(1e-305, FadingParams(1.0, 2, 1.0)) == pytest.approx(
+            coding_gain(1.0, 2) * 1e-305, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("cdf, m", [(fdrlos_cdf, 2.5), (fdrlos_cdf_oracle, 2)])
+    def test_subnormal_probability_is_refused(self, cdf, m):
+        # F(1e-312) is about a 1e-312, which no normal double holds
+        with pytest.raises(AccuracyError, match="below the smallest normal double"):
+            cdf(1e-312, FadingParams(1.0, m, 1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rician_pdf(1e200, 1e150, 1.0),
+    lambda: drlos_pdf_oracle(1e200, 1e150, 1.0),
+    lambda: rs_cdf(2.0, 1e308, 2.5, 1.0),
+    lambda: fdrlos_cdf(2.0, FadingParams(1e308, 2, 1.0))],
+    ids=["rician_pdf", "drlos_pdf_oracle", "rs_cdf", "fdrlos_cdf"])
+def test_y_past_double_range_is_refused(call):
+    # t <= 1e200 passes the limit cut, but (1+K) t overflows, and no limit is
+    # the value: at t = 2 and K = 1e308 the cdf is about P(xi <= 2), 0.91
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=r"\(1\+K\) gamma/gamma_bar overflows"):
+            call()
 
 
 @pytest.mark.parametrize("m", [1, 2, 10])

@@ -204,7 +204,7 @@ class TestCdfCommand:
 
     def test_rician_shadowed_huge_snr_builds_no_window(self, tmp_path, monkeypatch):
         # the 31-term window at 0 fits; 5e299 and 1e300 must settle without one
-        monkeypatch.setattr(cli.analytic, "_MAX_WINDOW", 31)
+        monkeypatch.setattr(cli.analytic, "MAX_TERMS", 31)
         out = tmp_path / "cdf.csv"
         assert run(self.RS + ["--grid", "0:1e300:3", "--output", str(out)]) == 0
         assert np.loadtxt(out, **CSV)[1].tolist() == [0.0, 1.0, 1.0]

@@ -17,6 +17,13 @@ in doubling pieces until one adds below 1e-45); a case is kept only if
 F + S = 1 to 25 digits, and the smaller of the two gives the value (F
 directly, or 1 - S), so deep-outage values keep their relative accuracy.
 
+The same cdf at large m and K_x, deep in outage, where the terms of the
+series peak far past y (``RS_CDF_PEAK_GOLDENS``): the 1F1 density integrated
+over [0, g] by Gauss-Legendre on 256 equal panels at 40 digits and on 512 at
+50, which must agree to 20 digits, and confirmed to 20 digits by the
+negative-binomial sum of Erlang cdfs (Abdi et al.) at 50 digits, summed
+from n = 0 until its terms fall below 1e-55 of the largest past y.
+
 Rician shadowed pdf (``RS_PDF_GOLDENS``): the 1F1 density above at both
 precisions, at K up to 1e8, where e^-x and 1F1 each leave double range.
 
@@ -53,10 +60,10 @@ digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
 (1+K) int_0^inf e^(-x) x^(m-1) (x + K/m)^(-m) dx at 40 digits, taken with
 x = s^(1/m), which turns x^(m-1) dx into ds/m (below m = 1, x^(m-1) is
 singular at 0, and at m = 0.3 the plain integral agrees to only 13 digits).
-At K = 1.2e5, m = 1e4 (a gain near 6e-295) and K = 1.17e5, m = 1e6 (near
-9e-294) that quadrature misses the integrand's narrow peak in s and is off
-by thousands of decades, so there the value is ``hyperu`` alone, agreed at
-40 and 50 digits.
+At K = 1.2e5, m = 1e4 (a gain near 6e-295), K = 1.17e5, m = 1e6 (near
+9e-294) and K = 1e4, m = 1e6 and 1e12 (near 2.5e-84) that quadrature misses
+the integrand's narrow peak in s and is off by thousands of decades, so
+there the value is ``hyperu`` alone, agreed at 40 and 50 digits.
 
 Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
 ``hyp1f1`` at b = 1 (and the scaled log(e^-x 1F1(a; 1; x))), ``hyperu``,
@@ -101,6 +108,15 @@ WIDE_CASES = [
     ("K_x = 1e6, y near 1e6", 1.0, 1e6, 0.7, 1.0),
 ]
 
+#: deep outage at large m and K_x, where the terms NB(n) P(n+1, y) peak near
+#: sqrt((m-1) K_x/(m+K_x) y), far past y = (1+K_x) g/gbar
+#: (``RS_CDF_PEAK_GOLDENS``)
+PEAK_CASES = [
+    ("m = 1e5, terms peak near 54, y = 5", 5.0, 600.0, 1e5 + 0.5, 601.0),
+    ("m = 1e6, terms peak near 50, y = 4", 4.0, 650.0, 1e6 + 0.5, 651.0),
+    ("m = 1e4, terms peak near 40, y = 3", 3.0, 600.0, 1e4 + 0.5, 601.0),
+]
+
 _LARGE_M = [(f"m = {m}", 1.0, k, m, gbar)
             for k, gbar in ((1.0, 1.0), (5.0, 2.0)) for m in (20, 30, 40, 60)]
 
@@ -136,12 +152,13 @@ DRLOS_PDF_CASES = [(0.5, 1.0, 1.0), (0.5000005, 1.0, 1.0),
                    (5.0 / 3.0, 5.0, 2.0), (5.0 / 3.0 * (1.0 + 1e-7), 5.0, 2.0)]
 
 #: (k, m): integer m, real m down to 0.3, a gain near 6e-295, which
-#: underflows unless the integrand is scaled by its peak, and one near
-#: 9e-294, the fdrlos density at 0 whose unit-mean average lies below 1e-290
+#: underflows unless the integrand is scaled by its peak, one near 9e-294,
+#: the fdrlos density at 0 whose unit-mean average lies below 1e-290, and
+#: two at large K and m, where a rounded log(K/m) would shift the integrand
 CODING_GAIN_CASES = [(1.0, 1), (1.0, 3), (1.0, 2.5), (1.0, 0.7), (1.0, 0.3),
-                     (1.0, 0.01), (1.2e5, 1e4), (1.17e5, 1e6)]
+                     (1.0, 0.01), (1.2e5, 1e4), (1.17e5, 1e6), (1e4, 1e12), (1e4, 1e6)]
 #: the cases whose s = x^m quadrature cannot confirm ``hyperu``
-CODING_GAIN_BY_HYPERU_ONLY = {(1.2e5, 1e4), (1.17e5, 1e6)}
+CODING_GAIN_BY_HYPERU_ONLY = {(1.2e5, 1e4), (1.17e5, 1e6), (1e4, 1e12), (1e4, 1e6)}
 
 
 def gig(a, z, b):
@@ -249,6 +266,45 @@ def rs_cdf(g, k, m, gbar, dps):
         if abs(below + above - 1) > mp.mpf(10) ** -25:
             raise ArithmeticError(f"F + S = {below + above} at {(g, k, m, gbar)}")
         return below if below < above else 1 - above
+
+
+def rs_cdf_by_panels(g, k, m, gbar, dps, panels):
+    """F(g) from the 1F1 density by Gauss-Legendre on ``panels`` equal
+    pieces of [0, g] at ``dps`` digits."""
+    with mp.workdps(dps):
+        return mp.quad(lambda t: rs_pdf(t, k, m, gbar), mp.linspace(0, g, panels + 1),
+                       method="gauss-legendre")
+
+
+def rs_cdf_by_nb_sum(g, k, m, gbar, dps):
+    """F(g) = sum_n NB(n) P(n+1, y) from n = 0 at ``dps`` digits, until the
+    terms past y fall below 1e-55 of the largest."""
+    with mp.workdps(dps):
+        k, m = mp.mpf(k), mp.mpf(m)
+        y = (1 + k) * mp.mpf(g) / gbar
+        log_p, log_q = mp.log(m / (m + k)), mp.log(k / (m + k))
+        total, peak, n = mp.mpf(0), mp.mpf(0), 0
+        while True:
+            term = (mp.exp(mp.loggamma(n + m) - mp.loggamma(n + 1) - mp.loggamma(m)
+                           + m * log_p + n * log_q)
+                    * mp.gammainc(n + 1, 0, y, regularized=True))
+            total += term
+            peak = max(peak, term)
+            n += 1
+            if n > y and term < peak * mp.mpf(10) ** -55:
+                return total
+
+
+def rs_cdf_peak(g, k, m, gbar):
+    """F(g) by panels at both precisions, confirmed by the NB sum."""
+    lo, hi = rs_cdf_by_panels(g, k, m, gbar, 40, 256), rs_cdf_by_panels(g, k, m, gbar, 50, 512)
+    if abs(lo - hi) > abs(hi) * mp.mpf(10) ** -20:
+        raise ArithmeticError(f"rs cdf {(g, k, m, gbar)}: panels disagree, {lo} vs {hi}")
+    check = rs_cdf_by_nb_sum(g, k, m, gbar, 50)
+    if abs(check - hi) > abs(hi) * mp.mpf(10) ** -20:
+        raise ArithmeticError(f"rs cdf {(g, k, m, gbar)} = {hi}, but the NB sum "
+                              f"gives {check}")
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +500,11 @@ def main():
             value = agreed(name, lambda dps: rs_cdf(g, k, m, gbar, dps))
             print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
         print("}")
+    print("RS_CDF_PEAK_GOLDENS = {")
+    for name, g, k, m, gbar in PEAK_CASES:
+        value = rs_cdf_peak(g, k, m, gbar)
+        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
+    print("}")
     value = agreed("RS_CDF_2_4_2_15", lambda dps: rs_cdf(2.0, 4.0, 2, 1.5, dps))
     print(f"RS_CDF_2_4_2_15 = {float(value)!r}")
     print("RS_PDF_GOLDENS = {")

@@ -15,10 +15,8 @@ from .analytic import (Curve, UnderflowWarning, asymptotic_op, coding_gain,
                        rician_cdf, rician_pdf, rs_cdf, rs_cdf_integer, rs_pdf)
 from .empirics import (CdfContractError, KsReport, default_ks_threshold,
                        histogram_density, ks_distance, tabulated_cdf)
-from .models import (FadingParams, ModelKind, SnrSampleSet, sample_gamma_rv,
-                     sample_snr)
-from .specfun import (AccuracyError, DomainError, adaptive_quad_vec,
-                      gamma_tricomi_u, log_kummer_1f1)
+from .models import FadingParams, ModelKind, SnrSampleSet, sample_snr
+from .specfun import AccuracyError, DomainError, adaptive_quad_vec
 
 __version__ = "0.1.0"
 
@@ -28,9 +26,7 @@ __all__ = [
     "UnderflowWarning", "adaptive_quad_vec", "asymptotic_op", "coding_gain",
     "default_ks_threshold", "drlos_cdf_oracle", "drlos_pdf_oracle",
     "fdrlos_cdf", "fdrlos_cdf_oracle",
-    "fdrlos_pdf", "fdrlos_pdf_oracle", "gamma_tricomi_u",
-    "histogram_density", "ks_distance",
-    "log_kummer_1f1", "rician_cdf",
-    "rician_pdf", "rs_cdf", "rs_cdf_integer", "rs_pdf", "sample_gamma_rv",
+    "fdrlos_pdf", "fdrlos_pdf_oracle", "histogram_density", "ks_distance",
+    "rician_cdf", "rician_pdf", "rs_cdf", "rs_cdf_integer", "rs_pdf",
     "sample_snr", "tabulated_cdf",
 ]

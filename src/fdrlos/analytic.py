@@ -37,11 +37,13 @@ entry and before any quadrature.  Every law is a scale family,
 F(g; gbar) = F(g/gbar; 1) and f(g; gbar) = f(g/gbar; 1)/gbar, so only
 ``_law`` knows gbar: its kernels see y, and it scales a density by
 (1+K)/gbar and gives t = g/gbar = 0 and t > 1e200 their limits; a y past
-double range it refuses.  ``coding_gain`` needs K > 0.  Past the boundary
-only the real-m conditionals check anything: their cap on m, on every call.
+double range it refuses.  It alone post-processes values: it clips a
+probability to [0, 1] and refuses one below ``specfun.TINY``, the smallest
+normal double.  ``coding_gain`` checks K > 0 and K/m itself.  The kernels
+below check no input and refuse only what they cannot compute.
 
-A quadrature certifies relative accuracy down to the smallest normal double,
-``specfun.TINY``; below it the one rule stated there holds.
+A quadrature certifies relative accuracy down to ``specfun.TINY``; below it
+the one rule stated there holds.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     domain, but no limit is its value (at t = 2 and K = 1e308 the cdf is
     about 0.91).  A ``law`` "pdf" is scaled by (1+K)/gbar, and t = 0 takes
     the unit-mean ``at_zero(k)`` if given; a "cdf" is 0 at t = 0 and
-    clipped to [0, 1].  Returns a float for scalar input, else the broadcast
-    array.  The kernels run no boundary checks; only the real-m
-    conditionals check their cap on m (``_MAX_M``), on every call.
+    clipped to [0, 1]; one below ``TINY`` at t > 0 raises AccuracyError
+    (the probability rule of ``specfun.TINY``).  Returns a float for scalar
+    input, else the broadcast array.  The kernels run no boundary checks;
+    only the real-m conditionals check their cap on m (``_MAX_M``).
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma >= 0):
@@ -114,7 +117,11 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     if np.isinf(y).any():
         raise AccuracyError("(1+K) gamma/gamma_bar overflows a double, and no limit is "
                             f"the law's value there (K up to {np.max(k_t):.3g})")
-    out[todo] = kernel(y, k_t) * ((1.0 + k_t) if pdf else 1.0)
+    values = kernel(y, k_t) * ((1.0 + k_t) if pdf else 1.0)
+    if not pdf and np.any(values < TINY):
+        raise AccuracyError(f"a probability of {values.min():.3g} lies below the smallest "
+                            "normal double", value=values)
+    out[todo] = values
     if zero.any():
         out[zero] = at_zero(k_b[zero]) if pdf else 0.0
     out = out / gbar_b if pdf else np.clip(out, 0.0, 1.0)
@@ -136,8 +143,8 @@ def _scatter_average(conditional, law, y, k, rel_tol):
     A chunk whose subdivision budget runs out (an AccuracyError with an error
     estimate) is averaged again as two halves with a budget each, so only a
     single value refuses; a conditional's own refusal propagates at once.
-    A "cdf" below ``TINY`` refuses too, after every chunk, so that no
-    halving retries it; a "pdf" is returned as it is, since the drlos
+    The averages are returned as they are: ``_law`` refuses a probability
+    below ``TINY``, and a density is left to its law, since the drlos
     density adds a sub-``TINY`` excess to its closed-form part.
     """
     check_rel_tol(rel_tol)
@@ -163,9 +170,6 @@ def _scatter_average(conditional, law, y, k, rel_tol):
 
     for lo in range(0, y.size, _GAMMA_CHUNK):
         average(np.arange(lo, min(lo + _GAMMA_CHUNK, y.size)))
-    if not pdf and np.any(out < TINY):
-        raise AccuracyError(f"a probability of {out.min():.3g} lies below the smallest "
-                            "normal double", value=out)
     return out
 
 
@@ -276,7 +280,7 @@ def _binomial_mixture(y, k_x, m, law):
         out = out + np.exp(log_c + xlogy(m - n, p) + xlogy(n - 1, q)) * (big_p if cdf else term)
         if cdf:
             big_p = big_p + term
-    return np.minimum(out, 1.0) if cdf else p * out
+    return out if cdf else p * out
 
 
 def _nb_series(y, k_x, m):
@@ -286,10 +290,13 @@ def _nb_series(y, k_x, m):
     Rician shadowed is a Poisson-Gamma mixture (Abdi et al., IEEE TWC 2003): with
     y = g (1+K_x)/gbar_x and p = m/(m+K_x), F = sum_n NB(n) P(n+1, y), where
     NB(n) = C(n+m-1, n) p^m (1-p)^n and P is the regularized lower incomplete gamma.
-    Only n in [lo, hi] = y -/+ (12 sqrt(y) + 30) is summed.  Below it F takes the NB
-    mass I_p(m, lo), too large by at most I_p(m, lo) Q(lo, y); above it at most
-    P(hi+1, y) is dropped: Poisson tails 12 standard deviations (or 30 terms) from
-    y, below 2e-33.  Where I_p(m, lo) P(lo, y) <= F <= I_p(m, hi+1) + P(hi+1, y) is
+    Only n in [lo, hi] = [y - (12 sqrt(y) + 30), top + 12 sqrt(top) + 30] is
+    summed, top the larger of y and the peak of the terms NB(n) P(n+1, y),
+    which at large m and K_x lies far past y.  Below lo F takes the NB mass
+    I_p(m, lo), too large by at most I_p(m, lo) Q(lo, y); past top the terms
+    fall at least about as fast as Poisson masses past their mean top: both
+    tails lie 12 standard deviations (or 30 terms) out, below 2e-33 of F.
+    Where I_p(m, lo) P(lo, y) <= F <= I_p(m, hi+1) + P(hi+1, y) is
     within rounding (huge y) no window is built.  Windows over ``MAX_TERMS`` terms
     raise AccuracyError.  I_p(m, lo) is taken as 1 - I_{1-p}(lo, m) where p > 1/2,
     so that huge m loses no digits to the rounding of p near 1.
@@ -311,9 +318,17 @@ def _nb_series(y, k_x, m):
     y, k_x = np.broadcast_arrays(np.minimum(y, 1e300), k_x)
     shape, y, k_x = y.shape, y.ravel(), k_x.ravel()
     p, q = m / (m + k_x), k_x / (m + k_x)
-    # the 1e-12 y term keeps lo below y where sqrt(y) < ulp(y)
-    half = 12.0 * np.sqrt(y) + 30.0 + 1e-12 * y
-    lo, hi = np.floor(np.maximum(y - half, 0.0)), np.ceil(y + half)
+    # the terms NB(n) P(n+1, y) follow NB up to its mode, and past y fall
+    # with the ratio (n-1+m)(1-p)/n * y/(n+1), which is 1 at the root of
+    # n^2 + (1 - (1-p) y) n - (m-1)(1-p) y (+inf where y is huge)
+    mq, lin = max(m - 1.0, 0.0) * q, 1.0 - q * y
+    with np.errstate(over="ignore"):
+        past_y = np.floor(0.5 * (np.sqrt(lin * lin + 4.0 * mq * y) - lin))
+    peak = np.minimum(np.floor(mq / p), np.maximum(np.floor(y), past_y))
+    # the 1e-12 terms keep lo below y and hi above top where sqrt < ulp
+    top = np.maximum(y, peak)
+    lo = np.floor(np.maximum(y - (12.0 * np.sqrt(y) + 30.0 + 1e-12 * y), 0.0))
+    hi = np.ceil(top + 12.0 * np.sqrt(top) + 30.0 + 1e-12 * top)
     below, out = np.zeros(y.size), np.zeros(y.size)
     some = lo > 0
     below[some] = _nb_mass_below(lo[some], m, p[some], q[some])
@@ -328,16 +343,10 @@ def _nb_series(y, k_x, m):
     count = np.where(q > 0.0, hi - lo + 1.0, 1.0)[todo]     # K_x = 0: all mass at n = 0
     if np.any(count > MAX_TERMS):
         raise AccuracyError(f"Rician shadowed series window of {count.max():.3g} terms")
-    # the anchors sit where the terms NB(n) P(n+1, y) peak: a running product
-    # is off by one rounding per step from its anchor.  The terms follow NB
-    # up to its mode, and past y fall with the ratio
-    # (n-1+m)(1-p)/n * y/(n+1), which is 1 at the root of
-    # n^2 + (1 - (1-p) y) n - (m-1)(1-p) y; the Poisson masses that P sums
+    # the anchors sit where the terms peak: a running product is off by one
+    # rounding per step from its anchor.  The Poisson masses that P sums
     # there lie at the peak + 1, or at the Poisson mode y
-    y, p, q = y[todo], p[todo], q[todo]     # from here on the values to sum
-    mq, lin = max(m - 1.0, 0.0) * q, 1.0 - q * y
-    past_y = np.floor(0.5 * (np.sqrt(lin * lin + 4.0 * mq * y) - lin))
-    peak = np.minimum(np.floor(mq / p), np.maximum(np.floor(y), past_y))
+    y, p, q, peak = y[todo], p[todo], q[todo], peak[todo]   # the values to sum
     # one entry per row: its value (in todo) and its bottom n
     rows = np.ceil(count / _ROW).astype(np.int64)
     e_row = np.repeat(np.arange(todo.size), rows)
@@ -380,7 +389,7 @@ def _nb_series(y, k_x, m):
             row_sums[0] += sums[e[0]]
             sums[e[0]:e[-1] + 1] = np.bincount(e - e[0], row_sums)
     out[todo] = below[todo] + sums
-    return np.minimum(out, 1.0).reshape(shape)
+    return out.reshape(shape)
 
 
 def _nb_mass_below(n, m, p, q):
@@ -495,9 +504,11 @@ def coding_gain(k, m, *, rel_tol=1e-10):
     (DLMF 13.2(iii)): the pure product channel has no order-1 asymptote, so
     K = 0 is rejected.
     """
-    if not (np.ndim(k) == np.ndim(m) == 0 and 0 < k < math.inf and 0 < m < math.inf):
+    if not (np.ndim(k) == np.ndim(m) == 0 and 0 < k < math.inf and 0 < m < math.inf
+            and 0 < k / m < math.inf):
         raise DomainError("the coding gain needs finite K > 0 (it diverges at K = 0) "
-                          f"and finite m > 0, both scalars, got K = {k}, m = {m}")
+                          "and finite m > 0, both scalars, with K/m in double range, "
+                          f"got K = {k}, m = {m}")
     return (1.0 + k) * gamma_tricomi_u(m, k / m, rel_tol=rel_tol)
 
 

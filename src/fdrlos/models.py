@@ -127,10 +127,9 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def sample_gamma_rv(m: float, n: int, stream: np.random.Generator) -> np.ndarray:
-    """Unit-mean Gamma(shape m, scale 1/m) samples: mean 1, variance 1/m."""
-    check_params(m=m)
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    """Unit-mean Gamma(shape m, scale 1/m) samples: mean 1, variance 1/m.  An
+    internal kernel: its one caller, ``sample_snr``, checks n and takes m
+    from a checked ``FadingParams``."""
     return stream.standard_gamma(m, n) / m
 
 

@@ -24,9 +24,9 @@ costs a few large integrand calls rather than one small call per panel.  The
 real-a series of ``log_kummer_1f1`` sums each value over its own window of
 at most 22 sqrt(max(k*, x) + 1) + 21 terms about the terms' peak k*, as running
 products on a linear scale (``cumprod``, then ``cumsum``, down the term axis
-of bounded blocks), so the large batches a round hands it cost about the sum
-of their values' window lengths and no per-term log, and each value is
-summed in the same order whatever its batch.
+of one block per band of window lengths), so the large batches a round
+hands it cost about the sum of their values' window lengths and no per-term
+log, and each value is summed in the same order whatever its batch.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ REL_TOL_FLOOR = 50.0 * float(np.finfo(float).eps)
 #: integral span many decades; a component whose sum lies below it is done.
 #: Below it a double has lost digits, and one rule holds: a density is
 #: reported as 0 with an UnderflowWarning (``analytic.fdrlos_pdf``), while a
-#: coding gain (``gamma_tricomi_u``) and a scatter-averaged probability
-#: (``analytic._scatter_average``) refuse with AccuracyError
+#: coding gain (``gamma_tricomi_u``) and a probability (``analytic._law``,
+#: for every cdf law) refuse with AccuracyError
 TINY = np.finfo(float).tiny
 #: panel splits one quadrature may make before it raises AccuracyError
 _MAX_SUBDIVISIONS = 400
@@ -217,7 +217,7 @@ _WINDOW_PAD = 10.0
 #: Rician shadowed series of ``analytic`` refuse a longer window
 MAX_TERMS = 2 ** 20
 #: terms x values per cumprod/cumsum pass of the 1F1 series: 0.5 MB a
-#: temporary, whatever the window
+#: temporary, unless one window is longer
 _BLOCK_ENTRIES = 2 ** 16
 #: the terms outside a 1F1 window must sum below e^-37 (about 1e-16) of it
 _SERIES_REL_TAIL = math.exp(-37.0)
@@ -228,7 +228,8 @@ _ASYMPTOTIC_REL_GOAL = 1e-13
 def log_kummer_1f1(a, x):
     """log(e^-x 1F1(a; 1; x)), the log scaled as ``i0e`` is, for a > 0 and
     x >= 0, vectorized over x.  b = 1 is the one 1F1 the Rician shadowed
-    density takes.
+    density takes.  An internal kernel: its one caller, the density of
+    ``analytic``, checks the arguments.
 
     Up to x = max(200, a^2) the positive series over each value's own window
     of terms about their peak, summed on a linear scale as running products
@@ -237,14 +238,10 @@ def log_kummer_1f1(a, x):
     large-x expansion, which needs x >> a^2.  Neither forms e^x.  A window
     whose left-out terms cannot be bounded below e^-37 of its sum, or longer
     than 2^20 terms (x past about 2.3e9), raises AccuracyError, as does an
-    expansion that cannot converge.  A NaN x is a DomainError.
+    expansion that cannot converge.
     """
     a = float(a)
-    if not a > 0:
-        raise DomainError("log_kummer_1f1 requires a > 0")
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0):
-        raise DomainError("log_kummer_1f1 requires x >= 0, not NaN")
     flat = x.ravel()
     out = np.empty_like(flat)
     big = flat > max(200.0, a * a)
@@ -307,13 +304,14 @@ def _window_sums(a, x, lo, count):
     """Per value, the sum of s_1 .. s_{count-1} and s_{count-1}, where s_j is
     t_{lo+j}/t_lo, the running product of the ratios r_{lo+1} .. r_{lo+j}.
 
-    The terms run down axis 0 of (terms, values) blocks of at most
-    ``_BLOCK_ENTRIES``, first ``cumprod`` and then ``cumsum``, each carried
-    from block to block by its first row, so every value is summed
-    sequentially from its lo whatever it is batched with.  Values are grouped
-    in quarter-octave bands of window length, each block as long as the
-    longest window of its band, and a value reads its own last row.  Where
-    lo = 0 the ratios are x times one shared column (a-1+k)/k^2.
+    The terms run down axis 0 of one (terms, values) block, first ``cumprod``
+    and then ``cumsum``, both sequential, so every value is summed from its
+    lo in the same order whatever it is batched with.  Values are grouped in
+    quarter-octave bands of window length, each block as long as the longest
+    window of its band and of at most ``_BLOCK_ENTRIES`` entries unless one
+    window is longer (a column of up to ``MAX_TERMS``, 8 MB), and a value
+    reads its own last row.  Where lo = 0 the ratios are x times one shared
+    column (a-1+k)/k^2.
     """
     rest, last = np.zeros(x.size), np.ones(x.size)
     shared = lo == 0
@@ -326,28 +324,20 @@ def _window_sums(a, x, lo, count):
     for idx in groups:
         length = int(count[idx].max())
         cols = max(1, _BLOCK_ENTRIES // length)
-        rows = _BLOCK_ENTRIES // cols
         for c0 in range(0, idx.size, cols):
             sel = idx[c0:c0 + cols]
-            x_c, lo_c, own = x[sel], lo[sel], count[sel] - 1
-            prod, acc = np.ones(sel.size), np.zeros(sel.size)
-            for j0 in range(1, length, rows):
-                j1 = min(j0 + rows, length)
-                if shared[sel[0]]:
-                    s = coef[j0 - 1:j1 - 1, None] * x_c
-                else:
-                    k = lo_c + np.arange(j0, j1, dtype=float)[:, None]
-                    s = (k + (a - 1.0)) * x_c
-                    s /= k * k
-                s[0] *= prod
-                np.cumprod(s, axis=0, out=s)
-                prod = s[-1].copy()
-                ends = np.flatnonzero((own >= j0) & (own < j1))
-                last[sel[ends]] = s[own[ends] - j0, ends]
-                s[0] += acc
-                np.cumsum(s, axis=0, out=s)
-                acc = s[-1].copy()
-                rest[sel[ends]] = s[own[ends] - j0, ends]
+            x_c = x[sel]
+            end = count[sel] - 2, np.arange(sel.size)     # s_{count-1}, in row count - 2
+            if shared[sel[0]]:
+                s = coef[:length - 1, None] * x_c
+            else:
+                k = lo[sel] + np.arange(1.0, length)[:, None]
+                s = (k + (a - 1.0)) * x_c
+                s /= k * k
+            np.cumprod(s, axis=0, out=s)
+            last[sel] = s[end]
+            np.cumsum(s, axis=0, out=s)
+            rest[sel] = s[end]
     return rest, last
 
 
@@ -456,7 +446,8 @@ def log_negbin_pmf(n, m, p, q):
 def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     """Gamma(m) * U(m, 1, z) for finite m > 0 and finite z > 0, to relative
     accuracy ``rel_tol``: the high-SNR offset needs exactly this product,
-    which stays finite where Gamma(m) alone would overflow.
+    which stays finite where Gamma(m) alone would overflow.  An internal
+    kernel: its one caller, ``analytic.coding_gain``, checks m and z.
 
     In t = log x, x the scatter variable of ``analytic``, it is
 
@@ -467,27 +458,25 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     like e^(m t) to the left and doubly exponentially to the right.  One
     quadrature folds it about t* into the components e^psi(t* + s) and
     e^psi(t* - s), s >= 0, divided by e^psi(t*), which is multiplied back,
-    so no node underflows however low the peak.  A value below the smallest
-    normal double (from about K = 1.25e5 at large m), which has lost digits
-    to underflow, raises AccuracyError.
+    so no node underflows however low the peak.  The fold point is fixed by
+    c = log z - t*, rounded once: psi(t* + s) = -z e^(s - c)
+    - m log(1 + e^(c - s)), so no rounded log z shifts the two terms apart,
+    which would act as a change in z amplified about sqrt(K)-fold at large
+    m.  A value below the smallest normal double (from about K = 1.25e5 at
+    large m), which has lost digits to underflow, raises AccuracyError.
     """
-    if not (0 < m < math.inf):
-        raise DomainError(f"m must be finite and positive, got {m}")
-    z = float(z)
-    if not (0 < z < math.inf):
-        raise DomainError("z must be finite and positive (the z -> 0 limit "
-                          f"diverges), got {z}")
+    # c = log(z / x*), x* the root of x (x + z) = m z, in a form that neither
+    # cancels nor overflows
+    c = math.log((z + math.sqrt(z) * math.sqrt(z + 4.0 * m)) / (2.0 * m))
 
-    def psi(t):
-        with np.errstate(over="ignore"):    # far right, e^t is inf and e^psi 0
-            return -np.exp(t) - m * np.logaddexp(0.0, math.log(z) - t)
+    def psi(s):
+        with np.errstate(over="ignore"):    # far right, e^(s-c) is inf and e^psi 0
+            return -z * np.exp(s - c) - m * np.logaddexp(0.0, c - s)
 
-    # the root of x (x + z) = m z, in a form that neither cancels nor overflows
-    t_peak = math.log(2.0 * m * z / (z + math.sqrt(z) * math.sqrt(z + 4.0 * m)))
-    psi_peak = float(psi(t_peak))
+    psi_peak = float(psi(0.0))
 
     def f(s):
-        return np.exp(psi(t_peak + np.stack([s, -s], axis=1)) - psi_peak)
+        return np.exp(psi(np.stack([s, -s], axis=1)) - psi_peak)
 
     vals, _ = adaptive_quad_vec(f, rel_tol=rel_tol)
     value = float(vals.sum()) * math.exp(psi_peak)

@@ -41,6 +41,14 @@ RS_CDF_WIDE_GOLDENS = {
     (2.0, 1000000.0, 2.5, 2.0): 0.5841198130049498,  # K_x = 1e6, y near 1e6
     (1.0, 1000000.0, 0.7, 1.0): 0.6565890602594594,  # K_x = 1e6, y near 1e6
 }
+# deep outage at large m and K_x, where the terms of the series peak far past
+# y: the 1F1 density by Gauss-Legendre on 256 and 512 panels at 40 and 50
+# digits, confirmed by an mpmath negative-binomial sum of Erlang cdfs
+RS_CDF_PEAK_GOLDENS = {
+    (5.0, 600.0, 100000.5, 601.0): 1.1277575134597824e-217,  # m = 1e5, terms peak near 54, y = 5
+    (4.0, 650.0, 1000000.5, 651.0): 7.303641169435931e-243,  # m = 1e6, terms peak near 50, y = 4
+    (3.0, 600.0, 10000.5, 601.0): 1.0032727970450268e-221,  # m = 1e4, terms peak near 40, y = 3
+}
 # the same cdf at integer m, from scripts/make_goldens.py
 RS_CDF_2_4_2_15 = 0.7310867571901103
 # the Rician shadowed pdf from scripts/make_goldens.py (the 1F1 density at 40
@@ -136,6 +144,8 @@ CODING_GAIN_GOLDENS = {
     (1.0, 0.01): 189.91457423660682,
     (120000.0, 10000.0): 5.862202729559586e-295,
     (117000.0, 1000000.0): 9.375199980398427e-294,
+    (10000.0, 1000000000000.0): 2.4516091083299542e-84,
+    (10000.0, 1000000.0): 2.464021136403582e-84,
 }
 FDRLOS_PDF_532 = {g: v for (g, k, m, gbar), v in FDRLOS_PDF_GOLDENS.items()
                   if (k, m, gbar) == (5.0, 3, 2.0)}
@@ -307,6 +317,12 @@ class TestRsCdf:
 
     @pytest.mark.parametrize("args,want", sorted(RS_CDF_WIDE_GOLDENS.items()))
     def test_frozen_goldens_at_huge_m_and_k(self, args, want):
+        assert rs_cdf(*args) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("args,want", sorted(RS_CDF_PEAK_GOLDENS.items()))
+    def test_frozen_goldens_where_the_terms_peak_past_y(self, args, want):
+        # the terms NB(n) P(n+1, y) peak near sqrt((m-1) K_x/(m+K_x) y), at 40
+        # to 54 here, far past y = 3..5: the window must reach past the peak
         assert rs_cdf(*args) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_every_finite_input_finishes(self, monkeypatch):
@@ -732,6 +748,19 @@ class TestUnderflowFloor:
 
 
 @pytest.mark.parametrize("call", [
+    lambda: rs_cdf(1e-310, 1.0, 2.5, 1.0),
+    lambda: rs_cdf(1e-310, 1.0, 2, 1.0),
+    lambda: rician_cdf(1e-312, 1.0, 1.0),
+    lambda: drlos_cdf_oracle(1e-312, 1.0, 1.0)],
+    ids=["rs_cdf_real_m", "rs_cdf_integer_m", "rician_cdf", "drlos_cdf_oracle"])
+def test_every_cdf_law_refuses_a_subnormal_probability(call):
+    # F(t) is about a t near 0, below the smallest normal double here: the
+    # real-m series underflows to 0, the others keep only a few digits
+    with pytest.raises(AccuracyError, match="below the smallest normal double"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
     lambda: rician_pdf(1e200, 1e150, 1.0),
     lambda: drlos_pdf_oracle(1e200, 1e150, 1.0),
     lambda: rs_cdf(2.0, 1e308, 2.5, 1.0),
@@ -1097,6 +1126,19 @@ class TestAsymptote:
         # the quadrature underflows
         assert coding_gain(1.2e5, 1e4) == pytest.approx(
             CODING_GAIN_GOLDENS[(1.2e5, 1e4)], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k, m", [(1e4, 1e12), (1e4, 1e6)])
+    def test_gain_at_large_k_and_m(self, k, m):
+        # a rounded log(K/m) in the nodes acts as a change in K/m amplified
+        # about sqrt(K)-fold: 1.6e-13 and 4e-14 off
+        assert coding_gain(k, m) == pytest.approx(CODING_GAIN_GOLDENS[(k, m)], rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("k, m", [(5e-324, 2.0), (1e300, 1e-10)])
+    def test_k_over_m_outside_double_range_is_refused(self, k, m):
+        # K and m are finite and positive, but K/m underflows to 0 or
+        # overflows to inf
+        with pytest.raises(DomainError, match="K/m"):
+            coding_gain(k, m)
 
     def test_gain_at_huge_k(self):
         # at m = 1, a = (1+K) e^K E1(K) -> 1; the peak's root must not square K

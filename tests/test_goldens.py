@@ -1,0 +1,58 @@
+"""Every frozen reference value of the tests is printed by
+``scripts/make_goldens.py``, so that none is a number nobody can regenerate."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "make_goldens.py"
+FROZEN_IN = ("test_analytic.py", "test_specfun.py")
+#: a frozen value has more significant digits than any tolerance is written with
+MIN_DIGITS = 10
+
+
+def _is_golden(node):
+    """A float literal written to ``MIN_DIGITS`` digits or more."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, float)):
+        return False
+    mantissa = repr(node.value).split("e")[0].replace(".", "").lstrip("0")
+    return len(mantissa) >= MIN_DIGITS
+
+
+def frozen_names(path):
+    """The module-level names bound to a golden, or to a dict of them."""
+    names = []
+    for stmt in ast.parse(path.read_text()).body:
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)):
+            continue
+        value = stmt.value
+        if _is_golden(value) or (isinstance(value, ast.Dict)
+                                 and any(_is_golden(v) for v in value.values)):
+            names.append(stmt.targets[0].id)
+    return names
+
+
+def printed_text(path):
+    """The string literals of a script, less its docstrings: what it prints."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                  and ast.get_docstring(node) is not None}
+    return "\n".join(node.value for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and id(node) not in docstrings)
+
+
+@pytest.mark.parametrize("test_file", FROZEN_IN)
+def test_every_golden_is_printed_by_the_script(test_file):
+    text = printed_text(SCRIPT)
+    names = frozen_names(ROOT / "tests" / test_file)
+    assert names
+    missing = [name for name in names if not re.search(rf"\b{name}\b", text)]
+    assert not missing, f"{test_file} freezes values no script prints: {missing}"

@@ -11,8 +11,8 @@ samplers.
 
 from .analytic import (Curve, UnderflowWarning, asymptotic_op, coding_gain,
                        drlos_cdf_oracle, drlos_pdf_oracle, fdrlos_cdf,
-                       fdrlos_cdf_oracle, fdrlos_pdf, fdrlos_pdf_oracle,
-                       rician_cdf, rician_pdf, rs_cdf, rs_cdf_integer, rs_pdf)
+                       fdrlos_cdf_oracle, fdrlos_pdf, rician_cdf, rician_pdf,
+                       rs_cdf, rs_pdf)
 from .empirics import (CdfContractError, KsReport, default_ks_threshold,
                        histogram_density, ks_distance, tabulated_cdf)
 from .models import FadingParams, ModelKind, SnrSampleSet, sample_snr
@@ -25,8 +25,7 @@ __all__ = [
     "FadingParams", "KsReport", "ModelKind", "SnrSampleSet",
     "UnderflowWarning", "adaptive_quad_vec", "asymptotic_op", "coding_gain",
     "default_ks_threshold", "drlos_cdf_oracle", "drlos_pdf_oracle",
-    "fdrlos_cdf", "fdrlos_cdf_oracle",
-    "fdrlos_pdf", "fdrlos_pdf_oracle", "histogram_density", "ks_distance",
-    "rician_cdf", "rician_pdf", "rs_cdf", "rs_cdf_integer", "rs_pdf",
+    "fdrlos_cdf", "fdrlos_cdf_oracle", "fdrlos_pdf", "histogram_density",
+    "ks_distance", "rician_cdf", "rician_pdf", "rs_cdf", "rs_pdf",
     "sample_snr", "tabulated_cdf",
 ]

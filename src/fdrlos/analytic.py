@@ -15,9 +15,10 @@ negative-binomial series of Erlang cdfs (``_nb_series``: rows of terms, each
 from one ``gammainc`` and two log-mass anchors, by running products and
 positive sums) and the density the 1F1 form through the scaled log 1F1.
 ``fdrlos_cdf_oracle`` always averages the series, so only at integer m up to
-100 is it an independent cross-check; ``fdrlos_pdf_oracle`` is
-``fdrlos_pdf``.  All these conditionals are positive sums, so deep-outage
-values keep their relative accuracy.  This is the paper's
+100 is it an independent cross-check.  The density has one route; the
+aliases ``fdrlos_pdf_oracle`` and ``rs_cdf_integer`` remain only for
+``perfbench/tracing.py``.  All these conditionals are positive sums, so
+deep-outage values keep their relative accuracy.  This is the paper's
 integral before it substitutes t = K/m + x and expands (t - K/m)^j into
 generalized incomplete gammas, whose terms cancel; ``scripts/make_goldens.py``
 keeps that expansion as an mpmath cross-check.  K = 0 (no LoS; the law no
@@ -256,7 +257,7 @@ def rs_cdf(gamma, k_x, m, gbar_x):
     return _law(lambda y, k: _conditional(m, "cdf")(y, k), "cdf", gamma, k_x, m, gbar_x)
 
 
-#: the old integer-m name, which ``perfbench/tracing.py`` still wraps
+#: a second name for ``rs_cdf``; only ``perfbench/tracing.py`` reads it
 rs_cdf_integer = rs_cdf
 
 
@@ -409,7 +410,7 @@ def _nb_mass_below(n, m, p, q):
 
 def _flag_underflow(values):
     values = np.atleast_1d(values)
-    tiny = (values != 0.0) & (np.abs(values) < TINY)
+    tiny = values < TINY
     if np.any(tiny):
         warnings.warn("values below the smallest normal double reported as 0",
                       UnderflowWarning)
@@ -455,7 +456,7 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
                 "pdf", gamma, params.k, m, params.gamma_bar, at_zero)
 
 
-#: the density has one route for every m, so its oracle is the same function
+#: a second name for ``fdrlos_pdf``; only ``perfbench/tracing.py`` reads it
 fdrlos_pdf_oracle = fdrlos_pdf
 
 

@@ -7,10 +7,10 @@ doubles exactly; ``Curve.write_csv`` writes it to ``--output`` or stdout.
 
 Every law with an m takes every finite m > 0; the route (the finite Binomial
 mixture at integer m up to 100, otherwise the negative-binomial series or
-1F1, which refuse m past 1e15) follows m.  ``--oracle`` selects the
-negative-binomial conditional for the fdrlos cdf at every m, a cross-check at
-integer m up to 100; at other m, and for the pdf, it gives the same numbers
-as the default.
+1F1, which refuse m past 1e15) follows m.  ``--oracle`` changes only the
+fdrlos cdf (``cdf``, ``op``, ``sim``): it selects the negative-binomial
+conditional at every m, a cross-check at integer m up to 100, and at other m
+the same numbers as the default.  The pdf has one route, flag or not.
 
 Exit codes: 0 success, 2 usage/domain error or an output path that cannot be
 written (one ``error:`` line on stderr), 3 numeric or convergence failure.
@@ -109,8 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
             g.add_argument("--gamma-bar", type=float, help="mean SNR, linear")
             g.add_argument("--gamma-bar-db", type=float, help="mean SNR, dB")
         p.add_argument("--oracle", action="store_true",
-                       help="fdrlos cdf from the negative-binomial conditional "
-                            "at every m (a cross-check at integer m)")
+                       help="fdrlos cdf (cdf, op, sim) from the negative-binomial "
+                            "conditional at every m; pdf has one route")
         p.add_argument("--rel-tol", type=float, default=1e-10)
         p.add_argument("--output", help="CSV path (default: stdout)")
 
@@ -149,10 +149,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _law(args, model: ModelKind, quantity: str, params: FadingParams):
     """The ``quantity`` ("pdf" or "cdf") of ``model`` at ``params`` as a
-    function of an SNR array, on the route ``--oracle`` picks."""
+    function of an SNR array, on the route ``--oracle`` picks for a cdf."""
     k, m, gbar, rel_tol = params.k, params.m, params.gamma_bar, args.rel_tol
     if model is ModelKind.FDRLOS:
-        name = f"fdrlos_{quantity}_oracle" if args.oracle else f"fdrlos_{quantity}"
+        name = "fdrlos_cdf_oracle" if args.oracle and quantity == "cdf" else f"fdrlos_{quantity}"
         return lambda g: getattr(analytic, name)(g, params, rel_tol=rel_tol)
     if model is ModelKind.RICIAN_SHADOWED:
         return lambda g: getattr(analytic, f"rs_{quantity}")(g, k, m, gbar)

@@ -21,9 +21,7 @@ G = (Gr + j Gi)/sqrt(2), with E3 = |G3|^2 ~ Exp(1) (E3 = 1 or xi = 1 where the
 model has no G3 or no LoS fluctuation).  The law is the same: e^{-j phi} S
 keeps |S|^2 and a circularly symmetric diffuse term, and given
 G3 = r e^{j theta}, G2 G3 = r (G2 e^{j theta}), where G2 e^{j theta} is again
-CN(0, 1) and independent of r.  The stream of a seed changed when this form
-replaced a complex one (a phase and complex normals): earlier samples,
-Monte-Carlo CSVs and ``sim`` summaries do not regenerate.
+CN(0, 1) and independent of r.
 """
 
 from __future__ import annotations

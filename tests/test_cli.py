@@ -558,3 +558,8 @@ def test_public_api_resolves():
     code = ("from fdrlos import *; import fdrlos; "
             "print(all(name in globals() for name in fdrlos.__all__))")
     assert run_python(code).strip() == "True"
+
+
+def test_public_names_are_distinct_objects():
+    # each law has one public name: no alias re-enters the package API
+    assert len({id(getattr(fdrlos, name)) for name in fdrlos.__all__}) == len(fdrlos.__all__)

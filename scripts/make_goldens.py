@@ -25,7 +25,8 @@ negative-binomial sum of Erlang cdfs (Abdi et al.) at 50 digits, summed
 from n = 0 until its terms fall below 1e-55 of the largest past y.
 
 Rician shadowed pdf (``RS_PDF_GOLDENS``): the 1F1 density above at both
-precisions, at K up to 1e8, where e^-x and 1F1 each leave double range.
+precisions, at K up to 1e8, where e^-x and 1F1 each leave double range, and
+at m = 1e-12 and 1e-20.
 
 Fluctuating double-Rayleigh LoS pdf and cdf at integer m
 (``FDRLOS_PDF_GOLDENS``, ``FDRLOS_CDF_GOLDENS``), two ways that must agree to
@@ -128,8 +129,10 @@ FDRLOS_CDF_CASES = [("fig1 K = 5, m = 3", 2.0, 5.0, 3, 2.0)] + _LARGE_M + [
     for m, db in ((10, 60), (10, 80), (10, 100), (10, 120), (40, 120))]
 
 #: (gamma, k, m, gbar) of the Rician shadowed pdf: K_x up to 1e8, where the
-#: 1F1 argument is about K_x gamma / gbar
-RS_PDF_CASES = [(3.0, k, m, 1.7) for m in (3, 2.5) for k in (5e4, 1e6, 1e8)]
+#: 1F1 argument is about K_x gamma / gbar, and m = 1e-12 and 1e-20, where
+#: m - 1 rounds m away
+RS_PDF_CASES = [(3.0, k, m, 1.7) for m in (3, 2.5) for k in (5e4, 1e6, 1e8)] + [
+    (g, 1.0, m, 1.0) for m in (1e-12, 1e-20) for g in (30.0, 50.0)]
 
 #: real m past 25, where the 1F1 series and the large-x expansion meet at a^2;
 #: the first three are the grid of ``fdrlos pdf --k 1 --m 30.5 --gamma-bar 1

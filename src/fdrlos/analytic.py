@@ -25,23 +25,26 @@ keeps that expansion as an mpmath cross-check.  K = 0 (no LoS; the law no
 longer depends on m) is an ordinary input.
 
 The density at g = 0 is the high-SNR outage slope: gbar f(0) is the coding
-gain a(K, m) = (1+K) Gamma(m) U(m, 1, K/m), the scatter average of
-(1 + K/(m x))^(-m) / x, so ``fdrlos_pdf`` takes it from ``coding_gain`` and
-runs no quadrature there.  As m -> inf it tends to (1+K) 2 K0(2 sqrt K),
-gbar times the drlos density at 0, which ``drlos_pdf_oracle`` takes in this
-closed form; every cdf is 0 there, so no law averages a value at g = 0.
+gain a(K, m) = (1+K) Gamma(m) U(m, 1, K/m), and Gamma(m) U(m, 1, K/m), the
+scatter average of (1 + K/(m x))^(-m) / x, is the unit-mean density in y at
+y = 0, which ``fdrlos_pdf`` takes from the kernel of ``coding_gain``
+without a quadrature over x.  As m -> inf it tends to 2 K0(2 sqrt K), the
+drlos density in y at 0, which ``drlos_pdf_oracle`` takes in this closed
+form; every cdf is 0 there, so no law averages a value at g = 0.
 
 Every SNR law, the Rician shadowed, Rician and drlos ones too, passes one
 boundary, ``_law``: it checks a nonnegative SNR and the one domain of
 ``models.check_params`` (finite K >= 0, m > 0 and gamma_bar > 0) once, at
 entry and before any quadrature.  Every law is a scale family,
 F(g; gbar) = F(g/gbar; 1) and f(g; gbar) = f(g/gbar; 1)/gbar, so only
-``_law`` knows gbar: its kernels see y, and it scales a density by
-(1+K)/gbar and gives t = g/gbar = 0 and t > 1e200 their limits; a y past
-double range it refuses.  It alone post-processes values: it clips a
-probability to [0, 1] and refuses one below ``specfun.TINY``, the smallest
-normal double.  ``coding_gain`` checks K > 0 and K/m itself.  The kernels
-below check no input and refuse only what they cannot compute.
+``_law`` knows gbar: its kernels see y, and it gives t = g/gbar = 0 and
+t > 1e200 their limits; a y past double range it refuses.  It alone
+post-processes values: below ``specfun.TINY``, the smallest normal double,
+it reports a density as 0 with an UnderflowWarning and refuses a
+probability; then it scales a density by (1+K)/gbar and clips a
+probability to [0, 1].  ``coding_gain`` checks K > 0 and K/m itself and
+refuses a gain below ``TINY``.  The kernels below check no input and refuse
+only what they cannot compute.
 
 A quadrature certifies relative accuracy down to ``specfun.TINY``; below it
 the one rule stated there holds.
@@ -74,8 +77,8 @@ _MIXTURE_MAX_M = 100      # largest integer m of the Binomial mixture: its m ord
 
 
 class UnderflowWarning(RuntimeWarning):
-    """A density fell below the smallest normal double (``specfun.TINY``)
-    and was reported as 0."""
+    """A density at unit mean fell below the smallest normal double
+    (``specfun.TINY``) and was reported as 0; ``_law`` warns once a call."""
 
 
 def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
@@ -89,12 +92,15 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     conditionals take K_x as an (nx, 1) column.  A y past double range
     raises AccuracyError before any kernel runs: the input is in the law's
     domain, but no limit is its value (at t = 2 and K = 1e308 the cdf is
-    about 0.91).  A ``law`` "pdf" is scaled by (1+K)/gbar, and t = 0 takes
-    the unit-mean ``at_zero(k)`` if given; a "cdf" is 0 at t = 0 and
-    clipped to [0, 1]; one below ``TINY`` at t > 0 raises AccuracyError
-    (the probability rule of ``specfun.TINY``).  Returns a float for scalar
-    input, else the broadcast array.  The kernels run no boundary checks;
-    only the real-m conditionals check their cap on m (``_MAX_M``).
+    about 0.91).  A "pdf" at t = 0 takes ``at_zero(k)`` if given, the
+    unit-mean density in y at y = 0 as a kernel gives it; a "cdf" is 0 there.
+    Every value a kernel or ``at_zero`` computed then meets the one rule of
+    ``specfun.TINY``: a density below it is reported as 0 with one
+    UnderflowWarning per call, a probability below it raises AccuracyError.
+    Only then is a density scaled by (1+K)/gbar, and a probability clipped
+    to [0, 1].  Returns a float for scalar input, else the broadcast array.
+    The kernels run no boundary checks; only the real-m conditionals check
+    their cap on m (``_MAX_M``).
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(gamma >= 0):
@@ -118,14 +124,18 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     if np.isinf(y).any():
         raise AccuracyError("(1+K) gamma/gamma_bar overflows a double, and no limit is "
                             f"the law's value there (K up to {np.max(k_t):.3g})")
-    values = kernel(y, k_t) * ((1.0 + k_t) if pdf else 1.0)
-    if not pdf and np.any(values < TINY):
-        raise AccuracyError(f"a probability of {values.min():.3g} lies below the smallest "
-                            "normal double", value=values)
-    out[todo] = values
+    out[todo] = kernel(y, k_t)
     if zero.any():
         out[zero] = at_zero(k_b[zero]) if pdf else 0.0
-    out = out / gbar_b if pdf else np.clip(out, 0.0, 1.0)
+    # the rule of ``specfun.TINY`` on every computed value; a cdf is 0 at t = 0
+    tiny = (todo | zero if pdf else todo) & (out < TINY)
+    if tiny.any():
+        if not pdf:
+            raise AccuracyError(f"a probability of {out[tiny].min():.3g} lies below the "
+                                "smallest normal double", value=out[todo])
+        warnings.warn("densities below the smallest normal double are 0", UnderflowWarning)
+        out[tiny] = 0.0
+    out = out * (1.0 + k_b) / gbar_b if pdf else np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -144,9 +154,8 @@ def _scatter_average(conditional, law, y, k, rel_tol):
     A chunk whose subdivision budget runs out (an AccuracyError with an error
     estimate) is averaged again as two halves with a budget each, so only a
     single value refuses; a conditional's own refusal propagates at once.
-    The averages are returned as they are: ``_law`` refuses a probability
-    below ``TINY``, and a density is left to its law, since the drlos
-    density adds a sub-``TINY`` excess to its closed-form part.
+    The averages are returned as they are, for ``_law`` to apply the rule
+    of ``TINY`` to the law's value.
     """
     check_rel_tol(rel_tol)
     out = np.empty(y.shape)
@@ -370,7 +379,7 @@ def _nb_series(y, k_x, m):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 # ratios of each mass to the one below it; column 0 is the bottom
                 pois = y_c[r, None] / n
-                nb = (n + (m - 1.0)) * q_c[r, None] / n
+                nb = ((n - 1.0) + m) * q_c[r, None] / n
                 pois[:, 0] = nb[:, 0] = 1.0
                 pois = np.cumprod(pois, axis=1)
                 # P(n+1, y) from the top down: P(n_t+1) first, then pois(n_t), ...
@@ -408,16 +417,6 @@ def _nb_mass_below(n, m, p, q):
 # fluctuating double-Rayleigh LoS
 
 
-def _flag_underflow(values):
-    values = np.atleast_1d(values)
-    tiny = values < TINY
-    if np.any(tiny):
-        warnings.warn("values below the smallest normal double reported as 0",
-                      UnderflowWarning)
-        values = np.where(tiny, 0.0, values)
-    return values
-
-
 def _conditional(m, law):
     """The conditional Rician shadowed ``law`` ("pdf" or "cdf") at shape m,
     (y, k_x) -> value on checked arguments: the Binomial mixture at
@@ -439,20 +438,21 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
 
     at integer m up to 100 the density of the Binomial mixture that
     ``rs_cdf`` sums, at every other m the scaled 1F1 form; both are
-    positive sums.  The UnderflowWarning marks an average below the
-    smallest normal double (``specfun.TINY``), reported as 0, not a value
-    that (1+K)/gbar makes tiny.  At g = 0 it is a(K, m) / gbar from
-    ``coding_gain``.  K = 0 is an ordinary input: the product law, +inf at
-    g = 0.  An array K or gbar broadcasts against gamma, each K with its own
-    value at g = 0.
+    positive sums.  As for every density, ``_law`` reports an average below
+    the smallest normal double (``specfun.TINY``) as 0 with an
+    UnderflowWarning, and returns a value that (1+K)/gbar makes tiny.  At
+    g = 0 the average is Gamma(m) U(m, 1, K/m), so f(0) = a(K, m) / gbar,
+    the coding gain over gbar.  K = 0 is an ordinary input: the product
+    law, +inf at g = 0.  An array K or gbar broadcasts against gamma, each K
+    with its own value at g = 0.
     """
     m, conditional = params.m, _conditional(params.m, "pdf")
 
     def at_zero(k):
-        # f(0) at unit mean is the coding gain a(K, m); the product law's pole at K = 0
-        return [coding_gain(v, m, rel_tol=rel_tol) if v > 0 else np.inf for v in k.tolist()]
+        # the product law's pole at K = 0
+        return [_gamma_u(v, m, rel_tol) if v > 0 else np.inf for v in k.tolist()]
 
-    return _law(lambda y, k: _flag_underflow(_scatter_average(conditional, "pdf", y, k, rel_tol)),
+    return _law(lambda y, k: _scatter_average(conditional, "pdf", y, k, rel_tol),
                 "pdf", gamma, params.k, m, params.gamma_bar, at_zero)
 
 
@@ -503,14 +503,24 @@ def coding_gain(k, m, *, rel_tol=1e-10):
     density at 0, from above by about K K2(2 sqrt K) / (2 m K0(2 sqrt K))
     relative.  Diverges as K -> 0, but only like log(m/K) - psi(m) - 2 gamma_E
     (DLMF 13.2(iii)): the pure product channel has no order-1 asymptote, so
-    K = 0 is rejected.
+    K = 0 is rejected.  A Gamma(m) U below the smallest normal double (from
+    about K = 1.25e5 at large m), which has lost digits to underflow,
+    raises AccuracyError.
     """
+    u = _gamma_u(k, m, rel_tol)
+    if not u >= TINY:
+        raise AccuracyError(f"Gamma(m) U = {u:.3g} is below the smallest normal double", value=u)
+    return (1.0 + k) * u
+
+
+def _gamma_u(k, m, rel_tol):
+    """Gamma(m) U(m, 1, K/m) = a/(1+K) once K and K/m are checked."""
     if not (np.ndim(k) == np.ndim(m) == 0 and 0 < k < math.inf and 0 < m < math.inf
             and 0 < k / m < math.inf):
         raise DomainError("the coding gain needs finite K > 0 (it diverges at K = 0) "
                           "and finite m > 0, both scalars, with K/m in double range, "
                           f"got K = {k}, m = {m}")
-    return (1.0 + k) * gamma_tricomi_u(m, k / m, rel_tol=rel_tol)
+    return gamma_tricomi_u(m, k / m, rel_tol=rel_tol)
 
 
 def asymptotic_op(gamma_th, gbar, k, m, *, rel_tol=1e-10):
@@ -584,7 +594,7 @@ def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
             lambda y_x, k_x: _rician_density(y_x, k_x, True), "pdf", y, k, rel_tol)
 
     return _law(kernel, "pdf", gamma, k, gbar=gbar,
-                at_zero=lambda ks: (1.0 + ks) * 2.0 * k0(2.0 * np.sqrt(ks)))
+                at_zero=lambda ks: 2.0 * k0(2.0 * np.sqrt(ks)))
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):

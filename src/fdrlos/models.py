@@ -126,8 +126,8 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 def sample_gamma_rv(m: float, n: int, stream: np.random.Generator) -> np.ndarray:
     """Unit-mean Gamma(shape m, scale 1/m) samples: mean 1, variance 1/m.  An
-    internal kernel: its one caller, ``sample_snr``, checks n and takes m
-    from a checked ``FadingParams``."""
+    internal kernel: its one caller, ``_sample_chunk``, takes n from the
+    chunk that ``sample_snr`` checked and m from a checked ``FadingParams``."""
     return stream.standard_gamma(m, n) / m
 
 

@@ -60,10 +60,10 @@ REL_TOL_FLOOR = 50.0 * float(np.finfo(float).eps)
 #: the one underflow floor, the smallest normal double.  Down to it every
 #: quadrature certifies relative accuracy, since the components of one
 #: integral span many decades; a component whose sum lies below it is done.
-#: Below it a double has lost digits, and one rule holds: a density is
-#: reported as 0 with an UnderflowWarning (``analytic.fdrlos_pdf``), while a
-#: coding gain (``gamma_tricomi_u``) and a probability (``analytic._law``,
-#: for every cdf law) refuse with AccuracyError
+#: Below it a double has lost digits, and one rule holds, applied in two
+#: places only: ``analytic._law`` reports a density of any law as 0 with an
+#: UnderflowWarning and refuses a probability with AccuracyError, and
+#: ``analytic.coding_gain`` refuses a gain with AccuracyError
 TINY = np.finfo(float).tiny
 #: panel splits one quadrature may make before it raises AccuracyError
 _MAX_SUBDIVISIONS = 400
@@ -283,7 +283,7 @@ def _log_1f1_series_vec(a, x):
                        + log_poisson_pmf(lo[far], x[far]))
     rest, last = _window_sums(a, x, lo, count.astype(np.intp))
     k = hi + 1.0
-    r = (a - 1.0 + k) * x / (k * k)
+    r = ((k - 1.0) + a) * x / (k * k)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         left_out = last * r / (1.0 - r) + lo * np.maximum(1.0, np.exp(-x - log_lo))
         certified = (r < 1.0) & (left_out <= _SERIES_REL_TAIL * (1.0 + rest))
@@ -320,7 +320,7 @@ def _window_sums(a, x, lo, count):
     groups = np.split(order, np.flatnonzero(np.diff(band[order])) + 1)
     top = int(count[shared].max()) if shared.any() else 1
     j = np.arange(1.0, top)
-    coef = (a - 1.0 + j) / (j * j)
+    coef = ((j - 1.0) + a) / (j * j)
     for idx in groups:
         length = int(count[idx].max())
         cols = max(1, _BLOCK_ENTRIES // length)
@@ -332,7 +332,10 @@ def _window_sums(a, x, lo, count):
                 s = coef[:length - 1, None] * x_c
             else:
                 k = lo[sel] + np.arange(1.0, length)[:, None]
-                s = (k + (a - 1.0)) * x_c
+                # (k - 1) + a, so that a tiny a is not rounded away; in place
+                s = k - 1.0
+                s += a
+                s *= x_c
                 s /= k * k
             np.cumprod(s, axis=0, out=s)
             last[sel] = s[end]
@@ -344,7 +347,18 @@ def _window_sums(a, x, lo, count):
 def _log_1f1_asymptotic_vec(a, x):
     """log of e^-x times the large-x expansion
     x^(a-1) / Gamma(a) sum_k ((1-a)_k)^2 / (k! x^k), elementwise; x must be
-    well past a^2."""
+    well past a^2.  The expansion leaves out the branch e^-x x^-a / Gamma(1-a)
+    (DLMF 13.7.2), which is not negligible at tiny a (below about 1e-69 just
+    past x = 200): where that branch's prefactor passes e^-37 of this one's
+    it raises AccuracyError."""
+    if not x.size:
+        return x
+    # the ratio of the two, e^-x x^(1-2a) Gamma(a)/Gamma(1-a), falls with x
+    # past 200, so the smallest x bounds it
+    x0 = float(x.min())
+    if x0 + (2.0 * a - 1.0) * math.log(x0) - gammaln(a) + gammaln(1.0 - a) < 37.0:
+        raise AccuracyError("1F1 asymptotic expansion leaves out a branch above e^-37 "
+                            "of its sum")
     log_pref = (a - 1.0) * np.log(x) - gammaln(a)
     term = np.ones_like(x)
     total = np.ones_like(x)
@@ -447,7 +461,7 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     """Gamma(m) * U(m, 1, z) for finite m > 0 and finite z > 0, to relative
     accuracy ``rel_tol``: the high-SNR offset needs exactly this product,
     which stays finite where Gamma(m) alone would overflow.  An internal
-    kernel: its one caller, ``analytic.coding_gain``, checks m and z.
+    kernel: its one caller in ``analytic`` checks m and z.
 
     In t = log x, x the scatter variable of ``analytic``, it is
 
@@ -462,8 +476,9 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     c = log z - t*, rounded once: psi(t* + s) = -z e^(s - c)
     - m log(1 + e^(c - s)), so no rounded log z shifts the two terms apart,
     which would act as a change in z amplified about sqrt(K)-fold at large
-    m.  A value below the smallest normal double (from about K = 1.25e5 at
-    large m), which has lost digits to underflow, raises AccuracyError.
+    m.  The value is returned as computed, below the smallest normal double
+    too (from about K = 1.25e5 at large m): ``analytic`` applies the rule of
+    ``TINY`` to it.
     """
     # c = log(z / x*), x* the root of x (x + z) = m z, in a form that neither
     # cancels nor overflows
@@ -479,8 +494,4 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
         return np.exp(psi(np.stack([s, -s], axis=1)) - psi_peak)
 
     vals, _ = adaptive_quad_vec(f, rel_tol=rel_tol)
-    value = float(vals.sum()) * math.exp(psi_peak)
-    if not value >= TINY:
-        raise AccuracyError(f"Gamma(m) U(m, 1, z) = {value:.3g} lies below the "
-                            "smallest normal double", value=value)
-    return value
+    return float(vals.sum()) * math.exp(psi_peak)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import warnings
@@ -10,11 +11,10 @@ from scipy.integrate import quad
 from scipy.special import betainc, digamma, k0, k1
 
 from fdrlos import analytic, specfun
-from fdrlos.analytic import (Curve, UnderflowWarning, _flag_underflow,
-                             asymptotic_op, coding_gain, drlos_cdf_oracle,
-                             drlos_pdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
-                             fdrlos_pdf, rician_cdf, rician_pdf, rs_cdf,
-                             rs_pdf)
+from fdrlos.analytic import (Curve, UnderflowWarning, asymptotic_op,
+                             coding_gain, drlos_cdf_oracle, drlos_pdf_oracle,
+                             fdrlos_cdf, fdrlos_cdf_oracle, fdrlos_pdf,
+                             rician_cdf, rician_pdf, rs_cdf, rs_pdf)
 from fdrlos.models import FadingParams, check_params
 from fdrlos.specfun import AccuracyError, DomainError, adaptive_quad_vec
 
@@ -52,7 +52,8 @@ RS_CDF_PEAK_GOLDENS = {
 # the same cdf at integer m, from scripts/make_goldens.py
 RS_CDF_2_4_2_15 = 0.7310867571901103
 # the Rician shadowed pdf from scripts/make_goldens.py (the 1F1 density at 40
-# and 50 digits) at K_x up to 1e8, where e^-x and 1F1 each leave double range
+# and 50 digits) at K_x up to 1e8, where e^-x and 1F1 each leave double range,
+# and at m = 1e-12 and 1e-20, where m - 1 rounds m away
 RS_PDF_GOLDENS = {
     (3.0, 50000.0, 3, 1.7): 0.12417405320652712,
     (3.0, 1000000.0, 3, 1.7): 0.12417203665086425,
@@ -60,6 +61,10 @@ RS_PDF_GOLDENS = {
     (3.0, 50000.0, 2.5, 1.7): 0.12438606905659301,
     (3.0, 1000000.0, 2.5, 1.7): 0.12438514130706335,
     (3.0, 100000000.0, 2.5, 1.7): 0.1243850929565179,
+    (30.0, 1.0, 1e-12, 1.0): 3.3908400786864395e-14,
+    (50.0, 1.0, 1e-12, 1.0): 2.0204125053042746e-14,
+    (30.0, 1.0, 1e-20, 1.0): 3.391015209177911e-22,
+    (50.0, 1.0, 1e-20, 1.0): 2.0204125055496712e-22,
 }
 # fluctuating double-Rayleigh LoS pdf and cdf (gamma, K, m, gbar) and coding
 # gains (K, m) from scripts/make_goldens.py: the paper's closed form at a
@@ -156,6 +161,15 @@ A_K1_M3 = CODING_GAIN_GOLDENS[(1.0, 3)]
 TIGHT = 1e-12
 
 
+@contextlib.contextmanager
+def underflow_ignored():
+    """Ignore a density's UnderflowWarning, and no other warning, within:
+    for a quadrature whose nodes reach a law's tail."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnderflowWarning)
+        yield
+
+
 class TestRsPdf:
     def test_no_los_reduces_to_exponential(self):
         assert rs_pdf(1.0, 0.0, 2.7, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -164,7 +178,8 @@ class TestRsPdf:
         assert rs_pdf(1.0, 2.0, 1, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_normalizes_at_real_m(self):
-        val, _ = adaptive_quad_vec(lambda g: rs_pdf(g, 3.0, 2.5, 2.0), rel_tol=TIGHT)
+        with underflow_ignored():
+            val, _ = adaptive_quad_vec(lambda g: rs_pdf(g, 3.0, 2.5, 2.0), rel_tol=TIGHT)
         assert val[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_negative_snr(self):
@@ -275,8 +290,9 @@ class TestRsMixture:
     def test_weights_sum_to_one(self, m, k, x):
         # F(g) + int_g^inf f = 1 holds only if the weights sum to one
         k_x, gbar_x = k / x, 2.0 * (k + x) / (k + 1.0)
-        tail, _ = adaptive_quad_vec(lambda u: rs_pdf(gbar_x + u, k_x, m, gbar_x),
-                                    rel_tol=TIGHT)
+        with underflow_ignored():
+            tail, _ = adaptive_quad_vec(lambda u: rs_pdf(gbar_x + u, k_x, m, gbar_x),
+                                        rel_tol=TIGHT)
         assert rs_cdf(0.0, k_x, m, gbar_x) == 0.0
         assert rs_cdf(gbar_x, k_x, m, gbar_x) + tail[0] == pytest.approx(
             1.0, abs=1e-10)
@@ -496,10 +512,10 @@ class TestFdrlosPdf:
             assert fdrlos_pdf(g, FadingParams(1.0, 2, 1.0)) == 0.0
         assert [w.category for w in caught] == [UnderflowWarning]
 
-    def test_underflow_flagged(self):
-        with pytest.warns(UnderflowWarning):
-            out = _flag_underflow(np.array([1e-310, 0.5]))
-        np.testing.assert_array_equal(out, [0.0, 0.5])
+    def test_zero_snr_checks_k_over_m(self):
+        # the density at 0 runs the coding gain's domain check: K/m = 1e310
+        with pytest.raises(DomainError, match="K/m"):
+            fdrlos_pdf(0.0, FadingParams(1.0, 1e-310, 1.0))
 
 
 class TestFdrlosPdfRealM:
@@ -686,8 +702,10 @@ SCALE_FAMILY_ROUTES = {
 def test_scale_family_identity(route, k, m, gbar_db, gamma):
     law = SCALE_FAMILY_ROUTES[route]
     gbar = 10.0 ** (gbar_db / 10.0)
-    unit = law(gamma / gbar, k, m, 1.0)
-    assert law(gamma, k, m, gbar) == (unit / gbar if "pdf" in route else unit)
+    with underflow_ignored():
+        unit = law(gamma / gbar, k, m, 1.0)
+        got = law(gamma, k, m, gbar)
+    assert got == (unit / gbar if "pdf" in route else unit)
 
 
 class TestHugeMeanSnr:
@@ -768,6 +786,34 @@ def test_every_cdf_law_refuses_a_subnormal_probability(call):
     # real-m series underflows to 0, the others keep only a few digits
     with pytest.raises(AccuracyError, match="below the smallest normal double"):
         call()
+
+
+#: each law's density below the smallest normal double at unit mean: at
+#: t > 0 and, through ``at_zero``, at t = 0; the last is a vector whose
+#: second value underflows
+UNDERFLOWING_DENSITIES = {
+    "rician_pdf": lambda: rician_pdf(395.0, 1.0, 1.0),
+    "rs_pdf_real_m": lambda: rs_pdf(520.0, 1.0, 2.5, 1.0),
+    "rs_pdf_integer_m": lambda: rs_pdf(540.0, 1.0, 2, 1.0),
+    "drlos_pdf_oracle": lambda: drlos_pdf_oracle(1e5, 1.0, 1.0),
+    "drlos_pdf_oracle_at_zero": lambda: drlos_pdf_oracle(0.0, 1.4e5, 1.0),
+    "fdrlos_pdf_at_zero": lambda: fdrlos_pdf(0.0, FadingParams(1.3e5, 1e6, 1.0)),
+    "fdrlos_pdf_vector": lambda: fdrlos_pdf(np.array([1.0, 6.6e4]), FadingParams(1.0, 2, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDERFLOWING_DENSITIES))
+def test_every_density_underflow_is_reported_as_zero(case):
+    # the one density rule, at ``_law``: 0 and one UnderflowWarning a call
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = np.atleast_1d(UNDERFLOWING_DENSITIES[case]())
+    assert [w.category for w in caught] == [UnderflowWarning]
+    assert got[-1] == 0.0
+    if got.size > 1:
+        # the value beside it is the density, as a scalar call gives it
+        assert got[0] == pytest.approx(fdrlos_pdf(1.0, FadingParams(1.0, 2, 1.0)),
+                                       rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("call", [
@@ -1038,17 +1084,24 @@ EXTREME_SNR = [(1e-312, 1.0), (1e-12, 1e300), (1e250, 1.0), (1e306, 1.0), (1e6, 
 @pytest.mark.parametrize("k, m", [(0.0, 2), (1.0, 2), (1.0, 2.5), (1.0, 0.3), (1e4, 2.5)])
 @pytest.mark.parametrize("law", sorted(SNR_LAWS))
 def test_every_law_at_both_ends_of_the_unit_mean_snr(law, k, m):
-    # no NaN, warning or DomainError: a value in range, its +inf limit past
-    # t = 1e200, or a refusal
+    # no NaN, DomainError or warning but a density's one UnderflowWarning: a
+    # value in range, its +inf limit past t = 1e200, a density below the
+    # smallest normal double reported as 0, or a refusal
     kind, call = SNR_LAWS[law][0], PUBLIC_LAWS[law][1]
     for g, gbar in EXTREME_SNR:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 got = call(g, k, m, gbar, 1e-10)
             except AccuracyError:
-                continue
-        if g / gbar > 1e200:
+                got = None
+        categories = [w.category for w in caught]
+        if got is None:
+            assert not categories
+            continue
+        if categories:
+            assert kind == "pdf" and got == 0.0 and categories == [UnderflowWarning]
+        elif g / gbar > 1e200:
             assert got == (0.0 if kind == "pdf" else 1.0)
         else:
             assert 0.0 <= got <= (np.inf if kind == "pdf" else 1.0)
@@ -1151,9 +1204,11 @@ class TestAsymptote:
         assert coding_gain(1e300, 1) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_gain_below_the_quadrature_floor_is_refused(self):
-        # at K = 1.3e5 Gamma(m) U is subnormal, and has lost digits
-        with pytest.raises(AccuracyError, match="smallest normal double"):
-            coding_gain(1.3e5, 1e4)
+        # at K = 1.3e5 Gamma(m) U is subnormal, and has lost digits; the
+        # density at 0 reports the same value as 0 (``UNDERFLOWING_DENSITIES``)
+        for m in (1e4, 1e6):
+            with pytest.raises(AccuracyError, match="smallest normal double"):
+                coding_gain(1.3e5, m)
 
 
 def drlos_density_by_phase(g, k, gbar):
@@ -1173,7 +1228,8 @@ def drlos_density_by_phase(g, k, gbar):
 
 class TestAncestors:
     def test_rician_pdf_normalizes(self):
-        val, _ = adaptive_quad_vec(lambda g: rician_pdf(g, 3.0, 2.0), rel_tol=TIGHT)
+        with underflow_ignored():
+            val, _ = adaptive_quad_vec(lambda g: rician_pdf(g, 3.0, 2.0), rel_tol=TIGHT)
         assert val[0] == pytest.approx(1.0, rel=1e-10)
 
     def test_rician_cdf_matches_pdf(self):

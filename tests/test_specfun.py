@@ -322,6 +322,12 @@ class TestKummer1F1:
         with pytest.raises(AccuracyError, match="past the cap"):
             log_kummer_1f1(1e5 + 0.5, np.array([1.0, 1e10]))
 
+    def test_refuses_an_expansion_missing_its_second_branch(self):
+        # at a = 1e-100 the left-out e^-x x^-a / Gamma(1-a) outgrows the
+        # expansion just past x = 200: the true value is about -201, not -235.6
+        with pytest.raises(AccuracyError, match="leaves out a branch"):
+            log_kummer_1f1(1e-100, 201.0)
+
     def test_log_form_vectorized(self):
         x = np.array([0.0, 0.4, 7.0, 90.0])
         got = log_kummer_1f1(3.0, x)

@@ -11,6 +11,11 @@ from .analytic import Curve
 from .specfun import DomainError
 
 
+#: values per ``analytic_cdf`` call in ``ks_distance``: 128 kB an array, so
+#: the block temporaries, the cdf's own included, stay well under 1 MB
+_KS_BLOCK = 1 << 14
+
+
 class CdfContractError(ValueError):
     """The supplied analytic cdf is not monotone over the sample range."""
 
@@ -41,22 +46,37 @@ def ks_distance(samples, analytic_cdf) -> KsReport:
     """Two-sided sup distance between the sample ecdf and an analytic cdf,
     passed against ``default_ks_threshold``.
 
-    ``analytic_cdf`` must accept an array and be (numerically) nondecreasing
-    over the sample range; anything else is a contract violation.  The array
-    it returns is clipped to [0, 1] in place.
+    ``analytic_cdf`` is called on consecutive ascending blocks of the sorted
+    sample, of ``_KS_BLOCK`` values at most, and must return an array of its
+    input's shape; it must be (numerically) nondecreasing over the sample
+    range, within each block and across each join, and lie in [0, 1].
+    Anything else is a contract violation.  The arrays it returns are
+    clipped to [0, 1] in place.  Memory: one sorted copy of the sample plus
+    a few block-sized arrays.
     """
     vals = np.sort(_values(samples))
     n = len(vals)
-    f = np.asarray(analytic_cdf(vals), dtype=float)
-    if np.any(np.diff(f) < -1e-12) or f[0] < -1e-9 or f[-1] > 1.0 + 1e-9:
-        raise CdfContractError("analytic cdf is not monotone in [0,1] on the "
-                               "sample range")
-    np.clip(f, 0.0, 1.0, out=f)
-    # above = (i+1)/n - F_i; F_i - i/n is then 1/n - above
-    above = np.arange(1.0, n + 1.0)
-    above /= n
-    above -= f
-    stat = float(max(above.max(), 1.0 / n - above.min()))
+    hi, lo = -np.inf, np.inf     # max and min of above = (i+1)/n - F_i
+    for start in range(0, n, _KS_BLOCK):
+        block = vals[start:start + _KS_BLOCK]
+        f = np.asarray(analytic_cdf(block), dtype=float)
+        if f.shape != block.shape:
+            raise CdfContractError(f"analytic cdf returned shape {f.shape} "
+                                   f"for an input of shape {block.shape}")
+        # written so that a NaN fails: the running max and min would skip it
+        if not (np.all(np.diff(f) >= -1e-12)
+                and (f[0] >= -1e-9 if start == 0 else f[0] - last >= -1e-12)
+                and (start + block.size < n or f[-1] <= 1.0 + 1e-9)):
+            raise CdfContractError("analytic cdf is not monotone in [0,1] on "
+                                   "the sample range")
+        last = f[-1]             # the next join is checked against it
+        np.clip(f, 0.0, 1.0, out=f)
+        above = np.arange(start + 1.0, start + block.size + 1.0)
+        above /= n
+        above -= f
+        hi, lo = max(hi, above.max()), min(lo, above.min())
+    # F_i - i/n is 1/n - above
+    stat = float(max(hi, 1.0 / n - lo))
     thr = default_ks_threshold(n)
     return KsReport(statistic=stat, n=n, threshold=thr, passed=stat < thr)
 

@@ -124,48 +124,74 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_gamma_rv(m: float, n: int, stream: np.random.Generator) -> np.ndarray:
-    """Unit-mean Gamma(shape m, scale 1/m) samples: mean 1, variance 1/m.  An
-    internal kernel: its one caller, ``_sample_chunk``, takes n from the
-    chunk that ``sample_snr`` checked and m from a checked ``FadingParams``."""
-    return stream.standard_gamma(m, n) / m
+def sample_gamma_rv(m: float, stream: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with unit-mean Gamma(shape m, scale 1/m) samples: mean 1,
+    variance 1/m.  An internal kernel: its one caller, ``_sample_chunk``,
+    takes ``out`` from the chunk that ``sample_snr`` checked and m from a
+    checked ``FadingParams``."""
+    stream.standard_gamma(m, out=out)
+    out /= m
 
 
 def _sample_chunk(model: ModelKind, params: FadingParams,
-                  rng: np.random.Generator, out: np.ndarray) -> None:
+                  rng: np.random.Generator, out: np.ndarray,
+                  rows: np.ndarray) -> None:
+    """Fill ``out`` with one chunk of SNR samples, drawn in the order
+    exponential, Gamma, Gr, Gi; ``rows`` is two scratch rows of out's size."""
+    los_row, g = rows
     a = np.sqrt(params.gamma_bar / 2.0) * params.omega2
     if model.has_double_scatter:
-        a = a * np.sqrt(rng.standard_exponential(out.size))
+        rng.standard_exponential(out=out)
+        np.sqrt(out, out=out)
+        out *= a
+        a = out
     los = np.sqrt(params.gamma_bar) * params.omega0
     if model.has_los_fluctuation:
-        los = los * np.sqrt(sample_gamma_rv(params.m, out.size, rng))
-    g = rng.standard_normal((2, out.size))   # (Gr, Gi) of the real form
+        sample_gamma_rv(params.m, rng, los_row)
+        np.sqrt(los_row, out=los_row)
+        los_row *= los
+        los = los_row
+    rng.standard_normal(out=g)               # Gr of the real form
     g *= a
-    g[0] += los
+    g += los
     np.square(g, out=g)
-    np.add(g[0], g[1], out=out)
+    rng.standard_normal(out=los_row)         # Gi, over the spent LoS row
+    los_row *= a
+    np.square(los_row, out=los_row)
+    np.add(g, los_row, out=out)
 
 
 def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
                threads: int = 1) -> SnrSampleSet:
     """Draw n SNR realizations in the module docstring's real form.  Chunk c
-    uses Philox stream (seed, c): pure in (model, params, seed, n), any threads."""
+    uses Philox stream (seed, c): pure in (model, params, seed, n), any threads.
+
+    Memory: the 8n-byte output plus, for each of min(threads, chunks) workers,
+    two scratch rows of min(n, ``_CHUNK``) doubles; nothing else scales with n.
+    """
     if n < 1:
         raise DomainError("sample count must be >= 1")
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     if np.ndim(params.k) or np.ndim(params.gamma_bar):
         raise DomainError("the sampler takes a scalar K and gamma_bar")
     out = np.empty(n)
     nchunks = (n + _CHUNK - 1) // _CHUNK
+    workers = min(threads, nchunks)
 
-    def run(c: int) -> None:
-        lo = c * _CHUNK
-        _sample_chunk(model, params, _chunk_rng(seed, c), out[lo:lo + _CHUNK])
+    # allocated by the caller's thread: what a worker thread frees stays in
+    # its malloc arena, and kept 32 MB resident from one 2-thread sim to the next
+    scratch = np.empty((workers, 2, min(n, _CHUNK)))
 
-    if threads <= 1 or nchunks == 1:
-        for c in range(nchunks):
-            run(c)
+    def work(w: int) -> None:
+        for c in range(w, nchunks, workers):
+            chunk = out[c * _CHUNK:(c + 1) * _CHUNK]
+            _sample_chunk(model, params, _chunk_rng(seed, c), chunk,
+                          scratch[w, :, :chunk.size])
+
+    if workers == 1:
+        work(0)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(nchunks)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(work, range(workers)))
     return SnrSampleSet(model=model, params=params, seed=seed, count=n, values=out)
-

@@ -398,6 +398,12 @@ class TestSimCommand:
         assert run(self.BASE + ["--rel-tol", "5", "--output", str(out)]) == 2
         assert not out.exists()
 
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sim.txt"
+        assert run(self.BASE + ["--threads", "-3", "--output", str(out)]) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_samples_rejected(self, tmp_path):
         code = run(["sim", "--k", "1", "--m", "1", "--gamma-bar", "1",
                     "--samples", "0", "--output", str(tmp_path / "x.txt")])

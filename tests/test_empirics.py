@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdrlos.empirics import (CdfContractError, default_ks_threshold,
+from fdrlos.empirics import (_KS_BLOCK, CdfContractError, default_ks_threshold,
                              histogram_density, ks_distance, tabulated_cdf)
 from fdrlos.models import _chunk_rng
 from fdrlos.specfun import DomainError
@@ -57,6 +57,43 @@ class TestKsDistance:
         direct = max(max((i + 1) / n - fi, fi - i / n) for i, fi in enumerate(f))
         assert ks_distance(sample, exp_cdf).statistic == pytest.approx(
             direct, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, _KS_BLOCK - 1, _KS_BLOCK, _KS_BLOCK + 1,
+                                   3 * _KS_BLOCK + 7])
+    def test_blocks_give_the_full_array_statistic(self, n):
+        # the unblocked computation, with the same elementwise operations
+        x = _chunk_rng(15, 0).exponential(1.0, n)
+        f = np.clip(exp_cdf(np.sort(x)), 0.0, 1.0)
+        above = np.arange(1.0, n + 1.0) / n - f
+        direct = float(max(above.max(), 1.0 / n - above.min()))
+        assert ks_distance(x, exp_cdf).statistic == direct
+
+    def test_contract_checked_across_blocks(self):
+        b = _KS_BLOCK
+        x = np.linspace(0.1, 6.0, 3 * b + 7)
+        ramp = lambda g: (g - 0.1) / 5.9                   # 0 to 1 over x
+        for bad in (lambda g: 0.5 - 1e-11 * (g >= x[b]),   # a dip at the first join
+                    lambda g: ramp(g) - 2e-9 * (g < x[1]), # below 0, first block only
+                    lambda g: ramp(g) + 2e-9 * (g > x[-2])):  # above 1, last block only
+            with pytest.raises(CdfContractError):
+                ks_distance(x, bad)
+        ks_distance(x, ramp)                               # the ramp itself passes
+
+    @pytest.mark.parametrize("at", [0, _KS_BLOCK - 1, _KS_BLOCK, 2 * _KS_BLOCK])
+    def test_nan_cdf_rejected(self, at):
+        x = np.linspace(0.1, 6.0, 2 * _KS_BLOCK + 1)      # the last block holds one value
+
+        def cdf(g):
+            f = exp_cdf(g)
+            f[g == x[at]] = np.nan
+            return f
+
+        with pytest.raises(CdfContractError):
+            ks_distance(x, cdf)
+
+    def test_cdf_of_another_shape_rejected(self):
+        with pytest.raises(CdfContractError, match="shape"):
+            ks_distance(np.linspace(0.1, 6.0, 10), lambda g: 0.5)
 
     def test_statistic_shrinks_like_root_n(self):
         stats = {}

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fdrlos.analytic import (drlos_cdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
                              rician_cdf, rs_cdf)
 from fdrlos.empirics import ks_distance, tabulated_cdf
-from fdrlos.models import (FadingParams, ModelKind, _chunk_rng, sample_gamma_rv,
-                           sample_snr)
+from fdrlos.models import (_CHUNK, FadingParams, ModelKind, _chunk_rng,
+                           sample_gamma_rv, sample_snr)
 from fdrlos.specfun import DomainError
 
 
@@ -43,21 +45,41 @@ class TestFadingParams:
 
 
 class TestGammaSampler:
+    @staticmethod
+    def draw(m, seed):
+        xi = np.empty(10 ** 6)
+        sample_gamma_rv(m, _chunk_rng(seed, 0), xi)
+        return xi
+
     def test_unit_mean_exponential_case(self):
-        rng = _chunk_rng(11, 0)
-        xi = sample_gamma_rv(1.0, 10 ** 6, rng)
+        xi = self.draw(1.0, 11)
         assert np.mean(xi) == pytest.approx(1.0, abs=0.005)
 
     def test_variance_at_m5(self):
-        rng = _chunk_rng(12, 0)
-        xi = sample_gamma_rv(5.0, 10 ** 6, rng)
+        xi = self.draw(5.0, 12)
         assert np.var(xi) == pytest.approx(0.2, abs=0.01)
 
     def test_skewness_below_unit_shape(self):
-        rng = _chunk_rng(13, 0)
-        xi = sample_gamma_rv(0.5, 10 ** 6, rng)
+        xi = self.draw(0.5, 13)
         skew = np.mean((xi - xi.mean()) ** 3) / np.std(xi) ** 3
         assert skew == pytest.approx(2.0 / np.sqrt(0.5), abs=0.05)
+
+
+def reference_snr(model, p, n, seed):
+    """The module docstring's real form in plain allocating numpy:
+    gamma_bar |w0 sqrt(xi) + w2 sqrt(E3) G|^2, chunk c drawn from stream
+    (seed, c) in the order E3, xi, (Gr, Gi)."""
+    parts = []
+    for c in range(-(-n // _CHUNK)):
+        rng = _chunk_rng(seed, c)
+        size = min(_CHUNK, n - c * _CHUNK)
+        e3 = rng.standard_exponential(size) if model.has_double_scatter else 1.0
+        xi = rng.standard_gamma(p.m, size) / p.m if model.has_los_fluctuation else 1.0
+        gr, gi = rng.standard_normal((2, size))
+        a = np.sqrt(p.gamma_bar / 2.0) * p.omega2 * np.sqrt(e3)
+        los = np.sqrt(p.gamma_bar) * p.omega0 * np.sqrt(xi)
+        parts.append((gr * a + los) ** 2 + (gi * a) ** 2)
+    return np.concatenate(parts)
 
 
 class TestSampler:
@@ -84,6 +106,14 @@ class TestSampler:
         assert np.array_equal(serial.values, t2.values)
         assert np.array_equal(serial.values, t8.values)
 
+    @pytest.mark.parametrize("model", list(ModelKind))
+    def test_stream_matches_reference(self, model):
+        p = FadingParams(2.0, 2.5, 1.3)
+        n = 2 * _CHUNK + 12345                  # ends in a partial chunk
+        ref = reference_snr(model, p, n, 17)
+        for threads in (1, 2, 8):
+            assert np.array_equal(sample_snr(model, p, n, 17, threads=threads).values, ref)
+
     def test_nonnegative_and_counted(self):
         s = sample_snr(ModelKind.DRLOS, FadingParams(1.0, 1, 1.0), 10_000, 3)
         assert s.count == 10_000 == len(s.values)
@@ -98,10 +128,47 @@ class TestSampler:
         with pytest.raises(DomainError):
             sample_snr(ModelKind.RICIAN, FadingParams(1.0, 1, 1.0), 0, 1)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(DomainError, match="threads"):
+            sample_snr(ModelKind.RICIAN, FadingParams(1.0, 1, 1.0), 10, 1, threads=threads)
+
     def test_values_frozen(self):
         s = sample_snr(ModelKind.RICIAN, FadingParams(1.0, 1, 1.0), 10, 1)
         with pytest.raises(ValueError):
             s.values[0] = -1.0
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory it allocated, numpy buffers included."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """The Monte-Carlo path allocates its output, one sorted copy for KS and
+    chunk- or block-sized scratch; nothing else scales with the sample."""
+
+    N = 2 ** 21 + 5
+
+    def test_sampler_and_ks_peaks(self):
+        p = FadingParams(5.0, 3, 2.0)
+        s, peak = traced_peak(lambda: sample_snr(ModelKind.FDRLOS, p, self.N, 3, threads=2))
+        assert peak <= 8 * self.N + 2 * 2 * 8 * _CHUNK + 2 ** 20
+        cdf = tabulated_cdf(lambda g: fdrlos_cdf(g, p),
+                            float(s.values.min()), float(s.values.max()))
+        rep, peak = traced_peak(lambda: ks_distance(s, cdf))
+        assert rep.passed, rep
+        assert peak <= 8 * self.N + 2 ** 20
 
 
 class TestDistributionalChecks:

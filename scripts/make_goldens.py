@@ -56,6 +56,17 @@ e^{-(y+K)/x} I0(2 sqrt(K y)/x) / x averaged over e^{-x}, in s = sqrt(x), where
 it steps from 0 near s = |sqrt y - sqrt K| to a bounded value, with the
 tanh-sinh pieces split at that s times powers of 4, at both precisions.
 
+Deterministic-LoS double-Rayleigh cdf (``DRLOS_CDF_GOLDENS``): with
+a = sqrt y and b = sqrt K, R = |G2 G3| of density 4 r K0(2 r) and a uniform
+phase, P(R <= a - b) plus int 4 r K0(2 r) arccos(-c(r))/pi dr over the
+annulus |a - b| <= r <= a + b, c(r) = (y - K - r^2)/(2 b r), the disc as
+r1^2 int_0^1 4 u K0(2 r1 u) du below r1 = a - b = 1, at both precisions.
+Each row with 0 < K <= 5 is confirmed to 16 digits by the Rician cdf, the
+integral of e^{-(u + K/x)} I0(2 sqrt(K u / x)) over u in [0, y/x], averaged
+over e^{-x} at 20 digits; each K = 0 row by the product law
+1 - 2 sqrt y K1(2 sqrt y) at 150 digits, which its cancellation needs at
+y = 1e-100.
+
 Coding gains (``CODING_GAIN_GOLDENS``), two ways that must agree to 25
 digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
 (1+K) int_0^inf e^(-x) x^(m-1) (x + K/m)^(-m) dx at 40 digits, taken with
@@ -73,8 +84,9 @@ Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by ``mp.quad``, and
 Stirling's remainder and the Poisson and negative-binomial log masses from
 ``loggamma``.
 
-Run from the repository root (about an hour on one core, most of it the
-tanh-sinh real-m cdf goldens):
+Run from the repository root (about an hour and a half on one core, most of
+it the tanh-sinh real-m cdf goldens and the Rician check of the drlos cdf at
+y = K, 15 minutes at K = 5):
 
     python3 scripts/make_goldens.py
 """
@@ -153,6 +165,15 @@ FDRLOS_CDF_REAL_M_CASES = [("K = 3, m = 2.5", g, 3.0, 2.5, 2.0) for g in (0.01, 
 #: (gamma, k, gbar) of the drlos pdf: y = K exactly, and 1e-6 and 1e-7 above
 DRLOS_PDF_CASES = [(0.5, 1.0, 1.0), (0.5000005, 1.0, 1.0),
                    (5.0 / 3.0, 5.0, 2.0), (5.0 / 3.0 * (1.0 + 1e-7), 5.0, 2.0)]
+
+#: (name, gamma, k, gbar) of the drlos cdf
+DRLOS_CDF_CASES = [("chndtr gave NaN at this K", 1.0, 1e4, 1.0),
+                   ("K = 0", 1e-12, 0.0, 1.0),
+                   ("K = 0", 1e-100, 0.0, 1.0),
+                   ("fig3 at 0 dB", 10.0 ** 0.3, 1.0, 1.0),
+                   ("fig3 at 60 dB", 10.0 ** 0.3, 1.0, 1e6),
+                   ("y = K", 0.5, 1.0, 1.0),
+                   ("y = K", 5.0 / 3.0, 5.0, 2.0)]
 
 #: (k, m): integer m, real m down to 0.3, a gain near 6e-295, which
 #: underflows unless the integrand is scaled by its peak, one near 9e-294,
@@ -475,6 +496,90 @@ def drlos_pdf(g, k, gbar):
     return (1 + k) / gbar * mp.quad(integrand, sorted(breaks) + [mp.inf])
 
 
+def _pieces(lo, hi, scale):
+    """[lo, hi] split at lo + scale 4^j and at 1, 4, 16 and 64."""
+    breaks, s = {lo, hi}, scale
+    while s < hi - lo:
+        breaks.add(lo + s)
+        s *= 4
+    return sorted(breaks | {mp.mpf(p) for p in (1, 4, 16, 64) if lo < p < hi})
+
+
+def drlos_cdf(g, k, gbar):
+    """The disc P(R <= a - b) plus the annulus integral (module docstring)."""
+    g, k, gbar = mp.mpf(g), mp.mpf(k), mp.mpf(gbar)
+    y = (1 + k) * g / gbar
+    a, b = mp.sqrt(y), mp.sqrt(k)
+
+    def density(r):
+        return 4 * r * mp.besselk(0, 2 * r)
+
+    disc = 0
+    if a > b:
+        r1 = a - b
+        # r = r1 u scales out r1^2, below which mp.quad's absolute error
+        # test would pass a disc of 1e-98 unconverged
+        disc = (r1 ** 2 * mp.quad(lambda u: 4 * u * mp.besselk(0, 2 * r1 * u), [0, 1])
+                if r1 < 1 else 1 - 2 * r1 * mp.besselk(1, 2 * r1))
+    if b == 0:
+        return disc
+    lo = abs(a - b)
+    top = min(a + b, lo + 80)      # past it K0(2 r) is below e^-160 of its value at lo
+
+    def annulus(r):
+        c = (y - k - r * r) / (2 * b * r)
+        return density(r) * mp.acos(max(-1, min(1, -c))) / mp.pi
+
+    return disc + mp.quad(annulus, _pieces(lo, top, max(lo, mp.mpf(10) ** -30)))
+
+
+def rician_cdf(v, lam):
+    """The Rician cdf at unit scatter, int_0^v e^{-(u + lam)} I0(2 sqrt(lam u)) du
+    (1 less the integral past v where v > lam + 1), split about lam in steps of
+    sqrt(lam) + 1."""
+    def f(u):
+        z = 2 * mp.sqrt(lam * u)
+        return mp.exp(-(mp.sqrt(u) - mp.sqrt(lam)) ** 2 - z) * mp.besseli(0, z)
+
+    w = mp.sqrt(lam) + 1
+    breaks = sorted({mp.mpf(0), v} | {lam + j * w for j in (-40, -10, -3, 0, 3, 10, 40)
+                                      if lam + j * w > 0})
+    if v <= lam + 1:
+        return mp.quad(f, [t for t in breaks if t <= v])
+    return 1 - mp.quad(f, [t for t in breaks if t >= v] + [mp.inf])
+
+
+def drlos_cdf_by_rician(g, k, gbar):
+    """The Rician cdf at K_x = K/x and y/x averaged over e^{-x}, split at
+    (sqrt y - sqrt K)^2/160 times powers of 4, where the conditional leaves
+    its limit at x = 0; at y = K, where it nears 1/2 like sqrt x, which
+    tanh-sinh takes in one piece, at 1e-4 times powers of 4."""
+    g, k, gbar = mp.mpf(g), mp.mpf(k), mp.mpf(gbar)
+    y = (1 + k) * g / gbar
+    s = (mp.sqrt(y) - mp.sqrt(k)) ** 2 / 160 or mp.mpf(10) ** -4
+    breaks = {mp.mpf(0), mp.mpf(1), mp.mpf(4), mp.mpf(16)}
+    while s < 1:
+        breaks.add(s)
+        s *= 4
+    return mp.quad(lambda x: mp.exp(-x) * rician_cdf(y / x, k / x), sorted(breaks) + [mp.inf])
+
+
+def drlos_cdf_golden(g, k, gbar):
+    value = special(drlos_cdf, (g, k, gbar))
+    if k == 0:
+        with mp.workdps(150):
+            root = mp.sqrt(mp.mpf(g) / gbar)
+            check = 1 - 2 * root * mp.besselk(1, 2 * root)
+    elif k <= 5:
+        with mp.workdps(20):
+            check = drlos_cdf_by_rician(g, k, gbar)
+    else:
+        return value
+    if abs(check - value) > abs(value) * mp.mpf(10) ** -16:
+        raise ArithmeticError(f"drlos cdf {(g, k, gbar)} = {value}, but the check gives {check}")
+    return value
+
+
 def gain_by_hyperu(k, m):
     """(1+K) Gamma(m) U(m, 1, K/m) at the working precision."""
     k = mp.mpf(k)
@@ -539,6 +644,11 @@ def main():
     print("DRLOS_PDF_GOLDENS = {")
     for g, k, gbar in DRLOS_PDF_CASES:
         print(f"    ({g!r}, {k!r}, {gbar!r}): {float(special(drlos_pdf, (g, k, gbar)))!r},")
+    print("}")
+    print("DRLOS_CDF_GOLDENS = {")
+    for name, g, k, gbar in DRLOS_CDF_CASES:
+        value = drlos_cdf_golden(g, k, gbar)
+        print(f"    ({g!r}, {k!r}, {gbar!r}): {float(value)!r},  # {name}")
     print("}")
     print("CODING_GAIN_GOLDENS = {")
     for k, m in CODING_GAIN_CASES:

@@ -6,6 +6,10 @@ shadowed with K_x = K/x, a law of y/x alone with y = (1+K) g/gamma_bar, and
 the unconditional law follows by averaging against the unit-mean exponential
 weight e^{-x}, a cdf over x and a density over s = sqrt(x), where its 1/x
 stays bounded; one vector quadrature per chunk of values (``_scatter_average``).
+The deterministic-LoS limits (m -> inf) condition instead on the product
+G2 G3 = sqrt(Z) e^{j theta}, Z of density 2 K0(2 sqrt z) and theta uniform:
+each is one elementary integral over a phase (``drlos_pdf_oracle``,
+``drlos_cdf_oracle``), chunked as the averages are (``_by_chunks``).
 
 Every law takes every finite m > 0, and the route follows m
 (``_conditional``, the one place that decides): at integer m up to 100 both
@@ -30,7 +34,7 @@ scatter average of (1 + K/(m x))^(-m) / x, is the unit-mean density in y at
 y = 0, which ``fdrlos_pdf`` takes from the kernel of ``coding_gain``
 without a quadrature over x.  As m -> inf it tends to 2 K0(2 sqrt K), the
 drlos density in y at 0, which ``drlos_pdf_oracle`` takes in this closed
-form; every cdf is 0 there, so no law averages a value at g = 0.
+form; every cdf is 0 there, so no law integrates a value at g = 0.
 
 Every SNR law, the Rician shadowed, Rician and drlos ones too, passes one
 boundary, ``_law``: it checks a nonnegative SNR and the one domain of
@@ -58,7 +62,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e, k0,
+from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e, k0, k1,
                            xlogy)
 
 from .models import FadingParams, check_params
@@ -139,48 +143,67 @@ def _law(kernel, law, gamma, k, m=1.0, gbar=1.0, at_zero=None):
     return float(out) if out.ndim == 0 else out
 
 
-def _scatter_average(conditional, law, y, k, rel_tol):
-    """Average a conditional ``law`` over the exponential scatter weight,
-    to relative accuracy ``rel_tol`` in every value, at the flat array ``y``
-    with K a scalar or a flat array alongside it (``_law``): a "cdf" as
-    int e^{-x} F(y/x; K/x) dx, a "pdf" as 2 int e^{-s^2} f(y/s^2; K/s^2) ds/s.
-
-    Each chunk of ``_GAMMA_CHUNK`` values is one vector quadrature:
-    ``conditional(y/x, k_x)`` gets the chunk as (nx, ng) and K_x = K/x as an
-    (nx, 1) column, or (nx, ng) where K is an array chunked with the SNR,
-    and returns the (nx, ng) conditional values.  ``rel_tol`` is checked
-    first, since an empty ``y`` runs no quadrature.
+def _by_chunks(integrand, y, k, rel_tol):
+    """One ``adaptive_quad_vec`` per chunk of ``_GAMMA_CHUNK`` values of the
+    flat array ``y``, with K a scalar or a flat array alongside it
+    (``_law``): ``integrand(y_c, k_c)`` gives the vector integrand of a
+    chunk, one component a value.  ``rel_tol`` is checked first, since an
+    empty ``y`` runs no quadrature.
 
     A chunk whose subdivision budget runs out (an AccuracyError with an error
-    estimate) is averaged again as two halves with a budget each, so only a
-    single value refuses; a conditional's own refusal propagates at once.
-    The averages are returned as they are, for ``_law`` to apply the rule
-    of ``TINY`` to the law's value.
+    estimate) is integrated again as two halves with a budget each, so only a
+    single value refuses; an integrand's own refusal propagates at once.  The
+    integrals are returned as they are, for ``_law`` to apply the rule of
+    ``TINY`` to the law's value.
     """
     check_rel_tol(rel_tol)
     out = np.empty(y.shape)
+
+    def solve(sel):
+        try:
+            out[sel], _ = adaptive_quad_vec(integrand(y[sel], k[sel] if np.ndim(k) else k),
+                                            rel_tol=rel_tol)
+        except AccuracyError as exc:
+            if exc.err_estimate is None or sel.size == 1:
+                raise
+            solve(sel[:sel.size // 2])
+            solve(sel[sel.size // 2:])
+
+    for lo in range(0, y.size, _GAMMA_CHUNK):
+        solve(np.arange(lo, min(lo + _GAMMA_CHUNK, y.size)))
+    return out
+
+
+def _scatter_average(conditional, law, y, k, rel_tol):
+    """Average a conditional ``law`` over the exponential scatter weight,
+    to relative accuracy ``rel_tol`` in every value, at the flat array ``y``
+    and its K (``_by_chunks``): a "cdf" as int e^{-x} F(y/x; K/x) dx, a
+    "pdf" as 2 int e^{-s^2} f(y/s^2; K/s^2) ds/s.  ``conditional(y/x, k_x)``
+    gets a chunk as (nx, ng) and K_x = K/x as an (nx, 1) column, or (nx, ng)
+    where K is an array chunked with the SNR, and returns the (nx, ng)
+    conditional values."""
     pdf = law == "pdf"
 
-    def average(sel):
-        y_c = y[sel][None, :]
-        k_c = k[sel] if np.ndim(k) else k
+    def integrand(y_c, k_c):
+        y_c = y_c[None, :]
 
         def f(v):
             v = v[:, None]
             x = v * v if pdf else v
             return conditional(y_c / x, k_c / x) * (np.exp(-x) * (2.0 / v if pdf else 1.0))
+        return f
 
-        try:
-            out[sel], _ = adaptive_quad_vec(f, rel_tol=rel_tol)
-        except AccuracyError as exc:
-            if exc.err_estimate is None or sel.size == 1:
-                raise
-            average(sel[:sel.size // 2])
-            average(sel[sel.size // 2:])
+    return _by_chunks(integrand, y, k, rel_tol)
 
-    for lo in range(0, y.size, _GAMMA_CHUNK):
-        average(np.arange(lo, min(lo + _GAMMA_CHUNK, y.size)))
-    return out
+
+def _on_unit_interval(g):
+    """An integrand ``g(u)`` of u in (0, 1), returning (nu, ng), as one of
+    v = u/(1-u) on the half line that ``adaptive_quad_vec`` integrates:
+    u = v/(1+v), du = dv/(1+v)^2, which undoes its fold."""
+    def f(v):
+        w = 1.0 / (1.0 + v)
+        return g(v * w) * (w * w)[:, None]
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +236,13 @@ class Curve:
 
     def write_csv(self, target) -> None:
         """Write `abscissa,value` rows with 17 significant digits (lossless)
-        to a path or to an open text stream, which is left open."""
+        to a path or to an open text stream, which is left open: formatted
+        from Python floats and written in one call."""
+        rows = ["%.17g,%.17g\n" % row
+                for row in zip(self.abscissa.tolist(), self.ordinate.tolist())]
         with (contextlib.nullcontext(target) if hasattr(target, "write")
               else open(target, "w", encoding="utf-8", newline="\n")) as fh:
-            fh.write("abscissa,value\n")
-            for x, y in zip(self.abscissa, self.ordinate):
-                fh.write(f"{x:.17g},{y:.17g}\n")
+            fh.write("abscissa,value\n" + "".join(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -537,22 +561,11 @@ def asymptotic_op(gamma_th, gbar, k, m, *, rel_tol=1e-10):
 # ancestor models (reference laws for comparisons)
 
 
-def _rician_density(y, k, excess=False):
+def _rician_density(y, k):
     """``rician_pdf`` on checked arguments, z = 2 sqrt(K y) as 2 sqrt K sqrt y
-    lest K y overflow; ``excess`` takes off i0e's e^{-2/z} / sqrt(2 pi z).
-    Past z = 1e3 that difference is formed from the series of
-    i0e(z) sqrt(2 pi z) - 1 in w = 1/z (DLMF 10.40.1), not by cancellation."""
+    lest K y overflow."""
     root_k, root_y = np.sqrt(k), np.sqrt(y)
-    z = 2.0 * root_k * root_y
-    bessel = i0e(z)
-    if excess:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            w, gauss = 1.0 / z, np.where(z > 0.0, 1.0 / np.sqrt(2.0 * np.pi * z), 0.0)
-            series = w / 8 * (1 + w * 9 / 16 * (1 + w * 25 / 24
-                                                * (1 + w * 49 / 32 * (1 + w * 81 / 40))))
-            bessel = np.where(z > 1e3, gauss * (series - np.expm1(-2.0 * w)),
-                              bessel - gauss * np.exp(-2.0 * w))
-    return bessel * np.exp(-(root_k - root_y) ** 2)
+    return i0e(2.0 * root_k * root_y) * np.exp(-(root_k - root_y) ** 2)
 
 
 def _rician_probability(y, k):
@@ -576,28 +589,78 @@ def rician_cdf(gamma, k, gbar):
 
 
 def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
-    """Deterministic-LoS double-Rayleigh density: the conditional law is plain
-    Rician, averaged over the exponential scatter weight (the m -> inf limit),
-    and at g = 0 (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0.  K and gbar
-    broadcast.
+    """Deterministic-LoS double-Rayleigh density (the m -> inf limit), to
+    relative accuracy ``rel_tol``: in y = (1+K) g/gbar,
 
-    As x -> 0 the Rician nears its large-z form, whose average over s steps
-    from 0 at s = d = |sqrt y - sqrt K|, unseen below every node near y = K.
-    That form, damped, averages to e^{-2 d sqrt(1 + 1/sqrt(K y))} /
-    (2 sqrt(1 + sqrt(K y))); only the excess, O(x) there, takes quadrature."""
+        f(y) = (2/pi) int_0^pi K0(2 sqrt(z(phi))) dphi,
+        z(phi) = (sqrt y - sqrt K)^2 + 4 sqrt(K y) sin^2(phi/2).
 
-    def kernel(y, k):
-        root_k, root_y = np.sqrt(k), np.sqrt(y)
-        with np.errstate(divide="ignore", over="ignore"):   # K = 0: no large-z form
-            rate = 2.0 * np.abs(root_y - root_k) * np.sqrt(1.0 + 1.0 / (root_k * root_y))
-        return np.exp(-rate) / (2.0 * np.sqrt(1.0 + root_k * root_y)) + _scatter_average(
-            lambda y_x, k_x: _rician_density(y_x, k_x, True), "pdf", y, k, rel_tol)
+    The scatter G2 G3 = sqrt(Z) e^{j theta} has Z = |G2|^2 |G3|^2 of density
+    2 K0(2 sqrt z) and theta uniform, so W = G2 G3 has the plane density
+    (2/pi) K0(2 |w|), and Y = |sqrt K + W|^2 has its integral over the circle
+    |sqrt K + w| = sqrt y, where |w|^2 = z(phi).  phi = pi u^3 tames the log
+    singularity of K0 at the kink y = K.  At g = 0 it is
+    (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0.  K and gbar broadcast."""
 
-    return _law(kernel, "pdf", gamma, k, gbar=gbar,
-                at_zero=lambda ks: 2.0 * k0(2.0 * np.sqrt(ks)))
+    def integrand(y, k):
+        root_y, root_k = np.sqrt(y), np.sqrt(k)
+        # |sqrt y - sqrt K| and 2 (K y)^(1/4), without cancellation or overflow
+        gap = np.abs(y - k) / (root_y + root_k)
+        arm = 2.0 * np.sqrt(root_y) * np.sqrt(root_k)
+
+        def g(u):
+            u = u[:, None]
+            sin_h = np.sin(0.5 * np.pi * u ** 3)
+            return 6.0 * u * u * k0(2.0 * np.hypot(gap, arm * sin_h))
+        return _on_unit_interval(g)
+
+    return _law(lambda y, k: _by_chunks(integrand, y, k, rel_tol), "pdf", gamma, k,
+                gbar=gbar, at_zero=lambda ks: 2.0 * k0(2.0 * np.sqrt(ks)))
 
 
 def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
-    """Deterministic-LoS double-Rayleigh cdf by exponential averaging."""
-    return _law(lambda y, k: _scatter_average(_rician_probability, "cdf", y, k, rel_tol),
-                "cdf", gamma, k, gbar=gbar)
+    """Deterministic-LoS double-Rayleigh cdf (the m -> inf limit), to
+    relative accuracy ``rel_tol``: in y = (1+K) g/gbar, with a = sqrt y and
+    b = sqrt K, Y = |b + R e^{j theta}|^2, R = |G2 G3| of density
+    4 r K0(2 r) and theta uniform, so
+
+        F(y) = P(R <= a - b) + int_{|a-b|}^{a+b} 4 r K0(2 r) arccos(-c(r))/pi dr,
+        c(r) = (y - K - r^2) / (2 b r):
+
+    inside the disc r <= a - b every phase gives Y <= y, across the annulus
+    the phases with cos theta <= c(r).  The disc is 1 - 2 r1 K1(2 r1) at
+    r1 = a - b >= 0.5, below it int 8 r1^2 u^3 K0(2 r1 u^2) du.  The annulus
+    takes r = max(a, b) - min(a, b) cos phi, and arccos(-c) as
+    2 atan2(sqrt(1+c), sqrt(1-c)), whose numerators are closed products in
+    s = sin(phi/2) and cos(phi/2): no difference of r and b loses digits in
+    deep outage.  K = 0 leaves the disc alone, the product law
+    1 - 2 sqrt y K1(2 sqrt y).  K and gbar broadcast."""
+
+    def integrand(y, k):
+        root_y, root_k = np.sqrt(y), np.sqrt(k)
+        gap = np.abs(y - k) / (root_y + root_k)     # r1 = |a - b|
+        near, far = np.minimum(root_y, root_k), np.maximum(root_y, root_k)
+        inside = root_y > root_k
+        big = np.maximum(gap, 0.5)
+        disc = np.where(inside & (gap >= 0.5), 1.0 - 2.0 * big * k1(2.0 * big), 0.0)
+        # r1 where the disc is integrated, 1 (weighted by 0) elsewhere
+        small = inside & (gap < 0.5)
+        r1, weight = np.where(small, gap, 1.0), 8.0 * small
+
+        def g(u):
+            # phi = pi u; the disc rides along, so rel_tol holds for F itself
+            u = u[:, None]
+            sin_h, cos_h = np.sin(0.5 * np.pi * u), np.cos(0.5 * np.pi * u)
+            lo_s2 = near * sin_h * sin_h
+            r = gap + 2.0 * lo_s2
+            inner, outer = np.sqrt(gap + lo_s2), np.sqrt(far + lo_s2)
+            # arccos(-c(r)) / 2, by the case of a against b
+            half = np.where(inside, np.arctan2(cos_h * inner, sin_h * outer),
+                            np.arctan2(near * sin_h * cos_h, inner * outer))
+            annulus = 16.0 * r * k0(2.0 * r) * half * near * sin_h * cos_h
+            w = r1 * u * u
+            return annulus + disc + weight * r1 * w * u * k0(2.0 * w)
+        return _on_unit_interval(g)
+
+    return _law(lambda y, k: _by_chunks(integrand, y, k, rel_tol), "cdf", gamma, k,
+                gbar=gbar)

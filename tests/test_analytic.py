@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import betainc, digamma, k0, k1
+from scipy.special import betainc, chndtr, digamma, k0, k1
 
 from fdrlos import analytic, specfun
 from fdrlos.analytic import (Curve, UnderflowWarning, asymptotic_op,
@@ -139,6 +139,18 @@ DRLOS_PDF_GOLDENS = {
     (0.5000005, 1.0, 1.0): 1.038521918040206,
     (1.6666666666666667, 5.0, 2.0): 0.6755095053276836,
     (1.6666668333333334, 5.0, 2.0): 0.6755093381758853,
+}
+# the drlos cdf from scripts/make_goldens.py: the disc and annulus integrals
+# of 4 r K0(2 r) at 40 and 50 digits, confirmed by the exponential average of
+# the Rician cdf where 0 < K <= 5 and by the product law where K = 0
+DRLOS_CDF_GOLDENS = {
+    (1.0, 10000.0, 1.0): 0.5037250253618799,  # chndtr gave NaN at this K
+    (1e-12, 0.0, 1.0): 2.747658978613997e-11,  # K = 0
+    (1e-100, 0.0, 1.0): 2.301040779696015e-98,  # K = 0
+    (1.9952623149688795, 1.0, 1.0): 0.8856878212654401,  # fig3 at 0 dB
+    (1.9952623149688795, 1.0, 1000000.0): 9.089944224919235e-07,  # fig3 at 60 dB
+    (0.5, 1.0, 1.0): 0.3623275830255641,  # y = K
+    (1.6666666666666667, 5.0, 2.0): 0.4428272549478012,  # y = K
 }
 CODING_GAIN_GOLDENS = {
     (1.0, 1): 1.1926947246463881,
@@ -964,7 +976,7 @@ class TestChunkBudget:
     a chunk that runs it out is averaged again in halves."""
 
     def test_batch_gives_the_scalar_values(self):
-        # together the two values run out of splits; alone each converges
+        # the two values share one quadrature; each meets its scalar call
         g = np.array([0.5, 2.0])
         np.testing.assert_allclose(drlos_pdf_oracle(g, 1.0, 1.0),
                                    [drlos_pdf_oracle(v, 1.0, 1.0) for v in g],
@@ -972,9 +984,10 @@ class TestChunkBudget:
 
     def test_a_refusal_is_one_values(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 0)
-        with pytest.raises(AccuracyError, match="subdivisions") as info:
-            drlos_pdf_oracle(np.array([0.5, 2.0]), 1.0, 1.0)
-        assert info.value.err_estimate.shape == (1,)
+        for law in (drlos_pdf_oracle, drlos_cdf_oracle):
+            with pytest.raises(AccuracyError, match="subdivisions") as info:
+                law(np.array([0.5, 2.0]), 1.0, 1.0)
+            assert info.value.err_estimate.shape == (1,)
 
     def test_a_conditional_refusal_is_not_split(self, monkeypatch):
         # the 1F1 refuses m = 1e9 at these points: one quadrature, not a
@@ -1226,6 +1239,19 @@ def drlos_density_by_phase(g, k, gbar):
     return (1.0 + k) / gbar * 2.0 / math.pi * phase
 
 
+def rician_cdf_average(t, k):
+    """The drlos cdf at gbar = 1 as int_0^inf e^{-x} F_R(y/x; K/x) dx, with
+    the Rician cdf F_R from ``chndtr`` and y = (1+K) t; by ``quad`` on pieces
+    split at (sqrt y - sqrt K)^2 / 160 times powers of 4, where F_R leaves its
+    limit at x = 0."""
+    y = (1.0 + k) * t
+    start = (math.sqrt(y) - math.sqrt(k)) ** 2 / 160.0
+    edges = [0.0] + [start * 4.0 ** j for j in range(40) if start * 4.0 ** j < 1.0] + [1.0]
+    pieces = [(a, b) for a, b in zip(edges, edges[1:])] + [(1.0, np.inf)]
+    return sum(quad(lambda x: math.exp(-x) * chndtr(2.0 * y / x, 2, 2.0 * k / x),
+                    a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in pieces)
+
+
 class TestAncestors:
     def test_rician_pdf_normalizes(self):
         with underflow_ignored():
@@ -1243,12 +1269,43 @@ class TestAncestors:
             val, rel=1e-8)
 
     def test_nan_of_chndtr_is_refused(self):
-        # chndtr gives NaN at noncentrality 2e11, and the drlos average meets
-        # it at the node x ~ 2.6e-7, where K_x ~ 3.8e10
+        # chndtr gives NaN at noncentrality 2e11, which the Rician cdf
+        # refuses; the drlos cdf calls no chndtr and answers at K = 1e4,
+        # where an average of chndtr over x meets a NaN at x ~ 2.6e-7
         with pytest.raises(AccuracyError, match="chndtr returned NaN"):
             rician_cdf(1.0, 1e11, 1.0)
-        with pytest.raises(AccuracyError, match="chndtr returned NaN"):
-            drlos_cdf_oracle(1.0, 1e4, 1.0)
+        assert drlos_cdf_oracle(1.0, 1e4, 1.0) == pytest.approx(
+            DRLOS_CDF_GOLDENS[(1.0, 1e4, 1.0)], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("args,want", sorted(DRLOS_CDF_GOLDENS.items()))
+    def test_drlos_cdf_goldens(self, args, want):
+        # where an average of chndtr over x refuses (K = 1e4, and K = 0 at
+        # t = 1e-12 and 1e-100), fig3 at 0 and 60 dB, and the kink y = K
+        assert drlos_cdf_oracle(*args) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [0.3, 1.0, 5.0, 30.0])
+    def test_drlos_cdf_is_the_exponential_average_of_chndtr(self, k):
+        # an independent route where chndtr answers: the Rician cdf averaged
+        # over e^{-x} shares no code with the phase integrals
+        for t in (0.02, 0.3, 0.9, 2.0):
+            want = rician_cdf_average(t, k)
+            assert drlos_cdf_oracle(t, k, 1.0, rel_tol=TIGHT) == pytest.approx(
+                want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 5.0, 30.0])
+    def test_drlos_pdf_is_the_derivative_of_the_cdf(self, k):
+        # central differences of the cdf at steps h and h/2, Richardson-
+        # extrapolated to O(h^4), away from the kink y = K: the two phase
+        # integrals share only k0
+        t = np.array([0.02, 0.3, 0.7, 1.5, 2.5])
+
+        def slope(h):
+            return (drlos_cdf_oracle(t + h, k, 1.0, rel_tol=TIGHT)
+                    - drlos_cdf_oracle(t - h, k, 1.0, rel_tol=TIGHT)) / (2.0 * h)
+
+        h = 1e-3 * t
+        np.testing.assert_allclose(drlos_pdf_oracle(t, k, 1.0),
+                                   (4.0 * slope(h / 2.0) - slope(h)) / 3.0, rtol=1e-9, atol=0)
 
     def test_rician_density_at_huge_k(self):
         # sqrt(K y) would overflow from about K = 1.3e154 at t = 1
@@ -1299,6 +1356,15 @@ class TestCurve:
                 Curve([1.0, 2.0], [0.5, np.nan], quantity)
             with pytest.raises(DomainError, match="NaN"):
                 Curve([np.nan, 2.0], [0.5, 0.6], quantity)
+
+    def test_csv_rows_are_the_17_digit_forms(self):
+        # the bytes of one f"{x:.17g},{y:.17g}" line a row, whatever the value
+        x = np.array([-1e300, -0.0, 5e-324, 0.1, 1.0, 3.0, 1e22])
+        y = np.array([np.inf, 0.0, 2.0 ** -1074, 1.0 / 3.0, 1e-300, 123456789.0, 7.0])
+        buf = io.StringIO()
+        Curve(x, y).write_csv(buf)
+        assert buf.getvalue() == "abscissa,value\n" + "".join(
+            f"{a:.17g},{b:.17g}\n" for a, b in zip(x, y))
 
     def test_csv_round_trip_is_lossless(self):
         x = np.array([1.0 / 3.0, 0.7, 1e-300, 6.02214076e23][:3])

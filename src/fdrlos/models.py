@@ -22,6 +22,13 @@ model has no G3 or no LoS fluctuation).  The law is the same: e^{-j phi} S
 keeps |S|^2 and a circularly symmetric diffuse term, and given
 G3 = r e^{j theta}, G2 G3 = r (G2 e^{j theta}), where G2 e^{j theta} is again
 CN(0, 1) and independent of r.
+
+Chunk c of ``_CHUNK`` samples draws from its own SFC64 stream (Doty-Humphrey's
+small fast chaotic generator), seeded by SeedSequence(seed, spawn_key=(c,)):
+the spawn key, not the generator, keeps the streams apart, so the output is
+a pure function of (model, params, seed, n) whatever the thread count.  SFC64
+replaced Philox, which drew the same variates 1.4-1.6x slower; samples at a
+given seed differ from those of the Philox versions.
 """
 
 from __future__ import annotations
@@ -121,7 +128,7 @@ class SnrSampleSet:
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed & _U64, spawn_key=(chunk,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def sample_gamma_rv(m: float, stream: np.random.Generator, out: np.ndarray) -> None:
@@ -164,7 +171,8 @@ def _sample_chunk(model: ModelKind, params: FadingParams,
 def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
                threads: int = 1) -> SnrSampleSet:
     """Draw n SNR realizations in the module docstring's real form.  Chunk c
-    uses Philox stream (seed, c): pure in (model, params, seed, n), any threads.
+    uses SFC64 stream (seed, c): pure in (model, params, seed, n), any threads.
+    The streams were Philox before; samples at a given seed differ from those.
 
     Memory: the 8n-byte output plus, for each of min(threads, chunks) workers,
     two scratch rows of min(n, ``_CHUNK``) doubles; nothing else scales with n.

@@ -982,6 +982,29 @@ class TestChunkBudget:
                                    [drlos_pdf_oracle(v, 1.0, 1.0) for v in g],
                                    rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("law", [
+        lambda g: fdrlos_pdf(g, FadingParams(2.0, 3, 1.0)),
+        lambda g: fdrlos_pdf(g, FadingParams(2.0, 2.5, 1.0)),
+        lambda g: fdrlos_cdf(g, FadingParams(2.0, 3, 1.0)),
+        lambda g: fdrlos_cdf(g, FadingParams(2.0, 2.5, 1.0)),
+        lambda g: drlos_pdf_oracle(g, 2.0, 1.0),
+        lambda g: drlos_cdf_oracle(g, 2.0, 1.0),
+    ], ids=["fdrlos_pdf-m3", "fdrlos_pdf-m2.5", "fdrlos_cdf-m3", "fdrlos_cdf-m2.5",
+            "drlos_pdf", "drlos_cdf"])
+    def test_values_across_chunks_give_the_scalar_values(self, law, monkeypatch):
+        # two full chunks and a partial one, each one quadrature
+        g = np.geomspace(1e-3, 30.0, 2 * analytic._GAMMA_CHUNK + 44)
+        scalar = [law(v) for v in g]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return adaptive_quad_vec(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "adaptive_quad_vec", counted)
+        np.testing.assert_allclose(law(g), scalar, rtol=1e-10, atol=0)
+        assert len(calls) == 3
+
     def test_a_refusal_is_one_values(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 0)
         for law in (drlos_pdf_oracle, drlos_cdf_oracle):

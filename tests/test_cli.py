@@ -350,6 +350,17 @@ class TestOpCommand:
         assert info.value.code == 2
 
 
+class TestVariance:
+    """``cli._variance``: the population variance summed in blocks."""
+
+    @pytest.mark.parametrize("n", [1, cli._VAR_BLOCK - 1, cli._VAR_BLOCK + 1,
+                                   3 * cli._VAR_BLOCK + 7])
+    def test_matches_numpy(self, n):
+        x = np.random.default_rng(n).gamma(3.0, 2.0, n) + 1e3
+        assert cli._variance(x, float(np.mean(x))) == pytest.approx(
+            float(np.var(x)), rel=1e-12, abs=0)
+
+
 class TestSimCommand:
     BASE = ["sim", "--model", "fdrlos", "--k", "5", "--m", "3",
             "--gamma-bar", "2", "--samples", "1000000", "--seed", "42"]

@@ -5,6 +5,7 @@ import pytest
 
 from fdrlos.analytic import (drlos_cdf_oracle, fdrlos_cdf, fdrlos_cdf_oracle,
                              rician_cdf, rs_cdf)
+from fdrlos.cli import _variance
 from fdrlos.empirics import ks_distance, tabulated_cdf
 from fdrlos.models import (_CHUNK, FadingParams, ModelKind, _chunk_rng,
                            sample_gamma_rv, sample_snr)
@@ -133,6 +134,19 @@ class TestSampler:
         with pytest.raises(DomainError, match="threads"):
             sample_snr(ModelKind.RICIAN, FadingParams(1.0, 1, 1.0), 10, 1, threads=threads)
 
+    @pytest.mark.parametrize("seed, chunk", [(0, 0), (7, 3), (20260810, 1)])
+    def test_chunk_stream_is_sfc64_of_its_spawn_key(self, seed, chunk):
+        rng = _chunk_rng(seed, chunk)
+        assert type(rng.bit_generator) is np.random.SFC64
+        ref = np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence(seed, spawn_key=(chunk,))))
+        assert np.array_equal(rng.random(8), ref.random(8))
+
+    def test_streams_differ_by_chunk_and_seed(self):
+        first = {(seed, c): _chunk_rng(seed, c).random()
+                 for seed in (1, 2, 3) for c in (0, 1, 2)}
+        assert len(set(first.values())) == len(first)
+
     def test_values_frozen(self):
         s = sample_snr(ModelKind.RICIAN, FadingParams(1.0, 1, 1.0), 10, 1)
         with pytest.raises(ValueError):
@@ -169,6 +183,11 @@ class TestMemory:
         rep, peak = traced_peak(lambda: ks_distance(s, cdf))
         assert rep.passed, rep
         assert peak <= 8 * self.N + 2 ** 20
+
+    def test_sim_variance_peak(self):
+        x = np.random.default_rng(5).exponential(2.0, self.N)
+        _, peak = traced_peak(lambda: _variance(x, float(np.mean(x))))
+        assert peak < 2 ** 20
 
 
 class TestDistributionalChecks:

@@ -15,7 +15,13 @@ holding this script, with:
   end-to-end metric, the operations attempted and failed over all runs, and
   the per-layer metrics of the traced run (their counts repeat exactly);
 * the machine, ``git rev-parse HEAD`` of the root, whether ``src/`` differs
-  from it, and a sha1 over ``src/fdrlos/*.py``.
+  from it, and a sha1 over ``src/fdrlos/*.py``;
+* where the checkout has a frontier table (``ROWS`` of
+  ``tests/test_frontier.py``), ``frontier``: each row's name, whether it
+  answers or refuses (AccuracyError; any other exception is recorded by its
+  type), and its seconds, from one call in a fresh interpreter on that
+  checkout's ``src/`` after the runs, and ``frontier_ok_frac``, the share of
+  rows that answer.
 
 HEAD does not name an uncommitted change, so the sha1 labels the source
 tree: it is taken before the first run and after every run, and the script
@@ -27,7 +33,8 @@ in B, the change as a share of A's median in the direction BENCHMARK.json
 calls worse, and a verdict against that metric's bound: ``worse`` past the
 bound, ``unresolved`` where either side's quartile spread (as a share of its
 median) exceeds the bound and not every run of B beats every run of A,
-else ``ok``.  Per-layer counts that differ follow.  It reads BENCHMARK.json
+else ``ok``.  Per-layer counts that differ follow, then the frontier rows
+whose status differs, or that only one side has.  It reads BENCHMARK.json
 and both files, writes nothing, and exits 1 if any metric is worse.
 """
 
@@ -42,6 +49,27 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+
+#: evaluates the frontier rows of the checkout at argv[1]; prints them as JSON
+FRONTIER_PROBE = """
+import json, sys, time, warnings
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/tests"]
+warnings.simplefilter("error")
+from test_frontier import ROWS
+from fdrlos.specfun import AccuracyError
+out = []
+for row in ROWS:
+    start = time.perf_counter()
+    try:
+        row.call()
+        status = "answers"
+    except AccuracyError:
+        status = "refuses"
+    except Exception as exc:
+        status = "raises " + type(exc).__name__
+    out.append({"name": row.name, "status": status, "s": time.perf_counter() - start})
+print(json.dumps(out))
+"""
 
 
 def src_sha1(root):
@@ -72,6 +100,17 @@ def run_once(root, workload, seed, seconds, trace):
     return json.loads(lines[-1]), machine
 
 
+def frontier(root):
+    """The frontier rows of the checkout at ``root``, or None where it has no table."""
+    if not (root / "tests" / "test_frontier.py").exists():
+        return None
+    proc = subprocess.run([sys.executable, "-c", FRONTIER_PROBE, str(root)], cwd=root,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"the frontier probe exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
 def summary(values):
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values),
@@ -86,8 +125,8 @@ def measure(args):
     seeds = range(1, args.runs + 1)
     sha = src_sha1(root)
 
-    def checked(*run_args):
-        out = run_once(root, *run_args)
+    def checked(run, *run_args):
+        out = run(root, *run_args)
         if src_sha1(root) != sha:
             sys.exit(f"src/fdrlos changed during the runs (sha1 {sha} at the start); "
                      "nothing written")
@@ -96,13 +135,13 @@ def measure(args):
     runs = {w: [] for w in names}
     for seed in seeds:
         for w in names:
-            runs[w].append(checked(w, seed, seconds, 0))
+            runs[w].append(checked(run_once, w, seed, seconds, 0))
             print(f"{w} seed {seed}: "
                   f"wall_s {runs[w][-1][0]['metrics']['wall_s']['value']:.4g}", flush=True)
     workloads = {}
     for w in names:
         results = [r for r, _ in runs[w]]
-        traced, _ = checked(w, seeds[0], seconds, 1)
+        traced, _ = checked(run_once, w, seeds[0], seconds, 1)
         workloads[w] = {
             "end_to_end": {m["name"]: {"unit": m["unit"], **summary(
                 [r["metrics"][m["name"]]["value"] for r in results])}
@@ -112,6 +151,7 @@ def measure(args):
             "correct": all(r["correct"] for r in results) and traced["correct"],
             "per_layer": {k: v["value"] for k, v in traced["metrics"].items()},
         }
+    rows = checked(frontier)
     machine = runs[names[0]][0][1]
     record = {
         "label": args.label,
@@ -123,6 +163,9 @@ def measure(args):
         "seeds": list(seeds),
         "workloads": workloads,
     }
+    if rows is not None:
+        record["frontier"] = rows
+        record["frontier_ok_frac"] = sum(r["status"] == "answers" for r in rows) / len(rows)
     out = HERE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
@@ -162,6 +205,13 @@ def compare(path_a, path_b):
         moved = [k for k in sorted(counts) if wa["per_layer"].get(k) != wb["per_layer"].get(k)]
         for k in moved:
             print(f"  count {k}: {wa['per_layer'].get(k)} -> {wb['per_layer'].get(k)}")
+    fa, fb = ({r["name"]: r["status"] for r in x.get("frontier", ())} for x in (a, b))
+    if fa or fb:
+        print(f"\nfrontier_ok_frac {a.get('frontier_ok_frac', 'no table')} -> "
+              f"{b.get('frontier_ok_frac', 'no table')}")
+        for name in [*fa, *(n for n in fb if n not in fa)]:
+            if fa.get(name) != fb.get(name):
+                print(f"  {name}: {fa.get(name, 'no row')} -> {fb.get(name, 'no row')}")
     return 1 if any_worse else 0
 
 

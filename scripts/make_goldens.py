@@ -78,11 +78,21 @@ the integrand's narrow peak in s and is off by thousands of decades, so
 there the value is ``hyperu`` alone, agreed at 40 and 50 digits.
 
 Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
-``hyp1f1`` at b = 1 (and the scaled log(e^-x 1F1(a; 1; x))), ``hyperu``,
+``hyp1f1`` at b = 1 (and the scaled log(e^-x 1F1(a; 1; x)), at tiny a
+(``SCALED_LOG_HYP1F1_TINY_A``) at 100 and 150 digits, since at 40 and 50
+mpmath agrees with itself that log(e^-200 1F1(1e-70; 1; 200)) = -200, where
+from 80 digits on it reads -166.474...), ``hyperu``,
 ``e1`` and upper ``gammainc``, the generalized incomplete gamma
 Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by ``mp.quad``, and
 Stirling's remainder and the Poisson and negative-binomial log masses from
 ``loggamma``.
+
+The frontier table (``tests/test_frontier.py``): the m -> 0 limits of the
+fdrlos laws at K = 1, the product law of the scatter alone,
+(1+K) 2 K0(2 sqrt y) and 1 - 2 sqrt y K1(2 sqrt y) at y = 2
+(``PDF_M_TO_0``, ``CDF_M_TO_0``), at both precisions, and the K = 0 cdf
+1 - 2 sqrt y K1(2 sqrt y) at y = 1e-10 (``CDF_K0_AT_1E_10``) at 150
+digits, as for the drlos cdf.
 
 Run from the repository root (about an hour and a half on one core, most of
 it the tanh-sinh real-m cdf goldens and the Rician check of the drlos cdf at
@@ -96,6 +106,8 @@ from __future__ import annotations
 import mpmath as mp
 
 DPS = (40, 50)
+#: the precisions of the tiny-a 1F1 goldens
+TINY_A_DPS = (100, 150)
 GIG_DPS = (40, 100, 160, 220, 280)
 
 #: (name, gamma, k, m, gbar): the inputs are doubles, as the tests pass them
@@ -210,6 +222,22 @@ def log_negbin_pmf(n, m, k):
             + m * mp.log(m / (m + k)) + n * mp.log(k / (m + k)))
 
 
+def scaled_log_hyp1f1(a, x):
+    """log(e^-x 1F1(a; 1; x))."""
+    return mp.log(mp.hyp1f1(a, 1, x)) - x
+
+
+def product_cdf(y):
+    """1 - 2 sqrt y K1(2 sqrt y), the cdf of the product of two unit-mean
+    exponentials, at 150 digits, which its cancellation needs at y = 1e-100."""
+    with mp.workdps(150):
+        root = mp.sqrt(mp.mpf(y))
+        return 1 - 2 * root * mp.besselk(1, 2 * root)
+
+
+#: (a, x) of ``SCALED_LOG_HYP1F1_TINY_A``
+TINY_A_CASES = [(1e-50, 150.0), (1e-70, 150.0), (1e-70, 200.0)]
+
 #: (name, function, arguments) of the single specfun goldens
 SPECFUN_VALUES = [
     ("GIG_NEG2_02_15", gig, (-2.0, 0.2, 1.5)),
@@ -224,7 +252,7 @@ SPECFUN_TABLES = [
      [(a, z) for a in (-2.0, -0.5, 1.0, 3.5) for z in (0.1, 1.0, 5.0)]),
     ("HYP1F1_LARGE", lambda a, x: mp.hyp1f1(a, 1, x),
      [(2.5, 80.0), (2.5, 300.0), (0.5, 120.0), (3.0, 600.0), (5.0, 100.0)]),
-    ("SCALED_LOG_HYP1F1", lambda a, x: mp.log(mp.hyp1f1(a, 1, x)) - x,
+    ("SCALED_LOG_HYP1F1", scaled_log_hyp1f1,
      [(500.0, 50.0), (2.5, 5000.0), (30.5, 300.0), (30.0, 300.0),
       (100.5, 9000.0), (140.5, 1.9e4), (400.5, 1e5), (1000.5, 5e5),
       (10000.5, 5e7)]),
@@ -239,22 +267,22 @@ SPECFUN_TABLES = [
 ]
 
 
-def agreed(what, value_at):
-    """``value_at(dps)`` at each precision of ``DPS``; they must agree to 20
-    digits."""
-    lo, hi = (value_at(dps) for dps in DPS)
+def agreed(what, value_at, dps=DPS):
+    """``value_at(d)`` at each of the two precisions ``dps``; they must agree
+    to 20 digits."""
+    lo, hi = (value_at(d) for d in dps)
     if abs(lo - hi) > abs(hi) * mp.mpf(10) ** -20:
         raise ArithmeticError(f"{what}: precisions disagree, {lo} vs {hi}")
     return hi
 
 
-def special(fn, args):
-    """``fn(*args)`` agreed at both precisions."""
-    def value_at(dps):
-        with mp.workdps(dps):
+def special(fn, args, dps=DPS):
+    """``fn(*args)`` agreed at both precisions ``dps``."""
+    def value_at(d):
+        with mp.workdps(d):
             return fn(*args)
 
-    return agreed(f"{fn.__name__}{args}", value_at)
+    return agreed(f"{fn.__name__}{args}", value_at, dps)
 
 
 def rs_pdf(t, k, m, gbar):
@@ -567,9 +595,7 @@ def drlos_cdf_by_rician(g, k, gbar):
 def drlos_cdf_golden(g, k, gbar):
     value = special(drlos_cdf, (g, k, gbar))
     if k == 0:
-        with mp.workdps(150):
-            root = mp.sqrt(mp.mpf(g) / gbar)
-            check = 1 - 2 * root * mp.besselk(1, 2 * root)
+        check = product_cdf(mp.mpf(g) / gbar)
     elif k <= 5:
         with mp.workdps(20):
             check = drlos_cdf_by_rician(g, k, gbar)
@@ -663,6 +689,14 @@ def main():
             key = args[0] if len(args) == 1 else args
             print(f"    {key!r}: {float(special(fn, args))!r},")
         print("}")
+    print("SCALED_LOG_HYP1F1_TINY_A = {")
+    for args in TINY_A_CASES:
+        print(f"    {args!r}: {float(special(scaled_log_hyp1f1, args, TINY_A_DPS))!r},")
+    print("}")
+    print("# tests/test_frontier.py")
+    print(f"PDF_M_TO_0 = {float(special(lambda y: 4 * mp.besselk(0, 2 * mp.sqrt(y)), (2,)))!r}")
+    print(f"CDF_M_TO_0 = {float(special(product_cdf, (2,)))!r}")
+    print(f"CDF_K0_AT_1E_10 = {float(product_cdf(1e-10))!r}")
 
 
 if __name__ == "__main__":

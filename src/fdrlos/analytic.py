@@ -279,11 +279,16 @@ def rs_pdf(gamma, k_x, m, gbar_x):
 
 def _kummer_density(y, k_x, m):
     """``rs_pdf`` through the 1F1 on checked arguments; p^m as
-    exp(-m log1p(K_x/m)), which keeps its digits at huge m."""
+    exp(-m log1p(K_x/m)), which keeps its digits at huge m, and as (m/K_x)^m
+    past K_x = 1e300 m, where K_x/m may pass double range."""
     if m > _MAX_M:
         raise AccuracyError(f"the Rician shadowed density needs m <= {_MAX_M:g}, got {m:g}")
     p, q = m / (m + k_x), k_x / (m + k_x)
-    return np.exp(-m * np.log1p(k_x / m) - p * y + log_kummer_1f1(m, q * y))
+    with np.errstate(over="ignore"):
+        far = 1e300 * m
+        log_pm = np.where(k_x > far, m * (math.log(m) - np.log(np.maximum(k_x, far))),
+                          -m * np.log1p(k_x / m))
+    return np.exp(log_pm - p * y + log_kummer_1f1(m, q * y))
 
 
 def rs_cdf(gamma, k_x, m, gbar_x):
@@ -364,7 +369,9 @@ def _nb_series(y, k_x, m):
     # past 1e300 F is 1 unless the NB mass is there too, which the cap refuses
     y, k_x = np.broadcast_arrays(np.minimum(y, 1e300), k_x)
     shape, y, k_x = y.shape, y.ravel(), k_x.ravel()
-    p, q = m / (m + k_x), k_x / (m + k_x)
+    # p underflows only where m < 1e-15: floored at the smallest subnormal,
+    # p^m moves by less than 4e-16
+    p, q = np.maximum(m / (m + k_x), 5e-324), k_x / (m + k_x)
     # the terms NB(n) P(n+1, y) follow NB up to its mode, and past y fall
     # with the ratio (n-1+m)(1-p)/n * y/(n+1), which is 1 at the root of
     # n^2 + (1 - (1-p) y) n - (m-1)(1-p) y (+inf where y is huge)

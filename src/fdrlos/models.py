@@ -26,9 +26,7 @@ CN(0, 1) and independent of r.
 Chunk c of ``_CHUNK`` samples draws from its own SFC64 stream (Doty-Humphrey's
 small fast chaotic generator), seeded by SeedSequence(seed, spawn_key=(c,)):
 the spawn key, not the generator, keeps the streams apart, so the output is
-a pure function of (model, params, seed, n) whatever the thread count.  SFC64
-replaced Philox, which drew the same variates 1.4-1.6x slower; samples at a
-given seed differ from those of the Philox versions.
+a pure function of (model, params, seed, n) whatever the thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import DomainError
+from .specfun import TINY, DomainError
 
 _CHUNK = 1 << 20
 _U64 = (1 << 64) - 1
@@ -70,14 +68,15 @@ class ModelKind(enum.Enum):
 
 
 def check_params(k=0.0, m=1.0, gamma_bar=1.0):
-    """The domain of every law: finite K >= 0, m > 0 and gamma_bar > 0, K and
+    """The domain of every law: finite K >= 0, m >= ``TINY`` (the smallest
+    normal double; below it 1/m overflows) and gamma_bar > 0, K and
     gamma_bar scalars or arrays, m a scalar; a law passes what it takes (the
     defaults lie inside).  Returns K and gamma_bar as float arrays."""
     k, gamma_bar = np.asarray(k, dtype=float), np.asarray(gamma_bar, dtype=float)
     if not np.all((k >= 0) & (k < np.inf)):
         raise DomainError(f"K must be finite and >= 0, got {k}")
-    if not (np.ndim(m) == 0 and 0 < m < np.inf):
-        raise DomainError(f"m must be finite and > 0, and a scalar, got {m}")
+    if not (np.ndim(m) == 0 and TINY <= m < np.inf):
+        raise DomainError(f"m must be finite and > 0, not subnormal, and a scalar, got {m}")
     if not np.all((gamma_bar > 0) & (gamma_bar < np.inf)):
         raise DomainError(f"gamma_bar must be finite and > 0, got {gamma_bar}")
     return k, gamma_bar
@@ -172,7 +171,6 @@ def sample_snr(model: ModelKind, params: FadingParams, n: int, seed: int,
                threads: int = 1) -> SnrSampleSet:
     """Draw n SNR realizations in the module docstring's real form.  Chunk c
     uses SFC64 stream (seed, c): pure in (model, params, seed, n), any threads.
-    The streams were Philox before; samples at a given seed differ from those.
 
     Memory: the 8n-byte output plus, for each of min(threads, chunks) workers,
     two scratch rows of min(n, ``_CHUNK``) doubles; nothing else scales with n.

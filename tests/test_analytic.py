@@ -203,6 +203,14 @@ class TestRsPdf:
         assert out.shape == (3,)
         assert np.all(out > 0)
 
+    @pytest.mark.parametrize("g, k", [(1e-9, 1e10), (1e-25, 1e20)])
+    def test_tiny_m_over_k_is_the_m_to_0_limit(self, g, k):
+        # at m = 1e-300 K_x/m passes double range, and m |log p| is about
+        # 1e-297: the density is the m -> 0 limit (1+K) e^-y, y = 10 and 1e-5
+        y = (1.0 + k) * g
+        assert rs_pdf(g, k, 1e-300, 1.0) == pytest.approx(
+            (1.0 + k) * math.exp(-y), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("args,want", sorted(RS_PDF_GOLDENS.items()))
     def test_frozen_goldens_at_huge_k(self, args, want):
         # neither route forms e^{+x} against e^{-y}: relative accuracy holds
@@ -342,6 +350,13 @@ class TestRsCdf:
     @pytest.mark.parametrize("args,want", sorted(RS_CDF_GOLDENS.items()))
     def test_frozen_goldens(self, args, want):
         assert rs_cdf(*args) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_tiny_m_over_k_is_the_m_to_0_limit(self):
+        # p = m/(m+K_x) = 1e-330 underflows; the series still sums, to the
+        # m -> 0 limit 1 - e^-y at y = 1, 1e5 and 1e10
+        g = np.array([1e-30, 1e-25, 1e-20])
+        np.testing.assert_allclose(rs_cdf(g, 1e30, 1e-300, 1.0), -np.expm1(-(1.0 + 1e30) * g),
+                                   rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("args,want", sorted(RS_CDF_WIDE_GOLDENS.items()))
     def test_frozen_goldens_at_huge_m_and_k(self, args, want):
@@ -527,7 +542,7 @@ class TestFdrlosPdf:
     def test_zero_snr_checks_k_over_m(self):
         # the density at 0 runs the coding gain's domain check: K/m = 1e310
         with pytest.raises(DomainError, match="K/m"):
-            fdrlos_pdf(0.0, FadingParams(1.0, 1e-310, 1.0))
+            fdrlos_pdf(0.0, FadingParams(1e10, 1e-300, 1.0))
 
 
 class TestFdrlosPdfRealM:
@@ -1053,7 +1068,7 @@ PUBLIC_LAWS = {
 #: the bad values of each parameter, and the name its refusal must give
 BAD_PARAMETERS = {
     "k": ([-1.0, np.nan, np.inf], r"\bK\b"),
-    "m": ([0.0, np.nan, np.inf], r"\bm\b"),
+    "m": ([0.0, 1e-310, np.nan, np.inf], r"\bm\b"),
     "gbar": ([0.0, -1.0, np.nan, np.inf], "gamma_bar"),
     "rel_tol": ([np.nan], "rel_tol"),
 }
@@ -1299,6 +1314,17 @@ class TestAncestors:
             rician_cdf(1.0, 1e11, 1.0)
         assert drlos_cdf_oracle(1.0, 1e4, 1.0) == pytest.approx(
             DRLOS_CDF_GOLDENS[(1.0, 1e4, 1.0)], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [1.0, 5.0, 1e4])
+    @pytest.mark.parametrize("ratio", [1.5, 3.0, 10.0, 100.0, 1e6, 1e100])
+    def test_drlos_cdf_deep_inside_its_disc(self, k, ratio):
+        # at y >> K every phase of R <= sqrt y - sqrt K lands below y and none
+        # past R = sqrt y + sqrt K, so F lies between the two discs' masses
+        y = ratio * k
+        low, high = (1.0 - 2.0 * r * k1(2.0 * r)
+                     for r in (math.sqrt(y) - math.sqrt(k), math.sqrt(y) + math.sqrt(k)))
+        got = drlos_cdf_oracle(y, k, 1.0 + k)
+        assert low * (1.0 - 1e-10) <= got <= high * (1.0 + 1e-10)
 
     @pytest.mark.parametrize("args,want", sorted(DRLOS_CDF_GOLDENS.items()))
     def test_drlos_cdf_goldens(self, args, want):

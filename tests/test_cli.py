@@ -210,6 +210,16 @@ class TestCdfCommand:
         assert np.loadtxt(out, **CSV)[1].tolist() == [0.0, 1.0, 1.0]
 
 
+    def test_rician_shadowed_tiny_m_over_k(self, tmp_path):
+        # p = m/(m+K) underflows at m = 1e-300, K = 1e30; the cdf is the
+        # m -> 0 limit 1 - e^-y at y = 1, 1e5 and 1e10
+        out = tmp_path / "cdf.csv"
+        assert run(["cdf", "--model", "rician-shadowed", "--k", "1e30", "--m", "1e-300",
+                    "--gamma-bar", "1", "--grid", "1e-30:1e-20:3:log",
+                    "--output", str(out)]) == 0
+        grid, values = np.loadtxt(out, **CSV)
+        np.testing.assert_allclose(values, -np.expm1(-(1.0 + 1e30) * grid), rtol=1e-14, atol=0)
+
     def test_rician_shadowed_integer_m_takes_the_mixture(self, tmp_path):
         # at integer m the Binomial mixture, as for the fdrlos laws; it moves
         # from the negative-binomial series by rounding only

@@ -1,0 +1,96 @@
+"""The frontier table: the points where a law answers only just, or refuses.
+
+``ROWS`` holds one law call per row and what it must give:
+- ``REFUSES``: a known gap, which raises AccuracyError and never returns a
+  number;
+- ``(reference, rel)``: a value from ``scripts/make_goldens.py``, met to
+  ``rel``;
+- a check of the answer, where no reference is cheap: the call must answer
+  and pass it.
+
+A change that mends a gap turns its row into a reference.
+``scripts/bench.py`` runs the same rows outside pytest and records which
+answer and how long each takes.  The table points at ``DRLOS_CDF_GOLDENS``
+and does not repeat ``TestUnderflowFloor`` or ``CODING_GAIN_GOLDENS``.
+"""
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+from fdrlos.analytic import (drlos_cdf_oracle, drlos_pdf_oracle, fdrlos_cdf,
+                             fdrlos_pdf, rician_cdf)
+from fdrlos.models import FadingParams
+from fdrlos.specfun import AccuracyError
+from test_analytic import DRLOS_CDF_GOLDENS
+
+# the m -> 0 limits of the fdrlos laws at K = 1, gamma = gbar = 1: the
+# product law of the scatter alone at y = 2, (1+K) 2 K0(2 sqrt y) and
+# 1 - 2 sqrt y K1(2 sqrt y); the error of the limit is O(m log m)
+PDF_M_TO_0 = 0.16956709599360598
+CDF_M_TO_0 = 0.8603325259847069
+# the K = 0 cdf, 1 - 2 sqrt y K1(2 sqrt y), at y = 1e-10 (150 digits)
+CDF_K0_AT_1E_10 = 2.2871419601355965e-09
+
+REFUSES = "refuses"
+
+
+class Row(NamedTuple):
+    name: str
+    call: Callable[[], object]
+    #: ``REFUSES``, a (reference, rel) pair, or a check of the answer
+    want: object
+
+
+def _kink_lies_between_its_neighbours(value):
+    # the density at its kink y = K moves toward the drlos limit as m grows
+    return (fdrlos_pdf(0.5, FadingParams(1.0, 1e4 + 0.5, 1.0)) < value
+            < drlos_pdf_oracle(0.5, 1.0, 1.0))
+
+
+ROWS = [
+    # the density at its kink, K = 1, t = 0.5: past m = 7e4 the 1F1 window
+    # passes its cap of 2^20 terms
+    Row("pdf-kink-m5e4", lambda: fdrlos_pdf(0.5, FadingParams(1.0, 5e4 + 0.5, 1.0)),
+        _kink_lies_between_its_neighbours),
+    *(Row(f"pdf-kink-m{m:g}", lambda m=m: fdrlos_pdf(0.5, FadingParams(1.0, m, 1.0)), REFUSES)
+      for m in (7e4 + 0.5, 1e5, 1e9)),
+    Row("pdf-grid-m1e9", lambda: fdrlos_pdf(np.linspace(0.5, 2.0, 3),
+                                            FadingParams(1.0, 1e9, 1.0)), REFUSES),
+    # the K = 0, m = 2 cdf: the mass spreads evenly over log x, and the
+    # quadrature runs out of splits below t = 1e-10
+    Row("cdf-k0-t1e-10", lambda: fdrlos_cdf(1e-10, FadingParams(0.0, 2, 1.0)),
+        (CDF_K0_AT_1E_10, 1e-12)),
+    *(Row(f"cdf-k0-t{t:g}", lambda t=t: fdrlos_cdf(t, FadingParams(0.0, 2, 1.0)), REFUSES)
+      for t in (1e-11, 1e-12, 1e-100)),
+    # chndtr gives NaN at noncentrality 2e11; the drlos cdf calls no chndtr
+    Row("rician-cdf-k1e11", lambda: rician_cdf(1.0, 1e11, 1.0), REFUSES),
+    Row("drlos-cdf-k1e4", lambda: drlos_cdf_oracle(1.0, 1e4, 1.0),
+        (DRLOS_CDF_GOLDENS[(1.0, 1e4, 1.0)], 1e-12)),
+    # tiny m: the laws tend to the product law; at m = 1e-100 the large-x 1F1
+    # expansion leaves out a branch that matters
+    *(Row(f"pdf-m{m:g}", lambda m=m: fdrlos_pdf(1.0, FadingParams(1.0, m, 1.0)),
+          (PDF_M_TO_0, 1e-13))
+      for m in (1e-50, 1e-60, 1e-70)),
+    Row("pdf-m1e-100", lambda: fdrlos_pdf(1.0, FadingParams(1.0, 1e-100, 1.0)), REFUSES),
+    Row("cdf-m1e-100", lambda: fdrlos_cdf(1.0, FadingParams(1.0, 1e-100, 1.0)),
+        (CDF_M_TO_0, 1e-13)),
+    # a subnormal probability, about a t, which no normal double holds
+    Row("cdf-t1e-312", lambda: fdrlos_cdf(1e-312, FadingParams(1.0, 2.5, 1.0)), REFUSES),
+    # a cost row: the series windows grow with K
+    Row("cdf-k1e6", lambda: fdrlos_cdf(1.0, FadingParams(1e6, 2.5, 1.0)),
+        lambda value: 0.0 < value < 1.0),
+]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
+def test_frontier(row):
+    if isinstance(row.want, str):
+        with pytest.raises(AccuracyError):
+            row.call()
+    elif isinstance(row.want, tuple):
+        want, rel = row.want
+        assert row.call() == pytest.approx(want, rel=rel, abs=0)
+    else:
+        assert row.want(row.call())

@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_goldens.py"
-FROZEN_IN = ("test_analytic.py", "test_specfun.py")
+FROZEN_IN = ("test_analytic.py", "test_specfun.py", "test_frontier.py")
 #: a frozen value has more significant digits than any tolerance is written with
 MIN_DIGITS = 10
 

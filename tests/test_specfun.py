@@ -54,6 +54,14 @@ SCALED_LOG_HYP1F1 = {
     (1000.5, 500000.0): 7209.1220415971875,
     (10000.5, 50000000.0): 95164.14861323236,
 }
+# the same at tiny a, past x = 140 where the window about the peak leaves out
+# k = 0, from mpmath at 100 and 150 digits: at 40 and 50 it agrees with
+# itself on -x, and at (1e-70, 200) the value needs 80
+SCALED_LOG_HYP1F1_TINY_A = {
+    (1e-50, 150.0): -120.13315529018558,
+    (1e-70, 150.0): -149.99999990645819,
+    (1e-70, 200.0): -166.47423582307337,
+}
 # the log masses at n and lam (or the NB mean) up to 1e6, where
 # n log lam - lam - lgamma(n+1) loses 1e-9; NB keys are (n, m, K) with
 # p = m/(m+K)
@@ -316,6 +324,15 @@ class TestKummer1F1:
         # above k = 0, at a = 1e4 of 155600 terms, summed in one column
         for args, want in SCALED_LOG_HYP1F1.items():
             assert log_kummer_1f1(*args) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("args,want", sorted(SCALED_LOG_HYP1F1_TINY_A.items()))
+    def test_tiny_a_sums_its_term_at_zero(self, args, want):
+        # t_0 = e^-x lies below the window and far above its terms
+        assert log_kummer_1f1(*args) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_tiny_a_keeps_k_over_a_in_double_range(self):
+        # k/a = 1.9e309 at a = 1e-307; the value is -x to 1e-225
+        assert log_kummer_1f1(1e-307, 190.0) == pytest.approx(-190.0, rel=1e-15, abs=0)
 
     def test_refuses_a_series_it_cannot_certify(self):
         # x = 1e10 <= a^2 takes the series, over a window of 2.2e6 terms

@@ -87,12 +87,20 @@ Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by ``mp.quad``, and
 Stirling's remainder and the Poisson and negative-binomial log masses from
 ``loggamma``.
 
+The product law of the scatter alone (``PRODUCT_CDF``), the cdf
+1 - 2 sqrt y K1(2 sqrt y) at 150 digits from y = 1e-100 to 900, and on both
+sides of y = 1/4, where ``fdrlos.analytic`` turns from its series to the
+closed form.
+
 The frontier table (``tests/test_frontier.py``): the m -> 0 limits of the
-fdrlos laws at K = 1, the product law of the scatter alone,
-(1+K) 2 K0(2 sqrt y) and 1 - 2 sqrt y K1(2 sqrt y) at y = 2
-(``PDF_M_TO_0``, ``CDF_M_TO_0``), at both precisions, and the K = 0 cdf
-1 - 2 sqrt y K1(2 sqrt y) at y = 1e-10 (``CDF_K0_AT_1E_10``) at 150
-digits, as for the drlos cdf.
+fdrlos laws at K = 1, (1+K) 2 K0(2 sqrt y) and 1 - 2 sqrt y K1(2 sqrt y) at
+y = 2 (``PDF_M_TO_0``, ``CDF_M_TO_0``), at both precisions; the K = 0 cdf
+1 - 2 sqrt y K1(2 sqrt y) at y = 1e-10 and 1e-11 (``CDF_K0_AT_1E_10``,
+``CDF_K0_AT_1E_11``) at 150 digits, as for the drlos cdf; and the K = 0 pdf
+2 K0(2 sqrt y) at y = 1e-100 (``PDF_K0_AT_1E_100``) at both precisions.
+
+Each table is one entry of ``GOLDENS``: a title, the law that makes its
+values, and its cases.
 
 Run from the repository root (about an hour and a half on one core, most of
 it the tanh-sinh real-m cdf goldens and the Rician check of the drlos cdf at
@@ -235,54 +243,41 @@ def product_cdf(y):
         return 1 - 2 * root * mp.besselk(1, 2 * root)
 
 
+def product_pdf(y):
+    """2 K0(2 sqrt y), the density of the product of two unit-mean
+    exponentials."""
+    return 2 * mp.besselk(0, 2 * mp.sqrt(y))
+
+
+#: the y of ``PRODUCT_CDF``
+PRODUCT_CDF_CASES = [(y,) for y in (1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.01, 0.1,
+                                    0.25 - 1e-7, 0.25, 0.25 + 1e-7, 0.5, 1.0, 2.0,
+                                    10.0, 100.0, 900.0)]
 #: (a, x) of ``SCALED_LOG_HYP1F1_TINY_A``
 TINY_A_CASES = [(1e-50, 150.0), (1e-70, 150.0), (1e-70, 200.0)]
 
-#: (name, function, arguments) of the single specfun goldens
-SPECFUN_VALUES = [
-    ("GIG_NEG2_02_15", gig, (-2.0, 0.2, 1.5)),
-    ("HYP1F1_3_1_07", mp.hyp1f1, (3.0, 1.0, 0.7)),
-    ("U_2_1_05", mp.hyperu, (2.0, 1.0, 0.5)),
-]
-#: (name, function, argument tuples) of the specfun golden tables; a table
-#: of one-argument cases is keyed by the argument itself
-SPECFUN_TABLES = [
-    ("E1", mp.e1, [(0.1,), (1.0,), (10.0,)]),
-    ("UPPER_GAMMA", mp.gammainc,
-     [(a, z) for a in (-2.0, -0.5, 1.0, 3.5) for z in (0.1, 1.0, 5.0)]),
-    ("HYP1F1_LARGE", lambda a, x: mp.hyp1f1(a, 1, x),
-     [(2.5, 80.0), (2.5, 300.0), (0.5, 120.0), (3.0, 600.0), (5.0, 100.0)]),
-    ("SCALED_LOG_HYP1F1", scaled_log_hyp1f1,
-     [(500.0, 50.0), (2.5, 5000.0), (30.5, 300.0), (30.0, 300.0),
-      (100.5, 9000.0), (140.5, 1.9e4), (400.5, 1e5), (1000.5, 5e5),
-      (10000.5, 5e7)]),
-    ("STIRLERR", stirlerr,
-     [(0.3,), (1.0,), (2.5,), (9.75,), (10.0,), (33.3,), (1e6,)]),
-    ("LOG_POISSON_PMF", log_poisson_pmf,
-     [(0.0, 3.0), (7.0, 1e-12), (40.0, 55.0), (10050.0, 1e4), (1e6, 1000000.5),
-      (1012000.0, 1e6)]),
-    ("LOG_NEGBIN_PMF", log_negbin_pmf,
-     [(0.0, 2.5, 3.0), (3.0, 2.5, 3.0), (40.0, 0.7, 30.0), (1e4, 2.5, 1e4),
-      (1e6, 2.5, 1e6), (1000.0, 1e6, 1000.0), (5.0, 1e15, 3.0)]),
-]
+
+def at(dps, fn, *args):
+    """``fn(*args)`` at ``dps`` digits."""
+    with mp.workdps(dps):
+        return fn(*args)
 
 
-def agreed(what, value_at, dps=DPS):
-    """``value_at(d)`` at each of the two precisions ``dps``; they must agree
-    to 20 digits."""
-    lo, hi = (value_at(d) for d in dps)
-    if abs(lo - hi) > abs(hi) * mp.mpf(10) ** -20:
-        raise ArithmeticError(f"{what}: precisions disagree, {lo} vs {hi}")
-    return hi
+def confirmed(what, value, check, digits):
+    """``value``, once ``check`` agrees with it to ``digits`` digits."""
+    if abs(check - value) > abs(value) * mp.mpf(10) ** -digits:
+        raise ArithmeticError(f"{what} = {value}, but the check gives {check}")
+    return value
 
 
-def special(fn, args, dps=DPS):
-    """``fn(*args)`` agreed at both precisions ``dps``."""
-    def value_at(d):
-        with mp.workdps(d):
-            return fn(*args)
+def agreed(fn, dps=DPS):
+    """``fn`` at the second of the precisions ``dps``, which the first must
+    confirm to 20 digits."""
+    def law(*args):
+        lo, hi = (at(d, fn, *args) for d in dps)
+        return confirmed(f"{fn.__name__}{args}", hi, lo, 20)
 
-    return agreed(f"{fn.__name__}{args}", value_at, dps)
+    return law
 
 
 def rs_pdf(t, k, m, gbar):
@@ -293,31 +288,30 @@ def rs_pdf(t, k, m, gbar):
             * mp.hyp1f1(m, 1, k * (1 + k) * t / ((k + m) * gbar), maxterms=10 ** 6))
 
 
-def rs_cdf(g, k, m, gbar, dps):
-    """F(g) from the 1F1 density at ``dps`` digits."""
-    with mp.workdps(dps):
-        g = mp.mpf(g)
-        # the density lives on the scale of its mean gbar; split there so
-        # tanh-sinh sees one smooth piece per panel
-        scale = mp.mpf(gbar)
-        breaks = [t for t in (scale / 4, scale, 4 * scale, 16 * scale) if t < g]
-        below = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [0] + breaks + [g])
-        above_breaks = [t for t in (scale, 4 * scale, 16 * scale) if t > g]
-        above = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [g] + above_breaks) \
-            if above_breaks else mp.mpf(0)
-        # past the mode the tail decays at least exponentially: add doubling
-        # pieces until one is below 1e-45 of the total (at m = 1e6 the 1F1
-        # series cannot reach the far nodes of an integral to infinity)
-        lo = max([g] + above_breaks)
-        while True:
-            piece = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [lo, 2 * lo])
-            above += piece
-            lo *= 2
-            if piece < (below + above) * mp.mpf(10) ** -45:
-                break
-        if abs(below + above - 1) > mp.mpf(10) ** -25:
-            raise ArithmeticError(f"F + S = {below + above} at {(g, k, m, gbar)}")
-        return below if below < above else 1 - above
+def rs_cdf(g, k, m, gbar):
+    """F(g) from the 1F1 density at the working precision."""
+    g = mp.mpf(g)
+    # the density lives on the scale of its mean gbar; split there so
+    # tanh-sinh sees one smooth piece per panel
+    scale = mp.mpf(gbar)
+    breaks = [t for t in (scale / 4, scale, 4 * scale, 16 * scale) if t < g]
+    below = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [0] + breaks + [g])
+    above_breaks = [t for t in (scale, 4 * scale, 16 * scale) if t > g]
+    above = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [g] + above_breaks) \
+        if above_breaks else mp.mpf(0)
+    # past the mode the tail decays at least exponentially: add doubling
+    # pieces until one is below 1e-45 of the total (at m = 1e6 the 1F1
+    # series cannot reach the far nodes of an integral to infinity)
+    lo = max([g] + above_breaks)
+    while True:
+        piece = mp.quad(lambda t: rs_pdf(t, k, m, gbar), [lo, 2 * lo])
+        above += piece
+        lo *= 2
+        if piece < (below + above) * mp.mpf(10) ** -45:
+            break
+    if abs(below + above - 1) > mp.mpf(10) ** -25:
+        raise ArithmeticError(f"F + S = {below + above} at {(g, k, m, gbar)}")
+    return below if below < above else 1 - above
 
 
 def rs_cdf_by_panels(g, k, m, gbar, dps, panels):
@@ -349,14 +343,9 @@ def rs_cdf_by_nb_sum(g, k, m, gbar, dps):
 
 def rs_cdf_peak(g, k, m, gbar):
     """F(g) by panels at both precisions, confirmed by the NB sum."""
+    what = f"rs cdf {(g, k, m, gbar)}"
     lo, hi = rs_cdf_by_panels(g, k, m, gbar, 40, 256), rs_cdf_by_panels(g, k, m, gbar, 50, 512)
-    if abs(lo - hi) > abs(hi) * mp.mpf(10) ** -20:
-        raise ArithmeticError(f"rs cdf {(g, k, m, gbar)}: panels disagree, {lo} vs {hi}")
-    check = rs_cdf_by_nb_sum(g, k, m, gbar, 50)
-    if abs(check - hi) > abs(hi) * mp.mpf(10) ** -20:
-        raise ArithmeticError(f"rs cdf {(g, k, m, gbar)} = {hi}, but the NB sum "
-                              f"gives {check}")
-    return hi
+    return confirmed(what, confirmed(what, hi, lo, 20), rs_cdf_by_nb_sum(g, k, m, gbar, 50), 20)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +436,10 @@ def _scatter_average(conditional, k, m, method="tanh-sinh"):
                    sorted(breaks) + [mp.inf], method=method)
 
 
-def fdrlos_pdf_1f1(g, k, m, gbar):
+def fdrlos_pdf_1f1(g, k, m, gbar, method="tanh-sinh"):
     g, gbar = mp.mpf(g), mp.mpf(gbar)
-    return _scatter_average(lambda k_x, scale: rs_pdf(g, k_x, m, gbar * scale), k, m)
+    return _scatter_average(lambda k_x, scale: rs_pdf(g, k_x, m, gbar * scale), k, m,
+                            method=method)
 
 
 def fdrlos_cdf_1f1(g, k, m, gbar, method="gauss-legendre"):
@@ -465,41 +455,28 @@ def fdrlos_cdf_1f1(g, k, m, gbar, method="gauss-legendre"):
     return _scatter_average(conditional, k, m, method=method)
 
 
-def fdrlos_cdf_real_m(g, k, m, gbar):
-    """The 1F1 average by tanh-sinh at both precisions, checked to 11 digits
-    by Gauss-Legendre at 30: below m = 1 the conditional density nears
-    t^(m-1) at small x, where Gauss-Legendre converges slowly (2e-12 off at
-    m = 0.7) and tanh-sinh does not."""
-    value = special(lambda *args: fdrlos_cdf_1f1(*args, method="tanh-sinh"),
-                    (g, k, m, gbar))
-    with mp.workdps(30):
-        check = fdrlos_cdf_1f1(g, k, m, gbar)
-    if abs(check - value) > abs(value) * mp.mpf(10) ** -11:
-        raise ArithmeticError(f"fdrlos cdf {(g, k, m, gbar)} = {value}, but "
-                              f"Gauss-Legendre gives {check}")
-    return value
+def real_m(average, digits):
+    """The law of the 1F1 ``average`` by tanh-sinh at both precisions,
+    confirmed to ``digits`` by Gauss-Legendre at 30: below m = 1 the
+    conditional density nears t^(m-1) at small x, where Gauss-Legendre
+    converges slowly (2e-12 off in the cdf at m = 0.7) and tanh-sinh does
+    not."""
+    def law(*args):
+        value = agreed(lambda *a: average(*a, method="tanh-sinh"))(*args)
+        check = at(30, average, *args, "gauss-legendre")
+        return confirmed(f"{average.__name__}{args}", value, check, digits)
+
+    return law
 
 
-def fdrlos_pdf_real_m(g, k, m, gbar):
-    value = special(fdrlos_pdf_1f1, (g, k, m, gbar))
-    with mp.workdps(30):
-        g_, gbar_ = mp.mpf(g), mp.mpf(gbar)
-        check = _scatter_average(lambda k_x, scale: rs_pdf(g_, k_x, m, gbar_ * scale),
-                                 k, m, method="gauss-legendre")
-    if abs(check - value) > abs(value) * mp.mpf(10) ** -16:
-        raise ArithmeticError(f"fdrlos pdf {(g, k, m, gbar)} = {value}, but "
-                              f"Gauss-Legendre gives {check}")
-    return value
+def fdrlos_golden(closed, averaged):
+    """The law of the closed form, confirmed to 16 digits by the 1F1 average
+    at 30."""
+    def law(*args):
+        value = settled(closed, args)
+        return confirmed(f"{closed.__name__}{args}", value, at(30, averaged, *args), 16)
 
-
-def fdrlos_golden(closed, averaged, args):
-    value = settled(closed, args)
-    with mp.workdps(30):
-        check = averaged(*args)
-    if abs(check - value) > abs(value) * mp.mpf(10) ** -16:
-        raise ArithmeticError(f"{closed.__name__}{args} = {value}, but the 1F1 "
-                              f"average gives {check}")
-    return value
+    return law
 
 
 def drlos_pdf(g, k, gbar):
@@ -593,17 +570,14 @@ def drlos_cdf_by_rician(g, k, gbar):
 
 
 def drlos_cdf_golden(g, k, gbar):
-    value = special(drlos_cdf, (g, k, gbar))
+    value = agreed(drlos_cdf)(g, k, gbar)
     if k == 0:
         check = product_cdf(mp.mpf(g) / gbar)
     elif k <= 5:
-        with mp.workdps(20):
-            check = drlos_cdf_by_rician(g, k, gbar)
+        check = at(20, drlos_cdf_by_rician, g, k, gbar)
     else:
         return value
-    if abs(check - value) > abs(value) * mp.mpf(10) ** -16:
-        raise ArithmeticError(f"drlos cdf {(g, k, gbar)} = {value}, but the check gives {check}")
-    return value
+    return confirmed(f"drlos cdf {(g, k, gbar)}", value, check, 16)
 
 
 def gain_by_hyperu(k, m):
@@ -614,7 +588,7 @@ def gain_by_hyperu(k, m):
 
 def coding_gain(k, m):
     if (k, m) in CODING_GAIN_BY_HYPERU_ONLY:
-        return special(gain_by_hyperu, (k, m))
+        return agreed(gain_by_hyperu)(k, m)
     with mp.workdps(40):
         by_u = gain_by_hyperu(k, m)
         k = mp.mpf(k)
@@ -622,81 +596,82 @@ def coding_gain(k, m):
         r = 1 / mp.mpf(m)
         by_quad = (1 + k) / m * mp.quad(lambda s: mp.exp(-s ** r) * (s ** r + z) ** -m,
                                         sorted([0, z ** m, 1]) + [mp.inf])
-        if abs(by_u - by_quad) > abs(by_u) * mp.mpf(10) ** -25:
-            raise ArithmeticError(f"coding gain {(k, m)}: {by_u} vs {by_quad}")
-        return by_u
+        return confirmed(f"coding gain {(k, m)}", by_u, by_quad, 25)
+
+
+#: (title, law, cases) of every table the script prints, in order, and the
+#: comments between them: a list of argument tuples makes a dict of
+#: ``law(*args)``, a case that starts with a name carries it as a comment,
+#: and a single argument tuple makes a single value
+GOLDENS = [
+    ("RS_CDF_GOLDENS", agreed(rs_cdf), CASES),
+    ("RS_CDF_WIDE_GOLDENS", agreed(rs_cdf), WIDE_CASES),
+    ("RS_CDF_PEAK_GOLDENS", rs_cdf_peak, PEAK_CASES),
+    ("RS_CDF_2_4_2_15", agreed(rs_cdf), (2.0, 4.0, 2, 1.5)),
+    ("RS_PDF_GOLDENS", agreed(rs_pdf), RS_PDF_CASES),
+    ("FDRLOS_PDF_GOLDENS", fdrlos_golden(fdrlos_pdf_gig, fdrlos_pdf_1f1), FDRLOS_PDF_CASES),
+    ("FDRLOS_CDF_GOLDENS", fdrlos_golden(fdrlos_cdf_gig, fdrlos_cdf_1f1), FDRLOS_CDF_CASES),
+    ("FDRLOS_PDF_REAL_M_GOLDENS", real_m(fdrlos_pdf_1f1, 16), FDRLOS_PDF_REAL_M_CASES),
+    ("FDRLOS_PDF_M140_GOLDENS", real_m(fdrlos_pdf_1f1, 16), FDRLOS_PDF_M140_CASES),
+    ("FDRLOS_PDF_M1000_GOLDENS", real_m(fdrlos_pdf_1f1, 16), FDRLOS_PDF_M1000_CASES),
+    ("FDRLOS_CDF_REAL_M_GOLDENS", real_m(fdrlos_cdf_1f1, 11), FDRLOS_CDF_REAL_M_CASES),
+    ("DRLOS_PDF_GOLDENS", agreed(drlos_pdf), DRLOS_PDF_CASES),
+    ("DRLOS_CDF_GOLDENS", drlos_cdf_golden, DRLOS_CDF_CASES),
+    ("CODING_GAIN_GOLDENS", coding_gain, CODING_GAIN_CASES),
+    ("PRODUCT_CDF", product_cdf, PRODUCT_CDF_CASES),
+    "# tests/test_specfun.py",
+    ("GIG_NEG2_02_15", agreed(gig), (-2.0, 0.2, 1.5)),
+    ("HYP1F1_3_1_07", agreed(mp.hyp1f1), (3.0, 1.0, 0.7)),
+    ("U_2_1_05", agreed(mp.hyperu), (2.0, 1.0, 0.5)),
+    ("E1", agreed(mp.e1), [(0.1,), (1.0,), (10.0,)]),
+    ("UPPER_GAMMA", agreed(mp.gammainc),
+     [(a, z) for a in (-2.0, -0.5, 1.0, 3.5) for z in (0.1, 1.0, 5.0)]),
+    ("HYP1F1_LARGE", agreed(lambda a, x: mp.hyp1f1(a, 1, x)),
+     [(2.5, 80.0), (2.5, 300.0), (0.5, 120.0), (3.0, 600.0), (5.0, 100.0)]),
+    ("SCALED_LOG_HYP1F1", agreed(scaled_log_hyp1f1),
+     [(500.0, 50.0), (2.5, 5000.0), (30.5, 300.0), (30.0, 300.0),
+      (100.5, 9000.0), (140.5, 1.9e4), (400.5, 1e5), (1000.5, 5e5),
+      (10000.5, 5e7)]),
+    ("STIRLERR", agreed(stirlerr),
+     [(0.3,), (1.0,), (2.5,), (9.75,), (10.0,), (33.3,), (1e6,)]),
+    ("LOG_POISSON_PMF", agreed(log_poisson_pmf),
+     [(0.0, 3.0), (7.0, 1e-12), (40.0, 55.0), (10050.0, 1e4), (1e6, 1000000.5),
+      (1012000.0, 1e6)]),
+    ("LOG_NEGBIN_PMF", agreed(log_negbin_pmf),
+     [(0.0, 2.5, 3.0), (3.0, 2.5, 3.0), (40.0, 0.7, 30.0), (1e4, 2.5, 1e4),
+      (1e6, 2.5, 1e6), (1000.0, 1e6, 1000.0), (5.0, 1e15, 3.0)]),
+    ("SCALED_LOG_HYP1F1_TINY_A", agreed(scaled_log_hyp1f1, TINY_A_DPS), TINY_A_CASES),
+    "# tests/test_frontier.py",
+    ("PDF_M_TO_0", agreed(lambda y: 2 * product_pdf(y)), (2,)),
+    ("CDF_M_TO_0", agreed(product_cdf), (2,)),
+    ("CDF_K0_AT_1E_10", product_cdf, (1e-10,)),
+    ("CDF_K0_AT_1E_11", product_cdf, (1e-11,)),
+    ("PDF_K0_AT_1E_100", agreed(product_pdf), (1e-100,)),
+]
+
+
+def table(title, law, cases):
+    """Print ``title = {key: law(*args), ...}``, keyed by the arguments, or by
+    the argument alone where there is one; or ``title = law(*cases)`` where
+    ``cases`` is one argument tuple."""
+    if isinstance(cases, tuple):
+        print(f"{title} = {float(law(*cases))!r}")
+        return
+    print(f"{title} = {{")
+    for case in cases:
+        name, args = (case[0], case[1:]) if isinstance(case[0], str) else (None, case)
+        key = args if len(args) > 1 else args[0]
+        note = f"  # {name}" if name else ""
+        print(f"    {key!r}: {float(law(*args))!r},{note}")
+    print("}")
 
 
 def main():
-    for title, cases in (("RS_CDF_GOLDENS", CASES), ("RS_CDF_WIDE_GOLDENS", WIDE_CASES)):
-        print(f"{title} = {{")
-        for name, g, k, m, gbar in cases:
-            value = agreed(name, lambda dps: rs_cdf(g, k, m, gbar, dps))
-            print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
-        print("}")
-    print("RS_CDF_PEAK_GOLDENS = {")
-    for name, g, k, m, gbar in PEAK_CASES:
-        value = rs_cdf_peak(g, k, m, gbar)
-        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
-    print("}")
-    value = agreed("RS_CDF_2_4_2_15", lambda dps: rs_cdf(2.0, 4.0, 2, 1.5, dps))
-    print(f"RS_CDF_2_4_2_15 = {float(value)!r}")
-    print("RS_PDF_GOLDENS = {")
-    for g, k, m, gbar in RS_PDF_CASES:
-        value = special(rs_pdf, (g, k, m, gbar))
-        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},")
-    print("}")
-    for title, cases, closed, averaged in (
-            ("FDRLOS_PDF_GOLDENS", FDRLOS_PDF_CASES, fdrlos_pdf_gig, fdrlos_pdf_1f1),
-            ("FDRLOS_CDF_GOLDENS", FDRLOS_CDF_CASES, fdrlos_cdf_gig, fdrlos_cdf_1f1)):
-        print(f"{title} = {{")
-        for name, g, k, m, gbar in cases:
-            value = fdrlos_golden(closed, averaged, (g, k, m, gbar))
-            print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
-        print("}")
-    for title, cases in (("FDRLOS_PDF_REAL_M_GOLDENS", FDRLOS_PDF_REAL_M_CASES),
-                         ("FDRLOS_PDF_M140_GOLDENS", FDRLOS_PDF_M140_CASES),
-                         ("FDRLOS_PDF_M1000_GOLDENS", FDRLOS_PDF_M1000_CASES)):
-        print(f"{title} = {{")
-        for g, k, m, gbar in cases:
-            value = fdrlos_pdf_real_m(g, k, m, gbar)
-            print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},")
-        print("}")
-    print("FDRLOS_CDF_REAL_M_GOLDENS = {")
-    for name, g, k, m, gbar in FDRLOS_CDF_REAL_M_CASES:
-        value = fdrlos_cdf_real_m(g, k, m, gbar)
-        print(f"    ({g!r}, {k!r}, {m!r}, {gbar!r}): {float(value)!r},  # {name}")
-    print("}")
-    print("DRLOS_PDF_GOLDENS = {")
-    for g, k, gbar in DRLOS_PDF_CASES:
-        print(f"    ({g!r}, {k!r}, {gbar!r}): {float(special(drlos_pdf, (g, k, gbar)))!r},")
-    print("}")
-    print("DRLOS_CDF_GOLDENS = {")
-    for name, g, k, gbar in DRLOS_CDF_CASES:
-        value = drlos_cdf_golden(g, k, gbar)
-        print(f"    ({g!r}, {k!r}, {gbar!r}): {float(value)!r},  # {name}")
-    print("}")
-    print("CODING_GAIN_GOLDENS = {")
-    for k, m in CODING_GAIN_CASES:
-        print(f"    ({k!r}, {m!r}): {float(coding_gain(k, m))!r},")
-    print("}")
-    print("# tests/test_specfun.py")
-    for name, fn, args in SPECFUN_VALUES:
-        print(f"{name} = {float(special(fn, args))!r}")
-    for name, fn, cases in SPECFUN_TABLES:
-        print(f"{name} = {{")
-        for args in cases:
-            key = args[0] if len(args) == 1 else args
-            print(f"    {key!r}: {float(special(fn, args))!r},")
-        print("}")
-    print("SCALED_LOG_HYP1F1_TINY_A = {")
-    for args in TINY_A_CASES:
-        print(f"    {args!r}: {float(special(scaled_log_hyp1f1, args, TINY_A_DPS))!r},")
-    print("}")
-    print("# tests/test_frontier.py")
-    print(f"PDF_M_TO_0 = {float(special(lambda y: 4 * mp.besselk(0, 2 * mp.sqrt(y)), (2,)))!r}")
-    print(f"CDF_M_TO_0 = {float(special(product_cdf, (2,)))!r}")
-    print(f"CDF_K0_AT_1E_10 = {float(product_cdf(1e-10))!r}")
+    for entry in GOLDENS:
+        if isinstance(entry, str):
+            print(entry)
+        else:
+            table(*entry)
 
 
 if __name__ == "__main__":

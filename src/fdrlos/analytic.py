@@ -25,8 +25,9 @@ aliases ``fdrlos_pdf_oracle`` and ``rs_cdf_integer`` remain only for
 deep-outage values keep their relative accuracy.  This is the paper's
 integral before it substitutes t = K/m + x and expands (t - K/m)^j into
 generalized incomplete gammas, whose terms cancel; ``scripts/make_goldens.py``
-keeps that expansion as an mpmath cross-check.  K = 0 (no LoS; the law no
-longer depends on m) is an ordinary input.
+keeps that expansion as an mpmath cross-check.  At K = 0 (no LoS) the law
+no longer depends on m: it is the product law of the scatter, which every
+fdrlos law takes in closed form (``_fdrlos_kernel``).
 
 The density at g = 0 is the high-SNR outage slope: gbar f(0) is the coding
 gain a(K, m) = (1+K) Gamma(m) U(m, 1, K/m), and Gamma(m) U(m, 1, K/m), the
@@ -62,8 +63,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import (betainc, betaincc, chndtr, gammainc, i0e, k0, k1,
-                           xlogy)
+from scipy.special import (betainc, betaincc, chndtr, digamma, factorial, gammainc,
+                           i0e, k0, k1, xlogy)
 
 from .models import FadingParams, check_params
 from .specfun import (MAX_TERMS, TINY, AccuracyError, DomainError,
@@ -78,6 +79,10 @@ _ANCHOR_BLOCK = 4096      # rows per pass of the log-mass kernels, which cost
 _MAX_M = 1e15             # largest m the series and the 1F1 density are checked at
 _MIXTURE_MAX_M = 100      # largest integer m of the Binomial mixture: its m orders
                           # cost more than the real-m kernels past about 100
+#: the product law's series below r = 0.5 (DLMF 10.31.1 at n = 1, x = 2 r):
+#: psi(k+1) + psi(k+2) and 1/(k! (k+1)!) for k < 10
+_PRODUCT_PSI = digamma(np.arange(1.0, 11.0)) + digamma(np.arange(2.0, 12.0))
+_PRODUCT_INV = 1.0 / (factorial(np.arange(10.0)) * factorial(np.arange(1.0, 11.0)))
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -472,6 +477,45 @@ def _conditional(m, law):
     return lambda y, k_x: kernel(y, k_x, m)
 
 
+def _product_cdf(r):
+    """P(|G2 G3| <= r) = 1 - 2 r K1(2 r), the cdf of the product of two
+    unit-mean exponentials at r^2, at an array r >= 0.  Below r = 0.5 it is
+    the series of DLMF 10.31.1 (x = 2 r),
+
+        sum_{k<10} r^(2k+2) (psi(k+1) + psi(k+2) - 2 log r) / (k! (k+1)!),
+
+    every term positive there, so deep outage keeps its relative accuracy;
+    r = 0 gives 0."""
+    r = np.asarray(r, dtype=float)
+    big = np.maximum(r, 0.5)
+    small = np.where((r > 0) & (r < 0.5), r, 0.25)
+    z, log_z = small * small, 2.0 * np.log(small)
+    series = 0.0
+    for psi, inv in zip(_PRODUCT_PSI[::-1], _PRODUCT_INV[::-1]):
+        series = z * (inv * (psi - log_z) + series)
+    return np.where(r >= 0.5, 1.0 - 2.0 * big * k1(2.0 * big), np.where(r > 0, series, 0.0))
+
+
+def _fdrlos_kernel(conditional, law, rel_tol):
+    """The kernel of the fdrlos laws for ``_law``, (y, k) -> values: at K = 0
+    the product law, 2 K0(2 sqrt y) or ``_product_cdf(sqrt y)``, which no m
+    changes, elsewhere the scatter average of ``conditional``.  The average
+    runs even where no value is left, so that it checks ``rel_tol``."""
+    def kernel(y, k):
+        zero = k == 0
+        if not np.any(zero):
+            return _scatter_average(conditional, law, y, k, rel_tol)
+        zero = np.broadcast_to(zero, y.shape)
+        out = np.empty(y.shape)
+        root = np.sqrt(y[zero])
+        out[zero] = 2.0 * k0(2.0 * root) if law == "pdf" else _product_cdf(root)
+        rest = ~zero
+        out[rest] = _scatter_average(conditional, law, y[rest], k[rest] if np.ndim(k) else k,
+                                     rel_tol)
+        return out
+    return kernel
+
+
 def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     """SNR density of the fluctuating double-Rayleigh LoS model for every
     m > 0, to relative accuracy ``rel_tol``.
@@ -486,9 +530,9 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     the smallest normal double (``specfun.TINY``) as 0 with an
     UnderflowWarning, and returns a value that (1+K)/gbar makes tiny.  At
     g = 0 the average is Gamma(m) U(m, 1, K/m), so f(0) = a(K, m) / gbar,
-    the coding gain over gbar.  K = 0 is an ordinary input: the product
-    law, +inf at g = 0.  An array K or gbar broadcasts against gamma, each K
-    with its own value at g = 0.
+    the coding gain over gbar.  At K = 0 it is the product law
+    2 K0(2 sqrt y), +inf at g = 0 (``_fdrlos_kernel``).  An array K or gbar
+    broadcasts against gamma, each K with its own value at g = 0.
     """
     m, conditional = params.m, _conditional(params.m, "pdf")
 
@@ -496,8 +540,8 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
         # the product law's pole at K = 0
         return [_gamma_u(v, m, rel_tol) if v > 0 else np.inf for v in k.tolist()]
 
-    return _law(lambda y, k: _scatter_average(conditional, "pdf", y, k, rel_tol),
-                "pdf", gamma, params.k, m, params.gamma_bar, at_zero)
+    return _law(_fdrlos_kernel(conditional, "pdf", rel_tol), "pdf", gamma, params.k, m,
+                params.gamma_bar, at_zero)
 
 
 #: a second name for ``fdrlos_pdf``; only ``perfbench/tracing.py`` reads it
@@ -516,22 +560,20 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
 
     the paper's integral before t = K/m + x is substituted and (t - K/m)^j
     expanded.  At every other m the negative-binomial series ``_nb_series``.
-    Every term is positive, so deep outage keeps its relative accuracy; K = 0
-    puts all the weight on one exponential law (the product law).  An array
-    K (an outage sweep over K) or gbar broadcasts against gamma.
+    Every term is positive, so deep outage keeps its relative accuracy.  At
+    K = 0 it is the product law ``_product_cdf(sqrt y)`` (``_fdrlos_kernel``).
+    An array K (an outage sweep over K) or gbar broadcasts against gamma.
     """
-    conditional = _conditional(params.m, "cdf")
-    return _law(lambda y, k: _scatter_average(conditional, "cdf", y, k, rel_tol),
-                "cdf", gamma, params.k, params.m, params.gamma_bar)
+    return _law(_fdrlos_kernel(_conditional(params.m, "cdf"), "cdf", rel_tol), "cdf", gamma,
+                params.k, params.m, params.gamma_bar)
 
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
     """Ground-truth cdf: the negative-binomial series ``_nb_series`` averaged at
     every m > 0, so only at integer m up to 100 does it share no conditional
     code with ``fdrlos_cdf``."""
-    return _law(lambda y, k: _scatter_average(lambda y_x, k_x: _nb_series(y_x, k_x, params.m),
-                                              "cdf", y, k, rel_tol),
-                "cdf", gamma, params.k, params.m, params.gamma_bar)
+    return _law(_fdrlos_kernel(lambda y_x, k_x: _nb_series(y_x, k_x, params.m), "cdf",
+                               rel_tol), "cdf", gamma, params.k, params.m, params.gamma_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +690,8 @@ def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
         c(r) = (y - K - r^2) / (2 b r):
 
     inside the disc r <= a - b every phase gives Y <= y, across the annulus
-    the phases with cos theta <= c(r).  The disc is 1 - 2 r1 K1(2 r1) at
-    r1 = a - b >= 0.5, below it int 8 r1^2 u^3 K0(2 r1 u^2) du.  The annulus
+    the phases with cos theta <= c(r).  The disc is the product law's cdf
+    at a - b (``_product_cdf``), in closed form.  The annulus
     takes r = max(a, b) - min(a, b) cos phi, and arccos(-c) as
     2 atan2(sqrt(1+c), sqrt(1-c)), whose numerators are closed products in
     s = sin(phi/2) and cos(phi/2): no difference of r and b loses digits in
@@ -661,11 +703,7 @@ def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
         gap = np.abs(y - k) / (root_y + root_k)     # r1 = |a - b|
         near, far = np.minimum(root_y, root_k), np.maximum(root_y, root_k)
         inside = root_y > root_k
-        big = np.maximum(gap, 0.5)
-        disc = np.where(inside & (gap >= 0.5), 1.0 - 2.0 * big * k1(2.0 * big), 0.0)
-        # r1 where the disc is integrated, 1 (weighted by 0) elsewhere
-        small = inside & (gap < 0.5)
-        r1, weight = np.where(small, gap, 1.0), 8.0 * small
+        disc = np.where(inside, _product_cdf(gap), 0.0)
 
         def g(u):
             # phi = pi u; the disc rides along, so rel_tol holds for F itself
@@ -677,9 +715,7 @@ def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
             # arccos(-c(r)) / 2, by the case of a against b
             half = np.where(inside, np.arctan2(cos_h * inner, sin_h * outer),
                             np.arctan2(near * sin_h * cos_h, inner * outer))
-            annulus = 16.0 * r * k0(2.0 * r) * half * near * sin_h * cos_h
-            w = r1 * u * u
-            return annulus + disc + weight * r1 * w * u * k0(2.0 * w)
+            return 16.0 * r * k0(2.0 * r) * half * near * sin_h * cos_h + disc
         return _on_unit_interval(g)
 
     return _law(lambda y, k: _by_chunks(integrand, y, k, rel_tol), "cdf", gamma, k,

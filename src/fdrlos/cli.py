@@ -31,8 +31,9 @@ here; seeds and sample counts are pinned so runs reproduce byte-for-byte):
         histograms (1e7 samples, bin 0.1).
 * fig3  outage vs mean snr (dB), K=1, threshold 3 dB; m in {1,3,10};
         high-SNR asymptotes; deterministic-LoS limit (``drlos_cdf_oracle``:
-        the disc and annulus integral of K0 at each mean snr, one vector
-        call, relative accuracy kept out to 60 dB); MC markers.
+        the closed-form disc plus the annulus integral of K0 at each mean
+        snr, one vector call, relative accuracy kept out to 60 dB); MC
+        markers.
 * fig4  outage vs mean snr (dB), K=6, threshold 3 dB; m in {1,3,5,10};
         fluctuating-LoS double-Rayleigh vs Rician shadowed; MC markers.
 * fig5  outage vs K, mean snr 25 dB, threshold 3 dB; m in {1,3,5,10};

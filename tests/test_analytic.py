@@ -164,6 +164,27 @@ CODING_GAIN_GOLDENS = {
     (10000.0, 1000000000000.0): 2.4516091083299542e-84,
     (10000.0, 1000000.0): 2.464021136403582e-84,
 }
+# the product law's cdf 1 - 2 sqrt y K1(2 sqrt y) from scripts/make_goldens.py
+# at 150 digits, y -> P; on both sides of y = 1/4, where ``_product_cdf`` turns
+# from its series to the closed form
+PRODUCT_CDF = {
+    1e-100: 2.301040779696015e-98,
+    1e-30: 6.892312146001831e-29,
+    1e-12: 2.747658978613997e-11,
+    1e-06: 1.3661086808702156e-05,
+    0.001: 0.006757451368442257,
+    0.01: 0.04480549135590555,
+    0.1: 0.23343313884643196,
+    0.2499999: 0.39809268559786576,
+    0.25: 0.3980927698027654,
+    0.2500001: 0.39809285400764105,
+    0.5: 0.555657476367764,
+    1.0: 0.7202682363669551,
+    2.0: 0.8603325259847069,
+    10.0: 0.9940323069611795,
+    100.0: 0.999999988233884,
+    900.0: 1.0,
+}
 FDRLOS_PDF_532 = {g: v for (g, k, m, gbar), v in FDRLOS_PDF_GOLDENS.items()
                   if (k, m, gbar) == (5.0, 3, 2.0)}
 FDRLOS_CDF_2_532 = FDRLOS_CDF_GOLDENS[(2.0, 5.0, 3, 2.0)]
@@ -1386,6 +1407,36 @@ class TestAncestors:
         for g in (0.4, 1.0, 2.5):
             assert rs_pdf(g, 3.0, 5000, 2.0) == pytest.approx(
                 rician_pdf(g, 3.0, 2.0), rel=2e-3)
+
+
+class TestProductLaw:
+    """K = 0, no LoS: every fdrlos law is the product law of the scatter,
+    whatever m, and takes it in closed form."""
+
+    @pytest.mark.parametrize("y, want", sorted(PRODUCT_CDF.items()))
+    def test_product_cdf_goldens(self, y, want):
+        assert analytic._product_cdf(math.sqrt(y)) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_product_cdf_at_0_is_0_without_a_warning(self):
+        # warnings are errors under pytest: no log(0) may fire
+        assert analytic._product_cdf(0.0) == 0.0
+
+    @pytest.mark.parametrize("law", [fdrlos_pdf, fdrlos_cdf, fdrlos_cdf_oracle])
+    def test_closed_forms_check_rel_tol(self, law):
+        # no quadrature runs at K = 0, yet a bad tolerance is refused
+        for k in (0.0, np.zeros(2)):
+            with pytest.raises(DomainError):
+                law(np.ones(2), FadingParams(k, 2, 1.0), rel_tol=-1.0)
+
+    @pytest.mark.parametrize("m", [0.5, 2, 2.5, 30])
+    def test_laws_at_k0_are_the_closed_forms(self, m):
+        t = np.array([1e-100, 1e-12, 1e-3, 0.5, 3.0, 30.0])
+        pdf, cdf = 2.0 * k0(2.0 * np.sqrt(t)), analytic._product_cdf(np.sqrt(t))
+        # K = 0 as a scalar, and in an array K beside a K > 0
+        for k, grid in ((0.0, t), (np.append(np.zeros(t.size), 1.5), np.append(t, 0.5))):
+            params = FadingParams(k, m, 1.0)
+            for law, want in ((fdrlos_pdf, pdf), (fdrlos_cdf, cdf), (fdrlos_cdf_oracle, cdf)):
+                np.testing.assert_array_equal(law(grid, params)[:t.size], want)
 
 
 class TestCurve:

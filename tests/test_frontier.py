@@ -30,8 +30,11 @@ from test_analytic import DRLOS_CDF_GOLDENS
 # 1 - 2 sqrt y K1(2 sqrt y); the error of the limit is O(m log m)
 PDF_M_TO_0 = 0.16956709599360598
 CDF_M_TO_0 = 0.8603325259847069
-# the K = 0 cdf, 1 - 2 sqrt y K1(2 sqrt y), at y = 1e-10 (150 digits)
+# the K = 0 cdf, 1 - 2 sqrt y K1(2 sqrt y), at y = 1e-10 and 1e-11 (150
+# digits), and the K = 0 pdf 2 K0(2 sqrt y) at y = 1e-100
 CDF_K0_AT_1E_10 = 2.2871419601355965e-09
+CDF_K0_AT_1E_11 = 2.5174004693264804e-10
+PDF_K0_AT_1E_100 = 229.1040779696015
 
 REFUSES = "refuses"
 
@@ -58,12 +61,18 @@ ROWS = [
       for m in (7e4 + 0.5, 1e5, 1e9)),
     Row("pdf-grid-m1e9", lambda: fdrlos_pdf(np.linspace(0.5, 2.0, 3),
                                             FadingParams(1.0, 1e9, 1.0)), REFUSES),
-    # the K = 0, m = 2 cdf: the mass spreads evenly over log x, and the
-    # quadrature runs out of splits below t = 1e-10
+    # K = 0, deep in outage: the product law in closed form, which no m
+    # changes; as a scatter average its mass spreads evenly over log x, and
+    # a quadrature runs out of splits below t = 1e-10
     Row("cdf-k0-t1e-10", lambda: fdrlos_cdf(1e-10, FadingParams(0.0, 2, 1.0)),
         (CDF_K0_AT_1E_10, 1e-12)),
-    *(Row(f"cdf-k0-t{t:g}", lambda t=t: fdrlos_cdf(t, FadingParams(0.0, 2, 1.0)), REFUSES)
-      for t in (1e-11, 1e-12, 1e-100)),
+    Row("cdf-k0-t1e-11", lambda: fdrlos_cdf(1e-11, FadingParams(0.0, 2, 1.0)),
+        (CDF_K0_AT_1E_11, 1e-13)),
+    *(Row(f"cdf-k0-t{t:g}", lambda t=t: fdrlos_cdf(t, FadingParams(0.0, 2, 1.0)),
+          (DRLOS_CDF_GOLDENS[(t, 0.0, 1.0)], 1e-13))
+      for t in (1e-12, 1e-100)),
+    Row("pdf-k0-t1e-100", lambda: fdrlos_pdf(1e-100, FadingParams(0.0, 2.5, 1.0)),
+        (PDF_K0_AT_1E_100, 1e-13)),
     # chndtr gives NaN at noncentrality 2e11; the drlos cdf calls no chndtr
     Row("rician-cdf-k1e11", lambda: rician_cdf(1.0, 1e11, 1.0), REFUSES),
     Row("drlos-cdf-k1e4", lambda: drlos_cdf_oracle(1.0, 1e4, 1.0),

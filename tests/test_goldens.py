@@ -1,7 +1,10 @@
 """Every frozen reference value of the tests is printed by
-``scripts/make_goldens.py``, so that none is a number nobody can regenerate."""
+``scripts/make_goldens.py``, so that none is a number nobody can regenerate,
+and every table the script prints is frozen in a test, so that none is made
+for nothing."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -56,3 +59,20 @@ def test_every_golden_is_printed_by_the_script(test_file):
     assert names
     missing = [name for name in names if not re.search(rf"\b{name}\b", text)]
     assert not missing, f"{test_file} freezes values no script prints: {missing}"
+
+
+def printed_titles():
+    """The titles of the tables ``GOLDENS`` of the script prints."""
+    spec = importlib.util.spec_from_file_location("make_goldens", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return [entry[0] for entry in script.GOLDENS if not isinstance(entry, str)]
+
+
+def test_every_printed_table_is_frozen_by_a_test():
+    frozen = {name for test_file in FROZEN_IN
+              for name in frozen_names(ROOT / "tests" / test_file)}
+    titles = printed_titles()
+    assert titles
+    unfrozen = [title for title in titles if title not in frozen]
+    assert not unfrozen, f"the script prints tables no test freezes: {unfrozen}"

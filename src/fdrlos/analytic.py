@@ -168,11 +168,11 @@ def _by_chunks(integrand, y, k, rel_tol):
 
     so 128 is kept: 256 was no faster and doubled the growth in memory.
 
-    A chunk whose subdivision budget runs out (an AccuracyError with an error
-    estimate) is integrated again as two halves with a budget each, so only a
-    single value refuses; an integrand's own refusal propagates at once.  The
-    integrals are returned as they are, for ``_law`` to apply the rule of
-    ``TINY`` to the law's value.
+    A chunk that refuses, by running out of subdivisions or by a refusal of
+    its integrand, is integrated again as two halves, down to single values,
+    so an array answers wherever each of its values answers alone and a
+    refusal is always one value's.  The integrals are returned as they are,
+    for ``_law`` to apply the rule of ``TINY`` to the law's value.
     """
     check_rel_tol(rel_tol)
     out = np.empty(y.shape)
@@ -181,8 +181,8 @@ def _by_chunks(integrand, y, k, rel_tol):
         try:
             out[sel], _ = adaptive_quad_vec(integrand(y[sel], k[sel] if np.ndim(k) else k),
                                             rel_tol=rel_tol)
-        except AccuracyError as exc:
-            if exc.err_estimate is None or sel.size == 1:
+        except AccuracyError:
+            if sel.size == 1:
                 raise
             solve(sel[:sel.size // 2])
             solve(sel[sel.size // 2:])

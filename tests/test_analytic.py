@@ -203,6 +203,19 @@ def underflow_ignored():
         yield
 
 
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The list that each ``adaptive_quad_vec`` call of ``analytic`` adds to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return adaptive_quad_vec(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "adaptive_quad_vec", counted)
+    return calls
+
+
 class TestRsPdf:
     def test_no_los_reduces_to_exponential(self):
         assert rs_pdf(1.0, 0.0, 2.7, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -667,16 +680,9 @@ class TestFdrlosCdfOracle:
                 slope = route(gth / 10.0 ** (db / 10.0), p) * 10.0 ** (db / 10.0) / gth
                 assert slope == pytest.approx(coding_gain(1.0, m), rel=1e-6)
 
-    def test_real_m_is_one_quadrature_per_chunk(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return adaptive_quad_vec(*args, **kwargs)
-
-        monkeypatch.setattr(analytic, "adaptive_quad_vec", counted)
+    def test_real_m_is_one_quadrature_per_chunk(self, quad_calls):
         fdrlos_cdf_oracle(np.geomspace(0.01, 20.0, 16), FadingParams(3.0, 2.5, 2.0))
-        assert len(calls) == 1
+        assert len(quad_calls) == 1
 
 
 class TestOutage:
@@ -1009,7 +1015,8 @@ def test_every_law_at_the_snr_boundary(law, m, k):
 
 class TestChunkBudget:
     """The values of a chunk share one quadrature and its subdivision budget;
-    a chunk that runs it out is averaged again in halves."""
+    a chunk that refuses, for whatever reason, is averaged again in halves,
+    so only a single value refuses."""
 
     def test_batch_gives_the_scalar_values(self):
         # the two values share one quadrature; each meets its scalar call
@@ -1027,19 +1034,13 @@ class TestChunkBudget:
         lambda g: drlos_cdf_oracle(g, 2.0, 1.0),
     ], ids=["fdrlos_pdf-m3", "fdrlos_pdf-m2.5", "fdrlos_cdf-m3", "fdrlos_cdf-m2.5",
             "drlos_pdf", "drlos_cdf"])
-    def test_values_across_chunks_give_the_scalar_values(self, law, monkeypatch):
+    def test_values_across_chunks_give_the_scalar_values(self, law, quad_calls):
         # two full chunks and a partial one, each one quadrature
         g = np.geomspace(1e-3, 30.0, 2 * analytic._GAMMA_CHUNK + 44)
         scalar = [law(v) for v in g]
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return adaptive_quad_vec(*args, **kwargs)
-
-        monkeypatch.setattr(analytic, "adaptive_quad_vec", counted)
+        quad_calls.clear()
         np.testing.assert_allclose(law(g), scalar, rtol=1e-10, atol=0)
-        assert len(calls) == 3
+        assert len(quad_calls) == 3
 
     def test_a_refusal_is_one_values(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 0)
@@ -1048,19 +1049,26 @@ class TestChunkBudget:
                 law(np.array([0.5, 2.0]), 1.0, 1.0)
             assert info.value.err_estimate.shape == (1,)
 
-    def test_a_conditional_refusal_is_not_split(self, monkeypatch):
-        # the 1F1 refuses m = 1e9 at these points: one quadrature, not a
-        # search down to single values
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return adaptive_quad_vec(*args, **kwargs)
-
-        monkeypatch.setattr(analytic, "adaptive_quad_vec", counted)
+    def test_a_conditional_refusal_is_split_to_one_value(self, quad_calls):
+        # the 1F1 refuses m = 1e9 at the kink t = 0.5 alone: the grid is
+        # split until that value refuses, and the rest answers in one
+        params = FadingParams(1.0, 1e9, 1.0)
         with pytest.raises(AccuracyError, match="1F1 series window"):
-            fdrlos_pdf(np.array([0.5, 1.25, 2.0]), FadingParams(1.0, 1e9, 1.0))
-        assert len(calls) == 1
+            fdrlos_pdf(np.array([0.5, 1.25, 2.0]), params)
+        assert len(quad_calls) == 2
+        quad_calls.clear()
+        fdrlos_pdf(np.array([1.25, 2.0]), params)
+        assert len(quad_calls) == 1
+
+    def test_a_refusing_batch_answers_in_halves(self, quad_calls):
+        # the nodes placed for t = 1e-12 take the series window of t = 30 past
+        # its cap, so the three refuse together; both halves answer
+        g = np.array([1e-12, 0.5, 30.0])
+        params = FadingParams(1.5, 0.5, 1.0)
+        scalar = [fdrlos_cdf_oracle(v, params) for v in g]
+        quad_calls.clear()
+        np.testing.assert_allclose(fdrlos_cdf_oracle(g, params), scalar, rtol=1e-12, atol=0)
+        assert len(quad_calls) > 1
 
 
 #: every public law as f(g, k, m, gbar, rel_tol), with the parameters it takes

@@ -402,6 +402,13 @@ class TestSimCommand:
                                           - float(kv["ks_statistic"]))
         assert float(kv["ks_margin"]) > 0
 
+    def test_summary_goes_to_stdout_without_output(self, tmp_path, capsys):
+        out = tmp_path / "sim.txt"
+        assert run(self.BASE + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert run(self.BASE) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
     def test_thread_count_invisible_in_output(self, tmp_path):
         a, b = tmp_path / "t1.txt", tmp_path / "t8.txt"
         run(self.BASE + ["--threads", "1", "--output", str(a)])

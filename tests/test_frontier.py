@@ -46,6 +46,16 @@ class Row(NamedTuple):
     want: object
 
 
+#: SNRs that answer alone at (K, m) = (1.5, 0.5) but refuse as one quadrature:
+#: the nodes placed for t = 1e-12 take the series window of t = 30 past its cap
+SPLIT_ARRAY, SPLIT_PARAMS = np.array([1e-12, 0.5, 30.0]), FadingParams(1.5, 0.5, 1.0)
+
+
+def _is_its_scalar_calls(values):
+    scalar = [fdrlos_cdf(t, SPLIT_PARAMS) for t in SPLIT_ARRAY]
+    return np.allclose(values, scalar, rtol=1e-12, atol=0)
+
+
 def _kink_lies_between_its_neighbours(value):
     # the density at its kink y = K moves toward the drlos limit as m grows
     return (fdrlos_pdf(0.5, FadingParams(1.0, 1e4 + 0.5, 1.0)) < value
@@ -61,6 +71,8 @@ ROWS = [
       for m in (7e4 + 0.5, 1e5, 1e9)),
     Row("pdf-grid-m1e9", lambda: fdrlos_pdf(np.linspace(0.5, 2.0, 3),
                                             FadingParams(1.0, 1e9, 1.0)), REFUSES),
+    # an array answers wherever each of its values does, split down to them
+    Row("cdf-array-m0.5", lambda: fdrlos_cdf(SPLIT_ARRAY, SPLIT_PARAMS), _is_its_scalar_calls),
     # K = 0, deep in outage: the product law in closed form, which no m
     # changes; as a scatter average its mass spreads evenly over log x, and
     # a quadrature runs out of splits below t = 1e-10

@@ -339,6 +339,13 @@ class TestKummer1F1:
         with pytest.raises(AccuracyError, match="past the cap"):
             log_kummer_1f1(1e5 + 0.5, np.array([1.0, 1e10]))
 
+    def test_refuses_a_window_that_cannot_bound_its_tail(self, monkeypatch):
+        # a window of one sigma about the peak leaves out more than it may
+        monkeypatch.setattr("fdrlos.specfun._WINDOW_SIGMAS", 1.0)
+        monkeypatch.setattr("fdrlos.specfun._WINDOW_PAD", 0.0)
+        with pytest.raises(AccuracyError, match="cannot bound the terms it leaves out"):
+            log_kummer_1f1(2.5, np.array([150.0]))
+
     def test_refuses_an_expansion_missing_its_second_branch(self):
         # at a = 1e-100 the left-out e^-x x^-a / Gamma(1-a) outgrows the
         # expansion just past x = 200: the true value is about -201, not -235.6

@@ -79,9 +79,11 @@ there the value is ``hyperu`` alone, agreed at 40 and 50 digits.
 
 Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
 ``hyp1f1`` at b = 1 (and the scaled log(e^-x 1F1(a; 1; x)), at tiny a
-(``SCALED_LOG_HYP1F1_TINY_A``) at 100 and 150 digits, since at 40 and 50
+(``SCALED_LOG_HYP1F1_TINY_A``) at 400 and 450 digits, since at 40 and 50
 mpmath agrees with itself that log(e^-200 1F1(1e-70; 1; 200)) = -200, where
-from 80 digits on it reads -166.474...), ``hyperu``,
+from 80 digits on it reads -166.474..., and at 100 and 150 that the value
+at (1e-200, 500) and (1e-300, 700) is -500 and -700, where it needs 250 and
+300 digits), ``hyperu``,
 ``e1`` and upper ``gammainc``, the generalized incomplete gamma
 Gamma(a, z, b) = int_z^inf t^(a-1) e^(-t - b/t) dt by ``mp.quad``, and
 Stirling's remainder and the Poisson and negative-binomial log masses from
@@ -107,15 +109,22 @@ it the tanh-sinh real-m cdf goldens and the Rician check of the drlos cdf at
 y = K, 15 minutes at K = 5):
 
     python3 scripts/make_goldens.py
+
+or print only the tables named, for example the cheap tiny-m ones (a few
+seconds):
+
+    python3 scripts/make_goldens.py SCALED_LOG_HYP1F1_TINY_A PDF_M_TO_0 CDF_M_TO_0
 """
 
 from __future__ import annotations
+
+import sys
 
 import mpmath as mp
 
 DPS = (40, 50)
 #: the precisions of the tiny-a 1F1 goldens
-TINY_A_DPS = (100, 150)
+TINY_A_DPS = (400, 450)
 GIG_DPS = (40, 100, 160, 220, 280)
 
 #: (name, gamma, k, m, gbar): the inputs are doubles, as the tests pass them
@@ -253,8 +262,11 @@ def product_pdf(y):
 PRODUCT_CDF_CASES = [(y,) for y in (1e-100, 1e-30, 1e-12, 1e-6, 1e-3, 0.01, 0.1,
                                     0.25 - 1e-7, 0.25, 0.25 + 1e-7, 0.5, 1.0, 2.0,
                                     10.0, 100.0, 900.0)]
-#: (a, x) of ``SCALED_LOG_HYP1F1_TINY_A``
-TINY_A_CASES = [(1e-50, 150.0), (1e-70, 150.0), (1e-70, 200.0)]
+#: (a, x) of ``SCALED_LOG_HYP1F1_TINY_A``: the series past x = 140, and the
+#: large-x expansion where its second branch e^-x x^-a / Gamma(1-a) is most
+#: of the value
+TINY_A_CASES = [(1e-50, 150.0), (1e-70, 150.0), (1e-70, 200.0), (1e-100, 201.0),
+                (1e-100, 250.0), (1e-200, 500.0), (1e-300, 700.0)]
 
 
 def at(dps, fn, *args):
@@ -666,13 +678,21 @@ def table(title, law, cases):
     print("}")
 
 
-def main():
+def main(titles):
+    """Print every table of ``GOLDENS`` and the comments between them, or,
+    where ``titles`` names some, those tables alone."""
+    known = [entry[0] for entry in GOLDENS if not isinstance(entry, str)]
+    unknown = [title for title in titles if title not in known]
+    if unknown:
+        sys.exit(f"usage: python3 scripts/make_goldens.py [TITLE ...]\n"
+                 f"unknown titles {unknown}; the tables are {known}")
     for entry in GOLDENS:
         if isinstance(entry, str):
-            print(entry)
-        else:
+            if not titles:
+                print(entry)
+        elif not titles or entry[0] in titles:
             table(*entry)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

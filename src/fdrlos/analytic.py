@@ -171,8 +171,9 @@ def _by_chunks(integrand, y, k, rel_tol):
     A chunk that refuses, by running out of subdivisions or by a refusal of
     its integrand, is integrated again as two halves, down to single values,
     so an array answers wherever each of its values answers alone and a
-    refusal is always one value's.  The integrals are returned as they are,
-    for ``_law`` to apply the rule of ``TINY`` to the law's value.
+    refusal is always one value's, whose message names its y and K.  The
+    integrals are returned as they are, for ``_law`` to apply the rule of
+    ``TINY`` to the law's value.
     """
     check_rel_tol(rel_tol)
     out = np.empty(y.shape)
@@ -181,9 +182,11 @@ def _by_chunks(integrand, y, k, rel_tol):
         try:
             out[sel], _ = adaptive_quad_vec(integrand(y[sel], k[sel] if np.ndim(k) else k),
                                             rel_tol=rel_tol)
-        except AccuracyError:
+        except AccuracyError as exc:
             if sel.size == 1:
-                raise
+                k_1 = float(k[sel[0]] if np.ndim(k) else k)
+                raise AccuracyError(f"{exc}; at y = (1+K) gamma/gamma_bar = {float(y[sel[0]])!r}, "
+                                    f"K = {k_1!r}", exc.value, exc.err_estimate) from None
             solve(sel[:sel.size // 2])
             solve(sel[sel.size // 2:])
 
@@ -591,7 +594,9 @@ def coding_gain(k, m, *, rel_tol=1e-10):
     (DLMF 13.2(iii)): the pure product channel has no order-1 asymptote, so
     K = 0 is rejected.  A Gamma(m) U below the smallest normal double (from
     about K = 1.25e5 at large m), which has lost digits to underflow,
-    raises AccuracyError.
+    raises AccuracyError.  So does a small m: the gain grows like (1+K)/m,
+    and its quadrature, which answers at m = 1e-5, runs out of subdivisions
+    from about m = 1e-8.
     """
     u = _gamma_u(k, m, rel_tol)
     if not u >= TINY:

@@ -236,10 +236,10 @@ def log_kummer_1f1(a, x):
     of terms about their peak, summed on a linear scale as running products
     from an anchor at the window's bottom, exact (-x) where the window starts
     at k = 0 and from Loader's saddle-point masses above it, with k = 0 added
-    apart; past that the large-x expansion, whose terms fall from the first.
-    Neither forms e^x.  A window whose left-out terms cannot be bounded below
-    e^-37 of its sum, or longer than 2^20 terms (x past about 2.3e9), raises
-    AccuracyError, as does an expansion whose left-out branch matters.
+    apart; past that the large-x expansion, whose terms fall from the first,
+    with its second branch.  Neither forms e^x.  A window whose left-out terms
+    cannot be bounded below e^-37 of its sum, or longer than 2^20 terms (x past
+    about 2.3e9), raises AccuracyError.
     """
     a = float(a)
     x = np.asarray(x, dtype=float)
@@ -347,21 +347,16 @@ def _window_sums(a, x, lo, count):
 
 
 def _log_1f1_asymptotic_vec(a, x):
-    """log of e^-x times the large-x expansion
-    x^(a-1) / Gamma(a) sum_k ((1-a)_k)^2 / (k! x^k), elementwise, at
-    x > max(200, a^2), where each term is >= 0 and the next is below
-    max(1/(k+1), (k+1)/200) times it: the sum meets 1e-13 within 16 terms.
-    It leaves out the branch e^-x x^-a / Gamma(1-a) (DLMF 13.7.2), not
-    negligible at tiny a (below about 1e-69 just past x = 200): where that
-    branch's prefactor passes e^-37 of this one's it raises AccuracyError."""
+    """log of e^-x times the large-x expansion (DLMF 13.7.2)
+    x^(a-1) / Gamma(a) sum_k ((1-a)_k)^2 / (k! x^k) + e^-x x^-a / Gamma(1-a),
+    elementwise, at x > max(200, a^2), where each term of the sum is >= 0 and
+    the next is below max(1/(k+1), (k+1)/200) times it: the sum meets 1e-13
+    within 16 terms.  The second branch, its leading term alone, matters only
+    at tiny a (below about 1e-69 just past x = 200), where its own series and
+    its Stokes factor cos(pi a) differ from 1 by O(a^2); elsewhere it stays
+    below e^-37 of the sum, and at integer a it is 0."""
     if not x.size:
         return x
-    # the ratio of the two, e^-x x^(1-2a) Gamma(a)/Gamma(1-a), falls with x
-    # past 200, so the smallest x bounds it
-    x0 = float(x.min())
-    if x0 + (2.0 * a - 1.0) * math.log(x0) - gammaln(a) + gammaln(1.0 - a) < 37.0:
-        raise AccuracyError("1F1 asymptotic expansion leaves out a branch above e^-37 "
-                            "of its sum")
     log_pref = (a - 1.0) * np.log(x) - gammaln(a)
     term = np.ones_like(x)
     total = np.ones_like(x)
@@ -370,7 +365,7 @@ def _log_1f1_asymptotic_vec(a, x):
         total = total + term
         if np.all(term <= _ASYMPTOTIC_REL_GOAL * total):
             break
-    return log_pref + np.log(total)
+    return np.logaddexp(log_pref + np.log(total), -x - a * np.log(x) - gammaln(1.0 - a))
 
 
 #: B_2k / (2k (2k-1)), k = 1..8, of Stirling's series; eight terms leave
@@ -476,9 +471,11 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     too (from about K = 1.25e5 at large m): ``analytic`` applies the rule of
     ``TINY`` to it.
     """
-    # c = log(z / x*), x* the root of x (x + z) = m z, in a form that neither
-    # cancels nor overflows
+    # c = log(z / x*), x* the root of x (x + z) = m z, in a form that does not
+    # cancel, and as log(z/m) plus a log of order 1 where z/x* overflows
     c = math.log((z + math.sqrt(z) * math.sqrt(z + 4.0 * m)) / (2.0 * m))
+    if c == math.inf:
+        c = math.log(z) - math.log(m) + math.log((1.0 + math.sqrt(1.0 + 4.0 * m / z)) / 2.0)
 
     def psi(s):
         with np.errstate(over="ignore"):    # far right, e^(s-c) is inf and e^psi 0

@@ -237,10 +237,11 @@ class TestRsPdf:
         assert out.shape == (3,)
         assert np.all(out > 0)
 
-    @pytest.mark.parametrize("g, k", [(1e-9, 1e10), (1e-25, 1e20)])
+    @pytest.mark.parametrize("g, k", [(1e-9, 1e10), (1e-25, 1e20), (300.0, 1.0)])
     def test_tiny_m_over_k_is_the_m_to_0_limit(self, g, k):
         # at m = 1e-300 K_x/m passes double range, and m |log p| is about
-        # 1e-297: the density is the m -> 0 limit (1+K) e^-y, y = 10 and 1e-5
+        # 1e-297: the density is the m -> 0 limit (1+K) e^-y, y = 10, 1e-5 and
+        # 600, the last from the second branch of the large-x 1F1 expansion
         y = (1.0 + k) * g
         assert rs_pdf(g, k, 1e-300, 1.0) == pytest.approx(
             (1.0 + k) * math.exp(-y), rel=1e-14, abs=0)
@@ -577,6 +578,12 @@ class TestFdrlosPdf:
         # the density at 0 runs the coding gain's domain check: K/m = 1e310
         with pytest.raises(DomainError, match="K/m"):
             fdrlos_pdf(0.0, FadingParams(1e10, 1e-300, 1.0))
+
+    def test_zero_snr_at_tiny_m_refuses(self):
+        # the coding gain's fold point z/x* = 1e400 passes double range; the
+        # gain refuses as from m = 1e-8 on, with no warning and no DomainError
+        with pytest.raises(AccuracyError, match="subdivisions"):
+            fdrlos_pdf(0.0, FadingParams(1.0, 1e-200, 1.0))
 
 
 class TestFdrlosPdfRealM:
@@ -1043,11 +1050,14 @@ class TestChunkBudget:
         assert len(quad_calls) == 3
 
     def test_a_refusal_is_one_values(self, monkeypatch):
+        # and names it: y = (1+K) t = 1 at t = 0.5, K = 1
         monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 0)
         for law in (drlos_pdf_oracle, drlos_cdf_oracle):
-            with pytest.raises(AccuracyError, match="subdivisions") as info:
+            with pytest.raises(AccuracyError, match=r"subdivisions .*; at y = \(1\+K\) "
+                               r"gamma/gamma_bar = 1\.0, K = 1\.0$") as info:
                 law(np.array([0.5, 2.0]), 1.0, 1.0)
             assert info.value.err_estimate.shape == (1,)
+            assert info.value.value.shape == (1,)
 
     def test_a_conditional_refusal_is_split_to_one_value(self, quad_calls):
         # the 1F1 refuses m = 1e9 at the kink t = 0.5 alone: the grid is

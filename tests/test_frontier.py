@@ -19,10 +19,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
-from fdrlos.analytic import (drlos_cdf_oracle, drlos_pdf_oracle, fdrlos_cdf,
+from fdrlos.analytic import (coding_gain, drlos_cdf_oracle, drlos_pdf_oracle, fdrlos_cdf,
                              fdrlos_pdf, rician_cdf)
 from fdrlos.models import FadingParams
-from fdrlos.specfun import AccuracyError
+from fdrlos.specfun import TINY, AccuracyError
 from test_analytic import DRLOS_CDF_GOLDENS
 
 # the m -> 0 limits of the fdrlos laws at K = 1, gamma = gbar = 1: the
@@ -89,14 +89,18 @@ ROWS = [
     Row("rician-cdf-k1e11", lambda: rician_cdf(1.0, 1e11, 1.0), REFUSES),
     Row("drlos-cdf-k1e4", lambda: drlos_cdf_oracle(1.0, 1e4, 1.0),
         (DRLOS_CDF_GOLDENS[(1.0, 1e4, 1.0)], 1e-12)),
-    # tiny m: the laws tend to the product law; at m = 1e-100 the large-x 1F1
-    # expansion leaves out a branch that matters
+    # tiny m: the laws tend to the product law, down to the smallest normal
+    # m, where the large-x 1F1 expansion's second branch is most of the value
     *(Row(f"pdf-m{m:g}", lambda m=m: fdrlos_pdf(1.0, FadingParams(1.0, m, 1.0)),
           (PDF_M_TO_0, 1e-13))
-      for m in (1e-50, 1e-60, 1e-70)),
-    Row("pdf-m1e-100", lambda: fdrlos_pdf(1.0, FadingParams(1.0, 1e-100, 1.0)), REFUSES),
+      for m in (1e-50, 1e-60, 1e-70, 1e-100, 1e-300, TINY)),
     Row("cdf-m1e-100", lambda: fdrlos_cdf(1.0, FadingParams(1.0, 1e-100, 1.0)),
         (CDF_M_TO_0, 1e-13)),
+    # the coding gain, and so the density at t = 0, answers at m = 1e-5 but
+    # its quadrature runs out of splits from about m = 1e-8; at K = 1e308 the
+    # gain of about 1e-308 lies below the smallest normal double
+    *(Row(f"gain-k{k:g}-m{m:g}", lambda k=k, m=m: coding_gain(k, m), REFUSES)
+      for k, m in ((1.0, 1e-8), (1.0, 1e-200), (1e308, 1.0))),
     # a subnormal probability, about a t, which no normal double holds
     Row("cdf-t1e-312", lambda: fdrlos_cdf(1e-312, FadingParams(1.0, 2.5, 1.0)), REFUSES),
     # a cost row: the series windows grow with K

@@ -6,9 +6,13 @@ for nothing."""
 import ast
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from test_frontier import PDF_M_TO_0
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_goldens.py"
@@ -61,12 +65,16 @@ def test_every_golden_is_printed_by_the_script(test_file):
     assert not missing, f"{test_file} freezes values no script prints: {missing}"
 
 
-def printed_titles():
-    """The titles of the tables ``GOLDENS`` of the script prints."""
+def load_script():
     spec = importlib.util.spec_from_file_location("make_goldens", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    return [entry[0] for entry in script.GOLDENS if not isinstance(entry, str)]
+    return script
+
+
+def printed_titles():
+    """The titles of the tables ``GOLDENS`` of the script prints."""
+    return [entry[0] for entry in load_script().GOLDENS if not isinstance(entry, str)]
 
 
 def test_every_printed_table_is_frozen_by_a_test():
@@ -76,3 +84,27 @@ def test_every_printed_table_is_frozen_by_a_test():
     assert titles
     unfrozen = [title for title in titles if title not in frozen]
     assert not unfrozen, f"the script prints tables no test freezes: {unfrozen}"
+
+
+def test_a_named_table_is_printed_alone():
+    # a cheap table, which prints its frozen value
+    proc = subprocess.run([sys.executable, str(SCRIPT), "PDF_M_TO_0"], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == f"PDF_M_TO_0 = {PDF_M_TO_0!r}\n"
+
+
+def test_without_titles_every_table_and_comment_is_printed(monkeypatch, capsys):
+    script = load_script()
+    monkeypatch.setattr(script, "GOLDENS", ["# first", ("A", float, (1.5,)),
+                                            "# second", ("B", float, (2.5,))])
+    script.main([])
+    assert capsys.readouterr().out == "# first\nA = 1.5\n# second\nB = 2.5\n"
+    script.main(["B"])
+    assert capsys.readouterr().out == "B = 2.5\n"
+
+
+def test_an_unknown_title_exits_with_a_usage_line():
+    with pytest.raises(SystemExit) as info:
+        load_script().main(["PDF_M_TO_0", "NO_SUCH_TABLE"])
+    assert str(info.value.code).startswith("usage: python3 scripts/make_goldens.py [TITLE ...]")
+    assert "NO_SUCH_TABLE" in str(info.value.code)

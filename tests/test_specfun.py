@@ -55,12 +55,18 @@ SCALED_LOG_HYP1F1 = {
     (10000.5, 50000000.0): 95164.14861323236,
 }
 # the same at tiny a, past x = 140 where the window about the peak leaves out
-# k = 0, from mpmath at 100 and 150 digits: at 40 and 50 it agrees with
-# itself on -x, and at (1e-70, 200) the value needs 80
+# k = 0, and past x = 200 where the large-x expansion's second branch
+# e^-x x^-a / Gamma(1-a) is most of the value, from mpmath at 400 and 450
+# digits: at 40 and 50 it agrees with itself on -x, at (1e-70, 200) the value
+# needs 80, and at (1e-300, 700) 300
 SCALED_LOG_HYP1F1_TINY_A = {
     (1e-50, 150.0): -120.13315529018558,
     (1e-70, 150.0): -149.99999990645819,
     (1e-70, 200.0): -166.47423582307337,
+    (1e-100, 201.0): -201.0,
+    (1e-100, 250.0): -235.77594527067532,
+    (1e-200, 500.0): -466.7296206622777,
+    (1e-300, 700.0): -697.2585287327363,
 }
 # the log masses at n and lam (or the NB mean) up to 1e6, where
 # n log lam - lam - lgamma(n+1) loses 1e-9; NB keys are (n, m, K) with
@@ -325,9 +331,18 @@ class TestKummer1F1:
         for args, want in SCALED_LOG_HYP1F1.items():
             assert log_kummer_1f1(*args) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("args,want", sorted(SCALED_LOG_HYP1F1_TINY_A.items()))
+    @pytest.mark.parametrize("args,want", sorted(
+        (args, want) for args, want in SCALED_LOG_HYP1F1_TINY_A.items() if args[1] <= 200.0))
     def test_tiny_a_sums_its_term_at_zero(self, args, want):
         # t_0 = e^-x lies below the window and far above its terms
+        assert log_kummer_1f1(*args) == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("args,want", sorted(
+        (args, want) for args, want in SCALED_LOG_HYP1F1_TINY_A.items() if args[1] > 200.0))
+    def test_tiny_a_sums_the_second_branch(self, args, want):
+        # past x = 200 at a below about 1e-69 the branch e^-x x^-a / Gamma(1-a)
+        # outgrows the expansion's first: at (1e-100, 201) the value is -201,
+        # where the first alone gives -235.6
         assert log_kummer_1f1(*args) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_tiny_a_keeps_k_over_a_in_double_range(self):
@@ -345,12 +360,6 @@ class TestKummer1F1:
         monkeypatch.setattr("fdrlos.specfun._WINDOW_PAD", 0.0)
         with pytest.raises(AccuracyError, match="cannot bound the terms it leaves out"):
             log_kummer_1f1(2.5, np.array([150.0]))
-
-    def test_refuses_an_expansion_missing_its_second_branch(self):
-        # at a = 1e-100 the left-out e^-x x^-a / Gamma(1-a) outgrows the
-        # expansion just past x = 200: the true value is about -201, not -235.6
-        with pytest.raises(AccuracyError, match="leaves out a branch"):
-            log_kummer_1f1(1e-100, 201.0)
 
     def test_log_form_vectorized(self):
         x = np.array([0.0, 0.4, 7.0, 90.0])

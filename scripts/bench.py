@@ -19,9 +19,12 @@ holding this script, with:
 * where the checkout has a frontier table (``ROWS`` of
   ``tests/test_frontier.py``), ``frontier``: each row's name, whether it
   answers or refuses (AccuracyError; any other exception is recorded by its
-  type), and its seconds, from one call in a fresh interpreter on that
-  checkout's ``src/`` after the runs, and ``frontier_ok_frac``, the share of
-  rows that answer.
+  type), whether that meets the row's want (by the table's ``judge``; null
+  for a table without one), and its seconds, from one call in a fresh
+  interpreter on that checkout's ``src/`` after the runs; then
+  ``frontier_met``, the rows that meet their want, and ``frontier_answers``,
+  the rows that answer, each of ``len(frontier)``.  A row added as a known
+  gap raises the first and leaves the second.
 
 HEAD does not name an uncommitted change, so the sha1 labels the source
 tree: it is taken before the first run and after every run, and the script
@@ -33,9 +36,11 @@ in B, the change as a share of A's median in the direction BENCHMARK.json
 calls worse, and a verdict against that metric's bound: ``worse`` past the
 bound, ``unresolved`` where either side's quartile spread (as a share of its
 median) exceeds the bound and not every run of B beats every run of A,
-else ``ok``.  Per-layer counts that differ follow, then the frontier rows
-whose status differs, or that only one side has.  It reads BENCHMARK.json
-and both files, writes nothing, and exits 1 if any metric is worse.
+else ``ok``.  Per-layer counts that differ follow, then both frontier
+counts, taken from the rows (a file from before ``frontier_met`` reads "no
+record" for it), and the rows whose status differs, or that only one side
+has.  It reads BENCHMARK.json and both files, writes nothing, and exits 1
+if any metric is worse.
 """
 
 from __future__ import annotations
@@ -55,19 +60,29 @@ FRONTIER_PROBE = """
 import json, sys, time, warnings
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/tests"]
 warnings.simplefilter("error")
-from test_frontier import ROWS
+import test_frontier
 from fdrlos.specfun import AccuracyError
-out = []
-for row in ROWS:
-    start = time.perf_counter()
+
+
+def status_only(row):
+    # a table from before ``judge``: no want is judged
     try:
         row.call()
-        status = "answers"
     except AccuracyError:
-        status = "refuses"
+        return "refuses", None
+    return "answers", None
+
+
+judge = getattr(test_frontier, "judge", status_only)
+out = []
+for row in test_frontier.ROWS:
+    start = time.perf_counter()
+    try:
+        status, met = judge(row)
     except Exception as exc:
-        status = "raises " + type(exc).__name__
-    out.append({"name": row.name, "status": status, "s": time.perf_counter() - start})
+        status, met = "raises " + type(exc).__name__, False
+    out.append({"name": row.name, "status": status, "met": met,
+                "s": time.perf_counter() - start})
 print(json.dumps(out))
 """
 
@@ -109,6 +124,15 @@ def frontier(root):
     if proc.returncode != 0:
         sys.exit(f"the frontier probe exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout)
+
+
+def frontier_counts(rows):
+    """``frontier_met`` and ``frontier_answers`` of the frontier ``rows``;
+    ``frontier_met`` is None where a row records no ``met``, as rows from a
+    table without ``judge`` do not."""
+    return {"frontier_met": (sum(r["met"] for r in rows)
+                             if all(r.get("met") is not None for r in rows) else None),
+            "frontier_answers": sum(r["status"] == "answers" for r in rows)}
 
 
 def summary(values):
@@ -164,8 +188,7 @@ def measure(args):
         "workloads": workloads,
     }
     if rows is not None:
-        record["frontier"] = rows
-        record["frontier_ok_frac"] = sum(r["status"] == "answers" for r in rows) / len(rows)
+        record.update(frontier=rows, **frontier_counts(rows))
     out = HERE / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
@@ -207,8 +230,13 @@ def compare(path_a, path_b):
             print(f"  count {k}: {wa['per_layer'].get(k)} -> {wb['per_layer'].get(k)}")
     fa, fb = ({r["name"]: r["status"] for r in x.get("frontier", ())} for x in (a, b))
     if fa or fb:
-        print(f"\nfrontier_ok_frac {a.get('frontier_ok_frac', 'no table')} -> "
-              f"{b.get('frontier_ok_frac', 'no table')}")
+        print()
+        for key in ("frontier_met", "frontier_answers"):
+            sides = []
+            for rows in (x.get("frontier", []) for x in (a, b)):
+                got = frontier_counts(rows)[key]
+                sides.append("no record" if not rows or got is None else f"{got} of {len(rows)}")
+            print(key, " -> ".join(sides))
         for name in [*fa, *(n for n in fb if n not in fa)]:
             if fa.get(name) != fb.get(name):
                 print(f"  {name}: {fa.get(name, 'no row')} -> {fb.get(name, 'no row')}")

@@ -98,8 +98,11 @@ The frontier table (``tests/test_frontier.py``): the m -> 0 limits of the
 fdrlos laws at K = 1, (1+K) 2 K0(2 sqrt y) and 1 - 2 sqrt y K1(2 sqrt y) at
 y = 2 (``PDF_M_TO_0``, ``CDF_M_TO_0``), at both precisions; the K = 0 cdf
 1 - 2 sqrt y K1(2 sqrt y) at y = 1e-10 and 1e-11 (``CDF_K0_AT_1E_10``,
-``CDF_K0_AT_1E_11``) at 150 digits, as for the drlos cdf; and the K = 0 pdf
-2 K0(2 sqrt y) at y = 1e-100 (``PDF_K0_AT_1E_100``) at both precisions.
+``CDF_K0_AT_1E_11``) at 150 digits, as for the drlos cdf; the K = 0 pdf
+2 K0(2 sqrt y) at y = 1e-100 (``PDF_K0_AT_1E_100``); the m -> inf limit of
+the coding gain at K = 1, (1+K) 2 K0(2 sqrt K) (``GAIN_M_TO_INF``); and
+coding gains at tiny m from ``hyperu`` (``CODING_GAIN_TINY_M``), each at
+both precisions.
 
 Each table is one entry of ``GOLDENS``: a title, the law that makes its
 values, and its cases.
@@ -110,10 +113,11 @@ y = K, 15 minutes at K = 5):
 
     python3 scripts/make_goldens.py
 
-or print only the tables named, for example the cheap tiny-m ones (a few
-seconds):
+or print only the tables named, for example the cheap tiny-m and huge-m ones
+(a few seconds):
 
-    python3 scripts/make_goldens.py SCALED_LOG_HYP1F1_TINY_A PDF_M_TO_0 CDF_M_TO_0
+    python3 scripts/make_goldens.py SCALED_LOG_HYP1F1_TINY_A PDF_M_TO_0 CDF_M_TO_0 \
+        GAIN_M_TO_INF CODING_GAIN_TINY_M
 """
 
 from __future__ import annotations
@@ -212,6 +216,8 @@ CODING_GAIN_CASES = [(1.0, 1), (1.0, 3), (1.0, 2.5), (1.0, 0.7), (1.0, 0.3),
                      (1.0, 0.01), (1.2e5, 1e4), (1.17e5, 1e6), (1e4, 1e12), (1e4, 1e6)]
 #: the cases whose s = x^m quadrature cannot confirm ``hyperu``
 CODING_GAIN_BY_HYPERU_ONLY = {(1.2e5, 1e4), (1.17e5, 1e6), (1e4, 1e12), (1e4, 1e6)}
+#: (k, m) of ``CODING_GAIN_TINY_M``, where the gain grows like (1+K)/m
+CODING_GAIN_TINY_M_CASES = [(1.0, 1e-8), (1.0, 1e-200), (1.0, 1e-300), (1e4, 1e-6)]
 
 
 def gig(a, z, b):
@@ -659,6 +665,8 @@ GOLDENS = [
     ("CDF_K0_AT_1E_10", product_cdf, (1e-10,)),
     ("CDF_K0_AT_1E_11", product_cdf, (1e-11,)),
     ("PDF_K0_AT_1E_100", agreed(product_pdf), (1e-100,)),
+    ("GAIN_M_TO_INF", agreed(lambda k: (1 + k) * product_pdf(k)), (1,)),
+    ("CODING_GAIN_TINY_M", agreed(gain_by_hyperu), CODING_GAIN_TINY_M_CASES),
 ]
 
 

@@ -5,7 +5,7 @@ squared magnitude x of the second scatter factor: given x the SNR is Rician
 shadowed with K_x = K/x, a law of y/x alone with y = (1+K) g/gamma_bar, and
 the unconditional law follows by averaging against the unit-mean exponential
 weight e^{-x}, a cdf over x and a density over s = sqrt(x), where its 1/x
-stays bounded; one vector quadrature per chunk of values (``_scatter_average``).
+stays bounded; one vector quadrature per chunk of values (``_fdrlos_kernel``).
 The deterministic-LoS limits (m -> inf) condition instead on the product
 G2 G3 = sqrt(Z) e^{j theta}, Z of density 2 K0(2 sqrt z) and theta uniform:
 each is one elementary integral over a phase (``drlos_pdf_oracle``,
@@ -47,7 +47,7 @@ t > 1e200 their limits; a y past double range it refuses.  It alone
 post-processes values: below ``specfun.TINY``, the smallest normal double,
 it reports a density as 0 with an UnderflowWarning and refuses a
 probability; then it scales a density by (1+K)/gbar and clips a
-probability to [0, 1].  ``coding_gain`` checks K > 0 and K/m itself and
+probability to [0, 1].  ``coding_gain`` checks K > 0, m and K/m itself and
 refuses a gain below ``TINY``.  The kernels below check no input and refuse
 only what they cannot compute.
 
@@ -193,28 +193,6 @@ def _by_chunks(integrand, y, k, rel_tol):
     for lo in range(0, y.size, _GAMMA_CHUNK):
         solve(np.arange(lo, min(lo + _GAMMA_CHUNK, y.size)))
     return out
-
-
-def _scatter_average(conditional, law, y, k, rel_tol):
-    """Average a conditional ``law`` over the exponential scatter weight,
-    to relative accuracy ``rel_tol`` in every value, at the flat array ``y``
-    and its K (``_by_chunks``): a "cdf" as int e^{-x} F(y/x; K/x) dx, a
-    "pdf" as 2 int e^{-s^2} f(y/s^2; K/s^2) ds/s.  ``conditional(y/x, k_x)``
-    gets a chunk as (nx, ng) and K_x = K/x as an (nx, 1) column, or (nx, ng)
-    where K is an array chunked with the SNR, and returns the (nx, ng)
-    conditional values."""
-    pdf = law == "pdf"
-
-    def integrand(y_c, k_c):
-        y_c = y_c[None, :]
-
-        def f(v):
-            v = v[:, None]
-            x = v * v if pdf else v
-            return conditional(y_c / x, k_c / x) * (np.exp(-x) * (2.0 / v if pdf else 1.0))
-        return f
-
-    return _by_chunks(integrand, y, k, rel_tol)
 
 
 def _on_unit_interval(g):
@@ -500,21 +478,36 @@ def _product_cdf(r):
 
 
 def _fdrlos_kernel(conditional, law, rel_tol):
-    """The kernel of the fdrlos laws for ``_law``, (y, k) -> values: at K = 0
-    the product law, 2 K0(2 sqrt y) or ``_product_cdf(sqrt y)``, which no m
-    changes, elsewhere the scatter average of ``conditional``.  The average
-    runs even where no value is left, so that it checks ``rel_tol``."""
+    """The kernel of the fdrlos laws for ``_law``, (y, k) -> values to
+    relative accuracy ``rel_tol``: at K = 0 the product law, 2 K0(2 sqrt y)
+    or ``_product_cdf(sqrt y)``, which no m changes, elsewhere
+    ``conditional`` averaged over the exponential scatter weight by
+    ``_by_chunks``, a "cdf" as int e^{-x} F(y/x; K/x) dx, a "pdf" as
+    2 int e^{-s^2} f(y/s^2; K/s^2) ds/s.  ``conditional(y/x, k_x)`` gets a
+    chunk as (nx, ng) and K_x = K/x as an (nx, 1) column, or (nx, ng) for an
+    array K, and returns the (nx, ng) conditional values.  The average runs
+    even where no value is left, so that it checks ``rel_tol``."""
+    pdf = law == "pdf"
+
+    def integrand(y_c, k_c):
+        y_c = y_c[None, :]
+
+        def f(v):
+            v = v[:, None]
+            x = v * v if pdf else v
+            return conditional(y_c / x, k_c / x) * (np.exp(-x) * (2.0 / v if pdf else 1.0))
+        return f
+
     def kernel(y, k):
         zero = k == 0
         if not np.any(zero):
-            return _scatter_average(conditional, law, y, k, rel_tol)
+            return _by_chunks(integrand, y, k, rel_tol)
         zero = np.broadcast_to(zero, y.shape)
         out = np.empty(y.shape)
         root = np.sqrt(y[zero])
-        out[zero] = 2.0 * k0(2.0 * root) if law == "pdf" else _product_cdf(root)
+        out[zero] = 2.0 * k0(2.0 * root) if pdf else _product_cdf(root)
         rest = ~zero
-        out[rest] = _scatter_average(conditional, law, y[rest], k[rest] if np.ndim(k) else k,
-                                     rel_tol)
+        out[rest] = _by_chunks(integrand, y[rest], k[rest] if np.ndim(k) else k, rel_tol)
         return out
     return kernel
 
@@ -585,7 +578,7 @@ def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
 
 def coding_gain(k, m, *, rel_tol=1e-10):
     """High-SNR power offset a = (1+K) Gamma(m) U(m, 1, K/m) for finite K > 0
-    and every finite m > 0: a = gbar f(0), the density at 0 times the mean
+    and every finite normal m > 0: a = gbar f(0), the density at 0 times the mean
     SNR, so the outage tends to a gamma_th / gbar.
 
     As m -> inf a tends to (1+K) 2 K0(2 sqrt K), gbar times the drlos
@@ -594,9 +587,9 @@ def coding_gain(k, m, *, rel_tol=1e-10):
     (DLMF 13.2(iii)): the pure product channel has no order-1 asymptote, so
     K = 0 is rejected.  A Gamma(m) U below the smallest normal double (from
     about K = 1.25e5 at large m), which has lost digits to underflow,
-    raises AccuracyError.  So does a small m: the gain grows like (1+K)/m,
-    and its quadrature, which answers at m = 1e-5, runs out of subdivisions
-    from about m = 1e-8.
+    raises AccuracyError.  As m -> 0 the gain grows like (1+K)/m; it answers
+    from m = 1e-305 (below about 5e-307 it refuses) to the largest double, by
+    the left scale and the fold point of ``gamma_tricomi_u``.
     """
     u = _gamma_u(k, m, rel_tol)
     if not u >= TINY:
@@ -606,11 +599,11 @@ def coding_gain(k, m, *, rel_tol=1e-10):
 
 def _gamma_u(k, m, rel_tol):
     """Gamma(m) U(m, 1, K/m) = a/(1+K) once K and K/m are checked."""
-    if not (np.ndim(k) == np.ndim(m) == 0 and 0 < k < math.inf and 0 < m < math.inf
+    if not (np.ndim(k) == np.ndim(m) == 0 and 0 < k < math.inf and TINY <= m < math.inf
             and 0 < k / m < math.inf):
-        raise DomainError("the coding gain needs finite K > 0 (it diverges at K = 0) "
-                          "and finite m > 0, both scalars, with K/m in double range, "
-                          f"got K = {k}, m = {m}")
+        raise DomainError("the coding gain needs finite K > 0 (it diverges at K = 0) and "
+                          "finite m > 0, not subnormal, both scalars, with K/m in double "
+                          f"range, got K = {k}, m = {m}")
     return gamma_tricomi_u(m, k / m, rel_tol=rel_tol)
 
 

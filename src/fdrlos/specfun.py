@@ -462,29 +462,36 @@ def gamma_tricomi_u(m, z, *, rel_tol=1e-10):
     underflows to 0.  e^psi peaks at t* = log x*, x (x + z) = m z, and falls
     like e^(m t) to the left and doubly exponentially to the right.  One
     quadrature folds it about t* into the components e^psi(t* + s) and
-    e^psi(t* - s), s >= 0, divided by e^psi(t*), which is multiplied back,
-    so no node underflows however low the peak.  The fold point is fixed by
-    c = log z - t*, rounded once: psi(t* + s) = -z e^(s - c)
+    e^psi(t* - s/lam), s >= 0, divided by e^psi(t*), which is multiplied
+    back, so no node underflows however low the peak.  The fold point
+    c = log z - t* = log r + asinh(r/2), r = sqrt(z/m), forms neither z/m
+    nor z + 4m and is rounded once: psi(t* + s) = -z e^(s - c)
     - m log(1 + e^(c - s)), so no rounded log z shifts the two terms apart,
     which would act as a change in z amplified about sqrt(K)-fold at large
-    m.  The value is returned as computed, below the smallest normal double
-    too (from about K = 1.25e5 at large m): ``analytic`` applies the rule of
-    ``TINY`` to it.
+    m.  Past s - c = 700 the first term is (z e^(-c/2)) e^(s - c/2), since
+    at m near 1e307 e^(s - c) overflows before e^psi nears 0.  The left
+    half falls like e^(-m s), so it runs in sigma = lam s, lam = min(1,
+    max(1000 m, 1e-300)): it falls like e^(-sigma/1000) with the peak still
+    resolved (lam = m leaves an error of about m^2), and lam = 1 from
+    m = 1e-3.  The value is returned as computed, below the smallest normal
+    double too (from about K = 1.25e5 at large m): ``analytic`` applies the
+    rule of ``TINY`` to it.
     """
-    # c = log(z / x*), x* the root of x (x + z) = m z, in a form that does not
-    # cancel, and as log(z/m) plus a log of order 1 where z/x* overflows
-    c = math.log((z + math.sqrt(z) * math.sqrt(z + 4.0 * m)) / (2.0 * m))
-    if c == math.inf:
-        c = math.log(z) - math.log(m) + math.log((1.0 + math.sqrt(1.0 + 4.0 * m / z)) / 2.0)
+    log_r = 0.5 * (math.log(z) - math.log(m))
+    c = log_r + math.asinh(0.5 * math.exp(log_r))
+    lam = min(1.0, max(1000.0 * m, 1e-300))     # unfloored, m = 1e-307 came 1.6e-8 off
 
     def psi(s):
         with np.errstate(over="ignore"):    # far right, e^(s-c) is inf and e^psi 0
-            return -z * np.exp(s - c) - m * np.logaddexp(0.0, c - s)
+            right = np.where(s - c < 700.0, z * np.exp(s - c),
+                             (z * math.exp(-0.5 * c)) * np.exp(s - 0.5 * c))
+            return -right - m * np.logaddexp(0.0, c - s)
 
     psi_peak = float(psi(0.0))
 
     def f(s):
-        return np.exp(psi(np.stack([s, -s], axis=1)) - psi_peak)
+        with np.errstate(over="ignore"):    # s/lam is inf where e^psi is 0
+            return np.exp(psi(np.stack([s, -s / lam], axis=1)) - psi_peak) * [lam, 1.0]
 
     vals, _ = adaptive_quad_vec(f, rel_tol=rel_tol)
-    return float(vals.sum()) * math.exp(psi_peak)
+    return float(vals.sum()) / lam * math.exp(psi_peak)

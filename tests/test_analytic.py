@@ -579,11 +579,13 @@ class TestFdrlosPdf:
         with pytest.raises(DomainError, match="K/m"):
             fdrlos_pdf(0.0, FadingParams(1e10, 1e-300, 1.0))
 
-    def test_zero_snr_at_tiny_m_refuses(self):
-        # the coding gain's fold point z/x* = 1e400 passes double range; the
-        # gain refuses as from m = 1e-8 on, with no warning and no DomainError
-        with pytest.raises(AccuracyError, match="subdivisions"):
-            fdrlos_pdf(0.0, FadingParams(1.0, 1e-200, 1.0))
+    def test_zero_snr_at_tiny_m_is_the_coding_gain(self):
+        # the gain (1+K)/m to about m log m: its fold point z/x* = 1e400 is
+        # taken in logs, and the left half of its quadrature in 1000 m s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fdrlos_pdf(0.0, FadingParams(1.0, 1e-200, 1.0))
+        assert got == pytest.approx(2e200, rel=1e-13, abs=0)
 
 
 class TestFdrlosPdfRealM:
@@ -1288,6 +1290,20 @@ class TestAsymptote:
         # overflows to inf
         with pytest.raises(DomainError, match="K/m"):
             coding_gain(k, m)
+
+    @pytest.mark.parametrize("m", [1e307, 4.4e307, 4.6e307, 1.7e308])
+    def test_gain_at_huge_m_meets_its_limit(self, m):
+        # z = K/m is tiny: past e^700 e^(s - c) is taken in halves, and the
+        # fold point in logs, so neither overflows and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coding_gain(1.0, m)
+        assert got == pytest.approx(4.0 * k0(2.0), rel=1e-14, abs=0)
+
+    def test_subnormal_m_is_refused(self):
+        # as by every law: K/m = 1e307 is in range, but 1/m is not
+        with pytest.raises(DomainError, match="not subnormal"):
+            coding_gain(1e-16, 1e-323)
 
     def test_gain_at_huge_k(self):
         # at m = 1, a = (1+K) e^K E1(K) -> 1; the peak's root must not square K

@@ -1,8 +1,9 @@
-"""The benchmark script ``scripts/bench.py``: its verdict on one metric and
-its comparison of two committed summaries.  Loaded from its file, as
+"""The benchmark script ``scripts/bench.py``: its verdict on one metric, its
+frontier counts and its comparison of two committed summaries.  Loaded from its file, as
 ``test_tracing_names.py`` loads the tracer; no test starts a subprocess."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,32 @@ def test_a_file_compared_with_itself_reports_no_change(path, capsys):
 def test_the_recorded_comparison_of_the_1f1_kernel_change_holds(capsys):
     assert bench.compare(ROOT / "BENCH_ecd84b7.json", ROOT / "BENCH_kummer-k0-term.json") == 0
     assert ": worse" not in capsys.readouterr().out
+
+
+def test_a_known_gap_added_raises_the_rows_met_not_the_answers():
+    rows = [{"name": "mended", "status": "answers", "met": True},
+            {"name": "gap", "status": "refuses", "met": True}]
+    assert bench.frontier_counts(rows) == {"frontier_met": 2, "frontier_answers": 1}
+    rows.append({"name": "new-gap", "status": "refuses", "met": True})
+    assert bench.frontier_counts(rows) == {"frontier_met": 3, "frontier_answers": 1}
+    # a row that answers where it should refuse is an answer that misses its want
+    rows.append({"name": "answers-a-gap", "status": "answers", "met": False})
+    assert bench.frontier_counts(rows) == {"frontier_met": 3, "frontier_answers": 2}
+    # a table without ``judge`` records no want met
+    assert bench.frontier_counts([{"name": "old", "status": "answers", "met": None}]) == {
+        "frontier_met": None, "frontier_answers": 1}
+
+
+def test_compare_prints_both_frontier_counts(tmp_path, capsys):
+    # A is a file from before rows recorded ``met``
+    record = json.loads((ROOT / "BENCH_second-branch.json").read_text())
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(record))
+    record["frontier"] = [dict(row, met=True) for row in record["frontier"]] + [
+        {"name": "gap", "status": "refuses", "met": True, "s": 0.0}]
+    new.write_text(json.dumps(record))
+    assert bench.compare(old, new) == 0
+    out = capsys.readouterr().out
+    assert "\nfrontier_met no record -> 26 of 26\n" in out
+    assert "\nfrontier_answers 16 of 25 -> 16 of 26\n" in out
+    assert "\n  gap: no row -> refuses\n" in out

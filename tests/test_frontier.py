@@ -9,8 +9,9 @@
   and pass it.
 
 A change that mends a gap turns its row into a reference.
-``scripts/bench.py`` runs the same rows outside pytest and records which
-answer and how long each takes.  The table points at ``DRLOS_CDF_GOLDENS``
+``judge`` decides whether a row meets its want; ``scripts/bench.py`` runs it
+on the same rows outside pytest and records which answer, which meet their
+want and how long each takes.  The table points at ``DRLOS_CDF_GOLDENS``
 and does not repeat ``TestUnderflowFloor`` or ``CODING_GAIN_GOLDENS``.
 """
 
@@ -35,6 +36,15 @@ CDF_M_TO_0 = 0.8603325259847069
 CDF_K0_AT_1E_10 = 2.2871419601355965e-09
 CDF_K0_AT_1E_11 = 2.5174004693264804e-10
 PDF_K0_AT_1E_100 = 229.1040779696015
+# the m -> inf limit of the coding gain at K = 1, (1+K) 2 K0(2 sqrt K), and
+# tiny-m gains (1+K) Gamma(m) U(m, 1, K/m) by mpmath's hyperu, keyed (K, m)
+GAIN_M_TO_INF = 0.45557549099813377
+CODING_GAIN_TINY_M = {
+    (1.0, 1e-08): 199999962.0042108,
+    (1.0, 1e-200): 2e+200,
+    (1.0, 1e-300): 1.9999999999999998e+300,
+    (10000.0, 1e-06): 10000763948.524992,
+}
 
 REFUSES = "refuses"
 
@@ -96,11 +106,16 @@ ROWS = [
       for m in (1e-50, 1e-60, 1e-70, 1e-100, 1e-300, TINY)),
     Row("cdf-m1e-100", lambda: fdrlos_cdf(1.0, FadingParams(1.0, 1e-100, 1.0)),
         (CDF_M_TO_0, 1e-13)),
-    # the coding gain, and so the density at t = 0, answers at m = 1e-5 but
-    # its quadrature runs out of splits from about m = 1e-8; at K = 1e308 the
+    # the coding gain, and so the density at t = 0: at tiny m it grows like
+    # (1+K)/m, and answers down to m = 5e-307; at huge m z = K/m is tiny and
+    # the gain meets its limit up to the largest double; at K = 1e308 the
     # gain of about 1e-308 lies below the smallest normal double
+    *(Row(f"gain-k{k:g}-m{m:g}", lambda k=k, m=m: coding_gain(k, m), (want, 1e-13))
+      for (k, m), want in CODING_GAIN_TINY_M.items()),
+    *(Row(f"gain-k1-m{m:g}", lambda m=m: coding_gain(1.0, m), (GAIN_M_TO_INF, 1e-14))
+      for m in (1e307, 1.7e308)),
     *(Row(f"gain-k{k:g}-m{m:g}", lambda k=k, m=m: coding_gain(k, m), REFUSES)
-      for k, m in ((1.0, 1e-8), (1.0, 1e-200), (1e308, 1.0))),
+      for k, m in ((1.0, TINY), (1e308, 1.0))),
     # a subnormal probability, about a t, which no normal double holds
     Row("cdf-t1e-312", lambda: fdrlos_cdf(1e-312, FadingParams(1.0, 2.5, 1.0)), REFUSES),
     # a cost row: the series windows grow with K
@@ -109,13 +124,41 @@ ROWS = [
 ]
 
 
+def judge(row):
+    """One call of ``row``: its status, "answers" or "refuses" (AccuracyError),
+    and whether that meets its want.  Any other exception propagates."""
+    try:
+        value = row.call()
+    except AccuracyError:
+        return "refuses", row.want == REFUSES
+    if isinstance(row.want, str):
+        return "answers", False
+    if isinstance(row.want, tuple):
+        want, rel = row.want
+        return "answers", bool(abs(value - want) <= rel * abs(want))
+    return "answers", bool(row.want(value))
+
+
 @pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
 def test_frontier(row):
-    if isinstance(row.want, str):
-        with pytest.raises(AccuracyError):
-            row.call()
-    elif isinstance(row.want, tuple):
-        want, rel = row.want
-        assert row.call() == pytest.approx(want, rel=rel, abs=0)
-    else:
-        assert row.want(row.call())
+    status, met = judge(row)
+    assert met, f"{row.name} {status}, but the row wants {row.want}"
+
+
+def _refuse():
+    raise AccuracyError("a known gap")
+
+
+JUDGED = [
+    (Row("refuses-as-wanted", _refuse, REFUSES), ("refuses", True)),
+    (Row("answers-a-gap", lambda: 1.0, REFUSES), ("answers", False)),
+    (Row("meets-its-reference", lambda: 1.0 + 1e-14, (1.0, 1e-13)), ("answers", True)),
+    (Row("misses-its-reference", lambda: 1.0 + 1e-12, (1.0, 1e-13)), ("answers", False)),
+    (Row("refuses-a-reference", _refuse, (1.0, 1e-13)), ("refuses", False)),
+    (Row("fails-its-check", lambda: -1.0, lambda value: value > 0), ("answers", False)),
+]
+
+
+@pytest.mark.parametrize("row, verdict", JUDGED, ids=[row.name for row, _ in JUDGED])
+def test_judge(row, verdict):
+    assert judge(row) == verdict

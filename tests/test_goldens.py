@@ -56,9 +56,17 @@ def printed_titles():
     return [entry[0] for entry in load_script().GOLDENS if not isinstance(entry, str)]
 
 
-def test_the_frozen_names_are_the_printed_titles():
-    # each frozen value has a table that prints it, and each table a test
-    # that freezes it
+@pytest.mark.parametrize("test_file", FROZEN_IN)
+def test_every_golden_is_printed_by_the_script(test_file):
+    titles = printed_titles()
+    names = frozen_names(ROOT / "tests" / test_file)
+    assert names
+    missing = [name for name in names if name not in titles]
+    assert not missing, f"{test_file} freezes values no table prints: {missing}"
+
+
+def test_every_printed_table_is_frozen_by_a_test():
+    # each table is frozen once, and each frozen value has one table
     frozen = [name for test_file in FROZEN_IN
               for name in frozen_names(ROOT / "tests" / test_file)]
     titles = printed_titles()

@@ -1,5 +1,6 @@
-"""Make the goldens frozen in ``tests/test_analytic.py`` and
-``tests/test_specfun.py``, with mpmath.
+"""Make the goldens frozen in ``tests/test_analytic.py``,
+``tests/test_specfun.py`` and ``tests/test_frontier.py``, with mpmath, and
+check them against their frozen copies.
 
 Every value computed at fixed precision is computed at 40 and at 50 digits,
 which must agree to 20.
@@ -105,16 +106,20 @@ coding gains at tiny m from ``hyperu`` (``CODING_GAIN_TINY_M``), each at
 both precisions.
 
 Each table is one entry of ``GOLDENS``: a title, the law that makes its
-values, and its cases.
+values, and its cases.  After printing a table the script compares it with
+its frozen copy in the tests (``FROZEN_IN``): the same keys, and each value
+equal as a double.  Any difference, or a printed table that no test
+freezes, goes to stderr with the mpmath version; the run still finishes,
+then exits 1.
 
-Run from the repository root (about an hour and a half on one core, most of
-it the tanh-sinh real-m cdf goldens and the Rician check of the drlos cdf at
-y = K, 15 minutes at K = 5):
+Run from the repository root (about 45 minutes on one core, half of it the
+tanh-sinh real-m cdf goldens and most of the rest the Rician check of the
+drlos cdf at y = K, 15 minutes at K = 5):
 
     python3 scripts/make_goldens.py
 
-or print only the tables named, for example the cheap tiny-m and huge-m ones
-(a few seconds):
+or print and check only the tables named, for example the cheap tiny-m and
+huge-m ones (a few seconds):
 
     python3 scripts/make_goldens.py SCALED_LOG_HYP1F1_TINY_A PDF_M_TO_0 CDF_M_TO_0 \
         GAIN_M_TO_INF CODING_GAIN_TINY_M
@@ -122,9 +127,17 @@ or print only the tables named, for example the cheap tiny-m and huge-m ones
 
 from __future__ import annotations
 
+import ast
 import sys
+from pathlib import Path
 
 import mpmath as mp
+
+TESTS = Path(__file__).resolve().parents[1] / "tests"
+#: the test files that freeze the tables
+FROZEN_IN = ("test_analytic.py", "test_specfun.py", "test_frontier.py")
+#: a frozen value has more significant digits than any tolerance is written with
+MIN_DIGITS = 10
 
 DPS = (40, 50)
 #: the precisions of the tiny-a 1F1 goldens
@@ -670,36 +683,87 @@ GOLDENS = [
 ]
 
 
+def _is_golden(node):
+    """A float literal written to ``MIN_DIGITS`` digits or more."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, float)):
+        return False
+    mantissa = repr(node.value).split("e")[0].replace(".", "").lstrip("0")
+    return len(mantissa) >= MIN_DIGITS
+
+
+def frozen_tables(test_files=FROZEN_IN):
+    """The module-level names of ``test_files`` (in ``tests/``) bound to a
+    golden, or to a dict of them, and their values."""
+    tables = {}
+    for test_file in test_files:
+        for stmt in ast.parse((TESTS / test_file).read_text()).body:
+            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)):
+                continue
+            value = stmt.value
+            if _is_golden(value) or (isinstance(value, ast.Dict)
+                                     and any(_is_golden(v) for v in value.values)):
+                tables[stmt.targets[0].id] = ast.literal_eval(value)
+    return tables
+
+
 def table(title, law, cases):
     """Print ``title = {key: law(*args), ...}``, keyed by the arguments, or by
     the argument alone where there is one; or ``title = law(*cases)`` where
-    ``cases`` is one argument tuple."""
+    ``cases`` is one argument tuple.  Return what it printed."""
     if isinstance(cases, tuple):
-        print(f"{title} = {float(law(*cases))!r}")
-        return
+        value = float(law(*cases))
+        print(f"{title} = {value!r}")
+        return value
+    values = {}
     print(f"{title} = {{")
     for case in cases:
         name, args = (case[0], case[1:]) if isinstance(case[0], str) else (None, case)
         key = args if len(args) > 1 else args[0]
+        values[key] = float(law(*args))
         note = f"  # {name}" if name else ""
-        print(f"    {key!r}: {float(law(*args))!r},{note}")
+        print(f"    {key!r}: {values[key]!r},{note}")
     print("}")
+    return values
+
+
+def differences(printed, frozen):
+    """(key, printed value, frozen value) wherever a printed table and its
+    frozen copy differ: a key in one of them only (its value there None), or
+    values unequal as doubles.  A single value has the key None."""
+    printed, frozen = (t if isinstance(t, dict) else {None: t} for t in (printed, frozen))
+    keys = list(printed) + [key for key in frozen if key not in printed]
+    return [(key, printed.get(key), frozen.get(key)) for key in keys
+            if key not in printed or key not in frozen
+            or float(printed[key]) != float(frozen[key])]
 
 
 def main(titles):
     """Print every table of ``GOLDENS`` and the comments between them, or,
-    where ``titles`` names some, those tables alone."""
+    where ``titles`` names some, those tables alone; exit 1 after the last if
+    any differs from its frozen copy, or has none."""
     known = [entry[0] for entry in GOLDENS if not isinstance(entry, str)]
     unknown = [title for title in titles if title not in known]
     if unknown:
         sys.exit(f"usage: python3 scripts/make_goldens.py [TITLE ...]\n"
                  f"unknown titles {unknown}; the tables are {known}")
+    frozen = frozen_tables()
+    failed = False
     for entry in GOLDENS:
         if isinstance(entry, str):
             if not titles:
                 print(entry)
         elif not titles or entry[0] in titles:
-            table(*entry)
+            # a table that no test freezes has every key missing there
+            for key, value, copy in differences(table(*entry), frozen.get(entry[0], {})):
+                failed = True
+                at = "" if key is None else f" at {key!r}"
+                print(f"{entry[0]}{at}: prints {value!r}, frozen {copy!r}"
+                      f" (mpmath {mp.__version__})", file=sys.stderr)
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -345,10 +345,12 @@ def _nb_series(y, k_x, m):
     NB(n) and y^n e^-y / n! in Loader's deviance form (``specfun``) where the
     terms peak.  The other masses follow from the ratios
     NB(n)/NB(n-1) = (n-1+m)(1-p)/n and y/n as running products from the
-    anchor, and P(n+1, y) = P(n+2, y) + y^(n+1) e^-y/(n+1)! goes down the row:
-    positive sums only.  m > 1e15 raises AccuracyError.  Each value is summed
-    alone in a fixed order, terms within a row and then rows in increasing n,
-    so it does not depend on what it is broadcast with or on the block size.
+    anchor.  As P(n+1, y) is P(n_t+1, y) plus the Poisson masses of n+1..n_t,
+    a row sums to P(n_t+1, y) times its NB mass plus each Poisson mass at j
+    times the NB mass below j, from one ``cumsum``: positive sums only.
+    m > 1e15 raises AccuracyError.  One ``bincount`` adds each value's rows,
+    each summed alone, in increasing n: a value does not depend on what it is
+    broadcast with or on the block size.
     """
     if m > _MAX_M:
         raise AccuracyError(f"the Rician shadowed series needs m <= {_MAX_M:g}, got {m:g}")
@@ -392,9 +394,9 @@ def _nb_series(y, k_x, m):
     e_row = np.repeat(np.arange(todo.size), rows)
     b_row = lo[todo][e_row] + _ROW * (np.arange(e_row.size) - (np.cumsum(rows) - rows)[e_row])
     steps = np.arange(_ROW)
-    sums = np.zeros(todo.size)
+    row_sums = np.empty(e_row.size)
     for chunk in range(0, e_row.size, _ANCHOR_BLOCK):
-        e_c, b_c = e_row[chunk:chunk + _ANCHOR_BLOCK], b_row[chunk:chunk + _ANCHOR_BLOCK]
+        e_c, b_c, sums_c = (a[chunk:chunk + _ANCHOR_BLOCK] for a in (e_row, b_row, row_sums))
         y_c, q_c, peak_c = y[e_c], q[e_c], peak[e_c]
         peak_pois = np.clip(np.maximum(np.floor(y_c), peak_c + 1.0) - b_c, 0, _ROW - 1)
         peak_nb = np.clip(peak_c - b_c, 0, _ROW - 1)
@@ -404,7 +406,7 @@ def _nb_series(y, k_x, m):
         peak_pois, peak_nb = peak_pois.astype(np.intp), peak_nb.astype(np.intp)
         for blk in range(0, e_c.size, _ROW_BLOCK):
             r = slice(blk, blk + _ROW_BLOCK)
-            e, at = e_c[r], np.arange(min(_ROW_BLOCK, e_c.size - blk))
+            at = np.arange(min(_ROW_BLOCK, e_c.size - blk))
             n = b_c[r, None] + steps
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 # ratios of each mass to the one below it; column 0 is the bottom
@@ -412,23 +414,20 @@ def _nb_series(y, k_x, m):
                 nb = ((n - 1.0) + m) * q_c[r, None] / n
                 pois[:, 0] = nb[:, 0] = 1.0
                 pois = np.cumprod(pois, axis=1)
-                # P(n+1, y) from the top down: P(n_t+1) first, then pois(n_t), ...
-                big_p = np.empty_like(pois)
-                big_p[:, 0] = top_p[r]
-                np.multiply(pois[:, :0:-1], (pois_at_peak[r] / pois[at, peak_pois[r]])[:, None],
-                            out=big_p[:, 1:])
-                big_p = np.cumsum(big_p, axis=1)[:, ::-1]
+                pois *= (pois_at_peak[r] / pois[at, peak_pois[r]])[:, None]
                 nb = np.cumprod(nb, axis=1)
-                row_sums = nb_at_peak[r] / nb[at, peak_nb[r]] * np.einsum("ij,ij->i", nb, big_p)
-            # a running product leaves double range only where m (1-p) > 5e4 and
-            # n lies below 1e-4 of the NB mean (NB ratios near 6e4, or Poisson
-            # ratios y/n below 1e-5 up to a term peak far above y): every mass
-            # of such a row underflows, and inf * 0 there is 0
-            row_sums[~np.isfinite(row_sums)] = 0.0
-            # bincount adds in order; the carried partial sum rides on the first row
-            row_sums[0] += sums[e[0]]
-            sums[e[0]:e[-1] + 1] = np.bincount(e - e[0], row_sums)
-    out[todo] = below[todo] + sums
+                nb_sum = np.cumsum(nb, axis=1)
+                # P(n+1, y) = P(n_t+1, y) + pois(n+1) + ... + pois(n_t), so the row sums
+                # to P(n_t+1, y) times its NB mass plus each pois(j) times the NB mass below j
+                sums_c[r] = nb_at_peak[r] / nb[at, peak_nb[r]] * (
+                    top_p[r] * nb_sum[:, -1] + np.einsum("ij,ij->i", pois[:, 1:], nb_sum[:, :-1]))
+    # a running product leaves double range only where m (1-p) > 5e4 and
+    # n lies below 1e-4 of the NB mean (NB ratios near 6e4, or Poisson
+    # ratios y/n below 1e-5 up to a term peak far above y): every mass
+    # of such a row underflows, and inf * 0 there is 0
+    row_sums[~np.isfinite(row_sums)] = 0.0
+    # bincount adds each value's rows in order, in increasing n
+    out[todo] = below[todo] + np.bincount(e_row, row_sums, minlength=todo.size)
     return out.reshape(shape)
 
 

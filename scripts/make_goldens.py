@@ -62,11 +62,14 @@ a = sqrt y and b = sqrt K, R = |G2 G3| of density 4 r K0(2 r) and a uniform
 phase, P(R <= a - b) plus int 4 r K0(2 r) arccos(-c(r))/pi dr over the
 annulus |a - b| <= r <= a + b, c(r) = (y - K - r^2)/(2 b r), the disc as
 r1^2 int_0^1 4 u K0(2 r1 u) du below r1 = a - b = 1, at both precisions.
-Each row with 0 < K <= 5 is confirmed to 16 digits by the Rician cdf, the
-integral of e^{-(u + K/x)} I0(2 sqrt(K u / x)) over u in [0, y/x], averaged
-over e^{-x} at 20 digits; each K = 0 row by the product law
-1 - 2 sqrt y K1(2 sqrt y) at 150 digits, which its cancellation needs at
-y = 1e-100.
+
+Every row of both drlos tables is confirmed to 20 digits by the closed
+forms that Graf's addition theorem gives, at 50 digits: with a and b the
+smaller and the larger of y and K, the density (1+K)/gbar 2 I0(2 sqrt a)
+K0(2 sqrt b), and the cdf 2 sqrt y I1(2 sqrt y) K0(2 sqrt K) up to y = K and
+1 - 2 sqrt y I0(2 sqrt K) K1(2 sqrt y) past it.  At K = 0 the cdf is the
+product law 1 - 2 sqrt y K1(2 sqrt y), taken at 150 digits, which its
+cancellation needs at y = 1e-100.
 
 Coding gains (``CODING_GAIN_GOLDENS``), two ways that must agree to 25
 digits: (1+K) Gamma(m) U(m, 1, K/m) from mpmath's ``hyperu``, and
@@ -76,7 +79,11 @@ singular at 0, and at m = 0.3 the plain integral agrees to only 13 digits).
 At K = 1.2e5, m = 1e4 (a gain near 6e-295), K = 1.17e5, m = 1e6 (near
 9e-294) and K = 1e4, m = 1e6 and 1e12 (near 2.5e-84) that quadrature misses
 the integrand's narrow peak in s and is off by thousands of decades, so
-there the value is ``hyperu`` alone, agreed at 40 and 50 digits.
+there the value is ``hyperu`` alone, agreed at 40 and 50 digits.  The gain
+at K = 1e-30, m = 5 (``GAIN_TINY_K``, read by the CLI tests) is ``hyperu``
+at both precisions, confirmed to 25 digits by its small-K form
+(1+K) (log(m/K) - psi(m) - 2 gamma_E) (DLMF 13.2(iii)); the quadrature above
+misses it.
 
 Special functions (the goldens of ``tests/test_specfun.py``): mpmath's
 ``hyp1f1`` at b = 1 (and the scaled log(e^-x 1F1(a; 1; x)), at tiny a
@@ -112,9 +119,8 @@ equal as a double.  Any difference, or a printed table that no test
 freezes, goes to stderr with the mpmath version; the run still finishes,
 then exits 1.
 
-Run from the repository root (about 45 minutes on one core, half of it the
-tanh-sinh real-m cdf goldens and most of the rest the Rician check of the
-drlos cdf at y = K, 15 minutes at K = 5):
+Run from the repository root (about 30 minutes on one core, 22 of them the
+tanh-sinh real-m cdf goldens; the drlos cdf table takes about 1.5 minutes):
 
     python3 scripts/make_goldens.py
 
@@ -569,46 +575,37 @@ def drlos_cdf(g, k, gbar):
     return disc + mp.quad(annulus, _pieces(lo, top, max(lo, mp.mpf(10) ** -30)))
 
 
-def rician_cdf(v, lam):
-    """The Rician cdf at unit scatter, int_0^v e^{-(u + lam)} I0(2 sqrt(lam u)) du
-    (1 less the integral past v where v > lam + 1), split about lam in steps of
-    sqrt(lam) + 1."""
-    def f(u):
-        z = 2 * mp.sqrt(lam * u)
-        return mp.exp(-(mp.sqrt(u) - mp.sqrt(lam)) ** 2 - z) * mp.besseli(0, z)
-
-    w = mp.sqrt(lam) + 1
-    breaks = sorted({mp.mpf(0), v} | {lam + j * w for j in (-40, -10, -3, 0, 3, 10, 40)
-                                      if lam + j * w > 0})
-    if v <= lam + 1:
-        return mp.quad(f, [t for t in breaks if t <= v])
-    return 1 - mp.quad(f, [t for t in breaks if t >= v] + [mp.inf])
-
-
-def drlos_cdf_by_rician(g, k, gbar):
-    """The Rician cdf at K_x = K/x and y/x averaged over e^{-x}, split at
-    (sqrt y - sqrt K)^2/160 times powers of 4, where the conditional leaves
-    its limit at x = 0; at y = K, where it nears 1/2 like sqrt x, which
-    tanh-sinh takes in one piece, at 1e-4 times powers of 4."""
+def drlos_pdf_closed(g, k, gbar):
+    """(1+K)/gbar 2 I0(2 sqrt a) K0(2 sqrt b), a and b the smaller and the
+    larger of y and K: Graf's addition theorem averages K0 over the phase."""
     g, k, gbar = mp.mpf(g), mp.mpf(k), mp.mpf(gbar)
     y = (1 + k) * g / gbar
-    s = (mp.sqrt(y) - mp.sqrt(k)) ** 2 / 160 or mp.mpf(10) ** -4
-    breaks = {mp.mpf(0), mp.mpf(1), mp.mpf(4), mp.mpf(16)}
-    while s < 1:
-        breaks.add(s)
-        s *= 4
-    return mp.quad(lambda x: mp.exp(-x) * rician_cdf(y / x, k / x), sorted(breaks) + [mp.inf])
+    return (1 + k) / gbar * 2 * (mp.besseli(0, 2 * mp.sqrt(min(y, k)))
+                                 * mp.besselk(0, 2 * mp.sqrt(max(y, k))))
 
 
-def drlos_cdf_golden(g, k, gbar):
-    value = agreed(drlos_cdf)(g, k, gbar)
-    if k == 0:
-        check = product_cdf(mp.mpf(g) / gbar)
-    elif k <= 5:
-        check = at(20, drlos_cdf_by_rician, g, k, gbar)
-    else:
-        return value
-    return confirmed(f"drlos cdf {(g, k, gbar)}", value, check, 16)
+def drlos_cdf_closed(g, k, gbar):
+    """2 sqrt y I1(2 sqrt y) K0(2 sqrt K) up to y = K, and
+    1 - 2 sqrt y I0(2 sqrt K) K1(2 sqrt y) past it: the integral of
+    ``drlos_pdf_closed``, by the Wronskian x (I0 K1 + I1 K0)(x) = 1."""
+    g, k, gbar = mp.mpf(g), mp.mpf(k), mp.mpf(gbar)
+    y = (1 + k) * g / gbar
+    a, b = 2 * mp.sqrt(y), 2 * mp.sqrt(k)
+    if y <= k:
+        return a * mp.besseli(1, a) * mp.besselk(0, b)
+    return 1 - a * mp.besseli(0, b) * mp.besselk(1, a)
+
+
+def drlos_golden(primary, closed):
+    """The law of ``primary`` at both precisions, confirmed to 20 digits by
+    ``closed`` at 50, or at 150 where K = 0, as the product law's
+    cancellation needs at y = 1e-100."""
+    def law(g, k, gbar):
+        value = agreed(primary)(g, k, gbar)
+        check = at(150 if k == 0 else 50, closed, g, k, gbar)
+        return confirmed(f"{primary.__name__}{(g, k, gbar)}", value, check, 20)
+
+    return law
 
 
 def gain_by_hyperu(k, m):
@@ -630,6 +627,17 @@ def coding_gain(k, m):
         return confirmed(f"coding gain {(k, m)}", by_u, by_quad, 25)
 
 
+def gain_at_tiny_k(k, m):
+    """``gain_by_hyperu`` at both precisions, confirmed to 25 digits by its
+    small-K form (1+K) (log(m/K) - psi(m) - 2 gamma_E) (DLMF 13.2(iii)),
+    off by about (K/m) log(m/K) relative."""
+    value = agreed(gain_by_hyperu)(k, m)
+    with mp.workdps(50):
+        k = mp.mpf(k)
+        check = (1 + k) * (mp.log(m / k) - mp.digamma(m) - 2 * mp.euler)
+    return confirmed(f"coding gain {(k, m)}", value, check, 25)
+
+
 #: (title, law, cases) of every table the script prints, in order, and the
 #: comments between them: a list of argument tuples makes a dict of
 #: ``law(*args)``, a case that starts with a name carries it as a comment,
@@ -646,9 +654,10 @@ GOLDENS = [
     ("FDRLOS_PDF_M140_GOLDENS", real_m(fdrlos_pdf_1f1, 16), FDRLOS_PDF_M140_CASES),
     ("FDRLOS_PDF_M1000_GOLDENS", real_m(fdrlos_pdf_1f1, 16), FDRLOS_PDF_M1000_CASES),
     ("FDRLOS_CDF_REAL_M_GOLDENS", real_m(fdrlos_cdf_1f1, 11), FDRLOS_CDF_REAL_M_CASES),
-    ("DRLOS_PDF_GOLDENS", agreed(drlos_pdf), DRLOS_PDF_CASES),
-    ("DRLOS_CDF_GOLDENS", drlos_cdf_golden, DRLOS_CDF_CASES),
+    ("DRLOS_PDF_GOLDENS", drlos_golden(drlos_pdf, drlos_pdf_closed), DRLOS_PDF_CASES),
+    ("DRLOS_CDF_GOLDENS", drlos_golden(drlos_cdf, drlos_cdf_closed), DRLOS_CDF_CASES),
     ("CODING_GAIN_GOLDENS", coding_gain, CODING_GAIN_CASES),
+    ("GAIN_TINY_K", gain_at_tiny_k, (1e-30, 5)),
     ("PRODUCT_CDF", product_cdf, PRODUCT_CDF_CASES),
     "# tests/test_specfun.py",
     ("GIG_NEG2_02_15", agreed(gig), (-2.0, 0.2, 1.5)),

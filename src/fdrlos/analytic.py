@@ -8,8 +8,8 @@ weight e^{-x}, a cdf over x and a density over s = sqrt(x), where its 1/x
 stays bounded; one vector quadrature per chunk of values (``_fdrlos_kernel``).
 The deterministic-LoS limits (m -> inf) condition instead on the product
 G2 G3 = sqrt(Z) e^{j theta}, Z of density 2 K0(2 sqrt z) and theta uniform:
-each is one elementary integral over a phase (``drlos_pdf_oracle``,
-``drlos_cdf_oracle``), chunked as the averages are (``_by_chunks``).
+Graf's addition theorem takes the phase average, so each is a closed form
+in I and K Bessel functions (``drlos_pdf_oracle``, ``drlos_cdf_oracle``).
 
 Every law takes every finite m > 0, and the route follows m
 (``_conditional``, the one place that decides): at integer m up to 100 both
@@ -34,8 +34,8 @@ gain a(K, m) = (1+K) Gamma(m) U(m, 1, K/m), and Gamma(m) U(m, 1, K/m), the
 scatter average of (1 + K/(m x))^(-m) / x, is the unit-mean density in y at
 y = 0, which ``fdrlos_pdf`` takes from the kernel of ``coding_gain``
 without a quadrature over x.  As m -> inf it tends to 2 K0(2 sqrt K), the
-drlos density in y at 0, which ``drlos_pdf_oracle`` takes in this closed
-form; every cdf is 0 there, so no law integrates a value at g = 0.
+drlos density in y at 0, the value of its closed form there; every cdf is 0
+there, so no law integrates a value at g = 0.
 
 Every SNR law, the Rician shadowed, Rician and drlos ones too, passes one
 boundary, ``_law``: it checks a nonnegative SNR and the one domain of
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import (betainc, betaincc, chndtr, digamma, factorial, gammainc,
-                           i0e, k0, k1, xlogy)
+                           i0, i0e, i1e, k0, k0e, k1, k1e, xlogy)
 
 from .models import FadingParams, check_params
 from .specfun import (MAX_TERMS, TINY, AccuracyError, DomainError,
@@ -193,16 +193,6 @@ def _by_chunks(integrand, y, k, rel_tol):
     for lo in range(0, y.size, _GAMMA_CHUNK):
         solve(np.arange(lo, min(lo + _GAMMA_CHUNK, y.size)))
     return out
-
-
-def _on_unit_interval(g):
-    """An integrand ``g(u)`` of u in (0, 1), returning (nu, ng), as one of
-    v = u/(1-u) on the half line that ``adaptive_quad_vec`` integrates:
-    u = v/(1+v), du = dv/(1+v)^2, which undoes its fold."""
-    def f(v):
-        w = 1.0 / (1.0 + v)
-        return g(v * w) * (w * w)[:, None]
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -647,73 +637,62 @@ def rician_cdf(gamma, k, gbar):
     return _law(_rician_probability, "cdf", gamma, k, gbar=gbar)
 
 
-def drlos_pdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
-    """Deterministic-LoS double-Rayleigh density (the m -> inf limit), to
-    relative accuracy ``rel_tol``: in y = (1+K) g/gbar,
-
-        f(y) = (2/pi) int_0^pi K0(2 sqrt(z(phi))) dphi,
-        z(phi) = (sqrt y - sqrt K)^2 + 4 sqrt(K y) sin^2(phi/2).
-
-    The scatter G2 G3 = sqrt(Z) e^{j theta} has Z = |G2|^2 |G3|^2 of density
-    2 K0(2 sqrt z) and theta uniform, so W = G2 G3 has the plane density
-    (2/pi) K0(2 |w|), and Y = |sqrt K + W|^2 has its integral over the circle
-    |sqrt K + w| = sqrt y, where |w|^2 = z(phi).  phi = pi u^3 tames the log
-    singularity of K0 at the kink y = K.  At g = 0 it is
-    (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0.  K and gbar broadcast."""
-
-    def integrand(y, k):
-        root_y, root_k = np.sqrt(y), np.sqrt(k)
-        # |sqrt y - sqrt K| and 2 (K y)^(1/4), without cancellation or overflow
-        gap = np.abs(y - k) / (root_y + root_k)
-        arm = 2.0 * np.sqrt(root_y) * np.sqrt(root_k)
-
-        def g(u):
-            u = u[:, None]
-            sin_h = np.sin(0.5 * np.pi * u ** 3)
-            return 6.0 * u * u * k0(2.0 * np.hypot(gap, arm * sin_h))
-        return _on_unit_interval(g)
-
-    return _law(lambda y, k: _by_chunks(integrand, y, k, rel_tol), "pdf", gamma, k,
-                gbar=gbar, at_zero=lambda ks: 2.0 * k0(2.0 * np.sqrt(ks)))
+def _drlos_density(y, k):
+    """``drlos_pdf_oracle`` on checked arguments: 2 I0(2 sqrt a) K0(2 sqrt b),
+    a and b the smaller and the larger of y and K, as scaled Bessels times
+    e^(-2 gap), gap = sqrt b - sqrt a taken as |y - K| / (sqrt y + sqrt K),
+    without cancellation or overflow; +inf at y = K = 0."""
+    root_a, root_b = np.sqrt(np.minimum(y, k)), np.sqrt(np.maximum(y, k))
+    # the sum of the roots is 0 only at y = K = 0, where the gap is 0 too
+    gap = np.abs(y - k) / np.maximum(root_a + root_b, TINY)
+    return 2.0 * i0e(2.0 * root_a) * k0e(2.0 * root_b) * np.exp(-2.0 * gap)
 
 
-def drlos_cdf_oracle(gamma, k, gbar, *, rel_tol=1e-10):
-    """Deterministic-LoS double-Rayleigh cdf (the m -> inf limit), to
-    relative accuracy ``rel_tol``: in y = (1+K) g/gbar, with a = sqrt y and
-    b = sqrt K, Y = |b + R e^{j theta}|^2, R = |G2 G3| of density
-    4 r K0(2 r) and theta uniform, so
+def _drlos_probability(y, k):
+    """``drlos_cdf_oracle`` on checked arguments, y > 0: up to y = K
+    2 sqrt y I1(2 sqrt y) K0(2 sqrt K), past it 1 - 2 sqrt y I0(2 sqrt K)
+    K1(2 sqrt y), by the Wronskian x (I0 K1 + I1 K0)(x) = 1, scaled as in
+    ``_drlos_density``.  From K = 1 up the difference costs at most a factor
+    of 3 of eps, as F >= F(1) = 2 I1(2) K0(2) = 0.362 past y = K; below
+    K = 1 F past y = K is F(K) + I0(2 sqrt K) (P(y) - P(K)), P the product
+    law ``_product_cdf`` at sqrt y and sqrt K, which no cancellation costs
+    relative accuracy, and which is P(y) at K = 0."""
+    y, k = np.broadcast_arrays(y, k)
+    root_y, root_k = np.sqrt(y), np.sqrt(k)
+    shade = np.exp(-2.0 * np.abs(y - k) / (root_y + root_k))
+    out = np.where(y <= k, 2.0 * root_y * i1e(2.0 * root_y) * k0e(2.0 * root_k) * shade,
+                   1.0 - 2.0 * root_y * i0e(2.0 * root_k) * k1e(2.0 * root_y) * shade)
+    low = (y > k) & (k < 1.0)
+    r_y, r_k = root_y[low], root_k[low]
+    with np.errstate(invalid="ignore"):     # 0 K0(0) at K = 0, where F(K) is 0
+        at_k = np.where(r_k > 0.0, 2.0 * r_k * i1e(2.0 * r_k) * k0e(2.0 * r_k), 0.0)
+    out[low] = at_k + i0(2.0 * r_k) * (_product_cdf(r_y) - _product_cdf(r_k))
+    return out
 
-        F(y) = P(R <= a - b) + int_{|a-b|}^{a+b} 4 r K0(2 r) arccos(-c(r))/pi dr,
-        c(r) = (y - K - r^2) / (2 b r):
 
-    inside the disc r <= a - b every phase gives Y <= y, across the annulus
-    the phases with cos theta <= c(r).  The disc is the product law's cdf
-    at a - b (``_product_cdf``), in closed form.  The annulus
-    takes r = max(a, b) - min(a, b) cos phi, and arccos(-c) as
-    2 atan2(sqrt(1+c), sqrt(1-c)), whose numerators are closed products in
-    s = sin(phi/2) and cos(phi/2): no difference of r and b loses digits in
-    deep outage.  K = 0 leaves the disc alone, the product law
+def drlos_pdf_oracle(gamma, k, gbar):
+    """Deterministic-LoS double-Rayleigh density (the m -> inf limit) in
+    closed form: in y = (1+K) g/gbar, with a and b the smaller and the
+    larger of y and K,
+
+        f(y) = 2 I0(2 sqrt a) K0(2 sqrt b).
+
+    The scatter W = G2 G3 has the plane density (2/pi) K0(2 |w|), and
+    Y = |sqrt K + W|^2 its integral over the circle |sqrt K + w| = sqrt y,
+    which Graf's addition theorem (DLMF 10.23(ii), 10.44(ii)) takes over the
+    phase.  At g = 0 it is (1+K) 2 K0(2 sqrt K) / gbar, +inf at K = 0, and
+    the kink at y = K is a value like any other.  K and gbar broadcast."""
+    return _law(_drlos_density, "pdf", gamma, k, gbar=gbar)
+
+
+def drlos_cdf_oracle(gamma, k, gbar):
+    """Deterministic-LoS double-Rayleigh cdf (the m -> inf limit) in closed
+    form, the integral of ``drlos_pdf_oracle``: in y = (1+K) g/gbar,
+
+        F(y) = 2 sqrt y I1(2 sqrt y) K0(2 sqrt K)        for y <= K,
+        F(y) = 1 - 2 sqrt y I0(2 sqrt K) K1(2 sqrt y)    for y > K,
+
+    every value to relative accuracy, deep outage included
+    (``_drlos_probability``).  K = 0 gives the product law
     1 - 2 sqrt y K1(2 sqrt y).  K and gbar broadcast."""
-
-    def integrand(y, k):
-        root_y, root_k = np.sqrt(y), np.sqrt(k)
-        gap = np.abs(y - k) / (root_y + root_k)     # r1 = |a - b|
-        near, far = np.minimum(root_y, root_k), np.maximum(root_y, root_k)
-        inside = root_y > root_k
-        disc = np.where(inside, _product_cdf(gap), 0.0)
-
-        def g(u):
-            # phi = pi u; the disc rides along, so rel_tol holds for F itself
-            u = u[:, None]
-            sin_h, cos_h = np.sin(0.5 * np.pi * u), np.cos(0.5 * np.pi * u)
-            lo_s2 = near * sin_h * sin_h
-            r = gap + 2.0 * lo_s2
-            inner, outer = np.sqrt(gap + lo_s2), np.sqrt(far + lo_s2)
-            # arccos(-c(r)) / 2, by the case of a against b
-            half = np.where(inside, np.arctan2(cos_h * inner, sin_h * outer),
-                            np.arctan2(near * sin_h * cos_h, inner * outer))
-            return 16.0 * r * k0(2.0 * r) * half * near * sin_h * cos_h + disc
-        return _on_unit_interval(g)
-
-    return _law(lambda y, k: _by_chunks(integrand, y, k, rel_tol), "cdf", gamma, k,
-                gbar=gbar)
+    return _law(_drlos_probability, "cdf", gamma, k, gbar=gbar)

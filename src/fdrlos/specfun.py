@@ -140,8 +140,7 @@ def adaptive_quad_vec(f, *, rel_tol=1e-10):
     ``TINY`` is done (its caller applies the rule stated there).  The
     half-line, the range of the scatter averages and the coding gain, is
     folded onto [0, 1) by x = u/(1-u); to integrate from z > 0 on, integrate
-    f(z + x), and to integrate g over (0, 1), as the drlos phase integrals
-    do, integrate g(x/(1+x))/(1+x)^2, which undoes the fold.
+    f(z + x).
 
     [0, 1) starts as 8 equal panels, all in one call of ``f``.  Each round
     then halves every panel [a, b] whose error exceeds its width's share of

@@ -164,6 +164,9 @@ CODING_GAIN_GOLDENS = {
     (10000.0, 1000000000000.0): 2.4516091083299542e-84,
     (10000.0, 1000000.0): 2.464021136403582e-84,
 }
+# the coding gain at (K, m) = (1e-30, 5) from scripts/make_goldens.py, which
+# only the CLI tests read: it grows like log(m/K) (DLMF 13.2(iii))
+GAIN_TINY_K = 68.0264417040206
 # the product law's cdf 1 - 2 sqrt y K1(2 sqrt y) from scripts/make_goldens.py
 # at 150 digits, y -> P; on both sides of y = 1/4, where ``_product_cdf`` turns
 # from its series to the closed form
@@ -852,8 +855,7 @@ def test_every_cdf_law_refuses_a_subnormal_probability(call):
 
 
 #: each law's density below the smallest normal double at unit mean: at
-#: t > 0 and, through ``at_zero``, at t = 0; the last is a vector whose
-#: second value underflows
+#: t > 0 and at t = 0; the last is a vector whose second value underflows
 UNDERFLOWING_DENSITIES = {
     "rician_pdf": lambda: rician_pdf(395.0, 1.0, 1.0),
     "rs_pdf_real_m": lambda: rs_pdf(520.0, 1.0, 2.5, 1.0),
@@ -1029,9 +1031,8 @@ class TestChunkBudget:
 
     def test_batch_gives_the_scalar_values(self):
         # the two values share one quadrature; each meets its scalar call
-        g = np.array([0.5, 2.0])
-        np.testing.assert_allclose(drlos_pdf_oracle(g, 1.0, 1.0),
-                                   [drlos_pdf_oracle(v, 1.0, 1.0) for v in g],
+        g, params = np.array([0.5, 2.0]), FadingParams(1.0, 2.5, 1.0)
+        np.testing.assert_allclose(fdrlos_cdf(g, params), [fdrlos_cdf(v, params) for v in g],
                                    rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("law", [
@@ -1039,10 +1040,7 @@ class TestChunkBudget:
         lambda g: fdrlos_pdf(g, FadingParams(2.0, 2.5, 1.0)),
         lambda g: fdrlos_cdf(g, FadingParams(2.0, 3, 1.0)),
         lambda g: fdrlos_cdf(g, FadingParams(2.0, 2.5, 1.0)),
-        lambda g: drlos_pdf_oracle(g, 2.0, 1.0),
-        lambda g: drlos_cdf_oracle(g, 2.0, 1.0),
-    ], ids=["fdrlos_pdf-m3", "fdrlos_pdf-m2.5", "fdrlos_cdf-m3", "fdrlos_cdf-m2.5",
-            "drlos_pdf", "drlos_cdf"])
+    ], ids=["fdrlos_pdf-m3", "fdrlos_pdf-m2.5", "fdrlos_cdf-m3", "fdrlos_cdf-m2.5"])
     def test_values_across_chunks_give_the_scalar_values(self, law, quad_calls):
         # two full chunks and a partial one, each one quadrature
         g = np.geomspace(1e-3, 30.0, 2 * analytic._GAMMA_CHUNK + 44)
@@ -1054,12 +1052,11 @@ class TestChunkBudget:
     def test_a_refusal_is_one_values(self, monkeypatch):
         # and names it: y = (1+K) t = 1 at t = 0.5, K = 1
         monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 0)
-        for law in (drlos_pdf_oracle, drlos_cdf_oracle):
-            with pytest.raises(AccuracyError, match=r"subdivisions .*; at y = \(1\+K\) "
-                               r"gamma/gamma_bar = 1\.0, K = 1\.0$") as info:
-                law(np.array([0.5, 2.0]), 1.0, 1.0)
-            assert info.value.err_estimate.shape == (1,)
-            assert info.value.value.shape == (1,)
+        with pytest.raises(AccuracyError, match=r"subdivisions .*; at y = \(1\+K\) "
+                           r"gamma/gamma_bar = 1\.0, K = 1\.0$") as info:
+            fdrlos_cdf(np.array([0.5, 2.0]), FadingParams(1.0, 2, 1.0))
+        assert info.value.err_estimate.shape == (1,)
+        assert info.value.value.shape == (1,)
 
     def test_a_conditional_refusal_is_split_to_one_value(self, quad_calls):
         # the 1F1 refuses m = 1e9 at the kink t = 0.5 alone: the grid is
@@ -1101,10 +1098,8 @@ PUBLIC_LAWS = {
     "rs_cdf": ("k m gbar", lambda g, k, m, gbar, tol: rs_cdf(g, k, m, gbar)),
     "rician_pdf": ("k gbar", lambda g, k, m, gbar, tol: rician_pdf(g, k, gbar)),
     "rician_cdf": ("k gbar", lambda g, k, m, gbar, tol: rician_cdf(g, k, gbar)),
-    "drlos_pdf_oracle": ("k gbar rel_tol", lambda g, k, m, gbar, tol: drlos_pdf_oracle(
-        g, k, gbar, rel_tol=tol)),
-    "drlos_cdf_oracle": ("k gbar rel_tol", lambda g, k, m, gbar, tol: drlos_cdf_oracle(
-        g, k, gbar, rel_tol=tol)),
+    "drlos_pdf_oracle": ("k gbar", lambda g, k, m, gbar, tol: drlos_pdf_oracle(g, k, gbar)),
+    "drlos_cdf_oracle": ("k gbar", lambda g, k, m, gbar, tol: drlos_cdf_oracle(g, k, gbar)),
 }
 #: the bad values of each parameter, and the name its refusal must give
 BAD_PARAMETERS = {
@@ -1260,7 +1255,7 @@ class TestAsymptote:
             assert coding_gain(k, 1e12) == pytest.approx(limit, rel=1e-9, abs=0)
 
     def test_drlos_density_is_continuous_at_origin(self):
-        # the closed form at 0 meets the scatter average just above it
+        # the value at 0 meets the one just above it
         for k in (1e-3, 0.1, 1.0, 5.0, 100.0):
             assert drlos_pdf_oracle(1e-12, k, 2.0) == pytest.approx(
                 drlos_pdf_oracle(0.0, k, 2.0), rel=1e-9, abs=0)
@@ -1345,6 +1340,53 @@ def rician_cdf_average(t, k):
                     a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0] for a, b in pieces)
 
 
+def los_power_average(kernel, t, k, m):
+    """The fdrlos law in y = (1+K) t at gbar = 1 as int g_m(xi) D(y, K xi) dxi,
+    g_m the Gamma(m, 1/m) density of the LoS power xi: given xi the law is
+    the drlos one at K xi, whose closed form D is ``kernel``
+    (``analytic._drlos_density``, a density in y, or ``_drlos_probability``;
+    not the public laws, whose rule of ``TINY`` would refuse some nodes).
+    Shares no code with the Binomial mixture, the negative-binomial series,
+    the 1F1 or ``gamma_tricomi_u``.  By ``quad`` in s = log xi, split at the
+    kink xi = y/K, at the mode 0 and at 1 and 5 widths 1/sqrt(m) about it,
+    from below both the weight's left tail and the kink to past its right
+    tail."""
+    y = (1.0 + k) * t
+    kink = math.log(y / k)
+    lo = min(-45.0 / m, kink) - 5.0
+    hi = math.log1p(40.0 / math.sqrt(m) + 40.0 / m) + 1.0
+    w = 1.0 / math.sqrt(m)
+    edges = sorted({lo, hi} | {c for c in (kink, 0.0, -w, w, -5.0 * w, 5.0 * w) if lo < c < hi})
+    log_norm = m * math.log(m) - math.lgamma(m)
+
+    def f(s):
+        return (math.exp(log_norm + m * (s - math.exp(s)))
+                * kernel(np.array([y]), np.array([k * math.exp(s)]))[0])
+
+    return sum(quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
+#: (t, K, m) at gbar = 1, drawn once at seed 7: t log-uniform in [1e-6, 30],
+#: K in [0.01, 1e3] and m in [0.3, 1e3], none of them an integer
+_RNG = np.random.default_rng(7)
+LOS_POWER_POINTS = list(zip(10.0 ** _RNG.uniform(-6.0, math.log10(30.0), 20),
+                            10.0 ** _RNG.uniform(-2.0, 3.0, 20),
+                            10.0 ** _RNG.uniform(math.log10(0.3), 3.0, 20)))
+
+
+@pytest.mark.parametrize("law", ["pdf", "cdf"])
+def test_real_m_laws_are_the_drlos_laws_averaged_over_the_los_power(law):
+    # an independent reference at every real m: one quadrature over xi of
+    # the drlos closed form, against the scatter average of the series or 1F1
+    kernel = analytic._drlos_density if law == "pdf" else analytic._drlos_probability
+    public = fdrlos_pdf if law == "pdf" else fdrlos_cdf
+    got = [public(t, FadingParams(k, m, 1.0)) for t, k, m in LOS_POWER_POINTS]
+    want = [(1.0 + k if law == "pdf" else 1.0) * los_power_average(kernel, t, k, m)
+            for t, k, m in LOS_POWER_POINTS]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
 class TestAncestors:
     def test_rician_pdf_normalizes(self):
         with underflow_ignored():
@@ -1356,9 +1398,9 @@ class TestAncestors:
         assert rician_cdf(1.5, 3.0, 2.0) == pytest.approx(val, rel=1e-9)
 
     def test_drlos_cdf_matches_pdf(self):
-        val, _ = quad(lambda g: drlos_pdf_oracle(g, 5.0, 2.0, rel_tol=TIGHT), 0.0, 1.0,
+        val, _ = quad(lambda g: drlos_pdf_oracle(g, 5.0, 2.0), 0.0, 1.0,
                       epsabs=0.0, epsrel=TIGHT)
-        assert drlos_cdf_oracle(1.0, 5.0, 2.0, rel_tol=TIGHT) == pytest.approx(
+        assert drlos_cdf_oracle(1.0, 5.0, 2.0) == pytest.approx(
             val, rel=1e-8)
 
     def test_nan_of_chndtr_is_refused(self):
@@ -1385,31 +1427,37 @@ class TestAncestors:
     def test_drlos_cdf_goldens(self, args, want):
         # where an average of chndtr over x refuses (K = 1e4, and K = 0 at
         # t = 1e-12 and 1e-100), fig3 at 0 and 60 dB, and the kink y = K
-        assert drlos_cdf_oracle(*args) == pytest.approx(want, rel=1e-12, abs=0)
+        assert drlos_cdf_oracle(*args) == pytest.approx(want, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("k", [0.3, 1.0, 5.0, 30.0])
     def test_drlos_cdf_is_the_exponential_average_of_chndtr(self, k):
         # an independent route where chndtr answers: the Rician cdf averaged
-        # over e^{-x} shares no code with the phase integrals
+        # over e^{-x} shares no code with the closed form
         for t in (0.02, 0.3, 0.9, 2.0):
             want = rician_cdf_average(t, k)
-            assert drlos_cdf_oracle(t, k, 1.0, rel_tol=TIGHT) == pytest.approx(
+            assert drlos_cdf_oracle(t, k, 1.0) == pytest.approx(
                 want, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 5.0, 30.0])
     def test_drlos_pdf_is_the_derivative_of_the_cdf(self, k):
         # central differences of the cdf at steps h and h/2, Richardson-
-        # extrapolated to O(h^4), away from the kink y = K: the two phase
-        # integrals share only k0
+        # extrapolated to O(h^4), away from the kink y = K: the two closed
+        # forms meet only through the Wronskian that integrates the density
         t = np.array([0.02, 0.3, 0.7, 1.5, 2.5])
 
         def slope(h):
-            return (drlos_cdf_oracle(t + h, k, 1.0, rel_tol=TIGHT)
-                    - drlos_cdf_oracle(t - h, k, 1.0, rel_tol=TIGHT)) / (2.0 * h)
+            return (drlos_cdf_oracle(t + h, k, 1.0)
+                    - drlos_cdf_oracle(t - h, k, 1.0)) / (2.0 * h)
 
         h = 1e-3 * t
         np.testing.assert_allclose(drlos_pdf_oracle(t, k, 1.0),
                                    (4.0 * slope(h / 2.0) - slope(h)) / 3.0, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("law", [drlos_pdf_oracle, drlos_cdf_oracle])
+    def test_drlos_laws_run_no_quadrature(self, law, quad_calls):
+        # both are closed forms: 300 values, across the kink y = K, make none
+        law(np.geomspace(1e-6, 30.0, 300), 2.0, 1.0)
+        assert not quad_calls
 
     def test_rician_density_at_huge_k(self):
         # sqrt(K y) would overflow from about K = 1.3e154 at t = 1
@@ -1421,18 +1469,17 @@ class TestAncestors:
 
     @pytest.mark.parametrize("args,want", sorted(DRLOS_PDF_GOLDENS.items()))
     def test_drlos_density_goldens_where_y_meets_k(self, args, want):
-        assert drlos_pdf_oracle(*args) == pytest.approx(want, rel=1e-12, abs=0)
+        assert drlos_pdf_oracle(*args) == pytest.approx(want, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("k", [0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 100.0, 1e8])
     def test_drlos_density_near_y_equal_k(self, k):
-        # near g = gbar K/(1+K) the density has a kink: the average over x
-        # steps where x meets (sqrt y - sqrt K)^2, which lies below every
-        # quadrature node when g is within about 1e-7 of the kink
+        # near g = gbar K/(1+K) the density has a kink, where the closed form
+        # swaps y and K between I0 and K0; the phase integral has a log peak
         gbar = 2.0
         band = np.array([1e-9, 1e-8, 1e-7, 1e-6, 1e-4])
         g = gbar * k / (1.0 + k) * (1.0 + np.concatenate([-band, [0.0], band]))
         want = [drlos_density_by_phase(v, k, gbar) for v in g]
-        # alone, each value's quadrature has only its own nodes to find the step
+        # alone and in one call, which gives the same values
         np.testing.assert_allclose([drlos_pdf_oracle(v, k, gbar) for v in g], want,
                                    rtol=1e-10, atol=0)
         np.testing.assert_allclose(drlos_pdf_oracle(g, k, gbar), want, rtol=1e-10, atol=0)

@@ -15,6 +15,7 @@ from fdrlos import analytic, cli
 from fdrlos.analytic import Curve
 from fdrlos.cli import _parse_grid, cmd_figure, db_to_linear, main
 from fdrlos.specfun import DomainError
+from test_analytic import GAIN_TINY_K
 
 
 def run(argv):
@@ -164,7 +165,7 @@ class TestPdfCommand:
         out = tmp_path / "pdf.csv"
         assert run(["pdf", "--k", "1e-30", "--m", "5", "--gamma-bar", "1",
                     "--grid", "0:1:3", "--output", str(out)]) == 0
-        assert np.loadtxt(out, **CSV)[1][0] == pytest.approx(68.0264417040206, rel=1e-12)
+        assert np.loadtxt(out, **CSV)[1][0] == pytest.approx(GAIN_TINY_K, rel=1e-12)
 
     @pytest.mark.parametrize("m", ["30.5", "50.5", "140.5", "1000.5"])
     def test_real_m_past_25(self, m, tmp_path):
@@ -309,7 +310,7 @@ class TestOpCommand:
         assert run(["op", "--k", "1e-30", "--m", "5", "--gamma-th", "1",
                     "--grid-db", "20:40:3", "--asymptotic", "--output", str(out)]) == 0
         db, values = np.loadtxt(out, **CSV)
-        np.testing.assert_allclose(values * 10 ** (db / 10.0), 68.0264417040206, rtol=1e-12)
+        np.testing.assert_allclose(values * 10 ** (db / 10.0), GAIN_TINY_K, rtol=1e-12)
 
     def test_asymptote_near_underflow(self, tmp_path):
         # a gain near 6e-295, whose unscaled integrand underflows at every node

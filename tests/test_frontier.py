@@ -66,6 +66,11 @@ def _is_its_scalar_calls(values):
     return np.allclose(values, scalar, rtol=1e-12, atol=0)
 
 
+def _near(want, rel):
+    """A check that a value lies within ``rel`` of ``want``, relative."""
+    return lambda value: abs(value - want) <= rel * want
+
+
 def _kink_lies_between_its_neighbours(value):
     # the density at its kink y = K moves toward the drlos limit as m grows
     return (fdrlos_pdf(0.5, FadingParams(1.0, 1e4 + 0.5, 1.0)) < value
@@ -98,7 +103,15 @@ ROWS = [
     # chndtr gives NaN at noncentrality 2e11; the drlos cdf calls no chndtr
     Row("rician-cdf-k1e11", lambda: rician_cdf(1.0, 1e11, 1.0), REFUSES),
     Row("drlos-cdf-k1e4", lambda: drlos_cdf_oracle(1.0, 1e4, 1.0),
-        (DRLOS_CDF_GOLDENS[(1.0, 1e4, 1.0)], 1e-12)),
+        (DRLOS_CDF_GOLDENS[(1.0, 1e4, 1.0)], 1e-14)),
+    # the drlos kink at huge K: y = (1+K) t rounds to K at t = 1, where the
+    # cdf is 1/2 - 1/(8 sqrt K) and the density in g (1+K)/(2 sqrt K), both
+    # to within 1/K relative
+    *(Row(f"drlos-cdf-kink-k{k:g}", lambda k=k: drlos_cdf_oracle(1.0, k, 1.0), _near(0.5, 1e-6))
+      for k in (1e17, 1e40)),
+    *(Row(f"drlos-pdf-kink-k{k:g}", lambda k=k: drlos_pdf_oracle(1.0, k, 1.0),
+          _near((1.0 + k) / (2.0 * np.sqrt(k)), 1e-6))
+      for k in (1e24, 1e40)),
     # tiny m: the laws tend to the product law, down to the smallest normal
     # m, where the large-x 1F1 expansion's second branch is most of the value
     *(Row(f"pdf-m{m:g}", lambda m=m: fdrlos_pdf(1.0, FadingParams(1.0, m, 1.0)),
@@ -116,6 +129,11 @@ ROWS = [
       for m in (1e307, 1.7e308)),
     *(Row(f"gain-k{k:g}-m{m:g}", lambda k=k, m=m: coding_gain(k, m), REFUSES)
       for k, m in ((1.0, TINY), (1e308, 1.0))),
+    # tiny K deep in outage: the scatter average runs out of splits at
+    # t = 1e-12, though from t = 1e-10 on all three answer
+    *(Row(f"cdf-k{k:g}-m{m:g}-t1e-12", lambda k=k, m=m: fdrlos_cdf(1e-12, FadingParams(k, m, 1.0)),
+          REFUSES)
+      for k, m in ((0.1, 0.3), (1e-3, 0.3), (1e-12, 2))),
     # a subnormal probability, about a t, which no normal double holds
     Row("cdf-t1e-312", lambda: fdrlos_cdf(1e-312, FadingParams(1.0, 2.5, 1.0)), REFUSES),
     # a cost row: the series windows grow with K

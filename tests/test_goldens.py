@@ -19,7 +19,8 @@ SCRIPT = ROOT / "scripts" / "make_goldens.py"
 CHEAP = ["GIG_NEG2_02_15", "HYP1F1_3_1_07", "U_2_1_05", "E1", "UPPER_GAMMA", "HYP1F1_LARGE",
          "SCALED_LOG_HYP1F1", "STIRLERR", "LOG_POISSON_PMF", "LOG_NEGBIN_PMF", "PDF_M_TO_0",
          "CDF_M_TO_0", "CDF_K0_AT_1E_10", "CDF_K0_AT_1E_11", "PDF_K0_AT_1E_100",
-         "GAIN_M_TO_INF", "CODING_GAIN_TINY_M", "RS_PDF_GOLDENS", "RS_CDF_2_4_2_15"]
+         "GAIN_M_TO_INF", "CODING_GAIN_TINY_M", "RS_PDF_GOLDENS", "RS_CDF_2_4_2_15",
+         "GAIN_TINY_K"]
 
 
 def load_script():

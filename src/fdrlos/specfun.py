@@ -23,10 +23,11 @@ all the nodes of a round go to the integrand in one call, so a quadrature
 costs a few large integrand calls rather than one small call per panel.  The
 real-a series of ``log_kummer_1f1`` sums each value over its own window of
 at most 22 sqrt(max(k*, x) + 1) + 21 terms about the terms' peak k*, as running
-products on a linear scale (``cumprod``, then ``cumsum``, down the term axis
-of one block per band of window lengths), so the large batches a round
-hands it cost about the sum of their values' window lengths and no per-term
-log, and each value is summed in the same order whatever its batch.
+products on a linear scale, one term index at a time across the values while
+many are summing and then down the term axis of blocks banded by window
+length, so the large batches a round hands it cost about the sum of their
+values' window lengths and no per-term log, and each value is summed in the
+same order whatever its batch.
 """
 
 from __future__ import annotations
@@ -216,9 +217,17 @@ _WINDOW_PAD = 10.0
 #: the most terms one value's series may sum: the 1F1 series here and the
 #: Rician shadowed series of ``analytic`` refuse a longer window
 MAX_TERMS = 2 ** 20
-#: terms x values per cumprod/cumsum pass of the 1F1 series: 0.5 MB a
-#: temporary, unless one window is longer
+#: terms x values per block of the 1F1 series, of ratios for its row steps
+#: and of a cumprod/cumsum pass for the values left: 0.5 MB a temporary,
+#: unless one window, or the values of one row step, are more
 _BLOCK_ENTRIES = 2 ** 16
+#: the fewest values a row step of the 1F1 series sums; fewer finish in
+#: column blocks.  A step costs two numpy calls, about 1.6 us, and saves
+#: about 5 ns an entry against a cumprod/cumsum pass.  Windows of 50 and 300
+#: terms took 1.0-1.4 times as long in row steps as in columns at 150-200
+#: values, 0.8-1.04 times at 250 and 0.74-0.97 times at 300, the fewest at
+#: which rows won at both lengths (2-core Xeon, numpy 2.4)
+_ROW_VALUES = 300
 #: the terms outside a 1F1 window must sum below e^-37 (about 1e-16) of it
 _SERIES_REL_TAIL = math.exp(-37.0)
 #: the large-x 1F1 expansion stops once a term is below this fraction of the sum
@@ -235,10 +244,13 @@ def log_kummer_1f1(a, x):
     of terms about their peak, summed on a linear scale as running products
     from an anchor at the window's bottom, exact (-x) where the window starts
     at k = 0 and from Loader's saddle-point masses above it, with k = 0 added
-    apart; past that the large-x expansion, whose terms fall from the first,
-    with its second branch.  Neither forms e^x.  A window whose left-out terms
-    cannot be bounded below e^-37 of its sum, or longer than 2^20 terms (x past
-    about 2.3e9), raises AccuracyError.
+    apart.  Each value adds its terms in increasing k, in row steps across
+    the values while many are summing and then in column blocks
+    (``_window_sums``), so its bits do not depend on its batch.  Past that
+    the large-x expansion, whose terms fall from the first, with its second
+    branch.  Neither forms e^x.  A window whose left-out terms cannot be
+    bounded below e^-37 of its sum, or longer than 2^20 terms (x past about
+    2.3e9), raises AccuracyError before any term is summed.
     """
     a = float(a)
     x = np.asarray(x, dtype=float)
@@ -305,43 +317,87 @@ def _window_sums(a, x, lo, count):
     """Per value, the sum of s_1 .. s_{count-1} and s_{count-1}, where s_j is
     t_{lo+j}/t_lo, the running product of the ratios r_{lo+1} .. r_{lo+j}.
 
-    The terms run down axis 0 of one (terms, values) block, first ``cumprod``
-    and then ``cumsum``, both sequential, so every value is summed from its
-    lo in the same order whatever it is batched with.  Values are grouped in
-    quarter-octave bands of window length, each block as long as the longest
-    window of its band and of at most ``_BLOCK_ENTRIES`` entries unless one
-    window is longer (a column of up to ``MAX_TERMS``, 8 MB), and a value
-    reads its own last row.  Where lo = 0 the ratios are x times one shared
-    column (a-1+k)/k^2.
+    Every value takes s_j = s_{j-1} r_{lo+j} and adds it to its running sum
+    in increasing j from its own lo, so it is summed in the same order
+    whatever it is batched with.  Where lo = 0 the ratios are x times one
+    shared column (a-1+k)/k^2; these values and the others are summed apart,
+    each set sorted longest window first, so the values still summing after
+    j steps are a prefix of it.  While at least ``_ROW_VALUES`` are, the term
+    index is the loop and the values the vector: a step multiplies the
+    prefix's products by its ratios and adds them to its sums, two passes
+    along contiguous rows, the ratios formed in one reused block of
+    ``_BLOCK_ENTRIES`` entries (or one row, if more values are live).
+    The values left then finish down axis 0 of (terms, values) blocks,
+    ``cumprod`` from their last product and ``cumsum`` from their sum, grouped
+    in quarter-octave bands of the terms they have left, each block as long
+    as the longest of its band and of at most ``_BLOCK_ENTRIES`` entries
+    unless one window is longer (a column of up to ``MAX_TERMS``, 8 MB); a
+    value reads its own last row.
     """
     rest, last = np.zeros(x.size), np.ones(x.size)
     shared = lo == 0
-    band = 2.0 * np.ceil(4.0 * np.log2(count)) + shared
-    order = np.argsort(band, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(band[order])) + 1)
     top = int(count[shared].max()) if shared.any() else 1
     j = np.arange(1.0, top)
     coef = ((j - 1.0) + a) / (j * j)
-    for idx in groups:
-        length = int(count[idx].max())
-        cols = max(1, _BLOCK_ENTRIES // length)
-        for c0 in range(0, idx.size, cols):
-            sel = idx[c0:c0 + cols]
-            x_c = x[sel]
-            end = count[sel] - 2, np.arange(sel.size)     # s_{count-1}, in row count - 2
-            if shared[sel[0]]:
-                s = coef[:length - 1, None] * x_c
-            else:
-                k = lo[sel] + np.arange(1.0, length)[:, None]
-                # (k - 1) + a, so that a tiny a is not rounded away; in place
-                s = k - 1.0
-                s += a
-                s *= x_c
-                s /= k * k
-            np.cumprod(s, axis=0, out=s)
-            last[sel] = s[end]
-            np.cumsum(s, axis=0, out=s)
-            rest[sel] = s[end]
+
+    def ratios(sel, done, out):
+        """r_{lo+j}, j = done+1 .. done+len(out), of the values sel, into out."""
+        if shared[sel[0]]:
+            np.multiply(coef[done:done + len(out), None], x[sel], out=out)
+        else:
+            k = lo[sel] + np.arange(done + 1.0, done + 1.0 + len(out))[:, None]
+            # (k - 1) + a, so that a tiny a is not rounded away; in place
+            np.subtract(k, 1.0, out=out)
+            out += a
+            out *= x[sel]
+            out /= np.multiply(k, k, out=k)
+        return out
+
+    for part in (shared, ~shared):
+        idx = np.flatnonzero(part)
+        idx = idx[np.argsort(-count[idx])]
+        steps = count[idx] - 1
+        neg = -steps
+
+        def live(done):
+            """How many values have terms left after ``done`` steps."""
+            return np.searchsorted(neg, -done, side="left")
+
+        s, acc = np.ones(idx.size), np.zeros(idx.size)
+        # row steps while at least _ROW_VALUES values are live
+        stop = int(steps[_ROW_VALUES - 1]) if idx.size >= _ROW_VALUES else 0
+        done = 0
+        # one block for the ratios of every chunk of steps: a fresh one each
+        # time costs its page faults again
+        buf = np.empty(max(_BLOCK_ENTRIES, idx.size)) if stop else None
+        while done < stop:
+            n = int(live(done))
+            rows = min(max(1, _BLOCK_ENTRIES // n), stop - done)
+            r = ratios(idx[:n], done, buf[:rows * n].reshape(rows, n))
+            for r_j, m in zip(r, live(np.arange(done, done + rows)).tolist()):
+                s[:m] *= r_j[:m]
+                acc[:m] += s[:m]
+            done += rows
+        # the rest in column blocks, carrying each value's product and sum
+        n = int(live(stop))
+        rem = steps[:n] - stop
+        band = np.ceil(4.0 * np.log2(rem))
+        order = np.argsort(band, kind="stable")
+        for grp in np.split(order, np.flatnonzero(np.diff(band[order])) + 1) if n else ():
+            length = int(rem[grp].max())
+            cols = max(1, _BLOCK_ENTRIES // length)
+            for c0 in range(0, grp.size, cols):
+                g = grp[c0:c0 + cols]
+                blk = np.empty((length + 1, g.size))
+                blk[0] = s[g]
+                ratios(idx[g], stop, blk[1:])
+                np.cumprod(blk, axis=0, out=blk)
+                end = rem[g], np.arange(g.size)
+                s[g] = blk[end]
+                blk[0] = acc[g]
+                np.cumsum(blk, axis=0, out=blk)
+                acc[g] = blk[end]
+        rest[idx], last[idx] = acc, s
     return rest, last
 
 

@@ -5,6 +5,7 @@ a test, so that none is made for nothing."""
 
 import importlib.util
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from test_frontier import PDF_M_TO_0
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "make_goldens.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 #: tables the script prints and checks in about a second and a half in all
 CHEAP = ["GIG_NEG2_02_15", "HYP1F1_3_1_07", "U_2_1_05", "E1", "UPPER_GAMMA", "HYP1F1_LARGE",
          "SCALED_LOG_HYP1F1", "STIRLERR", "LOG_POISSON_PMF", "LOG_NEGBIN_PMF", "PDF_M_TO_0",
@@ -43,6 +45,17 @@ def printed_titles():
     return [entry[0] for entry in load_script().GOLDENS if not isinstance(entry, str)]
 
 
+def ci_goldens_titles():
+    """The title lists of the matrix of the ``goldens`` job of the CI
+    workflow, one per runner, read as text (the test extras have no YAML
+    reader)."""
+    text = WORKFLOW.read_text()
+    job = text[text.index("\n  goldens:\n"):]
+    matrix = job[job.index("        titles:\n"):job.index("\n    steps:")]
+    assert "make_goldens.py ${{ matrix.titles }}" in job
+    return [re.findall(r"[A-Z][A-Z0-9_]+", entry) for entry in re.split(r"\n +- ", matrix)[1:]]
+
+
 @pytest.mark.parametrize("test_file", FROZEN_IN)
 def test_every_golden_is_printed_by_the_script(test_file):
     titles = printed_titles()
@@ -58,6 +71,14 @@ def test_every_printed_table_is_frozen_by_a_test():
     titles = printed_titles()
     assert titles
     assert sorted(frozen) == sorted(titles)
+
+
+def test_the_ci_goldens_runners_split_the_tables_between_them():
+    # the slowest table on one runner, every other on the second: each table
+    # once, so a new table cannot go unchecked
+    titles = ci_goldens_titles()
+    assert len(titles) == 2 and titles[0] == ["FDRLOS_CDF_REAL_M_GOLDENS"]
+    assert sorted(titles[0] + titles[1]) == sorted(printed_titles())
 
 
 def test_a_named_table_is_printed_alone():

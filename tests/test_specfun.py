@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import digamma, exp1, hyp1f1, k1
 
-from fdrlos.specfun import (REL_TOL_FLOOR, AccuracyError, DomainError,
+from fdrlos.specfun import (_ROW_VALUES, REL_TOL_FLOOR, AccuracyError, DomainError,
                             adaptive_quad_vec, bd0, check_rel_tol,
                             gamma_tricomi_u, log_kummer_1f1, log_negbin_pmf,
                             log_poisson_pmf, stirlerr)
@@ -305,15 +305,45 @@ class TestKummer1F1:
     def test_series_value_does_not_depend_on_its_batch(self, a):
         # each value is summed over its own window, in a fixed order, so
         # summed alone or in a batch of longer windows it is the same; at
-        # a = 140.5 most windows start above k = 0, at an anchored term
+        # a = 140.5 most windows start above k = 0, at an anchored term.  The
+        # batch has more values than a row step needs, so its long windows
+        # start in row steps and finish in column blocks
         rng = np.random.default_rng(7)
         top = max(200.0, a * a)
         # near x = 1e-16 at a = 0.7 the log is about -0.3 x, so small that
         # one term past the last one needed still moves its last bit
         x = np.concatenate([[0.0, 1e-300, top], rng.uniform(0.0, top, 40),
-                            10.0 ** rng.uniform(-17.0, 0.0, 200)])
+                            10.0 ** rng.uniform(-17.0, 0.0, 200),
+                            rng.uniform(0.0, top, 2 * _ROW_VALUES)])
         batch = log_kummer_1f1(a, x)
         np.testing.assert_array_equal(batch, [log_kummer_1f1(a, v) for v in x])
+
+    @pytest.mark.parametrize("a", [0.7, 2.5, 30.5, 140.5])
+    def test_row_steps_and_column_blocks_sum_alike(self, a, monkeypatch):
+        # both phases take s_j = s_(j-1) r_j and add it to the running sum in
+        # increasing j, so all row steps, all column blocks and the default
+        # mix give the same bits; a quarter of the windows start above k = 0
+        # at a = 0.7 and 2.5, nearly all at 140.5
+        rng = np.random.default_rng(11)
+        x = rng.uniform(0.0, max(200.0, a * a), 500)
+        default = log_kummer_1f1(a, x)
+        monkeypatch.setattr("fdrlos.specfun._ROW_VALUES", 1)
+        rows = log_kummer_1f1(a, x)
+        monkeypatch.setattr("fdrlos.specfun._ROW_VALUES", x.size + 1)
+        columns = log_kummer_1f1(a, x)
+        np.testing.assert_array_equal(rows, columns)
+        np.testing.assert_array_equal(rows, default)
+
+    def test_a_long_window_finishes_its_row_steps_in_a_column(self):
+        # the a = 1e4 value sums 155600 terms from above k = 0, as do most of
+        # the short windows of the batch (up to 735 terms): in row steps
+        # while enough of them are live, then alone in one column
+        a, x = 10000.5, 5e7
+        rng = np.random.default_rng(5)
+        batch = np.concatenate([10.0 ** rng.uniform(0.0, 2.0, 2 * _ROW_VALUES), [x]])
+        got = log_kummer_1f1(a, batch)[-1]
+        assert got == log_kummer_1f1(a, x)
+        assert got == pytest.approx(SCALED_LOG_HYP1F1[a, x], rel=1e-12)
 
     @given(st.floats(1.2, 30.5), st.floats(0.1, 900.0))
     def test_derivative_contiguous_relation(self, a, x):
@@ -327,7 +357,7 @@ class TestKummer1F1:
     def test_log_form_matches_frozen(self):
         # extended-precision references, past double range unscaled; the
         # series runs past x = 200 up to a^2, over windows that start far
-        # above k = 0, at a = 1e4 of 155600 terms, summed in one column
+        # above k = 0, at a = 1e4 of 155600 terms, summed alone in one column
         for args, want in SCALED_LOG_HYP1F1.items():
             assert log_kummer_1f1(*args) == pytest.approx(want, rel=1e-12)
 

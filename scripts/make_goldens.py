@@ -47,9 +47,20 @@ The same pdf at real m (``FDRLOS_PDF_REAL_M_GOLDENS`` and, at m = 140.5 and
 1000.5, ``FDRLOS_PDF_M140_GOLDENS`` and ``FDRLOS_PDF_M1000_GOLDENS``), where
 the closed form does not apply: the 1F1 average by tanh-sinh at both
 precisions, confirmed to 16 digits by Gauss-Legendre at 30 digits.  The cdf
-at real m (``FDRLOS_CDF_REAL_M_GOLDENS``): the 1F1 density integrated over
-[0, g] and averaged, by tanh-sinh at both precisions, confirmed to 11 digits
+at real m (``FDRLOS_CDF_REAL_M_GOLDENS``): the drlos cdf averaged over the
+LoS power xi ~ Gamma(m, 1/m) below, at both precisions, confirmed to 11
+digits by the 1F1 density integrated over [0, g] and averaged over e^(-x)
 by Gauss-Legendre at 30 (which converges slowly below m = 1).
+
+The fdrlos cdf as the drlos cdf averaged over the LoS power
+(``LOS_POWER_CDF_GOLDENS``): given xi the law is the drlos law at K xi, so
+F = int g_m(xi) D(y; K xi) dxi, g_m the Gamma(m, 1/m) density and D the
+drlos cdf in closed form (below), by tanh-sinh in s = log xi at both
+precisions, split at the weight's mode and widths, at the kink y = K xi and
+across the step there; its K0 is summed by its series or its asymptotic
+expansion, some ten times faster than ``mp.besselk``.  At deep outage at
+small K, at the narrow step of K = 1e8, and at m = 1e9, where the cdf lies
+1.1e-9 above its drlos limit.
 
 Deterministic-LoS double-Rayleigh pdf (``DRLOS_PDF_GOLDENS``) at and near
 g = gbar K/(1+K), where y = (1+K) g/gbar meets K: the Rician density
@@ -119,8 +130,8 @@ equal as a double.  Any difference, or a printed table that no test
 freezes, goes to stderr with the mpmath version; the run still finishes,
 then exits 1.
 
-Run from the repository root (about 30 minutes on one core, 22 of them the
-tanh-sinh real-m cdf goldens; the drlos cdf table takes about 1.5 minutes):
+Run from the repository root (about 9 minutes on one core; the real-m cdf
+table takes about 1.5, the drlos cdf table about 1.5):
 
     python3 scripts/make_goldens.py
 
@@ -213,6 +224,13 @@ FDRLOS_PDF_M1000_CASES = [(g, 1.0, 1000.5, 1.0) for g in (0.5, 1.25, 2.0)]
 FDRLOS_CDF_REAL_M_CASES = [("K = 3, m = 2.5", g, 3.0, 2.5, 2.0) for g in (0.01, 1.0, 20.0)] + [
     ("m below 1", 1.0, 3.0, 0.7, 2.0),
     ("100 dB outage", 10.0 ** 0.3, 1.0, 2.5, 1e10)]
+
+#: (name, gamma, k, m, gbar) of the fdrlos cdf by its LoS-power average alone
+LOS_POWER_CDF_CASES = [("deep outage, small K, m below 1", 1e-12, k, 0.3, 1.0)
+                       for k in (0.1, 0.001)] + [
+    ("a step 1e-4 wide at the kink", 1.0, 1e8, 2.5, 1.0),
+    ("1.1e-9 above the drlos limit", 0.001, 1.0, 1e9, 1.0),
+    ("m = 1e-7: the weight right of its mode is flat in log xi up to 16", 50.0, 1.0, 1e-7, 1.0)]
 
 #: (gamma, k, gbar) of the drlos pdf: y = K exactly, and 1e-6 and 1e-7 above
 DRLOS_PDF_CASES = [(0.5, 1.0, 1.0), (0.5000005, 1.0, 1.0),
@@ -506,6 +524,16 @@ def real_m(average, digits):
     return law
 
 
+def real_m_cdf(*args):
+    """The cdf at real m by ``los_power_cdf`` at both precisions, confirmed
+    to 11 digits by the 1F1 density integrated and averaged over e^(-x) by
+    Gauss-Legendre at 30 (2e-12 off at m = 0.7, where the conditional
+    density nears t^(m-1) at small x)."""
+    value = agreed(los_power_cdf)(*args)
+    check = at(30, fdrlos_cdf_1f1, *args, "gauss-legendre")
+    return confirmed(f"fdrlos cdf {args}", value, check, 11)
+
+
 def fdrlos_golden(closed, averaged):
     """The law of the closed form, confirmed to 16 digits by the 1F1 average
     at 30."""
@@ -596,6 +624,81 @@ def drlos_cdf_closed(g, k, gbar):
     return 1 - a * mp.besseli(0, b) * mp.besselk(1, a)
 
 
+def bessel_k0(x):
+    """K0(x) at the working precision, some ten times faster than
+    ``mp.besselk``: the series -(log(x/2) + gamma_E) I0(x) +
+    sum_k H_k (x^2/4)^k / k!^2 (DLMF 10.31.2), whose terms near e^x cancel
+    to e^-x and so take 0.87 x more digits, up to where the asymptotic
+    expansion (DLMF 10.40.2), whose smallest term is near e^-2x, reaches
+    the working precision with 10 digits to spare."""
+    x = mp.mpf(x)
+    if x < 1.2 * (mp.mp.dps + 10):
+        with mp.extradps(int(x) + 10):
+            q = x * x / 4
+            term, harmonic, i0, rest, n = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0), 0
+            while True:
+                i0 += term
+                rest += harmonic * term
+                n += 1
+                harmonic += mp.mpf(1) / n
+                term *= q / (n * n)
+                if n > x and term * harmonic < mp.eps * i0:
+                    return -(mp.log(x / 2) + mp.euler) * i0 + rest
+    total, term, n = mp.mpf(1), mp.mpf(1), 0
+    while True:
+        n += 1
+        term *= -(2 * n - 1) ** 2 / (8 * n * x)
+        if abs(term) < mp.eps * total:
+            return mp.sqrt(mp.pi / (2 * x)) * mp.exp(-x) * total
+        total += term
+
+
+def los_power_cdf(g, k, m, gbar):
+    """The fdrlos cdf as the drlos cdf averaged over the LoS power xi ~
+    Gamma(m, 1/m), int g_m(xi) D(y; K xi) dxi, with D the closed form of
+    ``drlos_cdf_closed`` and its factors in y taken once: the module
+    docstring's xi average, by tanh-sinh in s = log xi, where the weight is
+    exp(log(m/2 pi)/2 - stirlerr(m) - m (e^s - 1 - s)), with
+    e^s - 1 - s = s^2 1F1(1; 3; s) / 2, from s = -(1 + 300/m) to
+    log(1 + 300/m + 40/sqrt(m)) + 1, past both of which the weight lies below
+    e^-250 (a doubly exponential tail in mpmath would not end).  Split at the
+    mode 0 and 1, 4 and 16 widths 1/sqrt(m) about it, below m = 1 at -1/m,
+    -4/m and -16/m, at the peak p = -2 asinh(sqrt(K)/(2m)) of g_m times
+    K0(2 sqrt(K xi)), and at the kink s* = log(y/K) and 4^j steps
+    1/sqrt(y) wide on both sides of it out to 1.  The integrand is scaled by
+    a first estimate of the integral, since ``mp.quad`` stops on an absolute
+    error."""
+    g, k, m, gbar = (mp.mpf(v) for v in (g, k, m, gbar))
+    y = (1 + k) * g / gbar
+    kink = mp.log(y / k)
+    width = 1 / mp.sqrt(m)
+    # Stirling's remainder at m cancels about log10(m) digits
+    with mp.extradps(int(mp.log10(m + 10))):
+        log_norm = mp.log(m / (2 * mp.pi)) / 2 - stirlerr(m)
+    breaks = {mp.mpf(0), kink, -2 * mp.asinh(mp.sqrt(k) / (2 * m))}
+    breaks |= {c * j * width for c in (-1, 1) for j in (1, 4, 16)}
+    if m < 1:
+        breaks |= {-j / m for j in (1, 4, 16)}
+    step = 1 / mp.sqrt(y)
+    while step < 1:
+        breaks |= {kink - step, kink + step}
+        step *= 4
+    a = 2 * mp.sqrt(y)
+    up, down = a * mp.besseli(1, a), a * mp.besselk(1, a)
+
+    def integrand(s):
+        weight = mp.exp(log_norm - m * s * s * mp.hyp1f1(1, 3, s) / 2)
+        b = 2 * mp.sqrt(k * mp.exp(s))
+        return weight * (up * bessel_k0(b) if s >= kink else 1 - down * mp.besseli(0, b))
+
+    lo, hi = -(1 + 300 / m), mp.log(1 + 300 / m + 40 * width) + 1
+    points = [lo] + sorted(b for b in breaks if lo < b < hi) + [hi]
+    # mp.quad stops on an absolute error: scaled by a first estimate, a value
+    # near 1e-255 is not done at its first step
+    scale = mp.quad(integrand, points) or 1
+    return scale * mp.quad(lambda s: integrand(s) / scale, points)
+
+
 def drlos_golden(primary, closed):
     """The law of ``primary`` at both precisions, confirmed to 20 digits by
     ``closed`` at 50, or at 150 where K = 0, as the product law's
@@ -653,7 +756,8 @@ GOLDENS = [
     ("FDRLOS_PDF_REAL_M_GOLDENS", real_m(fdrlos_pdf_1f1, 16), FDRLOS_PDF_REAL_M_CASES),
     ("FDRLOS_PDF_M140_GOLDENS", real_m(fdrlos_pdf_1f1, 16), FDRLOS_PDF_M140_CASES),
     ("FDRLOS_PDF_M1000_GOLDENS", real_m(fdrlos_pdf_1f1, 16), FDRLOS_PDF_M1000_CASES),
-    ("FDRLOS_CDF_REAL_M_GOLDENS", real_m(fdrlos_cdf_1f1, 11), FDRLOS_CDF_REAL_M_CASES),
+    ("FDRLOS_CDF_REAL_M_GOLDENS", real_m_cdf, FDRLOS_CDF_REAL_M_CASES),
+    ("LOS_POWER_CDF_GOLDENS", agreed(los_power_cdf), LOS_POWER_CDF_CASES),
     ("DRLOS_PDF_GOLDENS", drlos_golden(drlos_pdf, drlos_pdf_closed), DRLOS_PDF_CASES),
     ("DRLOS_CDF_GOLDENS", drlos_golden(drlos_cdf, drlos_cdf_closed), DRLOS_CDF_CASES),
     ("CODING_GAIN_GOLDENS", coding_gain, CODING_GAIN_CASES),

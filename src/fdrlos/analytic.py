@@ -1,33 +1,41 @@
-"""Statistics of the fading models: every fdrlos law is one scatter average.
+"""Statistics of the fading models: every fdrlos law is one average.
 
-The fluctuating double-Rayleigh LoS SNR law is built by conditioning on the
-squared magnitude x of the second scatter factor: given x the SNR is Rician
-shadowed with K_x = K/x, a law of y/x alone with y = (1+K) g/gamma_bar, and
-the unconditional law follows by averaging against the unit-mean exponential
-weight e^{-x}, a cdf over x and a density over s = sqrt(x), where its 1/x
-stays bounded; one vector quadrature per chunk of values (``_fdrlos_kernel``).
-The deterministic-LoS limits (m -> inf) condition instead on the product
-G2 G3 = sqrt(Z) e^{j theta}, Z of density 2 K0(2 sqrt z) and theta uniform:
-Graf's addition theorem takes the phase average, so each is a closed form
-in I and K Bessel functions (``drlos_pdf_oracle``, ``drlos_cdf_oracle``).
+The fluctuating double-Rayleigh LoS SNR law can be built by conditioning on
+the squared magnitude x of the second scatter factor: given x the SNR is
+Rician shadowed with K_x = K/x, a law of y/x alone with y = (1+K) g/gamma_bar,
+and the unconditional law follows by averaging against the unit-mean
+exponential weight e^{-x}, a cdf over x and a density over s = sqrt(x),
+where its 1/x stays bounded (``_scatter_average``).  The deterministic-LoS
+limits (m -> inf) condition instead on the product G2 G3 = sqrt(Z) e^{j theta},
+Z of density 2 K0(2 sqrt z) and theta uniform: Graf's addition theorem takes
+the phase average, so each is a closed form in I and K Bessel functions
+(``drlos_pdf_oracle``, ``drlos_cdf_oracle``).  So the law can be built the
+other way too, by conditioning on the LoS power xi ~ Gamma(m, 1/m): given xi
+it is the drlos law at K xi, and the cdf is the drlos cdf averaged over xi
+(``_los_power_average``), one Bessel product a node.  Either way there is
+one vector quadrature per chunk of values (``_fdrlos_kernel``).
 
 Every law takes every finite m > 0, and the route follows m
-(``_conditional``, the one place that decides): at integer m up to 100 both
-the cdf and the density are the finite Binomial mixture of m Gamma laws
-(``rs_cdf`` and its density ``rs_pdf``), at every other m the cdf is the
-negative-binomial series of Erlang cdfs (``_nb_series``: rows of terms, each
-from one ``gammainc`` and two log-mass anchors, by running products and
-positive sums) and the density the 1F1 form through the scaled log 1F1.
-``fdrlos_cdf_oracle`` always averages the series, so only at integer m up to
-100 is it an independent cross-check.  The density has one route; the
-aliases ``fdrlos_pdf_oracle`` and ``rs_cdf_integer`` remain only for
-``perfbench/tracing.py``.  All these conditionals are positive sums, so
-deep-outage values keep their relative accuracy.  This is the paper's
-integral before it substitutes t = K/m + x and expands (t - K/m)^j into
-generalized incomplete gammas, whose terms cancel; ``scripts/make_goldens.py``
-keeps that expansion as an mpmath cross-check.  At K = 0 (no LoS) the law
-no longer depends on m: it is the product law of the scatter, which every
-fdrlos law takes in closed form (``_fdrlos_kernel``).
+(``_is_mixture`` decides): at integer m up to 100 both the cdf and the
+density are the finite Binomial mixture of m Gamma laws (``rs_cdf`` and its
+density ``rs_pdf``) averaged over the scatter; at every other m the density
+averages the 1F1 form through the scaled log 1F1 over the scatter, and the
+cdf is the LoS-power average, which needs no cap on m.  ``rs_cdf`` at those
+m is the negative-binomial series of Erlang cdfs (``_nb_series``: rows of
+terms, each from one ``gammainc`` and two log-mass anchors, by running
+products and positive sums).  ``fdrlos_cdf_oracle`` is the LoS-power
+average at every m, so at integer m up to 100 it shares no conditional with
+``fdrlos_cdf`` and is an independent cross-check.  The density has one
+route; the aliases ``fdrlos_pdf_oracle`` and ``rs_cdf_integer`` remain only
+for ``perfbench/tracing.py``.  The mixture, the 1F1 form and the drlos cdf
+below y = K are positive sums, and past it the drlos cdf keeps its relative
+accuracy (``_drlos_probability``), so deep-outage values keep theirs.  The
+scatter average is the paper's integral before it substitutes t = K/m + x
+and expands (t - K/m)^j into generalized incomplete gammas, whose terms
+cancel; ``scripts/make_goldens.py`` keeps that expansion as an mpmath
+cross-check.  At K = 0 (no LoS) the law no longer depends on m: it is the
+product law of the scatter, which every fdrlos law takes in closed form
+(``_fdrlos_kernel``).
 
 The density at g = 0 is the high-SNR outage slope: gbar f(0) is the coding
 gain a(K, m) = (1+K) Gamma(m) U(m, 1, K/m), and Gamma(m) U(m, 1, K/m), the
@@ -69,7 +77,7 @@ from scipy.special import (betainc, betaincc, chndtr, digamma, factorial, gammai
 from .models import FadingParams, check_params
 from .specfun import (MAX_TERMS, TINY, AccuracyError, DomainError,
                       adaptive_quad_vec, check_rel_tol, gamma_tricomi_u,
-                      log_kummer_1f1, log_negbin_pmf, log_poisson_pmf)
+                      log_kummer_1f1, log_negbin_pmf, log_poisson_pmf, stirlerr)
 
 _GAMMA_CHUNK = 128        # values per quadrature (``_by_chunks``), measured below
 _ROW = 64                 # Rician shadowed series terms per anchored row
@@ -268,10 +276,11 @@ def _kummer_density(y, k_x, m):
 
 
 def rs_cdf(gamma, k_x, m, gbar_x):
-    """Rician shadowed SNR cdf for every m > 0, routed as ``fdrlos_cdf`` routes
-    it (``_conditional``): at integer m up to 100 the finite Binomial mixture of
-    Gamma laws (the integer-m case of the Poisson-Gamma mixture of Abdi et al.,
-    IEEE TWC 2003), at every other m the negative-binomial series ``_nb_series``.
+    """Rician shadowed SNR cdf for every m > 0 (``_conditional``): at integer
+    m up to 100 the finite Binomial mixture of Gamma laws (the integer-m case
+    of the Poisson-Gamma mixture of Abdi et al., IEEE TWC 2003), which
+    ``fdrlos_cdf`` averages there, at every other m the negative-binomial
+    series ``_nb_series``.
 
     With W = gbar_x/(1+K_x) and L = 1 + K_x/m the MGF is
     (1 - sW)^(m-1) / (1 - sWL)^m, and 1 - sW = (1 - sWL)/L + (1 - 1/L) gives
@@ -436,12 +445,18 @@ def _nb_mass_below(n, m, p, q):
 # fluctuating double-Rayleigh LoS
 
 
+def _is_mixture(m):
+    """Whether m takes the Binomial mixture, an integer up to
+    ``_MIXTURE_MAX_M``: the one place the route of a law follows m."""
+    return m <= _MIXTURE_MAX_M and m == int(m)
+
+
 def _conditional(m, law):
     """The conditional Rician shadowed ``law`` ("pdf" or "cdf") at shape m,
     (y, k_x) -> value on checked arguments: the Binomial mixture at
     integer m up to ``_MIXTURE_MAX_M``, else the 1F1 density or the
-    negative-binomial series.  The one place the route of a law follows m."""
-    if m <= _MIXTURE_MAX_M and m == int(m):
+    negative-binomial series."""
+    if _is_mixture(m):
         return lambda y, k_x: _binomial_mixture(y, k_x, int(m), law)
     kernel = _kummer_density if law == "pdf" else _nb_series
     return lambda y, k_x: kernel(y, k_x, m)
@@ -466,16 +481,12 @@ def _product_cdf(r):
     return np.where(r >= 0.5, 1.0 - 2.0 * big * k1(2.0 * big), np.where(r > 0, series, 0.0))
 
 
-def _fdrlos_kernel(conditional, law, rel_tol):
-    """The kernel of the fdrlos laws for ``_law``, (y, k) -> values to
-    relative accuracy ``rel_tol``: at K = 0 the product law, 2 K0(2 sqrt y)
-    or ``_product_cdf(sqrt y)``, which no m changes, elsewhere
-    ``conditional`` averaged over the exponential scatter weight by
-    ``_by_chunks``, a "cdf" as int e^{-x} F(y/x; K/x) dx, a "pdf" as
-    2 int e^{-s^2} f(y/s^2; K/s^2) ds/s.  ``conditional(y/x, k_x)`` gets a
-    chunk as (nx, ng) and K_x = K/x as an (nx, 1) column, or (nx, ng) for an
-    array K, and returns the (nx, ng) conditional values.  The average runs
-    even where no value is left, so that it checks ``rel_tol``."""
+def _scatter_average(conditional, law):
+    """The integrand of ``_by_chunks`` that averages ``conditional`` over the
+    exponential scatter weight, a "cdf" as int e^{-x} F(y/x; K/x) dx, a "pdf"
+    as 2 int e^{-s^2} f(y/s^2; K/s^2) ds/s.  ``conditional(y/x, k_x)`` gets
+    a chunk as (nx, ng) and K_x = K/x as an (nx, 1) column, or (nx, ng) for
+    an array K, and returns the (nx, ng) conditional values."""
     pdf = law == "pdf"
 
     def integrand(y_c, k_c):
@@ -486,6 +497,142 @@ def _fdrlos_kernel(conditional, law, rel_tol):
             x = v * v if pdf else v
             return conditional(y_c / x, k_c / x) * (np.exp(-x) * (2.0 / v if pdf else 1.0))
         return f
+    return integrand
+
+
+#: 1/(j+2)!, j < 17: the series of (e^s - 1 - s)/s^2, which these terms
+#: leave 1e-17 short of at |s| = 1
+_EXCESS = 1.0 / factorial(np.arange(2.0, 19.0))
+_HUGE = float(np.finfo(float).max)
+#: the step of the drlos cdf at its kink is about 1/sqrt(y) wide in s; its
+#: breakpoint on the left lies this many widths out, past which F is 1 to
+#: within e^-64
+_STEP_WIDTHS = 32.0
+#: the scales from a breakpoint that its half of a gap spans at least
+_REACH = 64.0
+
+
+def _los_power_average(m):
+    """The integrand of ``_by_chunks`` that averages the drlos cdf over the
+    LoS power xi ~ Gamma(m, 1/m): given xi the fdrlos law is the drlos law at
+    K xi, so F(y) = int g_m(xi) ``_drlos_probability``(y, K xi) dxi.
+
+    The average runs in tau = lam s, s = log xi and lam = min(m, 1).  From
+    m = 1 on tau = s, and the weight is exp(log(m/2 pi)/2 - stirlerr(m) -
+    m (e^s - 1 - s)), mode 0 and width 1/sqrt(m), with e^s - 1 - s summed as
+    a series below |s| = 1, so that no digit is lost at huge m.  Below m = 1
+    the weight m^m e^(tau - m e^(tau/m)) / Gamma(m+1) falls like e^tau to
+    the left, where s itself would overflow, and right of its mode it is
+    flat in s up to a cliff near s = log(1/m).
+
+    Each value has its own breakpoints, each with the scale of what changes
+    there: its kink s* = log(y/K), where the drlos cdf steps over about
+    1/sqrt(y) in s; where that step is narrower than 1/32 of the weight, its
+    edges ``_STEP_WIDTHS`` steps either side, past which the weight alone
+    changes; and a centre: the weight's mode 0 where s* >= 0, else the peak
+    p = -2 asinh(sqrt(K)/(2m)) of g_m times about K0(2 sqrt(K xi)), the
+    cdf's branch past the kink, where p lies past s*, else s*.  A centre
+    within the step moves to its edge.  Every piece is mapped from a
+    breakpoint, x -> h x / (1 + x h / L) for a piece of length L and scale
+    h <= L: the half-lines past the outer breakpoints, both halves of the gap
+    between the centre and the nearer step edge, split in the ratio of
+    their scales but each at least ``_REACH`` of its own or half the gap,
+    and the step on either side of the kink.  So every breakpoint is the
+    near end of the pieces it bounds, where the nodes lie closest, and no
+    narrow weight or step lies unseen at the far end of a wide piece.
+    Below m = 1 the weight also steps by m over the lam left of its mode,
+    and F over some 30 in s left of its kink, so a bridge of
+    ``_STEP_WIDTHS`` lam at scale lam leads to the left half-line, and no
+    scale to the right passes lam.  The pieces of a value are one component
+    of the quadrature; a piece empty for every value of a chunk is left
+    out.  Where K xi leaves double range the weight or the cdf is 0, and
+    K xi is clipped."""
+    lam = min(m, 1.0)
+    width = 1.0 / math.sqrt(max(m, 1.0))        # the weight's scale in tau
+    if m >= 1.0:
+        # sqrt(m) joins the scales, so that no log_norm near 350 rounds away digits
+        log_norm, root_m = -0.5 * math.log(2.0 * math.pi) - float(stirlerr(m)), math.sqrt(m)
+
+        def log_weight(s):
+            small = np.abs(s) < 1.0
+            z = np.where(small, s, 0.0)
+            series = 0.0
+            for c in _EXCESS[::-1]:
+                series = c + z * series
+            # (m s) s: s^2 would underflow where m is huge
+            return log_norm - np.where(small, (m * z) * z * series, m * (np.expm1(s) - s))
+    else:
+        log_norm, root_m = m * math.log(m) - math.lgamma(m + 1.0), 1.0
+
+        def log_weight(tau):
+            return log_norm + tau - m * np.exp(tau / m)
+
+    def integrand(y_c, k_c):
+        log_k = np.log(k_c)
+        s_kink = np.log(y_c) - log_k
+        h_kink = np.minimum(width, lam / np.sqrt(np.maximum(y_c, 1.0)))
+        with np.errstate(over="ignore", divide="ignore"):
+            root = np.exp(0.5 * log_k) / m          # sqrt(K)/m; inf puts p at -inf
+            peak = -2.0 * np.arcsinh(0.5 * root)
+            curve = m * np.exp(peak) + 0.25 * np.exp(0.5 * (log_k + peak))
+            h_peak = np.minimum(width, lam / np.sqrt(curve))
+        # in tau: the kink, the edges of its step (the kink itself where the
+        # step is no narrower than 1/32 of the weight) and the centre
+        kink = lam * s_kink
+        narrow = width > _STEP_WIDTHS * h_kink
+        step, edge = np.where(narrow, _STEP_WIDTHS * h_kink, 0.0), np.where(narrow, width, h_kink)
+        e_lo, e_hi = kink - step, kink + step
+        below = s_kink < 0.0
+        centre = lam * np.where(below, np.maximum(peak, s_kink), 0.0)
+        h_centre = np.where(below, np.where(peak > s_kink, h_peak, edge), width)
+        up = centre >= kink
+        h_centre = np.where((centre > e_lo) & (centre < e_hi), edge, h_centre)
+        centre = np.where(up, np.maximum(centre, e_hi), np.minimum(centre, e_lo))
+        # the pieces as (anchor, direction, scale, length)
+        lo, hi = np.where(up, e_hi, centre), np.where(up, centre, e_lo)
+        h_lo, h_hi = np.where(up, edge, h_centre), np.where(up, h_centre, edge)
+        gap = hi - lo
+        near = np.clip(gap * h_lo / (h_lo + h_hi), np.minimum(0.5 * gap, _REACH * h_lo),
+                       gap - np.minimum(0.5 * gap, _REACH * h_hi))
+        tail = np.full(gap.shape, np.inf)
+        first = np.where(up, e_lo, centre)
+        bridge = _STEP_WIDTHS * lam if m < 1.0 else 0.0
+        pieces = [(first - bridge, -1.0, h_lo, tail), (lo, 1.0, h_lo, near),
+                  (hi, -1.0, h_hi, gap - near), (np.where(up, centre, e_hi), 1.0, h_hi, tail),
+                  (kink, -1.0, h_kink, step), (kink, 1.0, h_kink, step),
+                  (first, -1.0, np.minimum(h_lo, lam), bridge)]
+        anchor, sign, h, length = (np.stack(np.broadcast_arrays(gap, *col)[1:])
+                                   for col in zip(*pieces))
+        keep = np.any(length > 0.0, axis=1)
+        anchor, sign, h, length = anchor[keep], sign[keep], h[keep], length[keep]
+        h = np.minimum(np.where(sign > 0.0, np.minimum(h, lam), h), length)
+        h_norm = h * root_m
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rate = np.where(length > 0.0, h / length, np.inf)   # inf on an empty piece
+        terms = _drlos_y_terms(y_c)
+
+        def f(x):
+            x = x[:, None, None]
+            # K xi and e^(tau/m) leave double range where the weight is 0, and
+            # 2 |y - K xi| past it where the cdf is 0
+            with np.errstate(over="ignore"):
+                stretch = 1.0 / (1.0 + x * rate)                # 0 on an empty piece
+                tau = anchor + sign * (x * h * stretch)
+                weight = np.exp(log_weight(tau)) * (h_norm * stretch * stretch)
+                k_xi = np.where(weight > 0.0, np.minimum(np.exp(log_k + tau / lam), _HUGE), 1.0)
+                return (weight * _drlos_cdf(terms, k_xi)).sum(axis=1)
+        return f
+    return integrand
+
+
+def _fdrlos_kernel(integrand, law, rel_tol):
+    """The kernel of the fdrlos laws for ``_law``, (y, k) -> values to
+    relative accuracy ``rel_tol``: at K = 0 the product law, 2 K0(2 sqrt y)
+    or ``_product_cdf(sqrt y)``, which no m changes, elsewhere one
+    ``_by_chunks`` quadrature of ``integrand`` (``_scatter_average`` or
+    ``_los_power_average``) per chunk.  The average runs even where no value
+    is left, so that it checks ``rel_tol``."""
+    pdf = law == "pdf"
 
     def kernel(y, k):
         zero = k == 0
@@ -525,7 +672,8 @@ def fdrlos_pdf(gamma, params: FadingParams, *, rel_tol=1e-10):
         # the product law's pole at K = 0
         return [_gamma_u(v, m, rel_tol) if v > 0 else np.inf for v in k.tolist()]
 
-    return _law(_fdrlos_kernel(conditional, "pdf", rel_tol), "pdf", gamma, params.k, m,
+    return _law(_fdrlos_kernel(_scatter_average(conditional, "pdf"), "pdf", rel_tol), "pdf",
+                gamma, params.k, m,
                 params.gamma_bar, at_zero)
 
 
@@ -537,28 +685,34 @@ def fdrlos_cdf(gamma, params: FadingParams, *, rel_tol=1e-10):
     """SNR cdf of the fluctuating double-Rayleigh LoS model for every m > 0,
     to relative accuracy ``rel_tol``.
 
-    The conditional Rician shadowed cdf averaged over e^{-x}: at integer m
-    up to 100 the finite Binomial mixture of ``rs_cdf``; with
+    At integer m up to 100 the conditional Rician shadowed cdf, the finite
+    Binomial mixture of ``rs_cdf``, averaged over e^{-x}; with
     b = g (K+1)/gbar and z = K/m,
 
         F(g) = int_0^inf e^{-x} sum_{j<m} Bin(j; m-1, x/(x+z)) P(m-j, b/(x+z)) dx,
 
     the paper's integral before t = K/m + x is substituted and (t - K/m)^j
-    expanded.  At every other m the negative-binomial series ``_nb_series``.
-    Every term is positive, so deep outage keeps its relative accuracy.  At
-    K = 0 it is the product law ``_product_cdf(sqrt y)`` (``_fdrlos_kernel``).
-    An array K (an outage sweep over K) or gbar broadcasts against gamma.
+    expanded.  At every other m the drlos cdf averaged over the LoS power
+    (``_los_power_average``), as ``fdrlos_cdf_oracle`` is; it has no cap on
+    m, and past about m = 1e15 it is the drlos limit to within rounding.
+    Deep outage keeps its relative accuracy on both routes.  At K = 0 it is
+    the product law ``_product_cdf(sqrt y)`` (``_fdrlos_kernel``).  An array
+    K (an outage sweep over K) or gbar broadcasts against gamma.
     """
-    return _law(_fdrlos_kernel(_conditional(params.m, "cdf"), "cdf", rel_tol), "cdf", gamma,
-                params.k, params.m, params.gamma_bar)
+    m = params.m
+    integrand = (_scatter_average(_conditional(m, "cdf"), "cdf") if _is_mixture(m)
+                 else _los_power_average(m))
+    return _law(_fdrlos_kernel(integrand, "cdf", rel_tol), "cdf", gamma, params.k, m,
+                params.gamma_bar)
 
 
 def fdrlos_cdf_oracle(gamma, params: FadingParams, *, rel_tol=1e-10):
-    """Ground-truth cdf: the negative-binomial series ``_nb_series`` averaged at
-    every m > 0, so only at integer m up to 100 does it share no conditional
-    code with ``fdrlos_cdf``."""
-    return _law(_fdrlos_kernel(lambda y_x, k_x: _nb_series(y_x, k_x, params.m), "cdf",
-                               rel_tol), "cdf", gamma, params.k, params.m, params.gamma_bar)
+    """Ground-truth cdf: the drlos cdf averaged over the LoS power
+    (``_los_power_average``) at every m > 0, so at integer m up to 100, where
+    ``fdrlos_cdf`` averages the Binomial mixture over the scatter, it shares
+    no code with it but the closed forms at K = 0."""
+    return _law(_fdrlos_kernel(_los_power_average(params.m), "cdf", rel_tol), "cdf", gamma,
+                params.k, params.m, params.gamma_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -657,16 +811,35 @@ def _drlos_probability(y, k):
     K = 1 F past y = K is F(K) + I0(2 sqrt K) (P(y) - P(K)), P the product
     law ``_product_cdf`` at sqrt y and sqrt K, which no cancellation costs
     relative accuracy, and which is P(y) at K = 0."""
-    y, k = np.broadcast_arrays(y, k)
-    root_y, root_k = np.sqrt(y), np.sqrt(k)
+    return _drlos_cdf(_drlos_y_terms(y), k)
+
+
+def _drlos_y_terms(y):
+    """The factors of ``_drlos_probability`` that depend on y alone:
+    y, sqrt y, 2 sqrt y I1(2 sqrt y) e^(-2 sqrt y), K1(2 sqrt y) e^(2 sqrt y)
+    and P(y), taken once for every K they meet (``_drlos_cdf``)."""
+    y = np.asarray(y, dtype=float)
+    root = np.sqrt(y)
+    return y, root, 2.0 * root * i1e(2.0 * root), k1e(2.0 * root), _product_cdf(root)
+
+
+def _drlos_cdf(terms, k):
+    """``_drlos_probability`` from ``_drlos_y_terms``, broadcast against K:
+    each value takes one Bessel function of sqrt K, K0 on its branch up to
+    y = K and I0 past it, and the product law below K = 1."""
+    y, root_y, up, down, prod_y, k = np.broadcast_arrays(*terms, k)
+    root_k = np.sqrt(k)
     shade = np.exp(-2.0 * np.abs(y - k) / (root_y + root_k))
-    out = np.where(y <= k, 2.0 * root_y * i1e(2.0 * root_y) * k0e(2.0 * root_k) * shade,
-                   1.0 - 2.0 * root_y * i0e(2.0 * root_k) * k1e(2.0 * root_y) * shade)
-    low = (y > k) & (k < 1.0)
-    r_y, r_k = root_y[low], root_k[low]
+    right = y <= k
+    bessel = np.empty(k.shape)
+    bessel[right] = k0e(2.0 * root_k[right])
+    bessel[~right] = i0e(2.0 * root_k[~right])
+    out = np.where(right, up * bessel * shade, 1.0 - 2.0 * root_y * bessel * down * shade)
+    low = ~right & (k < 1.0)
+    r_k = root_k[low]
     with np.errstate(invalid="ignore"):     # 0 K0(0) at K = 0, where F(K) is 0
         at_k = np.where(r_k > 0.0, 2.0 * r_k * i1e(2.0 * r_k) * k0e(2.0 * r_k), 0.0)
-    out[low] = at_k + i0(2.0 * r_k) * (_product_cdf(r_y) - _product_cdf(r_k))
+    out[low] = at_k + i0(2.0 * r_k) * (prod_y[low] - _product_cdf(r_k))
     return out
 
 

@@ -5,11 +5,13 @@ are converted once at this boundary via linear = 10^(dB/10).  Output is CSV
 (UTF-8, comma, header row, LF) with 17 significant digits, which round-trips
 doubles exactly; ``Curve.write_csv`` writes it to ``--output`` or stdout.
 
-Every law with an m takes every finite m > 0; the route (the finite Binomial
-mixture at integer m up to 100, otherwise the negative-binomial series or
-1F1, which refuse m past 1e15) follows m.  ``--oracle`` changes only the
-fdrlos cdf (``cdf``, ``op``, ``sim``): it selects the negative-binomial
-conditional at every m, a cross-check at integer m up to 100, and at other m
+Every law with an m takes every finite m > 0; the route follows m: the
+finite Binomial mixture at integer m up to 100, otherwise the 1F1 density
+and the negative-binomial series of the Rician shadowed cdf, which refuse m
+past 1e15, and the fdrlos cdf as the drlos cdf averaged over the LoS power,
+which takes every m.  ``--oracle`` changes only the fdrlos cdf (``cdf``,
+``op``, ``sim``): it selects that LoS-power average at every m, a cross-check
+that shares no code with the mixture at integer m up to 100, and at other m
 the same numbers as the default.  The pdf has one route, flag or not.
 
 Exit codes: 0 success, 2 usage/domain error or an output path that cannot be
@@ -114,8 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
             g.add_argument("--gamma-bar", type=float, help="mean SNR, linear")
             g.add_argument("--gamma-bar-db", type=float, help="mean SNR, dB")
         p.add_argument("--oracle", action="store_true",
-                       help="fdrlos cdf (cdf, op, sim) from the negative-binomial "
-                            "conditional at every m; pdf has one route")
+                       help="fdrlos cdf (cdf, op, sim) as the LoS-power average "
+                            "at every m; pdf has one route")
         p.add_argument("--rel-tol", type=float, default=1e-10)
         p.add_argument("--output", help="CSV path (default: stdout)")
 

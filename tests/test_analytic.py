@@ -122,14 +122,25 @@ FDRLOS_PDF_M1000_GOLDENS = {
     (1.25, 1.0, 1000.5, 1.0): 0.2627913656526993,
     (2.0, 1.0, 1000.5, 1.0): 0.10177310698073032,
 }
-# the cdf at real m from scripts/make_goldens.py: the 1F1 density integrated
-# over [0, gamma] and averaged over e^{-x}, by tanh-sinh at 40 and 50 digits
+# the cdf at real m from scripts/make_goldens.py: the drlos cdf averaged over
+# the LoS power at 40 and 50 digits, confirmed by the 1F1 density integrated
+# over [0, gamma] and averaged over e^{-x}
 FDRLOS_CDF_REAL_M_GOLDENS = {
     (0.01, 3.0, 2.5, 2.0): 0.002014804880096249,  # K = 3, m = 2.5
     (1.0, 3.0, 2.5, 2.0): 0.32040852552813204,  # K = 3, m = 2.5
     (20.0, 3.0, 2.5, 2.0): 0.9998507053035582,  # K = 3, m = 2.5
     (1.0, 3.0, 0.7, 2.0): 0.44431112701590186,  # m below 1
     (1.9952623149688795, 1.0, 2.5, 10000000000.0): 1.390073580526743e-10,  # 100 dB outage
+}
+# the cdf from scripts/make_goldens.py as the drlos cdf averaged over the LoS
+# power xi ~ Gamma(m, 1/m), by tanh-sinh in log xi at 40 and 50 digits
+LOS_POWER_CDF_GOLDENS = {
+    (1e-12, 0.1, 0.3, 1.0): 4.053472422897105e-12,  # deep outage, small K, m below 1
+    (1e-12, 0.001, 0.3, 1.0): 8.062682494256866e-12,  # deep outage, small K, m below 1
+    (1.0, 100000000.0, 2.5, 1.0): 0.5841198130044923,  # a step 1e-4 wide at the kink
+    (0.001, 1.0, 1000000000.0, 1.0): 0.0004560312188809684,  # 1.1e-9 above the drlos limit
+    # m = 1e-7: the weight right of its mode is flat in log xi up to 16
+    (50.0, 1.0, 1e-07, 1.0): 0.9999988936411256,
 }
 # the drlos pdf from scripts/make_goldens.py where y = (1+K) g/gbar is K, and
 # 1e-6 and 1e-7 above: the Rician density averaged in s = sqrt(x) by
@@ -273,7 +284,8 @@ class TestRsPdf:
 
 class TestRoute:
     """Integer m up to 100 takes the Binomial mixture; past it, as at real m,
-    the 1F1 density and the negative-binomial series."""
+    the 1F1 density, the negative-binomial series of ``rs_cdf`` and the
+    LoS-power average of ``fdrlos_cdf``."""
 
     @pytest.mark.parametrize("m, mixture", [(100, True), (101, False), (10 ** 4, False)])
     def test_mixture_serves_integer_m_up_to_100(self, m, mixture, monkeypatch):
@@ -291,7 +303,7 @@ class TestRoute:
                 assert law() > 0.0
 
     def test_integer_m_past_100_is_the_oracle(self):
-        # past the cut both cdfs average the same series
+        # past the cut both cdfs are the same LoS-power average
         params = FadingParams(1.0, 1e4, 1.0)
         assert fdrlos_cdf(1.0, params) == fdrlos_cdf_oracle(1.0, params)
 
@@ -624,7 +636,7 @@ class TestFdrlosCdf:
 
     @pytest.mark.parametrize("args,want", sorted(FDRLOS_CDF_REAL_M_GOLDENS.items()))
     def test_real_m_goldens(self, args, want):
-        # the negative-binomial series averaged over e^{-x}, down to 100 dB
+        # the drlos cdf averaged over the LoS power, down to 100 dB
         g, k, m, gbar = args
         assert fdrlos_cdf(g, FadingParams(k, m, gbar)) == pytest.approx(
             want, rel=1e-12, abs=0)
@@ -681,9 +693,10 @@ class TestFdrlosCdfOracle:
 
     @pytest.mark.parametrize("m", [1, 3, 2.5, 10, 40])
     def test_deep_outage_keeps_relative_accuracy(self, m):
-        # both conditional cdfs are positive sums, so 80-120 dB outage neither
-        # cancels nor stalls the quadrature; it tends to a gamma_th / gbar,
-        # a the coding gain; at real m fdrlos_cdf averages the oracle's series
+        # the mixture and the drlos cdf are positive sums, so 80-120 dB outage
+        # neither cancels nor stalls the quadrature; it tends to a gamma_th /
+        # gbar, a the coding gain; at real m fdrlos_cdf is the oracle's LoS-power
+        # average, at integer m the two share no code
         gth = 10.0 ** 0.3
         p = FadingParams(1.0, m, 1.0)
         routes = (fdrlos_cdf_oracle, fdrlos_cdf) if m == int(m) else (fdrlos_cdf,)
@@ -695,6 +708,68 @@ class TestFdrlosCdfOracle:
     def test_real_m_is_one_quadrature_per_chunk(self, quad_calls):
         fdrlos_cdf_oracle(np.geomspace(0.01, 20.0, 16), FadingParams(3.0, 2.5, 2.0))
         assert len(quad_calls) == 1
+
+
+class TestLosPowerAverage:
+    """The cdf at every m the mixture does not serve, and the oracle at every
+    m, as the drlos cdf averaged over the LoS power xi ~ Gamma(m, 1/m): each
+    value's breakpoints are the near ends of the pieces they bound, so no
+    narrow weight or step lies unseen at the far end of a wide piece."""
+
+    @pytest.mark.parametrize("args,want", sorted(LOS_POWER_CDF_GOLDENS.items()))
+    def test_goldens(self, args, want):
+        g, k, m, gbar = args
+        for cdf in (fdrlos_cdf, fdrlos_cdf_oracle):
+            assert cdf(g, FadingParams(k, m, gbar)) == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.45, 0.5, 0.55, 5.0])
+    def test_m_1e300_is_the_drlos_limit(self, t):
+        # the weight is 1e-150 wide and the O(1/m) correction far below eps;
+        # a piece mapped linearly from the kink to the mode returned half
+        assert fdrlos_cdf(t, FadingParams(1.0, 1e300, 1.0)) == pytest.approx(
+            drlos_cdf_oracle(t, 1.0, 1.0), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("m", [1e12, 1e15])
+    @pytest.mark.parametrize("t", [1e-3, 0.45, 0.55])
+    def test_huge_m_nears_the_drlos_limit(self, m, t):
+        # within the O(1/m) correction; at m = 1e9 it is 1.1e-9
+        # (``LOS_POWER_CDF_GOLDENS``)
+        assert fdrlos_cdf(t, FadingParams(1.0, m, 1.0)) == pytest.approx(
+            drlos_cdf_oracle(t, 1.0, 1.0), rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("k", [1e12, 1e100])
+    def test_narrow_kink_is_the_step_limit(self, k):
+        # y = (1+K) t rounds to K at t = 1, where the drlos cdf steps from 1 to
+        # 0 over a width 1/sqrt(K) in log xi: F is P(xi < 1) = P(m, m)
+        assert fdrlos_cdf(1.0, FadingParams(k, 2.5, 1.0)) == pytest.approx(
+            0.584119813004492, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [1e-5, 3e-5, 1e-100, 1e-300, specfun.TINY])
+    def test_tiny_m_keeps_the_mass_on_both_sides_of_the_mode(self, m):
+        # in tau = m log xi the weight falls like e^tau to the left, is flat up
+        # to its cliff near log(1/m) to the right, and steps by m just left of
+        # its mode: at m = 3e-5 a piece that missed that step was 9e-10 off
+        y, k = np.array([0.5, 110.0, 1.0, 1e-8]), np.array([1e-50, 10.0, 1.0, 1.0])
+        f = analytic._los_power_average(m)(y, k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytic, "_drlos_cdf", lambda terms, k_xi: np.ones(k_xi.shape))
+            mass, _ = adaptive_quad_vec(f, rel_tol=1e-12)
+        np.testing.assert_allclose(mass, 1.0, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("t, k, m", [
+        (1.2232347462399492e-4, 2.183073338855242e245, 7.9931418483679e-288),
+        (4.6300942432303036e94, 1.2872478771642867e-255, 5.328060544880314e-277),
+        (0.8003426026329111, 4.824917325550586e222, 1.6773595622541767e-135),
+        (1.0, 1.0, 1e300), (1e-300, 1e300, 1e-300), (1e150, 1e-300, 1e300)])
+    def test_extremes_raise_no_warning(self, t, k, m):
+        # K xi, e^(tau/m) and the scales of a step leave double range, or
+        # underflow, only where the weight or the piece is empty
+        try:
+            value = fdrlos_cdf(t, FadingParams(k, m, 1.0))
+        except AccuracyError as exc:
+            assert "smallest normal double" in str(exc)
+        else:
+            assert 0.0 <= value <= 1.0
 
 
 class TestOutage:
@@ -898,8 +973,8 @@ def test_y_past_double_range_is_refused(call):
 
 @pytest.mark.parametrize("m", [1, 2, 10])
 def test_route_is_continuous_across_integer_m(m):
-    # the finite Binomial mixture at m and the negative-binomial series at
-    # m -/+ 1e-9 (the 1F1 series for the density) must meet
+    # the finite Binomial mixture at m and the LoS-power average at m -/+ 1e-9
+    # (the 1F1 series for the density) must meet
     g = np.array([0.3, 1.0, 4.0])
     for law in (fdrlos_cdf, fdrlos_pdf):
         at = law(g, FadingParams(2.0, m, 1.5))
@@ -1070,14 +1145,29 @@ class TestChunkBudget:
         assert len(quad_calls) == 1
 
     def test_a_refusing_batch_answers_in_halves(self, quad_calls):
-        # the nodes placed for t = 1e-12 take the series window of t = 30 past
-        # its cap, so the three refuse together; both halves answer
-        g = np.array([1e-12, 0.5, 30.0])
-        params = FadingParams(1.5, 0.5, 1.0)
-        scalar = [fdrlos_cdf_oracle(v, params) for v in g]
+        # an integrand that refuses any chunk with values on both sides of 1:
+        # the three refuse together, then [0.5] and [2, 3] answer
+        def integrand(y_c, k_c):
+            def f(x):
+                if y_c.min() < 1.0 < y_c.max():
+                    raise AccuracyError("values on both sides of 1")
+                return np.exp(-x)[:, None] * y_c
+            return f
+
+        y = np.array([0.5, 2.0, 3.0])
+        np.testing.assert_allclose(analytic._by_chunks(integrand, y, 1.0, 1e-10), y,
+                                   rtol=1e-14, atol=0)
+        assert len(quad_calls) == 3
+
+    def test_the_split_array_is_one_quadrature(self, quad_calls):
+        # t = 1e-12, 0.5 and 30 at (K, m) = (1.5, 0.5): the scatter average of
+        # the series refused them together, a failed first quadrature paid in
+        # full before the halves answered; the LoS-power average takes them in one
+        g, params = np.array([1e-12, 0.5, 30.0]), FadingParams(1.5, 0.5, 1.0)
+        scalar = [fdrlos_cdf(v, params) for v in g]
         quad_calls.clear()
-        np.testing.assert_allclose(fdrlos_cdf_oracle(g, params), scalar, rtol=1e-12, atol=0)
-        assert len(quad_calls) > 1
+        np.testing.assert_allclose(fdrlos_cdf(g, params), scalar, rtol=1e-12, atol=0)
+        assert len(quad_calls) == 1
 
 
 #: every public law as f(g, k, m, gbar, rel_tol), with the parameters it takes

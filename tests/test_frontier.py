@@ -24,7 +24,7 @@ from fdrlos.analytic import (coding_gain, drlos_cdf_oracle, drlos_pdf_oracle, fd
                              fdrlos_pdf, rician_cdf)
 from fdrlos.models import FadingParams
 from fdrlos.specfun import TINY, AccuracyError
-from test_analytic import DRLOS_CDF_GOLDENS
+from test_analytic import DRLOS_CDF_GOLDENS, LOS_POWER_CDF_GOLDENS
 
 # the m -> 0 limits of the fdrlos laws at K = 1, gamma = gbar = 1: the
 # product law of the scatter alone at y = 2, (1+K) 2 K0(2 sqrt y) and
@@ -56,8 +56,9 @@ class Row(NamedTuple):
     want: object
 
 
-#: SNRs that answer alone at (K, m) = (1.5, 0.5) but refuse as one quadrature:
-#: the nodes placed for t = 1e-12 take the series window of t = 30 past its cap
+#: SNRs that the scatter average of the series refused as one quadrature at
+#: (K, m) = (1.5, 0.5), though each answered alone: the nodes placed for
+#: t = 1e-12 took the series window of t = 30 past its cap
 SPLIT_ARRAY, SPLIT_PARAMS = np.array([1e-12, 0.5, 30.0]), FadingParams(1.5, 0.5, 1.0)
 
 
@@ -129,16 +130,23 @@ ROWS = [
       for m in (1e307, 1.7e308)),
     *(Row(f"gain-k{k:g}-m{m:g}", lambda k=k, m=m: coding_gain(k, m), REFUSES)
       for k, m in ((1.0, TINY), (1e308, 1.0))),
-    # tiny K deep in outage: the scatter average runs out of splits at
-    # t = 1e-12, though from t = 1e-10 on all three answer
+    # tiny K deep in outage: the LoS-power average answers at real m, where
+    # the scatter average of the series ran out of splits at t = 1e-12; at
+    # integer m the mixture's scatter average still does, though from
+    # t = 1e-10 on it answers
     *(Row(f"cdf-k{k:g}-m{m:g}-t1e-12", lambda k=k, m=m: fdrlos_cdf(1e-12, FadingParams(k, m, 1.0)),
-          REFUSES)
-      for k, m in ((0.1, 0.3), (1e-3, 0.3), (1e-12, 2))),
+          (LOS_POWER_CDF_GOLDENS[(1e-12, k, m, 1.0)], 1e-13))
+      for k, m in ((0.1, 0.3), (1e-3, 0.3))),
+    Row("cdf-k1e-12-m2-t1e-12", lambda: fdrlos_cdf(1e-12, FadingParams(1e-12, 2, 1.0)), REFUSES),
     # a subnormal probability, about a t, which no normal double holds
     Row("cdf-t1e-312", lambda: fdrlos_cdf(1e-312, FadingParams(1.0, 2.5, 1.0)), REFUSES),
-    # a cost row: the series windows grow with K
+    # a cost row: the step at the kink narrows as K grows
     Row("cdf-k1e6", lambda: fdrlos_cdf(1.0, FadingParams(1e6, 2.5, 1.0)),
         lambda value: 0.0 < value < 1.0),
+    # the step at K = 1e8, 1e-4 wide in log xi: the series window of the
+    # scatter average passed its cap (1.04e7 terms)
+    Row("cdf-k1e8", lambda: fdrlos_cdf(1.0, FadingParams(1e8, 2.5, 1.0)),
+        (LOS_POWER_CDF_GOLDENS[(1.0, 1e8, 2.5, 1.0)], 1e-14)),
 ]
 
 
